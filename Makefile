@@ -1,7 +1,7 @@
 GO ?= go
 BIN := $(CURDIR)/bin
 
-.PHONY: build test lint lint-self fuzz-smoke stream-smoke server-smoke sanitize bench bench-cache bench-server clean
+.PHONY: build test lint lint-self fuzz-smoke stream-smoke server-smoke sanitize bench bench-check bench-cache bench-server clean
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,14 @@ server-smoke:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# bench-check vets and tests the repository benchmark (BENCHMARK.json,
+# benchmark/). It is a nested module with `replace gofusion => ../`, so
+# `go build ./...` and `go test ./...` at the root never compile it: an
+# exported engine type it names (exec.WindowExec, core.SessionConfig, ...)
+# can be renamed without tier-1 noticing.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench-cache measures the shared decoded-page cache and result cache
 # (cold vs warm vs nocache vs warmresult, plus the concurrent mixed

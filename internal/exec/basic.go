@@ -469,7 +469,7 @@ func (e *CoalescePartitionsExec) Execute(ctx *physical.ExecContext, partition in
 		close(ch)
 	}()
 	stop := func() { stopOnce.Do(func() { close(done) }) }
-	return physical.InstrumentStream(&chanStream{schema: e.Schema(), ch: ch, stop: stop}, e.Metrics()), nil
+	return physical.InstrumentStream(&chanStream{schema: e.Schema(), ctx: ctx, ch: ch, stop: stop}, e.Metrics()), nil
 }
 
 // UnionExec concatenates the partitions of several same-schema inputs.

@@ -64,6 +64,10 @@ func CheckPlanMetrics(plan physical.ExecutionPlan, rowsReturned int64) error {
 				checkAtMost(&errs, n, s.OutputRows, op.Input)
 			case *CoalesceBatchesExec:
 				checkAtMost(&errs, n, s.OutputRows, op.Input)
+			case *WindowExec:
+				// One output row per input row, less what a top-k limit
+				// pruned (and what a limit above never pulled).
+				checkAtMost(&errs, n, s.OutputRows+s.ExtraValue("rows_pruned_topk"), op.Input)
 			case *HashJoinExec:
 				// The build side always runs to completion at Execute
 				// time, so build_rows must equal the left child's output.

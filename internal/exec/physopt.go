@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"gofusion/internal/logical"
 	"gofusion/internal/physical"
 )
 
@@ -11,6 +12,10 @@ import (
 // available; the passes here operate on the physical tree.
 func applyPhysicalOptimizers(plan physical.ExecutionPlan, cfg *PlannerConfig) (physical.ExecutionPlan, error) {
 	plan, err := removeRedundantCoalesce(plan)
+	if err != nil {
+		return nil, err
+	}
+	plan, err = limitWindowTopK(plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -117,4 +122,114 @@ func removeRedundantCoalesce(plan physical.ExecutionPlan) (physical.ExecutionPla
 		}
 		return p, nil
 	})
+}
+
+// limitWindowTopK is the per-partition top-k rewrite: a filter
+// `rn <= k`, `rn < k` or `rn = 1` directly over a WindowExec (through
+// CoalesceBatchesExec) whose one spec is the row_number() producing rn,
+// with PARTITION BY keys, makes every row past the k-th of its group dead,
+// provided nothing above the filter reads rn. The window then gets
+// TopK = k and keeps a k-bounded heap per group instead of sorting; the
+// filter stays and passes everything the window emits. The limited window
+// emits its rows in input order like the full one, so sorts that lowering
+// dropped because the window passes an ordering through stay correct.
+//
+// The rule is physical on purpose: the baseline engine shares the logical
+// optimizer and PlanWindowOver but not this pass, so it keeps evaluating
+// the full window and remains an independent reference.
+//
+// unread[i] tells that no operator above plan reads plan's output column
+// i; nil means every column may be read (the root's output is the query
+// result). Liveness is tracked only through the operators that sit between
+// a subquery's window and the outer SELECT list: projections of bare
+// columns and schema-preserving pass-through operators.
+func limitWindowTopK(plan physical.ExecutionPlan, unread []bool) (physical.ExecutionPlan, error) {
+	var below []bool
+	switch node := plan.(type) {
+	case *ProjectionExec:
+		below = make([]bool, node.Input.Schema().NumFields())
+		for i := range below {
+			below[i] = true
+		}
+		for i, x := range node.Exprs {
+			col, bare := x.(*physical.ColumnExpr)
+			if !bare {
+				below = nil // a computed output may read any input column
+				break
+			}
+			if unread == nil || !unread[i] {
+				below[col.Index] = false
+			}
+		}
+	case *CoalesceBatchesExec, *CoalescePartitionsExec, *GlobalLimitExec, *LocalLimitExec:
+		below = unread
+	case *FilterExec:
+		if limited := topKWindowUnder(node, unread); limited != nil {
+			plan = limited
+		}
+	}
+	children := append([]physical.ExecutionPlan(nil), plan.Children()...)
+	changed := false
+	for i, c := range children {
+		nc, err := limitWindowTopK(c, below)
+		if err != nil {
+			return nil, err
+		}
+		if nc != c {
+			children[i], changed = nc, true
+		}
+	}
+	if !changed {
+		return plan, nil
+	}
+	return plan.WithChildren(children)
+}
+
+// topKWindowUnder returns filter rebuilt over a TopK-limited copy of the
+// WindowExec under it, or nil when the shape is not eligible.
+func topKWindowUnder(filter *FilterExec, unread []bool) physical.ExecutionPlan {
+	pred, ok := filter.Predicate.(*physical.BinaryExpr)
+	if !ok {
+		return nil
+	}
+	col, ok := pred.L.(*physical.ColumnExpr)
+	lit, isLit := pred.R.(*physical.LiteralExpr)
+	if !ok || !isLit || lit.Value.Null || !lit.Value.Type.IsInteger() {
+		return nil
+	}
+	if unread == nil || !unread[col.Index] {
+		return nil
+	}
+	k := lit.Value.AsInt64()
+	switch {
+	case pred.Op == logical.OpLtEq:
+	case pred.Op == logical.OpLt:
+		k--
+	case pred.Op == logical.OpEq && k == 1:
+	default:
+		return nil
+	}
+	var coalesces []*CoalesceBatchesExec
+	input := filter.Input
+	for {
+		c, ok := input.(*CoalesceBatchesExec)
+		if !ok {
+			break
+		}
+		coalesces = append(coalesces, c)
+		input = c.Input
+	}
+	w, ok := input.(*WindowExec)
+	// Without PARTITION BY the shape is a plain top-k, which is TopKExec's.
+	if !ok || len(w.Specs) != 1 || w.Specs[0].Name != "row_number" ||
+		len(w.Specs[0].PartitionBy) == 0 || col.Index != w.Input.Schema().NumFields() {
+		return nil
+	}
+	limited := NewWindowExec(w.Input, w.Specs, w.Reg)
+	limited.TopK = max(k, 0)
+	var plan physical.ExecutionPlan = limited
+	for i := len(coalesces) - 1; i >= 0; i-- {
+		plan = &CoalesceBatchesExec{Input: plan, Target: coalesces[i].Target}
+	}
+	return &FilterExec{Input: plan, Predicate: filter.Predicate}
 }

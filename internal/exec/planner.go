@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/catalog"
@@ -658,7 +659,10 @@ func (cfg *PlannerConfig) planWindow(node *logical.Window) (physical.ExecutionPl
 
 // PlanWindowOver lowers a logical Window node onto a pre-built physical
 // input (also used by the baseline engine, which shares only the window
-// algorithm).
+// algorithm). It establishes WindowExec's distribution contract: with
+// PARTITION BY keys common to every spec and parallelism to use, the input
+// is hash-repartitioned on those keys and each partition is windowed on
+// its own; otherwise the input is coalesced to one partition.
 func PlanWindowOver(input physical.ExecutionPlan, node *logical.Window, cfg *PlannerConfig) (physical.ExecutionPlan, error) {
 	cfg = cfg.withDefaults()
 	comp := cfg.compiler(node.Input.Schema())
@@ -699,7 +703,36 @@ func PlanWindowOver(input physical.ExecutionPlan, node *logical.Window, cfg *Pla
 		spec.OutType = node.Schema().Field(inLen + i).Type
 		specs[i] = spec
 	}
+	if keys := commonPartitionKeys(specs); len(keys) > 0 && cfg.TargetPartitions > 1 {
+		input = &RepartitionExec{Input: input, Scheme: HashPartitioning,
+			HashExprs: keys, NumParts: cfg.TargetPartitions}
+	} else if input.Partitions() > 1 {
+		input = &CoalescePartitionsExec{Input: input}
+	}
 	return NewWindowExec(input, specs, cfg.Reg), nil
+}
+
+// commonPartitionKeys returns the PARTITION BY expressions every spec
+// lists. Rows that agree on all of a spec's keys agree on these, so hashing
+// on them keeps every spec's partitions whole.
+func commonPartitionKeys(specs []WindowSpec) []physical.PhysicalExpr {
+	if len(specs) == 0 {
+		return nil
+	}
+	var keys []physical.PhysicalExpr
+	for _, k := range specs[0].PartitionBy {
+		shared := true
+		for _, s := range specs[1:] {
+			if !slices.ContainsFunc(s.PartitionBy, func(p physical.PhysicalExpr) bool { return p.String() == k.String() }) {
+				shared = false
+				break
+			}
+		}
+		if shared {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
 func windowCall(e logical.Expr) (*logical.WindowFunc, string, error) {

@@ -218,5 +218,5 @@ func (e *RepartitionExec) Execute(ctx *physical.ExecContext, partition int) (phy
 	stop := func() {
 		e.stopOnce[partition].Do(func() { close(e.abandoned[partition]) })
 	}
-	return physical.InstrumentStream(&chanStream{schema: e.Schema(), ch: ch, stop: stop}, e.Metrics()), nil
+	return physical.InstrumentStream(&chanStream{schema: e.Schema(), ctx: ctx, ch: ch, stop: stop}, e.Metrics()), nil
 }

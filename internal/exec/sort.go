@@ -5,7 +5,6 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -31,25 +30,28 @@ func (s SortSpec) String() string {
 	return fmt.Sprintf("%s %s", s.Expr, dir)
 }
 
+// sortExprs lists the key expressions of a sort.
+func sortExprs(keys []SortSpec) []physical.PhysicalExpr {
+	exprs := make([]physical.PhysicalExpr, len(keys))
+	for i, k := range keys {
+		exprs[i] = k.Expr
+	}
+	return exprs
+}
+
 func sortEncoder(keys []SortSpec) (*rowformat.Encoder, error) {
-	types := make([]*arrow.DataType, len(keys))
 	opts := make([]rowformat.SortOption, len(keys))
 	for i, k := range keys {
-		types[i] = k.Expr.DataType()
 		opts[i] = rowformat.SortOption{Descending: k.Descending, NullsFirst: k.NullsFirst}
 	}
-	return rowformat.NewEncoder(types, opts)
+	return rowformat.NewEncoder(exprTypes(sortExprs(keys)), opts)
 }
 
 // encodeSortKeys renders each row's normalized sort key.
 func encodeSortKeys(enc *rowformat.Encoder, keys []SortSpec, b *arrow.RecordBatch) ([][]byte, error) {
-	cols := make([]arrow.Array, len(keys))
-	for i, k := range keys {
-		a, err := physical.EvalToArray(k.Expr, b)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = a
+	cols, err := evalExprs(sortExprs(keys), b)
+	if err != nil {
+		return nil, err
 	}
 	return enc.EncodeRows(cols, b.NumRows()), nil
 }
@@ -58,19 +60,22 @@ func encodeSortKeys(enc *rowformat.Encoder, keys []SortSpec, b *arrow.RecordBatc
 func batchBytes(b *arrow.RecordBatch) int64 {
 	var total int64
 	for _, c := range b.Columns() {
-		switch arr := c.(type) {
-		case *arrow.StringArray:
-			total += int64(len(arr.Data())) + int64(4*arr.Len())
-		default:
-			w := c.DataType().BitWidth()
-			if w == 0 {
-				w = 64
-			}
-			total += int64(c.Len() * w / 8)
-		}
-		total += int64(len(c.Validity()))
+		total += arrayBytes(c)
 	}
 	return total
+}
+
+// arrayBytes estimates one column's memory footprint.
+func arrayBytes(c arrow.Array) int64 {
+	total := int64(len(c.Validity()))
+	if arr, ok := c.(*arrow.StringArray); ok {
+		return total + int64(len(arr.Data())) + int64(4*arr.Len())
+	}
+	w := c.DataType().BitWidth()
+	if w == 0 {
+		w = 64
+	}
+	return total + int64(c.Len()*w/8)
 }
 
 // ExternalSortExec fully sorts its input (per partition), spilling sorted
@@ -113,28 +118,14 @@ func (e *ExternalSortExec) WithChildren(ch []physical.ExecutionPlan) (physical.E
 	return &ExternalSortExec{Input: c, Keys: e.Keys}, nil
 }
 
-// sortRun sorts buffered batches into a single ordered batch.
-func (e *ExternalSortExec) sortRun(batches []*arrow.RecordBatch, keys [][][]byte) (*arrow.RecordBatch, [][]byte, error) {
+// sortRun sorts buffered batches into a single ordered batch; keys holds
+// one key per buffered row, in batch order.
+func (e *ExternalSortExec) sortRun(batches []*arrow.RecordBatch, keys *rowKeys) (*arrow.RecordBatch, error) {
 	full, err := compute.ConcatBatches(e.Schema(), batches)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var flat [][]byte
-	for _, ks := range keys {
-		flat = append(flat, ks...)
-	}
-	idx := make([]int32, len(flat))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return bytes.Compare(flat[idx[a]], flat[idx[b]]) < 0
-	})
-	sortedKeys := make([][]byte, len(flat))
-	for i, j := range idx {
-		sortedKeys[i] = flat[j]
-	}
-	return compute.TakeBatch(full, idx), sortedKeys, nil
+	return compute.TakeBatch(full, sortRowKeys(keys)), nil
 }
 
 func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
@@ -152,7 +143,7 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 	unregister := memory.RegisterConsumer(ctx.Pool)
 	var spills []*memory.SpillFile
 	var pending []*arrow.RecordBatch
-	var pendingKeys [][][]byte
+	var pendingKeys rowKeys
 	var pendingBytes int64
 
 	// out is the sorted output stream built on first Next (in-memory slice
@@ -180,7 +171,7 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 			}
 			return fmt.Errorf("exec: sort exceeded memory budget and spilling is disabled")
 		}
-		sorted, _, err := e.sortRun(pending, pendingKeys)
+		sorted, err := e.sortRun(pending, &pendingKeys)
 		if err != nil {
 			return err
 		}
@@ -200,7 +191,8 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 			}
 		}
 		spills = append(spills, sf)
-		pending, pendingKeys, pendingBytes = nil, nil, 0
+		pending, pendingBytes = nil, 0
+		pendingKeys.reset()
 		res.Shrink(res.Size())
 		return nil
 	}
@@ -223,12 +215,12 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 				if b.NumRows() == 0 {
 					continue
 				}
-				ks, err := encodeSortKeys(enc, e.Keys, b)
+				cols, err := evalExprs(sortExprs(e.Keys), b)
 				if err != nil {
 					return nil, err
 				}
 				pending = append(pending, b)
-				pendingKeys = append(pendingKeys, ks)
+				pendingKeys.appendRows(enc, cols, b.NumRows())
 				pendingBytes += batchBytes(b)
 				if err := res.Resize(pendingBytes); err != nil {
 					if serr := spillRun(err); serr != nil {
@@ -243,11 +235,11 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 				if len(pending) == 0 {
 					out = NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) { return nil, io.EOF }, nil)
 				} else {
-					sorted, _, err := e.sortRun(pending, pendingKeys)
+					sorted, err := e.sortRun(pending, &pendingKeys)
 					if err != nil {
 						return nil, err
 					}
-					pending, pendingKeys = nil, nil
+					pending, pendingKeys = nil, rowKeys{}
 					pos := 0
 					out = NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
 						if pos >= sorted.NumRows() {
@@ -508,18 +500,32 @@ func (e *SortPreservingMergeExec) Execute(ctx *physical.ExecContext, partition i
 				errs[p] = err
 				return
 			}
-			streams[p] = s
 			c := &streamCursor{s: s, enc: enc, keys: e.Keys}
-			errs[p] = c.advanceBatch()
+			if errs[p] = c.advanceBatch(); errs[p] != nil {
+				// Closed right away: the shared exchange's producers would
+				// otherwise block on this partition's full channel and the
+				// sibling partitions never see their end of input.
+				s.Close()
+				return
+			}
+			streams[p] = s
 			cursors[p] = c
 		}(p)
 	}
 	wg.Wait()
+	closeAll := func() {
+		for _, s := range streams {
+			if s != nil {
+				s.Close()
+			}
+		}
+	}
 	for p := 0; p < n; p++ {
 		if errs[p] != nil {
+			closeAll()
 			return nil, errs[p]
 		}
-		if c := cursors[p]; c != nil && !c.done {
+		if c := cursors[p]; !c.done {
 			h = append(h, c)
 		}
 	}
@@ -560,11 +566,6 @@ func (e *SortPreservingMergeExec) Execute(ctx *physical.ExecContext, partition i
 			cols[i] = b.Finish()
 		}
 		return arrow.NewRecordBatchWithRows(e.Schema(), cols, rows), nil
-	}
-	closeAll := func() {
-		for _, s := range streams {
-			s.Close()
-		}
 	}
 	return physical.InstrumentStream(NewFuncStream(e.Schema(), next, closeAll), e.Metrics()), nil
 }

@@ -52,6 +52,7 @@ type batchOrErr struct {
 // chanStream reads batches from a channel fed by producer goroutines.
 type chanStream struct {
 	schema *arrow.Schema
+	ctx    *physical.ExecContext
 	ch     <-chan batchOrErr
 	stop   func()
 	done   bool
@@ -65,6 +66,11 @@ func (s *chanStream) Next() (*arrow.RecordBatch, error) {
 	be, ok := <-s.ch
 	if !ok {
 		s.done = true
+		// Producers that give up on cancellation close the channel too: a
+		// cancelled exchange must not pass for a complete one.
+		if err := checkCancel(s.ctx); err != nil {
+			return nil, err
+		}
 		return nil, io.EOF
 	}
 	if be.err != nil {

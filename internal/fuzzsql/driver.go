@@ -1,6 +1,7 @@
 package fuzzsql
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -10,6 +11,7 @@ import (
 	"gofusion/internal/core"
 	"gofusion/internal/csvio"
 	"gofusion/internal/exec"
+	"gofusion/internal/memory"
 	"gofusion/internal/parquet"
 	"gofusion/internal/testutil"
 )
@@ -116,6 +118,9 @@ type Harness struct {
 	// configs actually spilled. Not safe for concurrent Check calls.
 	SpillCounts map[string]int64
 	SpillBytes  map[string]int64
+	// WindowBudgetFailures counts, per memory-limited config, the window
+	// queries that ran out of budget (see windowOverBudget).
+	WindowBudgetFailures map[string]int64
 }
 
 // NewHarness materializes the dataset under dir (for csv/gpq) and
@@ -124,13 +129,14 @@ type Harness struct {
 // splits, and multi-file scans.
 func NewHarness(ds *Dataset, dir string, configs []EngineConfig, formats []Format) (*Harness, error) {
 	h := &Harness{
-		DS:          ds,
-		Configs:     configs,
-		Formats:     formats,
-		baseline:    map[Format]*baseline.Engine{},
-		engines:     map[string]*core.SessionContext{},
-		SpillCounts: map[string]int64{},
-		SpillBytes:  map[string]int64{},
+		DS:                   ds,
+		Configs:              configs,
+		Formats:              formats,
+		baseline:             map[Format]*baseline.Engine{},
+		engines:              map[string]*core.SessionContext{},
+		SpillCounts:          map[string]int64{},
+		SpillBytes:           map[string]int64{},
+		WindowBudgetFailures: map[string]int64{},
 	}
 	files := map[Format]map[string][]string{CSV: {}, GPQ: {}}
 	for _, f := range formats {
@@ -295,27 +301,53 @@ func (h *Harness) Check(query string) *Failure {
 		}
 		for _, c := range h.Configs {
 			got := runEngine(h.engines[c.Name+"/"+string(f)], query)
+			fail, overBudget := verdict(c, f, query, got, ref, refRows)
 			switch {
-			case got.panicked:
-				return &Failure{SQL: query, Format: f, Config: c.Name, Detail: got.err.Error()}
-			case (got.err == nil) != (ref.err == nil):
-				return &Failure{SQL: query, Format: f, Config: c.Name,
-					Detail: fmt.Sprintf("error divergence: engine=%v baseline=%v", got.err, ref.err)}
+			case fail != nil:
+				return fail
+			case overBudget:
+				h.WindowBudgetFailures[c.Name]++
 			case got.err == nil:
-				if diff := testutil.Diff(testutil.NormalizeBatch(got.batch), refRows); diff != "" {
-					return &Failure{SQL: query, Format: f, Config: c.Name,
-						Detail: "result mismatch vs baseline:\n" + diff}
-				}
-				if got.metricsErr != nil {
-					return &Failure{SQL: query, Format: f, Config: c.Name,
-						Detail: "metrics invariant violation: " + got.metricsErr.Error()}
-				}
 				h.SpillCounts[c.Name] += got.spillCount
 				h.SpillBytes[c.Name] += got.spillBytes
 			}
 		}
 	}
 	return nil
+}
+
+// verdict judges one engine outcome against the baseline's: the failure it
+// amounts to, if any, and whether it is the accepted over-budget window.
+func verdict(c EngineConfig, f Format, query string, got, ref outcome, refRows []testutil.Row) (fail *Failure, overBudget bool) {
+	failure := func(detail string) *Failure {
+		return &Failure{SQL: query, Format: f, Config: c.Name, Detail: detail}
+	}
+	switch {
+	case got.panicked:
+		return failure(got.err.Error()), false
+	case ref.err == nil && windowOverBudget(c, got.err):
+		return nil, true
+	case (got.err == nil) != (ref.err == nil):
+		return failure(fmt.Sprintf("error divergence: engine=%v baseline=%v", got.err, ref.err)), false
+	case got.err == nil:
+		if diff := testutil.Diff(testutil.NormalizeBatch(got.batch), refRows); diff != "" {
+			return failure("result mismatch vs baseline:\n" + diff), false
+		}
+		if got.metricsErr != nil {
+			return failure("metrics invariant violation: " + got.metricsErr.Error()), false
+		}
+	}
+	return nil, false
+}
+
+// windowOverBudget recognizes the one engine-only failure the matrix
+// expects: windows do not spill, so under a memory-limited config a window
+// whose input outgrows the budget must fail, and with exactly the typed
+// exhaustion error of the WindowExec reservation. Anything else a
+// memory-limited config fails with is a divergence.
+func windowOverBudget(c EngineConfig, err error) bool {
+	var exhausted *memory.ErrResourcesExhausted
+	return c.Cfg.MemoryLimit > 0 && errors.As(err, &exhausted) && exhausted.Consumer == "WindowExec"
 }
 
 // CheckQuery is Check over a structured query.

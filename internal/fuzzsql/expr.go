@@ -196,6 +196,71 @@ func (a *Agg) With(kids []Expr) Expr {
 	return &Agg{Fn: a.Fn, Arg: kids[0]}
 }
 
+// Win is a window function call: row_number(), rank(), sum(arg) or
+// lag(arg) OVER (PARTITION BY <0-2 exprs> ORDER BY <every column of the
+// table>). Ordering by every column is a total order up to full-row
+// duplicates, and duplicates are interchangeable under the row-multiset
+// comparison, so the result does not depend on how an engine breaks ties.
+type Win struct {
+	Fn          string // "row_number", "rank", "sum", "lag"
+	Arg         Expr   // sum/lag argument, nil otherwise
+	PartitionBy []Expr
+	OrderBy     []Col
+	OrderDesc   []bool
+}
+
+func (w *Win) SQL() string {
+	var sb strings.Builder
+	sb.WriteString(w.Fn + "(")
+	if w.Arg != nil {
+		sb.WriteString(w.Arg.SQL())
+	}
+	sb.WriteString(") OVER (")
+	for i, p := range w.PartitionBy {
+		if i == 0 {
+			sb.WriteString("PARTITION BY ")
+		} else {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(p.SQL())
+	}
+	for i, c := range w.OrderBy {
+		if i == 0 {
+			sb.WriteString(" ORDER BY ")
+		} else {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(c.Name)
+		if w.OrderDesc[i] {
+			sb.WriteString(" DESC")
+		}
+	}
+	sb.WriteString(")")
+	return sb.String()
+}
+func (w *Win) VType() ValType {
+	if w.Arg != nil {
+		return w.Arg.VType()
+	}
+	return TInt
+}
+
+// Kids are the argument (when there is one) and then the partition keys.
+func (w *Win) Kids() []Expr {
+	if w.Arg == nil {
+		return w.PartitionBy
+	}
+	return append([]Expr{w.Arg}, w.PartitionBy...)
+}
+func (w *Win) With(kids []Expr) Expr {
+	out := *w
+	if w.Arg != nil {
+		out.Arg, kids = kids[0], kids[1:]
+	}
+	out.PartitionBy = kids
+	return &out
+}
+
 // IsAgg reports whether the expression contains an aggregate call.
 func IsAgg(e Expr) bool {
 	if _, ok := e.(*Agg); ok {

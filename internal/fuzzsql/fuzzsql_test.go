@@ -50,6 +50,40 @@ func TestFixedSeedMatrix(t *testing.T) {
 	if rep.SpillCounts["p4-spill"] == 0 {
 		t.Fatalf("p4-spill config recorded no operator spills across %d queries", rep.Queries)
 	}
+	// Windows do not spill: under the same 4 KiB budget the generated
+	// window queries must have hit the WindowExec reservation (the harness
+	// accepts only that typed error there, see windowOverBudget).
+	if rep.WindowBudgetFailures["p4-spill"] == 0 {
+		t.Fatalf("p4-spill config recorded no over-budget window across %d queries", rep.Queries)
+	}
+}
+
+// TestGeneratorCoversWindows: the query stream contains every window
+// function and the top-k subquery form.
+func TestGeneratorCoversWindows(t *testing.T) {
+	ds := NewDataset(1)
+	g := NewGen(1, ds)
+	seen := map[string]bool{}
+	for i := 0; i < 300; i++ {
+		q := g.Query()
+		sql := q.SQL()
+		for _, fn := range []string{"row_number(", "rank(", "sum(", "lag("} {
+			if strings.Contains(sql, fn) && strings.Contains(sql, " OVER (") {
+				seen[fn] = true
+			}
+		}
+		if q.TopK {
+			seen["topk"] = true
+			if !strings.Contains(sql, ") ranked WHERE c") {
+				t.Fatalf("top-k query not in subquery form: %s", sql)
+			}
+		}
+	}
+	for _, want := range []string{"row_number(", "rank(", "sum(", "lag(", "topk"} {
+		if !seen[want] {
+			t.Errorf("300 queries of seed 1 never produced %s", want)
+		}
+	}
 }
 
 // TestShrinkerReducesInjectedMismatch injects a synthetic failure

@@ -16,6 +16,13 @@ import (
 type Gen struct {
 	rng *rand.Rand
 	ds  *Dataset
+	// SkipWindows keeps the query stream free of the window shape (and
+	// draws nothing for it, so the stream is the one generated before that
+	// shape existed). The server load pool sets it: the repository
+	// benchmark's server workloads are defined over that pool, and a pool
+	// that moved with the generator would make their numbers incomparable
+	// across commits.
+	SkipWindows bool
 }
 
 // NewGen creates a generator over the dataset's schema.
@@ -49,14 +56,20 @@ func colsOf(scope []Column, t ValType) []Column {
 // Query generates one random query.
 func (g *Gen) Query() *Query {
 	q := &Query{From: g.ds.Tables[0].Name, Limit: -1}
-	join := g.pct(40)
+	window := !g.SkipWindows && g.pct(15)
+	// Window queries stay on one table: a join's fan-out would repeat rows
+	// and the window's ORDER BY would no longer be total.
+	join := !window && g.pct(40)
 	if join {
 		q.Join = g.genJoin()
 	}
 	scope := g.scope(join)
-	if g.pct(55) {
+	switch {
+	case window:
+		g.genWindow(q, scope)
+	case g.pct(55):
 		g.genGrouped(q, scope)
-	} else {
+	default:
 		g.genScalar(q, scope)
 	}
 	if g.pct(65) {
@@ -64,7 +77,7 @@ func (g *Gen) Query() *Query {
 	}
 	if g.pct(70) {
 		q.Order = true
-		q.OrderDesc = make([]bool, len(q.Items))
+		q.OrderDesc = make([]bool, q.numOutputs())
 		for i := range q.OrderDesc {
 			q.OrderDesc[i] = g.pct(50)
 		}
@@ -94,6 +107,32 @@ func (g *Gen) genScalar(q *Query, scope []Column) {
 		q.Items = append(q.Items, g.genExpr(scope, t, 2))
 	}
 	q.Distinct = g.pct(15)
+}
+
+// genWindow fills a plain select list and appends one window function:
+// row_number / rank / sum / lag over 0-2 partition keys, ordered by every
+// column of the table in a random permutation and direction. A row_number
+// is wrapped in the `WHERE rn <= k` subquery form half of the time, the
+// shape the engine's per-partition top-k rewrite looks for.
+func (g *Gen) genWindow(q *Query, scope []Column) {
+	g.genScalar(q, scope)
+	q.Distinct = false
+	w := &Win{Fn: []string{"row_number", "rank", "sum", "lag"}[g.rng.Intn(4)]}
+	if w.Fn == "sum" || w.Fn == "lag" {
+		c := colsOf(scope, TInt)[g.rng.Intn(len(colsOf(scope, TInt)))]
+		w.Arg = &Col{Name: c.Name, T: c.T}
+	}
+	for i := g.rng.Intn(3); i > 0; i-- {
+		w.PartitionBy = append(w.PartitionBy, g.genGroupKey(scope))
+	}
+	for _, i := range g.rng.Perm(len(scope)) {
+		w.OrderBy = append(w.OrderBy, Col{Name: scope[i].Name, T: scope[i].T})
+		w.OrderDesc = append(w.OrderDesc, g.pct(50))
+	}
+	q.Items = append(q.Items, w)
+	if w.Fn == "row_number" && g.pct(50) {
+		q.TopK, q.K = true, int64(g.rng.Intn(4))
+	}
 }
 
 // genGrouped fills GROUP BY keys, aggregate items, and HAVING.

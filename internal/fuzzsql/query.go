@@ -31,6 +31,20 @@ type Query struct {
 	Order     bool
 	OrderDesc []bool
 	Limit     int64 // <0 means no LIMIT
+	// TopK wraps the query in the group-wise top-k form: the last item
+	// must be a row_number() Win, which becomes a subquery column the outer
+	// query filters with `<= K` and does not project. ORDER BY and LIMIT
+	// then apply to the outer query.
+	TopK bool
+	K    int64
+}
+
+// numOutputs is the number of columns the query returns.
+func (q *Query) numOutputs() int {
+	if q.TopK {
+		return len(q.Items) - 1
+	}
+	return len(q.Items)
 }
 
 // SQL renders the query.
@@ -77,9 +91,22 @@ func (q *Query) SQL() string {
 		sb.WriteString(" HAVING ")
 		sb.WriteString(q.Having.SQL())
 	}
+	if q.TopK {
+		inner := sb.String()
+		sb.Reset()
+		sb.WriteString("SELECT ")
+		for i := 0; i < q.numOutputs(); i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString("c" + strconv.Itoa(i))
+		}
+		sb.WriteString(" FROM (" + inner + ") ranked WHERE c" + strconv.Itoa(q.numOutputs()) +
+			" <= " + strconv.FormatInt(q.K, 10))
+	}
 	if q.Order {
 		sb.WriteString(" ORDER BY ")
-		for i := range q.Items {
+		for i := 0; i < q.numOutputs(); i++ {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -118,6 +145,9 @@ func (q *Query) NumClauses() int {
 		n++
 	}
 	if q.Limit >= 0 {
+		n++
+	}
+	if q.TopK {
 		n++
 	}
 	return n

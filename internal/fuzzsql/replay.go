@@ -67,7 +67,7 @@ type ReplayReport struct {
 // replayEngine is one (config, target) session being fed micro-batches.
 type replayEngine struct {
 	s       *core.SessionContext
-	cfg     string
+	config  EngineConfig
 	target  Format
 	gpqFile map[string]string               // table -> engine-private backing file
 	streams map[string]*catalog.StreamTable // table -> live handle (for Seal)
@@ -167,7 +167,7 @@ func RunReplay(opts ReplayOptions) (*ReplayReport, error) {
 				for _, e := range engines {
 					if err := e.ingest(dir, t, step, chunk); err != nil {
 						return nil, fmt.Errorf("replay: step %d ingest into %s/%s.%s: %w",
-							step, e.target, e.cfg, t.Name, err)
+							step, e.target, e.config.Name, t.Name, err)
 					}
 				}
 				rows[t.Name] += chunkRows(chunk)
@@ -186,7 +186,7 @@ func RunReplay(opts ReplayOptions) (*ReplayReport, error) {
 				rep.Probes++
 				if got := e.streams[t.Name].Rows(); got != rows[t.Name] {
 					rep.Failures = append(rep.Failures, ShrunkFailure{
-						Failure: Failure{SQL: "StreamTable.Rows()", Format: Stream, Config: e.cfg,
+						Failure: Failure{SQL: "StreamTable.Rows()", Format: Stream, Config: e.config.Name,
 							Detail: fmt.Sprintf("lost write: stream %s holds %d rows, want %d",
 								t.Name, got, rows[t.Name])},
 						MinimalSQL: "StreamTable.Rows()",
@@ -378,7 +378,7 @@ func newReplayEngine(dir string, c EngineConfig, tgt Format, ds *Dataset,
 	chunks map[string][][]*arrow.RecordBatch) (*replayEngine, error) {
 	e := &replayEngine{
 		s:       core.NewSession(c.Cfg),
-		cfg:     c.Name,
+		config:  c,
 		target:  tgt,
 		gpqFile: map[string]string{},
 		streams: map[string]*catalog.StreamTable{},
@@ -446,7 +446,7 @@ func (e *replayEngine) ingest(dir string, t *Table, step int, chunk []*arrow.Rec
 		e.s.DeregisterTable(stageName)
 		return nil
 	case GPQ:
-		path := filepath.Join(dir, fmt.Sprintf("%s-%s-step%d.gpq", e.cfg, t.Name, step))
+		path := filepath.Join(dir, fmt.Sprintf("%s-%s-step%d.gpq", e.config.Name, t.Name, step))
 		if err := parquet.WriteFile(path, t.Schema, chunk, replayWriterOpts); err != nil {
 			return err
 		}
@@ -464,40 +464,24 @@ func (e *replayEngine) ingest(dir string, t *Table, step int, chunk []*arrow.Rec
 func (e *replayEngine) checkCount(sql string, want int64) *Failure {
 	out := runEngine(e.s, sql)
 	if out.err != nil {
-		return &Failure{SQL: sql, Format: e.target, Config: e.cfg,
+		return &Failure{SQL: sql, Format: e.target, Config: e.config.Name,
 			Detail: "probe error: " + out.err.Error()}
 	}
 	if out.batch.NumRows() != 1 || out.batch.NumCols() != 1 {
-		return &Failure{SQL: sql, Format: e.target, Config: e.cfg,
+		return &Failure{SQL: sql, Format: e.target, Config: e.config.Name,
 			Detail: fmt.Sprintf("probe shape: got %dx%d, want 1x1", out.batch.NumRows(), out.batch.NumCols())}
 	}
 	got := out.batch.Column(0).GetScalar(0).AsInt64()
 	if got != want {
-		return &Failure{SQL: sql, Format: e.target, Config: e.cfg,
+		return &Failure{SQL: sql, Format: e.target, Config: e.config.Name,
 			Detail: fmt.Sprintf("stale read under ingestion: count=%d, want %d", got, want)}
 	}
 	return nil
 }
 
 // checkAgainst compares one query's result on this engine with the batch
-// baseline outcome, mirroring Harness.Check's verdict rules.
+// baseline outcome under Harness.Check's verdict rules.
 func (e *replayEngine) checkAgainst(sql string, ref outcome, refRows []testutil.Row) *Failure {
-	got := runEngine(e.s, sql)
-	switch {
-	case got.panicked:
-		return &Failure{SQL: sql, Format: e.target, Config: e.cfg, Detail: got.err.Error()}
-	case (got.err == nil) != (ref.err == nil):
-		return &Failure{SQL: sql, Format: e.target, Config: e.cfg,
-			Detail: fmt.Sprintf("error divergence: engine=%v baseline=%v", got.err, ref.err)}
-	case got.err == nil:
-		if diff := testutil.Diff(testutil.NormalizeBatch(got.batch), refRows); diff != "" {
-			return &Failure{SQL: sql, Format: e.target, Config: e.cfg,
-				Detail: "replayed state diverged from batch baseline:\n" + diff}
-		}
-		if got.metricsErr != nil {
-			return &Failure{SQL: sql, Format: e.target, Config: e.cfg,
-				Detail: "metrics invariant violation: " + got.metricsErr.Error()}
-		}
-	}
-	return nil
+	fail, _ := verdict(e.config, e.target, sql, runEngine(e.s, sql), ref, refRows)
+	return fail
 }

@@ -46,6 +46,9 @@ type Report struct {
 	// SpillCounts totals each config's operator spill events across every
 	// successful query (copied from the harness at the end of the run).
 	SpillCounts map[string]int64
+	// WindowBudgetFailures totals each memory-limited config's window
+	// queries that failed with the typed WindowExec exhaustion error.
+	WindowBudgetFailures map[string]int64
 }
 
 // Run generates queries and checks each across the matrix, shrinking any
@@ -129,6 +132,7 @@ func Run(opts Options) (*Report, error) {
 	}
 	rep.Elapsed = time.Since(start)
 	rep.SpillCounts = h.SpillCounts
+	rep.WindowBudgetFailures = h.WindowBudgetFailures
 	return rep, nil
 }
 

@@ -57,3 +57,52 @@ func BenchmarkSortGenericComparator(b *testing.B) {
 		compute.SortToIndices(cols, keys, 8192)
 	}
 }
+
+// mixedKeyCols builds the H2O q10 key shape: three string and three
+// integer group keys.
+func mixedKeyCols(n int) ([]arrow.Array, []*arrow.DataType) {
+	rng := rand.New(rand.NewSource(2))
+	var cols []arrow.Array
+	var types []*arrow.DataType
+	for c := 0; c < 3; c++ {
+		sb := arrow.NewStringBuilder(arrow.String)
+		for i := 0; i < n; i++ {
+			sb.Append(fmt.Sprintf("id%010d", rng.Intn(n)))
+		}
+		cols, types = append(cols, sb.Finish()), append(types, arrow.String)
+	}
+	for c := 0; c < 3; c++ {
+		ib := arrow.NewNumericBuilder[int64](arrow.Int64)
+		for i := 0; i < n; i++ {
+			ib.Append(rng.Int63n(int64(n)))
+		}
+		cols, types = append(cols, ib.Finish()), append(types, arrow.Int64)
+	}
+	return cols, types
+}
+
+func encodeArena(enc *Encoder, cols []arrow.Array, n int) ([]byte, []uint32) {
+	var arena []byte
+	offsets := []uint32{0}
+	for i := 0; i < n; i++ {
+		arena = enc.AppendRowKey(arena, cols, i)
+		offsets = append(offsets, uint32(len(arena)))
+	}
+	return arena, offsets
+}
+
+// BenchmarkDecodeKeys is the group-key emit of a high-cardinality
+// aggregation (H2O q10): 6 mixed keys, 500 k groups.
+func BenchmarkDecodeKeys(b *testing.B) {
+	const n = 500_000
+	cols, types := mixedKeyCols(n)
+	enc, _ := NewEncoder(types, nil)
+	arena, offsets := encodeArena(enc, cols, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.DecodeArena(arena, offsets); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

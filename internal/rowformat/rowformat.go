@@ -185,20 +185,13 @@ func appendEscapedBytes(dst, v []byte) []byte {
 // materialize group keys at aggregation output time and to verify the
 // encoding in tests.
 func (e *Encoder) DecodeRows(keys [][]byte) ([]arrow.Array, error) {
-	builders := make([]arrow.Builder, len(e.types))
-	for i, t := range e.types {
-		builders[i] = arrow.NewBuilder(t)
-	}
+	decs := e.newDecoders()
 	for _, key := range keys {
-		if err := e.decodeKey(builders, key); err != nil {
+		if err := decodeKey(decs, key); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]arrow.Array, len(builders))
-	for i, b := range builders {
-		out[i] = b.Finish()
-	}
-	return out, nil
+	return finishDecoders(decs), nil
 }
 
 // DecodeArena reconstructs column arrays from keys packed back-to-back in
@@ -209,174 +202,159 @@ func (e *Encoder) DecodeArena(arena []byte, offsets []uint32) ([]arrow.Array, er
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("rowformat: arena offsets must include the end offset")
 	}
-	builders := make([]arrow.Builder, len(e.types))
-	for i, t := range e.types {
-		builders[i] = arrow.NewBuilder(t)
-	}
+	decs := e.newDecoders()
 	for k := 0; k+1 < len(offsets); k++ {
-		if err := e.decodeKey(builders, arena[offsets[k]:offsets[k+1]]); err != nil {
+		if err := decodeKey(decs, arena[offsets[k]:offsets[k+1]]); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]arrow.Array, len(builders))
-	for i, b := range builders {
-		out[i] = b.Finish()
+	return finishDecoders(decs), nil
+}
+
+// colDecoder decodes one key column straight into its typed builder: no
+// cell is boxed and, past builder growth, none allocates.
+type colDecoder struct {
+	builder arrow.Builder
+	// value decodes the non-null value at key[pos:], appends it and returns
+	// the position after it.
+	value func(key []byte, pos int) (int, error)
+}
+
+func (e *Encoder) newDecoders() []colDecoder {
+	decs := make([]colDecoder, len(e.types))
+	for c, t := range e.types {
+		b := arrow.NewBuilder(t)
+		decs[c] = colDecoder{builder: b, value: valueDecoder(b, t, e.opts[c].Descending)}
 	}
-	return out, nil
+	return decs
+}
+
+func finishDecoders(decs []colDecoder) []arrow.Array {
+	out := make([]arrow.Array, len(decs))
+	for i, d := range decs {
+		out[i] = d.builder.Finish()
+	}
+	return out
 }
 
 // decodeKey appends one encoded key's column values to the builders.
-func (e *Encoder) decodeKey(builders []arrow.Builder, key []byte) error {
+func decodeKey(decs []colDecoder, key []byte) error {
 	pos := 0
-	for c, t := range e.types {
+	for _, d := range decs {
 		if pos >= len(key) {
 			return fmt.Errorf("rowformat: truncated key")
 		}
 		marker := key[pos]
 		pos++
 		if marker != 0x01 {
-			builders[c].AppendNull()
+			d.builder.AppendNull()
 			continue
 		}
 		var err error
-		pos, err = decodeValue(builders[c], t, e.opts[c].Descending, key, pos)
-		if err != nil {
+		if pos, err = d.value(key, pos); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func decodeValue(b arrow.Builder, t *arrow.DataType, desc bool, key []byte, pos int) (int, error) {
-	fixed := func(n int) ([]byte, error) {
-		if pos+n > len(key) {
-			return nil, fmt.Errorf("rowformat: truncated value")
+// fixedDecoder decodes a big-endian fixed-width value; conv undoes the
+// order-preserving transform on the low width bytes of its argument.
+func fixedDecoder[T arrow.Number](b arrow.Builder, width int, desc bool, conv func(uint64) T) func([]byte, int) (int, error) {
+	nb := b.(*arrow.NumericBuilder[T])
+	return func(key []byte, pos int) (int, error) {
+		if pos+width > len(key) {
+			return 0, fmt.Errorf("rowformat: truncated value")
 		}
-		v := key[pos : pos+n]
+		var v uint64
+		for _, c := range key[pos : pos+width] {
+			v = v<<8 | uint64(c)
+		}
 		if desc {
-			inv := make([]byte, n)
-			for i := range v {
-				inv[i] = ^v[i]
-			}
-			v = inv
+			v = ^v
 		}
-		return v, nil
+		nb.Append(conv(v))
+		return pos + width, nil
 	}
+}
+
+func valueDecoder(b arrow.Builder, t *arrow.DataType, desc bool) func([]byte, int) (int, error) {
 	switch t.ID {
 	case arrow.INT8:
-		v, err := fixed(1)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, int8(v[0]^0x80)))
-		return pos + 1, nil
+		return fixedDecoder(b, 1, desc, func(v uint64) int8 { return int8(uint8(v) ^ 0x80) })
 	case arrow.INT16:
-		v, err := fixed(2)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, int16(binary.BigEndian.Uint16(v)^0x8000)))
-		return pos + 2, nil
+		return fixedDecoder(b, 2, desc, func(v uint64) int16 { return int16(uint16(v) ^ 0x8000) })
 	case arrow.INT32, arrow.DATE32:
-		v, err := fixed(4)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, int32(binary.BigEndian.Uint32(v)^0x80000000)))
-		return pos + 4, nil
+		return fixedDecoder(b, 4, desc, func(v uint64) int32 { return int32(uint32(v) ^ 0x80000000) })
 	case arrow.INT64, arrow.TIMESTAMP, arrow.DECIMAL:
-		v, err := fixed(8)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, int64(binary.BigEndian.Uint64(v)^0x8000000000000000)))
-		return pos + 8, nil
+		return fixedDecoder(b, 8, desc, func(v uint64) int64 { return int64(v ^ 0x8000000000000000) })
 	case arrow.UINT8:
-		v, err := fixed(1)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, v[0]))
-		return pos + 1, nil
+		return fixedDecoder(b, 1, desc, func(v uint64) uint8 { return uint8(v) })
 	case arrow.UINT16:
-		v, err := fixed(2)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, binary.BigEndian.Uint16(v)))
-		return pos + 2, nil
+		return fixedDecoder(b, 2, desc, func(v uint64) uint16 { return uint16(v) })
 	case arrow.UINT32:
-		v, err := fixed(4)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, binary.BigEndian.Uint32(v)))
-		return pos + 4, nil
+		return fixedDecoder(b, 4, desc, func(v uint64) uint32 { return uint32(v) })
 	case arrow.UINT64:
-		v, err := fixed(8)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, binary.BigEndian.Uint64(v)))
-		return pos + 8, nil
+		return fixedDecoder(b, 8, desc, func(v uint64) uint64 { return v })
 	case arrow.FLOAT32:
-		v, err := fixed(4)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, unorderFloat32(binary.BigEndian.Uint32(v))))
-		return pos + 4, nil
+		return fixedDecoder(b, 4, desc, func(v uint64) float32 { return unorderFloat32(uint32(v)) })
 	case arrow.FLOAT64:
-		v, err := fixed(8)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.NewScalar(t, unorderFloat64(binary.BigEndian.Uint64(v))))
-		return pos + 8, nil
+		return fixedDecoder(b, 8, desc, unorderFloat64)
 	case arrow.BOOL:
-		v, err := fixed(1)
-		if err != nil {
-			return 0, err
-		}
-		b.AppendScalar(arrow.BoolScalar(v[0] == 1))
-		return pos + 1, nil
-	case arrow.STRING, arrow.BINARY:
-		var out []byte
-		i := pos
-		for {
-			if i >= len(key) {
-				return 0, fmt.Errorf("rowformat: unterminated string")
+		bb := b.(*arrow.BoolBuilder)
+		return func(key []byte, pos int) (int, error) {
+			if pos >= len(key) {
+				return 0, fmt.Errorf("rowformat: truncated value")
 			}
-			c := key[i]
+			c := key[pos]
 			if desc {
 				c = ^c
 			}
-			if c != 0x00 {
-				out = append(out, c)
-				i++
-				continue
+			bb.Append(c == 1)
+			return pos + 1, nil
+		}
+	case arrow.STRING, arrow.BINARY:
+		return stringDecoder(b.(*arrow.StringBuilder), desc)
+	}
+	return func([]byte, int) (int, error) { return 0, fmt.Errorf("rowformat: cannot decode %s", t) }
+}
+
+// stringDecoder undoes appendEscapedBytes. The unescaped bytes are
+// gathered in a scratch buffer the decoder reuses (descending values are
+// inverted there, in place) and appended to the builder in one copy.
+func stringDecoder(sb *arrow.StringBuilder, desc bool) func([]byte, int) (int, error) {
+	zero := byte(0x00) // the escape byte as stored
+	if desc {
+		zero = 0xFF
+	}
+	var scratch []byte
+	return func(key []byte, pos int) (int, error) {
+		scratch = scratch[:0]
+		for {
+			run := bytes.IndexByte(key[pos:], zero)
+			if run < 0 {
+				return 0, fmt.Errorf("rowformat: unterminated string")
 			}
-			if i+1 >= len(key) {
+			scratch = append(scratch, key[pos:pos+run]...)
+			pos += run
+			if pos+1 >= len(key) {
 				return 0, fmt.Errorf("rowformat: unterminated string escape")
 			}
-			c2 := key[i+1]
-			if desc {
-				c2 = ^c2
+			terminator := key[pos+1] == zero
+			pos += 2
+			if terminator {
+				break
 			}
-			i += 2
-			if c2 == 0x00 {
-				break // terminator
+			scratch = append(scratch, zero) // an escaped NUL
+		}
+		if desc {
+			for i := range scratch {
+				scratch[i] = ^scratch[i]
 			}
-			out = append(out, 0x00)
 		}
-		if t.ID == arrow.BINARY {
-			b.AppendScalar(arrow.NewScalar(t, out))
-		} else {
-			b.AppendScalar(arrow.NewScalar(t, string(out)))
-		}
-		return i, nil
+		sb.AppendBytes(scratch)
+		return pos, nil
 	}
-	return 0, fmt.Errorf("rowformat: cannot decode %s", t)
 }
 
 func unorderFloat64(b uint64) float64 {

@@ -220,3 +220,78 @@ func TestDate32AndDecimalKeys(t *testing.T) {
 		t.Fatal("decode wrong")
 	}
 }
+
+// Every decodable type round-trips through its typed decoder, ascending
+// and descending, extremes included.
+func TestDecodeEveryType(t *testing.T) {
+	types := []*arrow.DataType{arrow.Int8, arrow.Int16, arrow.Int32, arrow.Int64,
+		arrow.Uint8, arrow.Uint16, arrow.Uint32, arrow.Uint64,
+		arrow.Float32, arrow.Float64, arrow.Boolean, arrow.String, arrow.Binary}
+	rows := [][]any{
+		{int8(-128), int16(-32768), int32(math.MinInt32), int64(math.MinInt64),
+			uint8(0), uint16(0), uint32(0), uint64(0),
+			float32(-1.5), math.Inf(-1), false, "", []byte{}},
+		{int8(127), int16(32767), int32(math.MaxInt32), int64(math.MaxInt64),
+			uint8(255), uint16(65535), uint32(math.MaxUint32), uint64(math.MaxUint64),
+			float32(3.25), 1e300, true, "a\x00\x00b\xff", []byte{0, 0xff, 0, 1}},
+		{int8(0), int16(-1), int32(7), int64(-7),
+			uint8(1), uint16(256), uint32(65536), uint64(1 << 40),
+			float32(0), -0.5, true, "plain", []byte("\x00")},
+	}
+	builders := make([]arrow.Builder, len(types))
+	for c, typ := range types {
+		builders[c] = arrow.NewBuilder(typ)
+		for _, row := range rows {
+			builders[c].AppendScalar(arrow.NewScalar(typ, row[c]))
+		}
+		builders[c].AppendNull()
+	}
+	cols := make([]arrow.Array, len(types))
+	for c, b := range builders {
+		cols[c] = b.Finish()
+	}
+	n := len(rows) + 1
+	for _, desc := range []bool{false, true} {
+		opts := make([]SortOption, len(types))
+		for i := range opts {
+			opts[i].Descending = desc
+		}
+		enc, err := NewEncoder(types, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := enc.DecodeRows(enc.EncodeRows(cols, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range cols {
+			for i := 0; i < n; i++ {
+				if want, got := cols[c].GetScalar(i), decoded[c].GetScalar(i); !want.Equal(got) {
+					t.Errorf("desc=%v %s row %d: decoded %v, want %v", desc, types[c], i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Decoding appends through the typed builders: what it allocates is builder
+// growth, amortized far below one allocation per row.
+func TestDecodeAllocsPerRow(t *testing.T) {
+	const n = 4096
+	cols, types := mixedKeyCols(n)
+	opts := make([]SortOption, len(types))
+	opts[1].Descending, opts[4].Descending = true, true // one string, one integer
+	enc, err := NewEncoder(types, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena, offsets := encodeArena(enc, cols, n)
+	perRun := testing.AllocsPerRun(5, func() {
+		if _, err := enc.DecodeArena(arena, offsets); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := perRun / n; perRow > 0.1 {
+		t.Fatalf("decode allocates %.2f times per row (%v per %d rows)", perRow, perRun, n)
+	}
+}

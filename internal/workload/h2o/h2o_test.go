@@ -1,11 +1,17 @@
 package h2o
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gofusion/internal/arrow"
+	"gofusion/internal/arrow/compute"
+	"gofusion/internal/baseline"
 	"gofusion/internal/core"
+	"gofusion/internal/exec"
+	"gofusion/internal/testutil"
 )
 
 func TestWriteAndRegister(t *testing.T) {
@@ -64,6 +70,59 @@ func TestAllQueriesRunSmall(t *testing.T) {
 		}
 		if _, err := df.CollectBatch(); err != nil {
 			t.Fatalf("q%d exec: %v", n, err)
+		}
+	}
+}
+
+// TestQ08TopKMatchesBaseline runs the group-wise top-2 query through the
+// engine, whose physical top-k rewrite replaces the window sort with
+// per-group heaps, and through the baseline engine, which evaluates the
+// full window. q08 returns (id6, v3) only, so ties on v3 cannot show.
+func TestQ08TopKMatchesBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g1.csv")
+	if err := WriteCSV(path, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{1, 4} {
+		ref := baseline.New(parts)
+		if err := ref.RegisterCSV("x", path); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Query(Queries[8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.TargetPartitions = parts
+		s := core.NewSession(cfg)
+		if err := Register(s, path); err != nil {
+			t.Fatal(err)
+		}
+		df, err := s.SQL(Queries[8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, qm, err := df.CollectWithMetrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := compute.ConcatBatches(want.Schema(), batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := exec.ExplainAnalyze(qm.Plan)
+		t.Logf("p%d q08:\n%s", parts, plan)
+		if want := fmt.Sprintf("partitions=%d topk=2", parts); !strings.Contains(plan, want) {
+			t.Errorf("p%d: plan lacks %q", parts, want)
+		}
+		if parts > 1 && !strings.Contains(plan, "RepartitionExec: hash(") {
+			t.Errorf("p%d: no hash exchange under the window", parts)
+		}
+		if d := testutil.DiffBatches(got, want); d != "" {
+			t.Errorf("p%d: engine and baseline disagree:\n%s", parts, d)
+		}
+		if err := exec.CheckPlanMetrics(qm.Plan, int64(got.NumRows())); err != nil {
+			t.Errorf("p%d: %v", parts, err)
 		}
 	}
 }
