@@ -152,61 +152,39 @@ func writeSkewData(b *testing.B, dir string) []string {
 }
 
 // BenchmarkPipelineFusion measures pipeline fusion + morsel scheduling
-// (DESIGN.md section 10): scan-heavy TPC-H Q1/Q6 with fusion on (the
-// default) vs DisableFusion at 4 partitions, plus a skewed multi-file
-// scan where dynamic morsel stealing beats static partition dealing.
+// (DESIGN.md section 10) at 4 partitions: scan-heavy TPC-H Q1/Q6, plus a
+// skewed multi-file scan that dynamic morsel claiming keeps balanced.
 func BenchmarkPipelineFusion(b *testing.B) {
 	cfg := setup(b)
-	const cores = 4
-	modes := []struct {
-		name    string
-		disable bool
-	}{{"fused", false}, {"unfused", true}}
+	scfg := core.DefaultConfig()
+	scfg.TargetPartitions = 4
 
-	fusionDir := fusionTPCHDir(b, cfg)
-	sessions := map[string]*core.SessionContext{}
-	for _, m := range modes {
-		scfg := core.DefaultConfig()
-		scfg.TargetPartitions = cores
-		scfg.DisableFusion = m.disable
-		s := core.NewSession(scfg)
-		if err := tpch.RegisterGPQ(s, fusionDir); err != nil {
-			b.Fatal(err)
-		}
-		sessions[m.name] = s
+	s := core.NewSession(scfg)
+	if err := tpch.RegisterGPQ(s, fusionTPCHDir(b, cfg)); err != nil {
+		b.Fatal(err)
 	}
 	_, queries := bench.WorkloadQueries(bench.TPCH)
 	for _, n := range []int{1, 6} {
-		for _, m := range modes {
-			s := sessions[m.name]
-			b.Run(fmt.Sprintf("Q%02d/%s", n, m.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := bench.RunGoFusion(s, queries[n]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-
-	skewFiles := writeSkewData(b, b.TempDir())
-	const skewQuery = "SELECT sum(v), count(*) FROM skew WHERE k > 0"
-	for _, m := range modes {
-		scfg := core.DefaultConfig()
-		scfg.TargetPartitions = cores
-		scfg.DisableFusion = m.disable
-		s := core.NewSession(scfg)
-		if err := s.RegisterGPQ("skew", skewFiles...); err != nil {
-			b.Fatal(err)
-		}
-		b.Run("Skew/"+m.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("Q%02d/fused", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bench.RunGoFusion(s, skewQuery); err != nil {
+				if _, _, err := bench.RunGoFusion(s, queries[n]); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+
+	skew := core.NewSession(scfg)
+	if err := skew.RegisterGPQ("skew", writeSkewData(b, b.TempDir())...); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Skew/fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := bench.RunGoFusion(skew, "SELECT sum(v), count(*) FROM skew WHERE k > 0"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // fusionTPCHDir materializes (once) the dedicated TPC-H copy with

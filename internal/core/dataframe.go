@@ -169,6 +169,13 @@ func (df *DataFrame) Collect() ([]*arrow.RecordBatch, error) {
 // per-request timeouts and to stop work for disconnected clients. The
 // result and plan caches participate exactly like in Collect.
 func (df *DataFrame) CollectContext(ctx context.Context) ([]*arrow.RecordBatch, error) {
+	return df.collect(ctx, nil)
+}
+
+// collect runs the frame once: result-cache lookup, physical planning,
+// execution under ctx, result-cache store. A non-nil qm receives the plan,
+// the pool peak and whether the result cache served the query.
+func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.RecordBatch, error) {
 	if df.err != nil {
 		return nil, df.err
 	}
@@ -178,27 +185,40 @@ func (df *DataFrame) CollectContext(ctx context.Context) ([]*arrow.RecordBatch, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rc := df.session.results
+	s := df.session
+	memoized := df.resultKey != "" && s.results != nil
 	var version int64
-	if df.resultKey != "" && rc != nil {
-		version = df.session.catalog.Version()
-		if batches, ok := rc.get(df.resultKey, version); ok {
+	if memoized {
+		version = s.catalog.Version()
+		if batches, ok := s.results.get(df.resultKey, version); ok {
+			if qm != nil {
+				// A hit still reports a plan: planned, never executed.
+				pp, err := s.physicalPlanFor(df)
+				if err != nil {
+					return nil, err
+				}
+				qm.Plan, qm.ResultCacheHit = pp, true
+			}
 			return batches, nil
 		}
 	}
-	pp, err := df.session.physicalPlanFor(df)
+	pp, err := s.physicalPlanFor(df)
 	if err != nil {
 		return nil, err
 	}
-	ectx, cleanup := df.session.newExecContext()
+	ectx, cleanup := s.newExecContext()
 	defer cleanup()
 	ectx.Ctx = ctx
 	batches, err := exec.CollectPlan(ectx, pp)
 	if err != nil {
 		return nil, err
 	}
-	if df.resultKey != "" && rc != nil {
-		rc.put(df.resultKey, version, batches)
+	if memoized {
+		s.results.put(df.resultKey, version, batches)
+	}
+	if qm != nil {
+		qm.Plan = pp
+		qm.PoolReservedPeak = ectx.Pool.ReservedPeak()
 	}
 	return batches, nil
 }
@@ -250,12 +270,6 @@ func (df *DataFrame) CollectWithMetricsContext(ctx context.Context) ([]*arrow.Re
 	if df.err != nil {
 		return nil, nil, df.err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
 	s := df.session
 	cm := s.cache
 	lh0, lm0 := cm.Listings().Stats()
@@ -268,61 +282,31 @@ func (df *DataFrame) CollectWithMetricsContext(ctx context.Context) ([]*arrow.Re
 		rc0 = s.results.stats()
 	}
 	qm := &QueryMetrics{}
-	finish := func(batches []*arrow.RecordBatch) ([]*arrow.RecordBatch, *QueryMetrics, error) {
-		for _, b := range batches {
-			qm.RowsReturned += int64(b.NumRows())
-		}
-		lh1, lm1 := cm.Listings().Stats()
-		mh1, mm1 := cm.FileMeta().Stats()
-		qm.ListingHits, qm.ListingMisses = lh1-lh0, lm1-lm0
-		qm.MetaHits, qm.MetaMisses = mh1-mh0, mm1-mm0
-		if s.pages != nil {
-			pc1 := s.pages.Stats()
-			qm.PageCacheHits = pc1.Hits - pc0.Hits
-			qm.PageCacheMisses = pc1.Misses - pc0.Misses
-			qm.PageCacheEvictions = pc1.Evictions - pc0.Evictions
-			qm.PageCacheBytes = pc1.Bytes
-		}
-		if s.results != nil {
-			rc1 := s.results.stats()
-			qm.ResultCacheHits = rc1.Hits - rc0.Hits
-			qm.ResultCacheMisses = rc1.Misses - rc0.Misses
-			qm.ResultCacheBytes = rc1.Bytes
-		}
-		return batches, qm, nil
-	}
-
-	rc := s.results
-	var version int64
-	if df.resultKey != "" && rc != nil {
-		version = s.catalog.Version()
-		if batches, ok := rc.get(df.resultKey, version); ok {
-			pp, err := s.physicalPlanFor(df)
-			if err != nil {
-				return nil, nil, err
-			}
-			qm.Plan = pp
-			qm.ResultCacheHit = true
-			return finish(batches)
-		}
-	}
-	pp, err := s.physicalPlanFor(df)
+	batches, err := df.collect(ctx, qm)
 	if err != nil {
 		return nil, nil, err
 	}
-	ectx, cleanup := s.newExecContext()
-	defer cleanup()
-	ectx.Ctx = ctx
-	batches, err := exec.CollectPlan(ectx, pp)
-	if err != nil {
-		return nil, nil, err
+	for _, b := range batches {
+		qm.RowsReturned += int64(b.NumRows())
 	}
-	if df.resultKey != "" && rc != nil {
-		rc.put(df.resultKey, version, batches)
+	lh1, lm1 := cm.Listings().Stats()
+	mh1, mm1 := cm.FileMeta().Stats()
+	qm.ListingHits, qm.ListingMisses = lh1-lh0, lm1-lm0
+	qm.MetaHits, qm.MetaMisses = mh1-mh0, mm1-mm0
+	if s.pages != nil {
+		pc1 := s.pages.Stats()
+		qm.PageCacheHits = pc1.Hits - pc0.Hits
+		qm.PageCacheMisses = pc1.Misses - pc0.Misses
+		qm.PageCacheEvictions = pc1.Evictions - pc0.Evictions
+		qm.PageCacheBytes = pc1.Bytes
 	}
-	qm.Plan = pp
-	qm.PoolReservedPeak = ectx.Pool.ReservedPeak()
-	return finish(batches)
+	if s.results != nil {
+		rc1 := s.results.stats()
+		qm.ResultCacheHits = rc1.Hits - rc0.Hits
+		qm.ResultCacheMisses = rc1.Misses - rc0.Misses
+		qm.ResultCacheBytes = rc1.Bytes
+	}
+	return batches, qm, nil
 }
 
 // ExplainAnalyze executes the query to completion and renders the

@@ -41,9 +41,9 @@ type SessionConfig struct {
 	// (2), negative disables readahead.
 	ScanReadahead int
 	// ExchangeBufferDepth is the per-channel batch buffer of exchange
-	// operators; 0 derives max(4, TargetPartitions) so fused consumers
-	// that drain whole chains per pull don't stall producers at high
-	// parallelism.
+	// operators; 0 derives max(4, TargetPartitions) so consumers, which
+	// run a whole operator chain per batch they take, don't stall
+	// producers at high parallelism.
 	ExchangeBufferDepth int
 	// MemoryLimit bounds tracked operator memory in bytes; 0 = unlimited.
 	MemoryLimit int64
@@ -58,12 +58,6 @@ type SessionConfig struct {
 	DisableOptimizer bool
 	// PreferHashJoin disables merge join selection.
 	PreferHashJoin bool
-	// DisableFusion turns off pipeline fusion and morsel-driven scan
-	// scheduling, keeping every operator on its own pull stream (the
-	// paper-faithful FusePipelines knob, spelled as a Disable flag so the
-	// zero-value config keeps fusion on; for ablations and differential
-	// testing).
-	DisableFusion bool
 	// DisableSharedCache turns off the process-wide decoded-page cache
 	// for this session (the cache defaults ON; spelled as a Disable flag
 	// so the zero-value config keeps it).
@@ -783,7 +777,6 @@ func (s *SessionContext) lowerPlan(optimized logical.Plan) (physical.ExecutionPl
 		ScanReadahead:     s.cfg.ScanReadahead,
 		Reg:               s.reg,
 		PreferHashJoin:    s.cfg.PreferHashJoin,
-		DisableFusion:     s.cfg.DisableFusion,
 		ExtensionPlanners: s.extPlanners,
 		PageCache:         s.pages,
 		WatermarkLateness: s.cfg.WatermarkLateness,

@@ -345,6 +345,9 @@ func padArray(a arrow.Array, n int) arrow.Array {
 }
 
 func (e *HashAggregateExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
+	if e.CanPush() {
+		return executePushed(ctx, partition, e)
+	}
 	in, err := e.Input.Execute(ctx, partition)
 	if err != nil {
 		return nil, err
@@ -361,15 +364,16 @@ func (e *HashAggregateExec) Execute(ctx *physical.ExecContext, partition int) (p
 	return physical.InstrumentStream(s, e.Metrics()), nil
 }
 
-// CanPush allows fusing only partial-mode hash aggregation: a partial
-// agg never spills (it early-flushes under pressure), so it fits a
-// push loop, while Final/Single modes are genuine pipeline breakers and
-// ordered inputs keep the streaming run-detection fast path instead.
+// CanPush selects the push implementation for partial-mode hash
+// aggregation: a partial agg never spills (it early-flushes under
+// pressure), so it fits a push loop, while Final/Single modes are genuine
+// pipeline breakers (executeHashed) and ordered inputs keep the streaming
+// run-detection fast path (executeOrdered).
 func (e *HashAggregateExec) CanPush() bool {
 	return e.Mode == PartialAgg && !(e.InputOrdered && len(e.GroupExprs) > 0)
 }
 
-// PushInto compiles partial aggregation for a fused loop.
+// PushInto compiles partial aggregation for a push loop.
 func (e *HashAggregateExec) PushInto(ctx *physical.ExecContext, _ int) (physical.Pusher, error) {
 	st, err := e.newState()
 	if err != nil {
@@ -388,8 +392,7 @@ func (e *HashAggregateExec) PushInto(ctx *physical.ExecContext, _ int) (physical
 }
 
 // aggPusher accumulates partial aggregation state batch by batch,
-// early-flushing downstream on memory pressure or the group-count cap —
-// the same policy as the pull path's executeHashed in partial mode.
+// early-flushing downstream on memory pressure or the group-count cap.
 type aggPusher struct {
 	e          *HashAggregateExec
 	ctx        *physical.ExecContext
@@ -463,6 +466,8 @@ func (p *aggPusher) Close() {
 	p.unregister()
 }
 
+// executeHashed is the Final/Single-mode breaker: it absorbs the whole
+// input, spilling partial state under memory pressure, and emits once.
 func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical.Stream) (physical.Stream, error) {
 	st, err := e.newState()
 	if err != nil {
@@ -471,11 +476,6 @@ func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical
 	}
 	res := memory.NewReservation(ctx.Pool, "HashAggregateExec")
 	unregister := memory.RegisterConsumer(ctx.Pool)
-
-	flushThreshold := e.FlushThreshold
-	if flushThreshold <= 0 {
-		flushThreshold = 1 << 31
-	}
 
 	var queue []*arrow.RecordBatch
 	var spills []*memory.SpillFile
@@ -579,40 +579,8 @@ func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical
 			if st.table != nil {
 				if err := res.Resize(st.table.memUsage()); err == nil {
 					m.UpdateMemPeak(res.Size())
-				} else {
-					if e.Mode == PartialAgg {
-						// Early flush: emit partial results downstream.
-						batches, eerr := e.emit(st, ctx.BatchRows)
-						if eerr != nil {
-							return nil, eerr
-						}
-						st.table.reset()
-						fresh, ferr := e.newState()
-						if ferr != nil {
-							return nil, ferr
-						}
-						st.accs = fresh.accs
-						res.Shrink(res.Size())
-						queue = batches
-						continue
-					}
-					if serr := spillState(err); serr != nil {
-						return nil, serr
-					}
-				}
-				if e.Mode == PartialAgg && st.table.numGroups() >= flushThreshold {
-					batches, eerr := e.emit(st, ctx.BatchRows)
-					if eerr != nil {
-						return nil, eerr
-					}
-					st.table.reset()
-					fresh, ferr := e.newState()
-					if ferr != nil {
-						return nil, ferr
-					}
-					st.accs = fresh.accs
-					queue = batches
-					continue
+				} else if serr := spillState(err); serr != nil {
+					return nil, serr
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/arrow/compute"
@@ -32,32 +31,7 @@ func (e *FilterExec) WithChildren(ch []physical.ExecutionPlan) (physical.Executi
 }
 
 func (e *FilterExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-		for {
-			if err := checkCancel(ctx); err != nil {
-				return nil, err
-			}
-			b, err := in.Next()
-			if err != nil {
-				return nil, err
-			}
-			mask, err := physical.EvalPredicate(e.Predicate, b)
-			if err != nil {
-				return nil, err
-			}
-			out, err := compute.FilterBatch(b, mask)
-			if err != nil {
-				return nil, err
-			}
-			if out.NumRows() > 0 {
-				return out, nil
-			}
-		}
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, partition, e)
 }
 
 // CanPush marks the filter as fusable: one batch in, at most one out.
@@ -154,25 +128,7 @@ func (e *ProjectionExec) WithChildren(ch []physical.ExecutionPlan) (physical.Exe
 }
 
 func (e *ProjectionExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	return physical.InstrumentStream(NewFuncStream(e.schema, func() (*arrow.RecordBatch, error) {
-		b, err := in.Next()
-		if err != nil {
-			return nil, err
-		}
-		cols := make([]arrow.Array, len(e.Exprs))
-		for i, x := range e.Exprs {
-			a, err := physical.EvalToArray(x, b)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = a
-		}
-		return arrow.NewRecordBatchWithRows(e.schema, cols, b.NumRows()), nil
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, partition, e)
 }
 
 // CanPush marks the projection as fusable.
@@ -234,40 +190,7 @@ func (e *GlobalLimitExec) Execute(ctx *physical.ExecContext, partition int) (phy
 	if e.Input.Partitions() != 1 {
 		return nil, fmt.Errorf("exec: GlobalLimitExec requires single-partition input (planner bug)")
 	}
-	in, err := e.Input.Execute(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	skip := e.Skip
-	remaining := e.Fetch
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-		for {
-			if remaining == 0 {
-				return nil, io.EOF
-			}
-			b, err := in.Next()
-			if err != nil {
-				return nil, err
-			}
-			if skip > 0 {
-				if int64(b.NumRows()) <= skip {
-					skip -= int64(b.NumRows())
-					continue
-				}
-				b = b.Slice(int(skip), b.NumRows()-int(skip))
-				skip = 0
-			}
-			if remaining > 0 && int64(b.NumRows()) > remaining {
-				b = b.Slice(0, int(remaining))
-			}
-			if remaining > 0 {
-				remaining -= int64(b.NumRows())
-			}
-			if b.NumRows() > 0 {
-				return b, nil
-			}
-		}
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, 0, e)
 }
 
 // CanPush allows fusing the global limit only over single-partition
@@ -338,25 +261,7 @@ func (e *LocalLimitExec) WithChildren(ch []physical.ExecutionPlan) (physical.Exe
 }
 
 func (e *LocalLimitExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	remaining := e.Fetch
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-		if remaining <= 0 {
-			return nil, io.EOF
-		}
-		b, err := in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if int64(b.NumRows()) > remaining {
-			b = b.Slice(0, int(remaining))
-		}
-		remaining -= int64(b.NumRows())
-		return b, nil
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, partition, e)
 }
 
 // CanPush marks the per-partition limit as fusable.
@@ -422,54 +327,14 @@ func (e *CoalescePartitionsExec) Execute(ctx *physical.ExecContext, partition in
 		}
 		return physical.InstrumentStream(in, e.Metrics()), nil
 	}
-	ch := make(chan batchOrErr, n)
-	// done is closed when the consumer closes its stream; producers give up
-	// instead of blocking forever on a channel nobody drains.
-	done := make(chan struct{})
-	var stopOnce sync.Once
-	ctxDone := ctxDoneChan(ctx)
-	send := func(v batchOrErr) bool {
-		select {
-		case ch <- v:
-			return true
-		case <-done:
-			return false
-		case <-ctxDone:
-			return false
+	// One slot per producer, so each can park a batch without waiting.
+	x := startExchange(ctx, e.Input, 1, n, func(x *exchange, _ int) func(*arrow.RecordBatch) error {
+		return func(b *arrow.RecordBatch) error {
+			x.send(0, batchOrErr{batch: b})
+			return nil
 		}
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			s, err := e.Input.Execute(ctx, p)
-			if err != nil {
-				send(batchOrErr{err: err})
-				return
-			}
-			defer s.Close()
-			for {
-				b, err := s.Next()
-				if err == io.EOF {
-					return
-				}
-				if err != nil {
-					send(batchOrErr{err: err})
-					return
-				}
-				if !send(batchOrErr{batch: b}) {
-					return
-				}
-			}
-		}(p)
-	}
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
-	stop := func() { stopOnce.Do(func() { close(done) }) }
-	return physical.InstrumentStream(&chanStream{schema: e.Schema(), ctx: ctx, ch: ch, stop: stop}, e.Metrics()), nil
+	})
+	return physical.InstrumentStream(x.stream(ctx, e.Schema(), 0), e.Metrics()), nil
 }
 
 // UnionExec concatenates the partitions of several same-schema inputs.
@@ -578,36 +443,7 @@ func (e *CoalesceBatchesExec) WithChildren(ch []physical.ExecutionPlan) (physica
 }
 
 func (e *CoalesceBatchesExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	var pending []*arrow.RecordBatch
-	pendingRows := 0
-	eof := false
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-		for !eof && pendingRows < e.Target {
-			b, err := in.Next()
-			if err == io.EOF {
-				eof = true
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			if b.NumRows() == 0 {
-				continue
-			}
-			pending = append(pending, b)
-			pendingRows += b.NumRows()
-		}
-		if pendingRows == 0 {
-			return nil, io.EOF
-		}
-		out, err := compute.ConcatBatches(e.Schema(), pending)
-		pending, pendingRows = nil, 0
-		return out, err
-	}, in.Close), e.Metrics()), nil
+	return executePushed(ctx, partition, e)
 }
 
 // CanPush marks batch coalescing as fusable.

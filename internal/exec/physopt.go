@@ -10,7 +10,7 @@ import (
 // unnecessary sorts, maximizing parallel execution..."). Sort elimination
 // and Top-K selection happen during lowering where logical context is
 // available; the passes here operate on the physical tree.
-func applyPhysicalOptimizers(plan physical.ExecutionPlan, cfg *PlannerConfig) (physical.ExecutionPlan, error) {
+func applyPhysicalOptimizers(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) {
 	plan, err := removeRedundantCoalesce(plan)
 	if err != nil {
 		return nil, err
@@ -19,13 +19,7 @@ func applyPhysicalOptimizers(plan physical.ExecutionPlan, cfg *PlannerConfig) (p
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.DisableFusion {
-		plan, err = fusePipelines(plan)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan, nil
+	return fusePipelines(plan)
 }
 
 // transformUp rewrites a physical plan bottom-up.
@@ -55,49 +49,37 @@ func transformUp(plan physical.ExecutionPlan, f func(physical.ExecutionPlan) (ph
 	return f(plan)
 }
 
-// fusePipelines compiles maximal chains of push-capable operators into
-// PipelineExec segments (ROADMAP open item 2). Working bottom-up, every
-// push-capable operator either absorbs into the segment its child
-// already started or opens a new one; scans that expose morsels open a
-// segment even alone so they run morsel-driven. A second pass unwraps
-// segments too small to pay off: fewer than two fused stages over a
-// source without morsels. Pipeline breakers (sorts, joins, exchanges,
+// fusePipelines compiles maximal chains of two or more push-capable
+// operators into PipelineExec segments (ROADMAP open item 2). Working
+// bottom-up, a push-capable operator over a segment joins it, and one over
+// another push-capable operator opens a segment with it; an operator alone
+// between two non-pushable nodes stays as it is, since its own Execute is
+// already the one-stage loop. Pipeline breakers (sorts, joins, exchanges,
 // final aggregation, windows) never implement Pushable, so chanStream
 // exchanges survive exactly at breaker boundaries.
 func fusePipelines(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-	fused, err := transformUp(plan, func(p physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-		if pe, ok := p.(physical.Pushable); ok && pe.CanPush() {
-			child := p.Children()[0]
-			if seg, ok := child.(*PipelineExec); ok {
-				top, err := p.WithChildren([]physical.ExecutionPlan{seg.top()})
-				if err != nil {
-					return nil, err
-				}
-				stages := append(append([]physical.ExecutionPlan(nil), seg.Stages...), top)
-				return &PipelineExec{Source: seg.Source, Stages: stages}, nil
-			}
-			return &PipelineExec{Source: child, Stages: []physical.ExecutionPlan{p}}, nil
+	canPush := func(p physical.ExecutionPlan) bool {
+		pe, ok := p.(physical.Pushable)
+		return ok && pe.CanPush()
+	}
+	return transformUp(plan, func(p physical.ExecutionPlan) (physical.ExecutionPlan, error) {
+		if !canPush(p) {
+			return p, nil
 		}
-		if scanHasMorsels(p) {
-			return &PipelineExec{Source: p}, nil
+		child := p.Children()[0]
+		if seg, ok := child.(*PipelineExec); ok {
+			top, err := p.WithChildren([]physical.ExecutionPlan{seg.top()})
+			if err != nil {
+				return nil, err
+			}
+			stages := append(append([]physical.ExecutionPlan(nil), seg.Stages...), top)
+			return &PipelineExec{Source: seg.Source, Stages: stages}, nil
+		}
+		if canPush(child) {
+			return &PipelineExec{Source: child.Children()[0], Stages: []physical.ExecutionPlan{child, p}}, nil
 		}
 		return p, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return transformUp(fused, func(p physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-		seg, ok := p.(*PipelineExec)
-		if !ok || len(seg.Stages) >= 2 || scanHasMorsels(seg.Source) {
-			return p, nil
-		}
-		return seg.top(), nil
-	})
-}
-
-func scanHasMorsels(p physical.ExecutionPlan) bool {
-	s, ok := p.(*TableScanExec)
-	return ok && s.Result.Morsels != nil && s.Result.Morsels.Units() > 0
 }
 
 // removeRedundantCoalesce drops stacked CoalesceBatchesExec and

@@ -3,20 +3,18 @@ package exec
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/physical"
 )
 
-// PipelineExec runs a fused pipeline segment: a maximal chain of
+// PipelineExec runs a fused pipeline segment: a chain of two or more
 // push-capable operators compiled into one batch-at-a-time loop per
 // worker, with no per-operator stream frames between them (ROADMAP open
-// item 2; PAPERS.md "Push vs. Pull-Based Loop Fusion"). When its source
-// scan exposes morsels, the segment additionally replaces the static
-// partition assignment with a shared work queue that all partitions
-// drain, so load balances dynamically under skew.
+// item 2; PAPERS.md "Push vs. Pull-Based Loop Fusion"). It is the
+// multi-stage case of runPushers, the driver every Pushable operator's
+// own Execute uses for its single stage.
 //
 // The fused operators keep their original child links (Stages[0]'s
 // child is Source), and Children returns the top of that chain — so
@@ -29,11 +27,6 @@ type PipelineExec struct {
 	// Stages are the fused operators bottom-up; each implements
 	// physical.Pushable.
 	Stages []physical.ExecutionPlan
-
-	// queue is the shared morsel queue, lazily built on first Execute so
-	// all partitions of one run drain the same cursor.
-	mu    sync.Mutex
-	queue *morselQueue
 }
 
 // top returns the head of the fused chain (the node whose schema and
@@ -53,11 +46,7 @@ func (e *PipelineExec) Partitions() int                      { return e.top().Pa
 func (e *PipelineExec) OutputOrdering() []physical.SortField { return e.top().OutputOrdering() }
 
 func (e *PipelineExec) String() string {
-	if scan := e.morselScan(); scan != nil {
-		return fmt.Sprintf("PipelineExec: stages=%d scheduler=morsel units=%d",
-			len(e.Stages), scan.Result.Morsels.Units())
-	}
-	return fmt.Sprintf("PipelineExec: stages=%d scheduler=static", len(e.Stages))
+	return fmt.Sprintf("PipelineExec: stages=%d", len(e.Stages))
 }
 
 // WithChildren rebuilds the segment from a (possibly rewritten) chain
@@ -92,61 +81,65 @@ func extractFusedChain(top physical.ExecutionPlan) (physical.ExecutionPlan, []ph
 	return n, stages
 }
 
-// morselScan returns the source scan when it can feed a morsel queue.
-func (e *PipelineExec) morselScan() *TableScanExec {
-	if s, ok := e.Source.(*TableScanExec); ok && s.Result.Morsels != nil && s.Result.Morsels.Units() > 0 {
-		return s
-	}
-	return nil
-}
-
-// openSource opens this partition's input: either a worker view of the
-// shared morsel queue (instrumented as the scan so its metrics and
-// pruning counters keep their pull-mode semantics) or the static
-// per-partition stream.
-func (e *PipelineExec) openSource(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	scan := e.morselScan()
-	if scan == nil {
-		return e.Source.Execute(ctx, partition)
-	}
-	e.mu.Lock()
-	if e.queue == nil {
-		e.queue = newMorselQueue(scan.Result.Morsels)
-	}
-	q := e.queue
-	e.mu.Unlock()
-	return scan.instrument(&morselStream{schema: scan.Schema(), q: q}), nil
-}
-
+// Execute runs the segment with per-stage accounting: every stage charges
+// its exclusive push time and its output to its own MetricsSet, and the
+// segment's metrics cover the whole loop.
 func (e *PipelineExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	src, err := e.openSource(ctx, partition)
+	s, err := runPushers(ctx, partition, e.Schema(), e.Source, e.Stages)
 	if err != nil {
 		return nil, err
 	}
-	stages := make([]*fusedStage, len(e.Stages))
 	for i, st := range e.Stages {
+		if mp, ok := st.(physical.MetricsProvider); ok {
+			s.stages[i].m = mp.Metrics()
+		}
+	}
+	return physical.InstrumentStream(s, e.Metrics()), nil
+}
+
+// executePushed is Execute for a Pushable operator running on its own: a
+// one-stage loop over its input, instrumented once with the operator's
+// metrics so elapsed_compute is inclusive of the input (as for every
+// pipeline breaker) and output_rows is counted once.
+func executePushed(ctx *physical.ExecContext, partition int, op interface {
+	physical.Pushable
+	physical.MetricsProvider
+}) (physical.Stream, error) {
+	s, err := runPushers(ctx, partition, op.Schema(), op.Children()[0], []physical.ExecutionPlan{op})
+	if err != nil {
+		return nil, err
+	}
+	return physical.InstrumentStream(s, op.Metrics()), nil
+}
+
+// runPushers opens one partition of source and compiles stages into the
+// loop that drives it.
+func runPushers(ctx *physical.ExecContext, partition int, schema *arrow.Schema,
+	source physical.ExecutionPlan, stages []physical.ExecutionPlan) (*fusedStream, error) {
+
+	src, err := source.Execute(ctx, partition)
+	if err != nil {
+		return nil, err
+	}
+	fused := make([]*fusedStage, len(stages))
+	for i, st := range stages {
 		push, ok := st.(physical.Pushable)
 		if !ok {
 			src.Close()
-			closeStages(stages[:i])
+			closeStages(fused[:i])
 			return nil, fmt.Errorf("exec: fused stage %T is not pushable (optimizer bug)", st)
 		}
 		pusher, err := push.PushInto(ctx, partition)
 		if err != nil {
 			src.Close()
-			closeStages(stages[:i])
+			closeStages(fused[:i])
 			return nil, err
 		}
 		fs := &fusedStage{pusher: pusher}
-		if mp, ok := st.(physical.MetricsProvider); ok {
-			fs.m = mp.Metrics()
-		}
 		fs.emit = fs.collect
-		stages[i] = fs
+		fused[i] = fs
 	}
-	return physical.InstrumentStream(&fusedStream{
-		schema: e.Schema(), ctx: ctx, src: src, stages: stages,
-	}, e.Metrics()), nil
+	return &fusedStream{schema: schema, ctx: ctx, src: src, stages: fused}, nil
 }
 
 func closeStages(stages []*fusedStage) {
@@ -158,8 +151,10 @@ func closeStages(stages []*fusedStage) {
 // fusedStage is one operator's per-partition state inside a fused loop.
 type fusedStage struct {
 	pusher physical.Pusher
-	m      *physical.MetricsSet
-	emit   physical.EmitFn
+	// m is the operator's own MetricsSet inside a PipelineExec; nil when
+	// the operator runs alone and its whole stream is instrumented instead.
+	m    *physical.MetricsSet
+	emit physical.EmitFn
 	// buf collects the batches emitted by the current Push/Flush round;
 	// the driver hands it to the next stage after the call returns.
 	buf []*arrow.RecordBatch
@@ -187,11 +182,16 @@ func (st *fusedStage) collect(b *arrow.RecordBatch) error {
 // outputs to the consumer. There are no goroutines or channels between
 // stages; each stage's compute time accrues to its own operator.
 type fusedStream struct {
-	schema  *arrow.Schema
-	ctx     *physical.ExecContext
-	src     physical.Stream
-	stages  []*fusedStage
-	out     []*arrow.RecordBatch
+	schema *arrow.Schema
+	ctx    *physical.ExecContext
+	src    physical.Stream
+	stages []*fusedStage
+	// out[head:] are the chain's outputs not yet handed to the consumer.
+	out  []*arrow.RecordBatch
+	head int
+	// one is process's single-batch input, kept here so that the per-batch
+	// loop allocates nothing of its own.
+	one     [1]*arrow.RecordBatch
 	srcDone bool
 	flushed bool
 	closed  bool
@@ -201,11 +201,13 @@ func (s *fusedStream) Schema() *arrow.Schema { return s.schema }
 
 func (s *fusedStream) Next() (*arrow.RecordBatch, error) {
 	for {
-		if len(s.out) > 0 {
-			b := s.out[0]
-			s.out = s.out[1:]
+		if s.head < len(s.out) {
+			b := s.out[s.head]
+			s.out[s.head] = nil
+			s.head++
 			return b, nil
 		}
+		s.out, s.head = s.out[:0], 0
 		if s.flushed {
 			return nil, io.EOF
 		}
@@ -241,14 +243,15 @@ func (s *fusedStream) Next() (*arrow.RecordBatch, error) {
 // done, the source stops and batches bound for that stage are dropped —
 // batches it already emitted still flow downstream.
 func (s *fusedStream) process(from int, b *arrow.RecordBatch) error {
-	in := []*arrow.RecordBatch{b}
+	s.one[0] = b
+	in := s.one[:]
 	for i := from; i < len(s.stages); i++ {
 		st := s.stages[i]
 		if st.done || len(in) == 0 {
 			return nil
 		}
 		st.buf = st.buf[:0]
-		start := time.Now()
+		start := st.startTimer()
 		for _, ib := range in {
 			done, err := st.pusher.Push(ib, st.emit)
 			if err != nil {
@@ -278,7 +281,7 @@ func (s *fusedStream) flush() error {
 			continue
 		}
 		st.buf = st.buf[:0]
-		start := time.Now()
+		start := st.startTimer()
 		err := st.pusher.Flush(st.emit)
 		st.addElapsed(start)
 		if err != nil {
@@ -296,6 +299,14 @@ func (s *fusedStream) flush() error {
 		}
 	}
 	return nil
+}
+
+// startTimer reads the clock only for a stage that accounts its own time.
+func (st *fusedStage) startTimer() (start time.Time) {
+	if st.m != nil {
+		start = time.Now()
+	}
+	return start
 }
 
 func (st *fusedStage) addElapsed(start time.Time) {

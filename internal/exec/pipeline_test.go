@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/catalog"
 	"gofusion/internal/logical"
+	"gofusion/internal/memory"
 	"gofusion/internal/parquet"
 	"gofusion/internal/physical"
 	"gofusion/internal/testutil"
@@ -63,10 +65,10 @@ func sumRows(batches []*arrow.RecordBatch) int64 {
 }
 
 // TestFusePipelinesShape pins the fusion pass output: a filter+coalesce
-// chain over a multi-partition GPQ scan becomes one morsel-driven
-// PipelineExec whose Children still expose the original operator chain,
-// while a lone fusable operator over a morsel-less source unwraps back
-// to plain pull execution.
+// chain over a multi-partition GPQ scan becomes one two-stage PipelineExec
+// whose Children still expose the original operator chain down to the
+// scan, which announces its own morsel scheduling; a lone fusable operator
+// and a lone morsel scan stay unwrapped.
 func TestFusePipelinesShape(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
 	writeSeqGPQ(t, path, 800, 100)
@@ -81,6 +83,12 @@ func TestFusePipelinesShape(t *testing.T) {
 			t.Fatalf("morsels not largest-first: %v", rows)
 		}
 	}
+	if want := fmt.Sprintf(" scheduler=morsel units=%d", len(rows)); !strings.HasSuffix(scan.String(), want) {
+		t.Fatalf("scan line %q should end in %q", scan.String(), want)
+	}
+	if lone, err := fusePipelines(scan); err != nil || lone != scan {
+		t.Fatalf("lone morsel scan rewritten to %T (err %v)", lone, err)
+	}
 
 	chain := &CoalesceBatchesExec{Input: &FilterExec{Input: scan, Predicate: idGreater(99)}, Target: 8192}
 	fused, err := fusePipelines(chain)
@@ -91,11 +99,8 @@ func TestFusePipelinesShape(t *testing.T) {
 	if !ok {
 		t.Fatalf("fused root = %T, want *PipelineExec", fused)
 	}
-	if len(seg.Stages) != 2 {
-		t.Fatalf("stages = %d, want 2", len(seg.Stages))
-	}
-	if !strings.Contains(seg.String(), "scheduler=morsel") {
-		t.Fatalf("segment should be morsel-driven: %q", seg.String())
+	if seg.String() != "PipelineExec: stages=2" {
+		t.Fatalf("segment line = %q", seg.String())
 	}
 	// EXPLAIN sees the original chain nested under the segment.
 	co, ok := seg.Children()[0].(*CoalesceBatchesExec)
@@ -106,23 +111,26 @@ func TestFusePipelinesShape(t *testing.T) {
 	if !ok {
 		t.Fatalf("coalesce input = %T, want *FilterExec", co.Input)
 	}
-	if _, ok := fi.Input.(*TableScanExec); !ok {
-		t.Fatalf("filter input = %T, want *TableScanExec", fi.Input)
+	if fi.Input != scan || seg.Source != scan {
+		t.Fatalf("filter input = %T, segment source = %T, want the scan", fi.Input, seg.Source)
 	}
 
-	// A single fusable op over a single-partition (morsel-less) scan is
-	// not worth a fused loop and unwraps.
-	lone := &FilterExec{Input: seqScan(t, path, 1), Predicate: idGreater(99)}
-	unfused, err := fusePipelines(lone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := unfused.(*FilterExec); !ok {
-		t.Fatalf("lone filter fused to %T, want *FilterExec", unfused)
+	// A single fusable op is its own one-stage loop: no segment, with or
+	// without morsels underneath.
+	for _, parts := range []int{1, 2} {
+		lone := &FilterExec{Input: seqScan(t, path, parts), Predicate: idGreater(99)}
+		got, err := fusePipelines(lone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != lone {
+			t.Fatalf("p%d: lone filter rewritten to %T", parts, got)
+		}
 	}
 }
 
-// TestFusedMatchesUnfused executes the same chain fused and unfused and
+// TestFusedMatchesUnfused executes the same chain as one fused segment and
+// as a stack of operators each running its own one-stage loop, and
 // requires identical results plus clean metric invariants on both.
 func TestFusedMatchesUnfused(t *testing.T) {
 	defer testutil.CheckNoGoroutineLeak(t)()
@@ -193,8 +201,8 @@ func TestFusedGlobalLimitStopsSource(t *testing.T) {
 	}
 }
 
-// TestMorselCancellationMidDrain opens every worker of a morsel-driven
-// fused segment, pulls one batch each, then cancels the query and
+// TestMorselCancellationMidDrain opens every worker of a fused segment
+// over a morsel-driven scan, pulls one batch each, then cancels the query and
 // closes mid-drain. No readahead producer or worker goroutine may
 // survive (run under -race and -tags sanitize in CI).
 func TestMorselCancellationMidDrain(t *testing.T) {
@@ -345,18 +353,18 @@ func TestMorselSchedulingBalancesSkew(t *testing.T) {
 			morselMax, staticMax, clocks, staticRows)
 	}
 
-	// Executing the morsel-driven segment delivers every row exactly
-	// once across concurrently draining workers.
+	// Executing the morsel-driven scan delivers every row exactly once
+	// across concurrently draining workers.
 	res2, err := tbl.Scan(catalog.ScanRequest{Limit: -1, Partitions: 4, Readahead: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := &PipelineExec{Source: NewTableScanExec("skew", res2)}
+	scan := NewTableScanExec("skew", res2)
 	ctx := physical.NewExecContext()
 	var wg sync.WaitGroup
 	workerRows := make([]int64, 4)
 	for p := 0; p < 4; p++ {
-		s, err := seg.Execute(ctx, p)
+		s, err := scan.Execute(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,6 +393,63 @@ func TestMorselSchedulingBalancesSkew(t *testing.T) {
 	if morselTotal != 140_000 {
 		t.Fatalf("morsel workers delivered %d rows, want 140000 (%v)", morselTotal, workerRows)
 	}
+	if got, want := scan.queue.claimed(), res2.Morsels.Units(); got != want {
+		t.Fatalf("scan queue claimed %d of %d units", got, want)
+	}
+}
+
+// TestMorselScanUnderExchange puts a morsel scan directly under a
+// RepartitionExec — no pushable stage, so no PipelineExec — and counts how
+// often each unit is opened: the exchange's producers must drain the
+// scan's one queue, claiming every unit exactly once.
+func TestMorselScanUnderExchange(t *testing.T) {
+	defer testutil.CheckNoGoroutineLeak(t)()
+	path := filepath.Join(t.TempDir(), "t.gpq")
+	writeSeqGPQ(t, path, 4000, 100)
+
+	scan := seqScan(t, path, 4)
+	set := scan.Result.Morsels
+	if set == nil {
+		t.Fatal("4-partition GPQ scan should expose morsels")
+	}
+	opened := make([]atomic.Int32, set.Units())
+	openUnit := set.Open
+	set.Open = func(unit int) (physical.Stream, error) {
+		opened[unit].Add(1)
+		return openUnit(unit)
+	}
+	plan, err := fusePipelines(&RepartitionExec{Input: scan, Scheme: RoundRobinPartitioning, NumParts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(ExplainPhysical(plan), "PipelineExec") {
+		t.Fatalf("scan under an exchange needs no segment:\n%s", ExplainPhysical(plan))
+	}
+	batches, err := CollectPlan(physical.NewExecContext(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := sumRows(batches); rows != 4000 {
+		t.Fatalf("rows = %d, want 4000", rows)
+	}
+	seen := map[int64]bool{}
+	for _, b := range batches {
+		ids := b.Column(0).(*arrow.Int64Array)
+		for i := 0; i < ids.Len(); i++ {
+			seen[ids.Value(i)] = true
+		}
+	}
+	if len(seen) != 4000 {
+		t.Fatalf("distinct ids = %d, want 4000", len(seen))
+	}
+	for u := range opened {
+		if n := opened[u].Load(); n != 1 {
+			t.Errorf("unit %d opened %d times, want 1", u, n)
+		}
+	}
+	if err := CheckPlanMetrics(plan, 4000); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestExchangeBufferDepthDerivesFromPartitions pins the derived default:
@@ -405,4 +470,199 @@ func TestExchangeBufferDepthDerivesFromPartitions(t *testing.T) {
 	if got := ctx.ExchangeBufferDepth(); got != 3 {
 		t.Errorf("explicit depth = %d, want 3", got)
 	}
+}
+
+// pushInput builds a one-partition source of nBatches batches of
+// batchRows rows each: id counts up from 0 and k = id % mod.
+func pushInput(nBatches, batchRows int, mod int64) *ValuesExec {
+	schema := arrow.NewSchema(arrow.NewField("id", arrow.Int64, false), arrow.NewField("k", arrow.Int64, false))
+	batches := make([]*arrow.RecordBatch, nBatches)
+	for i := range batches {
+		ids := make([]int64, batchRows)
+		ks := make([]int64, batchRows)
+		for j := range ids {
+			ids[j] = int64(i*batchRows + j)
+			ks[j] = ids[j] % mod
+		}
+		batches[i] = arrow.NewRecordBatch(schema, []arrow.Array{arrow.NewInt64(ids), arrow.NewInt64(ks)})
+	}
+	return NewValuesExec(schema, batches)
+}
+
+// sumCountByK builds HashAggregateExec(mode) computing sum(id), count(*)
+// grouped by column 0 or 1 of its input.
+func sumCountByK(t *testing.T, in physical.ExecutionPlan, mode AggMode, groupCol int) *HashAggregateExec {
+	t.Helper()
+	sum, _ := testReg.Agg("sum")
+	count, _ := testReg.Agg("count")
+	sumSpec, err := NewAggSpec(sum, "s", []physical.PhysicalExpr{physical.NewColumnExpr(0, "id", arrow.Int64)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	countSpec, err := NewAggSpec(count, "c", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewHashAggregateExec(in, mode,
+		[]physical.PhysicalExpr{physical.NewColumnExpr(groupCol, "k", arrow.Int64)}, []string{"k"},
+		[]AggSpec{sumSpec, countSpec})
+}
+
+// TestPushableAloneMatchesFused runs every Pushable operator once on its
+// own through Execute and once as a stage of a PipelineExec over the same
+// input. Both go through the one driver, so rows and batch boundaries must
+// be identical, and the metrics of either tree must satisfy the plan
+// invariants with output_rows counted exactly once per operator.
+func TestPushableAloneMatchesFused(t *testing.T) {
+	id := physical.NewColumnExpr(0, "id", arrow.Int64)
+	cases := []struct {
+		name    string
+		build   func(in physical.ExecutionPlan) physical.ExecutionPlan
+		batches []int // expected output batch sizes
+		first   string
+	}{
+		{"filter", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return &FilterExec{Input: in, Predicate: idGreater(449)}
+		}, []int{50, 100, 100, 100, 100, 100}, "450|2|"},
+		{"projection", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return NewProjectionExec(in, []physical.PhysicalExpr{id}, []string{"id"}, nil)
+		}, []int{100, 100, 100, 100, 100, 100, 100, 100, 100, 100}, "0|"},
+		{"local-limit", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return &LocalLimitExec{Input: in, Fetch: 250}
+		}, []int{100, 100, 50}, "0|0|"},
+		{"local-limit-zero", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return &LocalLimitExec{Input: in, Fetch: 0}
+		}, nil, ""},
+		{"global-limit-skip", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return &GlobalLimitExec{Input: in, Skip: 150, Fetch: -1}
+		}, []int{50, 100, 100, 100, 100, 100, 100, 100, 100}, "150|3|"},
+		{"global-limit-skip-fetch", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return &GlobalLimitExec{Input: in, Skip: 150, Fetch: 120}
+		}, []int{50, 70}, "150|3|"},
+		{"coalesce-remainder", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return &CoalesceBatchesExec{Input: in, Target: 256}
+		}, []int{300, 300, 300, 100}, "0|0|"},
+		{"partial-agg", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return sumCountByK(t, in, PartialAgg, 1)
+		}, []int{7}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want int64
+			for _, n := range tc.batches {
+				want += int64(n)
+			}
+			alone := tc.build(pushInput(10, 100, 7))
+			stage := tc.build(pushInput(10, 100, 7))
+			fused := &PipelineExec{Source: stage.Children()[0], Stages: []physical.ExecutionPlan{stage}}
+
+			var rendered [2][]string
+			for i, plan := range []physical.ExecutionPlan{alone, fused} {
+				batches, err := CollectPlan(physical.NewExecContext(), plan)
+				if err != nil {
+					t.Fatalf("%T: %v", plan, err)
+				}
+				var sizes []int
+				for _, b := range batches {
+					sizes = append(sizes, b.NumRows())
+					rendered[i] = append(rendered[i], rowsAsStrings(b)...)
+				}
+				if fmt.Sprint(sizes) != fmt.Sprint(tc.batches) {
+					t.Errorf("%T: batch sizes %v, want %v", plan, sizes, tc.batches)
+				}
+				if err := CheckPlanMetrics(plan, want); err != nil {
+					t.Errorf("%T: %v", plan, err)
+				}
+			}
+			if fmt.Sprint(rendered[0]) != fmt.Sprint(rendered[1]) {
+				t.Errorf("alone and fused rows differ:\n%v\nvs\n%v", rendered[0], rendered[1])
+			}
+			if tc.first != "" && (len(rendered[0]) == 0 || rendered[0][0] != tc.first) {
+				t.Errorf("first row = %v, want %q", rendered[0][:min(1, len(rendered[0]))], tc.first)
+			}
+			if got := stage.(physical.MetricsProvider).Metrics().OutputRows(); got != want {
+				t.Errorf("fused stage output_rows = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// lonePartialAgg drains a partial aggregate on its own through Execute —
+// no segment, no planner — and returns the partial-state batches it
+// emitted plus their merge through a FinalAgg.
+func lonePartialAgg(t *testing.T, ctx *physical.ExecContext, partial *HashAggregateExec) (emitted []*arrow.RecordBatch, merged *arrow.RecordBatch) {
+	t.Helper()
+	emitted, err := CollectPlan(ctx, partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := sumCountByK(t, NewValuesExec(partial.Schema(), emitted), FinalAgg, 0)
+	merged, err = CollectBatch(physical.NewExecContext(), final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return emitted, merged
+}
+
+// wantSumCount is sum(id), count(*) by id % mod over ids [0, n).
+func wantSumCount(n, mod int64) []string {
+	sums := make([]int64, mod)
+	counts := make([]int64, mod)
+	for id := int64(0); id < n; id++ {
+		sums[id%mod] += id
+		counts[id%mod]++
+	}
+	out := make([]string, mod)
+	for k := range out {
+		out[k] = fmt.Sprintf("%d|%d|%d|", k, sums[k], counts[k])
+	}
+	return out
+}
+
+// TestLonePartialAggEarlyFlushUnderPressure gives a partial aggregate a
+// pool too small for its group table: it must flush its state downstream
+// and start over instead of failing (a partial aggregate never spills),
+// stay within the pool, hand the reservation back, and lose nothing.
+func TestLonePartialAggEarlyFlushUnderPressure(t *testing.T) {
+	const limit = 64 << 10
+	pool := memory.NewGreedyPool(limit)
+	ctx := physical.NewExecContext()
+	ctx.Pool = pool
+	partial := sumCountByK(t, pushInput(24, 500, 3000), PartialAgg, 1)
+
+	emitted, merged := lonePartialAgg(t, ctx, partial)
+	if rows := sumRows(emitted); rows <= 3000 {
+		t.Fatalf("emitted %d partial rows for 3000 groups: the table never flushed early", rows)
+	}
+	sameRows(t, merged, wantSumCount(12000, 3000), false)
+	if peak := pool.ReservedPeak(); peak > limit {
+		t.Errorf("pool peak %d exceeds its limit %d", peak, limit)
+	}
+	if held := pool.Reserved(); held != 0 {
+		t.Errorf("reservation not released: %d bytes still held", held)
+	}
+	if err := CheckPlanMetrics(partial, sumRows(emitted)); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLonePartialAggFlushThreshold caps the partial table at a few groups:
+// state is emitted each time the cap is reached, so no flush holds more
+// groups than the cap plus one input batch's worth, and the re-emitted
+// groups merge back to the exact result.
+func TestLonePartialAggFlushThreshold(t *testing.T) {
+	partial := sumCountByK(t, pushInput(10, 100, 40), PartialAgg, 1)
+	partial.FlushThreshold = 7
+
+	emitted, merged := lonePartialAgg(t, physical.NewExecContext(), partial)
+	// Every 100-row batch carries all 40 groups, crossing the cap each time.
+	if len(emitted) != 10 {
+		t.Fatalf("emitted %d batches, want one flush per input batch (10)", len(emitted))
+	}
+	for i, b := range emitted {
+		if b.NumRows() != 40 {
+			t.Errorf("flush %d holds %d groups, want 40", i, b.NumRows())
+		}
+	}
+	sameRows(t, merged, wantSumCount(1000, 40), false)
 }

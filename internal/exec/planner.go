@@ -26,11 +26,6 @@ type PlannerConfig struct {
 	Reg *functions.Registry
 	// PreferHashJoin disables sort-merge join selection when true.
 	PreferHashJoin bool
-	// DisableFusion keeps every operator on its own pull stream instead
-	// of compiling pipeline segments into fused PipelineExec loops
-	// (fusion is on by default; this knob exists for ablations and
-	// differential testing).
-	DisableFusion bool
 	// ExtensionPlanners lower user-defined logical nodes (paper Section
 	// 7.7); each is tried in order.
 	ExtensionPlanners []ExtensionPlanner
@@ -72,7 +67,7 @@ func CreatePhysicalPlan(plan logical.Plan, cfg *PlannerConfig) (physical.Executi
 	if err != nil {
 		return nil, err
 	}
-	p, err = applyPhysicalOptimizers(p, c)
+	p, err = applyPhysicalOptimizers(p)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"gofusion/internal/arrow"
@@ -32,15 +31,10 @@ type RepartitionExec struct {
 	// NumParts is the output partition count.
 	NumParts int
 
-	mu      sync.Mutex
-	started bool
-	outputs []chan batchOrErr
-	// abandoned[p] is closed when output partition p's consumer closes its
-	// stream; producers stop delivering to that partition instead of
-	// blocking forever on a channel nobody drains.
-	abandoned []chan struct{}
-	stopOnce  []sync.Once
-	ctxDone   <-chan struct{}
+	// x is the running exchange, started by the first Execute so every
+	// output partition of one run reads the same producers.
+	once sync.Once
+	x    *exchange
 }
 
 func (e *RepartitionExec) Schema() *arrow.Schema { return e.Input.Schema() }
@@ -65,105 +59,39 @@ func (e *RepartitionExec) WithChildren(ch []physical.ExecutionPlan) (physical.Ex
 	return &RepartitionExec{Input: c, Scheme: e.Scheme, HashExprs: e.HashExprs, NumParts: e.NumParts}, nil
 }
 
-// start launches one producer goroutine per input partition; each routes
-// its rows into the output channels.
-func (e *RepartitionExec) start(ctx *physical.ExecContext) {
-	depth := ctx.ExchangeBufferDepth()
-	e.outputs = make([]chan batchOrErr, e.NumParts)
-	e.abandoned = make([]chan struct{}, e.NumParts)
-	e.stopOnce = make([]sync.Once, e.NumParts)
-	e.ctxDone = ctxDoneChan(ctx)
-	for i := range e.outputs {
-		e.outputs[i] = make(chan batchOrErr, depth)
-		e.abandoned[i] = make(chan struct{})
-	}
-	n := e.Input.Partitions()
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			e.produce(ctx, p)
-		}(p)
-	}
-	go func() {
-		wg.Wait()
-		for _, ch := range e.outputs {
-			close(ch)
-		}
-	}()
-}
-
-// send delivers v to output partition p, giving up when that partition's
-// consumer has closed its stream or the query is cancelled. Reports
-// whether the value was delivered.
-func (e *RepartitionExec) send(p int, v batchOrErr) bool {
-	select {
-	case e.outputs[p] <- v:
-		return true
-	case <-e.abandoned[p]:
-		return false
-	case <-e.ctxDone:
-		return false
-	}
-}
-
-func (e *RepartitionExec) fanError(err error) {
-	for p := range e.outputs {
-		e.send(p, batchOrErr{err: err})
-	}
-}
-
-func (e *RepartitionExec) produce(ctx *physical.ExecContext, p int) {
-	s, err := e.Input.Execute(ctx, p)
-	if err != nil {
-		e.fanError(err)
-		return
-	}
-	defer s.Close()
+// router builds input partition p's routing function: round-robin deals
+// whole batches, hash partitioning splits each batch by key hash.
+func (e *RepartitionExec) router(x *exchange, p int) func(*arrow.RecordBatch) error {
 	sent := e.Metrics().Counter("batches_sent")
-	rr := p % e.NumParts
+	send := func(out int, b *arrow.RecordBatch) {
+		if x.send(out, batchOrErr{batch: b}) {
+			sent.Add(1)
+		}
+	}
+	if e.Scheme == RoundRobinPartitioning {
+		rr := p % e.NumParts
+		return func(b *arrow.RecordBatch) error {
+			send(rr, b)
+			rr = (rr + 1) % e.NumParts
+			return nil
+		}
+	}
 	// Hash buffer reused across batches: the same compute.HashBatch
 	// kernels drive aggregation group tables and join build/probe, so all
 	// three hash consumers agree on row hashes.
 	var hashBuf []uint64
-	for {
-		if err := checkCancel(ctx); err != nil {
-			e.fanError(err)
-			return
-		}
-		b, err := s.Next()
-		if err == io.EOF {
-			return
-		}
+	return func(b *arrow.RecordBatch) error {
+		parts, buf, err := e.splitByHash(b, hashBuf)
+		hashBuf = buf
 		if err != nil {
-			e.fanError(err)
-			return
+			return err
 		}
-		if b.NumRows() == 0 {
-			continue
-		}
-		switch e.Scheme {
-		case RoundRobinPartitioning:
-			if e.send(rr, batchOrErr{batch: b}) {
-				sent.Add(1)
-			}
-			rr = (rr + 1) % e.NumParts
-		case HashPartitioning:
-			parts, buf, err := e.splitByHash(b, hashBuf)
-			hashBuf = buf
-			if err != nil {
-				e.fanError(err)
-				return
-			}
-			for i, pb := range parts {
-				if pb != nil && pb.NumRows() > 0 {
-					if e.send(i, batchOrErr{batch: pb}) {
-						sent.Add(1)
-					}
-				}
+		for i, pb := range parts {
+			if pb != nil && pb.NumRows() > 0 {
+				send(i, pb)
 			}
 		}
+		return nil
 	}
 }
 
@@ -208,15 +136,8 @@ func (e *RepartitionExec) splitByHash(b *arrow.RecordBatch, hashBuf []uint64) ([
 }
 
 func (e *RepartitionExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	e.mu.Lock()
-	if !e.started {
-		e.started = true
-		e.start(ctx)
-	}
-	ch := e.outputs[partition]
-	e.mu.Unlock()
-	stop := func() {
-		e.stopOnce[partition].Do(func() { close(e.abandoned[partition]) })
-	}
-	return physical.InstrumentStream(&chanStream{schema: e.Schema(), ctx: ctx, ch: ch, stop: stop}, e.Metrics()), nil
+	e.once.Do(func() {
+		e.x = startExchange(ctx, e.Input, e.NumParts, ctx.ExchangeBufferDepth(), e.router)
+	})
+	return physical.InstrumentStream(e.x.stream(ctx, e.Schema(), partition), e.Metrics()), nil
 }

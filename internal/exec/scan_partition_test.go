@@ -40,6 +40,10 @@ func TestTableScanExplainShowsRowGroupPartitions(t *testing.T) {
 	if !strings.Contains(line, "rg") {
 		t.Fatalf("EXPLAIN missing row-group ranges: %q", line)
 	}
+	// 8 row groups over 4 partitions: chunked to one unit per row group.
+	if !strings.HasSuffix(line, " scheduler=morsel units=8") {
+		t.Fatalf("EXPLAIN missing the scan's morsel scheduling: %q", line)
+	}
 	// The split scan still returns every row.
 	batches, err := CollectPlan(physical.NewExecContext(), scan)
 	if err != nil {

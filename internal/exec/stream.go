@@ -1,9 +1,12 @@
 // Package exec implements the streaming execution engine (paper Section
-// 5.5): pull-based partitioned operators exchanging arrow RecordBatches,
-// Volcano-style repartitioning across goroutines, two-phase partitioned
-// hash aggregation, external sort with spilling, hash / merge / nested
-// loop joins, window evaluation, and the physical planner and optimizer
-// that lower logical plans onto these operators.
+// 5.5): partitioned operators exchanging arrow RecordBatches. Streaming
+// (non-breaking) operators are Pushers run by the one driver loop in
+// pipeline.go, alone or fused with their neighbours; scans schedule their
+// own morsels; pipeline breakers are pull streams: Volcano-style
+// repartitioning across goroutines, two-phase partitioned hash
+// aggregation, external sort with spilling, hash / merge / nested loop
+// joins and window evaluation. The package also holds the physical planner
+// and optimizer that lower logical plans onto these operators.
 package exec
 
 import (

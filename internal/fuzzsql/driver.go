@@ -52,10 +52,6 @@ func DefaultConfigs() []EngineConfig {
 		{"p4-noreadahead", core.SessionConfig{TargetPartitions: 4, ScanReadahead: -1}},
 		{"p4-smallbuf", core.SessionConfig{TargetPartitions: 4, ExchangeBufferDepth: 1}},
 		{"p1-smallbatch", core.SessionConfig{TargetPartitions: 1, BatchRows: 64}},
-		// Every config above runs with pipeline fusion on (the default);
-		// fused-off pins the pull-per-operator path so fused and unfused
-		// execution cross-check each other and the baseline.
-		{"fused-off", core.SessionConfig{TargetPartitions: 4, DisableFusion: true}},
 		// Shared-cache matrix: every config above runs with the shared
 		// decoded-page cache on (the default) against a tight budget is
 		// covered by unit tests; here nocache pins the uncached decode

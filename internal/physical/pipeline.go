@@ -10,10 +10,11 @@ import (
 // implementations never re-enter downstream operators.
 type EmitFn func(*arrow.RecordBatch) error
 
-// Pusher is the push-mode compilation of one operator for fused pipeline
-// execution: instead of pulling from a child stream, the pipeline driver
-// pushes each input batch through the whole operator chain in a single
-// loop (PAPERS.md: "Push vs. Pull-Based Loop Fusion in Query Engines").
+// Pusher is the one implementation of a streaming (non-breaking) operator:
+// a driver loop pulls a batch from the source stream and pushes it through
+// one Pusher — the operator running alone — or through a whole chain of
+// them — a fused segment (PAPERS.md: "Push vs. Pull-Based Loop Fusion in
+// Query Engines": a pull stream is a push operator plus a driver).
 // A Pusher serves one partition and is not safe for concurrent use.
 type Pusher interface {
 	// Push consumes one input batch, emitting any output via emit. A true
@@ -28,15 +29,16 @@ type Pusher interface {
 	Close()
 }
 
-// Pushable marks an operator that can compile itself into a Pusher and
-// join a fused pipeline segment. Operators that buffer unboundedly, need
-// their own goroutines, or change partitioning (sorts, joins, exchanges,
-// final aggregation) are pipeline breakers and do not implement it.
+// Pushable marks an operator that compiles itself into a Pusher, which
+// both its own Execute and a fused pipeline segment drive. Operators that
+// buffer unboundedly, need their own goroutines, or change partitioning
+// (sorts, joins, exchanges, final aggregation) are pipeline breakers and
+// do not implement it.
 type Pushable interface {
 	ExecutionPlan
-	// CanPush reports whether this node is fusable as configured (e.g.
-	// partial-mode aggregation only).
+	// CanPush reports whether this node runs as a Pusher as configured
+	// (e.g. partial-mode aggregation only).
 	CanPush() bool
-	// PushInto compiles the operator for one partition of a fused loop.
+	// PushInto compiles the operator for one partition of a driver loop.
 	PushInto(ctx *ExecContext, partition int) (Pusher, error)
 }

@@ -41,9 +41,9 @@ type ExecContext struct {
 const DefaultExchangeBuffer = 4
 
 // ExchangeBufferDepth returns the effective exchange channel depth. When
-// ExchangeBuffer is unset it derives from TargetPartitions: fused
-// consumers drain whole chains per pull, so at high parallelism a fixed
-// shallow buffer stalls producers that all hash into one hot output.
+// ExchangeBuffer is unset it derives from TargetPartitions: consumers run
+// a whole operator chain per batch they take, so at high parallelism a
+// fixed shallow buffer stalls producers that all hash into one hot output.
 func (c *ExecContext) ExchangeBufferDepth() int {
 	if c.ExchangeBuffer > 0 {
 		return c.ExchangeBuffer

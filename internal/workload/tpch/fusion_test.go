@@ -1,100 +1,18 @@
 package tpch_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
-	"gofusion/internal/arrow/compute"
 	"gofusion/internal/core"
 	"gofusion/internal/exec"
-	"gofusion/internal/physical"
-	"gofusion/internal/testutil"
 	"gofusion/internal/workload/tpch"
 )
 
-// TestFusedUnfusedEquality runs representative TPC-H queries with
-// pipeline fusion on (the default) and off, at 1 and 4 partitions, and
-// requires identical results, identical rows-returned, and clean metric
-// invariants on both trees. This is the tree-equality half of the
-// fusion contract: fusing is a pure execution-strategy change.
-func TestFusedUnfusedEquality(t *testing.T) {
-	queries := []int{1, 3, 6}
-	for _, parts := range []int{1, 4} {
-		fusedS := core.NewSession(core.SessionConfig{TargetPartitions: parts})
-		plainS := core.NewSession(core.SessionConfig{TargetPartitions: parts, DisableFusion: true})
-		for _, s := range []*core.SessionContext{fusedS, plainS} {
-			if err := tpch.RegisterInMemory(s, 0.01); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, n := range queries {
-			q, err := tpch.Query(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(s *core.SessionContext) ([]testutil.Row, *core.QueryMetrics) {
-				t.Helper()
-				df, err := s.SQL(q)
-				if err != nil {
-					t.Fatalf("Q%d p%d plan: %v", n, parts, err)
-				}
-				batches, qm, err := df.CollectWithMetrics()
-				if err != nil {
-					t.Fatalf("Q%d p%d exec: %v", n, parts, err)
-				}
-				b, err := compute.ConcatBatches(df.Schema().ToArrow(), batches)
-				if err != nil {
-					t.Fatalf("Q%d p%d concat: %v", n, parts, err)
-				}
-				if err := exec.CheckPlanMetrics(qm.Plan, qm.RowsReturned); err != nil {
-					t.Errorf("Q%d p%d metrics: %v", n, parts, err)
-				}
-				return testutil.NormalizeBatch(b), qm
-			}
-			gotFused, qmFused := run(fusedS)
-			gotPlain, qmPlain := run(plainS)
-			if diff := testutil.Diff(gotFused, gotPlain); diff != "" {
-				t.Errorf("Q%d p%d: fused result differs from unfused:\n%s", n, parts, diff)
-			}
-			if qmFused.RowsReturned != qmPlain.RowsReturned {
-				t.Errorf("Q%d p%d: rows returned fused=%d unfused=%d",
-					n, parts, qmFused.RowsReturned, qmPlain.RowsReturned)
-			}
-			fr := qmFused.Plan.(physical.MetricsProvider).Metrics().OutputRows()
-			pr := qmPlain.Plan.(physical.MetricsProvider).Metrics().OutputRows()
-			if fr != pr {
-				t.Errorf("Q%d p%d: root output_rows fused=%d unfused=%d", n, parts, fr, pr)
-			}
-			if !strings.Contains(exec.ExplainPhysical(qmFused.Plan), "PipelineExec") {
-				t.Errorf("Q%d p%d: fused session produced no PipelineExec segment", n, parts)
-			}
-			if strings.Contains(exec.ExplainPhysical(qmPlain.Plan), "PipelineExec") {
-				t.Errorf("Q%d p%d: DisableFusion session still fused", n, parts)
-			}
-		}
-	}
-}
-
-// TestExplainFusedRendering pins how fused segments render in EXPLAIN
-// over a GPQ-backed table: the segment line announces the morsel
-// scheduler and unit count, the original operator chain stays nested
-// beneath it, and EXPLAIN ANALYZE over the morsel path keeps the
-// strip-equality contract from the analyze tests.
-func TestExplainFusedRendering(t *testing.T) {
-	dir := t.TempDir()
-	// Small row groups so even sf 0.01 lineitem yields many morsel units.
-	if err := tpch.WriteGPQ(dir, 0.01, 2000); err != nil {
-		t.Fatal(err)
-	}
-	s := core.NewSession(core.SessionConfig{TargetPartitions: 4})
-	if err := tpch.RegisterGPQ(s, dir); err != nil {
-		t.Fatal(err)
-	}
-	q, err := tpch.Query(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// explainText renders EXPLAIN <q> as one string.
+func explainText(t *testing.T, s *core.SessionContext, q string) string {
+	t.Helper()
 	df, err := s.SQL("EXPLAIN " + q)
 	if err != nil {
 		t.Fatal(err)
@@ -109,27 +27,54 @@ func TestExplainFusedRendering(t *testing.T) {
 		plan.WriteString(col.Value(i))
 		plan.WriteByte('\n')
 	}
-	text := plan.String()
-	segLine := ""
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, "PipelineExec") {
-			segLine = line
-			break
-		}
+	return plan.String()
+}
+
+// TestExplainFusedRendering pins how fused segments and morsel scans
+// render in EXPLAIN over a GPQ-backed table: a multi-stage chain gets a
+// `PipelineExec: stages=N` line with the original operators nested beneath
+// it, the scan line announces the morsel scheduler and its unit count
+// whether or not a segment sits above it, and EXPLAIN ANALYZE over the
+// morsel path keeps the strip-equality contract from the analyze tests.
+func TestExplainFusedRendering(t *testing.T) {
+	dir := t.TempDir()
+	// Small row groups so even sf 0.01 lineitem yields many morsel units.
+	if err := tpch.WriteGPQ(dir, 0.01, 2000); err != nil {
+		t.Fatal(err)
 	}
-	if segLine == "" {
-		t.Fatalf("EXPLAIN lacks a PipelineExec segment:\n%s", text)
+	s := core.NewSession(core.SessionConfig{TargetPartitions: 4})
+	if err := tpch.RegisterGPQ(s, dir); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(segLine, "scheduler=morsel") || !strings.Contains(segLine, "units=") {
-		t.Errorf("GPQ segment should be morsel-driven with a unit count: %q", segLine)
+	morselScan := regexp.MustCompile(`TableScanExec: lineitem .* scheduler=morsel units=\d+`)
+
+	// A predicate the scan cannot evaluate stays a FilterExec, so the
+	// chain filter -> coalesce -> partial agg fuses into one segment.
+	text := explainText(t, s, "SELECT l_returnflag, sum(l_quantity) FROM lineitem WHERE l_quantity * 2 > l_tax GROUP BY l_returnflag")
+	if !regexp.MustCompile(`PipelineExec: stages=\d+\n`).MatchString(text) {
+		t.Errorf("EXPLAIN lacks a bare `PipelineExec: stages=N` line:\n%s", text)
 	}
-	// The fused chain still renders operator-per-line under the segment
-	// (Q6's filter is pushed into the GPQ scan, so the nested chain is
-	// partial-agg over scan).
-	for _, op := range []string{"HashAggregateExec: mode=Partial", "TableScanExec"} {
+	for _, op := range []string{"HashAggregateExec: mode=Partial", "FilterExec"} {
 		if !strings.Contains(text, op) {
 			t.Errorf("EXPLAIN lost nested operator %s:\n%s", op, text)
 		}
+	}
+	if !morselScan.MatchString(text) {
+		t.Errorf("scan under the segment should be morsel-driven with a unit count:\n%s", text)
+	}
+
+	// Q6's filter is pushed into the GPQ scan, leaving a lone partial
+	// aggregate over the scan: no segment, same morsel-driven scan.
+	q, err := tpch.Query(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = explainText(t, s, q)
+	if strings.Contains(text, "PipelineExec") {
+		t.Errorf("a lone partial aggregate needs no segment:\n%s", text)
+	}
+	if !strings.Contains(text, "HashAggregateExec: mode=Partial") || !morselScan.MatchString(text) {
+		t.Errorf("Q6 should be a partial aggregate over a morsel-driven scan:\n%s", text)
 	}
 
 	// EXPLAIN ANALYZE over the morsel path: tree unchanged after
@@ -142,7 +87,7 @@ func TestExplainFusedRendering(t *testing.T) {
 		t.Fatal(err)
 	} else {
 		analyzed := exec.ExplainAnalyze(qm.Plan)
-		if !strings.Contains(analyzed, "scheduler=morsel") {
+		if !morselScan.MatchString(analyzed) {
 			t.Errorf("ANALYZE lost the morsel annotation:\n%s", analyzed)
 		}
 		if stripped := metricsAnnotation.ReplaceAllString(analyzed, ""); stripped != exec.ExplainPhysical(qm.Plan) {
