@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 
+	"gofusion/internal/arrow"
 	"gofusion/internal/core"
 	"gofusion/internal/parquet"
 )
@@ -58,6 +59,12 @@ func main() {
 				}
 				fmt.Printf("  %-24s nulls=%-6d min=%-24s max=%s\n",
 					fr.Schema().Field(c).Name, stats.NullCount, min, max)
+				layout := chunkLayout(meta.ColumnChunkPages(rg, c))
+				if t := fr.Schema().Field(c).Type; t.BitWidth() > 0 && t.ID != arrow.BOOL {
+					// What the chunk decodes to, to judge the encoding by.
+					layout = fmt.Sprintf("decoded=%d %s", meta.RowGroupRows(rg)*int64(t.BitWidth()/8), layout)
+				}
+				fmt.Printf("  %-24s %s\n", "", layout)
 			}
 		}
 	case "head":
@@ -80,6 +87,47 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// chunkLayout summarizes a chunk's pages as one "pages x encoding/codec
+// stored/raw" entry per distinct encoding and codec, in first-use order.
+// raw is the encoded page before the byte codec.
+func chunkLayout(pages []parquet.PageInfo) string {
+	type group struct {
+		name               string
+		pages, stored, raw int64
+	}
+	var groups []*group
+	var stored, raw int64
+	for _, p := range pages {
+		name := p.Encoding
+		if p.Dict {
+			name = "dictionary:" + name
+		}
+		if p.Codec != "" {
+			name += "/" + p.Codec
+		}
+		var g *group
+		for _, have := range groups {
+			if have.name == name {
+				g = have
+			}
+		}
+		if g == nil {
+			g = &group{name: name}
+			groups = append(groups, g)
+		}
+		g.pages++
+		g.stored += p.StoredBytes
+		g.raw += p.RawBytes
+		stored += p.StoredBytes
+		raw += p.RawBytes
+	}
+	out := fmt.Sprintf("stored=%d raw=%d:", stored, raw)
+	for _, g := range groups {
+		out += fmt.Sprintf(" %dx%s %d/%d", g.pages, g.name, g.stored, g.raw)
+	}
+	return out
 }
 
 func usage() {

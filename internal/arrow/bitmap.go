@@ -1,6 +1,9 @@
 package arrow
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Bitmap is a little-endian bit-packed boolean buffer, used for validity
 // (null) tracking exactly as in the Arrow format: bit i set means slot i is
@@ -14,14 +17,8 @@ func NewBitmap(n int) Bitmap {
 
 // NewBitmapSet allocates a bitmap with capacity for n bits, all set.
 func NewBitmapSet(n int) Bitmap {
-	b := make(Bitmap, (n+7)/8)
-	for i := range b {
-		b[i] = 0xFF
-	}
-	// Clear trailing bits beyond n so CountSet is exact.
-	if rem := n % 8; rem != 0 && len(b) > 0 {
-		b[len(b)-1] &= byte(1<<rem) - 1
-	}
+	b := NewBitmap(n)
+	b.SetRange(0, n) // leaves trailing bits clear, so CountSet is exact
 	return b
 }
 
@@ -35,6 +32,29 @@ func (b Bitmap) Get(i int) bool {
 
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i>>3] |= 1 << (i & 7) }
+
+// SetRange sets bits [from, to), whole bytes eight at a time.
+func (b Bitmap) SetRange(from, to int) {
+	if from >= to {
+		return
+	}
+	first, last := from>>3, (to-1)>>3
+	head := byte(0xFF) << (from & 7)
+	tail := byte(0xFF) >> (7 - (to-1)&7)
+	if first == last {
+		b[first] |= head & tail
+		return
+	}
+	b[first] |= head
+	b[last] |= tail
+	mid := b[first+1 : last]
+	for ; len(mid) >= 8; mid = mid[8:] {
+		binary.LittleEndian.PutUint64(mid, ^uint64(0))
+	}
+	for i := range mid {
+		mid[i] = 0xFF
+	}
+}
 
 // Clear clears bit i.
 func (b Bitmap) Clear(i int) { b[i>>3] &^= 1 << (i & 7) }

@@ -129,3 +129,26 @@ func TestBitmapClone(t *testing.T) {
 		t.Fatal("clone must copy bits")
 	}
 }
+
+// TestBitmapSetRange compares SetRange with per-bit Set over every range
+// of a bitmap long enough to have a whole-word middle, on top of bits
+// that are already set.
+func TestBitmapSetRange(t *testing.T) {
+	const n = 200
+	for from := 0; from <= n; from++ {
+		for to := from; to <= n; to++ {
+			got, want := NewBitmap(n), NewBitmap(n)
+			got.Set(3)
+			want.Set(3)
+			got.SetRange(from, to)
+			for i := from; i < to; i++ {
+				want.Set(i)
+			}
+			for i := 0; i < n; i++ {
+				if got.Get(i) != want.Get(i) {
+					t.Fatalf("SetRange(%d, %d): bit %d is %v", from, to, i, got.Get(i))
+				}
+			}
+		}
+	}
+}

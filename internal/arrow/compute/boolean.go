@@ -103,9 +103,7 @@ func IsNullMask(a arrow.Array) *arrow.BoolArray {
 			}
 		}
 	} else if a.DataType().ID == arrow.NULL {
-		for i := 0; i < n; i++ {
-			vals.Set(i)
-		}
+		vals.SetRange(0, n)
 	}
 	return arrow.NewBool(vals, nil, n)
 }

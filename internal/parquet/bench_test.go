@@ -1,9 +1,13 @@
 package parquet
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -116,3 +120,88 @@ func (p *cmpPredicateBench) KeepColumnStats(_ int, stats ColumnStats) bool {
 	return StatsKeepCompare(">", stats, p.lit)
 }
 func (p *cmpPredicateBench) EqProbes() []EqProbe { return nil }
+
+// BenchmarkDecodePage decodes one 8192-row page per encoding x type x
+// codec; MB/s counts decoded (arrow) bytes. The v1: rows are the baseline
+// the others replaced: 8192-row flate pages of testdata/v1_bench.gpq,
+// which the last version 1 writer wrote from a small-range int64 column,
+// a ClickBench-shaped URL column and a low-cardinality string column. The
+// same: rows hold the same values as the writer stores them now.
+func BenchmarkDecodePage(b *testing.B) {
+	pages := seedPages(b, 8192)
+	var e pageEncoder
+	for name, sp := range filePages(b, "testdata/v1_bench.gpq") {
+		pages["v1:"+name] = sp
+		if sp.dict != nil || sp.codec != CodecFlate {
+			continue // dictionary chunks are not re-encoded page by page
+		}
+		arr, err := sp.decode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := e.encode(arr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		again := store(&e, p, true, arr)
+		col, _, _ := strings.Cut(name, "/")
+		pages[fmt.Sprintf("same:%s/%s/%s", col, again.enc, again.codec)] = again
+	}
+	names := make([]string, 0, len(pages))
+	for name := range pages {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		sp := pages[name]
+		b.Run(name, func(b *testing.B) {
+			arr, err := sp.decode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(arrow.ArraySize(arr))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchSink, err = sp.decode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var benchSink arrow.Array
+
+// BenchmarkLZ runs the byte codec over one page of URLs shaped like the
+// ClickBench generator's URL column (skewed domains and page ids).
+func BenchmarkLZ(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	domains := []string{"example.com", "shop.example.org", "news.site.net", "google.com",
+		"mail.google.com", "maps.google.com", "video.host.tv", "blog.words.io"}
+	skewed := func(n int) int { u := rng.Float64(); return int(u * u * float64(n)) }
+	var urls []byte
+	for i := 0; i < 8192; i++ {
+		urls = fmt.Appendf(urls, "http://%s/p/%d", domains[skewed(len(domains))], skewed(100_000))
+	}
+	var table lzTable
+	block := lzCompress(nil, urls, &table)
+	b.Run("compress", func(b *testing.B) {
+		b.SetBytes(int64(len(urls)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			block = lzCompress(block[:0], urls, &table)
+		}
+		b.ReportMetric(float64(len(block))/float64(len(urls)), "ratio")
+	})
+	b.Run("decompress", func(b *testing.B) {
+		out := make([]byte, len(urls))
+		b.SetBytes(int64(len(urls)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := lzDecompress(out, block); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

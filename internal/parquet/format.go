@@ -1,8 +1,10 @@
 // Package parquet implements GPQ, a simplified but real columnar file
 // format standing in for Apache Parquet. A GPQ file contains row groups;
 // each row group contains one column chunk per field; each chunk contains
-// data pages (plain or dictionary encoded, optionally flate-compressed)
-// plus min/max/null-count statistics at page and chunk granularity, and an
+// data pages (bit-packed, run-length, delta, delta-length or dictionary
+// encoded, the writer picking the smallest per page; value bytes
+// optionally LZ-compressed — see pages.go and lz.go) plus
+// min/max/null-count statistics at page and chunk granularity, and an
 // optional split-block Bloom filter. The reader implements projection,
 // predicate and limit pushdown with page-level late materialization
 // (paper Section 6.8).
@@ -23,15 +25,29 @@ import (
 // Magic is the leading and trailing file marker.
 const Magic = "GPQ1"
 
-// Encodings for data pages.
+// formatVersion is the footer version this package writes. Every page
+// names its own encoding and codec, so one file (after AppendFile) may
+// hold version 1 and version 2 row groups side by side.
+const formatVersion = 2
+
+// Encodings for data pages; pages.go gives the layouts.
 const (
-	EncodingPlain = "plain"
-	EncodingDict  = "dict"
+	EncodingPlain    = "plain"
+	EncodingBitPack  = "bitpack"
+	EncodingRLE      = "rle"
+	EncodingDelta    = "delta"
+	EncodingDeltaLen = "dlen"
+	EncodingDictPack = "dictpack"
+	// EncodingDict is the version 1 dictionary page (u32 indexes); read
+	// only.
+	EncodingDict = "dict"
 )
 
 // Codecs for page compression.
 const (
-	CodecNone  = ""
+	CodecNone = ""
+	CodecLZ   = "lz"
+	// CodecFlate is the version 1 codec; read only.
 	CodecFlate = "flate"
 )
 
@@ -154,8 +170,16 @@ type dictMeta struct {
 	Offset    int64  `json:"off"`
 	Len       int64  `json:"len"`
 	NumValues int64  `json:"n"`
+	Encoding  string `json:"enc,omitempty"` // absent in version 1: plain
 	Codec     string `json:"codec,omitempty"`
 	RawLen    int64  `json:"raw"`
+}
+
+func (d *dictMeta) encoding() string {
+	if d.Encoding == "" {
+		return EncodingPlain
+	}
+	return d.Encoding
 }
 
 type bloomMeta struct {
@@ -203,6 +227,34 @@ func (m *FileMetadata) RowGroupRows(i int) int64 { return m.footer.RowGroups[i].
 func (m *FileMetadata) ColumnChunkStats(rg, col int) ColumnStats {
 	t := m.Schema.Field(col).Type
 	return m.footer.RowGroups[rg].Columns[col].Stats.toStats(t)
+}
+
+// PageInfo describes how one page of a column chunk is stored.
+type PageInfo struct {
+	// Dict marks the chunk's dictionary page (Rows is then its entries).
+	Dict        bool
+	Encoding    string
+	Codec       string
+	Rows        int64
+	StoredBytes int64
+	// RawBytes is the encoded page before the byte codec.
+	RawBytes int64
+}
+
+// ColumnChunkPages lists the pages of (rowGroup, col), the dictionary
+// page first when the chunk has one.
+func (m *FileMetadata) ColumnChunkPages(rg, col int) []PageInfo {
+	chunk := &m.footer.RowGroups[rg].Columns[col]
+	var out []PageInfo
+	if d := chunk.Dict; d != nil {
+		out = append(out, PageInfo{Dict: true, Encoding: d.encoding(), Codec: d.Codec,
+			Rows: d.NumValues, StoredBytes: d.Len, RawBytes: d.RawLen})
+	}
+	for _, p := range chunk.Pages {
+		out = append(out, PageInfo{Encoding: p.Encoding, Codec: p.Codec,
+			Rows: p.NumRows, StoredBytes: p.Len, RawBytes: p.RawLen})
+	}
+	return out
 }
 
 // ColumnStatsForFile aggregates chunk statistics across all row groups.

@@ -1,0 +1,56 @@
+package parquet
+
+import (
+	"slices"
+	"testing"
+
+	"gofusion/internal/arrow"
+)
+
+var (
+	fuzzEncodings = []string{EncodingPlain, EncodingBitPack, EncodingRLE, EncodingDelta,
+		EncodingDeltaLen, EncodingDictPack, EncodingDict, "unknown"}
+	fuzzCodecs = []string{CodecNone, CodecLZ, CodecFlate, "unknown"}
+)
+
+// FuzzDecodePage feeds arbitrary bytes to every decoder. A page must be
+// rejected with an error or decode to an array of the stated row count
+// whose every value can be read, and which re-encodes and decodes to
+// itself; nothing may panic.
+func FuzzDecodePage(f *testing.F) {
+	for _, sp := range withV1Pages(f, seedPages(f, 40), goldenPath) {
+		typ := slices.IndexFunc(pageTypes, func(t *arrow.DataType) bool { return t.Equal(sp.typ) })
+		f.Add(uint8(typ), uint8(slices.Index(fuzzEncodings, sp.enc)), uint8(slices.Index(fuzzCodecs, sp.codec)),
+			uint16(sp.rows), uint32(sp.rawLen), sp.bytes)
+	}
+	dict := arrow.NewStringFromSlice([]string{"", "alpha", "beta", "gamma", "delta"})
+	f.Fuzz(func(t *testing.T, typ, enc, codec uint8, rows uint16, rawLen uint32, data []byte) {
+		sp := storedPage{
+			bytes:  data,
+			typ:    pageTypes[int(typ)%len(pageTypes)],
+			enc:    fuzzEncodings[int(enc)%len(fuzzEncodings)],
+			codec:  fuzzCodecs[int(codec)%len(fuzzCodecs)],
+			rows:   int(rows),
+			rawLen: int64(rawLen % (1 << 20)),
+			dict:   dict,
+		}
+		got, err := sp.decode()
+		if err != nil {
+			return
+		}
+		if got.Len() != sp.rows || !got.DataType().Equal(sp.typ) {
+			t.Fatalf("decoded %s of %d rows, want %s of %d", got.DataType(), got.Len(), sp.typ, sp.rows)
+		}
+		walkArray(got)
+		var e pageEncoder
+		p, err := e.encode(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := store(&e, p, true, got).decode()
+		if err != nil {
+			t.Fatalf("re-encoded page does not decode: %v", err)
+		}
+		assertArraysEqual(t, got, again)
+	})
+}

@@ -6,203 +6,558 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 
 	"gofusion/internal/arrow"
 )
 
-// Page body layouts (before optional compression):
+// Every page body starts with the same header:
 //
-//	numeric plain: u32 n | u32 validLen | valid | raw values
-//	string plain:  u32 n | u32 validLen | valid | offsets (n+1)*4 | u32 dataLen | data
-//	bool plain:    u32 n | u32 validLen | valid | value bitmap
-//	dict indexes:  u32 n | u32 validLen | valid | u32 indexes n*4
+//	u32 n | u32 validLen | valid
 //
-// A chunk's dictionary page is encoded as a string-plain page.
+// (validLen is 0 for an all-valid page, else ceil(n/8)) and continues
+// with one of these layouts. Integers are taken as their 64-bit
+// two's-complement value, and all arithmetic wraps modulo 2^64.
+//
+//	plain     values: n fixed-width values, or ceil(n/8) bytes of bool bits
+//	bitpack   u64 base | u8 width | n x (value-base) at width bits
+//	rle       runs of (uvarint count, zigzag uvarint value)
+//	delta     u64 first | u64 minDelta | u8 width | n-1 x (delta-minDelta) at width bits
+//	dlen      u8 width | n x string length at width bits | string bytes
+//	dictpack  u8 width | n x dictionary index at width bits
+//
+// Packed sections are little-endian bit streams padded to a whole byte.
+// The "lz" codec applies to the value section only — the values of a
+// plain page, the string bytes of a dlen page — so a decoder reads the
+// header and lengths in place and decompresses straight into the arrow
+// buffer. A chunk's dictionary page is a dlen page.
+//
+// Version 1 files hold two more layouts, still read but never written:
+// string pages as plain (offsets (n+1)*4 | u32 dataLen | data), "dict"
+// pages with u32 indexes, and the "flate" codec over the whole body.
 
-func appendU32(dst []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(dst, v)
+// lzMinValues is the smallest value section worth running the codec on.
+const lzMinValues = 64
+
+// encodedPage is one page ready to store: head is written as is, values
+// is the section the byte codec may compress (it may alias the source
+// array's buffers).
+type encodedPage struct {
+	encoding string
+	head     []byte
+	values   []byte
 }
 
-func encodePlainPage(a arrow.Array) ([]byte, error) {
-	n := a.Len()
-	body := appendU32(nil, uint32(n))
-	valid := a.Validity()
-	body = appendU32(body, uint32(len(valid)))
-	body = append(body, valid...)
+// pageEncoder carries the writer's scratch buffers from page to page.
+type pageEncoder struct {
+	head  []byte
+	lens  []int32
+	lz    []byte
+	table lzTable
+}
+
+// compress runs the byte codec over a value section, keeping the result
+// only when it saves at least an eighth — less is not worth giving up the
+// zero-copy read of an uncompressed page. The result is valid until the
+// next call.
+func (e *pageEncoder) compress(values []byte) ([]byte, string) {
+	if len(values) < lzMinValues {
+		return values, CodecNone
+	}
+	e.lz = lzCompress(e.lz[:0], values, &e.table)
+	if len(e.lz) > len(values)-len(values)/8 {
+		return values, CodecNone
+	}
+	return e.lz, CodecLZ
+}
+
+func appendPageHeader(dst []byte, n int, valid arrow.Bitmap) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(valid)))
+	return append(dst, valid...)
+}
+
+// encode picks the page encoding for a and encodes it. The result is
+// valid until the next call.
+func (e *pageEncoder) encode(a arrow.Array) (encodedPage, error) {
+	head := appendPageHeader(e.head[:0], a.Len(), a.Validity())
+	p := encodedPage{encoding: EncodingPlain}
 	switch arr := a.(type) {
 	case *arrow.Int8Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p = encodeInts(head, arr.Values())
 	case *arrow.Int16Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p = encodeInts(head, arr.Values())
 	case *arrow.Int32Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p = encodeInts(head, arr.Values())
 	case *arrow.Int64Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p = encodeInts(head, arr.Values())
 	case *arrow.Uint8Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p = encodeInts(head, arr.Values())
 	case *arrow.Uint16Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p = encodeInts(head, arr.Values())
 	case *arrow.Uint32Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p = encodeInts(head, arr.Values())
 	case *arrow.Uint64Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p = encodeInts(head, arr.Values())
 	case *arrow.Float32Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p.head, p.values = head, arrow.NumericBytes(arr.Values())
 	case *arrow.Float64Array:
-		return append(body, arrow.NumericBytes(arr.Values())...), nil
+		p.head, p.values = head, arrow.NumericBytes(arr.Values())
 	case *arrow.BoolArray:
-		vb := arr.ValuesBitmap()
-		full := arrow.NewBitmap(n)
-		copy(full, vb)
-		return append(body, full...), nil
+		// A sliced array's bitmap may be shorter or longer than n bits.
+		vals := arrow.NewBitmap(arr.Len())
+		copy(vals, arr.ValuesBitmap())
+		p.head, p.values = head, vals
 	case *arrow.StringArray:
-		// Re-base offsets so sliced arrays encode correctly.
+		// Lengths, not offsets, so sliced arrays need no re-basing.
+		n := arr.Len()
 		offs := arr.Offsets()
-		base := offs[0]
-		for i := 0; i <= n; i++ {
-			body = appendU32(body, uint32(offs[i]-base))
+		e.lens = e.lens[:0]
+		maxLen := int32(0)
+		for i := 0; i < n; i++ {
+			l := offs[i+1] - offs[i]
+			maxLen = max(maxLen, l)
+			e.lens = append(e.lens, l)
 		}
-		data := arr.Data()[base:offs[n]]
-		body = appendU32(body, uint32(len(data)))
-		return append(body, data...), nil
+		width, _ := packWidth(uint64(maxLen))
+		head = append(head, byte(width))
+		p.encoding = EncodingDeltaLen
+		p.head = appendPacked(head, e.lens, 0, width)
+		p.values = arr.Data()[offs[0]:offs[n]]
 	default:
-		return nil, fmt.Errorf("parquet: unsupported column type %s", a.DataType())
+		return p, fmt.Errorf("parquet: unsupported column type %s", a.DataType())
 	}
+	e.head = p.head
+	return p, nil
 }
 
-func decodePlainPage(body []byte, t *arrow.DataType) (arrow.Array, error) {
-	if len(body) < 8 {
+// encodeDictIndexes encodes a dictionary-encoded page: indexes packed at
+// the width of the largest dictionary index.
+func (e *pageEncoder) encodeDictIndexes(indexes []uint32, valid arrow.Bitmap, dictLen int) encodedPage {
+	head := appendPageHeader(e.head[:0], len(indexes), valid)
+	width, _ := packWidth(uint64(max(dictLen-1, 0)))
+	head = append(head, byte(width))
+	e.head = appendPacked(head, indexes, 0, width)
+	return encodedPage{encoding: EncodingDictPack, head: e.head}
+}
+
+// intStats is what one pass over an integer page learns about it.
+type intStats struct {
+	min, max           int64
+	minDelta, maxDelta int64 // wrapping differences of neighbours
+	runs, maxRun       int
+}
+
+func analyzeInts[T packable](vs []T) intStats {
+	st := intStats{min: math.MaxInt64, max: math.MinInt64, minDelta: math.MaxInt64, maxDelta: math.MinInt64}
+	if len(vs) == 0 {
+		return st
+	}
+	prev := int64(vs[0])
+	st.min, st.max = prev, prev
+	st.runs = 1
+	run := 1
+	for _, tv := range vs[1:] {
+		v := int64(tv)
+		st.min = min(st.min, v)
+		st.max = max(st.max, v)
+		d := v - prev
+		st.minDelta = min(st.minDelta, d)
+		st.maxDelta = max(st.maxDelta, d)
+		if d == 0 {
+			run++
+		} else {
+			st.maxRun = max(st.maxRun, run)
+			st.runs++
+			run = 1
+		}
+		prev = v
+	}
+	st.maxRun = max(st.maxRun, run)
+	return st
+}
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+func uvarintLen(v uint64) int { return (max(bits.Len64(v), 1) + 6) / 7 }
+
+// intEncodings lists the integer page encodings fastest decode first, the
+// order ties are broken in.
+var intEncodings = []string{EncodingPlain, EncodingBitPack, EncodingRLE, EncodingDelta}
+
+// intEncodedSize returns the bytes enc takes after the page header for an
+// n-value page (plainSize bytes when plain), or false when enc cannot
+// represent the page. The rle size is an upper bound — every run costed
+// at the widest count and value — the others are exact.
+func intEncodedSize(enc string, st intStats, n, plainSize int) (int, bool) {
+	switch enc {
+	case EncodingPlain:
+		return plainSize, true
+	case EncodingBitPack:
+		w, ok := packWidth(uint64(st.max) - uint64(st.min))
+		return 9 + packedLen(n, w), ok && n > 0
+	case EncodingRLE:
+		widest := max(zigzag(st.min), zigzag(st.max))
+		return st.runs * (uvarintLen(uint64(st.maxRun)) + uvarintLen(widest)), n > 0
+	case EncodingDelta:
+		w, ok := packWidth(uint64(st.maxDelta) - uint64(st.minDelta))
+		return 17 + packedLen(n-1, w), ok && n > 1
+	}
+	return 0, false
+}
+
+// chooseIntEncoding returns the encoding with the smallest encoded size.
+func chooseIntEncoding(st intStats, n, plainSize int) string {
+	best, bestSize := EncodingPlain, plainSize
+	for _, enc := range intEncodings[1:] {
+		if size, ok := intEncodedSize(enc, st, n, plainSize); ok && size < bestSize {
+			best, bestSize = enc, size
+		}
+	}
+	return best
+}
+
+func encodeInts[T packable](head []byte, vs []T) encodedPage {
+	st := analyzeInts(vs)
+	enc := chooseIntEncoding(st, len(vs), len(arrow.NumericBytes(vs)))
+	return encodeIntsAs(head, enc, vs, st)
+}
+
+// encodeIntsAs encodes vs with the given encoding, which must be able to
+// represent the page (see intEncodedSize).
+func encodeIntsAs[T packable](head []byte, enc string, vs []T, st intStats) encodedPage {
+	p := encodedPage{encoding: enc}
+	switch enc {
+	case EncodingPlain:
+		p.head, p.values = head, arrow.NumericBytes(vs)
+	case EncodingBitPack:
+		width, _ := packWidth(uint64(st.max) - uint64(st.min))
+		head = binary.LittleEndian.AppendUint64(head, uint64(st.min))
+		head = append(head, byte(width))
+		p.head = appendPacked(head, vs, uint64(st.min), width)
+	case EncodingRLE:
+		for i := 0; i < len(vs); {
+			j := i + 1
+			for j < len(vs) && vs[j] == vs[i] {
+				j++
+			}
+			head = binary.AppendUvarint(head, uint64(j-i))
+			head = binary.AppendUvarint(head, zigzag(int64(vs[i])))
+			i = j
+		}
+		p.head = head
+	case EncodingDelta:
+		width, _ := packWidth(uint64(st.maxDelta) - uint64(st.minDelta))
+		head = binary.LittleEndian.AppendUint64(head, uint64(int64(vs[0])))
+		head = binary.LittleEndian.AppendUint64(head, uint64(st.minDelta))
+		head = append(head, byte(width))
+		w := bitWriter{dst: head}
+		prev := uint64(int64(vs[0]))
+		for _, tv := range vs[1:] {
+			v := uint64(int64(tv))
+			w.put(v-prev-uint64(st.minDelta), width)
+			prev = v
+		}
+		p.head = w.finish()
+	}
+	return p
+}
+
+// flateMaxRatio bounds how much a v1 flate page can expand (deflate tops
+// out near 1032:1), so a corrupt RawLen cannot demand an absurd buffer.
+const flateMaxRatio = 1032
+
+// decodePage decodes one stored page — a data page, or a chunk's
+// dictionary page — of rows values into an arrow array. Fixed-width
+// values of an uncompressed plain page and the bytes of an uncompressed
+// string page alias stored; everything else is decoded into exactly
+// sized buffers. Truncated or corrupt input returns errFormat.
+func decodePage(stored []byte, enc, codec string, rawLen int64, rows int, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
+	switch codec {
+	case CodecNone, CodecLZ:
+	case CodecFlate:
+		// Version 1 compressed the whole body, header included.
+		if rawLen < 0 || rawLen > int64(len(stored))*flateMaxRatio {
+			return nil, errFormat
+		}
+		body := make([]byte, rawLen)
+		r := flate.NewReader(bytes.NewReader(stored))
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, errFormat
+		}
+		if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			return nil, errFormat // the stream is cut short, or longer than RawLen
+		}
+		stored, codec = body, CodecNone
+	default:
+		return nil, fmt.Errorf("parquet: unknown codec %q", codec)
+	}
+
+	if len(stored) < 8 {
 		return nil, errFormat
 	}
-	n := int(binary.LittleEndian.Uint32(body))
-	validLen := int(binary.LittleEndian.Uint32(body[4:]))
-	pos := 8
-	if pos+validLen > len(body) {
+	n := int(binary.LittleEndian.Uint32(stored))
+	validLen := int(binary.LittleEndian.Uint32(stored[4:]))
+	if n != rows || validLen > len(stored)-8 || (validLen != 0 && validLen < (n+7)/8) {
 		return nil, errFormat
 	}
 	var valid arrow.Bitmap
 	if validLen > 0 {
-		valid = arrow.Bitmap(body[pos : pos+validLen])
+		valid = arrow.Bitmap(stored[8 : 8+validLen])
 	}
-	pos += validLen
-	rest := body[pos:]
+	rest := stored[8+validLen:]
+
 	switch t.ID {
 	case arrow.INT8:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[int8](rest[:n]), valid), nil
+		return decodeIntPage[int8](rest, enc, codec, n, valid, t)
 	case arrow.INT16:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[int16](rest[:n*2]), valid), nil
+		return decodeIntPage[int16](rest, enc, codec, n, valid, t)
 	case arrow.INT32, arrow.DATE32:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[int32](rest[:n*4]), valid), nil
+		return decodeIntPage[int32](rest, enc, codec, n, valid, t)
 	case arrow.INT64, arrow.TIMESTAMP, arrow.DECIMAL:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[int64](rest[:n*8]), valid), nil
+		return decodeIntPage[int64](rest, enc, codec, n, valid, t)
 	case arrow.UINT8:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[uint8](rest[:n]), valid), nil
+		return decodeIntPage[uint8](rest, enc, codec, n, valid, t)
 	case arrow.UINT16:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[uint16](rest[:n*2]), valid), nil
+		return decodeIntPage[uint16](rest, enc, codec, n, valid, t)
 	case arrow.UINT32:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[uint32](rest[:n*4]), valid), nil
+		return decodeIntPage[uint32](rest, enc, codec, n, valid, t)
 	case arrow.UINT64:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[uint64](rest[:n*8]), valid), nil
+		return decodeIntPage[uint64](rest, enc, codec, n, valid, t)
 	case arrow.FLOAT32:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[float32](rest[:n*4]), valid), nil
+		return decodePlainPage[float32](rest, enc, codec, n, valid, t)
 	case arrow.FLOAT64:
-		return arrow.NewNumeric(t, arrow.BytesToNumeric[float64](rest[:n*8]), valid), nil
+		return decodePlainPage[float64](rest, enc, codec, n, valid, t)
 	case arrow.BOOL:
-		nb := (n + 7) / 8
-		if len(rest) < nb {
+		if enc != EncodingPlain {
 			return nil, errFormat
 		}
-		return arrow.NewBool(arrow.Bitmap(rest[:nb]), valid, n), nil
+		vals, err := decodeValues(rest, codec, (n+7)/8)
+		if err != nil {
+			return nil, err
+		}
+		return arrow.NewBool(arrow.Bitmap(vals), valid, n), nil
 	case arrow.STRING, arrow.BINARY:
-		offLen := (n + 1) * 4
-		if len(rest) < offLen+4 {
-			return nil, errFormat
+		switch enc {
+		case EncodingDeltaLen:
+			return decodeDeltaLenPage(rest, codec, n, valid, t)
+		case EncodingDictPack:
+			return decodeDictPackPage(rest, codec, n, valid, dict, t)
+		case EncodingPlain:
+			return decodeV1StringPage(rest, codec, n, valid, t)
+		case EncodingDict:
+			return decodeV1DictPage(rest, codec, n, valid, dict, t)
 		}
-		offsets := arrow.BytesToNumeric[int32](rest[:offLen])
-		dataLen := int(binary.LittleEndian.Uint32(rest[offLen:]))
-		data := rest[offLen+4 : offLen+4+dataLen]
-		return arrow.NewString(t, offsets, data, valid), nil
+		return nil, fmt.Errorf("parquet: unknown string encoding %q", enc)
 	}
 	return nil, fmt.Errorf("parquet: unsupported page type %s", t)
 }
 
-func encodeDictIndexPage(indexes []uint32, valid arrow.Bitmap) []byte {
-	body := appendU32(nil, uint32(len(indexes)))
-	body = appendU32(body, uint32(len(valid)))
-	body = append(body, valid...)
-	return append(body, arrow.NumericBytes(indexes)...)
+// decodeValues returns the size-byte value section held in rest: rest
+// itself when uncompressed, else a fresh buffer the block is decoded
+// into.
+func decodeValues(rest []byte, codec string, size int) ([]byte, error) {
+	if codec == CodecNone {
+		if len(rest) != size {
+			return nil, errFormat
+		}
+		return rest, nil
+	}
+	if size > len(rest)*lzMaxRatio {
+		return nil, errFormat
+	}
+	out := make([]byte, size)
+	if err := lzDecompress(out, rest); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-func decodeDictIndexPage(body []byte, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
-	if len(body) < 8 {
+func decodePlainPage[T arrow.Number](rest []byte, enc, codec string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
+	if enc != EncodingPlain {
 		return nil, errFormat
 	}
-	n := int(binary.LittleEndian.Uint32(body))
-	validLen := int(binary.LittleEndian.Uint32(body[4:]))
-	pos := 8
-	var valid arrow.Bitmap
-	if validLen > 0 {
-		valid = arrow.Bitmap(body[pos : pos+validLen])
+	raw, err := decodeValues(rest, codec, n*t.BitWidth()/8)
+	if err != nil {
+		return nil, err
 	}
-	pos += validLen
-	if len(body) < pos+n*4 {
+	return arrow.NewNumeric(t, arrow.BytesToNumeric[T](raw), valid), nil
+}
+
+func decodeIntPage[T packable](rest []byte, enc, codec string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
+	if enc == EncodingPlain {
+		return decodePlainPage[T](rest, enc, codec, n, valid, t)
+	}
+	if codec != CodecNone {
 		return nil, errFormat
 	}
-	indexes := arrow.BytesToNumeric[uint32](body[pos : pos+n*4])
-	// Materialize strings from the dictionary.
+	var vals []T
+	switch enc {
+	case EncodingBitPack:
+		if len(rest) < 9 {
+			return nil, errFormat
+		}
+		base, width := binary.LittleEndian.Uint64(rest), uint(rest[8])
+		if width > maxPackWidth || len(rest)-9 != packedLen(n, width) {
+			return nil, errFormat
+		}
+		vals = make([]T, n)
+		unpack(vals, rest[9:], base, width)
+	case EncodingRLE:
+		vals = make([]T, n)
+		i := 0
+		for len(rest) > 0 {
+			count, k := binary.Uvarint(rest)
+			if k <= 0 || count == 0 || count > uint64(n-i) {
+				return nil, errFormat
+			}
+			rest = rest[k:]
+			zz, k := binary.Uvarint(rest)
+			if k <= 0 {
+				return nil, errFormat
+			}
+			rest = rest[k:]
+			v := T(unzigzag(zz))
+			run := vals[i : i+int(count)]
+			for j := range run {
+				run[j] = v
+			}
+			i += int(count)
+		}
+		if i != n {
+			return nil, errFormat
+		}
+	case EncodingDelta:
+		if len(rest) < 17 || n < 2 {
+			return nil, errFormat
+		}
+		first, minDelta, width := binary.LittleEndian.Uint64(rest), binary.LittleEndian.Uint64(rest[8:]), uint(rest[16])
+		if width > maxPackWidth || len(rest)-17 != packedLen(n-1, width) {
+			return nil, errFormat
+		}
+		vals = make([]T, n)
+		unpack(vals[1:], rest[17:], minDelta, width)
+		acc := T(first)
+		vals[0] = acc
+		for i, d := range vals[1:] {
+			acc += d
+			vals[i+1] = acc
+		}
+	default:
+		return nil, fmt.Errorf("parquet: unknown integer encoding %q", enc)
+	}
+	return arrow.NewNumeric(t, vals, valid), nil
+}
+
+// unpackOffsets reads a width byte and n packed non-negative values from
+// rest into a fresh offsets buffer at [1..n], leaving offsets[0] = 0, and
+// returns what follows them.
+func unpackOffsets(rest []byte, n int) ([]int32, []byte, error) {
+	if len(rest) < 1 {
+		return nil, nil, errFormat
+	}
+	width := uint(rest[0])
+	size := packedLen(n, width)
+	if width > 31 || len(rest)-1 < size {
+		return nil, nil, errFormat
+	}
 	offsets := make([]int32, n+1)
-	total := 0
-	for i, idx := range indexes {
-		if valid == nil || valid.Get(i) {
-			total += len(dict.ValueBytes(int(idx)))
-		}
-		_ = i
+	unpack(offsets[1:], rest[1:], 0, width)
+	return offsets, rest[1+size:], nil
+}
+
+func decodeDeltaLenPage(rest []byte, codec string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
+	offsets, rest, err := unpackOffsets(rest, n)
+	if err != nil {
+		return nil, err
 	}
-	data := make([]byte, 0, total)
-	for i, idx := range indexes {
-		if valid == nil || valid.Get(i) {
-			data = append(data, dict.ValueBytes(int(idx))...)
+	// Lengths become end offsets in place.
+	total := int64(0)
+	for i := 1; i <= n; i++ {
+		total += int64(offsets[i])
+		if total > math.MaxInt32 {
+			return nil, errFormat
 		}
-		offsets[i+1] = int32(len(data))
+		offsets[i] = int32(total)
+	}
+	data, err := decodeValues(rest, codec, int(total))
+	if err != nil {
+		return nil, err
 	}
 	return arrow.NewString(t, offsets, data, valid), nil
 }
 
-// compressBody applies the codec, returning the stored bytes and the codec
-// actually used (compression is skipped when it does not help).
-func compressBody(body []byte, codec string) ([]byte, string, error) {
-	if codec != CodecFlate || len(body) < 128 {
-		return body, CodecNone, nil
+func decodeDictPackPage(rest []byte, codec string, n int, valid arrow.Bitmap, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
+	if codec != CodecNone || dict == nil {
+		return nil, errFormat
 	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, "", err
+	offsets, rest, err := unpackOffsets(rest, n)
+	if err != nil || len(rest) != 0 {
+		return nil, errFormat
 	}
-	if _, err := w.Write(body); err != nil {
-		return nil, "", err
-	}
-	if err := w.Close(); err != nil {
-		return nil, "", err
-	}
-	if buf.Len() >= len(body) {
-		return body, CodecNone, nil
-	}
-	return buf.Bytes(), CodecFlate, nil
+	return materializeDict(offsets, valid, dict, t)
 }
 
-func decompressBody(stored []byte, codec string, rawLen int64) ([]byte, error) {
-	switch codec {
-	case CodecNone:
-		return stored, nil
-	case CodecFlate:
-		r := flate.NewReader(bytes.NewReader(stored))
-		out := make([]byte, 0, rawLen)
-		buf := bytes.NewBuffer(out)
-		if _, err := io.Copy(buf, r); err != nil {
-			return nil, err
+// materializeDict turns dictionary indexes, held in offsets[1..n], into
+// a string array; each slot is overwritten by its end offset once read.
+// Null slots take no bytes and their index is not looked at.
+func materializeDict(offsets []int32, valid arrow.Bitmap, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
+	n := len(offsets) - 1
+	dictOffs, dictData := dict.Offsets(), dict.Data()
+	dictLen := uint32(dict.Len())
+	total := int64(0)
+	for i := 0; i < n; i++ {
+		if valid != nil && !valid.Get(i) {
+			continue
 		}
-		return buf.Bytes(), nil
+		idx := uint32(offsets[i+1])
+		if idx >= dictLen {
+			return nil, errFormat
+		}
+		total += int64(dictOffs[idx+1] - dictOffs[idx])
 	}
-	return nil, fmt.Errorf("parquet: unknown codec %q", codec)
+	if total > math.MaxInt32 {
+		return nil, errFormat
+	}
+	data := make([]byte, total)
+	pos := 0
+	for i := 0; i < n; i++ {
+		if valid == nil || valid.Get(i) {
+			idx := offsets[i+1]
+			pos += copy(data[pos:], dictData[dictOffs[idx]:dictOffs[idx+1]])
+		}
+		offsets[i+1] = int32(pos)
+	}
+	return arrow.NewString(t, offsets, data, valid), nil
+}
+
+// decodeV1StringPage reads a version 1 string page, whose offsets are
+// stored and therefore checked before anything indexes with them.
+func decodeV1StringPage(rest []byte, codec string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
+	offLen := (n + 1) * 4
+	if codec != CodecNone || len(rest) < offLen+4 {
+		return nil, errFormat
+	}
+	offsets := arrow.BytesToNumeric[int32](rest[:offLen])
+	dataLen := int(binary.LittleEndian.Uint32(rest[offLen:]))
+	if dataLen != len(rest)-offLen-4 || offsets[0] != 0 || int(offsets[n]) != dataLen {
+		return nil, errFormat
+	}
+	for i := 0; i < n; i++ {
+		if offsets[i] > offsets[i+1] {
+			return nil, errFormat
+		}
+	}
+	return arrow.NewString(t, offsets, rest[offLen+4:], valid), nil
+}
+
+func decodeV1DictPage(rest []byte, codec string, n int, valid arrow.Bitmap, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
+	if codec != CodecNone || dict == nil || len(rest) != n*4 {
+		return nil, errFormat
+	}
+	offsets := make([]int32, n+1)
+	copy(offsets[1:], arrow.BytesToNumeric[int32](rest))
+	return materializeDict(offsets, valid, dict, t)
 }

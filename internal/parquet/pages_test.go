@@ -1,0 +1,625 @@
+package parquet
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"gofusion/internal/arrow"
+)
+
+// pageTypes is every column type GPQ stores.
+var pageTypes = []*arrow.DataType{
+	arrow.Int8, arrow.Int16, arrow.Int32, arrow.Int64,
+	arrow.Uint8, arrow.Uint16, arrow.Uint32, arrow.Uint64,
+	arrow.Float32, arrow.Float64, arrow.Date32, arrow.Timestamp, arrow.Decimal(18, 2),
+	arrow.Boolean, arrow.String, arrow.Binary,
+}
+
+// Value shapes the generators produce.
+const (
+	shapeRandom   = "random"   // full-width random bits
+	shapeSmall    = "small"    // a narrow range
+	shapeConstant = "constant" // one value
+	shapeSorted   = "sorted"   // ascending with small steps
+	shapeRuns     = "runs"     // long runs of a few values
+	shapeExtremes = "extremes" // min and max alternating: deltas wrap
+)
+
+var pageShapes = []string{shapeRandom, shapeSmall, shapeConstant, shapeSorted, shapeRuns, shapeExtremes}
+
+func genInts[T packable](rng *rand.Rand, n int, shape string) []T {
+	lo, hi := T(0), ^T(0)
+	if hi < lo { // signed: ^0 is -1
+		lo = T(1) << (binary.Size(lo)*8 - 1)
+		hi = ^lo
+	}
+	vs := make([]T, n)
+	base := T(rng.Uint64())
+	for i := range vs {
+		switch shape {
+		case shapeRandom:
+			vs[i] = T(rng.Uint64())
+		case shapeSmall:
+			vs[i] = T(rng.Intn(100)) - 50
+		case shapeConstant:
+			vs[i] = base
+		case shapeSorted:
+			base += T(rng.Intn(3))
+			vs[i] = base
+		case shapeRuns:
+			if rng.Intn(40) == 0 {
+				base = T(rng.Intn(5))
+			}
+			vs[i] = base
+		case shapeExtremes:
+			vs[i] = lo
+			if i%2 == 1 {
+				vs[i] = hi
+			}
+		}
+	}
+	return vs
+}
+
+func genValidity(rng *rand.Rand, n int, nulls string) arrow.Bitmap {
+	switch nulls {
+	case "some":
+		valid := arrow.NewBitmap(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) != 0 {
+				valid.Set(i)
+			}
+		}
+		return valid
+	case "all":
+		return arrow.NewBitmap(n)
+	}
+	return nil
+}
+
+func genNumeric[T packable](rng *rand.Rand, t *arrow.DataType, n int, shape, nulls string) arrow.Array {
+	return arrow.NewNumeric(t, genInts[T](rng, n, shape), genValidity(rng, n, nulls))
+}
+
+// genArray builds an n-slot array of type t. nulls is "none", "some" or
+// "all".
+func genArray(rng *rand.Rand, t *arrow.DataType, n int, shape, nulls string) arrow.Array {
+	switch t.ID {
+	case arrow.INT8:
+		return genNumeric[int8](rng, t, n, shape, nulls)
+	case arrow.INT16:
+		return genNumeric[int16](rng, t, n, shape, nulls)
+	case arrow.INT32, arrow.DATE32:
+		return genNumeric[int32](rng, t, n, shape, nulls)
+	case arrow.INT64, arrow.TIMESTAMP, arrow.DECIMAL:
+		return genNumeric[int64](rng, t, n, shape, nulls)
+	case arrow.UINT8:
+		return genNumeric[uint8](rng, t, n, shape, nulls)
+	case arrow.UINT16:
+		return genNumeric[uint16](rng, t, n, shape, nulls)
+	case arrow.UINT32:
+		return genNumeric[uint32](rng, t, n, shape, nulls)
+	case arrow.UINT64:
+		return genNumeric[uint64](rng, t, n, shape, nulls)
+	case arrow.FLOAT32:
+		vs := make([]float32, n)
+		for i, v := range genInts[int32](rng, n, shape) {
+			vs[i] = float32(v) / 4
+		}
+		return arrow.NewNumeric(t, vs, genValidity(rng, n, nulls))
+	case arrow.FLOAT64:
+		vs := make([]float64, n)
+		for i, v := range genInts[int64](rng, n, shape) {
+			vs[i] = float64(v) / 4
+		}
+		return arrow.NewNumeric(t, vs, genValidity(rng, n, nulls))
+	case arrow.BOOL:
+		vals := arrow.NewBitmap(n)
+		for i, v := range genInts[uint8](rng, n, shape) {
+			vals.Put(i, v&1 == 1)
+		}
+		return arrow.NewBool(vals, genValidity(rng, n, nulls), n)
+	case arrow.STRING, arrow.BINARY:
+		b := arrow.NewStringBuilder(t)
+		valid := genValidity(rng, n, nulls)
+		for i, v := range genInts[uint16](rng, n, shape) {
+			if valid != nil && !valid.Get(i) {
+				b.AppendNull()
+			} else {
+				b.Append(fmt.Sprintf("http://site-%d.example/%s", v%7, bytes.Repeat([]byte{'a' + byte(v%26)}, int(v%40))))
+			}
+		}
+		return b.Finish()
+	}
+	panic("unsupported type " + t.String())
+}
+
+func assertArraysEqual(t testing.TB, want, got arrow.Array) {
+	t.Helper()
+	if got.Len() != want.Len() || got.NullCount() != want.NullCount() || !got.DataType().Equal(want.DataType()) {
+		t.Fatalf("decoded %s len %d nulls %d, want %s len %d nulls %d",
+			got.DataType(), got.Len(), got.NullCount(), want.DataType(), want.Len(), want.NullCount())
+	}
+	for i := 0; i < want.Len(); i++ {
+		// NaN equals nothing, itself included, but prints the same.
+		if w, g := want.GetScalar(i), got.GetScalar(i); !w.Equal(g) && w.String() != g.String() {
+			t.Fatalf("slot %d: decoded %s, want %s", i, g, w)
+		}
+	}
+}
+
+// storedPage is a page as it would sit in a file, with what the footer
+// would say about it.
+type storedPage struct {
+	bytes  []byte
+	enc    string
+	codec  string
+	rawLen int64
+	rows   int
+	typ    *arrow.DataType
+	dict   *arrow.StringArray
+}
+
+func (p storedPage) decode() (arrow.Array, error) {
+	return decodePage(p.bytes, p.enc, p.codec, p.rawLen, p.rows, p.typ, p.dict)
+}
+
+// store lays an encoded page out as the writer does.
+func store(e *pageEncoder, p encodedPage, compress bool, a arrow.Array) storedPage {
+	values, codec := p.values, CodecNone
+	if compress {
+		values, codec = e.compress(values)
+	}
+	out := append(append([]byte(nil), p.head...), values...)
+	return storedPage{bytes: out, enc: p.encoding, codec: codec,
+		rawLen: int64(len(p.head) + len(p.values)), rows: a.Len(), typ: a.DataType()}
+}
+
+// encodeAs encodes a with enc; integer encodings that cannot represent
+// the page report false.
+func encodeAs(e *pageEncoder, a arrow.Array, enc string) (encodedPage, bool) {
+	head := appendPageHeader(nil, a.Len(), a.Validity())
+	switch arr := a.(type) {
+	case *arrow.Int8Array:
+		return encodeIntsForced(head, enc, arr.Values())
+	case *arrow.Int16Array:
+		return encodeIntsForced(head, enc, arr.Values())
+	case *arrow.Int32Array:
+		return encodeIntsForced(head, enc, arr.Values())
+	case *arrow.Int64Array:
+		return encodeIntsForced(head, enc, arr.Values())
+	case *arrow.Uint8Array:
+		return encodeIntsForced(head, enc, arr.Values())
+	case *arrow.Uint16Array:
+		return encodeIntsForced(head, enc, arr.Values())
+	case *arrow.Uint32Array:
+		return encodeIntsForced(head, enc, arr.Values())
+	case *arrow.Uint64Array:
+		return encodeIntsForced(head, enc, arr.Values())
+	}
+	p, err := e.encode(a)
+	return p, err == nil && p.encoding == enc
+}
+
+func encodeIntsForced[T packable](head []byte, enc string, vs []T) (encodedPage, bool) {
+	st := analyzeInts(vs)
+	if _, ok := intEncodedSize(enc, st, len(vs), len(arrow.NumericBytes(vs))); !ok {
+		return encodedPage{}, false
+	}
+	return encodeIntsAs(head, enc, vs, st), true
+}
+
+var allEncodings = []string{EncodingPlain, EncodingBitPack, EncodingRLE, EncodingDelta, EncodingDeltaLen}
+
+// TestPageRoundTrip encodes every type with every encoding that can hold
+// it, over every value shape, null pattern and page size, compressed and
+// not, whole and sliced, and requires the decoded array to equal the
+// input.
+func TestPageRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var e pageEncoder
+	covered := map[string]bool{}
+	for _, typ := range pageTypes {
+		for _, shape := range pageShapes {
+			for _, nulls := range []string{"none", "some", "all"} {
+				for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+					for _, sliced := range []bool{false, true} {
+						a := genArray(rng, typ, n, shape, nulls)
+						if sliced {
+							a = genArray(rng, typ, n+20, shape, nulls).Slice(7, n)
+						}
+						for _, enc := range allEncodings {
+							p, ok := encodeAs(&e, a, enc)
+							if !ok {
+								continue
+							}
+							for _, compress := range []bool{false, true} {
+								sp := store(&e, p, compress, a)
+								got, err := sp.decode()
+								if err != nil {
+									t.Fatalf("%s %s nulls=%s n=%d %s/%s: %v", typ, shape, nulls, n, enc, sp.codec, err)
+								}
+								assertArraysEqual(t, a, got)
+								covered[enc+"/"+sp.codec] = true
+							}
+						}
+						// The writer's own choice round-trips too.
+						p, err := e.encode(a)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := store(&e, p, true, a).decode()
+						if err != nil {
+							t.Fatalf("%s %s nulls=%s n=%d chosen %s: %v", typ, shape, nulls, n, p.encoding, err)
+						}
+						assertArraysEqual(t, a, got)
+					}
+				}
+			}
+		}
+	}
+	for _, want := range []string{"plain/", "plain/lz", "bitpack/", "rle/", "delta/", "dlen/", "dlen/lz"} {
+		if !covered[want] {
+			t.Errorf("no page exercised %s", want)
+		}
+	}
+}
+
+// TestDictPageRoundTrip covers dictionary index pages, null slots and an
+// empty dictionary (an all-null chunk) included.
+func TestDictPageRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var e pageEncoder
+	for _, dictLen := range []int{0, 1, 2, 3, 255, 256, 1000} {
+		db := arrow.NewStringBuilder(arrow.String)
+		for i := 0; i < dictLen; i++ {
+			db.Append(fmt.Sprintf("value-%d", i))
+		}
+		dict := db.Finish().(*arrow.StringArray)
+		for _, n := range []int{0, 1, 100, 1000} {
+			nulls := "some"
+			if dictLen == 0 {
+				nulls = "all"
+			}
+			valid := genValidity(rng, n, nulls)
+			indexes := make([]uint32, n)
+			want := arrow.NewStringBuilder(arrow.String)
+			for i := range indexes {
+				if !valid.Get(i) {
+					want.AppendNull()
+					continue
+				}
+				indexes[i] = uint32(rng.Intn(dictLen))
+				want.Append(dict.Value(int(indexes[i])))
+			}
+			wantArr := want.Finish()
+			sp := store(&e, e.encodeDictIndexes(indexes, valid, dictLen), true, wantArr)
+			sp.dict = dict
+			got, err := sp.decode()
+			if err != nil {
+				t.Fatalf("dict of %d, %d rows: %v", dictLen, n, err)
+			}
+			assertArraysEqual(t, wantArr, got)
+		}
+	}
+}
+
+// TestWriterEncodingSelection pins which encoding the writer picks for
+// the column shapes it was built around.
+func TestWriterEncodingSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 4096
+	urls := arrow.NewStringBuilder(arrow.String)
+	for i := 0; i < n; i++ {
+		urls.Append(fmt.Sprintf("http://shop.example.org/p/%d", rng.Intn(1_000_000)))
+	}
+	noise := make([]float64, n)
+	for i := range noise {
+		noise[i] = rng.NormFloat64()
+	}
+	cases := []struct {
+		name  string
+		arr   arrow.Array
+		enc   string
+		codec string
+	}{
+		{"constant", genArray(rng, arrow.Int32, n, shapeConstant, "none"), EncodingRLE, CodecNone},
+		{"long runs", genArray(rng, arrow.Int16, n, shapeRuns, "none"), EncodingRLE, CodecNone},
+		{"small range", genArray(rng, arrow.Int64, n, shapeSmall, "none"), EncodingBitPack, CodecNone},
+		{"sorted", genArray(rng, arrow.Timestamp, n, shapeSorted, "none"), EncodingDelta, CodecNone},
+		{"random", genArray(rng, arrow.Int64, n, shapeRandom, "none"), EncodingPlain, CodecNone},
+		{"extremes", genArray(rng, arrow.Int64, n, shapeExtremes, "none"), EncodingDelta, CodecNone},
+		{"repeated floats", genArray(rng, arrow.Float64, n, shapeRuns, "none"), EncodingPlain, CodecLZ},
+		{"noise floats", arrow.NewNumeric(arrow.Float64, noise, nil), EncodingPlain, CodecNone},
+		{"urls", urls.Finish(), EncodingDeltaLen, CodecLZ},
+	}
+	var e pageEncoder
+	for _, c := range cases {
+		p, err := e.encode(c.arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := store(&e, p, true, c.arr)
+		if sp.enc != c.enc || sp.codec != c.codec {
+			t.Errorf("%s: writer chose %s/%q, want %s/%q", c.name, sp.enc, sp.codec, c.enc, c.codec)
+		}
+	}
+
+	// Through the file writer: a low-cardinality string column is
+	// dictionary encoded with packed indexes, nothing is written as a
+	// version 1 page, and compression off means no codec anywhere.
+	for _, compression := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "t.gpq")
+		writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 5000, Dictionary: true, Compression: compression})
+		fr, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := fr.Metadata()
+		if meta.footer.Version != formatVersion {
+			t.Fatalf("footer version %d, want %d", meta.footer.Version, formatVersion)
+		}
+		for col, want := range []string{EncodingDelta, EncodingDictPack, EncodingPlain, EncodingPlain, EncodingBitPack} {
+			for _, p := range meta.ColumnChunkPages(0, col) {
+				if !p.Dict && p.Encoding != want {
+					t.Errorf("column %d: page encoded %s, want %s", col, p.Encoding, want)
+				}
+				if p.Codec == CodecFlate || (!compression && p.Codec != CodecNone) {
+					t.Errorf("column %d: page codec %q with Compression=%v", col, p.Codec, compression)
+				}
+			}
+		}
+		fr.Close()
+	}
+}
+
+func lzRoundTrip(t *testing.T, name string, src []byte) []byte {
+	t.Helper()
+	var table lzTable
+	block := lzCompress(nil, src, &table)
+	out := make([]byte, len(src))
+	if err := lzDecompress(out, block); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(out, src) {
+		t.Fatalf("%s: round trip differs", name)
+	}
+	return block
+}
+
+func TestLZRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	random := make([]byte, 100_000)
+	rng.Read(random)
+	if block := lzRoundTrip(t, "incompressible", random); len(block) > len(random)+len(random)/255+16 {
+		t.Errorf("incompressible input grew from %d to %d", len(random), len(block))
+	}
+	if block := lzRoundTrip(t, "zeros", make([]byte, 100_000)); len(block) > 500 {
+		t.Errorf("100000 zeros compressed to %d bytes", len(block))
+	}
+	// Matches whose offset is shorter than their length.
+	for _, period := range []int{1, 2, 3, 5, 15, 16, 17} {
+		pattern := make([]byte, 0, 10_000)
+		for i := 0; len(pattern) < cap(pattern); i++ {
+			pattern = append(pattern, byte('a'+i%period))
+		}
+		if block := lzRoundTrip(t, fmt.Sprintf("period %d", period), pattern); len(block) > 100 {
+			t.Errorf("period %d: 10000 bytes compressed to %d", period, len(block))
+		}
+	}
+	var text []byte
+	for i := 0; i < 5000; i++ {
+		text = append(text, fmt.Sprintf("http://shop.example.org/p/%d", rng.Intn(100_000))...)
+	}
+	if block := lzRoundTrip(t, "urls", text); len(block) > len(text)/2 {
+		t.Errorf("urls compressed %d to only %d", len(text), len(block))
+	}
+	// Every short length, so the end-of-block rules meet every boundary.
+	for n := 0; n < 300; n++ {
+		lzRoundTrip(t, fmt.Sprintf("zeros[%d]", n), make([]byte, n))
+		lzRoundTrip(t, fmt.Sprintf("random[%d]", n), random[:n])
+		lzRoundTrip(t, fmt.Sprintf("text[%d]", n), text[:n])
+	}
+	// Random mixes of literal runs and copies of earlier output.
+	for round := 0; round < 200; round++ {
+		var src []byte
+		for len(src) < 1+rng.Intn(5000) {
+			if len(src) > 0 && rng.Intn(2) == 0 {
+				from := rng.Intn(len(src))
+				for i, k := 0, 1+rng.Intn(400); i < k; i++ {
+					src = append(src, src[from+i]) // may run into what it appends
+				}
+			} else {
+				lit := make([]byte, 1+rng.Intn(40))
+				rng.Read(lit)
+				src = append(src, lit...)
+			}
+		}
+		lzRoundTrip(t, "mixed", src)
+	}
+}
+
+func TestLZRejectsMalformed(t *testing.T) {
+	cases := []struct {
+		name  string
+		block []byte
+		size  int
+	}{
+		{"empty block", nil, 0},
+		{"literals past the block", []byte{0x50, 'a', 'b'}, 5},
+		{"literals past the output", []byte{0x50, 'a', 'b', 'c', 'd', 'e'}, 3},
+		{"output left unfilled", []byte{0x20, 'a', 'b'}, 5},
+		{"offset zero", []byte{0x10, 'a', 0, 0, 0x00}, 8},
+		{"offset before the output", []byte{0x10, 'a', 2, 0, 0x00}, 8},
+		{"match past the output", []byte{0x1F, 'a', 1, 0, 200, 0x00}, 8},
+		{"offset cut short", []byte{0x10, 'a', 1}, 8},
+		{"match length cut short", []byte{0x1F, 'a', 1, 0, 255}, 600},
+		{"literal length cut short", []byte{0xF0, 255}, 600},
+		{"ends on a match", []byte{0x10, 'a', 1, 0}, 5},
+	}
+	for _, c := range cases {
+		if err := lzDecompress(make([]byte, c.size), c.block); err == nil {
+			t.Errorf("%s: decoded without error", c.name)
+		}
+	}
+	// And the well-formed neighbour of those blocks does decode.
+	out := make([]byte, 6)
+	if err := lzDecompress(out, []byte{0x11, 'a', 1, 0, 0x00}); err != nil || string(out) != "aaaaaa" {
+		t.Fatalf("valid block: %q, %v", out, err)
+	}
+}
+
+// filePages returns, as stored, the first data page of every column chunk
+// in the first row group of a GPQ file, and each chunk's dictionary page.
+func filePages(t testing.TB, path string) map[string]storedPage {
+	t.Helper()
+	fr, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	read := func(off, length int64) []byte {
+		stored, err := fr.readRange(off, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte(nil), stored...) // not a view of the mapping
+	}
+	pages := map[string]storedPage{}
+	for col, f := range fr.Schema().Fields() {
+		chunk := &fr.meta.footer.RowGroups[0].Columns[col]
+		var dict *arrow.StringArray
+		if d := chunk.Dict; d != nil {
+			pages[fmt.Sprintf("%s/dictionary:%s/%s", f.Name, d.encoding(), d.Codec)] = storedPage{
+				bytes: read(d.Offset, d.Len), enc: d.encoding(), codec: d.Codec,
+				rawLen: d.RawLen, rows: int(d.NumValues), typ: arrow.String}
+			if dict, err = fr.chunkDict(chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := &chunk.Pages[0]
+		pages[fmt.Sprintf("%s/%s/%s", f.Name, p.Encoding, p.Codec)] = storedPage{
+			bytes: read(p.Offset, p.Len), enc: p.Encoding, codec: p.Codec,
+			rawLen: p.RawLen, rows: int(p.NumRows), typ: f.Type, dict: dict}
+	}
+	return pages
+}
+
+// seedPages returns one stored n-row page per encoding x type x codec the
+// writer produces. With withV1Pages they seed the fuzz target, the
+// corruption test and the decode benchmark.
+func seedPages(t testing.TB, n int) map[string]storedPage {
+	rng := rand.New(rand.NewSource(5))
+	var e pageEncoder
+	pages := map[string]storedPage{}
+	// Each encoding gets the value shape it is chosen for; plain also gets
+	// runs, which the byte codec shrinks.
+	shapesFor := map[string][]string{
+		EncodingPlain:    {shapeRandom, shapeRuns},
+		EncodingBitPack:  {shapeSmall},
+		EncodingRLE:      {shapeRuns},
+		EncodingDelta:    {shapeSorted},
+		EncodingDeltaLen: {shapeRandom},
+	}
+	for _, typ := range pageTypes {
+		for _, enc := range allEncodings {
+			for _, shape := range shapesFor[enc] {
+				a := genArray(rng, typ, n, shape, "some")
+				if p, ok := encodeAs(&e, a, enc); ok {
+					sp := store(&e, p, true, a)
+					pages[fmt.Sprintf("%s/%s/%s", typ, enc, sp.codec)] = sp
+				}
+			}
+		}
+	}
+	dict := arrow.NewStringFromSlice([]string{"", "alpha", "beta", "gamma", "delta"})
+	valid := genValidity(rng, n, "some")
+	indexes := genInts[uint32](rng, n, shapeRandom)
+	for i := range indexes {
+		indexes[i] %= uint32(dict.Len())
+	}
+	sp := store(&e, e.encodeDictIndexes(indexes, valid, dict.Len()), true, arrow.NewNull(n))
+	sp.typ, sp.dict = arrow.String, dict
+	pages["string/dictpack/"] = sp
+
+	return pages
+}
+
+// withV1Pages adds the pages of a file left by the last version 1 writer:
+// the layouts (string plain, dict, flate) no writer produces any more.
+func withV1Pages(t testing.TB, pages map[string]storedPage, path string) map[string]storedPage {
+	for name, sp := range filePages(t, path) {
+		pages["v1:"+name] = sp
+	}
+	return pages
+}
+
+// TestCorruptPagesReturnErrors truncates every seed page at every length
+// and flips bytes throughout: a truncated page must be an error, a
+// damaged one an error or some array, and neither may panic.
+func TestCorruptPagesReturnErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for name, sp := range withV1Pages(t, seedPages(t, 300), goldenPath) {
+		want, err := sp.decode()
+		if err != nil {
+			t.Fatalf("%s: seed page does not decode: %v", name, err)
+		}
+		for cut := 0; cut < len(sp.bytes); cut++ {
+			short := sp
+			short.bytes = sp.bytes[:cut]
+			if _, err := short.decode(); err == nil {
+				t.Fatalf("%s: decoded after truncation to %d of %d bytes", name, cut, len(sp.bytes))
+			}
+		}
+		for round := 0; round < 300; round++ {
+			bad := sp
+			bad.bytes = append([]byte(nil), sp.bytes...)
+			for k := 0; k <= rng.Intn(3); k++ {
+				bad.bytes[rng.Intn(len(bad.bytes))] ^= byte(1 + rng.Intn(255))
+			}
+			if got, err := bad.decode(); err == nil {
+				walkArray(got)
+			}
+		}
+		wrong := sp
+		wrong.rows++
+		if _, err := wrong.decode(); err == nil {
+			t.Fatalf("%s: decoded with the wrong row count", name)
+		}
+		assertArraysEqual(t, want, mustDecode(t, sp))
+	}
+
+	// Dictionary indexes past the dictionary are an error, not a panic.
+	dict := arrow.NewStringFromSlice([]string{"a", "b"})
+	var e pageEncoder
+	sp := store(&e, e.encodeDictIndexes([]uint32{0, 1, 3, 1}, nil, 4), false, arrow.NewNull(4))
+	sp.typ, sp.dict = arrow.String, dict
+	if _, err := sp.decode(); err == nil {
+		t.Fatal("dictionary index out of range decoded")
+	}
+	sp.dict = nil
+	if _, err := sp.decode(); err == nil {
+		t.Fatal("dictionary page decoded without a dictionary")
+	}
+}
+
+func mustDecode(t testing.TB, sp storedPage) arrow.Array {
+	t.Helper()
+	a, err := sp.decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// walkArray touches every value, so offsets a decoder let through
+// unchecked would fault here.
+func walkArray(a arrow.Array) {
+	for i := 0; i < a.Len(); i++ {
+		_ = a.GetScalar(i)
+	}
+}

@@ -354,7 +354,7 @@ func TestDictionaryEncodingActuallyUsed(t *testing.T) {
 	if chunk.Dict == nil {
 		t.Fatal("low-cardinality string column should be dictionary encoded")
 	}
-	if chunk.Pages[0].Encoding != EncodingDict {
+	if chunk.Pages[0].Encoding != EncodingDictPack {
 		t.Fatal("pages should use dict encoding")
 	}
 	// High-cardinality column must not be dict encoded: id as string.

@@ -170,21 +170,14 @@ func (fr *FileReader) readRange(off, length int64) ([]byte, error) {
 	return buf, nil
 }
 
-func (fr *FileReader) readPageBody(off, length, rawLen int64, codec string) ([]byte, error) {
-	stored, err := fr.readRange(off, length)
-	if err != nil {
-		return nil, err
-	}
-	return decompressBody(stored, codec, rawLen)
-}
-
-// chunkDict loads and caches the dictionary page of a column chunk.
+// chunkDict loads the dictionary page of a column chunk.
 func (fr *FileReader) chunkDict(chunk *columnChunkMeta) (*arrow.StringArray, error) {
-	body, err := fr.readPageBody(chunk.Dict.Offset, chunk.Dict.Len, chunk.Dict.RawLen, chunk.Dict.Codec)
+	d := chunk.Dict
+	stored, err := fr.readRange(d.Offset, d.Len)
 	if err != nil {
 		return nil, err
 	}
-	arr, err := decodePlainPage(body, arrow.String)
+	arr, err := decodePage(stored, d.encoding(), d.Codec, d.RawLen, int(d.NumValues), arrow.String, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -192,18 +185,12 @@ func (fr *FileReader) chunkDict(chunk *columnChunkMeta) (*arrow.StringArray, err
 }
 
 // decodePage decodes one data page of a column chunk.
-func (fr *FileReader) decodePage(chunk *columnChunkMeta, page *pageMeta, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
-	body, err := fr.readPageBody(page.Offset, page.Len, page.RawLen, page.Codec)
+func (fr *FileReader) decodePage(page *pageMeta, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
+	stored, err := fr.readRange(page.Offset, page.Len)
 	if err != nil {
 		return nil, err
 	}
-	switch page.Encoding {
-	case EncodingPlain:
-		return decodePlainPage(body, t)
-	case EncodingDict:
-		return decodeDictIndexPage(body, dict, t)
-	}
-	return nil, fmt.Errorf("parquet: unknown encoding %q", page.Encoding)
+	return decodePage(stored, page.Encoding, page.Codec, page.RawLen, int(page.NumRows), t, dict)
 }
 
 // loadDict returns the chunk dictionary, shared through the page cache
@@ -225,13 +212,13 @@ func (s *Scanner) loadDict(rg, col int, chunk *columnChunkMeta) (*arrow.StringAr
 
 // loadPage decodes one data page, shared through the page cache when one
 // is attached. Cached arrays are immutable shared views.
-func (s *Scanner) loadPage(rg, col, pi int, chunk *columnChunkMeta, page *pageMeta, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
+func (s *Scanner) loadPage(rg, col, pi int, page *pageMeta, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
 	if s.opts.Cache == nil || s.fr.fingerprint == "" {
-		return s.fr.decodePage(chunk, page, t, dict)
+		return s.fr.decodePage(page, t, dict)
 	}
 	key := PageKey{File: s.fr.fingerprint, RowGroup: rg, Col: col, Page: pi}
 	arr, hit, err := s.opts.Cache.CachedPage(key, func() (arrow.Array, error) {
-		return s.fr.decodePage(chunk, page, t, dict)
+		return s.fr.decodePage(page, t, dict)
 	})
 	if err != nil {
 		return nil, err
@@ -266,13 +253,13 @@ func (s *Scanner) readColumnSelection(rg, col int, sel RowSelection) (arrow.Arra
 		if pageSel.IsEmpty() {
 			continue
 		}
-		if page.Encoding == EncodingDict && dict == nil {
+		if chunk.Dict != nil && dict == nil {
 			var err error
 			if dict, err = s.loadDict(rg, col, chunk); err != nil {
 				return nil, err
 			}
 		}
-		arr, err := s.loadPage(rg, col, pi, chunk, page, t, dict)
+		arr, err := s.loadPage(rg, col, pi, page, t, dict)
 		if err != nil {
 			return nil, err
 		}
@@ -283,9 +270,7 @@ func (s *Scanner) readColumnSelection(rg, col int, sel RowSelection) (arrow.Arra
 		n := int(page.NumRows)
 		bits := arrow.NewBitmap(n)
 		for _, r := range pageSel.Ranges() {
-			for row := r.Start; row < r.End; row++ {
-				bits.Set(int(row - start))
-			}
+			bits.SetRange(int(r.Start-start), int(r.End-start))
 		}
 		mask := arrow.NewBool(bits, nil, n)
 		filtered, err := compute.Filter(arr, mask)

@@ -18,8 +18,9 @@ type WriterOptions struct {
 	RowGroupRows int
 	// PageRows is the maximum rows per data page (default 8192).
 	PageRows int
-	// Compression enables flate page compression (default on via
-	// DefaultWriterOptions).
+	// Compression applies the LZ byte codec to the value bytes of pages it
+	// shrinks (default on via DefaultWriterOptions). The page encoding is
+	// not an option: the writer picks the smallest per page.
 	Compression bool
 	// Dictionary enables dictionary encoding of low-cardinality string
 	// columns.
@@ -62,6 +63,7 @@ type FileWriter struct {
 	pending     []*arrow.RecordBatch
 	pendingRows int
 	closed      bool
+	enc         pageEncoder
 }
 
 // NewFileWriter writes a GPQ file with the given schema to w.
@@ -75,7 +77,7 @@ func NewFileWriter(w io.Writer, schema *arrow.Schema, opts WriterOptions) (*File
 		w:      bufio.NewWriterSize(w, 1<<20),
 		schema: schema,
 		opts:   opts,
-		footer: fileFooter{Schema: schemaJSON, KV: opts.KV, Version: 1},
+		footer: fileFooter{Schema: schemaJSON, KV: opts.KV, Version: formatVersion},
 	}
 	if err := fw.writeRaw([]byte(Magic)); err != nil {
 		return nil, err
@@ -219,21 +221,21 @@ func tryBuildDict(a arrow.Array) (*arrow.StringArray, []uint32, bool) {
 	return db.Finish().(*arrow.StringArray), indexes, true
 }
 
-func (fw *FileWriter) writePage(body []byte) (off, length, rawLen int64, codec string, err error) {
-	rawLen = int64(len(body))
-	codecReq := CodecNone
+// writePage stores one encoded page, its value section through the byte
+// codec when compression is on.
+func (fw *FileWriter) writePage(p encodedPage) (off, length, rawLen int64, codec string, err error) {
+	values := p.values
 	if fw.opts.Compression {
-		codecReq = CodecFlate
-	}
-	stored, codec, err := compressBody(body, codecReq)
-	if err != nil {
-		return 0, 0, 0, "", err
+		values, codec = fw.enc.compress(values)
 	}
 	off = fw.offset
-	if err := fw.writeRaw(stored); err != nil {
+	if err := fw.writeRaw(p.head); err != nil {
 		return 0, 0, 0, "", err
 	}
-	return off, int64(len(stored)), rawLen, codec, nil
+	if err := fw.writeRaw(values); err != nil {
+		return 0, 0, 0, "", err
+	}
+	return off, fw.offset - off, int64(len(p.head) + len(p.values)), codec, nil
 }
 
 func (fw *FileWriter) writeColumnChunk(col arrow.Array) (columnChunkMeta, error) {
@@ -247,15 +249,16 @@ func (fw *FileWriter) writeColumnChunk(col arrow.Array) (columnChunkMeta, error)
 		dictArr, dictIdx, useDict = tryBuildDict(col)
 	}
 	if useDict {
-		body, err := encodePlainPage(dictArr)
+		page, err := fw.enc.encode(dictArr)
 		if err != nil {
 			return meta, err
 		}
-		off, length, rawLen, codec, err := fw.writePage(body)
+		off, length, rawLen, codec, err := fw.writePage(page)
 		if err != nil {
 			return meta, err
 		}
-		meta.Dict = &dictMeta{Offset: off, Len: length, NumValues: int64(dictArr.Len()), Codec: codec, RawLen: rawLen}
+		meta.Dict = &dictMeta{Offset: off, Len: length, NumValues: int64(dictArr.Len()),
+			Encoding: page.encoding, Codec: codec, RawLen: rawLen}
 	}
 
 	for start := 0; start < n; start += fw.opts.PageRows {
@@ -263,20 +266,17 @@ func (fw *FileWriter) writeColumnChunk(col arrow.Array) (columnChunkMeta, error)
 		if end > n {
 			end = n
 		}
-		page := col.Slice(start, end-start)
-		var body []byte
-		var err error
-		encoding := EncodingPlain
+		rows := col.Slice(start, end-start)
+		var page encodedPage
 		if useDict {
-			encoding = EncodingDict
-			body = encodeDictIndexPage(dictIdx[start:end], page.Validity())
+			page = fw.enc.encodeDictIndexes(dictIdx[start:end], rows.Validity(), dictArr.Len())
 		} else {
-			body, err = encodePlainPage(page)
-			if err != nil {
+			var err error
+			if page, err = fw.enc.encode(rows); err != nil {
 				return meta, err
 			}
 		}
-		off, length, rawLen, codec, err := fw.writePage(body)
+		off, length, rawLen, codec, err := fw.writePage(page)
 		if err != nil {
 			return meta, err
 		}
@@ -285,10 +285,10 @@ func (fw *FileWriter) writeColumnChunk(col arrow.Array) (columnChunkMeta, error)
 			Len:      length,
 			NumRows:  int64(end - start),
 			FirstRow: int64(start),
-			Encoding: encoding,
+			Encoding: page.encoding,
 			Codec:    codec,
 			RawLen:   rawLen,
-			Stats:    columnStats(page),
+			Stats:    columnStats(rows),
 		})
 	}
 
