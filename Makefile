@@ -27,11 +27,14 @@ lint:
 lint-self:
 	$(GO) test -race ./internal/analysis/...
 
-# sanitize reruns the memory-layer unit tests and the differential SQL
-# fuzzer with the checked allocator (canaries, double-release and leak
-# detection) swapped in via the `sanitize` build tag.
+# sanitize reruns the memory-layer unit tests, the operator tests (the
+# partial aggregate's early release at its pass-through switch, a cancel
+# mid-pass-through, an abandoned exchange output, every spill path) and
+# the differential SQL fuzzer with the checked allocator (canaries,
+# double-release and leak detection) swapped in via the `sanitize` build
+# tag.
 sanitize:
-	$(GO) test -tags sanitize ./internal/memory/ ./internal/fuzzsql/
+	$(GO) test -tags sanitize ./internal/memory/ ./internal/exec/ ./internal/fuzzsql/
 
 fuzz-smoke:
 	$(GO) run ./cmd/fuzzsql -seed 7 -n 120 -q

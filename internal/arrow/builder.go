@@ -245,7 +245,21 @@ func NewStringBuilder(t *DataType) *StringBuilder {
 
 func (b *StringBuilder) DataType() *DataType { return b.dtype }
 func (b *StringBuilder) Len() int            { return len(b.offsets) - 1 }
-func (b *StringBuilder) Reserve(int)         {}
+
+// Reserve ensures capacity for n more slots' offsets; ReserveData does the
+// same for their bytes.
+func (b *StringBuilder) Reserve(n int) {
+	if cap(b.offsets)-len(b.offsets) < n {
+		b.offsets = append(make([]int32, 0, len(b.offsets)+n), b.offsets...)
+	}
+}
+
+// ReserveData ensures capacity for n more bytes of string data.
+func (b *StringBuilder) ReserveData(n int) {
+	if cap(b.data)-len(b.data) < n {
+		b.data = append(make([]byte, 0, len(b.data)+n), b.data...)
+	}
+}
 
 // Append appends a non-null string.
 func (b *StringBuilder) Append(v string) {

@@ -82,29 +82,31 @@ func takeNumeric[T arrow.Number](a *arrow.NumericArray[T], indices []int32) arro
 }
 
 func takeString(a *arrow.StringArray, indices []int32) arrow.Array {
-	offsets := make([]int32, 1, len(indices)+1)
-	data := make([]byte, 0, 16*len(indices))
-	var valid arrow.Bitmap
-	needValid := a.NullCount() > 0
-	if !needValid {
-		for _, idx := range indices {
-			if idx < 0 {
-				needValid = true
-				break
-			}
+	src, srcOff := a.Data(), a.Offsets()
+	// Size data exactly from a first pass over the offsets; a null source
+	// slot contributes its (normally empty) range to the estimate only.
+	total, needValid := 0, a.NullCount() > 0
+	for _, idx := range indices {
+		if idx < 0 {
+			needValid = true
+			continue
 		}
+		total += int(srcOff[idx+1] - srcOff[idx])
 	}
+	offsets := make([]int32, len(indices)+1)
+	data := make([]byte, 0, total)
+	var valid arrow.Bitmap
 	if needValid {
 		valid = arrow.NewBitmap(len(indices))
 	}
 	for i, idx := range indices {
 		if idx >= 0 && a.IsValid(int(idx)) {
-			data = append(data, a.ValueBytes(int(idx))...)
+			data = append(data, src[srcOff[idx]:srcOff[idx+1]]...)
 			if valid != nil {
 				valid.Set(i)
 			}
 		}
-		offsets = append(offsets, int32(len(data)))
+		offsets[i+1] = int32(len(data))
 	}
 	return arrow.NewString(a.DataType(), offsets, data, valid)
 }

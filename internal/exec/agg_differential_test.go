@@ -1,13 +1,16 @@
 // Differential aggregation test: randomized inputs are grouped through the
-// hash-first group table (every HashAggregateExec configuration, including
-// forced spill and forced partial early-flush) and must match gofusion's
-// independent baseline engine (internal/baseline) exactly. External test
-// package because baseline itself links against exec's sibling packages.
+// hash-first group table (every HashAggregateExec configuration: single and
+// two-phase, forced spill, forced partial early-flush, and both sides of the
+// adaptive partial aggregate's pass-through switch) and must match
+// gofusion's independent baseline engine (internal/baseline) exactly.
+// External test package because baseline itself links against exec's
+// sibling packages.
 package exec_test
 
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -17,182 +20,285 @@ import (
 	"gofusion/internal/functions"
 	"gofusion/internal/logical"
 	"gofusion/internal/memory"
+	"gofusion/internal/optimizer"
 	"gofusion/internal/physical"
+	"gofusion/internal/planner"
+	"gofusion/internal/sql"
 	"gofusion/internal/testutil"
 )
 
 var diffReg = functions.NewRegistry()
 
-// diffBatches builds randomized key/value batches: nullable int64 and string
-// keys with nulls, empty strings, embedded NULs, and heavy duplication, plus
-// a nullable int64 payload.
-func diffBatches(rng *rand.Rand, schema *arrow.Schema, nBatches, maxRows, card int) []*arrow.RecordBatch {
-	keyPool := make([]string, card)
-	for i := range keyPool {
-		switch i % 11 {
-		case 0:
-			keyPool[i] = ""
-		case 1:
-			keyPool[i] = fmt.Sprintf("k\x00%d", i)
-		default:
-			keyPool[i] = fmt.Sprintf("key-%d", i)
-		}
+// diffKeyName renders key id as a string key: empty strings, embedded NULs
+// and plain names.
+func diffKeyName(id int) string {
+	switch {
+	case id%97 == 0:
+		return ""
+	case id%11 == 1:
+		return fmt.Sprintf("k\x00%d", id)
 	}
-	var out []*arrow.RecordBatch
-	for b := 0; b < nBatches; b++ {
-		n := 1 + rng.Intn(maxRows)
-		var cols []arrow.Array
-		for _, f := range schema.Fields() {
-			switch f.Name {
-			case "k_int":
-				ib := arrow.NewNumericBuilder[int64](arrow.Int64)
-				for i := 0; i < n; i++ {
-					if rng.Intn(8) == 0 {
-						ib.AppendNull()
-					} else {
-						ib.Append(int64(rng.Intn(card)) - int64(card/2))
-					}
-				}
-				cols = append(cols, ib.Finish())
-			case "k_str":
-				sb := arrow.NewStringBuilder(arrow.String)
-				for i := 0; i < n; i++ {
-					if rng.Intn(8) == 0 {
-						sb.AppendNull()
-					} else {
-						sb.Append(keyPool[rng.Intn(card)])
-					}
-				}
-				cols = append(cols, sb.Finish())
-			case "v":
-				vb := arrow.NewNumericBuilder[int64](arrow.Int64)
-				for i := 0; i < n; i++ {
-					if rng.Intn(10) == 0 {
-						vb.AppendNull()
-					} else {
-						vb.Append(int64(rng.Intn(2000)) - 1000)
-					}
-				}
-				cols = append(cols, vb.Finish())
+	return fmt.Sprintf("key-%d", id)
+}
+
+// diffRows builds n rows of the schema's columns, among k_int / k_str
+// (nullable keys drawn from key ids nextID hands out), v and w (nullable
+// int64 payloads, loosely correlated) and d (a non-null int64 that is a
+// function of the row's key cells alone, so first_value/last_value over a
+// group do not depend on row order).
+func diffRows(rng *rand.Rand, schema *arrow.Schema, n int, nextID func() int) *arrow.RecordBatch {
+	kInt := arrow.NewNumericBuilder[int64](arrow.Int64)
+	kStr := arrow.NewStringBuilder(arrow.String)
+	v := arrow.NewNumericBuilder[int64](arrow.Int64)
+	w := arrow.NewNumericBuilder[int64](arrow.Int64)
+	d := arrow.NewNumericBuilder[int64](arrow.Int64)
+	hasInt, hasStr := schema.FieldIndex("k_int") >= 0, schema.FieldIndex("k_str") >= 0
+	for i := 0; i < n; i++ {
+		id := nextID()
+		var dv int64
+		if hasInt {
+			if rng.Intn(64) == 0 {
+				kInt.AppendNull()
+				dv += 3
+			} else {
+				kInt.Append(int64(id) - 20)
+				dv += int64(id) * 7
 			}
 		}
-		out = append(out, arrow.NewRecordBatch(schema, cols))
+		if hasStr {
+			if rng.Intn(64) == 0 {
+				kStr.AppendNull()
+				dv += 5
+			} else {
+				s := diffKeyName(id)
+				kStr.Append(s)
+				dv += int64(len(s)) * 1000
+			}
+		}
+		d.Append(dv)
+		val := int64(rng.Intn(2000)) - 1000
+		if rng.Intn(10) == 0 {
+			v.AppendNull()
+		} else {
+			v.Append(val)
+		}
+		if rng.Intn(12) == 0 {
+			w.AppendNull()
+		} else {
+			w.Append(val*2 + int64(rng.Intn(50)))
+		}
+	}
+	built := map[string]arrow.Array{"k_int": kInt.Finish(), "k_str": kStr.Finish(), "v": v.Finish(), "w": w.Finish(), "d": d.Finish()}
+	cols := make([]arrow.Array, schema.NumFields())
+	for i, f := range schema.Fields() {
+		cols[i] = built[f.Name]
+	}
+	return arrow.NewRecordBatch(schema, cols)
+}
+
+// diffSlices cuts b into randomly sized slices of at most maxRows rows, so
+// operators see arrays with non-zero offsets into shared buffers.
+func diffSlices(rng *rand.Rand, b *arrow.RecordBatch, maxRows int) []*arrow.RecordBatch {
+	var out []*arrow.RecordBatch
+	for off := 0; off < b.NumRows(); {
+		n := min(1+rng.Intn(maxRows), b.NumRows()-off)
+		out = append(out, b.Slice(off, n))
+		off += n
 	}
 	return out
 }
 
-func TestAggDifferentialAgainstBaseline(t *testing.T) {
-	shapes := []struct {
-		name   string
-		fields []arrow.Field
-		groups []string
-	}{
-		{"int", []arrow.Field{ // single int64 key: primitive fast path
-			arrow.NewField("k_int", arrow.Int64, true),
-			arrow.NewField("v", arrow.Int64, true),
-		}, []string{"k_int"}},
-		{"str", []arrow.Field{ // single string key: generic arena path
-			arrow.NewField("k_str", arrow.String, true),
-			arrow.NewField("v", arrow.Int64, true),
-		}, []string{"k_str"}},
-		{"mixed", []arrow.Field{ // multi-column keys: generic arena path
-			arrow.NewField("k_int", arrow.Int64, true),
-			arrow.NewField("k_str", arrow.String, true),
-			arrow.NewField("v", arrow.Int64, true),
-		}, []string{"k_int", "k_str"}},
+// diffInput is one table: its rows, how they are laid out over partitions,
+// and what a partial aggregate over its first partition must do.
+type diffInput struct {
+	name   string
+	fields []string
+	// rows generates the table: head goes to partition 0, tail is dealt over
+	// the other partitions (all of it to partition 0 when there is one).
+	rows func(rng *rand.Rand, schema *arrow.Schema) (head, tail []*arrow.RecordBatch)
+	// passThrough says whether a two-phase plan's partial aggregate must
+	// (+1), must not (-1) or may (0) have switched to pass-through.
+	passThrough int
+}
+
+// shortRows is 12 batches of up to 600 rows over 40 key ids, all in one
+// partition (a round-robin exchange deals it out at parts > 1): far below
+// the probe window, heavy duplication.
+func shortRows(rng *rand.Rand, schema *arrow.Schema) (head, tail []*arrow.RecordBatch) {
+	for b := 0; b < 12; b++ {
+		head = append(head, diffRows(rng, schema, 1+rng.Intn(600), func() int { return rng.Intn(40) }))
 	}
-	for _, shape := range shapes {
-		t.Run(shape.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(len(shape.name)) * 997))
-			schema := arrow.NewSchema(shape.fields...)
-			batches := diffBatches(rng, schema, 12, 600, 40)
-			mt, err := catalog.NewMemTable(schema, [][]*arrow.RecordBatch{batches})
-			if err != nil {
-				t.Fatal(err)
+	return head, nil
+}
+
+// longRows puts more rows than the partial aggregate's probe window in the
+// head — every distinctOneIn-th row a new key id on average (1 = all
+// distinct) — and a short tail over the same ids, so one query has a
+// partial aggregate that crosses the window beside ones that never reach
+// it. Batches are slices of larger arrays.
+func longRows(distinctOneIn int) func(*rand.Rand, *arrow.Schema) (head, tail []*arrow.RecordBatch) {
+	return func(rng *rand.Rand, schema *arrow.Schema) (head, tail []*arrow.RecordBatch) {
+		n := exec.PartialProbeRows + 10_000
+		seq := 0
+		nextID := func() int {
+			if distinctOneIn == 1 {
+				seq++
+				return seq
 			}
+			return rng.Intn(n / distinctOneIn)
+		}
+		head = diffSlices(rng, diffRows(rng, schema, n, nextID), 9000)
+		tail = diffSlices(rng, diffRows(rng, schema, 3000, func() int { return rng.Intn(n / distinctOneIn) }), 500)
+		return head, tail
+	}
+}
+
+// layout places the input's batches in parts partitions; a short input
+// stays in one partition whatever parts is.
+func (in diffInput) layout(head, tail []*arrow.RecordBatch, parts int) [][]*arrow.RecordBatch {
+	if len(tail) == 0 || parts == 1 {
+		return [][]*arrow.RecordBatch{append(head[:len(head):len(head)], tail...)}
+	}
+	out := make([][]*arrow.RecordBatch, parts)
+	out[0] = head
+	for i, b := range tail {
+		out[1+i%(parts-1)] = append(out[1+i%(parts-1)], b)
+	}
+	return out
+}
+
+var diffInputs = []diffInput{
+	{"int", []string{"k_int"}, shortRows, -1},            // single int64 key: primitive fast path
+	{"str", []string{"k_str"}, shortRows, -1},            // single string key: generic arena path
+	{"mixed", []string{"k_int", "k_str"}, shortRows, -1}, // multi-column keys: generic arena path
+	{"long-all-distinct", []string{"k_str", "k_int"}, longRows(1), +1},
+	{"long-half-distinct", []string{"k_str", "k_int"}, longRows(2), 0},
+	{"long-1pct-distinct", []string{"k_str", "k_int"}, longRows(100), -1},
+}
+
+// diffQueries are the statements run over every input; %s is the group key
+// list. Together they cover every registered aggregate family, aggregates
+// with FILTER, and DISTINCT plans with no aggregates.
+var diffQueries = []struct{ name, sql string }{
+	{"basic", "SELECT %[1]s, sum(v), count(*), min(v), max(v), avg(v) FROM t GROUP BY %[1]s"},
+	{"all", "SELECT %[1]s, count(v), median(v), stddev(v), var_pop(w), corr(v, w), count(DISTINCT v), " +
+		"first_value(d), last_value(d), min(k_fn), " +
+		"sum(v) FILTER (WHERE v > 0), count(*) FILTER (WHERE w IS NOT NULL), avg(w) FILTER (WHERE v < -990) " +
+		"FROM t GROUP BY %[1]s"},
+	{"distinct", "SELECT DISTINCT %[1]s FROM t"},
+}
+
+// diffPhysicalPlan lowers sqlText over table at the given parallelism.
+func diffPhysicalPlan(t *testing.T, sqlText string, table catalog.TableProvider, parts int) physical.ExecutionPlan {
+	t.Helper()
+	stmt, err := sql.Parse(sqlText)
+	if err != nil {
+		t.Fatalf("parse %s: %v", sqlText, err)
+	}
+	resolve := func(string) (logical.TableSource, error) { return table, nil }
+	plan, err := planner.New(resolve, diffReg).PlanQuery(stmt.(*sql.SelectStmt))
+	if err != nil {
+		t.Fatalf("plan %s: %v", sqlText, err)
+	}
+	if plan, err = optimizer.New(diffReg).Optimize(plan); err != nil {
+		t.Fatalf("optimize: %v", err)
+	}
+	pp, err := exec.CreatePhysicalPlan(plan, &exec.PlannerConfig{TargetPartitions: parts, Reg: diffReg})
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	return pp
+}
+
+func TestAggDifferentialAgainstBaseline(t *testing.T) {
+	for _, in := range diffInputs {
+		t.Run(in.name, func(t *testing.T) {
+			fields := []arrow.Field{}
+			for _, k := range in.fields {
+				typ := arrow.Int64
+				if k == "k_str" {
+					typ = arrow.String
+				}
+				fields = append(fields, arrow.NewField(k, typ, true))
+			}
+			fields = append(fields, arrow.NewField("v", arrow.Int64, true),
+				arrow.NewField("w", arrow.Int64, true), arrow.NewField("d", arrow.Int64, false))
+			schema := arrow.NewSchema(fields...)
+			head, tail := in.rows(rand.New(rand.NewSource(int64(len(in.name))*997)), schema)
 
 			// Reference: the independent baseline engine over the same rows.
 			be := baseline.New(2)
-			be.RegisterBatches("t", schema, batches)
-			sql := "SELECT "
-			for _, g := range shape.groups {
-				sql += g + ", "
-			}
-			sql += "sum(v), count(*), min(v), max(v), avg(v) FROM t GROUP BY "
-			for i, g := range shape.groups {
-				if i > 0 {
-					sql += ", "
-				}
-				sql += g
-			}
-			ref, err := be.Query(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := testutil.NormalizeBatch(ref)
-
-			groupExprs := make([]logical.Expr, len(shape.groups))
-			for i, g := range shape.groups {
-				groupExprs[i] = logical.Col(g)
-			}
-			plan, err := logical.NewBuilder(diffReg).
-				Scan("t", mt).
-				Aggregate(groupExprs, []logical.Expr{
-					&logical.AggFunc{Name: "sum", Args: []logical.Expr{logical.Col("v")}},
-					&logical.AggFunc{Name: "count"},
-					&logical.AggFunc{Name: "min", Args: []logical.Expr{logical.Col("v")}},
-					&logical.AggFunc{Name: "max", Args: []logical.Expr{logical.Col("v")}},
-					&logical.AggFunc{Name: "avg", Args: []logical.Expr{logical.Col("v")}},
-				}).
-				Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			check := func(name string, parts int, setup func(pp physical.ExecutionPlan, ctx *physical.ExecContext)) {
-				t.Helper()
-				pp, err := exec.CreatePhysicalPlan(plan, &exec.PlannerConfig{TargetPartitions: parts, Reg: diffReg})
+			be.RegisterBatches("t", schema, append(head[:len(head):len(head)], tail...))
+			texts := make([]string, len(diffQueries))
+			want := make([][]testutil.Row, len(diffQueries))
+			for i, q := range diffQueries {
+				// k_fn stands for the first key column, so min() keeps
+				// string state when that key is the string.
+				texts[i] = strings.ReplaceAll(fmt.Sprintf(q.sql, strings.Join(in.fields, ", ")), "k_fn", in.fields[0])
+				ref, err := be.Query(texts[i])
 				if err != nil {
-					t.Fatalf("%s: plan: %v", name, err)
+					t.Fatalf("%s: baseline: %v", q.name, err)
 				}
-				ctx := physical.NewExecContext()
-				if setup != nil {
-					setup(pp, ctx)
-				}
-				got, err := exec.CollectBatch(ctx, pp)
-				if err != nil {
-					t.Fatalf("%s: exec: %v", name, err)
-				}
-				if diff := testutil.Diff(testutil.NormalizeBatch(got), want); diff != "" {
-					t.Fatalf("%s: engines disagree with baseline:\n%s", name, diff)
-				}
+				want[i] = testutil.NormalizeBatch(ref)
 			}
 
-			check("single-partition", 1, nil)
-			check("multi-partition", 4, nil)
-			check("forced-spill", 2, func(pp physical.ExecutionPlan, ctx *physical.ExecContext) {
-				dm := memory.NewDiskManager(t.TempDir(), true)
-				t.Cleanup(func() { dm.Close() })
-				ctx.Pool = memory.NewGreedyPool(2 * 1024)
-				ctx.Disk = dm
-			})
-			check("partial-early-flush", 3, func(pp physical.ExecutionPlan, ctx *physical.ExecContext) {
-				forced := false
-				var force func(p physical.ExecutionPlan)
-				force = func(p physical.ExecutionPlan) {
-					if agg, ok := p.(*exec.HashAggregateExec); ok && agg.Mode == exec.PartialAgg {
-						agg.FlushThreshold = 7
-						forced = true
+			configs := []struct {
+				name   string
+				parts  int
+				starve bool
+			}{
+				{"single-partition", 1, false},
+				{"three-partitions", 3, false},
+				{"four-partitions", 4, false},
+				// A pool below any table's footprint: the partial side flushes
+				// after each batch, the final side spills after each batch.
+				{"forced-spill", 3, true},
+			}
+			for _, cfg := range configs {
+				mt, err := catalog.NewMemTable(schema, in.layout(head, tail, cfg.parts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, q := range diffQueries {
+					name := cfg.name + "/" + q.name
+					pp := diffPhysicalPlan(t, texts[i], mt, cfg.parts)
+					ctx := physical.NewExecContext()
+					if cfg.starve {
+						dm := memory.NewDiskManager(t.TempDir(), true)
+						t.Cleanup(func() { dm.Close() })
+						ctx.Pool = memory.NewGreedyPool(512)
+						ctx.Disk = dm
 					}
-					for _, c := range p.Children() {
-						force(c)
+					got, err := exec.CollectBatch(ctx, pp)
+					if err != nil {
+						t.Fatalf("%s: exec: %v", name, err)
+					}
+					if diff := testutil.Diff(testutil.NormalizeBatch(got), want[i]); diff != "" {
+						t.Fatalf("%s: engines disagree with baseline:\n%s", name, diff)
+					}
+					if err := exec.CheckPlanMetrics(pp, int64(got.NumRows())); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+
+					passed, twoPhase := exec.PartialAggMetric(pp, "passthrough_rows")
+					if twoPhase != (cfg.parts > 1) {
+						t.Fatalf("%s: partial aggregate in plan = %v at %d partitions:\n%s",
+							name, twoPhase, cfg.parts, exec.ExplainPhysical(pp))
+					}
+					if !twoPhase {
+						continue
+					}
+					switch {
+					case in.passThrough > 0 && passed == 0:
+						t.Errorf("%s: the partial aggregate never switched to pass-through", name)
+					case in.passThrough < 0 && passed != 0:
+						t.Errorf("%s: the partial aggregate passed %d rows through", name, passed)
+					}
+					if flushes, _ := exec.PartialAggMetric(pp, "early_flushes"); (flushes > 0) != cfg.starve {
+						t.Errorf("%s: early_flushes = %d", name, flushes)
 					}
 				}
-				force(pp)
-				if !forced {
-					t.Fatalf("no partial aggregate in plan:\n%s", exec.ExplainPhysical(pp))
-				}
-			})
+			}
 		})
 	}
 }

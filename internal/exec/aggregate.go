@@ -71,9 +71,6 @@ type HashAggregateExec struct {
 	// InputOrdered marks that the input is sorted on exactly the group
 	// expressions, enabling streaming (partially ordered) aggregation.
 	InputOrdered bool
-	// FlushThreshold caps partial-mode group counts before an early flush
-	// (0 = default).
-	FlushThreshold int
 
 	schema *arrow.Schema
 }
@@ -158,15 +155,22 @@ func (e *HashAggregateExec) newState() (*aggState, error) {
 			return nil, err
 		}
 	}
-	st.accs = make([]functions.GroupsAccumulator, len(e.Aggs))
+	var err error
+	st.accs, err = e.newAccs()
+	return st, err
+}
+
+// newAccs builds one empty accumulator per aggregate.
+func (e *HashAggregateExec) newAccs() ([]functions.GroupsAccumulator, error) {
+	accs := make([]functions.GroupsAccumulator, len(e.Aggs))
 	for i, a := range e.Aggs {
 		acc, err := a.Fn.NewAccumulator(a.ArgTypes)
 		if err != nil {
 			return nil, err
 		}
-		st.accs[i] = acc
+		accs[i] = acc
 	}
-	return st, nil
+	return accs, nil
 }
 
 func (st *aggState) numGroups() int {
@@ -176,77 +180,58 @@ func (st *aggState) numGroups() int {
 	return st.table.numGroups()
 }
 
-// update consumes one input batch.
-func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, groupIdx []uint32) ([]uint32, error) {
-	n := b.NumRows()
+// assign maps n rows of the key columns to group ids; an ungrouped
+// aggregate puts every row in group 0 (groupIdx is never written with
+// anything else there, so it stays zeroed across batches).
+func (st *aggState) assign(cols []arrow.Array, n int, groupIdx []uint32) []uint32 {
 	if st.table != nil {
-		cols := make([]arrow.Array, len(e.GroupExprs))
-		for i, g := range e.GroupExprs {
-			a, err := physical.EvalToArray(g, b)
-			if err != nil {
-				return groupIdx, err
-			}
-			cols[i] = a
-		}
-		groupIdx = st.table.assign(cols, n, groupIdx)
-	} else {
-		groupIdx = groupIdx[:0]
-		for i := 0; i < n; i++ {
-			groupIdx = append(groupIdx, 0)
-		}
+		return st.table.assign(cols, n, groupIdx)
 	}
-	numGroups := st.numGroups()
+	if cap(groupIdx) < n {
+		return make([]uint32, n)
+	}
+	return groupIdx[:n]
+}
 
-	merge := e.Mode == FinalAgg
+// update consumes one input batch: raw rows in Partial/Single mode,
+// partial states in Final mode.
+func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, groupIdx []uint32) ([]uint32, error) {
+	cols, err := e.evalGroups(b)
+	if err != nil {
+		return groupIdx, err
+	}
+	groupIdx = st.assign(cols, b.NumRows(), groupIdx)
+	if e.Mode == FinalAgg {
+		return groupIdx, e.mergeStates(st.accs, b, groupIdx, st.numGroups())
+	}
+	return groupIdx, e.updateAccumulators(st.accs, b, groupIdx, st.numGroups())
+}
+
+// evalGroups evaluates the group expressions over b.
+func (e *HashAggregateExec) evalGroups(b *arrow.RecordBatch) ([]arrow.Array, error) {
+	cols := make([]arrow.Array, len(e.GroupExprs))
+	for i, g := range e.GroupExprs {
+		a, err := physical.EvalToArray(g, b)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = a
+	}
+	return cols, nil
+}
+
+// mergeStates feeds b's flattened state columns (which follow the group
+// columns, in schema order) into the accumulators.
+func (e *HashAggregateExec) mergeStates(accs []functions.GroupsAccumulator, b *arrow.RecordBatch, groupIdx []uint32, numGroups int) error {
 	stateCol := len(e.GroupExprs)
 	for ai := range e.Aggs {
-		a := &e.Aggs[ai]
-		if merge {
-			// Inputs are flattened state columns, in schema order.
-			states := make([]arrow.Array, len(a.StateTypes))
-			for j := range states {
-				states[j] = b.Column(stateCol)
-				stateCol++
-			}
-			if err := st.accs[ai].MergeStates(states, groupIdx, numGroups); err != nil {
-				return groupIdx, err
-			}
-			continue
+		n := len(e.Aggs[ai].StateTypes)
+		if err := accs[ai].MergeStates(b.Columns()[stateCol:stateCol+n], groupIdx, numGroups); err != nil {
+			return err
 		}
-		args := make([]arrow.Array, len(a.Args))
-		for j, ax := range a.Args {
-			arr, err := physical.EvalToArray(ax, b)
-			if err != nil {
-				return groupIdx, err
-			}
-			args[j] = arr
-		}
-		gi := groupIdx
-		if a.Filter != nil {
-			mask, err := physical.EvalPredicate(a.Filter, b)
-			if err != nil {
-				return groupIdx, err
-			}
-			var indices []int32
-			for i := 0; i < n; i++ {
-				if mask.IsValid(i) && mask.Value(i) {
-					indices = append(indices, int32(i))
-				}
-			}
-			for j := range args {
-				args[j] = compute.Take(args[j], indices)
-			}
-			fgi := make([]uint32, len(indices))
-			for k, idx := range indices {
-				fgi[k] = groupIdx[idx]
-			}
-			gi = fgi
-		}
-		if err := st.accs[ai].Update(args, gi, numGroups); err != nil {
-			return groupIdx, err
-		}
+		stateCol += n
 	}
-	return groupIdx, nil
+	return nil
 }
 
 // emit renders the state as output batches (partial state columns or
@@ -373,38 +358,66 @@ func (e *HashAggregateExec) CanPush() bool {
 	return e.Mode == PartialAgg && !(e.InputOrdered && len(e.GroupExprs) > 0)
 }
 
+// Adaptive partial aggregation. A partial aggregate exists to shrink what
+// crosses the exchange; when nearly every row is its own group it shrinks
+// nothing and still pays for a hash table, a key encode and a key decode
+// per row. So the pusher measures itself: over its first partialProbeRows
+// input rows it counts the groups it created, and at partialProbeRatio or
+// more groups per row it flushes, gives its memory back and converts each
+// further batch straight to the partial-state layout (DESIGN.md §6 has the
+// measurements behind the two constants).
+const (
+	partialProbeRows  = 100_000
+	partialProbeRatio = 0.8
+)
+
 // PushInto compiles partial aggregation for a push loop.
 func (e *HashAggregateExec) PushInto(ctx *physical.ExecContext, _ int) (physical.Pusher, error) {
 	st, err := e.newState()
 	if err != nil {
 		return nil, err
 	}
-	threshold := e.FlushThreshold
-	if threshold <= 0 {
-		threshold = 1 << 31
-	}
+	m := e.Metrics()
 	return &aggPusher{
-		e: e, ctx: ctx, st: st,
-		res:        memory.NewReservation(ctx.Pool, "HashAggregateExec"),
-		unregister: memory.RegisterConsumer(ctx.Pool),
-		threshold:  threshold,
+		e: e, ctx: ctx, st: st, m: m,
+		res:         memory.NewReservation(ctx.Pool, "HashAggregateExec"),
+		unregister:  memory.RegisterConsumer(ctx.Pool),
+		probing:     st.table != nil,
+		groups:      m.Counter("groups"),
+		earlyFlush:  m.Counter("early_flushes"),
+		passthrough: m.Counter("passthrough_rows"),
 	}, nil
 }
 
-// aggPusher accumulates partial aggregation state batch by batch,
-// early-flushing downstream on memory pressure or the group-count cap.
+// aggPusher accumulates partial aggregation state batch by batch. It
+// early-flushes downstream on memory pressure, and stops accumulating
+// altogether once its probe window shows it is not reducing its input.
 type aggPusher struct {
 	e          *HashAggregateExec
 	ctx        *physical.ExecContext
-	st         *aggState
+	m          *physical.MetricsSet
+	st         *aggState // nil once passing through
 	res        *memory.Reservation
 	unregister func()
 	groupIdx   []uint32
-	threshold  int
-	closed     bool
+	released   bool
+
+	// Probe window: input rows and groups created (flushed ones included)
+	// while probing.
+	probing     bool
+	probeRows   int
+	probeGroups int
+	// identity is 0..n-1, the group ids of a batch whose every row is its
+	// own group.
+	identity []uint32
+
+	groups, earlyFlush, passthrough *physical.Counter
 }
 
 func (p *aggPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, error) {
+	if p.st == nil {
+		return false, p.passThrough(b, emit)
+	}
 	var err error
 	p.groupIdx, err = p.e.update(p.st, b, p.groupIdx)
 	if err != nil {
@@ -413,58 +426,106 @@ func (p *aggPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, erro
 	if p.st.table == nil {
 		return false, nil
 	}
-	if err := p.res.Resize(p.st.table.memUsage()); err == nil {
-		p.e.Metrics().UpdateMemPeak(p.res.Size())
-		if p.st.table.numGroups() < p.threshold {
-			return false, nil
+	if p.probing {
+		p.probeRows += b.NumRows()
+		if p.probeRows >= partialProbeRows {
+			p.probing = false
+			groups := p.probeGroups + p.st.table.numGroups()
+			if float64(groups) >= partialProbeRatio*float64(p.probeRows) {
+				err := p.flushTable(emit)
+				p.st = nil
+				p.release()
+				return false, err
+			}
 		}
 	}
-	return false, p.emitAndReset(emit)
+	if err := p.res.Resize(p.st.table.memUsage()); err == nil {
+		p.m.UpdateMemPeak(p.res.Size())
+		return false, nil
+	}
+	// A partial aggregate never spills: under pressure it hands what it
+	// holds downstream and starts over.
+	p.earlyFlush.Add(1)
+	if p.probing {
+		p.probeGroups += p.st.table.numGroups()
+	}
+	if err := p.flushTable(emit); err != nil {
+		return false, err
+	}
+	p.st.table.reset()
+	p.st.accs, err = p.e.newAccs()
+	p.res.Shrink(p.res.Size())
+	return false, err
 }
 
-// emitAndReset flushes the current partial state downstream and resets
-// the table and accumulators.
-func (p *aggPusher) emitAndReset(emit physical.EmitFn) error {
+// flushTable emits the accumulated partial state downstream.
+func (p *aggPusher) flushTable(emit physical.EmitFn) error {
 	batches, err := p.e.emit(p.st, p.ctx.BatchRows)
 	if err != nil {
 		return err
 	}
-	p.st.table.reset()
-	fresh, err := p.e.newState()
-	if err != nil {
-		return err
-	}
-	p.st.accs = fresh.accs
-	p.res.Shrink(p.res.Size())
 	for _, b := range batches {
+		p.groups.Add(int64(b.NumRows()))
 		if err := emit(b); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// passThrough turns one input batch into the partial-state layout without
+// grouping it: the group expressions' columns as they are, and per-row
+// state columns from fresh accumulators run with every row as its own
+// group. The final phase merges partial states of any provenance, so it
+// cannot tell these rows from a flushed table's.
+func (p *aggPusher) passThrough(b *arrow.RecordBatch, emit physical.EmitFn) error {
+	n := b.NumRows()
+	cols, err := p.e.evalGroups(b)
+	if err != nil {
+		return err
+	}
+	for i := len(p.identity); i < n; i++ {
+		p.identity = append(p.identity, uint32(i))
+	}
+	accs, err := p.e.newAccs()
+	if err != nil {
+		return err
+	}
+	if err := p.e.updateAccumulators(accs, b, p.identity[:n], n); err != nil {
+		return err
+	}
+	for _, acc := range accs {
+		states, err := acc.State()
+		if err != nil {
+			return err
+		}
+		for _, s := range states {
+			cols = append(cols, padArray(s, n))
+		}
+	}
+	p.passthrough.Add(int64(n))
+	return emit(arrow.NewRecordBatchWithRows(p.e.schema, cols, n))
 }
 
 func (p *aggPusher) Flush(emit physical.EmitFn) error {
-	batches, err := p.e.emit(p.st, p.ctx.BatchRows)
-	if err != nil {
-		return err
+	if p.st == nil {
+		return nil
 	}
-	for _, b := range batches {
-		if err := emit(b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.flushTable(emit)
 }
 
-func (p *aggPusher) Close() {
-	if p.closed {
+// release returns the reservation and the pool-consumer slot; it runs at
+// the switch to pass-through (which holds no memory) or at Close.
+func (p *aggPusher) release() {
+	if p.released {
 		return
 	}
-	p.closed = true
+	p.released = true
 	p.res.Free()
 	p.unregister()
 }
+
+func (p *aggPusher) Close() { p.release() }
 
 // executeHashed is the Final/Single-mode breaker: it absorbs the whole
 // input, spilling partial state under memory pressure, and emits once.
@@ -493,6 +554,7 @@ func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical
 	}
 
 	m := e.Metrics()
+	groups := m.Counter("groups")
 	// spillState writes the current state (as partial batches) to disk and
 	// resets the table.
 	spillState := func(cause error) error {
@@ -527,11 +589,9 @@ func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical
 		if st.table != nil {
 			st.table.reset()
 		}
-		fresh, err := e.newState()
-		if err != nil {
+		if st.accs, err = e.newAccs(); err != nil {
 			return err
 		}
-		st.accs = fresh.accs
 		res.Shrink(res.Size())
 		return nil
 	}
@@ -562,6 +622,7 @@ func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical
 				if err != nil {
 					return nil, err
 				}
+				groups.Add(int64(st.numGroups()))
 				queue = batches
 				continue
 			}
@@ -590,8 +651,6 @@ func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical
 
 // mergeSpills re-merges spilled partial-state batches into the live state.
 func (e *HashAggregateExec) mergeSpills(ctx *physical.ExecContext, st *aggState, spills []*memory.SpillFile) error {
-	partial := *e
-	partial.Mode = PartialAgg
 	spillSchema := NewHashAggregateExec(e.Input, PartialAgg, e.GroupExprs, e.GroupNames, e.Aggs).Schema()
 	var groupIdx []uint32
 	for _, sf := range spills {
@@ -616,35 +675,11 @@ func (e *HashAggregateExec) mergeSpills(ctx *physical.ExecContext, st *aggState,
 	return nil
 }
 
-// mergePartialBatch merges one partial-layout batch into the state.
+// mergePartialBatch merges one partial-layout batch (group columns first,
+// whatever the operator's own group expressions read) into the state.
 func (e *HashAggregateExec) mergePartialBatch(st *aggState, b *arrow.RecordBatch, groupIdx []uint32) ([]uint32, error) {
-	n := b.NumRows()
-	if st.table != nil {
-		cols := make([]arrow.Array, len(e.GroupExprs))
-		for i := range e.GroupExprs {
-			cols[i] = b.Column(i)
-		}
-		groupIdx = st.table.assign(cols, n, groupIdx)
-	} else {
-		groupIdx = groupIdx[:0]
-		for i := 0; i < n; i++ {
-			groupIdx = append(groupIdx, 0)
-		}
-	}
-	numGroups := st.numGroups()
-	stateCol := len(e.GroupExprs)
-	for ai := range e.Aggs {
-		a := &e.Aggs[ai]
-		states := make([]arrow.Array, len(a.StateTypes))
-		for j := range states {
-			states[j] = b.Column(stateCol)
-			stateCol++
-		}
-		if err := st.accs[ai].MergeStates(states, groupIdx, numGroups); err != nil {
-			return groupIdx, err
-		}
-	}
-	return groupIdx, nil
+	groupIdx = st.assign(b.Columns()[:len(e.GroupExprs)], b.NumRows(), groupIdx)
+	return groupIdx, e.mergeStates(st.accs, b, groupIdx, st.numGroups())
 }
 
 // executeOrdered is the streaming fast path for inputs sorted on the
@@ -663,21 +698,8 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 		return nil, err
 	}
 
-	newRunState := func() (*aggState, error) {
-		st := &aggState{}
-		st.accs = make([]functions.GroupsAccumulator, len(e.Aggs))
-		for i, a := range e.Aggs {
-			acc, err := a.Fn.NewAccumulator(a.ArgTypes)
-			if err != nil {
-				return nil, err
-			}
-			st.accs[i] = acc
-		}
-		return st, nil
-	}
-
-	st, err := newRunState()
-	if err != nil {
+	st := &aggState{}
+	if st.accs, err = e.newAccs(); err != nil {
 		in.Close()
 		return nil, err
 	}
@@ -715,11 +737,9 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 		}
 		batch := arrow.NewRecordBatchWithRows(e.schema, cols, len(runKeys))
 		runKeys = nil
-		fresh, err := newRunState()
-		if err != nil {
+		if st.accs, err = e.newAccs(); err != nil {
 			return nil, err
 		}
-		st.accs = fresh.accs
 		return []*arrow.RecordBatch{batch}, nil
 	}
 
@@ -769,7 +789,7 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 				}
 				groupIdx = append(groupIdx, uint32(len(runKeys)-1))
 			}
-			if err := e.updateAccumulators(st, b, groupIdx, len(runKeys)); err != nil {
+			if err := e.updateAccumulators(st.accs, b, groupIdx, len(runKeys)); err != nil {
 				return nil, err
 			}
 			// All groups except the still-open last one are complete; emit
@@ -824,11 +844,9 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 				}
 				queue = append(queue, arrow.NewRecordBatchWithRows(e.schema, outCols, len(completed)))
 				// Restart state holding only the open run.
-				fresh, err := newRunState()
-				if err != nil {
+				if st.accs, err = e.newAccs(); err != nil {
 					return nil, err
 				}
-				st.accs = fresh.accs
 				for ai := range e.Aggs {
 					if err := st.accs[ai].MergeStates(lastStates[ai], []uint32{0}, 1); err != nil {
 						return nil, err
@@ -841,9 +859,10 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 	return NewFuncStream(e.schema, next, in.Close), nil
 }
 
-// updateAccumulators feeds one batch into the accumulators with the given
-// group assignment (shared by the hash and run-detection paths).
-func (e *HashAggregateExec) updateAccumulators(st *aggState, b *arrow.RecordBatch, groupIdx []uint32, numGroups int) error {
+// updateAccumulators feeds one batch of raw rows into the accumulators
+// with the given group assignment (shared by the hash, run-detection and
+// pass-through paths).
+func (e *HashAggregateExec) updateAccumulators(accs []functions.GroupsAccumulator, b *arrow.RecordBatch, groupIdx []uint32, numGroups int) error {
 	for ai := range e.Aggs {
 		a := &e.Aggs[ai]
 		args := make([]arrow.Array, len(a.Args))
@@ -875,7 +894,7 @@ func (e *HashAggregateExec) updateAccumulators(st *aggState, b *arrow.RecordBatc
 			}
 			gi = fgi
 		}
-		if err := st.accs[ai].Update(args, gi, numGroups); err != nil {
+		if err := accs[ai].Update(args, gi, numGroups); err != nil {
 			return err
 		}
 	}

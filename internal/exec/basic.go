@@ -328,7 +328,7 @@ func (e *CoalescePartitionsExec) Execute(ctx *physical.ExecContext, partition in
 		return physical.InstrumentStream(in, e.Metrics()), nil
 	}
 	// One slot per producer, so each can park a batch without waiting.
-	x := startExchange(ctx, e.Input, 1, n, func(x *exchange, _ int) func(*arrow.RecordBatch) error {
+	x := startExchange(ctx, e.Input, 1, n, e.Metrics(), func(x *exchange, _ int) func(*arrow.RecordBatch) error {
 		return func(b *arrow.RecordBatch) error {
 			x.send(0, batchOrErr{batch: b})
 			return nil

@@ -23,13 +23,18 @@ type exchange struct {
 	// their input when it reaches zero.
 	live    atomic.Int32
 	ctxDone <-chan struct{}
+	// drained counts the outputs whose consumer read them to the end. Once
+	// it equals len(outputs) no row was dropped on the way — no limit, error
+	// or cancel made a consumer walk away — and every count is final.
+	drained *physical.Counter
 }
 
 // startExchange launches one producer per partition of input. router
 // builds each producer's routing function, which delivers a non-empty
 // batch through send; an error from it fails every output. The output
-// channels are closed once all producers have returned.
-func startExchange(ctx *physical.ExecContext, input physical.ExecutionPlan, outs, depth int,
+// channels are closed once all producers have returned. m is the owning
+// operator's metrics, where the exchange publishes outputs_drained.
+func startExchange(ctx *physical.ExecContext, input physical.ExecutionPlan, outs, depth int, m *physical.MetricsSet,
 	router func(x *exchange, p int) func(*arrow.RecordBatch) error) *exchange {
 
 	x := &exchange{
@@ -37,6 +42,7 @@ func startExchange(ctx *physical.ExecContext, input physical.ExecutionPlan, outs
 		abandoned: make([]chan struct{}, outs),
 		stopOnce:  make([]sync.Once, outs),
 		ctxDone:   ctxDoneChan(ctx),
+		drained:   m.Counter("outputs_drained"),
 	}
 	x.live.Store(int32(outs))
 	for i := range x.outputs {
@@ -114,5 +120,5 @@ func (x *exchange) stream(ctx *physical.ExecContext, schema *arrow.Schema, p int
 			close(x.abandoned[p])
 		})
 	}
-	return &chanStream{schema: schema, ctx: ctx, ch: x.outputs[p], stop: stop}
+	return &chanStream{schema: schema, ctx: ctx, ch: x.outputs[p], stop: stop, drained: x.drained}
 }

@@ -7,6 +7,7 @@ import (
 	"gofusion/internal/arrow"
 	"gofusion/internal/catalog"
 	"gofusion/internal/logical"
+	"gofusion/internal/memory"
 	"gofusion/internal/physical"
 	"gofusion/internal/testutil"
 )
@@ -88,8 +89,9 @@ func TestWindowPeersRangeFrame(t *testing.T) {
 }
 
 func TestPartialAggEarlyFlush(t *testing.T) {
-	// A tiny flush threshold forces the partial phase to emit and reset
-	// repeatedly; results must still be exact.
+	// A pool smaller than any group table makes every reservation fail, so
+	// the partial phase emits and resets after each batch (and the final
+	// phase spills); results must still be exact.
 	table := bigTable(t, 3000)
 	plan, err := logical.NewBuilder(testReg).
 		Scan("big", table).
@@ -104,25 +106,16 @@ func TestPartialAggEarlyFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find the partial aggregate and force a minuscule flush threshold.
-	forced := false
-	var force func(p physical.ExecutionPlan)
-	force = func(p physical.ExecutionPlan) {
-		if agg, ok := p.(*HashAggregateExec); ok && agg.Mode == PartialAgg {
-			agg.FlushThreshold = 7
-			forced = true
-		}
-		for _, c := range p.Children() {
-			force(c)
-		}
-	}
-	force(pp)
-	if !forced {
-		t.Fatalf("no partial aggregate found:\n%s", ExplainPhysical(pp))
-	}
-	got, err := CollectBatch(physical.NewExecContext(), pp)
+	ctx := physical.NewExecContext()
+	ctx.Pool = memory.NewGreedyPool(512)
+	ctx.Disk = memory.NewDiskManager(t.TempDir(), true)
+	defer ctx.Disk.Close()
+	got, err := CollectBatch(ctx, pp)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n, _ := PartialAggMetric(pp, "early_flushes"); n == 0 {
+		t.Fatalf("the partial aggregate never flushed early:\n%s", ExplainPhysical(pp))
 	}
 	want := runPlan(t, plan, 1)
 	if !sameRowsOK(got, rowsAsStrings(want)) {

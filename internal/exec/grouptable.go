@@ -24,12 +24,16 @@ import (
 //     directly by its 64-bit value bits plus a dedicated out-of-table null
 //     group, skipping rowformat entirely;
 //   - generic path: keys are rowformat-encoded once on first sight into an
-//     append-only arena (one allocation amortized over many keys, no
-//     per-key copies), and duplicate rows only re-encode into a reusable
-//     scratch buffer for the equality check.
+//     append-only chunked arena (a full chunk is never copied again, so
+//     inserting a group costs its own bytes however many came before),
+//     and duplicate rows only re-encode into a reusable scratch buffer for
+//     the equality check.
 //
-// The steady-state assign path performs zero allocations and zero
-// map-string conversions.
+// The per-group arrays (keyRefs, fastVals) are sized whenever the slot
+// table is — it bounds how many groups can exist before the next grow — so
+// the steady-state assign path performs zero allocations and zero
+// map-string conversions, and a new group never triggers a re-copy of the
+// groups before it.
 type groupTable struct {
 	enc   *rowformat.Encoder
 	types []*arrow.DataType
@@ -41,10 +45,16 @@ type groupTable struct {
 
 	nGroups int
 
-	// Generic path: encoded keys packed back-to-back; offsets has
-	// nGroups+1 entries.
-	arena   []byte
-	offsets []uint32
+	// Generic path: encoded keys packed back-to-back in chunks that are
+	// filled in order and never reallocated. keyRefs[g] locates group g's
+	// key: chunk index << 32 | offset in the chunk. No length is stored:
+	// row-format keys are self-delimiting (every column is a marker byte
+	// plus a fixed width or a terminated string), so a key is compared and
+	// decoded from where it starts.
+	chunks   [][]byte
+	cur      int // chunk being filled
+	keyRefs  []uint64
+	keyBytes int // total encoded bytes of all groups' keys
 
 	// Primitive fast path.
 	fast     bool
@@ -91,21 +101,78 @@ func newGroupTableSized(types []*arrow.DataType, estKeys int) (*groupTable, erro
 		types:     types,
 		slotHash:  make([]uint64, slots),
 		slotGroup: make([]uint32, slots),
-		offsets:   []uint32{0},
 		nullGid:   -1,
 		fast:      len(types) == 1 && fastPathType(types[0]),
 	}
+	t.reserveGroups()
 	return t, nil
+}
+
+// Arena chunk capacities double arenaChunkDoublings times from
+// arenaChunkMin, so a table of a few groups allocates a kilobyte and a
+// large one wastes at most the tail of a chunk.
+const (
+	arenaChunkMin       = 1 << 10
+	arenaChunkDoublings = 10 // the largest chunk is 1 MiB
+)
+
+// reserveGroups sizes the per-group array for every group the slot table
+// can hold before it next grows (3/4 load, plus the fast path's null group,
+// which lives outside the slots).
+func (t *groupTable) reserveGroups() {
+	n := len(t.slotGroup)*3/4 + 1
+	if t.fast {
+		if cap(t.fastVals) < n {
+			t.fastVals = append(make([]int64, 0, n), t.fastVals...)
+		}
+	} else if cap(t.keyRefs) < n {
+		t.keyRefs = append(make([]uint64, 0, n), t.keyRefs...)
+	}
+}
+
+// appendKey stores an encoded key in the arena and returns its keyRef.
+func (t *groupTable) appendKey(key []byte) uint64 {
+	t.keyBytes += len(key)
+	for ; t.cur < len(t.chunks); t.cur++ {
+		c := t.chunks[t.cur]
+		if len(c)+len(key) <= cap(c) {
+			t.chunks[t.cur] = append(c, key...)
+			return uint64(t.cur)<<32 | uint64(len(c))
+		}
+	}
+	size := max(arenaChunkMin<<min(len(t.chunks), arenaChunkDoublings), len(key))
+	t.chunks = append(t.chunks, append(make([]byte, 0, size), key...))
+	return uint64(t.cur) << 32
+}
+
+// keyFrom returns the arena bytes that start with group g's key (and run
+// on to the end of its chunk).
+func (t *groupTable) keyFrom(g uint32) []byte {
+	ref := t.keyRefs[g]
+	return t.chunks[ref>>32][uint32(ref):]
+}
+
+// keyEquals reports whether group g's key is exactly key. Both are
+// encodings under the same encoder and the encoding is prefix-free, so the
+// stored key equals key iff the arena holds key's bytes at g's position.
+func (t *groupTable) keyEquals(g uint32, key []byte) bool {
+	stored := t.keyFrom(g)
+	return len(stored) >= len(key) && bytes.Equal(stored[:len(key)], key)
 }
 
 func (t *groupTable) numGroups() int { return t.nGroups }
 
-// memUsage approximates the table's heap footprint for memory accounting.
+// memUsage is the table's heap footprint for memory accounting: the slot
+// table, the per-group arrays at their reserved capacity, and every arena
+// chunk written since the last reset.
 func (t *groupTable) memUsage() int64 {
-	return int64(len(t.arena)) +
-		int64(len(t.slotHash))*12 + // slotHash + slotGroup
-		int64(len(t.offsets))*4 +
-		int64(len(t.fastVals))*8
+	n := int64(len(t.slotHash))*12 + // slotHash + slotGroup
+		int64(cap(t.keyRefs))*8 +
+		int64(cap(t.fastVals))*8
+	for i := 0; i < len(t.chunks) && i <= t.cur; i++ {
+		n += int64(cap(t.chunks[i]))
+	}
+	return n
 }
 
 // reset clears all groups but keeps allocated capacity for reuse (early
@@ -115,8 +182,12 @@ func (t *groupTable) reset() {
 		t.slotGroup[i] = 0
 	}
 	t.nGroups = 0
-	t.arena = t.arena[:0]
-	t.offsets = t.offsets[:1]
+	for i := range t.chunks {
+		t.chunks[i] = t.chunks[i][:0]
+	}
+	t.cur = 0
+	t.keyRefs = t.keyRefs[:0]
+	t.keyBytes = 0
 	t.fastVals = t.fastVals[:0]
 	t.nullGid = -1
 }
@@ -141,11 +212,7 @@ func (t *groupTable) grow() {
 		t.slotHash[slot] = h
 		t.slotGroup[slot] = g
 	}
-}
-
-// groupKey returns the encoded key bytes of group g (generic path).
-func (t *groupTable) groupKey(g uint32) []byte {
-	return t.arena[t.offsets[g]:t.offsets[g+1]]
+	t.reserveGroups()
 }
 
 // assign maps each of the first numRows rows of the key columns to a
@@ -266,8 +333,7 @@ func (t *groupTable) assignGeneric(cols []arrow.Array, numRows int, hashes []uin
 				gid := uint32(t.nGroups)
 				t.slotHash[slot] = h
 				t.slotGroup[slot] = gid + 1
-				t.arena = append(t.arena, t.scratch...)
-				t.offsets = append(t.offsets, uint32(len(t.arena)))
+				t.keyRefs = append(t.keyRefs, t.appendKey(t.scratch))
 				t.nGroups++
 				out[i] = gid
 				break
@@ -277,7 +343,7 @@ func (t *groupTable) assignGeneric(cols []arrow.Array, numRows int, hashes []uin
 					t.scratch = t.enc.AppendRowKey(t.scratch[:0], cols, i)
 					encoded = true
 				}
-				if bytes.Equal(t.scratch, t.groupKey(g-1)) {
+				if t.keyEquals(g-1, t.scratch) {
 					out[i] = g - 1
 					break
 				}
@@ -379,7 +445,7 @@ func (t *groupTable) lookupGeneric(cols []arrow.Array, numRows int, ls *lookupSc
 					ls.scratch = t.enc.AppendRowKey(ls.scratch[:0], cols, i)
 					encoded = true
 				}
-				if bytes.Equal(ls.scratch, t.groupKey(g-1)) {
+				if t.keyEquals(g-1, ls.scratch) {
 					out[i] = int32(g - 1)
 					break
 				}
@@ -419,7 +485,7 @@ func (t *groupTable) groupColumns() ([]arrow.Array, error) {
 	if t.fast {
 		return []arrow.Array{t.fastColumn()}, nil
 	}
-	return t.enc.DecodeArena(t.arena, t.offsets[:t.nGroups+1])
+	return t.enc.DecodeKeys(t.nGroups, t.keyBytes, func(g int) []byte { return t.keyFrom(uint32(g)) })
 }
 
 func (t *groupTable) fastColumn() arrow.Array {

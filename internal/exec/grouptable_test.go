@@ -3,9 +3,11 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gofusion/internal/arrow"
+	"gofusion/internal/arrow/compute"
 	"gofusion/internal/rowformat"
 )
 
@@ -264,6 +266,119 @@ func TestGroupTableLookup(t *testing.T) {
 	}
 }
 
+// TestGroupTableChunkedArena drives the key arena across many chunk
+// boundaries, with keys of very different lengths and one larger than the
+// largest chunk: every key must round-trip through groupColumns, look up to
+// its own id, and survive reset-and-reuse of the retained chunks, with
+// memUsage never below the bytes the keys occupy.
+func TestGroupTableChunkedArena(t *testing.T) {
+	types := []*arrow.DataType{arrow.String, arrow.Int64}
+	gt, err := newGroupTable(types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 30_000
+	huge := strings.Repeat("x", arenaChunkMin<<arenaChunkDoublings+17)
+	build := func(salt int) []arrow.Array {
+		sb := arrow.NewStringBuilder(arrow.String)
+		ib := arrow.NewNumericBuilder[int64](arrow.Int64)
+		for i := 0; i < n; i++ {
+			switch {
+			case i == n/2:
+				sb.Append(huge)
+			case i%5 == 0:
+				sb.Append(strings.Repeat("k", (i+salt)%700)) // NUL-free, up to 700 bytes
+			case i%7 == 0:
+				sb.Append(fmt.Sprintf("a\x00b\x00%d", i+salt))
+			default:
+				sb.Append(fmt.Sprintf("key-%d", i+salt))
+			}
+			ib.Append(int64(i))
+		}
+		return []arrow.Array{sb.Finish(), ib.Finish()}
+	}
+	for round, salt := range []int{0, 3} {
+		cols := build(salt)
+		out := gt.assign(cols, n, nil)
+		if gt.numGroups() != n {
+			t.Fatalf("round %d: %d groups, want %d", round, gt.numGroups(), n)
+		}
+		if len(gt.chunks) < arenaChunkDoublings+2 {
+			t.Fatalf("round %d: arena has %d chunks; the test must cross every chunk size", round, len(gt.chunks))
+		}
+		for i, g := range out {
+			if g != uint32(i) {
+				t.Fatalf("round %d: row %d got group %d", round, i, g)
+			}
+		}
+		if again := gt.assign(cols, n, nil); again[n/2] != uint32(n/2) || again[n-1] != uint32(n-1) || gt.numGroups() != n {
+			t.Fatalf("round %d: re-assigning the same keys created groups or moved ids", round)
+		}
+		ids := gt.lookupInto(cols, n, &lookupScratch{}, nil)
+		for i, g := range ids {
+			if g != int32(i) {
+				t.Fatalf("round %d: lookup of row %d = %d", round, i, g)
+			}
+		}
+		decoded, err := gt.groupColumns()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range cols {
+			for i := 0; i < n; i++ {
+				if got, want := decoded[c].GetScalar(i).String(), cols[c].GetScalar(i).String(); got != want {
+					t.Fatalf("round %d: group %d column %d decoded %.40q, want %.40q", round, i, c, got, want)
+				}
+			}
+		}
+		if mem := gt.memUsage(); mem < int64(gt.keyBytes) {
+			t.Fatalf("round %d: memUsage %d below the %d key bytes held", round, mem, gt.keyBytes)
+		}
+		chunks := len(gt.chunks)
+		gt.reset()
+		if len(gt.chunks) != chunks || gt.keyBytes != 0 || gt.numGroups() != 0 {
+			t.Fatalf("round %d: reset left chunks=%d keyBytes=%d groups=%d", round, len(gt.chunks), gt.keyBytes, gt.numGroups())
+		}
+	}
+}
+
+// TestGroupTableHomeSlotsBehindExchange feeds a table only the keys a
+// two-way hash exchange routes to one output, as every final aggregate and
+// partitioned join build sees them. The exchange must not have spent the
+// hash bits the table places by: home slots of both parities are used.
+func TestGroupTableHomeSlotsBehindExchange(t *testing.T) {
+	const n = 50_000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i) * 31
+	}
+	all := []arrow.Array{arrow.NewInt64(vals)}
+	hashes := compute.HashBatch(all, n, nil)
+	var mine []int64
+	for i, h := range hashes {
+		if hashPartition(h, 2) == 0 {
+			mine = append(mine, vals[i])
+		}
+	}
+	if len(mine) < n*4/10 || len(mine) > n*6/10 {
+		t.Fatalf("output 0 of 2 got %d of %d keys", len(mine), n)
+	}
+	gt, err := newGroupTable([]*arrow.DataType{arrow.Int64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt.assign([]arrow.Array{arrow.NewInt64(mine)}, len(mine), nil)
+	odd := 0
+	for slot, g := range gt.slotGroup {
+		if g != 0 && gt.slotHash[slot]&1 == 1 {
+			odd++
+		}
+	}
+	if share := float64(odd) / float64(len(mine)); share < 0.4 || share > 0.6 {
+		t.Fatalf("%.0f%% of the keys have an odd home slot, want about half", 100*share)
+	}
+}
+
 // TestGroupTableAssignSteadyStateAllocs asserts the acceptance criterion:
 // assigning a batch of already-seen keys performs no per-row allocations.
 func TestGroupTableAssignSteadyStateAllocs(t *testing.T) {
@@ -302,7 +417,51 @@ func TestGroupTableAssignSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// benchGroupTableInsert is the final table of a high-cardinality
+// multi-column aggregation (H2O q10's shape): every row of every batch is a
+// new group of three strings and three integers, so it measures what one
+// new group costs — key encode, arena append, slot-table growth — as the
+// table grows to 262 144 groups.
+func benchGroupTableInsert(b *testing.B) {
+	const batchRows, batches = 8192, 32
+	types := []*arrow.DataType{arrow.String, arrow.String, arrow.String, arrow.Int64, arrow.Int64, arrow.Int64}
+	input := make([][]arrow.Array, batches)
+	for k := range input {
+		var sb [3]*arrow.StringBuilder
+		var ib [3]*arrow.NumericBuilder[int64]
+		for c := range sb {
+			sb[c], ib[c] = arrow.NewStringBuilder(arrow.String), arrow.NewNumericBuilder[int64](arrow.Int64)
+		}
+		for i := 0; i < batchRows; i++ {
+			row := k*batchRows + i
+			sb[0].Append(fmt.Sprintf("id%03d", row%100))
+			sb[1].Append(fmt.Sprintf("id%03d", row%97))
+			sb[2].Append(fmt.Sprintf("id%010d", row))
+			ib[0].Append(int64(row % 100))
+			ib[1].Append(int64(row % 89))
+			ib[2].Append(int64(row))
+		}
+		input[k] = []arrow.Array{sb[0].Finish(), sb[1].Finish(), sb[2].Finish(), ib[0].Finish(), ib[1].Finish(), ib[2].Finish()}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gt, err := newGroupTable(types)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out []uint32
+		for _, cols := range input {
+			out = gt.assign(cols, batchRows, out)
+		}
+		if gt.numGroups() != batchRows*batches {
+			b.Fatalf("%d groups", gt.numGroups())
+		}
+	}
+}
+
 func BenchmarkGroupTableAssign(b *testing.B) {
+	b.Run("mixed6/all-new", benchGroupTableInsert)
 	const n = 8192
 	for _, shape := range []string{"int", "str", "mixed"} {
 		for _, card := range []int{16, 4096} {

@@ -20,8 +20,9 @@ import (
 // leave already-produced batches buffered inside exchange channels, so
 // an upstream operator may have counted rows its consumer never pulled.
 // Equality is only asserted where the pull protocol guarantees it
-// (root, one-batch-in/one-batch-out operators, and join build sides
-// which always run to completion before probing).
+// (root, one-batch-in/one-batch-out operators, join build sides which
+// always run to completion before probing, and an exchange whose every
+// output was read to its end).
 func CheckPlanMetrics(plan physical.ExecutionPlan, rowsReturned int64) error {
 	root, ok := plan.(physical.MetricsProvider)
 	if !ok {
@@ -68,6 +69,29 @@ func CheckPlanMetrics(plan physical.ExecutionPlan, rowsReturned int64) error {
 				// One output row per input row, less what a top-k limit
 				// pruned (and what a limit above never pulled).
 				checkAtMost(&errs, n, s.OutputRows+s.ExtraValue("rows_pruned_topk"), op.Input)
+			case *RepartitionExec:
+				// An exchange conserves rows. It never emits more than it
+				// consumed, and exactly as many once every output was read
+				// to its end: then no consumer (a limit above, an error, a
+				// cancel) walked away from rows routed to it, and every
+				// producer has finished, so both counts are final.
+				if in, ok := childOutputRows(op.Input); ok {
+					drained := s.ExtraValue("outputs_drained") == int64(op.NumParts)
+					if s.OutputRows > in || drained && s.OutputRows < in {
+						errs = append(errs, fmt.Errorf("%s: output_rows=%d, input rows %d, outputs_drained=%d of %d",
+							n.String(), s.OutputRows, in, s.ExtraValue("outputs_drained"), op.NumParts))
+					}
+				}
+			case *HashAggregateExec:
+				// Grouping never multiplies rows (pass-through emits one row
+				// per input row); an ungrouped aggregate emits one row per
+				// partition even over empty input.
+				if len(op.GroupExprs) > 0 {
+					checkAtMost(&errs, n, s.OutputRows, op.Input)
+				} else if parts := int64(op.Partitions()); s.OutputRows > parts {
+					errs = append(errs, fmt.Errorf("%s: ungrouped aggregate output_rows=%d exceeds its %d partition(s)",
+						n.String(), s.OutputRows, parts))
+				}
 			case *HashJoinExec:
 				// The build side always runs to completion at Execute
 				// time, so build_rows must equal the left child's output.

@@ -646,16 +646,17 @@ func TestLonePartialAggEarlyFlushUnderPressure(t *testing.T) {
 	}
 }
 
-// TestLonePartialAggFlushThreshold caps the partial table at a few groups:
-// state is emitted each time the cap is reached, so no flush holds more
-// groups than the cap plus one input batch's worth, and the re-emitted
-// groups merge back to the exact result.
-func TestLonePartialAggFlushThreshold(t *testing.T) {
+// TestLonePartialAggFlushesEveryBatch gives the partial aggregate a pool
+// below the smallest table's footprint: every reservation fails, so state
+// is emitted after each input batch, no flush holds more than one batch's
+// groups, and the re-emitted groups merge back to the exact result.
+func TestLonePartialAggFlushesEveryBatch(t *testing.T) {
 	partial := sumCountByK(t, pushInput(10, 100, 40), PartialAgg, 1)
-	partial.FlushThreshold = 7
+	ctx := physical.NewExecContext()
+	ctx.Pool = memory.NewGreedyPool(512)
 
-	emitted, merged := lonePartialAgg(t, physical.NewExecContext(), partial)
-	// Every 100-row batch carries all 40 groups, crossing the cap each time.
+	emitted, merged := lonePartialAgg(t, ctx, partial)
+	// Every 100-row batch carries all 40 groups.
 	if len(emitted) != 10 {
 		t.Fatalf("emitted %d batches, want one flush per input batch (10)", len(emitted))
 	}
@@ -663,6 +664,9 @@ func TestLonePartialAggFlushThreshold(t *testing.T) {
 		if b.NumRows() != 40 {
 			t.Errorf("flush %d holds %d groups, want 40", i, b.NumRows())
 		}
+	}
+	if n := partial.Metrics().Snapshot().ExtraValue("early_flushes"); n != 10 {
+		t.Errorf("early_flushes = %d, want 10", n)
 	}
 	sameRows(t, merged, wantSumCount(1000, 40), false)
 }

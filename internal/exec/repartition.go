@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"gofusion/internal/arrow"
@@ -76,18 +77,17 @@ func (e *RepartitionExec) router(x *exchange, p int) func(*arrow.RecordBatch) er
 			return nil
 		}
 	}
-	// Hash buffer reused across batches: the same compute.HashBatch
-	// kernels drive aggregation group tables and join build/probe, so all
-	// three hash consumers agree on row hashes.
-	var hashBuf []uint64
+	// Scratch reused across this producer's batches. The same
+	// compute.HashBatch kernels drive aggregation group tables and join
+	// build/probe, so all three hash consumers agree on row hashes.
+	var sc hashScatter
 	return func(b *arrow.RecordBatch) error {
-		parts, buf, err := e.splitByHash(b, hashBuf)
-		hashBuf = buf
+		parts, err := e.splitByHash(b, &sc)
 		if err != nil {
 			return err
 		}
 		for i, pb := range parts {
-			if pb != nil && pb.NumRows() > 0 {
+			if pb != nil {
 				send(i, pb)
 			}
 		}
@@ -95,49 +95,81 @@ func (e *RepartitionExec) router(x *exchange, p int) func(*arrow.RecordBatch) er
 	}
 }
 
-func (e *RepartitionExec) splitByHash(b *arrow.RecordBatch, hashBuf []uint64) ([]*arrow.RecordBatch, []uint64, error) {
+// hashScatter is one producer's reusable scratch for splitByHash.
+type hashScatter struct {
+	hashes []uint64
+	next   []int   // per output: write cursor into idx
+	idx    []int32 // row numbers grouped by output, input order within each
+}
+
+// hashPartition maps a row hash to one of n outputs from the hash's high
+// bits (the high word of h*n). groupTable places keys by h's low bits, so a
+// choice made from the low bits — h % n — would hand every downstream table
+// hashes that agree in those bits and leave most of its home slots unused.
+func hashPartition(h uint64, n int) int {
+	hi, _ := bits.Mul64(h, uint64(n))
+	return int(hi)
+}
+
+// splitByHash scatters b's rows over NumParts outputs in one pass: a
+// counting pass over the row hashes sizes each output, a second fills
+// per-output row lists, and every column is gathered once per non-empty
+// output. out[p] is nil when no row went to p, and b itself when all did.
+func (e *RepartitionExec) splitByHash(b *arrow.RecordBatch, sc *hashScatter) ([]*arrow.RecordBatch, error) {
 	n := b.NumRows()
 	keys := make([]arrow.Array, len(e.HashExprs))
 	for i, x := range e.HashExprs {
 		a, err := physical.EvalToArray(x, b)
 		if err != nil {
-			return nil, hashBuf, err
+			return nil, err
 		}
 		keys[i] = a
 	}
-	hashes := compute.HashBatch(keys, n, hashBuf)
-	masks := make([]arrow.Bitmap, e.NumParts)
-	counts := make([]int, e.NumParts)
-	for i := range masks {
-		masks[i] = arrow.NewBitmap(n)
+	sc.hashes = compute.HashBatch(keys, n, sc.hashes)
+
+	if cap(sc.next) < e.NumParts {
+		sc.next = make([]int, e.NumParts)
 	}
-	for i, h := range hashes {
-		p := int(h % uint64(e.NumParts))
-		masks[p].Set(i)
-		counts[p]++
+	next := sc.next[:e.NumParts]
+	for p := range next {
+		next[p] = 0
+	}
+	for _, h := range sc.hashes {
+		next[hashPartition(h, e.NumParts)]++
 	}
 	out := make([]*arrow.RecordBatch, e.NumParts)
-	for p := 0; p < e.NumParts; p++ {
-		if counts[p] == 0 {
-			continue
-		}
-		if counts[p] == n {
+	start := 0
+	for p, c := range next {
+		if c == n {
 			out[p] = b
-			continue
+			return out, nil
 		}
-		mask := arrow.NewBool(masks[p], nil, n)
-		fb, err := compute.FilterBatch(b, mask)
-		if err != nil {
-			return nil, hashes, err
-		}
-		out[p] = fb
+		next[p] = start
+		start += c
 	}
-	return out, hashes, nil
+	if cap(sc.idx) < n {
+		sc.idx = make([]int32, n)
+	}
+	idx := sc.idx[:n]
+	for i, h := range sc.hashes {
+		p := hashPartition(h, e.NumParts)
+		idx[next[p]] = int32(i)
+		next[p]++
+	}
+	// next[p] is now the end of output p's row list.
+	start = 0
+	for p, end := range next {
+		if end > start {
+			out[p] = compute.TakeBatch(b, idx[start:end])
+		}
+		start = end
+	}
+	return out, nil
 }
 
 func (e *RepartitionExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
 	e.once.Do(func() {
-		e.x = startExchange(ctx, e.Input, e.NumParts, ctx.ExchangeBufferDepth(), e.router)
+		e.x = startExchange(ctx, e.Input, e.NumParts, ctx.ExchangeBufferDepth(), e.Metrics(), e.router)
 	})
 	return physical.InstrumentStream(e.x.stream(ctx, e.Schema(), partition), e.Metrics()), nil
 }

@@ -59,6 +59,9 @@ type chanStream struct {
 	ch     <-chan batchOrErr
 	stop   func()
 	done   bool
+	// drained is bumped when the channel is read to its close without a
+	// cancel: the consumer saw everything the producers sent.
+	drained *physical.Counter
 }
 
 func (s *chanStream) Schema() *arrow.Schema { return s.schema }
@@ -74,6 +77,7 @@ func (s *chanStream) Next() (*arrow.RecordBatch, error) {
 		if err := checkCancel(s.ctx); err != nil {
 			return nil, err
 		}
+		s.drained.Add(1)
 		return nil, io.EOF
 	}
 	if be.err != nil {

@@ -101,7 +101,7 @@ func BenchmarkDecodeKeys(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enc.DecodeArena(arena, offsets); err != nil {
+		if _, err := enc.DecodeKeys(n, len(arena), func(i int) []byte { return arena[offsets[i]:] }); err != nil {
 			b.Fatal(err)
 		}
 	}

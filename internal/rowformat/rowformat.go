@@ -185,26 +185,23 @@ func appendEscapedBytes(dst, v []byte) []byte {
 // materialize group keys at aggregation output time and to verify the
 // encoding in tests.
 func (e *Encoder) DecodeRows(keys [][]byte) ([]arrow.Array, error) {
-	decs := e.newDecoders()
-	for _, key := range keys {
-		if err := decodeKey(decs, key); err != nil {
-			return nil, err
-		}
+	total := 0
+	for _, k := range keys {
+		total += len(k)
 	}
-	return finishDecoders(decs), nil
+	return e.DecodeKeys(len(keys), total, func(i int) []byte { return keys[i] })
 }
 
-// DecodeArena reconstructs column arrays from keys packed back-to-back in
-// one arena; offsets has one entry per key plus a trailing end offset.
-// This is the zero-copy dual of an append-only key arena: no per-key slice
-// headers are materialized.
-func (e *Encoder) DecodeArena(arena []byte, offsets []uint32) ([]arrow.Array, error) {
-	if len(offsets) == 0 {
-		return nil, fmt.Errorf("rowformat: arena offsets must include the end offset")
-	}
-	decs := e.newDecoders()
-	for k := 0; k+1 < len(offsets); k++ {
-		if err := decodeKey(decs, arena[offsets[k]:offsets[k+1]]); err != nil {
+// DecodeKeys reconstructs column arrays from n encoded keys. key(i)
+// returns bytes that begin with key i and may run on past its end: a key
+// is self-delimiting (every column is a marker byte plus a fixed width or
+// a terminated string), so an arena that packs keys back-to-back needs no
+// per-key lengths or slice headers. keyBytes is the keys' total encoded
+// size; with n it sizes the builders once instead of regrowing them.
+func (e *Encoder) DecodeKeys(n, keyBytes int, key func(i int) []byte) ([]arrow.Array, error) {
+	decs := e.newDecoders(n, keyBytes)
+	for i := 0; i < n; i++ {
+		if err := decodeKey(decs, key(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -220,10 +217,31 @@ type colDecoder struct {
 	value func(key []byte, pos int) (int, error)
 }
 
-func (e *Encoder) newDecoders() []colDecoder {
+// newDecoders builds one decoder per column with builders reserved for n
+// keys of keyBytes total. What the fixed-width columns, markers and string
+// terminators do not account for is string payload, split evenly between
+// the string columns (a skewed split regrows one of them once).
+func (e *Encoder) newDecoders(n, keyBytes int) []colDecoder {
+	strCols, fixed := 0, 0
+	for _, t := range e.types {
+		if w := t.BitWidth(); w > 0 {
+			fixed += 1 + w/8
+		} else {
+			strCols++
+			fixed += 3
+		}
+	}
+	strBytes := 0
+	if strCols > 0 {
+		strBytes = max(keyBytes-n*fixed, 0) / strCols
+	}
 	decs := make([]colDecoder, len(e.types))
 	for c, t := range e.types {
 		b := arrow.NewBuilder(t)
+		b.Reserve(n)
+		if sb, ok := b.(*arrow.StringBuilder); ok {
+			sb.ReserveData(strBytes)
+		}
 		decs[c] = colDecoder{builder: b, value: valueDecoder(b, t, e.opts[c].Descending)}
 	}
 	return decs
