@@ -167,11 +167,19 @@ func Arith(op ArithOp, a, b arrow.Array) (arrow.Array, error) {
 }
 
 // ArithScalar evaluates `a op s` (or `s op a` when scalarLeft) with a
-// broadcast scalar operand.
+// broadcast scalar operand. An integer array narrower than an Int64 scalar
+// is widened value by value inside the loop, so the planner need not cast
+// the column first (one temporary array per use of it); the result is what
+// cast-then-op gives, wrapping mod 2^64.
 func ArithScalar(op ArithOp, a arrow.Array, s arrow.Scalar, scalarLeft bool) (arrow.Array, error) {
 	n := a.Len()
+	widen := s.Type.ID == arrow.INT64 && a.DataType().IsInteger() && a.DataType().BitWidth() < 64
 	if s.Null {
-		b := arrow.NewBuilder(resultType(op, a.DataType(), s.Type))
+		t := resultType(op, a.DataType(), s.Type)
+		if widen {
+			t = s.Type
+		}
+		b := arrow.NewBuilder(t)
 		for i := 0; i < n; i++ {
 			b.AppendNull()
 		}
@@ -184,25 +192,28 @@ func ArithScalar(op ArithOp, a arrow.Array, s arrow.Scalar, scalarLeft bool) (ar
 		ta, tb = a.DataType(), s.Type
 	}
 	out := resultType(op, ta, tb)
+	if widen {
+		out = s.Type
+	}
 	valid := a.Validity().Clone()
 	switch physicalKind(a.DataType()) {
 	case kindI8:
-		return scalarArith(op, a.(*arrow.Int8Array), int8(s.AsInt64()), scalarLeft, out, valid, true)
+		return intScalarArith(op, a.(*arrow.Int8Array), s, widen, scalarLeft, out, valid)
 	case kindI16:
-		return scalarArith(op, a.(*arrow.Int16Array), int16(s.AsInt64()), scalarLeft, out, valid, true)
+		return intScalarArith(op, a.(*arrow.Int16Array), s, widen, scalarLeft, out, valid)
 	case kindI32:
-		return scalarArith(op, a.(*arrow.Int32Array), int32(s.AsInt64()), scalarLeft, out, valid, true)
+		return intScalarArith(op, a.(*arrow.Int32Array), s, widen, scalarLeft, out, valid)
 	case kindI64:
 		if a.DataType().ID == arrow.DECIMAL && op == Div {
 			return nil, fmt.Errorf("compute: decimal division must be rewritten to float division")
 		}
 		return scalarArith(op, a.(*arrow.Int64Array), s.AsInt64(), scalarLeft, out, valid, true)
 	case kindU8:
-		return scalarArith(op, a.(*arrow.Uint8Array), uint8(s.AsInt64()), scalarLeft, out, valid, true)
+		return intScalarArith(op, a.(*arrow.Uint8Array), s, widen, scalarLeft, out, valid)
 	case kindU16:
-		return scalarArith(op, a.(*arrow.Uint16Array), uint16(s.AsInt64()), scalarLeft, out, valid, true)
+		return intScalarArith(op, a.(*arrow.Uint16Array), s, widen, scalarLeft, out, valid)
 	case kindU32:
-		return scalarArith(op, a.(*arrow.Uint32Array), uint32(s.AsInt64()), scalarLeft, out, valid, true)
+		return intScalarArith(op, a.(*arrow.Uint32Array), s, widen, scalarLeft, out, valid)
 	case kindU64:
 		return scalarArith(op, a.(*arrow.Uint64Array), uint64(s.AsInt64()), scalarLeft, out, valid, true)
 	case kindF32:
@@ -213,10 +224,20 @@ func ArithScalar(op ArithOp, a arrow.Array, s arrow.Scalar, scalarLeft bool) (ar
 	return nil, fmt.Errorf("compute: scalar arithmetic unsupported for %s", a.DataType())
 }
 
-func scalarArith[T arithNum](op ArithOp, a *arrow.NumericArray[T], s T, scalarLeft bool, out *arrow.DataType, valid arrow.Bitmap, isInt bool) (arrow.Array, error) {
+// intScalarArith computes in int64 when widening and in the array's own
+// type otherwise.
+func intScalarArith[T arithNum](op ArithOp, a *arrow.NumericArray[T], s arrow.Scalar, widen, scalarLeft bool, out *arrow.DataType, valid arrow.Bitmap) (arrow.Array, error) {
+	if widen {
+		return scalarArith(op, a, s.AsInt64(), scalarLeft, out, valid, true)
+	}
+	return scalarArith(op, a, T(s.AsInt64()), scalarLeft, out, valid, true)
+}
+
+// scalarArith applies op between each value of a, converted to R, and s.
+func scalarArith[T, R arithNum](op ArithOp, a *arrow.NumericArray[T], s R, scalarLeft bool, out *arrow.DataType, valid arrow.Bitmap, isInt bool) (arrow.Array, error) {
 	av := a.Values()
-	res := make([]T, len(av))
-	apply := func(x, y T) (T, error) {
+	res := make([]R, len(av))
+	apply := func(x, y R) (R, error) {
 		switch op {
 		case Add:
 			return x + y, nil
@@ -243,28 +264,28 @@ func scalarArith[T arithNum](op ArithOp, a *arrow.NumericArray[T], s T, scalarLe
 	switch {
 	case op == Add && !scalarLeft:
 		for i, v := range av {
-			res[i] = v + s
+			res[i] = R(v) + s
 		}
 	case op == Mul && !scalarLeft:
 		for i, v := range av {
-			res[i] = v * s
+			res[i] = R(v) * s
 		}
 	case op == Sub && !scalarLeft:
 		for i, v := range av {
-			res[i] = v - s
+			res[i] = R(v) - s
 		}
 	case op == Sub && scalarLeft:
 		for i, v := range av {
-			res[i] = s - v
+			res[i] = s - R(v)
 		}
 	default:
 		for i, v := range av {
 			if valid != nil && !valid.Get(i) {
 				continue
 			}
-			x, y := v, s
+			x, y := R(v), s
 			if scalarLeft {
-				x, y = s, v
+				x, y = y, x
 			}
 			r, err := apply(x, y)
 			if err != nil {

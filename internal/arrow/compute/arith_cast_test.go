@@ -239,3 +239,42 @@ func TestCastScalar(t *testing.T) {
 		t.Fatal("null scalar cast must stay null")
 	}
 }
+
+// A narrow integer array under an Int64 scalar computes in Int64, also when
+// the scalar is NULL (an all-null Int64 array, not one of the array's type).
+func TestArithScalarWidensNarrowIntegers(t *testing.T) {
+	b := arrow.NewNumericBuilder[int16](arrow.Int16)
+	b.Append(32767)
+	b.AppendNull()
+	a := b.Finish()
+	out, err := ArithScalar(Add, a, arrow.NewScalar(arrow.Int64, int64(1)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := out.(*arrow.Int64Array)
+	if !ok || got.Value(0) != 32768 || !got.IsNull(1) {
+		t.Fatalf("int16(32767) + int64(1) = %v", out)
+	}
+	out, err = ArithScalar(Sub, a, arrow.NewScalar(arrow.Int64, int64(-1)), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := out.(*arrow.Int64Array); !ok || got.Value(0) != -32768 {
+		t.Fatalf("int64(-1) - int16(32767) = %v", out)
+	}
+	out, err = ArithScalar(Mul, a, arrow.NullScalar(arrow.Int64), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.DataType().Equal(arrow.Int64) || out.NullCount() != 2 {
+		t.Fatalf("int16 * NULL::int64 = %v of %s", out, out.DataType())
+	}
+	// Same-width operands still compute (and wrap) in their own type.
+	out, err = ArithScalar(Add, a, arrow.NewScalar(arrow.Int16, int16(1)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := out.(*arrow.Int16Array); !ok || got.Value(0) != -32768 {
+		t.Fatalf("int16(32767) + int16(1) = %v", out)
+	}
+}

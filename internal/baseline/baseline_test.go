@@ -5,6 +5,7 @@ import (
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/core"
+	"gofusion/internal/logical"
 	"gofusion/internal/testutil"
 	"gofusion/internal/workload/clickbench"
 	"gofusion/internal/workload/h2o"
@@ -161,6 +162,61 @@ func TestH2OEnginesAgree(t *testing.T) {
 		}
 		if diff := testutil.DiffBatches(got, want); diff != "" {
 			t.Fatalf("q%d: engines disagree (%d vs %d rows):\n%s", n, got.NumRows(), want.NumRows(), diff)
+		}
+	}
+}
+
+// TestCountDistinctStaysOneAggregate: the main engine's physical planner
+// runs a lone count(DISTINCT e) as GROUP BY (keys, e) under GROUP BY keys.
+// TightDB is the oracle for those statements, so it must keep executing
+// them the other way — one Aggregate node holding the DISTINCT call, fed to
+// the count_distinct accumulator — which holds as long as the shared
+// logical optimizer does not do that rewrite.
+func TestCountDistinctStaysOneAggregate(t *testing.T) {
+	e := New(2)
+	e.RegisterBatches("hits", clickbench.Schema(), nil)
+	for _, name := range []string{"part", "partsupp", "supplier"} {
+		schema, err := tpch.Schema(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.RegisterBatches(name, schema, nil)
+	}
+	cb := clickbench.Queries()
+	q16, err := tpch.Query(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{cb[5], cb[6], cb[9], cb[11], cb[12], cb[14], q16} {
+		plan, err := e.plan(query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		distinctCalls := 0
+		logical.VisitPlan(plan, func(p logical.Plan) bool {
+			switch n := p.(type) {
+			case *logical.Distinct:
+				t.Errorf("%s: plan de-duplicates in a node of its own:\n%s", query, logical.Explain(plan))
+			case *logical.Aggregate:
+				if len(n.AggExprs) == 0 {
+					t.Errorf("%s: plan has an aggregate-free group-by:\n%s", query, logical.Explain(plan))
+				}
+				for _, a := range n.AggExprs {
+					logical.VisitExpr(a, func(x logical.Expr) bool {
+						if f, ok := x.(*logical.AggFunc); ok && f.Distinct {
+							distinctCalls++
+						}
+						return true
+					})
+				}
+			}
+			return true
+		})
+		if distinctCalls != 1 {
+			t.Errorf("%s: %d DISTINCT aggregate calls in the optimized plan, want 1", query, distinctCalls)
+		}
+		if _, err := e.Query(query); err != nil {
+			t.Errorf("%s: %v", query, err)
 		}
 	}
 }

@@ -94,20 +94,7 @@ func (e *Engine) resolve(name string) (logical.TableSource, error) {
 // Query parses, plans, optimizes, and executes a SQL query, returning the
 // concatenated result.
 func (e *Engine) Query(query string) (*arrow.RecordBatch, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("baseline: only queries are supported")
-	}
-	pl := planner.New(e.resolve, e.reg)
-	plan, err := pl.PlanQuery(sel)
-	if err != nil {
-		return nil, err
-	}
-	plan, err = e.opt.Optimize(plan)
+	plan, err := e.plan(query)
 	if err != nil {
 		return nil, err
 	}
@@ -116,4 +103,24 @@ func (e *Engine) Query(query string) (*arrow.RecordBatch, error) {
 		return nil, err
 	}
 	return compute.ConcatBatches(plan.Schema().ToArrow(), batches)
+}
+
+// plan is the front half shared with the main engine: parse, plan and the
+// logical optimizer. What execute is handed is what the main engine's
+// physical planner is handed, so a rewrite done there (a lone
+// count(DISTINCT) as a nested group-by) never reaches TightDB.
+func (e *Engine) plan(query string) (logical.Plan, error) {
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sql.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("baseline: only queries are supported")
+	}
+	plan, err := planner.New(e.resolve, e.reg).PlanQuery(sel)
+	if err != nil {
+		return nil, err
+	}
+	return e.opt.Optimize(plan)
 }

@@ -115,16 +115,27 @@ func (e *HashAggregateExec) String() string {
 	for i, g := range e.GroupExprs {
 		gs[i] = g.String()
 	}
-	as := make([]string, len(e.Aggs))
-	for i, a := range e.Aggs {
-		as[i] = a.Name
-	}
 	ordered := ""
 	if e.InputOrdered {
 		ordered = " ordered"
 	}
 	return fmt.Sprintf("HashAggregateExec: mode=%s%s gby=[%s] aggr=[%s]",
-		modes[e.Mode], ordered, strings.Join(gs, ", "), strings.Join(as, ", "))
+		modes[e.Mode], ordered, strings.Join(gs, ", "), aggList(e.Aggs))
+}
+
+// aggList renders aggregates by output name, adding the accumulator that
+// runs when the name does not already say it: "total (sum)", or
+// "count(DISTINCT x) (count_distinct)" where that accumulator and not a
+// nested group-by does the counting.
+func aggList(aggs []AggSpec) string {
+	as := make([]string, len(aggs))
+	for i, a := range aggs {
+		as[i] = a.Name
+		if !strings.HasPrefix(a.Name, a.Fn.Name+"(") {
+			as[i] += " (" + a.Fn.Name + ")"
+		}
+	}
+	return strings.Join(as, ", ")
 }
 func (e *HashAggregateExec) WithChildren(ch []physical.ExecutionPlan) (physical.ExecutionPlan, error) {
 	c, err := oneChild(ch)

@@ -678,6 +678,23 @@ func TestStreamingAggregateOrderedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, got, []string{"1|30|", "2|120|", "3|60|"}, false)
+
+	// DISTINCT is planned by the same helper, so it streams over sorted
+	// input too (an aggregation with no aggregates).
+	plan, err = logical.NewBuilder(testReg).Scan("t", mt).Project(logical.Col("g")).Distinct().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp, err = CreatePhysicalPlan(plan, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if agg, ok := pp.(*HashAggregateExec); !ok || !agg.InputOrdered || len(agg.Aggs) != 0 {
+		t.Fatalf("expected ordered de-duplication:\n%s", ExplainPhysical(pp))
+	}
+	if got, err = CollectBatch(ctx, pp); err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, got, []string{"1|", "2|", "3|"}, false)
 }
 
 func TestValuesAndEmptyRelation(t *testing.T) {

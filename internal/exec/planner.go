@@ -326,6 +326,67 @@ func orderingCoversGroups(ordering []physical.SortField, groups []physical.Physi
 	return true
 }
 
+// groupBy plans `GROUP BY groupExprs` computing specs over a bounded input:
+// one single-phase aggregate on one partition, otherwise the two-phase chain
+// (paper Section 6.3) of a partial aggregate per input partition, a hash
+// exchange on the group keys (a coalesce when there are none) and the final
+// merge. Every grouped shape the planner produces is built here.
+func (cfg *PlannerConfig) groupBy(input physical.ExecutionPlan, groupExprs []physical.PhysicalExpr,
+	groupNames []string, specs []AggSpec) physical.ExecutionPlan {
+	mode := PartialAgg
+	if input.Partitions() == 1 {
+		mode = SingleAgg
+	}
+	first := NewHashAggregateExec(input, mode, groupExprs, groupNames, specs)
+	first.InputOrdered = orderingCoversGroups(input.OutputOrdering(), groupExprs)
+	if mode == SingleAgg {
+		return first
+	}
+	// The final phase reads the partial output by position: group columns
+	// first, then each aggregate's state columns.
+	finalGroups := outputColumns(first, len(groupExprs))
+	finalSpecs := make([]AggSpec, len(specs))
+	for i, s := range specs {
+		finalSpecs[i] = AggSpec{Fn: s.Fn, Name: s.Name, ArgTypes: s.ArgTypes,
+			OutType: s.OutType, StateTypes: s.StateTypes}
+	}
+	var mid physical.ExecutionPlan
+	if len(groupExprs) == 0 {
+		mid = &CoalescePartitionsExec{Input: first}
+	} else {
+		mid = &RepartitionExec{Input: first, Scheme: HashPartitioning,
+			HashExprs: finalGroups, NumParts: cfg.TargetPartitions}
+	}
+	return NewHashAggregateExec(mid, FinalAgg, finalGroups, groupNames, finalSpecs)
+}
+
+// outputColumns references the first n output columns of plan by position.
+func outputColumns(plan physical.ExecutionPlan, n int) []physical.PhysicalExpr {
+	cols := make([]physical.PhysicalExpr, n)
+	for i := range cols {
+		f := plan.Schema().Field(i)
+		cols[i] = physical.NewColumnExpr(i, f.Name, f.Type)
+	}
+	return cols
+}
+
+// soleDistinctArg returns e when every aggregate of node is an unfiltered
+// count(DISTINCT e) over one and the same e, and nil otherwise.
+func soleDistinctArg(node *logical.Aggregate) logical.Expr {
+	var arg logical.Expr
+	for _, e := range node.AggExprs {
+		call, err := aggCall(e)
+		if err != nil || call.Name != "count" || !call.Distinct || call.Filter != nil || len(call.Args) != 1 {
+			return nil
+		}
+		if arg != nil && !logical.ExprEqual(arg, call.Args[0]) {
+			return nil
+		}
+		arg = call.Args[0]
+	}
+	return arg
+}
+
 func (cfg *PlannerConfig) planAggregate(node *logical.Aggregate) (physical.ExecutionPlan, error) {
 	input, err := cfg.create(node.Input)
 	if err != nil {
@@ -340,51 +401,44 @@ func (cfg *PlannerConfig) planAggregate(node *logical.Aggregate) (physical.Execu
 		}
 		groupExprs[i] = pg
 	}
-	groupNames := make([]string, len(node.GroupExprs))
-	for i := range node.GroupExprs {
-		groupNames[i] = node.Schema().Field(i).Name
+	outNames := make([]string, node.Schema().Len())
+	for i, f := range node.Schema().Fields() {
+		outNames[i] = f.Name
 	}
+	groupNames, aggNames := outNames[:len(groupExprs)], outNames[len(groupExprs):]
+
+	// A lone count(DISTINCT e) is two ordinary group-bys (DESIGN.md §6,
+	// "Distinct aggregates"): de-duplicate on (keys, e), then count e per
+	// keys. Anything else keeps the count_distinct accumulator.
+	if arg := soleDistinctArg(node); arg != nil && !IsUnbounded(input) {
+		pe, err := comp.Compile(arg)
+		if err != nil {
+			return nil, err
+		}
+		count, ok := cfg.Reg.Agg("count")
+		if !ok {
+			return nil, fmt.Errorf("exec: unknown aggregate function %q", "count")
+		}
+		k := len(groupExprs)
+		inner := cfg.groupBy(input, append(groupExprs[:k:k], pe), append(groupNames[:k:k], arg.String()), nil)
+		cols := outputColumns(inner, k+1)
+		specs := make([]AggSpec, len(aggNames))
+		for i, name := range aggNames {
+			if specs[i], err = NewAggSpec(count, name, cols[k:], nil); err != nil {
+				return nil, err
+			}
+		}
+		return cfg.groupBy(inner, cols[:k], groupNames, specs), nil
+	}
+
 	specs, err := cfg.buildAggSpecs(node, comp)
 	if err != nil {
 		return nil, err
 	}
-
 	if IsUnbounded(input) {
 		return cfg.planStreamingAggregate(input, groupExprs, groupNames, specs)
 	}
-
-	ordered := orderingCoversGroups(input.OutputOrdering(), groupExprs)
-
-	if input.Partitions() == 1 {
-		single := NewHashAggregateExec(input, SingleAgg, groupExprs, groupNames, specs)
-		single.InputOrdered = ordered
-		return single, nil
-	}
-
-	// Two-phase: partial per input partition, hash repartition on group
-	// keys, final merge.
-	partial := NewHashAggregateExec(input, PartialAgg, groupExprs, groupNames, specs)
-	partial.InputOrdered = ordered
-
-	// Final-phase group exprs reference the partial output by position.
-	finalGroups := make([]physical.PhysicalExpr, len(groupExprs))
-	for i, g := range groupExprs {
-		finalGroups[i] = physical.NewColumnExpr(i, groupNames[i], g.DataType())
-	}
-	finalSpecs := make([]AggSpec, len(specs))
-	for i, s := range specs {
-		finalSpecs[i] = AggSpec{Fn: s.Fn, Name: s.Name, ArgTypes: s.ArgTypes,
-			OutType: s.OutType, StateTypes: s.StateTypes}
-	}
-
-	var mid physical.ExecutionPlan = partial
-	if len(groupExprs) == 0 {
-		mid = &CoalescePartitionsExec{Input: mid}
-	} else {
-		mid = &RepartitionExec{Input: mid, Scheme: HashPartitioning,
-			HashExprs: finalGroups, NumParts: cfg.TargetPartitions}
-	}
-	return NewHashAggregateExec(mid, FinalAgg, finalGroups, groupNames, finalSpecs), nil
+	return cfg.groupBy(input, groupExprs, groupNames, specs), nil
 }
 
 // planStreamingAggregate routes a grouped aggregation over an unbounded
@@ -416,11 +470,9 @@ func (cfg *PlannerConfig) planStreamingAggregate(input physical.ExecutionPlan,
 }
 
 func (cfg *PlannerConfig) planDistinct(node *logical.Distinct, input physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-	schema := node.Schema()
-	groupExprs := make([]physical.PhysicalExpr, schema.Len())
-	groupNames := make([]string, schema.Len())
-	for i, f := range schema.Fields() {
-		groupExprs[i] = physical.NewColumnExpr(i, f.Name, f.Type)
+	groupExprs := outputColumns(input, node.Schema().Len())
+	groupNames := make([]string, len(groupExprs))
+	for i, f := range node.Schema().Fields() {
 		groupNames[i] = f.Name
 	}
 	if IsUnbounded(input) {
@@ -428,13 +480,7 @@ func (cfg *PlannerConfig) planDistinct(node *logical.Distinct, input physical.Ex
 		// columns: de-duplication then partitions by event time.
 		return cfg.planStreamingAggregate(input, groupExprs, groupNames, nil)
 	}
-	if input.Partitions() == 1 {
-		return NewHashAggregateExec(input, SingleAgg, groupExprs, groupNames, nil), nil
-	}
-	partial := NewHashAggregateExec(input, PartialAgg, groupExprs, groupNames, nil)
-	rep := &RepartitionExec{Input: partial, Scheme: HashPartitioning,
-		HashExprs: groupExprs, NumParts: cfg.TargetPartitions}
-	return NewHashAggregateExec(rep, FinalAgg, groupExprs, groupNames, nil), nil
+	return cfg.groupBy(input, groupExprs, groupNames, nil), nil
 }
 
 func (cfg *PlannerConfig) planSort(node *logical.Sort) (physical.ExecutionPlan, error) {

@@ -75,13 +75,9 @@ func (e *WatermarkAggExec) String() string {
 	for i, g := range e.helper.GroupExprs {
 		groups[i] = g.String()
 	}
-	aggs := make([]string, len(e.helper.Aggs))
-	for i, a := range e.helper.Aggs {
-		aggs[i] = a.Name
-	}
 	return fmt.Sprintf("WatermarkAggExec: wm=%s lateness=%d gby=[%s] aggr=[%s]",
 		e.helper.GroupNames[e.WatermarkPos], e.Lateness,
-		strings.Join(groups, ", "), strings.Join(aggs, ", "))
+		strings.Join(groups, ", "), aggList(e.helper.Aggs))
 }
 
 // wmBucket is the aggregation state for one event-time value.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"gofusion/internal/arrow"
+	"gofusion/internal/rowformat"
 )
 
 // GroupsAccumulator is the vectorized grouped-aggregation contract (the
@@ -81,7 +82,11 @@ func registerAggregates(r *Registry) {
 			if len(args) != 1 {
 				return nil, fmt.Errorf("count(DISTINCT) takes 1 argument")
 			}
-			return &distinctAcc{argType: args[0], countOnly: true}, nil
+			enc, err := rowformat.NewEncoder(args, nil)
+			if err != nil {
+				return nil, fmt.Errorf("count(DISTINCT): %w", err)
+			}
+			return &distinctAcc{enc: enc, seen: map[string]struct{}{}}, nil
 		},
 	})
 	r.RegisterAgg(&AggFunc{

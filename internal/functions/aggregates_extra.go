@@ -1,11 +1,14 @@
 package functions
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gofusion/internal/arrow"
+	"gofusion/internal/rowformat"
 )
 
 // minMaxAcc tracks per-group minimum or maximum for any comparable type.
@@ -488,84 +491,76 @@ func (m *medianAcc) Evaluate() (arrow.Array, error) {
 	return arrow.NewNumeric(arrow.Float64, out, valid), nil
 }
 
-// distinctAcc implements COUNT(DISTINCT x) with exact sets keyed by the
-// value's normalized encoding.
+// distinctAcc implements COUNT(DISTINCT x) as one exact set of (group,
+// value) members: the 4-byte group id followed by the value's rowformat key,
+// the normalization GROUP BY uses, so the two agree on which values are
+// equal. A lone count(DISTINCT) plans as a nested group-by (DESIGN.md §6).
 type distinctAcc struct {
-	argType   *arrow.DataType
-	countOnly bool
-	sets      []map[string]arrow.Scalar
+	enc    *rowformat.Encoder
+	seen   map[string]struct{}
+	counts []int64 // members per group
+	key    []byte  // scratch for one member
 }
 
-func (d *distinctAcc) ensure(n int) {
-	d.sets = growTo(d.sets, n)
-}
-
-func (d *distinctAcc) add(g uint32, key string, val arrow.Scalar) {
-	if d.sets[g] == nil {
-		d.sets[g] = make(map[string]arrow.Scalar, 4)
+// add puts row of the one-column vals into g's set; NULL is never a member.
+func (d *distinctAcc) add(g uint32, vals []arrow.Array, row int) {
+	if vals[0].IsNull(row) {
+		return
 	}
-	if _, ok := d.sets[g][key]; !ok {
-		d.sets[g][key] = val
+	d.key = binary.BigEndian.AppendUint32(d.key[:0], g)
+	d.key = d.enc.AppendRowKey(d.key, vals, row)
+	if _, ok := d.seen[string(d.key)]; !ok {
+		d.seen[string(d.key)] = struct{}{}
+		d.counts[g]++
 	}
 }
 
 func (d *distinctAcc) Update(args []arrow.Array, groupIdx []uint32, numGroups int) error {
-	d.ensure(numGroups)
-	a := args[0]
-	switch arr := a.(type) {
-	case *arrow.StringArray:
-		for i, g := range groupIdx {
-			if arr.IsNull(i) {
-				continue
-			}
-			v := string(arr.ValueBytes(i))
-			d.add(g, v, arrow.NewScalar(d.argType, v))
-		}
-	default:
-		for i, g := range groupIdx {
-			if a.IsNull(i) {
-				continue
-			}
-			s := a.GetScalar(i)
-			d.add(g, s.String(), s)
-		}
+	d.counts = growTo(d.counts, numGroups)
+	for i, g := range groupIdx {
+		d.add(g, args[:1], i)
 	}
 	return nil
 }
 
 func (d *distinctAcc) MergeStates(states []arrow.Array, groupIdx []uint32, numGroups int) error {
-	d.ensure(numGroups)
+	d.counts = growTo(d.counts, numGroups)
 	la := states[0].(*arrow.ListArray)
+	vals, offsets := []arrow.Array{la.Values()}, la.Offsets()
 	for i, g := range groupIdx {
-		if la.IsNull(i) {
-			continue
-		}
-		vals := la.ValueArray(i)
-		for j := 0; j < vals.Len(); j++ {
-			s := vals.GetScalar(j)
-			d.add(g, s.String(), s)
+		if la.IsValid(i) {
+			for row := offsets[i]; row < offsets[i+1]; row++ {
+				d.add(g, vals, int(row))
+			}
 		}
 	}
 	return nil
 }
 
+// State lists each group's values: counts says which rows of the value
+// column are whose, and starts[row] finds the key that decodes to row.
 func (d *distinctAcc) State() ([]arrow.Array, error) {
-	lb := arrow.NewListBuilder(d.argType)
-	for _, set := range d.sets {
-		for _, v := range set {
-			lb.Child().AppendScalar(v)
-		}
-		lb.CloseList()
+	offsets := make([]int32, len(d.counts)+1)
+	for g, c := range d.counts {
+		offsets[g+1] = offsets[g] + int32(c)
 	}
-	return []arrow.Array{lb.Finish()}, nil
+	next, starts := slices.Clone(offsets), make([]int, len(d.seen))
+	var arena []byte
+	for member := range d.seen {
+		g := binary.BigEndian.Uint32([]byte(member[:4]))
+		starts[next[g]] = len(arena)
+		next[g]++
+		arena = append(arena, member[4:]...)
+	}
+	vals, err := d.enc.DecodeKeys(len(starts), len(arena), func(row int) []byte { return arena[starts[row]:] })
+	if err != nil {
+		return nil, err
+	}
+	return []arrow.Array{arrow.NewList(d.enc.Types()[0], offsets, vals[0], nil)}, nil
 }
 
 func (d *distinctAcc) Evaluate() (arrow.Array, error) {
-	out := make([]int64, len(d.sets))
-	for g, set := range d.sets {
-		out[g] = int64(len(set))
-	}
-	return arrow.NewInt64(out), nil
+	return arrow.NewInt64(slices.Clone(d.counts)), nil
 }
 
 // firstLastAcc keeps the first or last non-null value per group in arrival

@@ -2,6 +2,8 @@ package functions
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -276,6 +278,57 @@ func TestCountDistinct(t *testing.T) {
 	c := accumulate(t, r, "count_distinct", []arrow.Array{vals}, groups, 2).(*arrow.Int64Array)
 	if c.Value(0) != 2 || c.Value(1) != 1 {
 		t.Fatal("count distinct wrong")
+	}
+
+	// State lists each group's values once, NULLs excluded, strings with
+	// empties and embedded NULs intact; merging it elsewhere (overlapping,
+	// and into swapped groups) counts the union.
+	f, _ := r.Agg("count_distinct")
+	sb := arrow.NewStringBuilder(arrow.String)
+	for _, v := range []string{"", "a\x00b", "a", "", "a\x00"} {
+		sb.Append(v)
+	}
+	sb.AppendNull()
+	part, err := f.NewAccumulator([]*arrow.DataType{arrow.String})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := part.Update([]arrow.Array{sb.Finish()}, []uint32{0, 0, 0, 1, 1, 2}, 3); err != nil {
+		t.Fatal(err)
+	}
+	states, err := part.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	la := states[0].(*arrow.ListArray)
+	var listed [][]string
+	for g := 0; g < la.Len(); g++ {
+		vals := la.ValueArray(g).(*arrow.StringArray)
+		var vs []string
+		for i := 0; i < vals.Len(); i++ {
+			vs = append(vs, vals.Value(i))
+		}
+		sort.Strings(vs)
+		listed = append(listed, vs)
+	}
+	if want := [][]string{{"", "a", "a\x00b"}, {"", "a\x00"}, nil}; !reflect.DeepEqual(listed, want) {
+		t.Fatalf("state lists %q, want %q", listed, want)
+	}
+	final, _ := f.NewAccumulator([]*arrow.DataType{arrow.String})
+	if err := final.Update([]arrow.Array{arrow.NewStringFromSlice([]string{"a", "z"})}, []uint32{0, 0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := final.MergeStates(states, []uint32{1, 0, 0}, 2); err != nil {
+		t.Fatal(err)
+	}
+	out, _ := final.Evaluate()
+	if got := out.(*arrow.Int64Array).Values(); !reflect.DeepEqual(got, []int64{4, 3}) {
+		t.Fatalf("merged counts %v, want [4 3]", got)
+	}
+
+	// Keys are GROUP BY's: a type grouping rejects is rejected here too.
+	if _, err := f.NewAccumulator([]*arrow.DataType{arrow.ListOf(arrow.Int64)}); err == nil {
+		t.Fatal("count(DISTINCT list) must be rejected when the accumulator is built")
 	}
 }
 

@@ -162,14 +162,18 @@ func (c *Case) With(kids []Expr) Expr {
 
 // Agg is an aggregate call; Star means count(*).
 type Agg struct {
-	Fn   string // "sum", "min", "max", "avg", "count"
-	Arg  Expr   // nil iff Star
-	Star bool
+	Fn       string // "sum", "min", "max", "avg", "count"
+	Arg      Expr   // nil iff Star
+	Star     bool
+	Distinct bool // count(DISTINCT arg)
 }
 
 func (a *Agg) SQL() string {
-	if a.Star {
+	switch {
+	case a.Star:
 		return "count(*)"
+	case a.Distinct:
+		return a.Fn + "(DISTINCT " + a.Arg.SQL() + ")"
 	}
 	return a.Fn + "(" + a.Arg.SQL() + ")"
 }
@@ -193,7 +197,7 @@ func (a *Agg) With(kids []Expr) Expr {
 	if a.Star {
 		return a
 	}
-	return &Agg{Fn: a.Fn, Arg: kids[0]}
+	return &Agg{Fn: a.Fn, Arg: kids[0], Distinct: a.Distinct}
 }
 
 // Win is a window function call: row_number(), rank(), sum(arg) or

@@ -86,6 +86,35 @@ func TestGeneratorCoversWindows(t *testing.T) {
 	}
 }
 
+// TestGeneratorCoversCountDistinct: the seed TestFixedSeedMatrix runs yields
+// count(DISTINCT col) both as a query's only aggregate (the nested group-by
+// plan) and beside other aggregates (the count_distinct accumulator).
+func TestGeneratorCoversCountDistinct(t *testing.T) {
+	g := NewGen(1, NewDataset(1))
+	alone, beside := 0, 0
+	for i := 0; i < 300; i++ {
+		q := g.Query()
+		aggs, distinct := 0, 0
+		for _, it := range q.Items {
+			if a, ok := it.(*Agg); ok {
+				aggs++
+				if a.Distinct {
+					distinct++
+				}
+			}
+		}
+		switch {
+		case distinct == 1 && aggs == 1 && q.Having == nil:
+			alone++
+		case distinct > 0 && aggs > distinct:
+			beside++
+		}
+	}
+	if alone == 0 || beside == 0 {
+		t.Errorf("300 queries of seed 1: count(DISTINCT) alone in %d, beside other aggregates in %d", alone, beside)
+	}
+}
+
 // TestShrinkerReducesInjectedMismatch injects a synthetic failure
 // predicate (any query whose SQL contains an avg aggregate "fails") into
 // the shrinker and checks that a fully-loaded query reduces to a <=3

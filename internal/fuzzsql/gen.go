@@ -16,13 +16,14 @@ import (
 type Gen struct {
 	rng *rand.Rand
 	ds  *Dataset
-	// SkipWindows keeps the query stream free of the window shape (and
-	// draws nothing for it, so the stream is the one generated before that
-	// shape existed). The server load pool sets it: the repository
-	// benchmark's server workloads are defined over that pool, and a pool
-	// that moved with the generator would make their numbers incomparable
-	// across commits.
-	SkipWindows bool
+	// Pinned keeps the query stream free of the shapes added since the
+	// server load pool was defined — windows, count(DISTINCT) — and draws
+	// nothing for them, so the stream is the one generated before they
+	// existed. The server load pool sets it: the repository benchmark's
+	// server workloads are defined over that pool, and a pool that moved
+	// with the generator would make their numbers incomparable across
+	// commits.
+	Pinned bool
 }
 
 // NewGen creates a generator over the dataset's schema.
@@ -56,7 +57,7 @@ func colsOf(scope []Column, t ValType) []Column {
 // Query generates one random query.
 func (g *Gen) Query() *Query {
 	q := &Query{From: g.ds.Tables[0].Name, Limit: -1}
-	window := !g.SkipWindows && g.pct(15)
+	window := !g.Pinned && g.pct(15)
 	// Window queries stay on one table: a join's fan-out would repeat rows
 	// and the window's ORDER BY would no longer be total.
 	join := !window && g.pct(40)
@@ -142,9 +143,15 @@ func (g *Gen) genGrouped(q *Query, scope []Column) {
 		q.GroupBy = append(q.GroupBy, g.genGroupKey(scope))
 	}
 	q.Items = append([]Expr(nil), q.GroupBy...)
-	nAggs := 1 + g.rng.Intn(3)
-	for i := 0; i < nAggs; i++ {
-		q.Items = append(q.Items, g.genAgg(scope))
+	if !g.Pinned && g.pct(15) {
+		// A lone count(DISTINCT) plans as a nested group-by; beside other
+		// aggregates (genAgg) it runs the count_distinct accumulator.
+		q.Items = append(q.Items, g.genCountDistinct(scope))
+	} else {
+		nAggs := 1 + g.rng.Intn(3)
+		for i := 0; i < nAggs; i++ {
+			q.Items = append(q.Items, g.genAgg(scope))
+		}
 	}
 	if g.pct(40) {
 		agg := g.genAgg(scope)
@@ -177,9 +184,18 @@ func (g *Gen) genGroupKey(scope []Column) Expr {
 	}
 }
 
+func (g *Gen) genCountDistinct(scope []Column) Expr {
+	c := scope[g.rng.Intn(len(scope))]
+	return &Agg{Fn: "count", Arg: &Col{Name: c.Name, T: c.T}, Distinct: true}
+}
+
 // genAgg builds one aggregate expression.
 func (g *Gen) genAgg(scope []Column) Expr {
-	switch g.rng.Intn(6) {
+	kinds := 7
+	if g.Pinned {
+		kinds = 6 // no count(DISTINCT)
+	}
+	switch g.rng.Intn(kinds) {
 	case 0:
 		return &Agg{Fn: "count", Star: true}
 	case 1:
@@ -191,6 +207,8 @@ func (g *Gen) genAgg(scope []Column) Expr {
 	case 3:
 		t := []ValType{TInt, TFloat}[g.rng.Intn(2)]
 		return &Agg{Fn: "sum", Arg: g.genExpr(scope, t, 1)}
+	case 6:
+		return g.genCountDistinct(scope)
 	default:
 		fn := []string{"min", "max"}[g.rng.Intn(2)]
 		t := []ValType{TInt, TFloat, TStr, TDate}[g.rng.Intn(4)]

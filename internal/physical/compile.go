@@ -56,6 +56,12 @@ func (c *Compiler) coerceBinary(op logical.BinOp, l, r PhysicalExpr) (PhysicalEx
 		}
 		return nil, nil, err
 	}
+	// compute.ArithScalar widens a narrower integer operand of an Int64
+	// literal inside its loop, which saves the cast's temporary array.
+	if op.IsArithmetic() && common.ID == arrow.INT64 && (isLiteralOf(l, common) || isLiteralOf(r, common)) &&
+		lt.IsInteger() && rt.IsInteger() && min(lt.BitWidth(), rt.BitWidth()) < 64 {
+		return l, r, nil
+	}
 	if !lt.Equal(common) {
 		l = &CastExpr{E: l, To: common}
 	}
@@ -63,6 +69,11 @@ func (c *Compiler) coerceBinary(op logical.BinOp, l, r PhysicalExpr) (PhysicalEx
 		r = &CastExpr{E: r, To: common}
 	}
 	return l, r, nil
+}
+
+func isLiteralOf(e PhysicalExpr, t *arrow.DataType) bool {
+	lit, ok := e.(*LiteralExpr)
+	return ok && lit.Value.Type.Equal(t)
 }
 
 // Compile lowers a logical expression.
@@ -256,6 +267,11 @@ func binaryResultType(op logical.BinOp, lt, rt *arrow.DataType) (*arrow.DataType
 	}
 	if lt.ID == arrow.NULL {
 		return rt, nil
+	}
+	// Integer operands of different widths reach here only where
+	// coerceBinary left the widening to the kernel.
+	if lt.IsInteger() && rt.IsInteger() {
+		return logical.PromoteNumeric(lt, rt)
 	}
 	return lt, nil
 }

@@ -260,3 +260,73 @@ func TestConcatOperator(t *testing.T) {
 		t.Fatalf("cast concat = %q", out2.Value(0))
 	}
 }
+
+// TestNarrowIntegerArithmeticWidensInKernel: a narrow integer column against
+// an Int64 literal compiles without a cast on the column (the kernel widens
+// in its loop) and evaluates to exactly what cast-then-op does — type,
+// values, validity and wrap-around — with the literal on either side.
+func TestNarrowIntegerArithmeticWidensInKernel(t *testing.T) {
+	schema := arrow.NewSchema(arrow.NewField("w", arrow.Int16, true), arrow.NewField("u", arrow.Uint32, true))
+	wb := arrow.NewNumericBuilder[int16](arrow.Int16)
+	ub := arrow.NewNumericBuilder[uint32](arrow.Uint32)
+	for _, v := range []int16{0, 1, -1, 1920, -32768, 32767} {
+		wb.Append(v)
+		ub.Append(uint32(int32(v)))
+	}
+	wb.AppendNull()
+	ub.AppendNull()
+	batch := arrow.NewRecordBatch(schema, []arrow.Array{wb.Finish(), ub.Finish()})
+	comp := NewCompiler(logical.FromArrow("t", schema), reg)
+
+	for _, col := range []string{"w", "u"} {
+		for _, op := range []logical.BinOp{logical.OpAdd, logical.OpSub, logical.OpMul, logical.OpDiv, logical.OpMod} {
+			for _, lit := range []int64{7, -3, 1 << 60} {
+				for _, litLeft := range []bool{false, true} {
+					narrow := logical.Expr(logical.Col(col))
+					cast := logical.Expr(&logical.Cast{E: narrow, To: arrow.Int64})
+					build := func(operand logical.Expr) logical.Expr {
+						if litLeft {
+							return &logical.BinaryExpr{Op: op, L: logical.Lit(lit), R: operand}
+						}
+						return &logical.BinaryExpr{Op: op, L: operand, R: logical.Lit(lit)}
+					}
+					pe, err := comp.Compile(build(narrow))
+					if err != nil {
+						t.Fatal(err)
+					}
+					bin := pe.(*BinaryExpr)
+					if _, ok := bin.L.(*CastExpr); ok {
+						t.Fatalf("%s: left operand is cast", pe)
+					}
+					if _, ok := bin.R.(*CastExpr); ok {
+						t.Fatalf("%s: right operand is cast", pe)
+					}
+					if pe.DataType().ID != arrow.INT64 {
+						t.Fatalf("%s: compiled type %s", pe, pe.DataType())
+					}
+					ref, err := comp.Compile(build(cast))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gerr := EvalToArray(pe, batch)
+					want, werr := EvalToArray(ref, batch)
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("%s: err %v, cast-then-op err %v", pe, gerr, werr)
+					}
+					if gerr != nil {
+						continue // e.g. literal % 0
+					}
+					if !got.DataType().Equal(arrow.Int64) {
+						t.Fatalf("%s: evaluated type %s", pe, got.DataType())
+					}
+					for i := 0; i < batch.NumRows(); i++ {
+						if got.IsNull(i) != want.IsNull(i) || (!got.IsNull(i) &&
+							got.(*arrow.Int64Array).Value(i) != want.(*arrow.Int64Array).Value(i)) {
+							t.Fatalf("%s row %d: %v, cast-then-op gives %v", pe, i, got.GetScalar(i), want.GetScalar(i))
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -51,7 +51,7 @@ func NewWorkload(seed int64, fuzzCount int) (*Workload, error) {
 		w.Queries = append(w.Queries, q)
 	}
 	gen := fuzzsql.NewGen(seed, w.fuzz)
-	gen.SkipWindows = true // the pool is pinned, see Gen.SkipWindows
+	gen.Pinned = true // see Gen.Pinned
 	for i := 0; i < fuzzCount; i++ {
 		w.Queries = append(w.Queries, gen.Query().SQL())
 	}
