@@ -169,13 +169,7 @@ func (a *BoolArray) TrueCount() int {
 }
 
 func (a *BoolArray) Slice(off, n int) Array {
-	vals := NewBitmap(n)
-	for i := 0; i < n; i++ {
-		if a.values.Get(off + i) {
-			vals.Set(i)
-		}
-	}
-	return NewBool(vals, sliceBitmap(a.valid, off, n), n)
+	return NewBool(sliceBitmap(a.values, off, n), sliceBitmap(a.valid, off, n), n)
 }
 
 func (a *BoolArray) GetScalar(i int) Scalar {
@@ -362,12 +356,13 @@ func (a *ListArray) Offsets() []int32 { return a.offsets }
 func (a *ListArray) Values() Array { return a.values }
 
 func (a *ListArray) Slice(off, n int) Array {
+	valid := sliceBitmap(a.valid, off, n)
 	return &ListArray{
 		dtype:   a.dtype,
 		offsets: a.offsets[off : off+n+1],
 		values:  a.values,
-		valid:   sliceBitmap(a.valid, off, n),
-		nulls:   countNullsIn(a.valid, off, n),
+		valid:   valid,
+		nulls:   n - valid.CountSet(n),
 	}
 }
 
@@ -439,25 +434,8 @@ func sliceBitmap(b Bitmap, off, n int) Bitmap {
 		return nil
 	}
 	out := NewBitmap(n)
-	for i := 0; i < n; i++ {
-		if b.Get(off + i) {
-			out.Set(i)
-		}
-	}
+	out.CopyBits(0, b, off, n)
 	return out
-}
-
-func countNullsIn(b Bitmap, off, n int) int {
-	if b == nil {
-		return 0
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		if !b.Get(off + i) {
-			c++
-		}
-	}
-	return c
 }
 
 // formatArray renders up to 20 values of any array for debugging.

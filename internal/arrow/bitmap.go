@@ -68,6 +68,55 @@ func (b Bitmap) Put(i int, v bool) {
 	}
 }
 
+// CopyBits copies n bits of src starting at bit srcOff into b starting at
+// bit dstOff, leaving b's other bits as they were. A nil src copies set
+// bits. Byte-aligned offsets copy whole bytes; others move 56 bits per
+// shifted word.
+func (b Bitmap) CopyBits(dstOff int, src Bitmap, srcOff, n int) {
+	if n <= 0 {
+		return
+	}
+	if src == nil {
+		b.SetRange(dstOff, dstOff+n)
+		return
+	}
+	if dstOff%8 == 0 && srcOff%8 == 0 {
+		full := copy(b[dstOff/8:dstOff/8+n/8], src[srcOff/8:]) * 8
+		dstOff, srcOff, n = dstOff+full, srcOff+full, n-full
+	}
+	for n > 0 {
+		k := min(n, 56)
+		m := uint64(1)<<k - 1
+		w := src.Word(srcOff) & m
+		s := dstOff & 7
+		m, w = m<<s, w<<s
+		for q := dstOff >> 3; m != 0; q++ {
+			b[q] = b[q]&^byte(m) | byte(w)
+			m, w = m>>8, w>>8
+		}
+		dstOff, srcOff, n = dstOff+k, srcOff+k, n-k
+	}
+}
+
+// Word returns the bits of b from bit p on in the low bits of a word: all
+// 64 when p is a multiple of 8, else at least 57. Bits past the end of b
+// read as clear; a nil bitmap reads as all set.
+func (b Bitmap) Word(p int) uint64 {
+	if b == nil {
+		return ^uint64(0)
+	}
+	q := p >> 3
+	var w uint64
+	if q+8 <= len(b) {
+		w = binary.LittleEndian.Uint64(b[q:])
+	} else {
+		for i := len(b) - 1; i >= q; i-- {
+			w = w<<8 | uint64(b[i])
+		}
+	}
+	return w >> (p & 7)
+}
+
 // CountSet returns the number of set bits among the first n bits.
 func (b Bitmap) CountSet(n int) int {
 	if b == nil {
@@ -75,7 +124,11 @@ func (b Bitmap) CountSet(n int) int {
 	}
 	full := n / 8
 	c := 0
-	for _, w := range b[:full] {
+	words := b[:full]
+	for ; len(words) >= 8; words = words[8:] {
+		c += bits.OnesCount64(binary.LittleEndian.Uint64(words))
+	}
+	for _, w := range words {
 		c += bits.OnesCount8(w)
 	}
 	if rem := n % 8; rem != 0 {

@@ -152,3 +152,79 @@ func TestBitmapSetRange(t *testing.T) {
 		}
 	}
 }
+
+// TestSliceBitmapMatchesBitwise checks sliceBitmap (and the null count taken
+// from it with CountSet) against a per-bit reference for offsets 0-17 and
+// lengths 0-130 over a random, a nil and an all-set source.
+func TestSliceBitmapMatchesBitwise(t *testing.T) {
+	const maxOff, maxLen = 17, 130
+	rng := rand.New(rand.NewSource(11))
+	random := NewBitmap(maxOff + maxLen)
+	for i := range random {
+		random[i] = byte(rng.Intn(256))
+	}
+	sources := map[string]Bitmap{"random": random, "nil": nil, "all-set": NewBitmapSet(maxOff + maxLen)}
+	for name, src := range sources {
+		for off := 0; off <= maxOff; off++ {
+			for n := 0; n <= maxLen; n++ {
+				got := sliceBitmap(src, off, n)
+				if src == nil {
+					if got != nil {
+						t.Fatalf("%s off=%d n=%d: slice of a nil bitmap is not nil", name, off, n)
+					}
+					continue
+				}
+				if len(got) != (n+7)/8 {
+					t.Fatalf("%s off=%d n=%d: %d bytes", name, off, n, len(got))
+				}
+				nulls := 0
+				for i := 0; i < len(got)*8; i++ {
+					want := i < n && src.Get(off+i)
+					if got.Get(i) != want {
+						t.Fatalf("%s off=%d n=%d: bit %d is %v", name, off, n, i, got.Get(i))
+					}
+					if i < n && !want {
+						nulls++
+					}
+				}
+				if c := n - got.CountSet(n); c != nulls {
+					t.Fatalf("%s off=%d n=%d: %d nulls, want %d", name, off, n, c, nulls)
+				}
+			}
+		}
+	}
+}
+
+// TestCopyBitsMatchesBitwise copies into a destination that already holds
+// bits at unaligned offsets, as the run-gather kernel does: the copied
+// range must match the source and every bit outside it must keep its value.
+func TestCopyBitsMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	src := NewBitmap(200)
+	for i := range src {
+		src[i] = byte(rng.Intn(256))
+	}
+	for _, fill := range []byte{0x00, 0xFF, 0x5A} {
+		for dstOff := 0; dstOff <= 9; dstOff++ {
+			for srcOff := 0; srcOff <= 17; srcOff++ {
+				for n := 0; n <= 130; n++ {
+					dst := NewBitmap(160)
+					for i := range dst {
+						dst[i] = fill
+					}
+					before := dst.Clone()
+					dst.CopyBits(dstOff, src, srcOff, n)
+					for i := 0; i < 160; i++ {
+						want := before.Get(i)
+						if i >= dstOff && i < dstOff+n {
+							want = src.Get(srcOff + i - dstOff)
+						}
+						if dst.Get(i) != want {
+							t.Fatalf("fill=%#x dst=%d src=%d n=%d: bit %d is %v", fill, dstOff, srcOff, n, i, dst.Get(i))
+						}
+					}
+				}
+			}
+		}
+	}
+}

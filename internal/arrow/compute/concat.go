@@ -6,125 +6,136 @@ import (
 	"gofusion/internal/arrow"
 )
 
-// Concat concatenates arrays of the same type into one array.
+// Run names rows [Start, End) of source array Src of a gather.
+type Run struct {
+	Src, Start, End int
+}
+
+// Concat concatenates arrays of the same type into one array: a gather of
+// every row of every source.
 func Concat(arrs []arrow.Array) (arrow.Array, error) {
-	if len(arrs) == 0 {
-		return nil, fmt.Errorf("compute: concat of zero arrays")
+	runs := make([]Run, len(arrs))
+	for i, a := range arrs {
+		runs[i] = Run{Src: i, End: a.Len()}
 	}
-	if len(arrs) == 1 {
-		return arrs[0], nil
+	return GatherRuns(arrs, runs)
+}
+
+// GatherRuns assembles the rows the runs name, in run order, into one array
+// of exactly their total length. A single run is returned without copying
+// values: the source itself when it covers all of it, else a Slice.
+// Otherwise every value is copied once: one copy per run for fixed-width
+// values, and for strings the run's bytes appended in one piece beside its
+// rebased offsets. The sources must share one data type.
+func GatherRuns(srcs []arrow.Array, runs []Run) (arrow.Array, error) {
+	if len(srcs) == 0 {
+		return nil, fmt.Errorf("compute: gather from zero arrays")
 	}
-	t := arrs[0].DataType()
-	total := 0
-	for _, a := range arrs {
+	t := srcs[0].DataType()
+	for _, a := range srcs[1:] {
 		if !a.DataType().Equal(t) {
-			return nil, fmt.Errorf("compute: concat type mismatch %s vs %s", t, a.DataType())
+			return nil, fmt.Errorf("compute: gather type mismatch %s vs %s", t, a.DataType())
 		}
-		total += a.Len()
+	}
+	if len(runs) == 1 {
+		r, a := runs[0], srcs[runs[0].Src]
+		if r.Start == 0 && r.End == a.Len() {
+			return a, nil
+		}
+		return a.Slice(r.Start, r.End-r.Start), nil
+	}
+	n, nullable := 0, false
+	for _, r := range runs {
+		n += r.End - r.Start
+		nullable = nullable || srcs[r.Src].NullCount() > 0
+	}
+	var valid arrow.Bitmap
+	if nullable {
+		valid = arrow.NewBitmap(n)
+		pos := 0
+		for _, r := range runs {
+			valid.CopyBits(pos, srcs[r.Src].Validity(), r.Start, r.End-r.Start)
+			pos += r.End - r.Start
+		}
 	}
 	switch t.ID {
 	case arrow.INT8:
-		return concatNumeric[int8](arrs, t, total), nil
+		return gatherNumeric[int8](srcs, runs, t, n, valid), nil
 	case arrow.INT16:
-		return concatNumeric[int16](arrs, t, total), nil
+		return gatherNumeric[int16](srcs, runs, t, n, valid), nil
 	case arrow.INT32, arrow.DATE32:
-		return concatNumeric[int32](arrs, t, total), nil
+		return gatherNumeric[int32](srcs, runs, t, n, valid), nil
 	case arrow.INT64, arrow.TIMESTAMP, arrow.DECIMAL:
-		return concatNumeric[int64](arrs, t, total), nil
+		return gatherNumeric[int64](srcs, runs, t, n, valid), nil
 	case arrow.UINT8:
-		return concatNumeric[uint8](arrs, t, total), nil
+		return gatherNumeric[uint8](srcs, runs, t, n, valid), nil
 	case arrow.UINT16:
-		return concatNumeric[uint16](arrs, t, total), nil
+		return gatherNumeric[uint16](srcs, runs, t, n, valid), nil
 	case arrow.UINT32:
-		return concatNumeric[uint32](arrs, t, total), nil
+		return gatherNumeric[uint32](srcs, runs, t, n, valid), nil
 	case arrow.UINT64:
-		return concatNumeric[uint64](arrs, t, total), nil
+		return gatherNumeric[uint64](srcs, runs, t, n, valid), nil
 	case arrow.FLOAT32:
-		return concatNumeric[float32](arrs, t, total), nil
+		return gatherNumeric[float32](srcs, runs, t, n, valid), nil
 	case arrow.FLOAT64:
-		return concatNumeric[float64](arrs, t, total), nil
+		return gatherNumeric[float64](srcs, runs, t, n, valid), nil
 	case arrow.STRING, arrow.BINARY:
-		return concatString(arrs, t, total), nil
+		return gatherString(srcs, runs, t, n, valid), nil
+	case arrow.BOOL:
+		vals, pos := arrow.NewBitmap(n), 0
+		for _, r := range runs {
+			vals.CopyBits(pos, srcs[r.Src].(*arrow.BoolArray).ValuesBitmap(), r.Start, r.End-r.Start)
+			pos += r.End - r.Start
+		}
+		return arrow.NewBool(vals, valid, n), nil
 	case arrow.NULL:
-		return arrow.NewNull(total), nil
+		return arrow.NewNull(n), nil
 	default:
 		b := arrow.NewBuilder(t)
-		for _, a := range arrs {
-			for i := 0; i < a.Len(); i++ {
-				b.AppendFrom(a, i)
+		for _, r := range runs {
+			for i := r.Start; i < r.End; i++ {
+				b.AppendFrom(srcs[r.Src], i)
 			}
 		}
 		return b.Finish(), nil
 	}
 }
 
-func concatNumeric[T arrow.Number](arrs []arrow.Array, t *arrow.DataType, total int) arrow.Array {
-	out := make([]T, 0, total)
-	anyNull := false
-	for _, a := range arrs {
-		if a.NullCount() > 0 {
-			anyNull = true
-		}
+func gatherNumeric[T arrow.Number](srcs []arrow.Array, runs []Run, t *arrow.DataType, n int, valid arrow.Bitmap) arrow.Array {
+	vals := make([][]T, len(srcs))
+	for i, a := range srcs {
+		vals[i] = a.(*arrow.NumericArray[T]).Values()
 	}
-	var valid arrow.Bitmap
-	if anyNull {
-		valid = arrow.NewBitmap(total)
-	}
+	out := make([]T, n)
 	pos := 0
-	for _, a := range arrs {
-		na := a.(*arrow.NumericArray[T])
-		out = append(out, na.Values()...)
-		if anyNull {
-			for i := 0; i < na.Len(); i++ {
-				if na.IsValid(i) {
-					valid.Set(pos + i)
-				}
-			}
-		}
-		pos += na.Len()
+	for _, r := range runs {
+		pos += copy(out[pos:], vals[r.Src][r.Start:r.End])
 	}
 	return arrow.NewNumeric(t, out, valid)
 }
 
-func concatString(arrs []arrow.Array, t *arrow.DataType, total int) arrow.Array {
-	dataLen := 0
-	anyNull := false
-	for _, a := range arrs {
-		sa := a.(*arrow.StringArray)
-		n := sa.Len()
-		if n > 0 {
-			dataLen += int(sa.Offsets()[n]) - int(sa.Offsets()[0])
-		}
-		if sa.NullCount() > 0 {
-			anyNull = true
-		}
+func gatherString(srcs []arrow.Array, runs []Run, t *arrow.DataType, n int, valid arrow.Bitmap) arrow.Array {
+	strs := make([]*arrow.StringArray, len(srcs))
+	size := 0
+	for i, a := range srcs {
+		strs[i] = a.(*arrow.StringArray)
 	}
-	offsets := make([]int32, 1, total+1)
-	data := make([]byte, 0, dataLen)
-	var valid arrow.Bitmap
-	if anyNull {
-		valid = arrow.NewBitmap(total)
+	for _, r := range runs {
+		off := strs[r.Src].Offsets()
+		size += int(off[r.End] - off[r.Start])
 	}
+	offsets := make([]int32, n+1)
+	data := make([]byte, 0, size)
 	pos := 0
-	for _, a := range arrs {
-		sa := a.(*arrow.StringArray)
-		n := sa.Len()
-		base := int32(len(data))
-		if n > 0 {
-			start, end := sa.Offsets()[0], sa.Offsets()[n]
-			data = append(data, sa.Data()[start:end]...)
-			for i := 1; i <= n; i++ {
-				offsets = append(offsets, base+sa.Offsets()[i]-start)
-			}
+	for _, r := range runs {
+		sa := strs[r.Src]
+		off := sa.Offsets()
+		base := int32(len(data)) - off[r.Start]
+		data = append(data, sa.Data()[off[r.Start]:off[r.End]]...)
+		for _, o := range off[r.Start+1 : r.End+1] {
+			pos++
+			offsets[pos] = o + base
 		}
-		if anyNull {
-			for i := 0; i < n; i++ {
-				if sa.IsValid(i) {
-					valid.Set(pos + i)
-				}
-			}
-		}
-		pos += n
 	}
 	return arrow.NewString(t, offsets, data, valid)
 }

@@ -162,6 +162,11 @@ type ScanRuntime struct {
 	// lookups across the scan's streams (zero when no cache is attached).
 	PageCacheHits   atomic.Int64
 	PageCacheMisses atomic.Int64
+	// RowsZeroCopy / RowsGathered split the rows the scanners emitted into
+	// those passed on as decoded pages or slices of them and those gathered
+	// into new arrays.
+	RowsZeroCopy atomic.Int64
+	RowsGathered atomic.Int64
 }
 
 // TableProvider is the data source extension point.

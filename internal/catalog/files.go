@@ -461,6 +461,8 @@ func (s *gpqStream) closeCurrent() {
 			s.rt.BloomSkipped.Add(int64(s.scanner.BloomSkipped))
 			s.rt.PageCacheHits.Add(int64(s.scanner.PageCacheHits))
 			s.rt.PageCacheMisses.Add(int64(s.scanner.PageCacheMisses))
+			s.rt.RowsZeroCopy.Add(int64(s.scanner.RowsZeroCopy))
+			s.rt.RowsGathered.Add(int64(s.scanner.RowsGathered))
 		}
 	}
 	if s.reader != nil {

@@ -101,6 +101,8 @@ func (e *TableScanExec) instrument(s physical.Stream) physical.Stream {
 	bloomSkipped := m.Counter("bloom_skipped")
 	cacheHits := m.Counter("page_cache_hits")
 	cacheMisses := m.Counter("page_cache_misses")
+	zeroCopy := m.Counter("rows_zero_copy")
+	gathered := m.Counter("rows_gathered")
 	flush := func() {
 		is.Close()
 		rgPruned.Store(rt.RowGroupsPruned.Load())
@@ -109,6 +111,8 @@ func (e *TableScanExec) instrument(s physical.Stream) physical.Stream {
 		bloomSkipped.Store(rt.BloomSkipped.Load())
 		cacheHits.Store(rt.PageCacheHits.Load())
 		cacheMisses.Store(rt.PageCacheMisses.Load())
+		zeroCopy.Store(rt.RowsZeroCopy.Load())
+		gathered.Store(rt.RowsGathered.Load())
 	}
 	// Publish plan-time pruning immediately so it shows even when the
 	// stream is abandoned before any batch is drained.

@@ -127,6 +127,10 @@ func TestScanPruningMetrics(t *testing.T) {
 		{"row_groups_scanned", 2},
 		{"pages_pruned", 1},
 		{"bloom_skipped", 0},
+		// Group 6 leaves as its second page, whole; group 7's two pages
+		// are gathered into the row group's one batch.
+		{"rows_zero_copy", 50},
+		{"rows_gathered", 100},
 	} {
 		if got := s.ExtraValue(tc.name); got != tc.want {
 			t.Errorf("%s = %d, want %d (metrics: %s)", tc.name, got, tc.want, s.String())

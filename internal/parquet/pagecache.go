@@ -27,8 +27,10 @@ const DictPage = -1
 // morsel and static scan paths deduplicate in-flight work.
 //
 // Cached arrays are shared views: consumers must never mutate their
-// buffers, and anything derived by filtering/concatenation is freshly
-// allocated so eviction cannot invalidate downstream batches.
+// buffers. A scan passes a page whose rows all survive downstream as the
+// cached array itself; eviction only drops the cache's reference, so such
+// a batch stays valid, and an operator that buffers it charges it like any
+// other batch.
 type PageCache struct {
 	lru *memory.SizedLRU[PageKey, arrow.Array]
 }

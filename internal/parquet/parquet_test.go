@@ -374,30 +374,6 @@ func TestDictionaryEncodingActuallyUsed(t *testing.T) {
 	}
 }
 
-func TestRowSelectionAlgebra(t *testing.T) {
-	a := FromRanges([]RowRange{{0, 10}, {20, 30}})
-	b := FromRanges([]RowRange{{5, 25}})
-	got := a.Intersect(b)
-	want := []RowRange{{5, 10}, {20, 25}}
-	if len(got.Ranges()) != 2 || got.Ranges()[0] != want[0] || got.Ranges()[1] != want[1] {
-		t.Fatalf("intersect = %+v", got.Ranges())
-	}
-	if got.Count() != 10 {
-		t.Fatalf("count = %d", got.Count())
-	}
-	if !a.Overlaps(25, 40) || a.Overlaps(10, 20) {
-		t.Fatal("overlaps wrong")
-	}
-	// FromRanges merges adjacent/overlapping and drops empties.
-	m := FromRanges([]RowRange{{0, 5}, {5, 8}, {9, 9}, {10, 12}})
-	if len(m.Ranges()) != 2 || m.Ranges()[0] != (RowRange{0, 8}) {
-		t.Fatalf("merge = %+v", m.Ranges())
-	}
-	if SelectAll(0).IsEmpty() != true || SelectNone().Count() != 0 {
-		t.Fatal("empty selections wrong")
-	}
-}
-
 func TestCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	// Truncated file.

@@ -13,7 +13,9 @@ type Predicate interface {
 	// Columns returns the file-schema column indexes the predicate reads.
 	Columns() []int
 	// Evaluate evaluates the predicate over the given columns (keyed by
-	// file-schema index, each with numRows rows), returning a boolean mask.
+	// file-schema index, each with numRows rows; the map holds at least
+	// the Columns() and is only valid for the call), returning a boolean
+	// mask.
 	Evaluate(cols map[int]arrow.Array, numRows int) (*arrow.BoolArray, error)
 	// KeepColumnStats reports whether rows in a container with the given
 	// per-column statistics might satisfy the predicate. Implementations

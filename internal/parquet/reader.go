@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sync"
 
@@ -235,56 +236,6 @@ func (s *Scanner) countCache(hit bool) {
 	}
 }
 
-// readColumnSelection decodes the rows of (rowGroup, col) covered by sel,
-// in row order, skipping pages with no selected rows. Fully-selected
-// pages pass through untouched; partially-selected pages are filtered
-// with a vectorized mask (cheaper than assembling per-range slices when
-// the selection is fragmented).
-func (s *Scanner) readColumnSelection(rg, col int, sel RowSelection) (arrow.Array, error) {
-	fr := s.fr
-	chunk := &fr.meta.footer.RowGroups[rg].Columns[col]
-	t := fr.meta.Schema.Field(col).Type
-	var dict *arrow.StringArray
-	var parts []arrow.Array
-	for pi := range chunk.Pages {
-		page := &chunk.Pages[pi]
-		start, end := page.FirstRow, page.FirstRow+page.NumRows
-		pageSel := sel.IntersectRange(start, end)
-		if pageSel.IsEmpty() {
-			continue
-		}
-		if chunk.Dict != nil && dict == nil {
-			var err error
-			if dict, err = s.loadDict(rg, col, chunk); err != nil {
-				return nil, err
-			}
-		}
-		arr, err := s.loadPage(rg, col, pi, page, t, dict)
-		if err != nil {
-			return nil, err
-		}
-		if pageSel.Count() == page.NumRows {
-			parts = append(parts, arr)
-			continue
-		}
-		n := int(page.NumRows)
-		bits := arrow.NewBitmap(n)
-		for _, r := range pageSel.Ranges() {
-			bits.SetRange(int(r.Start-start), int(r.End-start))
-		}
-		mask := arrow.NewBool(bits, nil, n)
-		filtered, err := compute.Filter(arr, mask)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, filtered)
-	}
-	if len(parts) == 0 {
-		return arrow.NewBuilder(t).Finish(), nil
-	}
-	return compute.Concat(parts)
-}
-
 // ScanOptions configures a pushed-down scan.
 type ScanOptions struct {
 	// Projection lists file-schema column indexes to read; nil means all.
@@ -307,8 +258,8 @@ type ScanOptions struct {
 	// DisablePruning turns off row-group and page statistics pruning
 	// (predicate still evaluated row-level); used by ablation benchmarks.
 	DisablePruning bool
-	// DisableLateMaterialization decodes all projected columns before
-	// evaluating the predicate; used by ablation benchmarks.
+	// DisableLateMaterialization loads every projected page of a stripe
+	// before evaluating the predicate on it; used by ablation benchmarks.
 	DisableLateMaterialization bool
 	// Cache, when set, shares decoded pages across scanners through the
 	// process-wide page cache (requires a reader opened from a path, which
@@ -341,6 +292,21 @@ type Scanner struct {
 	quit      chan struct{}
 	pending   []*arrow.RecordBatch
 
+	// Stripe-loop state, owned by whichever goroutine runs scanRowGroup.
+	// cur holds the current stripe's loaded pages and dicts the current
+	// row group's dictionaries, both by file column; pend holds, per
+	// projected column, the page of every pending stripe, and runs the
+	// pending selected rows in order (Run.Src indexes pend's inner
+	// slices).
+	predCols []int
+	needed   []int
+	cur      map[int]arrow.Array
+	dicts    []*arrow.StringArray
+	pend     [][]arrow.Array
+	npend    int
+	runs     []compute.Run
+	pendRows int
+
 	// Pruning counters for EXPLAIN-style introspection and tests. With
 	// readahead enabled they are only safe to read after Next returned
 	// io.EOF (the pipeline channel close publishes them).
@@ -355,6 +321,11 @@ type Scanner struct {
 	// decode). Zero when no cache is attached.
 	PageCacheHits   int
 	PageCacheMisses int
+	// RowsZeroCopy counts emitted rows whose batch is a decoded page or a
+	// slice of one; RowsGathered counts rows copied into a batch from
+	// several runs. Together they are the rows the scanner emitted.
+	RowsZeroCopy int
+	RowsGathered int
 }
 
 // Scan starts a pushed-down scan over the file.
@@ -362,14 +333,15 @@ func (fr *FileReader) Scan(opts ScanOptions) (*Scanner, error) {
 	if opts.BatchRows <= 0 {
 		opts.BatchRows = 8192
 	}
+	nf := fr.meta.Schema.NumFields()
 	if opts.Projection == nil {
-		opts.Projection = make([]int, fr.meta.Schema.NumFields())
+		opts.Projection = make([]int, nf)
 		for i := range opts.Projection {
 			opts.Projection[i] = i
 		}
 	}
 	for _, c := range opts.Projection {
-		if c < 0 || c >= fr.meta.Schema.NumFields() {
+		if c < 0 || c >= nf {
 			return nil, fmt.Errorf("parquet: projection column %d out of range", c)
 		}
 	}
@@ -390,13 +362,31 @@ func (fr *FileReader) Scan(opts ScanOptions) (*Scanner, error) {
 	if limit < 0 {
 		limit = -1
 	}
-	return &Scanner{
+	s := &Scanner{
 		fr:        fr,
 		opts:      opts,
 		schema:    fr.meta.Schema.Select(opts.Projection),
 		remaining: limit,
 		groups:    groups,
-	}, nil
+		cur:       make(map[int]arrow.Array),
+		dicts:     make([]*arrow.StringArray, nf),
+		pend:      make([][]arrow.Array, len(opts.Projection)),
+	}
+	seen := make([]bool, nf)
+	need := func(cols []int) {
+		for _, c := range cols {
+			if !seen[c] {
+				seen[c] = true
+				s.needed = append(s.needed, c)
+			}
+		}
+	}
+	need(opts.Projection)
+	if opts.Predicate != nil {
+		s.predCols = opts.Predicate.Columns()
+		need(s.predCols)
+	}
+	return s, nil
 }
 
 // Schema returns the projected output schema.
@@ -503,7 +493,7 @@ func (s *Scanner) startPrefetch() {
 // keepRowGroup applies chunk statistics and Bloom filter pruning.
 func (s *Scanner) keepRowGroup(rg int) bool {
 	pred := s.opts.Predicate
-	for _, col := range pred.Columns() {
+	for _, col := range s.predCols {
 		if !pred.KeepColumnStats(col, s.fr.meta.ColumnChunkStats(rg, col)) {
 			return false
 		}
@@ -526,231 +516,282 @@ func (s *Scanner) keepRowGroup(rg int) bool {
 	return true
 }
 
-// candidateSelection intersects per-column page-statistics selections for
-// the predicate columns.
-func (s *Scanner) candidateSelection(rg int, numRows int64) RowSelection {
-	pred := s.opts.Predicate
-	sel := SelectAll(numRows)
-	for _, col := range pred.Columns() {
-		chunk := &s.fr.meta.footer.RowGroups[rg].Columns[col]
-		t := s.fr.meta.Schema.Field(col).Type
-		var ranges []RowRange
-		for pi := range chunk.Pages {
-			page := &chunk.Pages[pi]
-			if pred.KeepColumnStats(col, page.Stats.toStats(t)) {
-				ranges = append(ranges, RowRange{page.FirstRow, page.FirstRow + page.NumRows})
-			} else {
-				s.PagesSkipped++
+// AlignmentError reports a row group whose needed column chunks are not
+// cut into pages at the same rows, or whose pages do not tile the row
+// group. The scanner reads a row group one page stripe at a time and
+// checks this before it loads any page. It wraps the package's format
+// error.
+type AlignmentError struct {
+	RowGroup int
+	// Col is the file column at fault, or -1 for the row group itself.
+	Col    int
+	Detail string
+}
+
+func (e *AlignmentError) Error() string {
+	return fmt.Sprintf("parquet: row group %d column %d: %s", e.RowGroup, e.Col, e.Detail)
+}
+
+func (e *AlignmentError) Unwrap() error { return errFormat }
+
+// stripes returns the page stripes of row group rg as the pages of its
+// first needed column: page i of every needed column chunk covers the
+// rows of stripe i. With no needed column (an empty projection and no
+// predicate) the whole row group is one stripe.
+func (s *Scanner) stripes(rg int) ([]pageMeta, error) {
+	group := &s.fr.meta.footer.RowGroups[rg]
+	bad := func(col int, format string, args ...any) error {
+		return &AlignmentError{RowGroup: rg, Col: col, Detail: fmt.Sprintf(format, args...)}
+	}
+	if nf := s.fr.meta.Schema.NumFields(); len(group.Columns) != nf || group.NumRows < 0 {
+		return nil, bad(-1, "%d rows in %d column chunks for %d fields", group.NumRows, len(group.Columns), nf)
+	}
+	if group.NumRows == 0 {
+		return nil, nil
+	}
+	if len(s.needed) == 0 {
+		return []pageMeta{{NumRows: group.NumRows}}, nil
+	}
+	lead := s.needed[0]
+	first := group.Columns[lead].Pages
+	var next int64
+	for i, p := range first {
+		if p.FirstRow != next || p.NumRows <= 0 {
+			return nil, bad(lead, "page %d covers rows [%d, %d), want one starting at row %d",
+				i, p.FirstRow, p.FirstRow+p.NumRows, next)
+		}
+		next += p.NumRows
+	}
+	if next != group.NumRows {
+		return nil, bad(lead, "pages end at row %d of %d", next, group.NumRows)
+	}
+	for _, col := range s.needed[1:] {
+		pages := group.Columns[col].Pages
+		if len(pages) != len(first) {
+			return nil, bad(col, "%d pages where column %d has %d", len(pages), lead, len(first))
+		}
+		for i, p := range pages {
+			if p.FirstRow != first[i].FirstRow || p.NumRows != first[i].NumRows {
+				return nil, bad(col, "page %d covers rows [%d, %d) where column %d's covers [%d, %d)",
+					i, p.FirstRow, p.FirstRow+p.NumRows, lead, first[i].FirstRow, first[i].FirstRow+first[i].NumRows)
 			}
 		}
-		sel = sel.Intersect(FromRanges(ranges))
-		if sel.IsEmpty() {
+	}
+	return first, nil
+}
+
+// scanRowGroup scans row group rg one page stripe at a time. Page
+// statistics may skip a stripe; the predicate runs on the predicate
+// columns' pages as decoded (or cached); the other projected pages load
+// only for stripes with selected rows, whose runs queue until BatchRows
+// rows are pending. The row group's last batch takes what is left.
+func (s *Scanner) scanRowGroup(rg int) error {
+	stripes, err := s.stripes(rg)
+	if err != nil {
+		return err
+	}
+	pred := s.opts.Predicate
+	prune := pred != nil && !s.opts.DisablePruning
+	if prune && !s.keepRowGroup(rg) {
+		s.RowGroupsPruned++
+		return nil
+	}
+	// Pages and dictionaries are held for one stripe and one row group.
+	defer clear(s.cur)
+	clear(s.dicts)
+	candidate, matched := false, false
+	for si := range stripes {
+		if s.remaining == 0 {
 			break
 		}
-	}
-	return sel
-}
-
-// maskToSelection converts a boolean mask aligned to sel's rows into an
-// exact row selection. The scan works byte-at-a-time over the packed
-// (value AND validity) bits so all-false bytes skip 8 rows at once — this
-// runs once per predicate scan over every candidate row.
-func maskToSelection(sel RowSelection, mask *arrow.BoolArray) RowSelection {
-	n := mask.Len()
-	vals := mask.ValuesBitmap()
-	valid := mask.Validity()
-	// effective[i] = value AND valid.
-	nb := (n + 7) / 8
-	effective := make([]byte, nb)
-	for i := 0; i < nb; i++ {
-		b := byte(0)
-		if i < len(vals) {
-			b = vals[i]
+		if prune && !s.keepStripe(rg, si) {
+			continue
 		}
-		if valid != nil {
-			if i < len(valid) {
-				b &= valid[i]
-			} else {
-				b = 0
-			}
-		}
-		effective[i] = b
-	}
-	var out []RowRange
-	push := func(row int64) {
-		if k := len(out); k > 0 && out[k-1].End == row {
-			out[k-1].End = row + 1
+		candidate = true
+		clear(s.cur)
+		rows := int(stripes[si].NumRows)
+		first := len(s.runs)
+		if pred == nil {
+			s.runs = append(s.runs, compute.Run{Src: s.npend, End: rows})
 		} else {
-			out = append(out, RowRange{row, row + 1})
-		}
-	}
-	i := 0
-	for _, r := range sel.Ranges() {
-		row := r.Start
-		for row < r.End {
-			// Byte-aligned fast paths.
-			if i%8 == 0 && r.End-row >= 8 {
-				b := effective[i/8]
-				switch b {
-				case 0x00:
-					i += 8
-					row += 8
-					continue
-				case 0xFF:
-					if k := len(out); k > 0 && out[k-1].End == row {
-						out[k-1].End = row + 8
-					} else {
-						out = append(out, RowRange{row, row + 8})
-					}
-					i += 8
-					row += 8
-					continue
+			if s.opts.DisableLateMaterialization {
+				if err := s.load(rg, si, s.opts.Projection); err != nil {
+					return err
 				}
 			}
-			if effective[i/8]&(1<<(i%8)) != 0 {
-				push(row)
+			if err := s.load(rg, si, s.predCols); err != nil {
+				return err
 			}
-			i++
-			row++
-		}
-	}
-	return RowSelection{ranges: out}
-}
-
-func (s *Scanner) scanRowGroup(rg int) error {
-	numRows := s.fr.meta.RowGroupRows(rg)
-	pred := s.opts.Predicate
-
-	sel := SelectAll(numRows)
-	if pred != nil {
-		if !s.opts.DisablePruning {
-			if !s.keepRowGroup(rg) {
-				s.RowGroupsPruned++
-				return nil
-			}
-			sel = s.candidateSelection(rg, numRows)
-			if sel.IsEmpty() {
-				s.RowGroupsPruned++
-				return nil
-			}
-		}
-		if s.opts.DisableLateMaterialization {
-			// Ablation mode: decode every projected column in full, then
-			// filter — the strategy late materialization avoids.
-			return s.scanRowGroupEager(rg, numRows)
-		}
-		// Decode predicate columns within the candidate selection and
-		// evaluate to get the exact row selection.
-		predCols := make(map[int]arrow.Array, len(pred.Columns()))
-		for _, col := range pred.Columns() {
-			arr, err := s.readColumnSelection(rg, col, sel)
+			mask, err := pred.Evaluate(s.cur, rows)
 			if err != nil {
 				return err
 			}
-			predCols[col] = arr
+			s.runs = appendRuns(s.runs, s.npend, mask)
 		}
-		mask, err := pred.Evaluate(predCols, int(sel.Count()))
-		if err != nil {
+		added := s.limitRuns(first)
+		if added == 0 {
+			continue
+		}
+		matched = true
+		if err := s.load(rg, si, s.opts.Projection); err != nil {
 			return err
 		}
-		sel = maskToSelection(sel, mask)
-		if sel.IsEmpty() {
-			return nil
+		for i, c := range s.opts.Projection {
+			s.pend[i] = append(s.pend[i], s.cur[c])
 		}
-	}
-	s.RowGroupsMatched++
-
-	// Apply any remaining limit by truncating the selection.
-	if s.remaining >= 0 && sel.Count() > s.remaining {
-		var kept []RowRange
-		left := s.remaining
-		for _, r := range sel.Ranges() {
-			if left <= 0 {
-				break
+		s.npend++
+		s.pendRows += added
+		for s.pendRows >= s.opts.BatchRows {
+			if err := s.emit(s.opts.BatchRows); err != nil {
+				return err
 			}
-			take := minI64(r.End-r.Start, left)
-			kept = append(kept, RowRange{r.Start, r.Start + take})
-			left -= take
 		}
-		sel = RowSelection{ranges: kept}
 	}
-
-	cols := make([]arrow.Array, len(s.opts.Projection))
-	for i, col := range s.opts.Projection {
-		arr, err := s.readColumnSelection(rg, col, sel)
-		if err != nil {
+	if s.pendRows > 0 {
+		if err := s.emit(s.pendRows); err != nil {
 			return err
 		}
-		cols[i] = arr
 	}
-	total := int(sel.Count())
-	if s.remaining > 0 {
-		s.remaining -= int64(total)
+	if prune && !candidate {
+		s.RowGroupsPruned++
 	}
-	batch := arrow.NewRecordBatchWithRows(s.schema, cols, total)
-	for off := 0; off < total; off += s.opts.BatchRows {
-		n := s.opts.BatchRows
-		if off+n > total {
-			n = total - off
-		}
-		s.queue = append(s.queue, batch.Slice(off, n))
+	if matched {
+		s.RowGroupsMatched++
 	}
 	return nil
 }
 
-// scanRowGroupEager decodes every projected column of a row group fully,
-// evaluates the predicate afterwards, and filters — the late
-// materialization ablation baseline.
-func (s *Scanner) scanRowGroupEager(rg int, numRows int64) error {
-	all := SelectAll(numRows)
-	pred := s.opts.Predicate
-	predCols := make(map[int]arrow.Array, len(pred.Columns()))
-	for _, col := range pred.Columns() {
-		arr, err := s.readColumnSelection(rg, col, all)
-		if err != nil {
-			return err
+// keepStripe applies page statistics to stripe si of row group rg,
+// counting every predicate-column page that refutes the predicate.
+func (s *Scanner) keepStripe(rg, si int) bool {
+	chunks := s.fr.meta.footer.RowGroups[rg].Columns
+	keep := true
+	for _, col := range s.predCols {
+		stats := chunks[col].Pages[si].Stats.toStats(s.fr.meta.Schema.Field(col).Type)
+		if !s.opts.Predicate.KeepColumnStats(col, stats) {
+			s.PagesSkipped++
+			keep = false
 		}
-		predCols[col] = arr
 	}
-	cols := make([]arrow.Array, len(s.opts.Projection))
-	for i, col := range s.opts.Projection {
-		if arr, ok := predCols[col]; ok {
-			cols[i] = arr
+	return keep
+}
+
+// load decodes page si of each listed column the current stripe has not
+// loaded yet.
+func (s *Scanner) load(rg, si int, cols []int) error {
+	for _, col := range cols {
+		if _, ok := s.cur[col]; ok {
 			continue
 		}
-		arr, err := s.readColumnSelection(rg, col, all)
+		chunk := &s.fr.meta.footer.RowGroups[rg].Columns[col]
+		if chunk.Dict != nil && s.dicts[col] == nil {
+			dict, err := s.loadDict(rg, col, chunk)
+			if err != nil {
+				return err
+			}
+			s.dicts[col] = dict
+		}
+		arr, err := s.loadPage(rg, col, si, &chunk.Pages[si], s.fr.meta.Schema.Field(col).Type, s.dicts[col])
 		if err != nil {
 			return err
 		}
-		cols[i] = arr
+		s.cur[col] = arr
 	}
-	mask, err := pred.Evaluate(predCols, int(numRows))
-	if err != nil {
-		return err
+	return nil
+}
+
+// appendRuns appends the rows mask selects (valid and true) to runs as
+// maximal runs of pending stripe src, reading 64 mask bits at a time.
+func appendRuns(runs []compute.Run, src int, mask *arrow.BoolArray) []compute.Run {
+	n := mask.Len()
+	vals, valid := mask.ValuesBitmap(), mask.Validity()
+	for base := 0; base < n; base += 64 {
+		w := vals.Word(base)
+		if valid != nil {
+			w &= valid.Word(base)
+		}
+		if n-base < 64 {
+			w &= uint64(1)<<(n-base) - 1
+		}
+		for w != 0 {
+			lo := bits.TrailingZeros64(w)
+			k := bits.TrailingZeros64(^(w >> lo))
+			start, end := base+lo, base+lo+k
+			if last := len(runs) - 1; last >= 0 && runs[last].Src == src && runs[last].End == start {
+				runs[last].End = end
+			} else {
+				runs = append(runs, compute.Run{Src: src, Start: start, End: end})
+			}
+			w &^= (uint64(1)<<k - 1) << lo
+		}
 	}
-	batch := arrow.NewRecordBatchWithRows(s.schema, cols, int(numRows))
-	filtered, err := compute.FilterBatch(batch, compute.CoalesceBoolToFalse(mask))
-	if err != nil {
-		return err
-	}
-	if filtered.NumRows() == 0 {
-		return nil
-	}
-	s.RowGroupsMatched++
-	total := filtered.NumRows()
-	if s.remaining >= 0 && int64(total) > s.remaining {
-		filtered = filtered.Slice(0, int(s.remaining))
-		total = filtered.NumRows()
+	return runs
+}
+
+// limitRuns trims the runs from index first on to the remaining limit,
+// charges them against it and returns how many rows they hold.
+func (s *Scanner) limitRuns(first int) int {
+	added := 0
+	for i := first; i < len(s.runs); i++ {
+		r := &s.runs[i]
+		if s.remaining >= 0 && int64(added+r.End-r.Start) >= s.remaining {
+			r.End = r.Start + int(s.remaining) - added
+			s.runs = s.runs[:i+1]
+			added = int(s.remaining)
+			break
+		}
+		added += r.End - r.Start
 	}
 	if s.remaining > 0 {
-		s.remaining -= int64(total)
+		s.remaining -= int64(added)
 	}
-	for off := 0; off < total; off += s.opts.BatchRows {
-		n := s.opts.BatchRows
-		if off+n > total {
-			n = total - off
+	return added
+}
+
+// emit queues the first n pending rows as one batch. The rows of one run
+// leave as that page or a slice of it; rows of several runs are gathered,
+// each value copied once. Stripes no pending run names are dropped.
+func (s *Scanner) emit(n int) error {
+	k, rows := 0, 0
+	for rows < n {
+		rows += s.runs[k].End - s.runs[k].Start
+		k++
+	}
+	over := rows - n
+	s.runs[k-1].End -= over
+	cols := make([]arrow.Array, len(s.pend))
+	for i, pages := range s.pend {
+		col, err := compute.GatherRuns(pages, s.runs[:k])
+		if err != nil {
+			return err
 		}
-		s.queue = append(s.queue, filtered.Slice(off, n))
+		cols[i] = col
 	}
+	if k == 1 || len(cols) == 0 {
+		s.RowsZeroCopy += n
+	} else {
+		s.RowsGathered += n
+	}
+	s.queue = append(s.queue, arrow.NewRecordBatchWithRows(s.schema, cols, n))
+
+	if over > 0 {
+		k--
+		s.runs[k].Start, s.runs[k].End = s.runs[k].End, s.runs[k].End+over
+	}
+	s.runs = s.runs[:copy(s.runs, s.runs[k:])]
+	s.pendRows -= n
+	drop := s.npend
+	if len(s.runs) > 0 {
+		drop = s.runs[0].Src
+	}
+	for i := range s.runs {
+		s.runs[i].Src -= drop
+	}
+	for i, pages := range s.pend {
+		kept := copy(pages, pages[drop:])
+		clear(pages[kept:])
+		s.pend[i] = pages[:kept]
+	}
+	s.npend -= drop
 	return nil
 }
