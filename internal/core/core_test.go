@@ -244,6 +244,35 @@ func TestSQLOrderByVariants(t *testing.T) {
 	expect(t, got, []string{"6"}, true)
 }
 
+// TestOrderByLimitZero: LIMIT 0 under an ORDER BY is a top-k of nothing. It
+// returns no rows and the statement's schema, without a panic in the top-k
+// or in the merge goroutines that prime its partitions.
+func TestOrderByLimitZero(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		s := newTestSession(t, parts)
+		for _, query := range []string{
+			`SELECT name, salary FROM emp ORDER BY salary LIMIT 0`,
+			`SELECT name, salary FROM emp ORDER BY salary DESC, name LIMIT 0 OFFSET 2`,
+		} {
+			df, err := s.SQL(query)
+			if err != nil {
+				t.Fatalf("p%d %q: %v", parts, query, err)
+			}
+			batch, err := df.CollectBatch()
+			if err != nil {
+				t.Fatalf("p%d %q: %v", parts, query, err)
+			}
+			if batch.NumRows() != 0 {
+				t.Errorf("p%d %q: %d rows, want 0", parts, query, batch.NumRows())
+			}
+			schema := batch.Schema()
+			if schema.NumFields() != 2 || schema.Field(0).Name != "name" || !schema.Field(1).Type.Equal(arrow.Float64) {
+				t.Errorf("p%d %q: schema %v", parts, query, schema)
+			}
+		}
+	}
+}
+
 func TestSQLGroupingSets(t *testing.T) {
 	s := newTestSession(t, 1)
 	got := q(t, s, `SELECT dept_id, count(*) FROM emp WHERE dept_id IS NOT NULL

@@ -366,6 +366,12 @@ func (s *SessionContext) SQL(query string) (*DataFrame, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.SQLStatement(stmt)
+}
+
+// SQLStatement is SQL for an already parsed statement: a query becomes a
+// lazy DataFrame, DDL and DML execute now and return a status row.
+func (s *SessionContext) SQLStatement(stmt sql.Statement) (*DataFrame, error) {
 	switch st := stmt.(type) {
 	case *sql.SelectStmt:
 		return s.selectDataFrame(st)

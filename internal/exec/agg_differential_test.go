@@ -200,6 +200,13 @@ var diffQueries = []struct {
 // lowerSQL plans sqlText over the named tables at the given parallelism.
 func lowerSQL(t *testing.T, sqlText string, tables map[string]catalog.TableProvider, parts int) physical.ExecutionPlan {
 	t.Helper()
+	return lowerSQLBatchRows(t, sqlText, tables, parts, 0)
+}
+
+// lowerSQLBatchRows is lowerSQL with the planner's batch size set (0: the
+// default).
+func lowerSQLBatchRows(t *testing.T, sqlText string, tables map[string]catalog.TableProvider, parts, batchRows int) physical.ExecutionPlan {
+	t.Helper()
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
 		t.Fatalf("parse %s: %v", sqlText, err)
@@ -217,7 +224,7 @@ func lowerSQL(t *testing.T, sqlText string, tables map[string]catalog.TableProvi
 	if plan, err = optimizer.New(diffReg).Optimize(plan); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	pp, err := exec.CreatePhysicalPlan(plan, &exec.PlannerConfig{TargetPartitions: parts, Reg: diffReg})
+	pp, err := exec.CreatePhysicalPlan(plan, &exec.PlannerConfig{TargetPartitions: parts, Reg: diffReg, BatchRows: batchRows})
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}

@@ -441,59 +441,94 @@ func TestWindowLagLeadRank(t *testing.T) {
 }
 
 func bigTable(t *testing.T, n int) *catalog.MemTable {
+	return bigTableBatches(t, n, n)
+}
+
+// bigTableBatches is bigTable's rows, k = i % 97 and v = i, cut into
+// batches of per rows.
+func bigTableBatches(t *testing.T, n, per int) *catalog.MemTable {
+	t.Helper()
 	schema := arrow.NewSchema(
 		arrow.NewField("k", arrow.Int64, false),
 		arrow.NewField("v", arrow.Int64, false),
 	)
-	kb := arrow.NewNumericBuilder[int64](arrow.Int64)
-	vb := arrow.NewNumericBuilder[int64](arrow.Int64)
-	for i := 0; i < n; i++ {
-		kb.Append(int64(i % 97))
-		vb.Append(int64(i))
+	var batches []*arrow.RecordBatch
+	for start := 0; start < n; start += per {
+		kb := arrow.NewNumericBuilder[int64](arrow.Int64)
+		vb := arrow.NewNumericBuilder[int64](arrow.Int64)
+		for i := start; i < min(start+per, n); i++ {
+			kb.Append(int64(i % 97))
+			vb.Append(int64(i))
+		}
+		batches = append(batches, arrow.NewRecordBatch(schema, []arrow.Array{kb.Finish(), vb.Finish()}))
 	}
-	return memTable(t, schema, []arrow.Array{kb.Finish(), vb.Finish()})
+	mt, err := catalog.NewMemTable(schema, [][]*arrow.RecordBatch{batches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mt
 }
 
+// TestSortSpillEqualsInMemory: a sort that spills runs and merges them
+// returns exactly the in-memory sort's rows, every column compared in
+// order. Sorting by k alone leaves ~52 rows per key whose v differ: the
+// merge must hand ties on in run order, as the in-memory sort keeps them in
+// arrival order.
 func TestSortSpillEqualsInMemory(t *testing.T) {
 	defer testutil.CheckNoGoroutineLeak(t)()
-	table := bigTable(t, 5000)
-	plan, err := logical.NewBuilder(testReg).
-		Scan("big", table).
-		Sort(logical.SortAsc(logical.Col("k")), logical.SortDesc(logical.Col("v"))).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := &PlannerConfig{TargetPartitions: 1, Reg: testReg}
-	pp, err := CreatePhysicalPlan(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(ctx *physical.ExecContext) *arrow.RecordBatch {
-		out, err := CollectBatch(ctx, pp)
+	table := bigTableBatches(t, 5000, 500)
+	for _, keys := range [][]logical.SortExpr{
+		{logical.SortAsc(logical.Col("k")), logical.SortDesc(logical.Col("v"))},
+		{logical.SortAsc(logical.Col("k"))},
+		{logical.SortDesc(logical.Col("k"))},
+	} {
+		plan, err := logical.NewBuilder(testReg).Scan("big", table).Sort(keys...).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	want := run(physical.NewExecContext())
+		cfg := &PlannerConfig{TargetPartitions: 1, Reg: testReg}
+		pp, err := CreatePhysicalPlan(plan, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := CollectBatch(physical.NewExecContext(), pp)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	dm := memory.NewDiskManager(t.TempDir(), true)
-	defer dm.Close()
-	ctx := physical.NewExecContext()
-	ctx.Pool = memory.NewGreedyPool(40 * 1024) // force spills
-	ctx.Disk = dm
-	got := run(ctx)
+		dm := memory.NewDiskManager(t.TempDir(), true)
+		defer dm.Close()
+		ctx := physical.NewExecContext()
+		ctx.Pool = memory.NewGreedyPool(16 << 10) // a run every two batches
+		ctx.Disk = dm
+		ctx.BatchRows = 1000
+		got, err := CollectBatch(ctx, pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spills, _ := PlanSpillStats(pp); spills < 3 {
+			t.Fatalf("%v: %d runs spilled, want at least 3", keys, spills)
+		}
+		if d := testutil.DiffOrdered(got, want); d != "" {
+			t.Fatalf("%v: spilled sort differs from the in-memory one: %s", keys, d)
+		}
 
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("spill rows %d != %d", got.NumRows(), want.NumRows())
-	}
-	for i := 0; i < got.NumRows(); i += 37 {
-		for c := 0; c < got.NumCols(); c++ {
-			if !got.Column(c).GetScalar(i).Equal(want.Column(c).GetScalar(i)) {
-				t.Fatalf("spill mismatch at row %d", i)
-			}
+		// Top-K is the sort's prefix, ties included: on equal keys the heap
+		// keeps the earlier row, as the sort does.
+		const k = 700
+		topk, err := CreatePhysicalPlan(&logical.Sort{Input: plan.(*logical.Sort).Input, Keys: keys, Fetch: k}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := topk.(*TopKExec); !ok {
+			t.Fatalf("Sort with Fetch planned as\n%s", ExplainPhysical(topk))
+		}
+		got, err = CollectBatch(physical.NewExecContext(), topk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := testutil.DiffOrdered(got, want.Slice(0, k)); d != "" {
+			t.Fatalf("%v: top-%d differs from the sort's first %d rows: %s", keys, k, k, d)
 		}
 	}
 }

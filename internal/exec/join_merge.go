@@ -3,7 +3,6 @@ package exec
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/arrow/compute"
@@ -196,20 +195,5 @@ func (e *SortMergeJoinExec) Execute(ctx *physical.ExecContext, partition int) (p
 		out = compute.TakeBatch(left.batch, keep)
 	}
 
-	pos := 0
-	return physical.InstrumentStream(NewFuncStream(e.schema, func() (*arrow.RecordBatch, error) {
-		if pos >= out.NumRows() {
-			return nil, io.EOF
-		}
-		n := ctx.BatchRows
-		if n <= 0 {
-			n = 8192
-		}
-		if pos+n > out.NumRows() {
-			n = out.NumRows() - pos
-		}
-		b := out.Slice(pos, n)
-		pos += n
-		return b, nil
-	}, nil), m), nil
+	return physical.InstrumentStream(NewFuncStream(e.schema, sliceNext(ctx, out), nil), m), nil
 }

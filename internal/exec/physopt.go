@@ -108,8 +108,8 @@ func removeRedundantCoalesce(plan physical.ExecutionPlan) (physical.ExecutionPla
 
 // limitWindowTopK is the per-partition top-k rewrite: a filter
 // `rn <= k`, `rn < k` or `rn = 1` directly over a WindowExec (through
-// CoalesceBatchesExec) whose one spec is the row_number() producing rn,
-// with PARTITION BY keys, makes every row past the k-th of its group dead,
+// CoalesceBatchesExec) whose one spec is the row_number() producing rn
+// makes every row past the k-th of its PARTITION BY group dead,
 // provided nothing above the filter reads rn. The window then gets
 // TopK = k and keeps a k-bounded heap per group instead of sorting; the
 // filter stays and passes everything the window emits. The limited window
@@ -202,9 +202,8 @@ func topKWindowUnder(filter *FilterExec, unread []bool) physical.ExecutionPlan {
 		input = c.Input
 	}
 	w, ok := input.(*WindowExec)
-	// Without PARTITION BY the shape is a plain top-k, which is TopKExec's.
 	if !ok || len(w.Specs) != 1 || w.Specs[0].Name != "row_number" ||
-		len(w.Specs[0].PartitionBy) == 0 || col.Index != w.Input.Schema().NumFields() {
+		col.Index != w.Input.Schema().NumFields() {
 		return nil
 	}
 	limited := NewWindowExec(w.Input, w.Specs, w.Reg)

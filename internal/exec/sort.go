@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"io"
 	"strings"
@@ -47,15 +46,6 @@ func sortEncoder(keys []SortSpec) (*rowformat.Encoder, error) {
 	return rowformat.NewEncoder(exprTypes(sortExprs(keys)), opts)
 }
 
-// encodeSortKeys renders each row's normalized sort key.
-func encodeSortKeys(enc *rowformat.Encoder, keys []SortSpec, b *arrow.RecordBatch) ([][]byte, error) {
-	cols, err := evalExprs(sortExprs(keys), b)
-	if err != nil {
-		return nil, err
-	}
-	return enc.EncodeRows(cols, b.NumRows()), nil
-}
-
 // batchBytes estimates a batch's memory footprint.
 func batchBytes(b *arrow.RecordBatch) int64 {
 	var total int64
@@ -79,8 +69,8 @@ func arrayBytes(c arrow.Array) int64 {
 }
 
 // ExternalSortExec fully sorts its input (per partition), spilling sorted
-// runs to disk and merging them with a loser-tree-style heap when memory
-// is exhausted (paper Section 6.2).
+// runs to disk when memory is exhausted and merging them with mergeNext
+// (paper Section 6.2).
 type ExternalSortExec struct {
 	physical.OpMetrics
 	Input physical.ExecutionPlan
@@ -146,13 +136,7 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 	var pendingKeys rowKeys
 	var pendingBytes int64
 
-	// out is the sorted output stream built on first Next (in-memory slice
-	// or spill merge); cleanup owns closing it.
-	var out physical.Stream
 	cleanup := func() {
-		if out != nil {
-			out.Close()
-		}
 		in.Close()
 		res.Free()
 		unregister()
@@ -182,11 +166,7 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 		m.AddSpill(batchBytes(sorted))
 		const chunk = 8192
 		for off := 0; off < sorted.NumRows(); off += chunk {
-			n := chunk
-			if off+n > sorted.NumRows() {
-				n = sorted.NumRows() - off
-			}
-			if err := arrow.WriteBatch(sf.File(), sorted.Slice(off, n)); err != nil {
+			if err := arrow.WriteBatch(sf.File(), sorted.Slice(off, min(chunk, sorted.NumRows()-off))); err != nil {
 				return err
 			}
 		}
@@ -197,66 +177,34 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 		return nil
 	}
 
-	started := false
+	var emit func() (*arrow.RecordBatch, error)
 	next := func() (*arrow.RecordBatch, error) {
-		if !started {
-			started = true
-			for {
-				if err := checkCancel(ctx); err != nil {
-					return nil, err
-				}
-				b, err := in.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				if b.NumRows() == 0 {
-					continue
-				}
+		if emit == nil {
+			err := forEachBatch(ctx, in, func(b *arrow.RecordBatch) error {
 				cols, err := evalExprs(sortExprs(e.Keys), b)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				pending = append(pending, b)
 				pendingKeys.appendRows(enc, cols, b.NumRows())
 				pendingBytes += batchBytes(b)
 				if err := res.Resize(pendingBytes); err != nil {
-					if serr := spillRun(err); serr != nil {
-						return nil, serr
-					}
-				} else {
-					m.UpdateMemPeak(res.Size())
+					return spillRun(err)
 				}
+				m.UpdateMemPeak(res.Size())
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 			if len(spills) == 0 {
 				// Pure in-memory sort.
-				if len(pending) == 0 {
-					out = NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) { return nil, io.EOF }, nil)
-				} else {
-					sorted, err := e.sortRun(pending, &pendingKeys)
-					if err != nil {
-						return nil, err
-					}
-					pending, pendingKeys = nil, rowKeys{}
-					pos := 0
-					out = NewFuncStream(e.Schema(), func() (*arrow.RecordBatch, error) {
-						if pos >= sorted.NumRows() {
-							return nil, io.EOF
-						}
-						n := ctx.BatchRows
-						if n <= 0 {
-							n = 8192
-						}
-						if pos+n > sorted.NumRows() {
-							n = sorted.NumRows() - pos
-						}
-						b := sorted.Slice(pos, n)
-						pos += n
-						return b, nil
-					}, nil)
+				sorted, err := e.sortRun(pending, &pendingKeys)
+				if err != nil {
+					return nil, err
 				}
+				pending, pendingKeys = nil, rowKeys{}
+				emit = sliceNext(ctx, sorted)
 			} else {
 				// Spill the final run, then merge all runs.
 				if len(pending) > 0 {
@@ -264,132 +212,170 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 						return nil, err
 					}
 				}
-				ms, err := e.mergeSpills(ctx, enc, spills)
-				if err != nil {
+				if emit, err = e.mergeSpills(ctx, enc, spills); err != nil {
 					return nil, err
 				}
-				out = ms
 			}
 		}
-		return out.Next()
+		return emit()
 	}
 	return physical.InstrumentStream(NewFuncStream(e.Schema(), next, cleanup), m), nil
 }
 
-// runCursor iterates one sorted spilled run.
-type runCursor struct {
-	file   *memory.SpillFile
-	schema *arrow.Schema
-	enc    *rowformat.Encoder
-	keys   []SortSpec
-	batch  *arrow.RecordBatch
-	bkeys  [][]byte
-	row    int
-	done   bool
+// mergeSpills merges the spilled runs, numbered in the order they were
+// written.
+func (e *ExternalSortExec) mergeSpills(ctx *physical.ExecContext, enc *rowformat.Encoder, spills []*memory.SpillFile) (func() (*arrow.RecordBatch, error), error) {
+	cursors := make([]*mergeCursor, len(spills))
+	for i, sf := range spills {
+		f := sf.File()
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, err
+		}
+		cursors[i] = newMergeCursor(func() (*arrow.RecordBatch, error) { return arrow.ReadBatch(f, e.Schema()) }, enc, e.Keys)
+		if err := cursors[i].load(); err != nil {
+			return nil, err
+		}
+	}
+	return mergeNext(ctx, e.Schema(), cursors), nil
 }
 
-func (c *runCursor) advanceBatch() error {
-	b, err := arrow.ReadBatch(c.file.File(), c.schema)
-	if err == io.EOF {
-		c.done = true
-		c.batch = nil
+// mergeCursor walks one sorted source, a spilled run or a partition
+// stream, a batch at a time, holding the batch's sort keys in a reused
+// arena.
+type mergeCursor struct {
+	read  func() (*arrow.RecordBatch, error)
+	enc   *rowformat.Encoder
+	exprs []physical.PhysicalExpr
+	batch *arrow.RecordBatch // nil once the source is exhausted
+	keys  rowKeys
+	row   int
+	src   int // index of batch among the sources of the batch being cut, -1 if absent
+}
+
+func newMergeCursor(read func() (*arrow.RecordBatch, error), enc *rowformat.Encoder, keys []SortSpec) *mergeCursor {
+	return &mergeCursor{read: read, enc: enc, exprs: sortExprs(keys)}
+}
+
+func (c *mergeCursor) key() []byte { return c.keys.key(c.row) }
+
+// load moves to the source's next non-empty batch.
+func (c *mergeCursor) load() error {
+	for {
+		b, err := c.read()
+		if err == io.EOF {
+			c.batch = nil
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if b.NumRows() == 0 {
+			continue
+		}
+		cols, err := evalExprs(c.exprs, b)
+		if err != nil {
+			return err
+		}
+		c.keys.reset()
+		c.keys.appendRows(c.enc, cols, b.NumRows())
+		c.batch, c.row, c.src = b, 0, -1
 		return nil
 	}
-	if err != nil {
-		return err
-	}
-	ks, err := encodeSortKeys(c.enc, c.keys, b)
-	if err != nil {
-		return err
-	}
-	c.batch, c.bkeys, c.row = b, ks, 0
-	return nil
 }
 
-func (c *runCursor) key() []byte { return c.bkeys[c.row] }
-
-func (c *runCursor) advance() error {
-	c.row++
-	if c.batch != nil && c.row >= c.batch.NumRows() {
-		return c.advanceBatch()
+// mergeNext merges loaded cursors into one sorted stream (paper Section
+// 6.2's merge of sorted runs). A min-heap of cursor indexes ordered by
+// (key, index) picks each row, so equal keys leave in cursor order; spilled
+// runs are numbered in arrival order, which makes a spilled sort emit
+// exactly what the in-memory sort does. Every batch has exactly BatchRows
+// rows until the cursors run dry, and each column is one GatherRuns over
+// the runs of consecutive rows taken from one cursor batch.
+func mergeNext(ctx *physical.ExecContext, schema *arrow.Schema, cursors []*mergeCursor) func() (*arrow.RecordBatch, error) {
+	less := func(a, b int) bool {
+		if c := bytes.Compare(cursors[a].key(), cursors[b].key()); c != 0 {
+			return c < 0
+		}
+		return a < b
 	}
-	return nil
-}
-
-// mergeHeap is a min-heap of run cursors ordered by current key (a
-// simplified tree of losers).
-type mergeHeap []*runCursor
-
-func (h mergeHeap) Len() int           { return len(h) }
-func (h mergeHeap) Less(i, j int) bool { return bytes.Compare(h[i].key(), h[j].key()) < 0 }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*runCursor)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-func (e *ExternalSortExec) mergeSpills(ctx *physical.ExecContext, enc *rowformat.Encoder, spills []*memory.SpillFile) (physical.Stream, error) {
-	var h mergeHeap
-	for _, sf := range spills {
-		if _, err := sf.File().Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		c := &runCursor{file: sf, schema: e.Schema(), enc: enc, keys: e.Keys}
-		if err := c.advanceBatch(); err != nil {
-			return nil, err
-		}
-		if !c.done {
-			h = append(h, c)
+	var heap []int
+	siftDown := func(i int) {
+		for {
+			least := i
+			if l := 2*i + 1; l < len(heap) && less(heap[l], heap[least]) {
+				least = l
+			}
+			if r := 2*i + 2; r < len(heap) && less(heap[r], heap[least]) {
+				least = r
+			}
+			if least == i {
+				return
+			}
+			heap[i], heap[least] = heap[least], heap[i]
+			i = least
 		}
 	}
-	heap.Init(&h)
-	builderFor := func() []arrow.Builder {
-		bs := make([]arrow.Builder, e.Schema().NumFields())
-		for i, f := range e.Schema().Fields() {
-			bs[i] = arrow.NewBuilder(f.Type)
+	for i, c := range cursors {
+		if c.batch != nil {
+			heap = append(heap, i)
 		}
-		return bs
 	}
-	next := func() (*arrow.RecordBatch, error) {
-		if h.Len() == 0 {
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	return func() (*arrow.RecordBatch, error) {
+		if len(heap) == 0 {
 			return nil, io.EOF
 		}
-		target := ctx.BatchRows
-		if target <= 0 {
-			target = 8192
+		if err := checkCancel(ctx); err != nil {
+			return nil, err
 		}
-		builders := builderFor()
-		rows := 0
-		for rows < target && h.Len() > 0 {
-			c := h[0]
-			for i := range builders {
-				builders[i].AppendFrom(c.batch.Column(i), c.row)
+		var srcs []*arrow.RecordBatch
+		var runs []compute.Run
+		rows, target := 0, batchRows(ctx)
+		for ; rows < target && len(heap) > 0; rows++ {
+			c := cursors[heap[0]]
+			if c.src < 0 {
+				c.src = len(srcs)
+				srcs = append(srcs, c.batch)
 			}
-			rows++
-			if err := c.advance(); err != nil {
+			if n := len(runs); n > 0 && runs[n-1].Src == c.src {
+				runs[n-1].End++
+			} else {
+				runs = append(runs, compute.Run{Src: c.src, Start: c.row, End: c.row + 1})
+			}
+			if c.row++; c.row == c.batch.NumRows() {
+				if err := c.load(); err != nil {
+					return nil, err
+				}
+				if c.batch == nil {
+					heap[0] = heap[len(heap)-1]
+					heap = heap[:len(heap)-1]
+				}
+			}
+			siftDown(0)
+		}
+		for _, c := range cursors {
+			c.src = -1
+		}
+		cols := make([]arrow.Array, schema.NumFields())
+		parts := make([]arrow.Array, len(srcs))
+		for col := range cols {
+			for i, b := range srcs {
+				parts[i] = b.Column(col)
+			}
+			a, err := compute.GatherRuns(parts, runs)
+			if err != nil {
 				return nil, err
 			}
-			if c.done {
-				heap.Pop(&h)
-			} else {
-				heap.Fix(&h, 0)
-			}
+			cols[col] = a
 		}
-		cols := make([]arrow.Array, len(builders))
-		for i, b := range builders {
-			cols[i] = b.Finish()
-		}
-		return arrow.NewRecordBatchWithRows(e.Schema(), cols, rows), nil
+		return arrow.NewRecordBatchWithRows(schema, cols, rows), nil
 	}
-	return NewFuncStream(e.Schema(), next, nil), nil
 }
 
 // SortPreservingMergeExec merges already-sorted partitions into one sorted
-// stream without re-sorting.
+// stream without re-sorting (mergeNext; equal keys leave in partition
+// order).
 type SortPreservingMergeExec struct {
 	physical.OpMetrics
 	Input physical.ExecutionPlan
@@ -415,56 +401,6 @@ func (e *SortPreservingMergeExec) WithChildren(ch []physical.ExecutionPlan) (phy
 	return &SortPreservingMergeExec{Input: c, Keys: e.Keys}, nil
 }
 
-// streamCursor adapts a live stream for heap merging.
-type streamCursor struct {
-	s     physical.Stream
-	enc   *rowformat.Encoder
-	keys  []SortSpec
-	batch *arrow.RecordBatch
-	bkeys [][]byte
-	row   int
-	done  bool
-}
-
-func (c *streamCursor) advanceBatch() error {
-	for {
-		b, err := c.s.Next()
-		if err == io.EOF {
-			c.done = true
-			c.batch = nil
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if b.NumRows() == 0 {
-			continue
-		}
-		ks, err := encodeSortKeys(c.enc, c.keys, b)
-		if err != nil {
-			return err
-		}
-		c.batch, c.bkeys, c.row = b, ks, 0
-		return nil
-	}
-}
-
-type streamHeap []*streamCursor
-
-func (h streamHeap) Len() int { return len(h) }
-func (h streamHeap) Less(i, j int) bool {
-	return bytes.Compare(h[i].bkeys[h[i].row], h[j].bkeys[h[j].row]) < 0
-}
-func (h streamHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *streamHeap) Push(x any)   { *h = append(*h, x.(*streamCursor)) }
-func (h *streamHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 func (e *SortPreservingMergeExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
 	if partition != 0 {
 		return nil, fmt.Errorf("exec: merge has a single partition")
@@ -486,9 +422,8 @@ func (e *SortPreservingMergeExec) Execute(ctx *physical.ExecContext, partition i
 	// every consumer partition makes progress; sequential priming would
 	// deadlock (each input is a pipeline breaker that buffers its whole
 	// exchange share before its first batch).
-	var h streamHeap
 	streams := make([]physical.Stream, n)
-	cursors := make([]*streamCursor, n)
+	cursors := make([]*mergeCursor, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
@@ -500,8 +435,8 @@ func (e *SortPreservingMergeExec) Execute(ctx *physical.ExecContext, partition i
 				errs[p] = err
 				return
 			}
-			c := &streamCursor{s: s, enc: enc, keys: e.Keys}
-			if errs[p] = c.advanceBatch(); errs[p] != nil {
+			c := newMergeCursor(s.Next, enc, e.Keys)
+			if errs[p] = c.load(); errs[p] != nil {
 				// Closed right away: the shared exchange's producers would
 				// otherwise block on this partition's full channel and the
 				// sibling partitions never see their end of input.
@@ -520,52 +455,11 @@ func (e *SortPreservingMergeExec) Execute(ctx *physical.ExecContext, partition i
 			}
 		}
 	}
-	for p := 0; p < n; p++ {
-		if errs[p] != nil {
+	for _, err := range errs {
+		if err != nil {
 			closeAll()
-			return nil, errs[p]
-		}
-		if c := cursors[p]; !c.done {
-			h = append(h, c)
+			return nil, err
 		}
 	}
-	heap.Init(&h)
-	next := func() (*arrow.RecordBatch, error) {
-		if h.Len() == 0 {
-			return nil, io.EOF
-		}
-		target := ctx.BatchRows
-		if target <= 0 {
-			target = 8192
-		}
-		builders := make([]arrow.Builder, e.Schema().NumFields())
-		for i, f := range e.Schema().Fields() {
-			builders[i] = arrow.NewBuilder(f.Type)
-		}
-		rows := 0
-		for rows < target && h.Len() > 0 {
-			c := h[0]
-			for i := range builders {
-				builders[i].AppendFrom(c.batch.Column(i), c.row)
-			}
-			rows++
-			c.row++
-			if c.row >= c.batch.NumRows() {
-				if err := c.advanceBatch(); err != nil {
-					return nil, err
-				}
-			}
-			if c.done {
-				heap.Pop(&h)
-			} else {
-				heap.Fix(&h, 0)
-			}
-		}
-		cols := make([]arrow.Array, len(builders))
-		for i, b := range builders {
-			cols[i] = b.Finish()
-		}
-		return arrow.NewRecordBatchWithRows(e.Schema(), cols, rows), nil
-	}
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), next, closeAll), e.Metrics()), nil
+	return physical.InstrumentStream(NewFuncStream(e.Schema(), mergeNext(ctx, e.Schema(), cursors), closeAll), e.Metrics()), nil
 }

@@ -162,6 +162,55 @@ func CollectBatch(ctx *physical.ExecContext, plan physical.ExecutionPlan) (*arro
 	return compute.ConcatBatches(plan.Schema(), batches)
 }
 
+// emptyStream is a stream without batches.
+func emptyStream(schema *arrow.Schema) physical.Stream {
+	return NewFuncStream(schema, func() (*arrow.RecordBatch, error) { return nil, io.EOF }, nil)
+}
+
+// batchRows is the row count operators cut their output batches to.
+func batchRows(ctx *physical.ExecContext) int {
+	if ctx.BatchRows <= 0 {
+		return 8192
+	}
+	return ctx.BatchRows
+}
+
+// sliceNext hands b out as zero-copy slices of batchRows rows, then io.EOF.
+func sliceNext(ctx *physical.ExecContext, b *arrow.RecordBatch) func() (*arrow.RecordBatch, error) {
+	pos := 0
+	return func() (*arrow.RecordBatch, error) {
+		if pos >= b.NumRows() {
+			return nil, io.EOF
+		}
+		n := min(batchRows(ctx), b.NumRows()-pos)
+		out := b.Slice(pos, n)
+		pos += n
+		return out, nil
+	}
+}
+
+// forEachBatch reads in to its end, handing every non-empty batch to fn and
+// checking for cancellation before each read.
+func forEachBatch(ctx *physical.ExecContext, in physical.Stream, fn func(*arrow.RecordBatch) error) error {
+	for {
+		if err := checkCancel(ctx); err != nil {
+			return err
+		}
+		b, err := in.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if b.NumRows() > 0 {
+			if err := fn(b); err != nil {
+				return err
+			}
+		}
+	}
+}
+
 // ctxDoneChan returns the context's cancellation channel, or nil (which
 // blocks forever in a select) when the query has no context.
 func ctxDoneChan(ctx *physical.ExecContext) <-chan struct{} {

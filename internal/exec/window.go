@@ -3,7 +3,6 @@ package exec
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 
 	"gofusion/internal/arrow"
@@ -58,10 +57,11 @@ const NoTopK = -1
 // when there are none, by coalescing the input to a single partition.
 //
 // With TopK >= 0 (set only by the physical top-k rewrite, for a lone
-// row_number() with PARTITION BY keys whose sole consumer is a
-// `row_number <= k` filter) the operator does not sort: it keeps the k best
-// rows of every PARTITION BY group in a bounded heap while the input
-// streams by, and emits only those, still in input order.
+// row_number() whose sole consumer is a `row_number <= k` filter) the
+// operator does not sort: it keeps the k best rows of every PARTITION BY
+// group (of the whole partition without PARTITION BY) in the bounded heap
+// TopKExec also runs on while the input streams by, and emits only those,
+// still in input order.
 type WindowExec struct {
 	physical.OpMetrics
 	Input physical.ExecutionPlan
@@ -117,6 +117,10 @@ func (e *WindowExec) WithChildren(ch []physical.ExecutionPlan) (physical.Executi
 }
 
 func (e *WindowExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
+	if e.TopK == 0 {
+		// Nothing can pass the filter above: the input is not even started.
+		return physical.InstrumentStream(emptyStream(e.schema), e.Metrics()), nil
+	}
 	in, err := e.Input.Execute(ctx, partition)
 	if err != nil {
 		return nil, err
@@ -133,10 +137,9 @@ type windowRun struct {
 	// res covers what the partition buffers: input batches and key arenas,
 	// or the top-k path's group table, heaps and admitted rows. Windows do
 	// not spill, so a refused reservation fails the query.
-	res     *memory.Reservation
-	started bool
-	out     *arrow.RecordBatch // the whole result, handed out in BatchRows slices
-	pos     int
+	res *memory.Reservation
+	// emit hands the whole result out in BatchRows slices once evaluated.
+	emit func() (*arrow.RecordBatch, error)
 }
 
 func (r *windowRun) close() {
@@ -145,31 +148,18 @@ func (r *windowRun) close() {
 }
 
 func (r *windowRun) next() (*arrow.RecordBatch, error) {
-	if !r.started {
-		r.started = true
-		var err error
+	if r.emit == nil {
+		eval := r.evalAll
 		if r.e.TopK >= 0 {
-			r.out, err = r.evalTopK()
-		} else {
-			r.out, err = r.evalAll()
+			eval = r.evalTopK
 		}
+		out, err := eval()
 		if err != nil {
 			return nil, err
 		}
+		r.emit = sliceNext(r.ctx, out)
 	}
-	if r.pos >= r.out.NumRows() {
-		return nil, io.EOF
-	}
-	n := r.ctx.BatchRows
-	if n <= 0 {
-		n = 8192
-	}
-	if r.pos+n > r.out.NumRows() {
-		n = r.out.NumRows() - r.pos
-	}
-	b := r.out.Slice(r.pos, n)
-	r.pos += n
-	return b, nil
+	return r.emit()
 }
 
 // reserve resizes the reservation to n bytes.
@@ -186,25 +176,13 @@ func (r *windowRun) evalAll() (*arrow.RecordBatch, error) {
 	e := r.e
 	var batches []*arrow.RecordBatch
 	var buffered int64
-	for {
-		if err := checkCancel(r.ctx); err != nil {
-			return nil, err
-		}
-		b, err := r.in.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if b.NumRows() == 0 {
-			continue
-		}
+	err := forEachBatch(r.ctx, r.in, func(b *arrow.RecordBatch) error {
 		batches = append(batches, b)
 		buffered += batchBytes(b)
-		if err := r.reserve(buffered); err != nil {
-			return nil, err
-		}
+		return r.reserve(buffered)
+	})
+	if err != nil {
+		return nil, err
 	}
 	input, err := compute.ConcatBatches(e.Input.Schema(), batches)
 	if err != nil {
@@ -259,6 +237,61 @@ func (r *windowRun) evalAll() (*arrow.RecordBatch, error) {
 		return nil, err
 	}
 	return arrow.NewRecordBatchWithRows(e.schema, cols, input.NumRows()), nil
+}
+
+// evalTopK runs the partition through the top-k heap with one group per
+// PARTITION BY key (a single group without PARTITION BY): O(rows) hash
+// lookups and key compares, memory proportional to groups x k.
+func (r *windowRun) evalTopK() (*arrow.RecordBatch, error) {
+	e := r.e
+	spec := &e.Specs[0]
+	ordEnc, err := sortEncoder(spec.OrderBy)
+	if err != nil {
+		return nil, err
+	}
+	var table *groupTable
+	if len(spec.PartitionBy) > 0 {
+		if table, err = newGroupTable(exprTypes(spec.PartitionBy)); err != nil {
+			return nil, err
+		}
+	}
+	t := &topKRows{k: int(e.TopK), schema: e.Input.Schema()}
+	var keys rowKeys
+	var gids []uint32
+	var inputRows, tableBytes int64
+	err = forEachBatch(r.ctx, r.in, func(b *arrow.RecordBatch) error {
+		inputRows += int64(b.NumRows())
+		if table != nil {
+			partCols, err := evalExprs(spec.PartitionBy, b)
+			if err != nil {
+				return err
+			}
+			gids = table.assign(partCols, b.NumRows(), gids)
+			tableBytes = table.memUsage()
+		}
+		ordCols, err := evalExprs(sortExprs(spec.OrderBy), b)
+		if err != nil {
+			return err
+		}
+		keys.reset()
+		keys.appendRows(ordEnc, ordCols, b.NumRows())
+		if err := t.push(b, &keys, gids); err != nil {
+			return err
+		}
+		return r.reserve(t.memUsage() + keys.memUsage() + tableBytes)
+	})
+	if err != nil {
+		return nil, err
+	}
+	m := e.Metrics()
+	m.Counter("groups").Add(int64(len(t.heaps)))
+	m.Counter("rows_pruned_topk").Add(inputRows - int64(t.live))
+	rows, rowNumber, err := t.numbered()
+	if err != nil {
+		return nil, err
+	}
+	cols := append(rows.Columns(), arrow.NewInt64(rowNumber))
+	return arrow.NewRecordBatchWithRows(e.schema, cols, len(rowNumber)), nil
 }
 
 // windowOrder is the buffered rows arranged by one (PARTITION BY, ORDER BY)

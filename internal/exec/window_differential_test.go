@@ -343,11 +343,15 @@ func windowCases() []windowCase {
 			sql: `SELECT k2, u FROM (SELECT k2, u, row_number() OVER (PARTITION BY k1, k2 ORDER BY o, u) AS rn FROM w) s WHERE rn <= 2`,
 			out: []*arrow.DataType{str, i64}, partKey: byK1K2, less: lessOU, wantTopK: 2,
 			row: topK(2, func(r wrow) []any { return []any{optStr(r.k2), r.u} })},
-		// Shapes the rewrite must leave alone.
-		{name: "not rewritten: no partition by (a plain top-k)",
+		{name: "top-k without partition by",
 			sql: `SELECT u FROM (SELECT u, row_number() OVER (ORDER BY o, u) AS rn FROM w) s WHERE rn <= 7`,
-			out: []*arrow.DataType{i64}, partKey: noPartition, less: lessOU, wantTopK: NoTopK,
+			out: []*arrow.DataType{i64}, partKey: noPartition, less: lessOU, wantTopK: 7,
 			row: topK(7, func(r wrow) []any { return []any{r.u} })},
+		{name: "top-k without partition by, tied order",
+			sql: `SELECT o FROM (SELECT o, row_number() OVER (ORDER BY o DESC) AS rn FROM w) s WHERE rn <= 4`,
+			out: []*arrow.DataType{i64}, partKey: noPartition, less: lessODesc, wantTopK: 4,
+			row: topK(4, func(r wrow) []any { return []any{r.o} })},
+		// Shapes the rewrite must leave alone.
 		{name: "not rewritten: computed outer column (liveness stops at expressions)",
 			sql: `SELECT u + 1 FROM ` + rnSub + ` WHERE rn <= 2`,
 			out: []*arrow.DataType{i64}, partKey: byK1, less: lessOU, wantTopK: NoTopK,
@@ -427,25 +431,32 @@ func findWindow(p physical.ExecutionPlan) *WindowExec {
 	return nil
 }
 
-func TestWindowDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(20240925))
+// wDataset is one input of the window and top-k differentials.
+type wDataset struct {
+	name string
+	rows []wrow
+}
+
+func wDatasets(seed int64) []wDataset {
+	rng := rand.New(rand.NewSource(seed))
 	// An arrival order that admits every row into the top-k heaps (each
-	// beats all before it), enough of them to force compactions.
+	// beats all before it in (o, u) order), enough of them to force
+	// compactions.
 	improving := make([]wrow, 3*topKSlack)
 	for i := range improving {
 		k := int64(i % 3)
 		improving[i] = wrow{k1: &k, o: int64(len(improving) - i), u: int64(len(improving) - i)}
 	}
-	datasets := []struct {
-		name string
-		rows []wrow
-	}{
+	return []wDataset{
 		{"random", randomWRows(rng, 1500)},
 		{"one row", randomWRows(rng, 1)},
 		{"empty", nil},
 		{"improving", improving},
 	}
-	for _, ds := range datasets {
+}
+
+func TestWindowDifferential(t *testing.T) {
+	for _, ds := range wDatasets(20240925) {
 		table := wTable(t, ds.rows)
 		for _, c := range windowCases() {
 			if ds.name == "improving" && c.wantTopK == NoTopK {
@@ -556,6 +567,72 @@ func TestWindowKeepsInputOrder(t *testing.T) {
 			}
 			if gotU := got.Column(0).(*arrow.NumericArray[int64]).Values(); !slices.Equal(gotU, want) {
 				t.Errorf("%s: u column out of order or wrong:\n got %v\nwant %v\n%s", name, gotU, want, ExplainPhysical(pp))
+			}
+		}
+	}
+}
+
+func hasTopK(p physical.ExecutionPlan) bool {
+	if _, ok := p.(*TopKExec); ok {
+		return true
+	}
+	return slices.ContainsFunc(p.Children(), hasTopK)
+}
+
+// TestTopKDifferential runs ORDER BY … LIMIT through TopKExec (and the merge
+// above it at more than one partition) over the window differential's
+// datasets and compares the rows in order with the reference's. On the
+// improving dataset the heap admits every row and compacts repeatedly.
+func TestTopKDifferential(t *testing.T) {
+	cases := []struct {
+		sql  string
+		less func(a, b wrow) bool
+		row  func(r wrow) []any
+		out  []*arrow.DataType
+	}{
+		{`SELECT k1, o, u FROM w ORDER BY o, u LIMIT %d`, lessOU,
+			func(r wrow) []any { return []any{optInt(r.k1), r.o, r.u} }, []*arrow.DataType{i64, i64, i64}},
+		// Ties on o: only o itself is selected.
+		{`SELECT o FROM w ORDER BY o DESC LIMIT %d`, lessODesc,
+			func(r wrow) []any { return []any{r.o} }, []*arrow.DataType{i64}},
+		{`SELECT u, v FROM w ORDER BY v DESC NULLS FIRST, u LIMIT %d`, lessVDescNullsFirstU,
+			func(r wrow) []any { return []any{r.u, optInt(r.v)} }, []*arrow.DataType{i64, i64}},
+	}
+	for _, ds := range wDatasets(20240926) {
+		table := wTable(t, ds.rows)
+		for _, c := range cases {
+			sorted := slices.Clone(ds.rows)
+			sort.SliceStable(sorted, func(a, b int) bool { return c.less(sorted[a], sorted[b]) })
+			fields := make([]arrow.Field, len(c.out))
+			for i, typ := range c.out {
+				fields[i] = arrow.NewField(fmt.Sprintf("c%d", i), typ, true)
+			}
+			for _, k := range []int{1, 7, 1000} {
+				var cells [][]any
+				for _, r := range sorted[:min(k, len(sorted))] {
+					cells = append(cells, c.row(r))
+				}
+				want := cellsBatch(t, arrow.NewSchema(fields...), cells)
+				query := fmt.Sprintf(c.sql, k)
+				for _, parts := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s/p%d/%s", ds.name, parts, query)
+					pp := windowPhysicalPlan(t, query, table, parts, true)
+					if !hasTopK(pp) {
+						t.Fatalf("%s: no TopKExec in\n%s", name, ExplainPhysical(pp))
+					}
+					ctx := physical.NewExecContext()
+					ctx.BatchRows = 64
+					got, err := CollectBatch(ctx, pp)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if d := testutil.DiffOrdered(got, want); d != "" {
+						t.Errorf("%s:\n%s\n%s", name, d, ExplainPhysical(pp))
+					}
+					if err := CheckPlanMetrics(pp, int64(got.NumRows())); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+				}
 			}
 		}
 	}

@@ -17,9 +17,9 @@ type Gen struct {
 	rng *rand.Rand
 	ds  *Dataset
 	// Pinned keeps the query stream free of the shapes added since the
-	// server load pool was defined — windows, count(DISTINCT) — and draws
-	// nothing for them, so the stream is the one generated before they
-	// existed. The server load pool sets it: the repository benchmark's
+	// server load pool was defined — windows, count(DISTINCT), LIMIT 0 —
+	// and draws nothing for them, so the stream is the one generated before
+	// they existed. The server load pool sets it: the repository benchmark's
 	// server workloads are defined over that pool, and a pool that moved
 	// with the generator would make their numbers incomparable across
 	// commits.
@@ -83,7 +83,13 @@ func (g *Gen) Query() *Query {
 			q.OrderDesc[i] = g.pct(50)
 		}
 		if g.pct(45) {
-			q.Limit = int64(1 + g.rng.Intn(20))
+			// LIMIT 0 is drawn too, except by the pinned stream, which keeps
+			// the draw it had when the server load pool was defined.
+			if g.Pinned {
+				q.Limit = int64(1 + g.rng.Intn(20))
+			} else {
+				q.Limit = int64(g.rng.Intn(21))
+			}
 		}
 	}
 	return q

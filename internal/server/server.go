@@ -280,8 +280,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // execute runs one admitted request to completion.
 func (s *Server) execute(ctx context.Context, sess *sessionState, req *queryRequest) (*queryResponse, error) {
-	// The plan-cache lookup happens at plan time, inside SQL()/Query()
-	// below — sample the hit counter first so the delta is visible.
+	// The plan-cache lookup happens at plan time, inside SQLStatement() /
+	// Query() below — sample the hit counter first so the delta is visible.
 	var hitsBefore int64
 	if pcs, ok := s.base.PlanCacheStats(); ok {
 		hitsBefore = pcs.Hits
@@ -305,12 +305,12 @@ func (s *Server) execute(ctx context.Context, sess *sessionState, req *queryRequ
 		if isWrite(stmt) {
 			// Writes re-register providers (read-modify-write on the
 			// catalog): one writer at a time. The statement executes
-			// inside SQL; the returned frame is a status row.
+			// inside SQLStatement; the returned frame is a status row.
 			s.writeMu.Lock()
-			df, err = s.base.SQL(req.SQL)
+			df, err = s.base.SQLStatement(stmt)
 			s.writeMu.Unlock()
 		} else {
-			df, err = s.base.SQL(req.SQL)
+			df, err = s.base.SQLStatement(stmt)
 		}
 	}
 	if err != nil {

@@ -262,6 +262,30 @@ func TestServerHealthz(t *testing.T) {
 	}
 }
 
+// TestServerOrderByLimitZero: a top-k of nothing over partitioned input
+// answers with zero rows, and the process is still serving afterwards (a
+// panic in the merge's priming goroutines would take it down).
+func TestServerOrderByLimitZero(t *testing.T) {
+	cfg := Config{}
+	cfg.Session.TargetPartitions = 2
+	_, hs := newTestServer(t, cfg)
+	resp, out := postJSON(t, hs.URL+"/query", map[string]any{"sql": "SELECT a FROM t1 ORDER BY a LIMIT 0"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %v", resp.StatusCode, out)
+	}
+	if got := out["row_count"].(float64); got != 0 {
+		t.Fatalf("row_count = %v, want 0", got)
+	}
+	health, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after LIMIT 0 = %d", health.StatusCode)
+	}
+}
+
 func TestServerMemoryBudgetArbitration(t *testing.T) {
 	// A query whose tracked demand exceeds the shared budget — with the
 	// spill escape hatch closed — must fail as retryable 503, and the

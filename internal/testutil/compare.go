@@ -169,6 +169,25 @@ func DiffBatches(got, want *arrow.RecordBatch) string {
 	return Diff(NormalizeBatch(got), NormalizeBatch(want))
 }
 
+// DiffOrdered compares two batches row by row in their given order, for
+// results whose order is part of the answer (ORDER BY); cells compare as in
+// Diff.
+func DiffOrdered(got, want *arrow.RecordBatch) string {
+	if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
+		return fmt.Sprintf("shape differs: got %d rows x %d cols, want %d x %d",
+			got.NumRows(), got.NumCols(), want.NumRows(), want.NumCols())
+	}
+	for i := 0; i < got.NumRows(); i++ {
+		for c := 0; c < got.NumCols(); c++ {
+			g, w := got.Column(c).GetScalar(i), want.Column(c).GetScalar(i)
+			if !CellsEqual(g, w) {
+				return fmt.Sprintf("row %d col %d: got %s, want %s", i, c, cellKey(g), cellKey(w))
+			}
+		}
+	}
+	return ""
+}
+
 func sampleKeys(rows []Row) string {
 	n := len(rows)
 	if n > 4 {
