@@ -28,8 +28,8 @@ type arithNum interface {
 
 var errDivZero = fmt.Errorf("compute: division by zero")
 
-func arithVecVec[T arithNum](op ArithOp, a, b []T, valid arrow.Bitmap, isInt bool) ([]T, error) {
-	out := make([]T, len(a))
+func arithVecVec[T arithNum](op ArithOp, a, b []T, valid arrow.Bitmap, isInt bool, buf *Buf) ([]T, error) {
+	out := values[T](buf, len(a))
 	switch op {
 	case Add:
 		for i := range a {
@@ -50,6 +50,7 @@ func arithVecVec[T arithNum](op ArithOp, a, b []T, valid arrow.Bitmap, isInt boo
 					if valid.Get(i) {
 						return nil, errDivZero
 					}
+					out[i] = 0
 					continue
 				}
 				out[i] = a[i] / b[i]
@@ -68,6 +69,7 @@ func arithVecVec[T arithNum](op ArithOp, a, b []T, valid arrow.Bitmap, isInt boo
 				if valid.Get(i) {
 					return nil, errDivZero
 				}
+				out[i] = 0
 				continue
 			}
 			out[i] = mod(a[i], b[i])
@@ -82,9 +84,14 @@ func arithVecVec[T arithNum](op ArithOp, a, b []T, valid arrow.Bitmap, isInt boo
 func mod[T arithNum](a, b T) T { return T(int64(a) % int64(b)) }
 
 // resultType computes the output type of `a op b` for same-kind operands,
-// handling decimal scale arithmetic.
+// handling decimal scale arithmetic; a Null operand takes the other's type.
 func resultType(op ArithOp, ta, tb *arrow.DataType) *arrow.DataType {
-	if ta.ID == arrow.DECIMAL || tb.ID == arrow.DECIMAL {
+	switch {
+	case ta.ID == arrow.NULL:
+		return tb
+	case tb.ID == arrow.NULL:
+		return ta
+	case ta.ID == arrow.DECIMAL || tb.ID == arrow.DECIMAL:
 		sa, sb := ta.Scale, tb.Scale
 		switch op {
 		case Mul:
@@ -107,136 +114,119 @@ func max(a, b int) int {
 	return b
 }
 
-// Arith evaluates `a op b` element-wise. Operands must share a physical
-// kind; for decimals they must share a scale for +/- (the planner coerces).
-func Arith(op ArithOp, a, b arrow.Array) (arrow.Array, error) {
+var errDecimalDiv = fmt.Errorf("compute: decimal division must be rewritten to float division")
+
+// Arith evaluates `a op b` element-wise into buf (nil allocates). Operands
+// must share a physical kind; for decimals they must share a scale for +/-
+// (the planner coerces). A Null-typed operand makes every slot NULL.
+func Arith(op ArithOp, a, b arrow.Array, buf *Buf) (arrow.Array, error) {
 	if a.Len() != b.Len() {
 		return nil, fmt.Errorf("compute: arithmetic length mismatch %d vs %d", a.Len(), b.Len())
 	}
-	valid := andValidity(a, b)
 	out := resultType(op, a.DataType(), b.DataType())
+	if a.DataType().ID == arrow.NULL || b.DataType().ID == arrow.NULL {
+		return nulls(out, a.Len()), nil
+	}
+	if a.DataType().ID == arrow.DECIMAL && op == Div {
+		return nil, errDecimalDiv
+	}
+	valid := andValidity(a, b, buf)
 	switch physicalKind(a.DataType()) {
 	case kindI8:
-		x, y := numArrays[int8](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, true)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[int8](op, a, b, out, valid, true, buf)
 	case kindI16:
-		x, y := numArrays[int16](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, true)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[int16](op, a, b, out, valid, true, buf)
 	case kindI32:
-		x, y := numArrays[int32](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, true)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[int32](op, a, b, out, valid, true, buf)
 	case kindI64:
-		x, y := numArrays[int64](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, true)
-		if err != nil {
-			return nil, err
-		}
-		if a.DataType().ID == arrow.DECIMAL && op == Div {
-			return nil, fmt.Errorf("compute: decimal division must be rewritten to float division")
-		}
-		return arrow.NewNumeric(out, vs, valid), nil
+		return arithArrays[int64](op, a, b, out, valid, true, buf)
 	case kindU8:
-		x, y := numArrays[uint8](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, true)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[uint8](op, a, b, out, valid, true, buf)
 	case kindU16:
-		x, y := numArrays[uint16](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, true)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[uint16](op, a, b, out, valid, true, buf)
 	case kindU32:
-		x, y := numArrays[uint32](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, true)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[uint32](op, a, b, out, valid, true, buf)
 	case kindU64:
-		x, y := numArrays[uint64](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, true)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[uint64](op, a, b, out, valid, true, buf)
 	case kindF32:
-		x, y := numArrays[float32](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, false)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[float32](op, a, b, out, valid, false, buf)
 	case kindF64:
-		x, y := numArrays[float64](a, b)
-		vs, err := arithVecVec(op, x.Values(), y.Values(), valid, false)
-		return arrow.NewNumeric(out, vs, valid), err
+		return arithArrays[float64](op, a, b, out, valid, false, buf)
 	}
 	return nil, fmt.Errorf("compute: arithmetic unsupported for %s", a.DataType())
 }
 
+func arithArrays[T arithNum](op ArithOp, a, b arrow.Array, out *arrow.DataType, valid arrow.Bitmap, isInt bool, buf *Buf) (arrow.Array, error) {
+	x, y := numArrays[T](a, b)
+	vs, err := arithVecVec(op, x.Values(), y.Values(), valid, isInt, buf)
+	if err != nil {
+		return nil, err
+	}
+	return arrow.NewNumeric(out, vs, valid), nil
+}
+
 // ArithScalar evaluates `a op s` (or `s op a` when scalarLeft) with a
-// broadcast scalar operand. An integer array narrower than an Int64 scalar
-// is widened value by value inside the loop, so the planner need not cast
-// the column first (one temporary array per use of it); the result is what
-// cast-then-op gives, wrapping mod 2^64.
-func ArithScalar(op ArithOp, a arrow.Array, s arrow.Scalar, scalarLeft bool) (arrow.Array, error) {
+// broadcast scalar operand, into buf (nil allocates). An integer array
+// narrower than an Int64 scalar is widened value by value inside the loop,
+// so the planner need not cast the column first (one temporary array per
+// use of it); the result is what cast-then-op gives, wrapping mod 2^64. A
+// NULL scalar or a Null-typed array makes every slot NULL.
+func ArithScalar(op ArithOp, a arrow.Array, s arrow.Scalar, scalarLeft bool, buf *Buf) (arrow.Array, error) {
 	n := a.Len()
 	widen := s.Type.ID == arrow.INT64 && a.DataType().IsInteger() && a.DataType().BitWidth() < 64
-	if s.Null {
-		t := resultType(op, a.DataType(), s.Type)
-		if widen {
-			t = s.Type
-		}
-		b := arrow.NewBuilder(t)
-		for i := 0; i < n; i++ {
-			b.AppendNull()
-		}
-		return b.Finish(), nil
-	}
-	var ta, tb *arrow.DataType
+	ta, tb := a.DataType(), s.Type
 	if scalarLeft {
-		ta, tb = s.Type, a.DataType()
-	} else {
-		ta, tb = a.DataType(), s.Type
+		ta, tb = tb, ta
 	}
 	out := resultType(op, ta, tb)
 	if widen {
 		out = s.Type
 	}
-	valid := a.Validity().Clone()
+	if s.Null || a.DataType().ID == arrow.NULL {
+		return nulls(out, n), nil
+	}
+	valid := copyValidity(buf, a.Validity(), n)
 	switch physicalKind(a.DataType()) {
 	case kindI8:
-		return intScalarArith(op, a.(*arrow.Int8Array), s, widen, scalarLeft, out, valid)
+		return intScalarArith(op, a.(*arrow.Int8Array), s, widen, scalarLeft, out, valid, buf)
 	case kindI16:
-		return intScalarArith(op, a.(*arrow.Int16Array), s, widen, scalarLeft, out, valid)
+		return intScalarArith(op, a.(*arrow.Int16Array), s, widen, scalarLeft, out, valid, buf)
 	case kindI32:
-		return intScalarArith(op, a.(*arrow.Int32Array), s, widen, scalarLeft, out, valid)
+		return intScalarArith(op, a.(*arrow.Int32Array), s, widen, scalarLeft, out, valid, buf)
 	case kindI64:
 		if a.DataType().ID == arrow.DECIMAL && op == Div {
-			return nil, fmt.Errorf("compute: decimal division must be rewritten to float division")
+			return nil, errDecimalDiv
 		}
-		return scalarArith(op, a.(*arrow.Int64Array), s.AsInt64(), scalarLeft, out, valid, true)
+		return scalarArith(op, a.(*arrow.Int64Array), s.AsInt64(), scalarLeft, out, valid, true, buf)
 	case kindU8:
-		return intScalarArith(op, a.(*arrow.Uint8Array), s, widen, scalarLeft, out, valid)
+		return intScalarArith(op, a.(*arrow.Uint8Array), s, widen, scalarLeft, out, valid, buf)
 	case kindU16:
-		return intScalarArith(op, a.(*arrow.Uint16Array), s, widen, scalarLeft, out, valid)
+		return intScalarArith(op, a.(*arrow.Uint16Array), s, widen, scalarLeft, out, valid, buf)
 	case kindU32:
-		return intScalarArith(op, a.(*arrow.Uint32Array), s, widen, scalarLeft, out, valid)
+		return intScalarArith(op, a.(*arrow.Uint32Array), s, widen, scalarLeft, out, valid, buf)
 	case kindU64:
-		return scalarArith(op, a.(*arrow.Uint64Array), uint64(s.AsInt64()), scalarLeft, out, valid, true)
+		return scalarArith(op, a.(*arrow.Uint64Array), uint64(s.AsInt64()), scalarLeft, out, valid, true, buf)
 	case kindF32:
-		return scalarArith(op, a.(*arrow.Float32Array), float32(s.AsFloat64()), scalarLeft, out, valid, false)
+		return scalarArith(op, a.(*arrow.Float32Array), float32(s.AsFloat64()), scalarLeft, out, valid, false, buf)
 	case kindF64:
-		return scalarArith(op, a.(*arrow.Float64Array), s.AsFloat64(), scalarLeft, out, valid, false)
+		return scalarArith(op, a.(*arrow.Float64Array), s.AsFloat64(), scalarLeft, out, valid, false, buf)
 	}
 	return nil, fmt.Errorf("compute: scalar arithmetic unsupported for %s", a.DataType())
 }
 
 // intScalarArith computes in int64 when widening and in the array's own
 // type otherwise.
-func intScalarArith[T arithNum](op ArithOp, a *arrow.NumericArray[T], s arrow.Scalar, widen, scalarLeft bool, out *arrow.DataType, valid arrow.Bitmap) (arrow.Array, error) {
+func intScalarArith[T arithNum](op ArithOp, a *arrow.NumericArray[T], s arrow.Scalar, widen, scalarLeft bool, out *arrow.DataType, valid arrow.Bitmap, buf *Buf) (arrow.Array, error) {
 	if widen {
-		return scalarArith(op, a, s.AsInt64(), scalarLeft, out, valid, true)
+		return scalarArith(op, a, s.AsInt64(), scalarLeft, out, valid, true, buf)
 	}
-	return scalarArith(op, a, T(s.AsInt64()), scalarLeft, out, valid, true)
+	return scalarArith(op, a, T(s.AsInt64()), scalarLeft, out, valid, true, buf)
 }
 
 // scalarArith applies op between each value of a, converted to R, and s.
-func scalarArith[T, R arithNum](op ArithOp, a *arrow.NumericArray[T], s R, scalarLeft bool, out *arrow.DataType, valid arrow.Bitmap, isInt bool) (arrow.Array, error) {
+func scalarArith[T, R arithNum](op ArithOp, a *arrow.NumericArray[T], s R, scalarLeft bool, out *arrow.DataType, valid arrow.Bitmap, isInt bool, buf *Buf) (arrow.Array, error) {
 	av := a.Values()
-	res := make([]R, len(av))
+	res := values[R](buf, len(av))
 	apply := func(x, y R) (R, error) {
 		switch op {
 		case Add:
@@ -281,6 +271,7 @@ func scalarArith[T, R arithNum](op ArithOp, a *arrow.NumericArray[T], s R, scala
 	default:
 		for i, v := range av {
 			if valid != nil && !valid.Get(i) {
+				res[i] = 0
 				continue
 			}
 			x, y := R(v), s
@@ -297,9 +288,9 @@ func scalarArith[T, R arithNum](op ArithOp, a *arrow.NumericArray[T], s R, scala
 	return arrow.NewNumeric(out, res, valid), nil
 }
 
-// Negate returns -a for numeric arrays.
-func Negate(a arrow.Array) (arrow.Array, error) {
-	return ArithScalar(Sub, a, arrow.Scalar{Type: a.DataType(), Val: zeroOf(a.DataType())}, true)
+// Negate returns -a for numeric arrays, into buf (nil allocates).
+func Negate(a arrow.Array, buf *Buf) (arrow.Array, error) {
+	return ArithScalar(Sub, a, arrow.Scalar{Type: a.DataType(), Val: zeroOf(a.DataType())}, true, buf)
 }
 
 func zeroOf(t *arrow.DataType) any {

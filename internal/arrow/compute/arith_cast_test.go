@@ -21,7 +21,7 @@ func TestArithBasics(t *testing.T) {
 		{Mod, []int64{1, 0, 0}},
 	}
 	for _, c := range cases {
-		out, err := Arith(c.op, a, b)
+		out, err := Arith(c.op, a, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,13 +37,13 @@ func TestArithBasics(t *testing.T) {
 func TestArithDivisionByZero(t *testing.T) {
 	a := arrow.NewInt64([]int64{1})
 	b := arrow.NewInt64([]int64{0})
-	if _, err := Arith(Div, a, b); err == nil {
+	if _, err := Arith(Div, a, b, nil); err == nil {
 		t.Fatal("integer division by zero must error")
 	}
 	// Float division by zero yields Inf, not an error.
 	fa := arrow.NewFloat64([]float64{1})
 	fb := arrow.NewFloat64([]float64{0})
-	out, err := Arith(Div, fa, fb)
+	out, err := Arith(Div, fa, fb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,28 +54,28 @@ func TestArithDivisionByZero(t *testing.T) {
 	nb := arrow.NewNumericBuilder[int64](arrow.Int64)
 	nb.AppendNull()
 	na := nb.Finish()
-	if _, err := Arith(Div, na, b); err != nil {
+	if _, err := Arith(Div, na, b, nil); err != nil {
 		t.Fatalf("null slot div by zero should not error: %v", err)
 	}
 }
 
 func TestArithScalarBothSides(t *testing.T) {
 	a := arrow.NewInt64([]int64{10, 20})
-	out, err := ArithScalar(Sub, a, arrow.Int64Scalar(1), false)
+	out, err := ArithScalar(Sub, a, arrow.Int64Scalar(1), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.(*arrow.Int64Array).Value(0) != 9 {
 		t.Fatal("a - s wrong")
 	}
-	out, err = ArithScalar(Sub, a, arrow.Int64Scalar(100), true)
+	out, err = ArithScalar(Sub, a, arrow.Int64Scalar(100), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.(*arrow.Int64Array).Value(1) != 80 {
 		t.Fatal("s - a wrong")
 	}
-	out, err = ArithScalar(Div, a, arrow.Int64Scalar(100), true)
+	out, err = ArithScalar(Div, a, arrow.Int64Scalar(100), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,14 @@ func TestDecimalArith(t *testing.T) {
 	// 1.50 and 2.25
 	a := arrow.NewNumeric(d2, []int64{150}, nil)
 	b := arrow.NewNumeric(d2, []int64{225}, nil)
-	sum, err := Arith(Add, a, b)
+	sum, err := Arith(Add, a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.DataType().Scale != 2 || sum.(*arrow.Int64Array).Value(0) != 375 {
 		t.Fatalf("decimal add wrong: %v", sum)
 	}
-	prod, err := Arith(Mul, a, b)
+	prod, err := Arith(Mul, a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestDecimalArith(t *testing.T) {
 	if prod.DataType().Scale != 4 || prod.(*arrow.Int64Array).Value(0) != 33750 {
 		t.Fatalf("decimal mul wrong: scale=%d val=%d", prod.DataType().Scale, prod.(*arrow.Int64Array).Value(0))
 	}
-	if _, err := Arith(Div, a, b); err == nil {
+	if _, err := Arith(Div, a, b, nil); err == nil {
 		t.Fatal("decimal division must be rewritten before kernels")
 	}
 }
 
 func TestNegate(t *testing.T) {
 	a := arrow.NewInt64([]int64{5, -3})
-	out, err := Negate(a)
+	out, err := Negate(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestNegate(t *testing.T) {
 
 func TestCastNumericPaths(t *testing.T) {
 	a := arrow.NewInt32([]int32{1, 2, 3})
-	out, err := Cast(a, arrow.Int64)
+	out, err := Cast(a, arrow.Int64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.(*arrow.Int64Array).Value(2) != 3 {
 		t.Fatal("int32->int64 wrong")
 	}
-	f, err := Cast(a, arrow.Float64)
+	f, err := Cast(a, arrow.Float64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCastNumericPaths(t *testing.T) {
 func TestCastDecimal(t *testing.T) {
 	d2 := arrow.Decimal(12, 2)
 	a := arrow.NewNumeric(d2, []int64{150, -225}, nil) // 1.50, -2.25
-	f, err := Cast(a, arrow.Float64)
+	f, err := Cast(a, arrow.Float64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCastDecimal(t *testing.T) {
 	}
 	// int -> decimal
 	i := arrow.NewInt64([]int64{3})
-	d, err := Cast(i, d2)
+	d, err := Cast(i, d2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCastDecimal(t *testing.T) {
 		t.Fatal("int->decimal wrong")
 	}
 	// rescale decimal(2) -> decimal(4)
-	d4, err := Cast(a, arrow.Decimal(18, 4))
+	d4, err := Cast(a, arrow.Decimal(18, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCastDecimal(t *testing.T) {
 	}
 	// float -> decimal rounds half away from zero on representable values
 	fl := arrow.NewFloat64([]float64{1.25, 0.125})
-	fd, err := Cast(fl, d2)
+	fd, err := Cast(fl, d2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCastDecimal(t *testing.T) {
 		t.Fatalf("float->decimal = %v", fd)
 	}
 	// decimal -> int truncates scale
-	di, err := Cast(a, arrow.Int64)
+	di, err := Cast(a, arrow.Int64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,34 +187,34 @@ func TestCastDecimal(t *testing.T) {
 
 func TestCastStrings(t *testing.T) {
 	s := arrow.NewStringFromSlice([]string{"42", "-7"})
-	i, err := Cast(s, arrow.Int64)
+	i, err := Cast(s, arrow.Int64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i.(*arrow.Int64Array).Value(1) != -7 {
 		t.Fatal("string->int wrong")
 	}
-	d, err := Cast(arrow.NewStringFromSlice([]string{"1995-03-15"}), arrow.Date32)
+	d, err := Cast(arrow.NewStringFromSlice([]string{"1995-03-15"}), arrow.Date32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if arrow.FormatDate32(d.(*arrow.Int32Array).Value(0)) != "1995-03-15" {
 		t.Fatal("string->date wrong")
 	}
-	back, err := Cast(i, arrow.String)
+	back, err := Cast(i, arrow.String, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.(*arrow.StringArray).Value(0) != "42" {
 		t.Fatal("int->string wrong")
 	}
-	if _, err := Cast(s, arrow.Date32); err == nil {
+	if _, err := Cast(s, arrow.Date32, nil); err == nil {
 		t.Fatal("bad date parse must error")
 	}
 }
 
 func TestCastNullArray(t *testing.T) {
-	out, err := Cast(arrow.NewNull(3), arrow.Int64)
+	out, err := Cast(arrow.NewNull(3), arrow.Int64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestArithScalarWidensNarrowIntegers(t *testing.T) {
 	b.Append(32767)
 	b.AppendNull()
 	a := b.Finish()
-	out, err := ArithScalar(Add, a, arrow.NewScalar(arrow.Int64, int64(1)), false)
+	out, err := ArithScalar(Add, a, arrow.NewScalar(arrow.Int64, int64(1)), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +255,14 @@ func TestArithScalarWidensNarrowIntegers(t *testing.T) {
 	if !ok || got.Value(0) != 32768 || !got.IsNull(1) {
 		t.Fatalf("int16(32767) + int64(1) = %v", out)
 	}
-	out, err = ArithScalar(Sub, a, arrow.NewScalar(arrow.Int64, int64(-1)), true)
+	out, err = ArithScalar(Sub, a, arrow.NewScalar(arrow.Int64, int64(-1)), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := out.(*arrow.Int64Array); !ok || got.Value(0) != -32768 {
 		t.Fatalf("int64(-1) - int16(32767) = %v", out)
 	}
-	out, err = ArithScalar(Mul, a, arrow.NullScalar(arrow.Int64), false)
+	out, err = ArithScalar(Mul, a, arrow.NullScalar(arrow.Int64), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestArithScalarWidensNarrowIntegers(t *testing.T) {
 		t.Fatalf("int16 * NULL::int64 = %v of %s", out, out.DataType())
 	}
 	// Same-width operands still compute (and wrap) in their own type.
-	out, err = ArithScalar(Add, a, arrow.NewScalar(arrow.Int16, int16(1)), false)
+	out, err = ArithScalar(Add, a, arrow.NewScalar(arrow.Int16, int16(1)), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func BenchmarkCompareScalarInt64(b *testing.B) {
 	b.SetBytes(8192 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompareScalar(Lt, a, arrow.Int64Scalar(500)); err != nil {
+		if _, err := CompareScalar(Lt, a, arrow.Int64Scalar(500), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +39,7 @@ func BenchmarkCompareScalarInt64(b *testing.B) {
 
 func BenchmarkFilterInt64(b *testing.B) {
 	a := benchInts(8192)
-	mask, _ := CompareScalar(Lt, a, arrow.Int64Scalar(500))
+	mask, _ := CompareScalar(Lt, a, arrow.Int64Scalar(500), nil)
 	b.SetBytes(8192 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,7 +51,7 @@ func BenchmarkFilterInt64(b *testing.B) {
 
 func BenchmarkFilterString(b *testing.B) {
 	a := benchStrings(8192)
-	mask, _ := CompareScalar(Lt, benchInts(8192), arrow.Int64Scalar(500))
+	mask, _ := CompareScalar(Lt, benchInts(8192), arrow.Int64Scalar(500), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Filter(a, mask); err != nil {
@@ -89,7 +89,7 @@ func BenchmarkArithAddInt64(b *testing.B) {
 	b.SetBytes(8192 * 8 * 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Arith(Add, x, y); err != nil {
+		if _, err := Arith(Add, x, y, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkCastInt64ToFloat64(b *testing.B) {
 	b.SetBytes(8192 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cast(a, arrow.Float64); err != nil {
+		if _, err := Cast(a, arrow.Float64, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

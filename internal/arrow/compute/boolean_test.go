@@ -66,11 +66,11 @@ func TestThreeValuedTruthTable(t *testing.T) {
 		}
 	}
 	a, b := triArray(as), triArray(bs)
-	andOut, err := And(a, b)
+	andOut, err := And(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orOut, err := Or(a, b)
+	orOut, err := Or(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestBooleanKernelsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randBoolArray(rng, n, aNulls)
 		b := randBoolArray(rng, n, bNulls)
-		andOut, err := And(a, b)
+		andOut, err := And(a, b, nil)
 		if err != nil {
 			return false
 		}
-		orOut, err := Or(a, b)
+		orOut, err := Or(a, b, nil)
 		if err != nil {
 			return false
 		}
@@ -117,7 +117,7 @@ func TestBooleanKernelsProperty(t *testing.T) {
 
 func TestNot(t *testing.T) {
 	a := triArray([]tri{1, 0, -1})
-	out := Not(a)
+	out := Not(a, nil)
 	if out.Value(0) || !out.Value(1) || !out.IsNull(2) {
 		t.Fatal("NOT wrong")
 	}

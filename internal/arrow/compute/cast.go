@@ -10,22 +10,19 @@ import (
 
 // Cast converts an array to the target type. Numeric widening/narrowing,
 // decimal rescaling, temporal conversions, and string parse/format are
-// supported; unsupported conversions return an error.
-func Cast(a arrow.Array, to *arrow.DataType) (arrow.Array, error) {
+// supported; unsupported conversions return an error. A numeric result is
+// written into buf (nil allocates); other results always allocate.
+func Cast(a arrow.Array, to *arrow.DataType, buf *Buf) (arrow.Array, error) {
 	from := a.DataType()
 	if from.Equal(to) {
 		return a, nil
 	}
 	if from.ID == arrow.NULL {
-		b := arrow.NewBuilder(to)
-		for i := 0; i < a.Len(); i++ {
-			b.AppendNull()
-		}
-		return b.Finish(), nil
+		return nulls(to, a.Len()), nil
 	}
 	// Fast numeric-to-numeric paths.
 	if isCastableNumeric(from) && isCastableNumeric(to) {
-		return castNumeric(a, to)
+		return castNumeric(a, to, buf)
 	}
 	switch {
 	case from.ID == arrow.STRING && to.ID != arrow.STRING:
@@ -64,10 +61,10 @@ func decimalPow10(n int) int64 {
 	return p
 }
 
-func castNumeric(a arrow.Array, to *arrow.DataType) (arrow.Array, error) {
+func castNumeric(a arrow.Array, to *arrow.DataType, buf *Buf) (arrow.Array, error) {
 	from := a.DataType()
 	n := a.Len()
-	valid := a.Validity().Clone()
+	valid := copyValidity(buf, a.Validity(), n)
 
 	// Read slot i as (int64, float64) according to the source type.
 	var geti func(i int) int64
@@ -131,26 +128,26 @@ func castNumeric(a arrow.Array, to *arrow.DataType) (arrow.Array, error) {
 
 	switch physicalKind(to) {
 	case kindI8:
-		out := make([]int8, n)
+		out := values[int8](buf, n)
 		for i := range out {
 			out[i] = int8(geti(i))
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindI16:
-		out := make([]int16, n)
+		out := values[int16](buf, n)
 		for i := range out {
 			out[i] = int16(geti(i))
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindI32:
-		out := make([]int32, n)
+		out := values[int32](buf, n)
 		for i := range out {
 			out[i] = int32(geti(i))
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindI64:
 		if to.ID == arrow.DECIMAL {
-			out := make([]int64, n)
+			out := values[int64](buf, n)
 			switch {
 			case from.ID == arrow.DECIMAL:
 				// Rescale between decimal scales.
@@ -179,43 +176,43 @@ func castNumeric(a arrow.Array, to *arrow.DataType) (arrow.Array, error) {
 			}
 			return arrow.NewNumeric(to, out, valid), nil
 		}
-		out := make([]int64, n)
+		out := values[int64](buf, n)
 		for i := range out {
 			out[i] = geti(i)
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindU8:
-		out := make([]uint8, n)
+		out := values[uint8](buf, n)
 		for i := range out {
 			out[i] = uint8(geti(i))
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindU16:
-		out := make([]uint16, n)
+		out := values[uint16](buf, n)
 		for i := range out {
 			out[i] = uint16(geti(i))
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindU32:
-		out := make([]uint32, n)
+		out := values[uint32](buf, n)
 		for i := range out {
 			out[i] = uint32(geti(i))
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindU64:
-		out := make([]uint64, n)
+		out := values[uint64](buf, n)
 		for i := range out {
 			out[i] = uint64(geti(i))
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindF32:
-		out := make([]float32, n)
+		out := values[float32](buf, n)
 		for i := range out {
 			out[i] = float32(getf(i))
 		}
 		return arrow.NewNumeric(to, out, valid), nil
 	case kindF64:
-		out := make([]float64, n)
+		out := values[float64](buf, n)
 		for i := range out {
 			out[i] = getf(i)
 		}
@@ -353,7 +350,7 @@ func CastScalar(s arrow.Scalar, to *arrow.DataType) (arrow.Scalar, error) {
 	}
 	b := arrow.NewBuilder(s.Type)
 	b.AppendScalar(s)
-	arr, err := Cast(b.Finish(), to)
+	arr, err := Cast(b.Finish(), to, nil)
 	if err != nil {
 		return arrow.Scalar{}, err
 	}

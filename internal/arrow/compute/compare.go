@@ -62,8 +62,7 @@ type orderedNum interface {
 	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~float32 | ~float64
 }
 
-func cmpVecVec[T orderedNum](op CmpOp, a, b []T) arrow.Bitmap {
-	out := arrow.NewBitmap(len(a))
+func cmpVecVec[T orderedNum](op CmpOp, a, b []T, out arrow.Bitmap) {
 	switch op {
 	case Eq:
 		for i := range a {
@@ -102,11 +101,9 @@ func cmpVecVec[T orderedNum](op CmpOp, a, b []T) arrow.Bitmap {
 			}
 		}
 	}
-	return out
 }
 
-func cmpVecScalar[T orderedNum](op CmpOp, a []T, s T) arrow.Bitmap {
-	out := arrow.NewBitmap(len(a))
+func cmpVecScalar[T orderedNum](op CmpOp, a []T, s T, out arrow.Bitmap) {
 	switch op {
 	case Eq:
 		for i := range a {
@@ -145,7 +142,6 @@ func cmpVecScalar[T orderedNum](op CmpOp, a []T, s T) arrow.Bitmap {
 			}
 		}
 	}
-	return out
 }
 
 func holds(op CmpOp, c int) bool {
@@ -169,53 +165,56 @@ func numArrays[T arrow.Number](a, b arrow.Array) (*arrow.NumericArray[T], *arrow
 	return a.(*arrow.NumericArray[T]), b.(*arrow.NumericArray[T])
 }
 
-// Compare evaluates `a op b` element-wise. Both arrays must have the same
-// length and compatible physical types (the planner coerces logical types).
-func Compare(op CmpOp, a, b arrow.Array) (*arrow.BoolArray, error) {
+// Compare evaluates `a op b` element-wise into buf (nil allocates). Both
+// arrays must have the same length and compatible physical types (the
+// planner coerces logical types).
+func Compare(op CmpOp, a, b arrow.Array, buf *Buf) (*arrow.BoolArray, error) {
 	if a.Len() != b.Len() {
 		return nil, fmt.Errorf("compute: compare length mismatch %d vs %d", a.Len(), b.Len())
 	}
 	n := a.Len()
-	valid := andValidity(a, b)
 	ta, tb := a.DataType(), b.DataType()
+	if ta.ID == arrow.NULL || tb.ID == arrow.NULL {
+		return allNullBools(n), nil
+	}
 	if physicalKind(ta) != physicalKind(tb) {
 		return nil, fmt.Errorf("compute: cannot compare %s with %s", ta, tb)
 	}
-	var vals arrow.Bitmap
+	valid := andValidity(a, b, buf)
+	vals := boolBits(buf, n)
 	switch physicalKind(ta) {
 	case kindI8:
 		x, y := numArrays[int8](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindI16:
 		x, y := numArrays[int16](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindI32:
 		x, y := numArrays[int32](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindI64:
 		x, y := numArrays[int64](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindU8:
 		x, y := numArrays[uint8](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindU16:
 		x, y := numArrays[uint16](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindU32:
 		x, y := numArrays[uint32](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindU64:
 		x, y := numArrays[uint64](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindF32:
 		x, y := numArrays[float32](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindF64:
 		x, y := numArrays[float64](a, b)
-		vals = cmpVecVec(op, x.Values(), y.Values())
+		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindStr:
 		x, y := a.(*arrow.StringArray), b.(*arrow.StringArray)
-		vals = arrow.NewBitmap(n)
 		for i := 0; i < n; i++ {
 			if holds(op, bytes.Compare(x.ValueBytes(i), y.ValueBytes(i))) {
 				vals.Set(i)
@@ -223,7 +222,6 @@ func Compare(op CmpOp, a, b arrow.Array) (*arrow.BoolArray, error) {
 		}
 	case kindBool:
 		x, y := a.(*arrow.BoolArray), b.(*arrow.BoolArray)
-		vals = arrow.NewBitmap(n)
 		for i := 0; i < n; i++ {
 			xv, yv := b2i(x.Value(i)), b2i(y.Value(i))
 			if holds(op, xv-yv) {
@@ -236,39 +234,39 @@ func Compare(op CmpOp, a, b arrow.Array) (*arrow.BoolArray, error) {
 	return arrow.NewBool(vals, valid, n), nil
 }
 
-// CompareScalar evaluates `a op s` element-wise with a broadcast scalar.
-func CompareScalar(op CmpOp, a arrow.Array, s arrow.Scalar) (*arrow.BoolArray, error) {
+// CompareScalar evaluates `a op s` element-wise with a broadcast scalar,
+// into buf (nil allocates).
+func CompareScalar(op CmpOp, a arrow.Array, s arrow.Scalar, buf *Buf) (*arrow.BoolArray, error) {
 	n := a.Len()
-	if s.Null {
-		return arrow.NewBool(arrow.NewBitmap(n), arrow.NewBitmap(n), n), nil
+	if s.Null || a.DataType().ID == arrow.NULL {
+		return allNullBools(n), nil
 	}
-	valid := a.Validity().Clone()
-	var vals arrow.Bitmap
+	valid := copyValidity(buf, a.Validity(), n)
+	vals := boolBits(buf, n)
 	switch physicalKind(a.DataType()) {
 	case kindI8:
-		vals = cmpVecScalar(op, a.(*arrow.Int8Array).Values(), int8(s.AsInt64()))
+		cmpVecScalar(op, a.(*arrow.Int8Array).Values(), int8(s.AsInt64()), vals)
 	case kindI16:
-		vals = cmpVecScalar(op, a.(*arrow.Int16Array).Values(), int16(s.AsInt64()))
+		cmpVecScalar(op, a.(*arrow.Int16Array).Values(), int16(s.AsInt64()), vals)
 	case kindI32:
-		vals = cmpVecScalar(op, a.(*arrow.Int32Array).Values(), int32(s.AsInt64()))
+		cmpVecScalar(op, a.(*arrow.Int32Array).Values(), int32(s.AsInt64()), vals)
 	case kindI64:
-		vals = cmpVecScalar(op, a.(*arrow.Int64Array).Values(), s.AsInt64())
+		cmpVecScalar(op, a.(*arrow.Int64Array).Values(), s.AsInt64(), vals)
 	case kindU8:
-		vals = cmpVecScalar(op, a.(*arrow.Uint8Array).Values(), uint8(s.AsInt64()))
+		cmpVecScalar(op, a.(*arrow.Uint8Array).Values(), uint8(s.AsInt64()), vals)
 	case kindU16:
-		vals = cmpVecScalar(op, a.(*arrow.Uint16Array).Values(), uint16(s.AsInt64()))
+		cmpVecScalar(op, a.(*arrow.Uint16Array).Values(), uint16(s.AsInt64()), vals)
 	case kindU32:
-		vals = cmpVecScalar(op, a.(*arrow.Uint32Array).Values(), uint32(s.AsInt64()))
+		cmpVecScalar(op, a.(*arrow.Uint32Array).Values(), uint32(s.AsInt64()), vals)
 	case kindU64:
-		vals = cmpVecScalar(op, a.(*arrow.Uint64Array).Values(), uint64(s.AsInt64()))
+		cmpVecScalar(op, a.(*arrow.Uint64Array).Values(), uint64(s.AsInt64()), vals)
 	case kindF32:
-		vals = cmpVecScalar(op, a.(*arrow.Float32Array).Values(), float32(s.AsFloat64()))
+		cmpVecScalar(op, a.(*arrow.Float32Array).Values(), float32(s.AsFloat64()), vals)
 	case kindF64:
-		vals = cmpVecScalar(op, a.(*arrow.Float64Array).Values(), s.AsFloat64())
+		cmpVecScalar(op, a.(*arrow.Float64Array).Values(), s.AsFloat64(), vals)
 	case kindStr:
 		x := a.(*arrow.StringArray)
 		sv := []byte(s.AsString())
-		vals = arrow.NewBitmap(n)
 		switch op {
 		case Eq:
 			for i := 0; i < n; i++ {
@@ -292,7 +290,6 @@ func CompareScalar(op CmpOp, a arrow.Array, s arrow.Scalar) (*arrow.BoolArray, e
 	case kindBool:
 		x := a.(*arrow.BoolArray)
 		sv := b2i(s.AsBool())
-		vals = arrow.NewBitmap(n)
 		for i := 0; i < n; i++ {
 			if holds(op, b2i(x.Value(i))-sv) {
 				vals.Set(i)
@@ -302,6 +299,10 @@ func CompareScalar(op CmpOp, a arrow.Array, s arrow.Scalar) (*arrow.BoolArray, e
 		return nil, fmt.Errorf("compute: scalar comparison unsupported for %s", a.DataType())
 	}
 	return arrow.NewBool(vals, valid, n), nil
+}
+
+func allNullBools(n int) *arrow.BoolArray {
+	return arrow.NewBool(arrow.NewBitmap(n), arrow.NewBitmap(n), n)
 }
 
 func b2i(b bool) int {
@@ -359,16 +360,6 @@ func physicalKind(t *arrow.DataType) physKind {
 		return kindStr
 	}
 	return kindOther
-}
-
-func andValidity(a, b arrow.Array) arrow.Bitmap {
-	av, bv := a.Validity(), b.Validity()
-	if av == nil && bv == nil {
-		return nil
-	}
-	out := arrow.NewBitmap(a.Len())
-	out.And(av, bv, a.Len())
-	return out
 }
 
 // CompareScalars compares two scalars of the same physical kind, returning

@@ -152,7 +152,7 @@ func TestCompareOps(t *testing.T) {
 		{GtEq, []bool{false, true, true}},
 	}
 	for _, c := range cases {
-		out, err := Compare(c.op, a, b)
+		out, err := Compare(c.op, a, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestCompareNullPropagation(t *testing.T) {
 	ab.AppendNull()
 	a := ab.Finish()
 	b := arrow.NewInt64([]int64{1, 1})
-	out, err := Compare(Eq, a, b)
+	out, err := Compare(Eq, a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCompareNullPropagation(t *testing.T) {
 
 func TestCompareScalarString(t *testing.T) {
 	a := arrow.NewStringFromSlice([]string{"apple", "banana", "cherry"})
-	out, err := CompareScalar(GtEq, a, arrow.StringScalar("banana"))
+	out, err := CompareScalar(GtEq, a, arrow.StringScalar("banana"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCompareMatchesScalarReference(t *testing.T) {
 		n := rng.Intn(60) + 1
 		a := randInt64Array(rng, n)
 		b := randInt64Array(rng, n)
-		out, err := Compare(op, a, b)
+		out, err := Compare(op, a, b, nil)
 		if err != nil {
 			return false
 		}

@@ -85,9 +85,21 @@ var (
 	Interval  = &DataType{ID: INTERVAL}
 )
 
+// decimal18 holds the precision-18 decimal types, the ones kernels derive
+// for every decimal result, so deriving one per batch does not allocate.
+var decimal18 = func() (ts [19]*DataType) {
+	for s := range ts {
+		ts[s] = &DataType{ID: DECIMAL, Precision: 18, Scale: s}
+	}
+	return ts
+}()
+
 // Decimal returns a decimal type with the given precision and scale.
 // Values are stored as int64 scaled by 10^scale, so precision must be <= 18.
 func Decimal(precision, scale int) *DataType {
+	if precision == 18 && scale >= 0 && scale < len(decimal18) {
+		return decimal18[scale]
+	}
 	return &DataType{ID: DECIMAL, Precision: precision, Scale: scale}
 }
 

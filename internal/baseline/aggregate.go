@@ -147,7 +147,7 @@ func (e *Engine) radixAggregate(n *logical.Aggregate, in []*arrow.RecordBatch) (
 			nRows := b.NumRows()
 			cols := make([]arrow.Array, len(groupExprs))
 			for i, g := range groupExprs {
-				a, err := physical.EvalToArray(g, b)
+				a, err := physical.EvalToArray(g, b, nil)
 				if err != nil {
 					return err
 				}
@@ -181,7 +181,7 @@ func (e *Engine) radixAggregate(n *logical.Aggregate, in []*arrow.RecordBatch) (
 					rows := rowsByPart[p]
 					gidx := idxByPart[p]
 					if spec.filter != nil {
-						mask, err := physical.EvalPredicate(spec.filter, b)
+						mask, err := physical.EvalPredicate(spec.filter, b, nil)
 						if err != nil {
 							return err
 						}
@@ -197,7 +197,7 @@ func (e *Engine) radixAggregate(n *logical.Aggregate, in []*arrow.RecordBatch) (
 					}
 					args := make([]arrow.Array, len(spec.args))
 					for j, ax := range spec.args {
-						full, err := physical.EvalToArray(ax, b)
+						full, err := physical.EvalToArray(ax, b, nil)
 						if err != nil {
 							return err
 						}
@@ -314,7 +314,7 @@ func (e *Engine) globalAggregate(specs []aggSpec, in []*arrow.RecordBatch, outSc
 				rows := gidx
 				argsRows := b
 				if spec.filter != nil {
-					mask, err := physical.EvalPredicate(spec.filter, b)
+					mask, err := physical.EvalPredicate(spec.filter, b, nil)
 					if err != nil {
 						return err
 					}
@@ -327,7 +327,7 @@ func (e *Engine) globalAggregate(specs []aggSpec, in []*arrow.RecordBatch, outSc
 				}
 				args := make([]arrow.Array, len(spec.args))
 				for j, ax := range spec.args {
-					a, err := physical.EvalToArray(ax, argsRows)
+					a, err := physical.EvalToArray(ax, argsRows, nil)
 					if err != nil {
 						return err
 					}

@@ -122,6 +122,56 @@ func TestClickBenchEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestNullOperandArithmetic: arithmetic or negation with a Null-typed
+// operand is NULL, whichever side the NULL is on, in the engine at one and
+// two partitions and in TightDB alike.
+func TestNullOperandArithmetic(t *testing.T) {
+	schema := arrow.NewSchema(arrow.NewField("x", arrow.Int64, true))
+	xb := arrow.NewNumericBuilder[int64](arrow.Int64)
+	xb.Append(1)
+	xb.AppendNull()
+	xb.Append(3)
+	batches := []*arrow.RecordBatch{arrow.NewRecordBatch(schema, []arrow.Array{xb.Finish()})}
+	queries := []string{
+		"SELECT NULL + 1",
+		"SELECT 1 + NULL",
+		"SELECT -NULL FROM t",
+		"SELECT sum(NULL + 1) FROM t",
+	}
+	for _, p := range []int{1, 2} {
+		cfg := core.DefaultConfig()
+		cfg.TargetPartitions = p
+		s := core.NewSession(cfg)
+		if err := s.RegisterBatches("t", schema, batches); err != nil {
+			t.Fatal(err)
+		}
+		e := New(p)
+		e.RegisterBatches("t", schema, batches)
+		for _, q := range queries {
+			df, err := s.SQL(q)
+			if err != nil {
+				t.Fatalf("p=%d %s: plan: %v", p, q, err)
+			}
+			got, err := df.CollectBatch()
+			if err != nil {
+				t.Fatalf("p=%d %s: %v", p, q, err)
+			}
+			want, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("p=%d %s: baseline: %v", p, q, err)
+			}
+			if diff := testutil.DiffBatches(got, want); diff != "" {
+				t.Fatalf("p=%d %s: engines disagree:\n%s", p, q, diff)
+			}
+			for c := 0; c < got.NumCols(); c++ {
+				if n := got.Column(c).NullCount(); n != got.NumRows() {
+					t.Fatalf("p=%d %s: %d of %d rows NULL", p, q, n, got.NumRows())
+				}
+			}
+		}
+	}
+}
+
 func hasLimit(q string) bool {
 	for i := 0; i+5 <= len(q); i++ {
 		if q[i] == 'L' && q[i:i+5] == "LIMIT" {

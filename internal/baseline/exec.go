@@ -92,7 +92,7 @@ func (e *Engine) execute(plan logical.Plan) ([]*arrow.RecordBatch, error) {
 		err = e.parallelFor(len(in), func(i int) error {
 			cols := make([]arrow.Array, len(exprs))
 			for c, pe := range exprs {
-				a, err := physical.EvalToArray(pe, in[i])
+				a, err := physical.EvalToArray(pe, in[i], nil)
 				if err != nil {
 					return err
 				}
@@ -194,7 +194,7 @@ func (e *Engine) execScan(n *logical.TableScan) ([]*arrow.RecordBatch, error) {
 func (e *Engine) filterBatches(in []*arrow.RecordBatch, pred physical.PhysicalExpr) ([]*arrow.RecordBatch, error) {
 	out := make([]*arrow.RecordBatch, len(in))
 	err := e.parallelFor(len(in), func(i int) error {
-		mask, err := physical.EvalPredicate(pred, in[i])
+		mask, err := physical.EvalPredicate(pred, in[i], nil)
 		if err != nil {
 			return err
 		}
@@ -259,7 +259,7 @@ func (e *Engine) sortBatches(n *logical.Sort, in []*arrow.RecordBatch) ([]*arrow
 		if err != nil {
 			return nil, err
 		}
-		a, err := physical.EvalToArray(pe, full)
+		a, err := physical.EvalToArray(pe, full, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +300,7 @@ func (e *Engine) execValues(n *logical.Values) ([]*arrow.RecordBatch, error) {
 			if err != nil {
 				return nil, err
 			}
-			d, err := pe.Evaluate(oneRow)
+			d, err := pe.Evaluate(oneRow, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -311,7 +311,7 @@ func (e *Engine) execValues(n *logical.Values) ([]*arrow.RecordBatch, error) {
 				s = d.ScalarValue()
 			}
 			if !s.Null && !s.Type.Equal(schema.Field(c).Type) {
-				s, err = physical.CastScalarTo(s, schema.Field(c).Type)
+				s, err = compute.CastScalar(s, schema.Field(c).Type)
 				if err != nil {
 					return nil, err
 				}

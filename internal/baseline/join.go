@@ -79,7 +79,7 @@ func (e *Engine) execJoin(n *logical.Join) ([]*arrow.RecordBatch, error) {
 	if lb.NumRows() > 0 {
 		cols := make([]arrow.Array, len(lkeys))
 		for i, k := range lkeys {
-			a, err := physical.EvalToArray(k, lb)
+			a, err := physical.EvalToArray(k, lb, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +112,7 @@ func (e *Engine) execJoin(n *logical.Join) ([]*arrow.RecordBatch, error) {
 		rb := right[bi]
 		cols := make([]arrow.Array, len(rkeys))
 		for i, k := range rkeys {
-			a, err := physical.EvalToArray(k, rb)
+			a, err := physical.EvalToArray(k, rb, nil)
 			if err != nil {
 				return err
 			}
@@ -138,7 +138,7 @@ func (e *Engine) execJoin(n *logical.Join) ([]*arrow.RecordBatch, error) {
 		}
 		if filter != nil && len(li) > 0 {
 			cb := combineBatches(lSchema.Merge(rSchema).ToArrow(), lb, rb, li, ri)
-			mask, err := physical.EvalPredicate(filter, cb)
+			mask, err := physical.EvalPredicate(filter, cb, nil)
 			if err != nil {
 				return err
 			}
@@ -218,7 +218,7 @@ func (e *Engine) execJoin(n *logical.Join) ([]*arrow.RecordBatch, error) {
 		for _, rb := range right {
 			cols := make([]arrow.Array, len(rkeys))
 			for i, k := range rkeys {
-				a, err := physical.EvalToArray(k, rb)
+				a, err := physical.EvalToArray(k, rb, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -329,7 +329,7 @@ func (e *Engine) nestedLoop(n *logical.Join, lb *arrow.RecordBatch, right []*arr
 					lcols[c] = compute.Take(lb.Column(c), rep)
 				}
 				cb := arrow.NewRecordBatchWithRows(innerSchema, append(lcols, rb.Columns()...), rb.NumRows())
-				mask, err := physical.EvalPredicate(filter, cb)
+				mask, err := physical.EvalPredicate(filter, cb, nil)
 				if err != nil {
 					return err
 				}

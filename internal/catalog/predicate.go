@@ -32,7 +32,7 @@ type cmpAtom struct {
 
 func (c *cmpAtom) col() int { return c.colIdx }
 func (c *cmpAtom) eval(a arrow.Array) (*arrow.BoolArray, error) {
-	return compute.CompareScalar(c.op, a, c.lit)
+	return compute.CompareScalar(c.op, a, c.lit, nil)
 }
 func (c *cmpAtom) keepStats(stats parquet.ColumnStats) bool {
 	return parquet.StatsKeepCompare(c.op.String(), stats, c.lit)
@@ -89,14 +89,14 @@ func (a *inAtom) col() int { return a.colIdx }
 func (a *inAtom) eval(arr arrow.Array) (*arrow.BoolArray, error) {
 	var out *arrow.BoolArray
 	for _, v := range a.vals {
-		m, err := compute.CompareScalar(compute.Eq, arr, v)
+		m, err := compute.CompareScalar(compute.Eq, arr, v, nil)
 		if err != nil {
 			return nil, err
 		}
 		if out == nil {
 			out = m
 		} else {
-			out, err = compute.Or(out, m)
+			out, err = compute.Or(out, m, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -158,7 +158,7 @@ func (p *compiledPredicate) Evaluate(cols map[int]arrow.Array, numRows int) (*ar
 		if out == nil {
 			out = m
 		} else {
-			out, err = compute.And(out, m)
+			out, err = compute.And(out, m, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -193,6 +193,10 @@ var diffQueries = []struct {
 		"first_value(d), last_value(d), min(k_fn), " +
 		"sum(v) FILTER (WHERE v > 0), count(*) FILTER (WHERE w IS NOT NULL), avg(w) FILTER (WHERE v < -990) " +
 		"FROM t GROUP BY %[1]s"},
+	// Expression arguments evaluate into the operator's scratch, which the
+	// next batch overwrites (with poison first under the sanitize tag).
+	{name: "expr-args", sql: "SELECT %[1]s, sum(v + 1), min(w * 2), max(v - w), avg(w - 3), count(v + w), " +
+		"sum(v * 2) FILTER (WHERE w - v > 0) FROM t GROUP BY %[1]s"},
 	{name: "distinct", sql: "SELECT DISTINCT %[1]s FROM t"},
 	{name: "sole-distinct", sql: "SELECT %[1]s, count(DISTINCT v) FROM t GROUP BY %[1]s", groupsByValue: true},
 }

@@ -206,7 +206,7 @@ func (st *aggState) assign(cols []arrow.Array, n int, groupIdx []uint32) []uint3
 
 // update consumes one input batch: raw rows in Partial/Single mode,
 // partial states in Final mode.
-func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, groupIdx []uint32) ([]uint32, error) {
+func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, groupIdx []uint32, scratch *physical.Scratch) ([]uint32, error) {
 	cols, err := e.evalGroups(b)
 	if err != nil {
 		return groupIdx, err
@@ -215,14 +215,14 @@ func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, groupIdx 
 	if e.Mode == FinalAgg {
 		return groupIdx, e.mergeStates(st.accs, b, groupIdx, st.numGroups())
 	}
-	return groupIdx, e.updateAccumulators(st.accs, b, groupIdx, st.numGroups())
+	return groupIdx, e.updateAccumulators(st.accs, b, groupIdx, st.numGroups(), scratch)
 }
 
 // evalGroups evaluates the group expressions over b.
 func (e *HashAggregateExec) evalGroups(b *arrow.RecordBatch) ([]arrow.Array, error) {
 	cols := make([]arrow.Array, len(e.GroupExprs))
 	for i, g := range e.GroupExprs {
-		a, err := physical.EvalToArray(g, b)
+		a, err := physical.EvalToArray(g, b, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -412,6 +412,7 @@ type aggPusher struct {
 	unregister func()
 	groupIdx   []uint32
 	released   bool
+	scratch    physical.Scratch
 
 	// Probe window: input rows and groups created (flushed ones included)
 	// while probing.
@@ -430,7 +431,7 @@ func (p *aggPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, erro
 		return false, p.passThrough(b, emit)
 	}
 	var err error
-	p.groupIdx, err = p.e.update(p.st, b, p.groupIdx)
+	p.groupIdx, err = p.e.update(p.st, b, p.groupIdx, &p.scratch)
 	if err != nil {
 		return false, err
 	}
@@ -502,7 +503,7 @@ func (p *aggPusher) passThrough(b *arrow.RecordBatch, emit physical.EmitFn) erro
 	if err != nil {
 		return err
 	}
-	if err := p.e.updateAccumulators(accs, b, p.identity[:n], n); err != nil {
+	if err := p.e.updateAccumulators(accs, b, p.identity[:n], n, &p.scratch); err != nil {
 		return err
 	}
 	for _, acc := range accs {
@@ -552,6 +553,7 @@ func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical
 	var queue []*arrow.RecordBatch
 	var spills []*memory.SpillFile
 	var groupIdx []uint32
+	var scratch physical.Scratch
 	inputDone := false
 
 	cleanup := func() {
@@ -643,7 +645,7 @@ func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical
 			if b.NumRows() == 0 {
 				continue
 			}
-			groupIdx, err = e.update(st, b, groupIdx)
+			groupIdx, err = e.update(st, b, groupIdx, &scratch)
 			if err != nil {
 				return nil, err
 			}
@@ -755,6 +757,7 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 	}
 
 	var groupIdx []uint32
+	var scratch physical.Scratch
 	next := func() (*arrow.RecordBatch, error) {
 		for {
 			if len(queue) > 0 {
@@ -784,7 +787,7 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 			}
 			cols := make([]arrow.Array, len(e.GroupExprs))
 			for i, g := range e.GroupExprs {
-				a, err := physical.EvalToArray(g, b)
+				a, err := physical.EvalToArray(g, b, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -800,7 +803,7 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 				}
 				groupIdx = append(groupIdx, uint32(len(runKeys)-1))
 			}
-			if err := e.updateAccumulators(st.accs, b, groupIdx, len(runKeys)); err != nil {
+			if err := e.updateAccumulators(st.accs, b, groupIdx, len(runKeys), &scratch); err != nil {
 				return nil, err
 			}
 			// All groups except the still-open last one are complete; emit
@@ -872,13 +875,14 @@ func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physica
 
 // updateAccumulators feeds one batch of raw rows into the accumulators
 // with the given group assignment (shared by the hash, run-detection and
-// pass-through paths).
-func (e *HashAggregateExec) updateAccumulators(accs []functions.GroupsAccumulator, b *arrow.RecordBatch, groupIdx []uint32, numGroups int) error {
+// pass-through paths). Arguments and FILTER masks evaluate into scratch:
+// an accumulator's Update is done with its arguments when it returns.
+func (e *HashAggregateExec) updateAccumulators(accs []functions.GroupsAccumulator, b *arrow.RecordBatch, groupIdx []uint32, numGroups int, scratch *physical.Scratch) error {
 	for ai := range e.Aggs {
 		a := &e.Aggs[ai]
 		args := make([]arrow.Array, len(a.Args))
 		for j, ax := range a.Args {
-			arr, err := physical.EvalToArray(ax, b)
+			arr, err := physical.EvalToArray(ax, b, scratch)
 			if err != nil {
 				return err
 			}
@@ -886,7 +890,7 @@ func (e *HashAggregateExec) updateAccumulators(accs []functions.GroupsAccumulato
 		}
 		gi := groupIdx
 		if a.Filter != nil {
-			mask, err := physical.EvalPredicate(a.Filter, b)
+			mask, err := physical.EvalPredicate(a.Filter, b, scratch)
 			if err != nil {
 				return err
 			}

@@ -42,10 +42,15 @@ func (e *FilterExec) PushInto(*physical.ExecContext, int) (physical.Pusher, erro
 	return &filterPusher{e: e}, nil
 }
 
-type filterPusher struct{ e *FilterExec }
+// filterPusher evaluates the predicate into scratch: the mask dies once
+// FilterBatch has copied the surviving rows out.
+type filterPusher struct {
+	e       *FilterExec
+	scratch physical.Scratch
+}
 
 func (p *filterPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, error) {
-	mask, err := physical.EvalPredicate(p.e.Predicate, b)
+	mask, err := physical.EvalPredicate(p.e.Predicate, b, &p.scratch)
 	if err != nil {
 		return false, err
 	}
@@ -144,7 +149,7 @@ type projectionPusher struct{ e *ProjectionExec }
 func (p *projectionPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, error) {
 	cols := make([]arrow.Array, len(p.e.Exprs))
 	for i, x := range p.e.Exprs {
-		a, err := physical.EvalToArray(x, b)
+		a, err := physical.EvalToArray(x, b, nil)
 		if err != nil {
 			return false, err
 		}

@@ -162,7 +162,7 @@ func estimateKeyCardinality(hashes []uint64) int {
 func encodeJoinKeys(enc *rowformat.Encoder, exprs []physical.PhysicalExpr, b *arrow.RecordBatch) ([][]byte, error) {
 	cols := make([]arrow.Array, len(exprs))
 	for i, x := range exprs {
-		a, err := physical.EvalToArray(x, b)
+		a, err := physical.EvalToArray(x, b, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +194,7 @@ func (e *HashJoinExec) buildFrom(ctx *physical.ExecContext, batches []*arrow.Rec
 	if n > 0 {
 		cols := make([]arrow.Array, len(e.On))
 		for i, p := range e.On {
-			a, err := physical.EvalToArray(p.L, batch)
+			a, err := physical.EvalToArray(p.L, batch, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -397,7 +397,7 @@ func (p *joinProber) probeBatch(rb *arrow.RecordBatch) (*arrow.RecordBatch, erro
 		p.probeRows.Add(int64(rb.NumRows()))
 	}
 	for i, x := range p.rexprs {
-		a, err := physical.EvalToArray(x, rb)
+		a, err := physical.EvalToArray(x, rb, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +421,7 @@ func (p *joinProber) probeBatch(rb *arrow.RecordBatch) (*arrow.RecordBatch, erro
 	// Residual filter refines matched pairs.
 	if p.exec.Filter != nil && len(li) > 0 {
 		cb := p.combined(rb, li, ri)
-		mask, err := physical.EvalPredicate(p.exec.Filter, cb)
+		mask, err := physical.EvalPredicate(p.exec.Filter, cb, nil)
 		if err != nil {
 			return nil, err
 		}

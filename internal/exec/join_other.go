@@ -137,7 +137,7 @@ func (e *NestedLoopJoinExec) probe(left, rb *arrow.RecordBatch, leftVisited []bo
 				lcols[c] = compute.Take(left.Column(c), rep)
 			}
 			cb := arrow.NewRecordBatchWithRows(innerSchema, append(lcols, rb.Columns()...), nr)
-			mask, err := physical.EvalPredicate(e.Filter, cb)
+			mask, err := physical.EvalPredicate(e.Filter, cb, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"gofusion/internal/arrow"
+	"gofusion/internal/arrow/compute"
 	"gofusion/internal/catalog"
 	"gofusion/internal/functions"
 	"gofusion/internal/logical"
@@ -805,7 +806,7 @@ func (cfg *PlannerConfig) planValues(node *logical.Values) (physical.ExecutionPl
 			if err != nil {
 				return nil, err
 			}
-			d, err := pe.Evaluate(oneRow)
+			d, err := pe.Evaluate(oneRow, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -816,7 +817,7 @@ func (cfg *PlannerConfig) planValues(node *logical.Values) (physical.ExecutionPl
 				s = d.ScalarValue()
 			}
 			if !s.Type.Equal(schema.Field(c).Type) && !s.Null {
-				s2, err := physical.CastScalarTo(s, schema.Field(c).Type)
+				s2, err := compute.CastScalar(s, schema.Field(c).Type)
 				if err != nil {
 					return nil, err
 				}

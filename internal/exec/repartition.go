@@ -119,7 +119,7 @@ func (e *RepartitionExec) splitByHash(b *arrow.RecordBatch, sc *hashScatter) ([]
 	n := b.NumRows()
 	keys := make([]arrow.Array, len(e.HashExprs))
 	for i, x := range e.HashExprs {
-		a, err := physical.EvalToArray(x, b)
+		a, err := physical.EvalToArray(x, b, nil)
 		if err != nil {
 			return nil, err
 		}

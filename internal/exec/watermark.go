@@ -222,7 +222,7 @@ func (e *WatermarkAggExec) Execute(ctx *physical.ExecContext, partition int) (ph
 			if b.NumRows() == 0 {
 				continue
 			}
-			wmArr, err := physical.EvalToArray(e.helper.GroupExprs[e.WatermarkPos], b)
+			wmArr, err := physical.EvalToArray(e.helper.GroupExprs[e.WatermarkPos], b, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -247,7 +247,7 @@ func (e *WatermarkAggExec) Execute(ctx *physical.ExecContext, partition int) (ph
 				if err != nil {
 					return nil, err
 				}
-				bk.groupIdx, err = e.helper.update(bk.st, takeRows(b, idx), bk.groupIdx)
+				bk.groupIdx, err = e.helper.update(bk.st, takeRows(b, idx), bk.groupIdx, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -257,7 +257,7 @@ func (e *WatermarkAggExec) Execute(ctx *physical.ExecContext, partition int) (ph
 				if err != nil {
 					return nil, err
 				}
-				bk.groupIdx, err = e.helper.update(bk.st, takeRows(b, nullIdx), bk.groupIdx)
+				bk.groupIdx, err = e.helper.update(bk.st, takeRows(b, nullIdx), bk.groupIdx, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -322,7 +322,7 @@ func (w *windowOrder) orderKey(row int32) []byte {
 func evalExprs(exprs []physical.PhysicalExpr, b *arrow.RecordBatch) ([]arrow.Array, error) {
 	cols := make([]arrow.Array, len(exprs))
 	for i, x := range exprs {
-		a, err := physical.EvalToArray(x, b)
+		a, err := physical.EvalToArray(x, b, nil)
 		if err != nil {
 			return nil, err
 		}

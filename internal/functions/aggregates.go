@@ -14,7 +14,9 @@ import (
 // flat per-group state arrays without per-row dispatch.
 type GroupsAccumulator interface {
 	// Update consumes a batch: row i belongs to group groupIdx[i];
-	// numGroups is the total number of groups seen so far.
+	// numGroups is the total number of groups seen so far. The args arrays
+	// are valid only for the call (the caller reuses their buffers for its
+	// next batch), so an accumulator copies any value it keeps.
 	Update(args []arrow.Array, groupIdx []uint32, numGroups int) error
 	// MergeStates consumes partial states (as produced by State) from
 	// another accumulator instance, for two-phase aggregation.
@@ -204,45 +206,31 @@ func asFloat64Values(a arrow.Array) ([]float64, arrow.Bitmap, error) {
 	case *arrow.Float64Array:
 		return arr.Values(), arr.Validity(), nil
 	case *arrow.Float32Array:
-		out := make([]float64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = float64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[float64](arr), arr.Validity(), nil
 	case *arrow.Int64Array:
-		out := make([]float64, arr.Len())
-		scale := 1.0
-		if a.DataType().ID == arrow.DECIMAL {
-			scale = math.Pow10(a.DataType().Scale)
+		if t := a.DataType(); t.ID == arrow.DECIMAL {
+			scale := math.Pow10(t.Scale)
+			out := make([]float64, arr.Len())
+			for i, v := range arr.Values() {
+				out[i] = float64(v) / scale
+			}
+			return out, arr.Validity(), nil
 		}
-		for i, v := range arr.Values() {
-			out[i] = float64(v) / scale
-		}
-		return out, arr.Validity(), nil
+		return widen[float64](arr), arr.Validity(), nil
 	case *arrow.Int32Array:
-		out := make([]float64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = float64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[float64](arr), arr.Validity(), nil
 	case *arrow.Int16Array:
-		out := make([]float64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = float64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[float64](arr), arr.Validity(), nil
+	case *arrow.Int8Array:
+		return widen[float64](arr), arr.Validity(), nil
 	case *arrow.Uint64Array:
-		out := make([]float64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = float64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[float64](arr), arr.Validity(), nil
 	case *arrow.Uint32Array:
-		out := make([]float64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = float64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[float64](arr), arr.Validity(), nil
+	case *arrow.Uint16Array:
+		return widen[float64](arr), arr.Validity(), nil
+	case *arrow.Uint8Array:
+		return widen[float64](arr), arr.Validity(), nil
 	case *arrow.NullArray:
 		return make([]float64, arr.Len()), arrow.NewBitmap(arr.Len()), nil
 	}
@@ -256,51 +244,116 @@ func asInt64Values(a arrow.Array) ([]int64, arrow.Bitmap, error) {
 	case *arrow.Int64Array:
 		return arr.Values(), arr.Validity(), nil
 	case *arrow.Int32Array:
-		out := make([]int64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = int64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[int64](arr), arr.Validity(), nil
 	case *arrow.Int16Array:
-		out := make([]int64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = int64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[int64](arr), arr.Validity(), nil
 	case *arrow.Int8Array:
-		out := make([]int64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = int64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[int64](arr), arr.Validity(), nil
 	case *arrow.Uint64Array:
-		out := make([]int64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = int64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[int64](arr), arr.Validity(), nil
 	case *arrow.Uint32Array:
-		out := make([]int64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = int64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[int64](arr), arr.Validity(), nil
 	case *arrow.Uint16Array:
-		out := make([]int64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = int64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[int64](arr), arr.Validity(), nil
 	case *arrow.Uint8Array:
-		out := make([]int64, arr.Len())
-		for i, v := range arr.Values() {
-			out[i] = int64(v)
-		}
-		return out, arr.Validity(), nil
+		return widen[int64](arr), arr.Validity(), nil
 	case *arrow.NullArray:
 		return make([]int64, arr.Len()), arrow.NewBitmap(arr.Len()), nil
 	}
 	return nil, nil, fmt.Errorf("functions: non-integer aggregate input %s", a.DataType())
+}
+
+// widen copies a's values converted to R.
+func widen[R int64 | float64, T arrow.Number](a *arrow.NumericArray[T]) []R {
+	out := make([]R, a.Len())
+	for i, v := range a.Values() {
+		out[i] = R(v)
+	}
+	return out
+}
+
+// An ungrouped aggregate sends every row to group 0, so its Update has
+// numGroups == 1. The accumulators below then fold the argument's native
+// values into a local that starts from group 0's running value: no widened
+// copy of the argument and no store per row. Values are folded in row
+// order, so float sums match the per-row path bit for bit.
+
+// foldOp selects what fold does with each value.
+type foldOp int
+
+const (
+	foldSum foldOp = iota
+	foldMin
+	foldMax
+)
+
+// fold folds the valid slots of vals, converted to A, into acc and counts
+// them: foldSum adds each (divided by scale unless it is 1); foldMin and
+// foldMax keep the extreme, taking the first value when nothing is seen.
+func fold[T arrow.Number, A int64 | float64](op foldOp, vals []T, valid arrow.Bitmap, acc, scale A, seen bool) (A, int) {
+	if op == foldSum && valid == nil && scale == 1 {
+		for _, v := range vals {
+			acc += A(v)
+		}
+		return acc, len(vals)
+	}
+	n := 0
+	for i, v := range vals {
+		if !valid.Get(i) {
+			continue
+		}
+		x := A(v)
+		switch {
+		case op == foldSum:
+			if scale != 1 {
+				x /= scale
+			}
+			acc += x
+		case !seen && n == 0, op == foldMax && x > acc, op == foldMin && x < acc:
+			acc = x
+		}
+		n++
+	}
+	return acc, n
+}
+
+// foldArray is fold over a numeric array; ok is false (acc unchanged) for
+// any other array, which the caller's per-row path then rejects.
+func foldArray[A int64 | float64](op foldOp, a arrow.Array, acc, scale A, seen bool) (_ A, n int, ok bool) {
+	switch arr := a.(type) {
+	case *arrow.Int8Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Int16Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Int32Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Int64Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Uint8Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Uint16Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Uint32Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Uint64Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Float32Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.Float64Array:
+		acc, n = fold(op, arr.Values(), arr.Validity(), acc, scale, seen)
+	case *arrow.NullArray:
+	default:
+		return acc, 0, false
+	}
+	return acc, n, true
+}
+
+// decimalScale is what asFloat64Values divides a's values by.
+func decimalScale(a arrow.Array) float64 {
+	if t := a.DataType(); t.ID == arrow.DECIMAL {
+		return math.Pow10(t.Scale)
+	}
+	return 1
 }
 
 // growTo extends s with zero values up to length n. Group counts jump by
@@ -325,6 +378,14 @@ func (c *countAcc) ensure(n int) {
 
 func (c *countAcc) Update(args []arrow.Array, groupIdx []uint32, numGroups int) error {
 	c.ensure(numGroups)
+	if numGroups == 1 {
+		n := len(groupIdx)
+		if len(args) > 0 {
+			n -= args[0].NullCount()
+		}
+		c.counts[0] += int64(n)
+		return nil
+	}
 	if len(args) == 0 { // COUNT(*)
 		for _, g := range groupIdx {
 			c.counts[g]++
@@ -377,6 +438,12 @@ func (s *sumIntAcc) ensure(n int) {
 
 func (s *sumIntAcc) Update(args []arrow.Array, groupIdx []uint32, numGroups int) error {
 	s.ensure(numGroups)
+	if numGroups == 1 {
+		if sum, n, ok := foldArray(foldSum, args[0], s.sums[0], 1, false); ok {
+			s.sums[0], s.seen[0] = sum, s.seen[0] || n > 0
+			return nil
+		}
+	}
 	vals, valid, err := asInt64Values(args[0])
 	if err != nil {
 		return err
@@ -439,6 +506,12 @@ func (s *sumFloatAcc) ensure(n int) {
 
 func (s *sumFloatAcc) Update(args []arrow.Array, groupIdx []uint32, numGroups int) error {
 	s.ensure(numGroups)
+	if numGroups == 1 {
+		if sum, n, ok := foldArray(foldSum, args[0], s.sums[0], decimalScale(args[0]), false); ok {
+			s.sums[0], s.seen[0] = sum, s.seen[0] || n > 0
+			return nil
+		}
+	}
 	vals, valid, err := asFloat64Values(args[0])
 	if err != nil {
 		return err
@@ -501,6 +574,12 @@ func (a *avgAcc) ensure(n int) {
 
 func (a *avgAcc) Update(args []arrow.Array, groupIdx []uint32, numGroups int) error {
 	a.ensure(numGroups)
+	if numGroups == 1 {
+		if sum, n, ok := foldArray(foldSum, args[0], a.sums[0], decimalScale(args[0]), false); ok {
+			a.sums[0], a.counts[0] = sum, a.counts[0]+int64(n)
+			return nil
+		}
+	}
 	vals, valid, err := asFloat64Values(args[0])
 	if err != nil {
 		return err

@@ -60,6 +60,21 @@ func (m *minMaxAcc) better(cmp int) bool {
 func (m *minMaxAcc) Update(args []arrow.Array, groupIdx []uint32, numGroups int) error {
 	m.ensure(numGroups)
 	a := args[0]
+	if numGroups == 1 && !m.useString {
+		op, n, ok := foldMin, 0, false
+		if m.isMax {
+			op = foldMax
+		}
+		if m.useFloat {
+			m.f64[0], n, ok = foldArray(op, a, m.f64[0], 1, m.seen[0])
+		} else {
+			m.i64[0], n, ok = foldArray(op, a, m.i64[0], 1, m.seen[0])
+		}
+		if ok {
+			m.seen[0] = m.seen[0] || n > 0
+			return nil
+		}
+	}
 	switch {
 	case m.useString:
 		sa, ok := a.(*arrow.StringArray)
@@ -182,7 +197,11 @@ func (m *minMaxAcc) buildArray() (arrow.Array, error) {
 		default:
 			switch m.argType.BitWidth() {
 			case 64:
-				b.AppendScalar(arrow.NewScalar(m.argType, m.i64[g]))
+				if m.argType.ID == arrow.UINT64 {
+					b.AppendScalar(arrow.NewScalar(m.argType, uint64(m.i64[g])))
+				} else {
+					b.AppendScalar(arrow.NewScalar(m.argType, m.i64[g]))
+				}
 			case 32:
 				if m.argType.IsSignedInteger() || m.argType.ID == arrow.DATE32 {
 					b.AppendScalar(arrow.NewScalar(m.argType, int32(m.i64[g])))

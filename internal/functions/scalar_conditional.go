@@ -58,7 +58,7 @@ func registerConditional(r *Registry) {
 			for i, a := range args {
 				arr := a.ToArray(numRows)
 				if !arr.DataType().Equal(out) {
-					arr, err = compute.Cast(arr, out)
+					arr, err = compute.Cast(arr, out, nil)
 					if err != nil {
 						return arrow.Datum{}, err
 					}
@@ -95,7 +95,7 @@ func registerConditional(r *Registry) {
 			}
 			a := args[0].ToArray(numRows)
 			bArr := args[1].ToArray(numRows)
-			eq, err := compute.Compare(compute.Eq, a, bArr)
+			eq, err := compute.Compare(compute.Eq, a, bArr, nil)
 			if err != nil {
 				return arrow.Datum{}, err
 			}
@@ -128,7 +128,7 @@ func registerConditional(r *Registry) {
 				for i, a := range args {
 					arr := a.ToArray(numRows)
 					if !arr.DataType().Equal(out) {
-						arr, err = compute.Cast(arr, out)
+						arr, err = compute.Cast(arr, out, nil)
 						if err != nil {
 							return arrow.Datum{}, err
 						}

@@ -10,7 +10,7 @@ import (
 
 // numericAsFloat converts any numeric array to float64 values.
 func numericAsFloat(a arrow.Array) (*arrow.Float64Array, error) {
-	out, err := compute.Cast(a, arrow.Float64)
+	out, err := compute.Cast(a, arrow.Float64, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 func asString(d arrow.Datum, numRows int) (*arrow.StringArray, error) {
 	a := d.ToArray(numRows)
 	if a.DataType().ID != arrow.STRING {
-		cast, err := compute.Cast(a, arrow.String)
+		cast, err := compute.Cast(a, arrow.String, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -214,35 +214,46 @@ func (*LimitPushdown) Name() string { return "limit_pushdown" }
 // Apply implements Rule.
 func (r *LimitPushdown) Apply(plan logical.Plan, ctx *Context) (logical.Plan, error) {
 	return logical.TransformPlan(plan, func(p logical.Plan) (logical.Plan, error) {
-		l, ok := p.(*logical.Limit)
-		if !ok || l.Fetch < 0 {
-			return p, nil
-		}
-		reach := l.Skip + l.Fetch
-		switch inner := l.Input.(type) {
-		case *logical.Sort:
-			if inner.Fetch < 0 || inner.Fetch > reach {
-				s := &logical.Sort{Input: inner.Input, Keys: inner.Keys, Fetch: reach}
-				return &logical.Limit{Input: s, Skip: l.Skip, Fetch: l.Fetch}, nil
-			}
-			return p, nil
-		case *logical.Projection:
-			pushed := &logical.Limit{Input: inner.Input, Skip: l.Skip, Fetch: l.Fetch}
-			proj, err := logical.NewProjection(pushed, inner.Exprs, ctx.Reg)
-			if err != nil {
-				return nil, err
-			}
-			return proj, nil
-		case *logical.TableScan:
-			if len(inner.Filters) == 0 && l.Skip == 0 {
-				out := *inner
-				if out.Fetch < 0 || out.Fetch > reach {
-					out.Fetch = reach
-				}
-				return &logical.Limit{Input: &out, Skip: l.Skip, Fetch: l.Fetch}, nil
-			}
-			return p, nil
+		if l, ok := p.(*logical.Limit); ok {
+			return pushLimit(l, ctx)
 		}
 		return p, nil
 	})
+}
+
+// pushLimit rewrites one Limit. The bottom-up walk has already passed
+// below it, so a Limit it pushes below a Projection is rewritten here too:
+// that is what lets ORDER BY on a column the SELECT list drops reach the
+// Sort as a top-k.
+func pushLimit(l *logical.Limit, ctx *Context) (logical.Plan, error) {
+	if l.Fetch < 0 {
+		return l, nil
+	}
+	reach := l.Skip + l.Fetch
+	switch inner := l.Input.(type) {
+	case *logical.Sort:
+		if inner.Fetch < 0 || inner.Fetch > reach {
+			s := &logical.Sort{Input: inner.Input, Keys: inner.Keys, Fetch: reach}
+			return &logical.Limit{Input: s, Skip: l.Skip, Fetch: l.Fetch}, nil
+		}
+	case *logical.Projection:
+		pushed, err := pushLimit(&logical.Limit{Input: inner.Input, Skip: l.Skip, Fetch: l.Fetch}, ctx)
+		if err != nil {
+			return nil, err
+		}
+		proj, err := logical.NewProjection(pushed, inner.Exprs, ctx.Reg)
+		if err != nil {
+			return nil, err
+		}
+		return proj, nil
+	case *logical.TableScan:
+		if len(inner.Filters) == 0 && l.Skip == 0 {
+			out := *inner
+			if out.Fetch < 0 || out.Fetch > reach {
+				out.Fetch = reach
+			}
+			return &logical.Limit{Input: &out, Skip: l.Skip, Fetch: l.Fetch}, nil
+		}
+	}
+	return l, nil
 }

@@ -180,28 +180,6 @@ func TestJoinInputSwapBySize(t *testing.T) {
 	}
 }
 
-func TestLimitPushdownToTopK(t *testing.T) {
-	src := table(t, 100, arrow.NewField("a", arrow.Int64, false))
-	plan, err := logical.NewBuilder(reg).
-		Scan("t", src).
-		Sort(logical.SortAsc(logical.Col("a"))).
-		Limit(0, 5).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := explain(optimize(t, plan))
-	if !strings.Contains(text, "fetch=5") || !strings.Contains(text, "Sort") {
-		t.Fatalf("limit not fused into sort:\n%s", text)
-	}
-	// Bare scan limit.
-	plan2, _ := logical.NewBuilder(reg).Scan("t", src).Limit(0, 7).Build()
-	text2 := explain(optimize(t, plan2))
-	if !strings.Contains(text2, "TableScan: t") || !strings.Contains(text2, "fetch=7") {
-		t.Fatalf("limit not pushed into scan:\n%s", text2)
-	}
-}
-
 func TestPruneScansKeepsReferencedColumns(t *testing.T) {
 	src := table(t, 10,
 		arrow.NewField("a", arrow.Int64, false),

@@ -192,7 +192,7 @@ func foldIfConstant(e logical.Expr, ctx *Context) (logical.Expr, error) {
 		return e, nil // non-compilable constants stay as-is
 	}
 	oneRow := arrow.NewRecordBatchWithRows(arrow.NewSchema(), nil, 1)
-	d, err := pe.Evaluate(oneRow)
+	d, err := pe.Evaluate(oneRow, nil)
 	if err != nil {
 		return e, nil // runtime errors (e.g. div by zero) surface at exec
 	}

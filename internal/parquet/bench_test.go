@@ -114,7 +114,7 @@ type cmpPredicateBench struct {
 
 func (p *cmpPredicateBench) Columns() []int { return []int{p.col} }
 func (p *cmpPredicateBench) Evaluate(cols map[int]arrow.Array, _ int) (*arrow.BoolArray, error) {
-	return compute.CompareScalar(compute.Gt, cols[p.col], p.lit)
+	return compute.CompareScalar(compute.Gt, cols[p.col], p.lit, nil)
 }
 func (p *cmpPredicateBench) KeepColumnStats(_ int, stats ColumnStats) bool {
 	return StatsKeepCompare(">", stats, p.lit)

@@ -180,7 +180,7 @@ type cmpPredicate struct {
 func (p *cmpPredicate) Columns() []int { return []int{p.col} }
 
 func (p *cmpPredicate) Evaluate(cols map[int]arrow.Array, numRows int) (*arrow.BoolArray, error) {
-	return compute.CompareScalar(p.op, cols[p.col], p.lit)
+	return compute.CompareScalar(p.op, cols[p.col], p.lit, nil)
 }
 
 func (p *cmpPredicate) KeepColumnStats(col int, stats ColumnStats) bool {
@@ -304,7 +304,7 @@ func TestPredicateResultsMatchPostFilter(t *testing.T) {
 			}
 			got := scanAll(t, sc)
 			// Reference: evaluate on the full batch.
-			mask, err := compute.CompareScalar(pred.op, full.Column(pred.col), pred.lit)
+			mask, err := compute.CompareScalar(pred.op, full.Column(pred.col), pred.lit, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

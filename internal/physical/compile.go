@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gofusion/internal/arrow"
+	"gofusion/internal/arrow/compute"
 	"gofusion/internal/functions"
 	"gofusion/internal/logical"
 )
@@ -27,7 +28,7 @@ func (c *Compiler) coerceBinary(op logical.BinOp, l, r PhysicalExpr) (PhysicalEx
 	// Decimal division computes in floats (checked before the equal-type
 	// fast path: two same-scale decimals still must not divide directly).
 	if op == logical.OpDiv && (lt.ID == arrow.DECIMAL || rt.ID == arrow.DECIMAL) {
-		return &CastExpr{E: l, To: arrow.Float64}, &CastExpr{E: r, To: arrow.Float64}, nil
+		return castTo(l, arrow.Float64), castTo(r, arrow.Float64), nil
 	}
 	if lt.Equal(rt) {
 		return l, r, nil
@@ -47,10 +48,10 @@ func (c *Compiler) coerceBinary(op logical.BinOp, l, r PhysicalExpr) (PhysicalEx
 		// Fall back to string comparison when either side is a string.
 		if lt.ID == arrow.STRING || rt.ID == arrow.STRING {
 			if lt.ID != arrow.STRING {
-				l = &CastExpr{E: l, To: arrow.String}
+				l = castTo(l, arrow.String)
 			}
 			if rt.ID != arrow.STRING {
-				r = &CastExpr{E: r, To: arrow.String}
+				r = castTo(r, arrow.String)
 			}
 			return l, r, nil
 		}
@@ -63,12 +64,24 @@ func (c *Compiler) coerceBinary(op logical.BinOp, l, r PhysicalExpr) (PhysicalEx
 		return l, r, nil
 	}
 	if !lt.Equal(common) {
-		l = &CastExpr{E: l, To: common}
+		l = castTo(l, common)
 	}
 	if !rt.Equal(common) {
-		r = &CastExpr{E: r, To: common}
+		r = castTo(r, common)
 	}
 	return l, r, nil
+}
+
+// castTo converts e to t, folding a literal at plan time so that no cast
+// runs per batch; a literal that does not convert keeps its runtime cast
+// and fails, as before, when evaluated.
+func castTo(e PhysicalExpr, t *arrow.DataType) PhysicalExpr {
+	if lit, ok := e.(*LiteralExpr); ok {
+		if s, err := compute.CastScalar(lit.Value, t); err == nil {
+			return &LiteralExpr{Value: s}
+		}
+	}
+	return &CastExpr{E: e, To: t}
 }
 
 func isLiteralOf(e PhysicalExpr, t *arrow.DataType) bool {
@@ -157,14 +170,6 @@ func (c *Compiler) Compile(e logical.Expr) (PhysicalExpr, error) {
 			pi2, _, err := c.coerceBinary(logical.OpEq, pi, inner)
 			if err != nil {
 				return nil, err
-			}
-			if lit, ok := pi2.(*CastExpr); ok {
-				if l, ok2 := lit.E.(*LiteralExpr); ok2 {
-					s, err := castScalarStatic(l.Value, lit.To)
-					if err == nil {
-						pi2 = &LiteralExpr{Value: s}
-					}
-				}
 			}
 			items[i] = pi2
 		}
@@ -274,20 +279,4 @@ func binaryResultType(op logical.BinOp, lt, rt *arrow.DataType) (*arrow.DataType
 		return logical.PromoteNumeric(lt, rt)
 	}
 	return lt, nil
-}
-
-func castScalarStatic(s arrow.Scalar, to *arrow.DataType) (arrow.Scalar, error) {
-	b := arrow.NewBuilder(s.Type)
-	b.AppendScalar(s)
-	arr := b.Finish()
-	out, err := castArray(arr, to)
-	if err != nil {
-		return arrow.Scalar{}, err
-	}
-	return out.GetScalar(0), nil
-}
-
-// castArray is a thin indirection over compute.Cast kept for testability.
-func castArray(a arrow.Array, to *arrow.DataType) (arrow.Array, error) {
-	return computeCast(a, to)
 }

@@ -27,7 +27,7 @@ func NewColumnExpr(index int, name string, t *arrow.DataType) *ColumnExpr {
 
 func (c *ColumnExpr) DataType() *arrow.DataType { return c.Type }
 func (c *ColumnExpr) String() string            { return fmt.Sprintf("%s@%d", c.Name, c.Index) }
-func (c *ColumnExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
+func (c *ColumnExpr) Evaluate(b *arrow.RecordBatch, _ *Scratch) (arrow.Datum, error) {
 	if c.Index >= b.NumCols() {
 		return arrow.Datum{}, fmt.Errorf("physical: column %s@%d out of range (%d cols)", c.Name, c.Index, b.NumCols())
 	}
@@ -39,7 +39,7 @@ type LiteralExpr struct{ Value arrow.Scalar }
 
 func (l *LiteralExpr) DataType() *arrow.DataType { return l.Value.Type }
 func (l *LiteralExpr) String() string            { return l.Value.String() }
-func (l *LiteralExpr) Evaluate(*arrow.RecordBatch) (arrow.Datum, error) {
+func (l *LiteralExpr) Evaluate(*arrow.RecordBatch, *Scratch) (arrow.Datum, error) {
 	return arrow.ScalarDatum(l.Value), nil
 }
 
@@ -67,12 +67,12 @@ func (e *BinaryExpr) String() string {
 	return fmt.Sprintf("%s %s %s", e.L, e.Op, e.R)
 }
 
-func (e *BinaryExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
-	l, err := e.L.Evaluate(b)
+func (e *BinaryExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
+	l, err := e.L.Evaluate(b, s)
 	if err != nil {
 		return arrow.Datum{}, err
 	}
-	r, err := e.R.Evaluate(b)
+	r, err := e.R.Evaluate(b, s)
 	if err != nil {
 		return arrow.Datum{}, err
 	}
@@ -87,13 +87,13 @@ func (e *BinaryExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 	if op, ok := cmpOps[e.Op]; ok {
 		switch {
 		case l.IsArray() && r.IsArray():
-			out, err := compute.Compare(op, l.Array(), r.Array())
+			out, err := compute.Compare(op, l.Array(), r.Array(), s.buf(e))
 			return arrow.ArrayDatum(out), err
 		case l.IsArray():
-			out, err := compute.CompareScalar(op, l.Array(), r.ScalarValue())
+			out, err := compute.CompareScalar(op, l.Array(), r.ScalarValue(), s.buf(e))
 			return arrow.ArrayDatum(out), err
 		case r.IsArray():
-			out, err := compute.CompareScalar(op.Flip(), r.Array(), l.ScalarValue())
+			out, err := compute.CompareScalar(op.Flip(), r.Array(), l.ScalarValue(), s.buf(e))
 			return arrow.ArrayDatum(out), err
 		default:
 			ls, rs := l.ScalarValue(), r.ScalarValue()
@@ -128,9 +128,9 @@ func (e *BinaryExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 		}
 		var out *arrow.BoolArray
 		if e.Op == logical.OpAnd {
-			out, err = compute.And(la, ra)
+			out, err = compute.And(la, ra, s.buf(e))
 		} else {
-			out, err = compute.Or(la, ra)
+			out, err = compute.Or(la, ra, s.buf(e))
 		}
 		return arrow.ArrayDatum(out), err
 	}
@@ -142,17 +142,17 @@ func (e *BinaryExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 	op := arithOps[e.Op]
 	switch {
 	case l.IsArray() && r.IsArray():
-		out, err := compute.Arith(op, l.Array(), r.Array())
+		out, err := compute.Arith(op, l.Array(), r.Array(), s.buf(e))
 		return arrow.ArrayDatum(out), err
 	case l.IsArray():
-		out, err := compute.ArithScalar(op, l.Array(), r.ScalarValue(), false)
+		out, err := compute.ArithScalar(op, l.Array(), r.ScalarValue(), false, s.buf(e))
 		return arrow.ArrayDatum(out), err
 	case r.IsArray():
-		out, err := compute.ArithScalar(op, r.Array(), l.ScalarValue(), true)
+		out, err := compute.ArithScalar(op, r.Array(), l.ScalarValue(), true, s.buf(e))
 		return arrow.ArrayDatum(out), err
 	default:
 		la := arrow.ScalarToArray(l.ScalarValue(), 1)
-		out, err := compute.ArithScalar(op, la, r.ScalarValue(), false)
+		out, err := compute.ArithScalar(op, la, r.ScalarValue(), false, nil)
 		if err != nil {
 			return arrow.Datum{}, err
 		}
@@ -165,14 +165,14 @@ func evalConcatOp(l, r arrow.Datum, n int) (arrow.Datum, error) {
 	ra := r.ToArray(n)
 	if la.DataType().ID != arrow.STRING {
 		var err error
-		la, err = compute.Cast(la, arrow.String)
+		la, err = compute.Cast(la, arrow.String, nil)
 		if err != nil {
 			return arrow.Datum{}, err
 		}
 	}
 	if ra.DataType().ID != arrow.STRING {
 		var err error
-		ra, err = compute.Cast(ra, arrow.String)
+		ra, err = compute.Cast(ra, arrow.String, nil)
 		if err != nil {
 			return arrow.Datum{}, err
 		}
@@ -274,8 +274,8 @@ type NotExpr struct{ E PhysicalExpr }
 
 func (e *NotExpr) DataType() *arrow.DataType { return arrow.Boolean }
 func (e *NotExpr) String() string            { return fmt.Sprintf("NOT %s", e.E) }
-func (e *NotExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
-	d, err := e.E.Evaluate(b)
+func (e *NotExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
+	d, err := e.E.Evaluate(b, s)
 	if err != nil {
 		return arrow.Datum{}, err
 	}
@@ -283,7 +283,7 @@ func (e *NotExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 	if !ok {
 		return arrow.Datum{}, errNotBoolean(d.DataType())
 	}
-	return arrow.ArrayDatum(compute.Not(arr)), nil
+	return arrow.ArrayDatum(compute.Not(arr, s.buf(e))), nil
 }
 
 // IsNullExpr tests for NULL (or NOT NULL).
@@ -299,8 +299,8 @@ func (e *IsNullExpr) String() string {
 	}
 	return fmt.Sprintf("%s IS NULL", e.E)
 }
-func (e *IsNullExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
-	d, err := e.E.Evaluate(b)
+func (e *IsNullExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
+	d, err := e.E.Evaluate(b, s)
 	if err != nil {
 		return arrow.Datum{}, err
 	}
@@ -316,12 +316,12 @@ type NegativeExpr struct{ E PhysicalExpr }
 
 func (e *NegativeExpr) DataType() *arrow.DataType { return e.E.DataType() }
 func (e *NegativeExpr) String() string            { return fmt.Sprintf("(- %s)", e.E) }
-func (e *NegativeExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
-	d, err := e.E.Evaluate(b)
+func (e *NegativeExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
+	d, err := e.E.Evaluate(b, s)
 	if err != nil {
 		return arrow.Datum{}, err
 	}
-	out, err := compute.Negate(d.ToArray(b.NumRows()))
+	out, err := compute.Negate(d.ToArray(b.NumRows()), s.buf(e))
 	return arrow.ArrayDatum(out), err
 }
 
@@ -333,8 +333,8 @@ type CastExpr struct {
 
 func (e *CastExpr) DataType() *arrow.DataType { return e.To }
 func (e *CastExpr) String() string            { return fmt.Sprintf("CAST(%s AS %s)", e.E, e.To) }
-func (e *CastExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
-	d, err := e.E.Evaluate(b)
+func (e *CastExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
+	d, err := e.E.Evaluate(b, s)
 	if err != nil {
 		return arrow.Datum{}, err
 	}
@@ -342,6 +342,6 @@ func (e *CastExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 		s, err := compute.CastScalar(d.ScalarValue(), e.To)
 		return arrow.ScalarDatum(s), err
 	}
-	out, err := compute.Cast(d.Array(), e.To)
+	out, err := compute.Cast(d.Array(), e.To, s.buf(e))
 	return arrow.ArrayDatum(out), err
 }

@@ -38,8 +38,8 @@ func NewLikeExpr(e PhysicalExpr, pattern string, negated, caseInsensitive bool) 
 
 func (e *LikeExpr) DataType() *arrow.DataType { return arrow.Boolean }
 func (e *LikeExpr) String() string            { return fmt.Sprintf("%s LIKE %q", e.E, e.Pattern) }
-func (e *LikeExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
-	d, err := e.E.Evaluate(b)
+func (e *LikeExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
+	d, err := e.E.Evaluate(b, s)
 	if err != nil {
 		return arrow.Datum{}, err
 	}
@@ -124,8 +124,8 @@ func (e *InListExpr) String() string {
 	return fmt.Sprintf("%s %s (%d items)", e.E, op, len(e.List))
 }
 
-func (e *InListExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
-	d, err := e.E.Evaluate(b)
+func (e *InListExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
+	d, err := e.E.Evaluate(b, s)
 	if err != nil {
 		return arrow.Datum{}, err
 	}
@@ -158,15 +158,15 @@ func (e *InListExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 	default:
 		// General case: OR of equality comparisons.
 		for _, item := range e.List {
-			iv, err := item.Evaluate(b)
+			iv, err := item.Evaluate(b, s)
 			if err != nil {
 				return arrow.Datum{}, err
 			}
 			var m *arrow.BoolArray
 			if iv.IsArray() {
-				m, err = compute.Compare(compute.Eq, arr, iv.Array())
+				m, err = compute.Compare(compute.Eq, arr, iv.Array(), nil)
 			} else {
-				m, err = compute.CompareScalar(compute.Eq, arr, iv.ScalarValue())
+				m, err = compute.CompareScalar(compute.Eq, arr, iv.ScalarValue(), nil)
 			}
 			if err != nil {
 				return arrow.Datum{}, err
@@ -174,7 +174,7 @@ func (e *InListExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 			if mask == nil {
 				mask = m
 			} else {
-				mask, err = compute.Or(mask, m)
+				mask, err = compute.Or(mask, m, nil)
 				if err != nil {
 					return arrow.Datum{}, err
 				}
@@ -197,7 +197,7 @@ func (e *InListExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 		mask = arrow.NewBool(vals, valid, n)
 	}
 	if e.Negated {
-		mask = compute.Not(mask)
+		mask = compute.Not(mask, nil)
 	}
 	return arrow.ArrayDatum(mask), nil
 }
@@ -215,7 +215,7 @@ type CaseExpr struct {
 func (e *CaseExpr) DataType() *arrow.DataType { return e.Type }
 func (e *CaseExpr) String() string            { return "CASE ... END" }
 
-func (e *CaseExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
+func (e *CaseExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
 	n := b.NumRows()
 	// remaining[i] = row i not yet matched by an earlier WHEN.
 	remaining := arrow.NewBitmapSet(n)
@@ -224,7 +224,7 @@ func (e *CaseExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 
 	var operand arrow.Array
 	if e.Operand != nil {
-		op, err := EvalToArray(e.Operand, b)
+		op, err := EvalToArray(e.Operand, b, s)
 		if err != nil {
 			return arrow.Datum{}, err
 		}
@@ -234,25 +234,25 @@ func (e *CaseExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 	for wi, w := range e.Whens {
 		var mask *arrow.BoolArray
 		if operand != nil {
-			wv, err := w.Evaluate(b)
+			wv, err := w.Evaluate(b, s)
 			if err != nil {
 				return arrow.Datum{}, err
 			}
 			if wv.IsArray() {
-				m, err := compute.Compare(compute.Eq, operand, wv.Array())
+				m, err := compute.Compare(compute.Eq, operand, wv.Array(), nil)
 				if err != nil {
 					return arrow.Datum{}, err
 				}
 				mask = m
 			} else {
-				m, err := compute.CompareScalar(compute.Eq, operand, wv.ScalarValue())
+				m, err := compute.CompareScalar(compute.Eq, operand, wv.ScalarValue(), nil)
 				if err != nil {
 					return arrow.Datum{}, err
 				}
 				mask = m
 			}
 		} else {
-			m, err := EvalPredicate(w, b)
+			m, err := EvalPredicate(w, b, s)
 			if err != nil {
 				return arrow.Datum{}, err
 			}
@@ -269,12 +269,12 @@ func (e *CaseExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 	// Evaluate branch values over the full batch, then assemble.
 	branchVals := make([]arrow.Array, len(e.Thens))
 	for i, t := range e.Thens {
-		v, err := EvalToArray(t, b)
+		v, err := EvalToArray(t, b, s)
 		if err != nil {
 			return arrow.Datum{}, err
 		}
 		if !v.DataType().Equal(e.Type) {
-			v, err = compute.Cast(v, e.Type)
+			v, err = compute.Cast(v, e.Type, nil)
 			if err != nil {
 				return arrow.Datum{}, err
 			}
@@ -283,12 +283,12 @@ func (e *CaseExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
 	}
 	var elseVals arrow.Array
 	if e.Else != nil {
-		v, err := EvalToArray(e.Else, b)
+		v, err := EvalToArray(e.Else, b, s)
 		if err != nil {
 			return arrow.Datum{}, err
 		}
 		if !v.DataType().Equal(e.Type) {
-			v, err = compute.Cast(v, e.Type)
+			v, err = compute.Cast(v, e.Type, nil)
 			if err != nil {
 				return arrow.Datum{}, err
 			}
@@ -327,10 +327,10 @@ func (e *ScalarFuncExpr) String() string {
 	return fmt.Sprintf("%s(%s)", e.Fn.Name, strings.Join(args, ", "))
 }
 
-func (e *ScalarFuncExpr) Evaluate(b *arrow.RecordBatch) (arrow.Datum, error) {
+func (e *ScalarFuncExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
 	args := make([]arrow.Datum, len(e.Args))
 	for i, a := range e.Args {
-		d, err := a.Evaluate(b)
+		d, err := a.Evaluate(b, s)
 		if err != nil {
 			return arrow.Datum{}, err
 		}

@@ -52,7 +52,7 @@ func compile(t *testing.T, e logical.Expr) PhysicalExpr {
 
 func evalOn(t *testing.T, e logical.Expr) arrow.Array {
 	t.Helper()
-	arr, err := EvalToArray(compile(t, e), testBatch())
+	arr, err := EvalToArray(compile(t, e), testBatch(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCompileColumnAndLiteral(t *testing.T) {
 		t.Fatal("column eval wrong")
 	}
 	pe := compile(t, logical.Lit(42))
-	d, err := pe.Evaluate(testBatch())
+	d, err := pe.Evaluate(testBatch(), nil)
 	if err != nil || d.IsArray() || d.ScalarValue().AsInt64() != 42 {
 		t.Fatal("literal eval wrong")
 	}
@@ -110,7 +110,7 @@ func TestCompileDecimalDivisionRewrite(t *testing.T) {
 		arrow.NewNumeric(arrow.Decimal(12, 2), []int64{300}, nil), // 3.00
 		arrow.NewNumeric(arrow.Decimal(12, 2), []int64{150}, nil), // 1.50
 	})
-	out, err := EvalToArray(pe, b)
+	out, err := EvalToArray(pe, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAggregateOutsideContextFails(t *testing.T) {
 
 func TestEvalPredicateSemantics(t *testing.T) {
 	pe := compile(t, &logical.BinaryExpr{Op: logical.OpGt, L: logical.Col("f"), R: logical.Lit(2.0)})
-	mask, err := EvalPredicate(pe, testBatch())
+	mask, err := EvalPredicate(pe, testBatch(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestEvalPredicateSemantics(t *testing.T) {
 		t.Fatal("predicate mask wrong")
 	}
 	// Non-boolean predicate is an error.
-	if _, err := EvalPredicate(compile(t, logical.Col("i")), testBatch()); err == nil {
+	if _, err := EvalPredicate(compile(t, logical.Col("i")), testBatch(), nil); err == nil {
 		t.Fatal("non-boolean predicate must error")
 	}
 }
@@ -308,8 +308,8 @@ func TestNarrowIntegerArithmeticWidensInKernel(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, gerr := EvalToArray(pe, batch)
-					want, werr := EvalToArray(ref, batch)
+					got, gerr := EvalToArray(pe, batch, nil)
+					want, werr := EvalToArray(ref, batch, nil)
 					if (gerr == nil) != (werr == nil) {
 						t.Fatalf("%s: err %v, cast-then-op err %v", pe, gerr, werr)
 					}

@@ -94,26 +94,29 @@ type ExecutionPlan interface {
 type PhysicalExpr interface {
 	// DataType returns the result type.
 	DataType() *arrow.DataType
-	// Evaluate computes the expression over a batch.
-	Evaluate(batch *arrow.RecordBatch) (arrow.Datum, error)
+	// Evaluate computes the expression over a batch. A nil Scratch
+	// allocates every result; a non-nil one lends its nodes reusable
+	// result storage, so what Evaluate returns is valid only until the next
+	// evaluation with that Scratch (see Scratch).
+	Evaluate(batch *arrow.RecordBatch, s *Scratch) (arrow.Datum, error)
 	// String renders the expression for EXPLAIN.
 	String() string
 }
 
-// EvalToArray evaluates an expression and materializes the result as an
-// array of the batch's row count.
-func EvalToArray(e PhysicalExpr, batch *arrow.RecordBatch) (arrow.Array, error) {
-	d, err := e.Evaluate(batch)
+// EvalToArray evaluates an expression with s (nil allocates) and
+// materializes the result as an array of the batch's row count.
+func EvalToArray(e PhysicalExpr, batch *arrow.RecordBatch, s *Scratch) (arrow.Array, error) {
+	d, err := e.Evaluate(batch, s)
 	if err != nil {
 		return nil, err
 	}
 	return d.ToArray(batch.NumRows()), nil
 }
 
-// EvalPredicate evaluates a boolean expression into a filter mask,
-// mapping NULL to false per SQL WHERE semantics.
-func EvalPredicate(e PhysicalExpr, batch *arrow.RecordBatch) (*arrow.BoolArray, error) {
-	arr, err := EvalToArray(e, batch)
+// EvalPredicate evaluates a boolean expression with s (nil allocates) into
+// a filter mask, mapping NULL to false per SQL WHERE semantics.
+func EvalPredicate(e PhysicalExpr, batch *arrow.RecordBatch, s *Scratch) (*arrow.BoolArray, error) {
+	arr, err := EvalToArray(e, batch, s)
 	if err != nil {
 		return nil, err
 	}
