@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"gofusion/internal/arrow"
@@ -10,7 +11,6 @@ import (
 	"gofusion/internal/functions"
 	"gofusion/internal/memory"
 	"gofusion/internal/physical"
-	"gofusion/internal/rowformat"
 )
 
 // AggMode selects the aggregation phase (paper Section 6.3: two-phase
@@ -156,13 +156,8 @@ type aggState struct {
 func (e *HashAggregateExec) newState() (*aggState, error) {
 	st := &aggState{}
 	if len(e.GroupExprs) > 0 {
-		types := make([]*arrow.DataType, len(e.GroupExprs))
-		for i, g := range e.GroupExprs {
-			types[i] = g.DataType()
-		}
 		var err error
-		st.table, err = newGroupTable(types)
-		if err != nil {
+		if st.table, err = newGroupTable(exprTypes(e.GroupExprs)); err != nil {
 			return nil, err
 		}
 	}
@@ -212,10 +207,15 @@ func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, groupIdx 
 		return groupIdx, err
 	}
 	groupIdx = st.assign(cols, b.NumRows(), groupIdx)
+	return groupIdx, e.accumulate(st.accs, b, groupIdx, st.numGroups(), scratch)
+}
+
+// accumulate feeds rows already assigned to groups into the accumulators.
+func (e *HashAggregateExec) accumulate(accs []functions.GroupsAccumulator, b *arrow.RecordBatch, groupIdx []uint32, numGroups int, scratch *physical.Scratch) error {
 	if e.Mode == FinalAgg {
-		return groupIdx, e.mergeStates(st.accs, b, groupIdx, st.numGroups())
+		return e.mergeStates(accs, b, groupIdx, numGroups)
 	}
-	return groupIdx, e.updateAccumulators(st.accs, b, groupIdx, st.numGroups(), scratch)
+	return e.updateAccumulators(accs, b, groupIdx, numGroups, scratch)
 }
 
 // evalGroups evaluates the group expressions over b.
@@ -245,10 +245,9 @@ func (e *HashAggregateExec) mergeStates(accs []functions.GroupsAccumulator, b *a
 	return nil
 }
 
-// emit renders the state as output batches (partial state columns or
-// final values depending on mode).
-func (e *HashAggregateExec) emit(st *aggState, batchRows int) ([]*arrow.RecordBatch, error) {
-	numGroups := st.numGroups()
+// emit renders the state's first n groups as output batches (partial
+// state columns or final values depending on mode).
+func (e *HashAggregateExec) emit(st *aggState, n, batchRows int) ([]*arrow.RecordBatch, error) {
 	if st.table == nil && e.Mode != PartialAgg {
 		// Ungrouped aggregates emit one row even over empty input. Size
 		// every accumulator to one group (a no-op when input was seen) so
@@ -266,7 +265,7 @@ func (e *HashAggregateExec) emit(st *aggState, batchRows int) ([]*arrow.RecordBa
 				return nil, err
 			}
 		}
-	} else if st.table != nil && numGroups == 0 {
+	} else if st.table != nil && n == 0 {
 		return nil, nil
 	}
 
@@ -276,7 +275,12 @@ func (e *HashAggregateExec) emit(st *aggState, batchRows int) ([]*arrow.RecordBa
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, gcols...)
+		for _, c := range gcols {
+			if c.Len() > n {
+				c = c.Slice(0, n)
+			}
+			cols = append(cols, c)
+		}
 	}
 	for ai := range e.Aggs {
 		if e.Mode == PartialAgg {
@@ -286,29 +290,25 @@ func (e *HashAggregateExec) emit(st *aggState, batchRows int) ([]*arrow.RecordBa
 			}
 			// Accumulators size state arrays to groups they saw; pad.
 			for _, s := range states {
-				cols = append(cols, padArray(s, numGroups))
+				cols = append(cols, padArray(s, n))
 			}
 		} else {
 			out, err := st.accs[ai].Evaluate()
 			if err != nil {
 				return nil, err
 			}
-			cols = append(cols, padArray(out, numGroups))
+			cols = append(cols, padArray(out, n))
 		}
 	}
-	full := arrow.NewRecordBatchWithRows(e.schema, cols, numGroups)
+	full := arrow.NewRecordBatchWithRows(e.schema, cols, n)
 	if batchRows <= 0 {
 		batchRows = 8192
 	}
 	var out []*arrow.RecordBatch
-	for off := 0; off < numGroups; off += batchRows {
-		n := batchRows
-		if off+n > numGroups {
-			n = numGroups - off
-		}
-		out = append(out, full.Slice(off, n))
+	for off := 0; off < n; off += batchRows {
+		out = append(out, full.Slice(off, min(batchRows, n-off)))
 	}
-	if numGroups == 0 {
+	if n == 0 {
 		out = append(out, full)
 	}
 	return out, nil
@@ -340,34 +340,15 @@ func padArray(a arrow.Array, n int) arrow.Array {
 	return b.Finish()
 }
 
+// Execute runs the aggregate as a one-stage push loop over its input; in
+// every mode the operator is its aggPusher.
 func (e *HashAggregateExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	if e.CanPush() {
-		return executePushed(ctx, partition, e)
-	}
-	in, err := e.Input.Execute(ctx, partition)
-	if err != nil {
-		return nil, err
-	}
-	var s physical.Stream
-	if e.InputOrdered && len(e.GroupExprs) > 0 && e.Mode != FinalAgg {
-		s, err = e.executeOrdered(ctx, in)
-	} else {
-		s, err = e.executeHashed(ctx, in)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return physical.InstrumentStream(s, e.Metrics()), nil
+	return executePushed(ctx, partition, e)
 }
 
-// CanPush selects the push implementation for partial-mode hash
-// aggregation: a partial agg never spills (it early-flushes under
-// pressure), so it fits a push loop, while Final/Single modes are genuine
-// pipeline breakers (executeHashed) and ordered inputs keep the streaming
-// run-detection fast path (executeOrdered).
-func (e *HashAggregateExec) CanPush() bool {
-	return e.Mode == PartialAgg && !(e.InputOrdered && len(e.GroupExprs) > 0)
-}
+// CanPush is true in every mode: a pipeline breaker is a push stage that
+// emits at Flush.
+func (e *HashAggregateExec) CanPush() bool { return true }
 
 // Adaptive partial aggregation. A partial aggregate exists to shrink what
 // crosses the exchange; when nearly every row is its own group it shrinks
@@ -382,27 +363,34 @@ const (
 	partialProbeRatio = 0.8
 )
 
-// PushInto compiles partial aggregation for a push loop.
+// PushInto compiles the aggregate for a push loop.
 func (e *HashAggregateExec) PushInto(ctx *physical.ExecContext, _ int) (physical.Pusher, error) {
 	st, err := e.newState()
 	if err != nil {
 		return nil, err
 	}
 	m := e.Metrics()
-	return &aggPusher{
+	p := &aggPusher{
 		e: e, ctx: ctx, st: st, m: m,
-		res:         memory.NewReservation(ctx.Pool, "HashAggregateExec"),
-		unregister:  memory.RegisterConsumer(ctx.Pool),
-		probing:     st.table != nil,
-		groups:      m.Counter("groups"),
-		earlyFlush:  m.Counter("early_flushes"),
-		passthrough: m.Counter("passthrough_rows"),
-	}, nil
+		ordered:    e.InputOrdered && st.table != nil,
+		res:        memory.NewReservation(ctx.Pool, "HashAggregateExec"),
+		unregister: memory.RegisterConsumer(ctx.Pool),
+		groups:     m.Counter("groups"),
+	}
+	if e.Mode == PartialAgg && !p.ordered {
+		p.probing = st.table != nil
+		p.earlyFlush = m.Counter("early_flushes")
+		p.passthrough = m.Counter("passthrough_rows")
+	}
+	return p, nil
 }
 
-// aggPusher accumulates partial aggregation state batch by batch. It
-// early-flushes downstream on memory pressure, and stops accumulating
-// altogether once its probe window shows it is not reducing its input.
+// aggPusher is every aggregation loop: it accumulates batch by batch and
+// emits at Flush, except that an ordered aggregate emits completed groups
+// as it goes. Under memory pressure a partial aggregate flushes its table
+// downstream (and stops grouping altogether once its probe window shows it
+// is not reducing its input), a Final/Single one spills it, and an ordered
+// one emits its completed groups early.
 type aggPusher struct {
 	e          *HashAggregateExec
 	ctx        *physical.ExecContext
@@ -413,6 +401,13 @@ type aggPusher struct {
 	groupIdx   []uint32
 	released   bool
 	scratch    physical.Scratch
+	// ordered marks grouped input sorted on the group keys (pushOrdered).
+	ordered bool
+
+	// spills hold the Final/Single table's spilled partial states, in the
+	// layout of spillAs, until Flush merges them back.
+	spills  []*memory.SpillFile
+	spillAs *HashAggregateExec
 
 	// Probe window: input rows and groups created (flushed ones included)
 	// while probing.
@@ -430,13 +425,13 @@ func (p *aggPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, erro
 	if p.st == nil {
 		return false, p.passThrough(b, emit)
 	}
+	if p.ordered {
+		return false, p.pushOrdered(b, emit)
+	}
 	var err error
 	p.groupIdx, err = p.e.update(p.st, b, p.groupIdx, &p.scratch)
-	if err != nil {
+	if err != nil || p.st.table == nil {
 		return false, err
-	}
-	if p.st.table == nil {
-		return false, nil
 	}
 	if p.probing {
 		p.probeRows += b.NumRows()
@@ -451,28 +446,104 @@ func (p *aggPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, erro
 			}
 		}
 	}
-	if err := p.res.Resize(p.st.table.memUsage()); err == nil {
-		p.m.UpdateMemPeak(p.res.Size())
+	cause := p.reserve()
+	if cause == nil {
 		return false, nil
 	}
-	// A partial aggregate never spills: under pressure it hands what it
-	// holds downstream and starts over.
-	p.earlyFlush.Add(1)
-	if p.probing {
-		p.probeGroups += p.st.table.numGroups()
+	switch p.e.Mode {
+	case PartialAgg:
+		// A partial aggregate never spills: under pressure it hands what it
+		// holds downstream and starts over.
+		p.earlyFlush.Add(1)
+		if p.probing {
+			p.probeGroups += p.st.table.numGroups()
+		}
+		err = p.flushTable(emit)
+	default:
+		err = p.spill(cause)
 	}
-	if err := p.flushTable(emit); err != nil {
+	if err != nil {
 		return false, err
 	}
-	p.st.table.reset()
-	p.st.accs, err = p.e.newAccs()
-	p.res.Shrink(p.res.Size())
-	return false, err
+	return false, p.restart()
 }
 
-// flushTable emits the accumulated partial state downstream.
+// pushOrdered is Push over input sorted on the group keys (paper Section
+// 6.7). Groups then arrive as contiguous runs, so every group but the last
+// one assigned — the open run, which may continue into the next batch — is
+// complete. Once the table holds a batch of groups, or its reservation is
+// refused, the pusher cuts the batch where the open run starts, emits the
+// groups before it and starts over with the open run as group 0. It holds
+// at most about one batch of groups and never spills: a group emitted
+// early and later merged from a spill file would be output twice. Input
+// that is not sorted as declared yields duplicate groups, never a crash.
+func (p *aggPusher) pushOrdered(b *arrow.RecordBatch, emit physical.EmitFn) error {
+	cols, err := p.e.evalGroups(b)
+	if err != nil {
+		return err
+	}
+	n, before := b.NumRows(), p.st.table.numGroups()
+	p.groupIdx = p.st.table.assign(cols, n, p.groupIdx)
+	open := p.st.table.numGroups() - 1
+	// Only a run that starts in this batch can be cut off at a row of it.
+	if open == 0 || open < before || open+1 < batchRows(p.ctx) && p.reserve() == nil {
+		return p.e.accumulate(p.st.accs, b, p.groupIdx, open+1, &p.scratch)
+	}
+	cut := n
+	for cut > 0 && p.groupIdx[cut-1] == uint32(open) {
+		cut--
+	}
+	complete := open
+	if slices.Contains(p.groupIdx[:cut], uint32(open)) {
+		// The open group has rows before its final run: the input is not
+		// sorted as declared. Emit the whole table rather than split the
+		// group's state; like any group of such input it may then appear
+		// twice in the output.
+		cut, complete = n, open+1
+	}
+	if err := p.e.accumulate(p.st.accs, b.Slice(0, cut), p.groupIdx[:cut], complete, &p.scratch); err != nil {
+		return err
+	}
+	if err := p.flushGroups(complete, emit); err != nil {
+		return err
+	}
+	if err := p.restart(); err != nil || cut == n {
+		return err
+	}
+	for i, c := range cols {
+		cols[i] = c.Slice(cut, n-cut)
+	}
+	p.groupIdx = p.st.table.assign(cols, n-cut, p.groupIdx)
+	return p.e.accumulate(p.st.accs, b.Slice(cut, n-cut), p.groupIdx, 1, &p.scratch)
+}
+
+// reserve charges the group table's footprint to the reservation.
+func (p *aggPusher) reserve() error {
+	if err := p.res.Resize(p.st.table.memUsage()); err != nil {
+		return err
+	}
+	p.m.UpdateMemPeak(p.res.Size())
+	return nil
+}
+
+// restart empties the table and the accumulators after their groups went
+// downstream or to disk.
+func (p *aggPusher) restart() error {
+	p.st.table.reset()
+	p.res.Shrink(p.res.Size())
+	var err error
+	p.st.accs, err = p.e.newAccs()
+	return err
+}
+
+// flushTable emits every group the state holds.
 func (p *aggPusher) flushTable(emit physical.EmitFn) error {
-	batches, err := p.e.emit(p.st, p.ctx.BatchRows)
+	return p.flushGroups(p.st.numGroups(), emit)
+}
+
+// flushGroups emits the state's first n groups downstream.
+func (p *aggPusher) flushGroups(n int, emit physical.EmitFn) error {
+	batches, err := p.e.emit(p.st, n, p.ctx.BatchRows)
 	if err != nil {
 		return err
 	}
@@ -482,6 +553,66 @@ func (p *aggPusher) flushTable(emit physical.EmitFn) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// spill writes the table to a new spill file in the partial-state layout.
+func (p *aggPusher) spill(cause error) error {
+	if p.ctx.Disk == nil || !p.ctx.Disk.Enabled() {
+		// Keep the reservation failure in the chain so callers (the
+		// server's statusFor) can classify this as retryable pressure.
+		return fmt.Errorf("exec: aggregation exceeded memory budget and spilling is disabled: %w", cause)
+	}
+	if p.spillAs == nil {
+		e := p.e
+		p.spillAs = NewHashAggregateExec(e.Input, PartialAgg, e.GroupExprs, e.GroupNames, e.Aggs)
+	}
+	batches, err := p.spillAs.emit(p.st, p.st.numGroups(), 65536)
+	if err != nil {
+		return err
+	}
+	sf, err := p.ctx.Disk.CreateTemp("agg")
+	if err != nil {
+		return err
+	}
+	p.spills = append(p.spills, sf)
+	var spilled int64
+	for _, b := range batches {
+		if err := arrow.WriteBatch(sf.File(), b); err != nil {
+			return err
+		}
+		spilled += batchBytes(b)
+	}
+	p.m.AddSpill(spilled)
+	return nil
+}
+
+// mergeSpills merges the spilled partial states back into the live table.
+func (p *aggPusher) mergeSpills() error {
+	for _, sf := range p.spills {
+		f := sf.File()
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return err
+		}
+		for {
+			if err := checkCancel(p.ctx); err != nil {
+				return err
+			}
+			b, err := arrow.ReadBatch(f, p.spillAs.Schema())
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			// Group columns come first, whatever the group expressions read.
+			p.groupIdx = p.st.assign(b.Columns()[:len(p.e.GroupExprs)], b.NumRows(), p.groupIdx)
+			if err := p.e.mergeStates(p.st.accs, b, p.groupIdx, p.st.numGroups()); err != nil {
+				return err
+			}
+		}
+	}
+	p.releaseSpills()
 	return nil
 }
 
@@ -523,6 +654,11 @@ func (p *aggPusher) Flush(emit physical.EmitFn) error {
 	if p.st == nil {
 		return nil
 	}
+	if len(p.spills) > 0 {
+		if err := p.mergeSpills(); err != nil {
+			return err
+		}
+	}
 	return p.flushTable(emit)
 }
 
@@ -537,345 +673,20 @@ func (p *aggPusher) release() {
 	p.unregister()
 }
 
-func (p *aggPusher) Close() { p.release() }
-
-// executeHashed is the Final/Single-mode breaker: it absorbs the whole
-// input, spilling partial state under memory pressure, and emits once.
-func (e *HashAggregateExec) executeHashed(ctx *physical.ExecContext, in physical.Stream) (physical.Stream, error) {
-	st, err := e.newState()
-	if err != nil {
-		in.Close()
-		return nil, err
+func (p *aggPusher) releaseSpills() {
+	for _, sf := range p.spills {
+		sf.Release()
 	}
-	res := memory.NewReservation(ctx.Pool, "HashAggregateExec")
-	unregister := memory.RegisterConsumer(ctx.Pool)
-
-	var queue []*arrow.RecordBatch
-	var spills []*memory.SpillFile
-	var groupIdx []uint32
-	var scratch physical.Scratch
-	inputDone := false
-
-	cleanup := func() {
-		in.Close()
-		res.Free()
-		unregister()
-		for _, sp := range spills {
-			sp.Release()
-		}
-		spills = nil
-	}
-
-	m := e.Metrics()
-	groups := m.Counter("groups")
-	// spillState writes the current state (as partial batches) to disk and
-	// resets the table.
-	spillState := func(cause error) error {
-		if ctx.Disk == nil || !ctx.Disk.Enabled() {
-			// Keep the reservation failure in the chain so callers (the
-			// server's statusFor) can classify this as retryable pressure.
-			if cause != nil {
-				return fmt.Errorf("exec: aggregation exceeded memory budget and spilling is disabled: %w", cause)
-			}
-			return fmt.Errorf("exec: aggregation exceeded memory budget and spilling is disabled")
-		}
-		// Spill batches use the partial-state layout.
-		partial := *e
-		partial.Mode = PartialAgg
-		batches, err := partial.emit(st, 65536)
-		if err != nil {
-			return err
-		}
-		sf, err := ctx.Disk.CreateTemp("agg")
-		if err != nil {
-			return err
-		}
-		var spilled int64
-		for _, b := range batches {
-			if err := arrow.WriteBatch(sf.File(), b); err != nil {
-				return err
-			}
-			spilled += batchBytes(b)
-		}
-		m.AddSpill(spilled)
-		spills = append(spills, sf)
-		if st.table != nil {
-			st.table.reset()
-		}
-		if st.accs, err = e.newAccs(); err != nil {
-			return err
-		}
-		res.Shrink(res.Size())
-		return nil
-	}
-
-	next := func() (*arrow.RecordBatch, error) {
-		for {
-			if len(queue) > 0 {
-				b := queue[0]
-				queue = queue[1:]
-				return b, nil
-			}
-			if inputDone {
-				return nil, io.EOF
-			}
-			if err := checkCancel(ctx); err != nil {
-				return nil, err
-			}
-			b, err := in.Next()
-			if err == io.EOF {
-				inputDone = true
-				// Merge spills (if any) into the final state.
-				if len(spills) > 0 {
-					if err := e.mergeSpills(ctx, st, spills); err != nil {
-						return nil, err
-					}
-				}
-				batches, err := e.emit(st, ctx.BatchRows)
-				if err != nil {
-					return nil, err
-				}
-				groups.Add(int64(st.numGroups()))
-				queue = batches
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			if b.NumRows() == 0 {
-				continue
-			}
-			groupIdx, err = e.update(st, b, groupIdx, &scratch)
-			if err != nil {
-				return nil, err
-			}
-			// Track the dominant memory consumer: the group table.
-			if st.table != nil {
-				if err := res.Resize(st.table.memUsage()); err == nil {
-					m.UpdateMemPeak(res.Size())
-				} else if serr := spillState(err); serr != nil {
-					return nil, serr
-				}
-			}
-		}
-	}
-	return NewFuncStream(e.schema, next, cleanup), nil
+	p.spills = nil
 }
 
-// mergeSpills re-merges spilled partial-state batches into the live state.
-func (e *HashAggregateExec) mergeSpills(ctx *physical.ExecContext, st *aggState, spills []*memory.SpillFile) error {
-	spillSchema := NewHashAggregateExec(e.Input, PartialAgg, e.GroupExprs, e.GroupNames, e.Aggs).Schema()
-	var groupIdx []uint32
-	for _, sf := range spills {
-		f := sf.File()
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		for {
-			b, err := arrow.ReadBatch(f, spillSchema)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			groupIdx, err = e.mergePartialBatch(st, b, groupIdx)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// mergePartialBatch merges one partial-layout batch (group columns first,
-// whatever the operator's own group expressions read) into the state.
-func (e *HashAggregateExec) mergePartialBatch(st *aggState, b *arrow.RecordBatch, groupIdx []uint32) ([]uint32, error) {
-	groupIdx = st.assign(b.Columns()[:len(e.GroupExprs)], b.NumRows(), groupIdx)
-	return groupIdx, e.mergeStates(st.accs, b, groupIdx, st.numGroups())
-}
-
-// executeOrdered is the streaming fast path for inputs sorted on the
-// group keys (paper Section 6.7): groups are contiguous, so group indexes
-// come from run detection — one key comparison per row instead of a hash
-// table probe — and completed groups are emitted as soon as the key
-// changes, keeping memory proportional to one batch of groups.
-func (e *HashAggregateExec) executeOrdered(ctx *physical.ExecContext, in physical.Stream) (physical.Stream, error) {
-	types := make([]*arrow.DataType, len(e.GroupExprs))
-	for i, g := range e.GroupExprs {
-		types[i] = g.DataType()
-	}
-	enc, err := rowformat.NewEncoder(types, nil)
-	if err != nil {
-		in.Close()
-		return nil, err
-	}
-
-	st := &aggState{}
-	if st.accs, err = e.newAccs(); err != nil {
-		in.Close()
-		return nil, err
-	}
-	// Run-detection state: keys of the groups accumulated since the last
-	// flush (the last one may continue into the next batch).
-	var runKeys [][]byte
-	var queue []*arrow.RecordBatch
-	inputDone := false
-
-	emitRuns := func() ([]*arrow.RecordBatch, error) {
-		if len(runKeys) == 0 {
-			return nil, nil
-		}
-		gcols, err := enc.DecodeRows(runKeys)
-		if err != nil {
-			return nil, err
-		}
-		cols := append([]arrow.Array{}, gcols...)
-		for ai := range e.Aggs {
-			if e.Mode == PartialAgg {
-				states, err := st.accs[ai].State()
-				if err != nil {
-					return nil, err
-				}
-				for _, s := range states {
-					cols = append(cols, padArray(s, len(runKeys)))
-				}
-			} else {
-				out, err := st.accs[ai].Evaluate()
-				if err != nil {
-					return nil, err
-				}
-				cols = append(cols, padArray(out, len(runKeys)))
-			}
-		}
-		batch := arrow.NewRecordBatchWithRows(e.schema, cols, len(runKeys))
-		runKeys = nil
-		if st.accs, err = e.newAccs(); err != nil {
-			return nil, err
-		}
-		return []*arrow.RecordBatch{batch}, nil
-	}
-
-	var groupIdx []uint32
-	var scratch physical.Scratch
-	next := func() (*arrow.RecordBatch, error) {
-		for {
-			if len(queue) > 0 {
-				b := queue[0]
-				queue = queue[1:]
-				return b, nil
-			}
-			if inputDone {
-				return nil, io.EOF
-			}
-			b, err := in.Next()
-			if err == io.EOF {
-				inputDone = true
-				batches, ferr := emitRuns()
-				if ferr != nil {
-					return nil, ferr
-				}
-				queue = batches
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			n := b.NumRows()
-			if n == 0 {
-				continue
-			}
-			cols := make([]arrow.Array, len(e.GroupExprs))
-			for i, g := range e.GroupExprs {
-				a, err := physical.EvalToArray(g, b, nil)
-				if err != nil {
-					return nil, err
-				}
-				cols[i] = a
-			}
-			keys := enc.EncodeRows(cols, n)
-			// Assign group indexes by run detection, continuing the open
-			// run from the previous batch when the key matches.
-			groupIdx = groupIdx[:0]
-			for i := 0; i < n; i++ {
-				if len(runKeys) == 0 || string(keys[i]) != string(runKeys[len(runKeys)-1]) {
-					runKeys = append(runKeys, append([]byte(nil), keys[i]...))
-				}
-				groupIdx = append(groupIdx, uint32(len(runKeys)-1))
-			}
-			if err := e.updateAccumulators(st.accs, b, groupIdx, len(runKeys), &scratch); err != nil {
-				return nil, err
-			}
-			// All groups except the still-open last one are complete; emit
-			// once enough accumulate.
-			if len(runKeys) >= 4096 {
-				// Keep the open run: emit all but the last group.
-				lastKey := runKeys[len(runKeys)-1]
-				completed := runKeys[:len(runKeys)-1]
-				savedAccs := st.accs
-				// Emit the completed prefix by rebuilding state for the
-				// open run from its partial states.
-				gcols, err := enc.DecodeRows(completed)
-				if err != nil {
-					return nil, err
-				}
-				outCols := append([]arrow.Array{}, gcols...)
-				var lastStates [][]arrow.Array
-				for ai := range e.Aggs {
-					states, err := savedAccs[ai].State()
-					if err != nil {
-						return nil, err
-					}
-					var emitPart []arrow.Array
-					var lastPart []arrow.Array
-					for _, s := range states {
-						padded := padArray(s, len(runKeys))
-						emitPart = append(emitPart, padded.Slice(0, len(completed)))
-						lastPart = append(lastPart, padded.Slice(len(completed), 1))
-					}
-					if e.Mode == PartialAgg {
-						outCols = append(outCols, emitPart...)
-					} else {
-						// Rebuild a truncated accumulator to evaluate.
-						acc, err := e.Aggs[ai].Fn.NewAccumulator(e.Aggs[ai].ArgTypes)
-						if err != nil {
-							return nil, err
-						}
-						idx := make([]uint32, len(completed))
-						for k := range idx {
-							idx[k] = uint32(k)
-						}
-						if err := acc.MergeStates(emitPart, idx, len(completed)); err != nil {
-							return nil, err
-						}
-						out, err := acc.Evaluate()
-						if err != nil {
-							return nil, err
-						}
-						outCols = append(outCols, padArray(out, len(completed)))
-					}
-					lastStates = append(lastStates, lastPart)
-				}
-				queue = append(queue, arrow.NewRecordBatchWithRows(e.schema, outCols, len(completed)))
-				// Restart state holding only the open run.
-				if st.accs, err = e.newAccs(); err != nil {
-					return nil, err
-				}
-				for ai := range e.Aggs {
-					if err := st.accs[ai].MergeStates(lastStates[ai], []uint32{0}, 1); err != nil {
-						return nil, err
-					}
-				}
-				runKeys = [][]byte{lastKey}
-			}
-		}
-	}
-	return NewFuncStream(e.schema, next, in.Close), nil
+func (p *aggPusher) Close() {
+	p.release()
+	p.releaseSpills()
 }
 
 // updateAccumulators feeds one batch of raw rows into the accumulators
-// with the given group assignment (shared by the hash, run-detection and
-// pass-through paths). Arguments and FILTER masks evaluate into scratch:
+// with the given group assignment (shared by grouping and pass-through). Arguments and FILTER masks evaluate into scratch:
 // an accumulator's Update is done with its arguments when it returns.
 func (e *HashAggregateExec) updateAccumulators(accs []functions.GroupsAccumulator, b *arrow.RecordBatch, groupIdx []uint32, numGroups int, scratch *physical.Scratch) error {
 	for ai := range e.Aggs {

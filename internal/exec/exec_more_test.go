@@ -203,9 +203,10 @@ func TestCoalesceBatchesRebuffers(t *testing.T) {
 }
 
 func TestMemTableDeclaredOrderValidated(t *testing.T) {
-	// Declaring order and relying on the ordered-agg fast path: a wrong
-	// declaration would produce duplicated groups; the engine trusts the
-	// catalog, so this test documents correct usage.
+	// Declaring order and relying on the ordered-agg fast path: the engine
+	// trusts the catalog, so this test documents correct usage. A wrong
+	// declaration may produce duplicated groups but never fails
+	// (TestOrderedAggregateUnsortedInput).
 	schema := arrow.NewSchema(arrow.NewField("g", arrow.Int64, false))
 	mt, err := catalog.NewMemTable(schema, [][]*arrow.RecordBatch{{
 		arrow.NewRecordBatch(schema, []arrow.Array{arrow.NewInt64([]int64{3, 3, 7, 7, 9})}),

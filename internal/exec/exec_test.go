@@ -723,7 +723,12 @@ func TestStreamingAggregateOrderedInput(t *testing.T) {
 	if pp, err = CreatePhysicalPlan(plan, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if agg, ok := pp.(*HashAggregateExec); !ok || !agg.InputOrdered || len(agg.Aggs) != 0 {
+	// The de-duplication fuses with the projection under it.
+	seg, ok := pp.(*PipelineExec)
+	if !ok {
+		t.Fatalf("expected a fused segment:\n%s", ExplainPhysical(pp))
+	}
+	if agg, ok := seg.top().(*HashAggregateExec); !ok || !agg.InputOrdered || len(agg.Aggs) != 0 {
 		t.Fatalf("expected ordered de-duplication:\n%s", ExplainPhysical(pp))
 	}
 	if got, err = CollectBatch(ctx, pp); err != nil {

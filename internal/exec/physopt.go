@@ -54,9 +54,11 @@ func transformUp(plan physical.ExecutionPlan, f func(physical.ExecutionPlan) (ph
 // bottom-up, a push-capable operator over a segment joins it, and one over
 // another push-capable operator opens a segment with it; an operator alone
 // between two non-pushable nodes stays as it is, since its own Execute is
-// already the one-stage loop. Pipeline breakers (sorts, joins, exchanges,
-// final aggregation, windows) never implement Pushable, so chanStream
-// exchanges survive exactly at breaker boundaries.
+// already the one-stage loop. Aggregates of every mode are push stages
+// that emit at Flush, so a Final aggregate fuses with the projection above
+// it and, at one partition, scan -> filter -> Single aggregate is one
+// loop. Sorts, joins, exchanges and windows never implement Pushable, so
+// chanStream exchanges survive exactly at those boundaries.
 func fusePipelines(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) {
 	canPush := func(p physical.ExecutionPlan) bool {
 		pe, ok := p.(physical.Pushable)

@@ -99,8 +99,9 @@ func (e *PipelineExec) Execute(ctx *physical.ExecContext, partition int) (physic
 
 // executePushed is Execute for a Pushable operator running on its own: a
 // one-stage loop over its input, instrumented once with the operator's
-// metrics so elapsed_compute is inclusive of the input (as for every
-// pipeline breaker) and output_rows is counted once.
+// metrics so elapsed_compute is inclusive of the input (as for every pull
+// operator) and output_rows is counted once. Inside a PipelineExec the
+// same operator reports its exclusive time.
 func executePushed(ctx *physical.ExecContext, partition int, op interface {
 	physical.Pushable
 	physical.MetricsProvider
@@ -189,11 +190,16 @@ type fusedStream struct {
 	// out[head:] are the chain's outputs not yet handed to the consumer.
 	out  []*arrow.RecordBatch
 	head int
+	// pending[pendHead:] are the Flush output of stages[flushAt-1] not yet
+	// cascaded through the stages above it; flushAt is the next stage to
+	// flush once the source is done.
+	pending  []*arrow.RecordBatch
+	pendHead int
+	flushAt  int
 	// one is process's single-batch input, kept here so that the per-batch
 	// loop allocates nothing of its own.
 	one     [1]*arrow.RecordBatch
 	srcDone bool
-	flushed bool
 	closed  bool
 }
 
@@ -201,6 +207,11 @@ func (s *fusedStream) Schema() *arrow.Schema { return s.schema }
 
 func (s *fusedStream) Next() (*arrow.RecordBatch, error) {
 	for {
+		// A cancelled query fails at its next read, also while a breaker's
+		// Flush output is still queued.
+		if err := checkCancel(s.ctx); err != nil {
+			return nil, err
+		}
 		if s.head < len(s.out) {
 			b := s.out[s.head]
 			s.out[s.head] = nil
@@ -208,17 +219,14 @@ func (s *fusedStream) Next() (*arrow.RecordBatch, error) {
 			return b, nil
 		}
 		s.out, s.head = s.out[:0], 0
-		if s.flushed {
-			return nil, io.EOF
-		}
-		if err := checkCancel(s.ctx); err != nil {
-			return nil, err
-		}
 		if s.srcDone {
-			if err := s.flush(); err != nil {
+			drained, err := s.flushStep()
+			if err != nil {
 				return nil, err
 			}
-			s.flushed = true
+			if drained {
+				return nil, io.EOF
+			}
 			continue
 		}
 		b, err := s.src.Next()
@@ -271,34 +279,37 @@ func (s *fusedStream) process(from int, b *arrow.RecordBatch) error {
 	return nil
 }
 
-// flush drains buffered stage state bottom-up after the source is
-// exhausted (or a limit fired): each stage's flush output passes through
-// the stages above it before that stage's own flush runs, preserving
-// batch order.
-func (s *fusedStream) flush() error {
-	for i, st := range s.stages {
-		if st.done {
-			continue
-		}
-		st.buf = st.buf[:0]
-		start := st.startTimer()
-		err := st.pusher.Flush(st.emit)
-		st.addElapsed(start)
-		if err != nil {
-			return err
-		}
-		flushed := append([]*arrow.RecordBatch(nil), st.buf...)
-		if i+1 == len(s.stages) {
-			s.out = append(s.out, flushed...)
-			continue
-		}
-		for _, b := range flushed {
-			if err := s.process(i+1, b); err != nil {
-				return err
-			}
-		}
+// flushStep drains buffered stage state after the source is exhausted (or
+// a limit fired), one step per call: it cascades the next queued Flush
+// batch through the stages above the one that emitted it or, with none
+// queued, flushes the next stage. Stages flush bottom-up, each after the
+// output of the ones below has passed through it, preserving batch order;
+// a breaker's Flush output (an aggregate's groups) reaches the consumer
+// one batch per Next, so the stages above never hold all of it at once.
+// It reports true once every stage has flushed and nothing is queued.
+func (s *fusedStream) flushStep() (bool, error) {
+	if s.pendHead < len(s.pending) {
+		b := s.pending[s.pendHead]
+		s.pending[s.pendHead] = nil
+		s.pendHead++
+		return false, s.process(s.flushAt, b)
 	}
-	return nil
+	if s.flushAt == len(s.stages) {
+		return true, nil
+	}
+	st := s.stages[s.flushAt]
+	s.flushAt++
+	if st.done {
+		return false, nil
+	}
+	st.buf = st.buf[:0]
+	start := st.startTimer()
+	err := st.pusher.Flush(st.emit)
+	st.addElapsed(start)
+	// Nothing pushes into a flushed stage again, so its buffer is handed
+	// over as the queue.
+	s.pending, s.pendHead, st.buf = st.buf, 0, nil
+	return false, err
 }
 
 // startTimer reads the clock only for a stage that accounts its own time.

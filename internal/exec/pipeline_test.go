@@ -115,6 +115,17 @@ func TestFusePipelinesShape(t *testing.T) {
 		t.Fatalf("filter input = %T, segment source = %T, want the scan", fi.Input, seg.Source)
 	}
 
+	// An aggregate in any mode is a push stage: at one partition the scan
+	// feeds filter and Single aggregate in one loop.
+	single := sumCountByK(t, &FilterExec{Input: seqScan(t, path, 1), Predicate: idGreater(99)}, SingleAgg, 0)
+	fused, err = fusePipelines(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg, ok := fused.(*PipelineExec); !ok || len(seg.Stages) != 2 || seg.top() != single {
+		t.Fatalf("filter -> Single aggregate fused to\n%s", ExplainPhysical(fused))
+	}
+
 	// A single fusable op is its own one-stage loop: no segment, with or
 	// without morsels underneath.
 	for _, parts := range []int{1, 2} {
@@ -516,35 +527,53 @@ func sumCountByK(t *testing.T, in physical.ExecutionPlan, mode AggMode, groupCol
 func TestPushableAloneMatchesFused(t *testing.T) {
 	id := physical.NewColumnExpr(0, "id", arrow.Int64)
 	cases := []struct {
-		name    string
-		build   func(in physical.ExecutionPlan) physical.ExecutionPlan
-		batches []int // expected output batch sizes
-		first   string
+		name      string
+		build     func(in physical.ExecutionPlan) physical.ExecutionPlan
+		batches   []int // expected output batch sizes
+		first     string
+		batchRows int // the ExecContext's, when set
 	}{
 		{"filter", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return &FilterExec{Input: in, Predicate: idGreater(449)}
-		}, []int{50, 100, 100, 100, 100, 100}, "450|2|"},
+		}, []int{50, 100, 100, 100, 100, 100}, "450|2|", 0},
 		{"projection", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return NewProjectionExec(in, []physical.PhysicalExpr{id}, []string{"id"}, nil)
-		}, []int{100, 100, 100, 100, 100, 100, 100, 100, 100, 100}, "0|"},
+		}, []int{100, 100, 100, 100, 100, 100, 100, 100, 100, 100}, "0|", 0},
 		{"local-limit", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return &LocalLimitExec{Input: in, Fetch: 250}
-		}, []int{100, 100, 50}, "0|0|"},
+		}, []int{100, 100, 50}, "0|0|", 0},
 		{"local-limit-zero", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return &LocalLimitExec{Input: in, Fetch: 0}
-		}, nil, ""},
+		}, nil, "", 0},
 		{"global-limit-skip", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return &GlobalLimitExec{Input: in, Skip: 150, Fetch: -1}
-		}, []int{50, 100, 100, 100, 100, 100, 100, 100, 100}, "150|3|"},
+		}, []int{50, 100, 100, 100, 100, 100, 100, 100, 100}, "150|3|", 0},
 		{"global-limit-skip-fetch", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return &GlobalLimitExec{Input: in, Skip: 150, Fetch: 120}
-		}, []int{50, 70}, "150|3|"},
+		}, []int{50, 70}, "150|3|", 0},
 		{"coalesce-remainder", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return &CoalesceBatchesExec{Input: in, Target: 256}
-		}, []int{300, 300, 300, 100}, "0|0|"},
+		}, []int{300, 300, 300, 100}, "0|0|", 0},
 		{"partial-agg", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return sumCountByK(t, in, PartialAgg, 1)
-		}, []int{7}, ""},
+		}, []int{7}, "", 0},
+		{"single-agg", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return sumCountByK(t, in, SingleAgg, 1)
+		}, []int{7}, wantSumCount(1000, 7)[0], 0},
+		// The stage merges the partial states of a partial aggregate that
+		// runs as the segment's source.
+		{"final-agg", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			return sumCountByK(t, sumCountByK(t, in, PartialAgg, 1), FinalAgg, 0)
+		}, []int{7}, wantSumCount(1000, 7)[0], 0},
+		// Grouped by the ascending id, the table reaches 256 groups in the
+		// third, sixth and ninth batch, and each time emits every group but
+		// the one the batch ends in: 299, 300 and 300 groups, then 101 at
+		// Flush, cut to 256-row batches.
+		{"ordered-agg", func(in physical.ExecutionPlan) physical.ExecutionPlan {
+			agg := sumCountByK(t, in, SingleAgg, 0)
+			agg.InputOrdered = true
+			return agg
+		}, []int{256, 43, 256, 44, 256, 44, 101}, "0|0|1|", 256},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -558,7 +587,9 @@ func TestPushableAloneMatchesFused(t *testing.T) {
 
 			var rendered [2][]string
 			for i, plan := range []physical.ExecutionPlan{alone, fused} {
-				batches, err := CollectPlan(physical.NewExecContext(), plan)
+				ctx := physical.NewExecContext()
+				ctx.BatchRows = tc.batchRows
+				batches, err := CollectPlan(ctx, plan)
 				if err != nil {
 					t.Fatalf("%T: %v", plan, err)
 				}
@@ -584,6 +615,41 @@ func TestPushableAloneMatchesFused(t *testing.T) {
 				t.Errorf("fused stage output_rows = %d, want %d", got, want)
 			}
 		})
+	}
+}
+
+// TestFusedFlushCascadesOneBatchPerNext fuses a projection above a Single
+// aggregate whose Flush emits ten batches: each batch passes through the
+// projection when the consumer asks for it, so the stage above never holds
+// the output of every group at once.
+func TestFusedFlushCascadesOneBatchPerNext(t *testing.T) {
+	agg := sumCountByK(t, pushInput(10, 100, 7), SingleAgg, 0)
+	proj := NewProjectionExec(agg, []physical.PhysicalExpr{physical.NewColumnExpr(0, "k", arrow.Int64)}, []string{"k"}, nil)
+	fused := &PipelineExec{Source: agg.Input, Stages: []physical.ExecutionPlan{agg, proj}}
+	ctx := physical.NewExecContext()
+	ctx.BatchRows = 100
+	s, err := fused.Execute(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var rows, batches int64
+	for {
+		b, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows += int64(b.NumRows())
+		batches++
+		if got := proj.Metrics().OutputRows(); got != rows {
+			t.Fatalf("after batch %d the projection has produced %d rows, the consumer %d", batches, got, rows)
+		}
+	}
+	if rows != 1000 || batches != 10 {
+		t.Errorf("got %d rows in %d batches, want 1000 in 10", rows, batches)
 	}
 }
 

@@ -141,6 +141,12 @@ func (cfg *PlannerConfig) create(plan logical.Plan) (physical.ExecutionPlan, err
 		if err != nil {
 			return nil, err
 		}
+		// A fetch-limited sort already ends in a limit (planSort); when its
+		// fetch covers this one's rows, one limit does both.
+		if inner, ok := input.(*GlobalLimitExec); ok && inner.Skip == 0 && node.Fetch >= 0 &&
+			inner.Fetch >= node.Skip+node.Fetch {
+			input = inner.Input
+		}
 		if input.Partitions() > 1 {
 			if node.Fetch >= 0 {
 				input = &LocalLimitExec{Input: input, Fetch: node.Skip + node.Fetch}

@@ -1,12 +1,13 @@
 // Package exec implements the streaming execution engine (paper Section
 // 5.5): partitioned operators exchanging arrow RecordBatches. Streaming
-// (non-breaking) operators are Pushers run by the one driver loop in
-// pipeline.go, alone or fused with their neighbours; scans schedule their
-// own morsels; pipeline breakers are pull streams: Volcano-style
-// repartitioning across goroutines, two-phase partitioned hash
-// aggregation, external sort with spilling, hash / merge / nested loop
-// joins and window evaluation. The package also holds the physical planner
-// and optimizer that lower logical plans onto these operators.
+// operators and every aggregation — two-phase partitioned hash grouping,
+// ordered grouping and watermark aggregation — are Pushers run by the one
+// driver loop in pipeline.go, alone or fused with their neighbours; scans
+// schedule their own morsels; the other pipeline breakers are pull
+// streams: Volcano-style repartitioning across goroutines, external sort
+// with spilling, top-k, hash / merge / nested loop joins and window
+// evaluation. The package also holds the physical planner and optimizer
+// that lower logical plans onto these operators.
 package exec
 
 import (
@@ -68,6 +69,11 @@ func (s *chanStream) Schema() *arrow.Schema { return s.schema }
 func (s *chanStream) Next() (*arrow.RecordBatch, error) {
 	if s.done {
 		return nil, io.EOF
+	}
+	// A cancelled query fails at its next read, even with batches buffered.
+	if err := checkCancel(s.ctx); err != nil {
+		s.done = true
+		return nil, err
 	}
 	be, ok := <-s.ch
 	if !ok {

@@ -2,9 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"io"
-	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"gofusion/internal/arrow"
@@ -80,209 +78,185 @@ func (e *WatermarkAggExec) String() string {
 		strings.Join(groups, ", "), aggList(e.helper.Aggs))
 }
 
-// wmBucket is the aggregation state for one event-time value.
-type wmBucket struct {
-	st       *aggState
-	groupIdx []uint32
+func (e *WatermarkAggExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
+	return executePushed(ctx, partition, e)
 }
 
-func (e *WatermarkAggExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
+// CanPush is always true: the operator is its wmPusher.
+func (e *WatermarkAggExec) CanPush() bool { return true }
+
+// PushInto compiles the operator for its one partition.
+func (e *WatermarkAggExec) PushInto(ctx *physical.ExecContext, partition int) (physical.Pusher, error) {
 	if partition != 0 {
 		return nil, fmt.Errorf("exec: WatermarkAggExec has one partition, got %d", partition)
 	}
-	in, err := e.Input.Execute(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	res := memory.NewReservation(ctx.Pool, "WatermarkAggExec")
-	unregister := memory.RegisterConsumer(ctx.Pool)
 	m := e.Metrics()
-	wmCounter := m.Counter("watermark")
-	emitted := m.Counter("groups_emitted")
+	return &wmPusher{
+		e: e, ctx: ctx, m: m,
+		buckets:    map[int64]*aggState{},
+		byVal:      map[int64][]int32{},
+		res:        memory.NewReservation(ctx.Pool, "WatermarkAggExec"),
+		unregister: memory.RegisterConsumer(ctx.Pool),
+		wmCounter:  m.Counter("watermark"),
+		emitted:    m.Counter("groups_emitted"),
+	}, nil
+}
 
-	buckets := map[int64]*wmBucket{}
-	var nullBucket *wmBucket
-	watermark := int64(math.MinInt64)
-	haveWM := false
-	var queue []*arrow.RecordBatch
-	done := false
-	closed := false
+// wmPusher keeps one aggregation state per event-time value (bucket),
+// routes each batch's rows to their buckets and emits a bucket once the
+// watermark has passed it.
+type wmPusher struct {
+	e          *WatermarkAggExec
+	ctx        *physical.ExecContext
+	m          *physical.MetricsSet
+	buckets    map[int64]*aggState
+	nullBucket *aggState // rows with a NULL event time, emitted at Flush
+	watermark  int64     // the highest event time seen, once haveWM
+	haveWM     bool
+	res        *memory.Reservation
+	unregister func()
+	groupIdx   []uint32
+	scratch    physical.Scratch
+	// byVal is the current batch's row indexes per event time.
+	byVal map[int64][]int32
 
-	bucketFor := func(v int64, isNull bool) (*wmBucket, error) {
-		if isNull {
-			if nullBucket == nil {
-				st, err := e.helper.newState()
-				if err != nil {
-					return nil, err
-				}
-				nullBucket = &wmBucket{st: st}
-			}
-			return nullBucket, nil
+	wmCounter, emitted *physical.Counter
+}
+
+func (p *wmPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, error) {
+	h := p.e.helper
+	wmArr, err := physical.EvalToArray(h.GroupExprs[p.e.WatermarkPos], b, nil)
+	if err != nil {
+		return false, err
+	}
+	eventTime := fastInt64Values(wmArr)
+	if eventTime == nil {
+		return false, fmt.Errorf("exec: watermark column has type %s, want an integer-backed one", wmArr.DataType())
+	}
+	// Split the batch's rows by event-time value; each value's rows update
+	// that bucket's independent aggregation state.
+	clear(p.byVal)
+	var nullIdx []int32
+	for i := 0; i < b.NumRows(); i++ {
+		if !wmArr.IsValid(i) {
+			nullIdx = append(nullIdx, int32(i))
+			continue
 		}
-		bk := buckets[v]
+		v := eventTime(i)
+		p.byVal[v] = append(p.byVal[v], int32(i))
+		if !p.haveWM || v > p.watermark {
+			p.watermark, p.haveWM = v, true
+		}
+	}
+	for v, idx := range p.byVal {
+		bk := p.buckets[v]
 		if bk == nil {
-			st, err := e.helper.newState()
-			if err != nil {
-				return nil, err
+			if bk, err = h.newState(); err != nil {
+				return false, err
 			}
-			bk = &wmBucket{st: st}
-			buckets[v] = bk
+			p.buckets[v] = bk
 		}
-		return bk, nil
-	}
-
-	// emitBucket finalizes one bucket's groups into the output queue.
-	emitBucket := func(bk *wmBucket) error {
-		emitted.Add(int64(bk.st.numGroups()))
-		batches, err := e.helper.emit(bk.st, ctx.BatchRows)
-		if err != nil {
-			return err
+		if err := p.update(bk, b, idx); err != nil {
+			return false, err
 		}
-		queue = append(queue, batches...)
-		return nil
 	}
-
-	// closeRipe emits (ascending) every bucket the watermark has passed by
+	if len(nullIdx) > 0 {
+		if p.nullBucket == nil {
+			if p.nullBucket, err = h.newState(); err != nil {
+				return false, err
+			}
+		}
+		if err := p.update(p.nullBucket, b, nullIdx); err != nil {
+			return false, err
+		}
+	}
+	if p.haveWM {
+		p.wmCounter.Store(p.watermark)
+	}
+	if err := p.reserve(); err != nil {
+		return false, err
+	}
+	// Emit, in ascending order, every bucket the watermark has passed by
 	// more than the lateness allowance.
-	closeRipe := func() error {
-		if !haveWM {
-			return nil
-		}
-		var ripe []int64
-		for v := range buckets {
-			if v < watermark-e.Lateness {
-				ripe = append(ripe, v)
-			}
-		}
-		sort.Slice(ripe, func(i, j int) bool { return ripe[i] < ripe[j] })
-		for _, v := range ripe {
-			if err := emitBucket(buckets[v]); err != nil {
-				return err
-			}
-			delete(buckets, v)
-		}
-		return nil
-	}
+	return false, p.emitBuckets(func(v int64) bool { return v < p.watermark-p.e.Lateness }, emit)
+}
 
-	resize := func() error {
-		var total int64
-		for _, bk := range buckets {
-			total += bk.st.table.memUsage()
+// update feeds the rows idx of b into one bucket (b itself when they are
+// all of it).
+func (p *wmPusher) update(bk *aggState, b *arrow.RecordBatch, idx []int32) error {
+	if len(idx) < b.NumRows() {
+		b = takeRows(b, idx)
+	}
+	var err error
+	p.groupIdx, err = p.e.helper.update(bk, b, p.groupIdx, &p.scratch)
+	return err
+}
+
+// reserve charges every open bucket's group table to the reservation.
+func (p *wmPusher) reserve() error {
+	var total int64
+	for _, bk := range p.buckets {
+		total += bk.table.memUsage()
+	}
+	if p.nullBucket != nil {
+		total += p.nullBucket.table.memUsage()
+	}
+	if err := p.res.Resize(total); err != nil {
+		return err
+	}
+	p.m.UpdateMemPeak(p.res.Size())
+	return nil
+}
+
+// emitBuckets finalizes the buckets whose event time is ripe, in ascending
+// event-time order, and drops them.
+func (p *wmPusher) emitBuckets(ripe func(int64) bool, emit physical.EmitFn) error {
+	var vals []int64
+	for v := range p.buckets {
+		if ripe(v) {
+			vals = append(vals, v)
 		}
-		if nullBucket != nil {
-			total += nullBucket.st.table.memUsage()
-		}
-		if err := res.Resize(total); err != nil {
+	}
+	slices.Sort(vals)
+	for _, v := range vals {
+		if err := p.emitBucket(p.buckets[v], emit); err != nil {
 			return err
 		}
-		m.UpdateMemPeak(res.Size())
+		delete(p.buckets, v)
+	}
+	return nil
+}
+
+func (p *wmPusher) emitBucket(bk *aggState, emit physical.EmitFn) error {
+	p.emitted.Add(int64(bk.numGroups()))
+	batches, err := p.e.helper.emit(bk, bk.numGroups(), p.ctx.BatchRows)
+	if err != nil {
+		return err
+	}
+	for _, b := range batches {
+		if err := emit(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Flush emits every open bucket in event-time order, NULL event times last.
+func (p *wmPusher) Flush(emit physical.EmitFn) error {
+	if err := p.emitBuckets(func(int64) bool { return true }, emit); err != nil {
+		return err
+	}
+	if p.nullBucket == nil {
 		return nil
 	}
+	bk := p.nullBucket
+	p.nullBucket = nil
+	return p.emitBucket(bk, emit)
+}
 
-	next := func() (*arrow.RecordBatch, error) {
-		for {
-			if len(queue) > 0 {
-				b := queue[0]
-				queue = queue[1:]
-				return b, nil
-			}
-			if done {
-				return nil, io.EOF
-			}
-			if err := checkCancel(ctx); err != nil {
-				return nil, err
-			}
-			b, err := in.Next()
-			if err == io.EOF {
-				// End of stream: flush every open bucket in event-time
-				// order, NULL event times last.
-				var rest []int64
-				for v := range buckets {
-					rest = append(rest, v)
-				}
-				sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-				for _, v := range rest {
-					if err := emitBucket(buckets[v]); err != nil {
-						return nil, err
-					}
-					delete(buckets, v)
-				}
-				if nullBucket != nil {
-					if err := emitBucket(nullBucket); err != nil {
-						return nil, err
-					}
-					nullBucket = nil
-				}
-				done = true
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			if b.NumRows() == 0 {
-				continue
-			}
-			wmArr, err := physical.EvalToArray(e.helper.GroupExprs[e.WatermarkPos], b, nil)
-			if err != nil {
-				return nil, err
-			}
-			// Split the batch's rows by event-time value; each value's rows
-			// update that bucket's independent aggregation state.
-			byVal := map[int64][]int32{}
-			var nullIdx []int32
-			for i := 0; i < b.NumRows(); i++ {
-				if !wmArr.IsValid(i) {
-					nullIdx = append(nullIdx, int32(i))
-					continue
-				}
-				v := wmArr.GetScalar(i).AsInt64()
-				byVal[v] = append(byVal[v], int32(i))
-				if !haveWM || v > watermark {
-					watermark = v
-					haveWM = true
-				}
-			}
-			for v, idx := range byVal {
-				bk, err := bucketFor(v, false)
-				if err != nil {
-					return nil, err
-				}
-				bk.groupIdx, err = e.helper.update(bk.st, takeRows(b, idx), bk.groupIdx, nil)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if len(nullIdx) > 0 {
-				bk, err := bucketFor(0, true)
-				if err != nil {
-					return nil, err
-				}
-				bk.groupIdx, err = e.helper.update(bk.st, takeRows(b, nullIdx), bk.groupIdx, nil)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if haveWM {
-				wmCounter.Store(watermark)
-			}
-			if err := resize(); err != nil {
-				return nil, err
-			}
-			if err := closeRipe(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	closeFn := func() {
-		if closed {
-			return
-		}
-		closed = true
-		in.Close()
-		res.Free()
-		unregister()
-	}
-	return physical.InstrumentStream(NewFuncStream(e.Schema(), next, closeFn), m), nil
+func (p *wmPusher) Close() {
+	p.res.Free()
+	p.unregister()
 }
 
 // takeRows gathers the given row indices of every column into a new batch.

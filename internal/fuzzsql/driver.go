@@ -178,6 +178,15 @@ func (h *Harness) Close() {
 	}
 }
 
+// smallWriterOptions is the writer's default encoding (dictionary pages,
+// the LZ codec, bloom filters) over 64-row row groups of 32-row pages, so
+// tiny tables still span several row groups and pages.
+func smallWriterOptions() parquet.WriterOptions {
+	opts := parquet.DefaultWriterOptions()
+	opts.RowGroupRows, opts.PageRows = 64, 32
+	return opts
+}
+
 // writeTable encodes a table to its on-disk format, returning the files.
 func writeTable(dir string, f Format, t *Table) ([]string, error) {
 	switch f {
@@ -188,7 +197,7 @@ func writeTable(dir string, f Format, t *Table) ([]string, error) {
 		// Two files, 64-row row groups: a ~240-row table becomes ~4 row
 		// groups over 2 files, so partitioned scans split work and range
 		// predicates prune groups.
-		opts := parquet.WriterOptions{RowGroupRows: 64, PageRows: 32}
+		opts := smallWriterOptions()
 		half := (len(t.Batches) + 1) / 2
 		p0 := filepath.Join(dir, t.Name+"-0.gpq")
 		p1 := filepath.Join(dir, t.Name+"-1.gpq")

@@ -79,7 +79,7 @@ const stageName = "replay_stage"
 
 // replayWriterOpts keeps row groups tiny so every appended step adds real
 // pages (pruning, page cache, and multi-row-group scans all engage).
-var replayWriterOpts = parquet.WriterOptions{RowGroupRows: 64, PageRows: 32}
+var replayWriterOpts = smallWriterOptions()
 
 // RunReplay replays the seeded dataset as a sequence of timed micro-batch
 // writes into every (config, target) session, probing row counts after

@@ -8,6 +8,7 @@ import (
 	"gofusion/internal/arrow"
 	"gofusion/internal/catalog"
 	"gofusion/internal/core"
+	"gofusion/internal/exec"
 	"gofusion/internal/functions"
 	"gofusion/internal/logical"
 	"gofusion/internal/optimizer"
@@ -98,6 +99,68 @@ func TestLimitPushdownToTopK(t *testing.T) {
 		}
 		if strings.Join(rows[false], "\n") != strings.Join(rows[true], "\n") {
 			t.Fatalf("p=%d: optimizer changed rows:\non:  %v\noff: %v", p, rows[false], rows[true])
+		}
+	}
+}
+
+// TestOffsetLimitPlansOneLimit: LIMIT 3 OFFSET 2 over a fetch-limited sort
+// plans one GlobalLimitExec, not a second one over the sort's own, at one
+// and four partitions, and returns the rows of the unoptimized plan.
+func TestOffsetLimitPlansOneLimit(t *testing.T) {
+	schema := arrow.NewSchema(arrow.NewField("o_orderkey", arrow.Int64, false),
+		arrow.NewField("o_totalprice", arrow.Float64, false))
+	parts := make([][]*arrow.RecordBatch, 4)
+	for p := range parts {
+		keys := arrow.NewNumericBuilder[int64](arrow.Int64)
+		prices := arrow.NewNumericBuilder[float64](arrow.Float64)
+		for r := 0; r < 25; r++ {
+			key := int64(p*25 + r)
+			keys.Append(key)
+			prices.Append(float64((key*37)%100) + 0.5)
+		}
+		parts[p] = []*arrow.RecordBatch{arrow.NewRecordBatch(schema, []arrow.Array{keys.Finish(), prices.Finish()})}
+	}
+	orders, err := catalog.NewMemTable(schema, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice LIMIT 3 OFFSET 2"
+	for _, p := range []int{1, 4} {
+		rows := map[bool]string{}
+		for _, off := range []bool{false, true} {
+			cfg := core.DefaultConfig()
+			cfg.TargetPartitions = p
+			cfg.DisableOptimizer = off
+			s := core.NewSession(cfg)
+			s.RegisterTable("orders", orders)
+			df, err := s.SQL(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches, qm, err := df.CollectWithMetrics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches {
+				for i := 0; i < b.NumRows(); i++ {
+					rows[off] += fmt.Sprintf("%v|%v ", b.Column(0).GetScalar(i), b.Column(1).GetScalar(i))
+				}
+			}
+			if off {
+				continue
+			}
+			plan := exec.ExplainPhysical(qm.Plan)
+			if n := strings.Count(plan, "GlobalLimitExec"); n != 1 || !strings.Contains(plan, "GlobalLimitExec: skip=2 fetch=3") {
+				t.Errorf("p=%d: want one GlobalLimitExec: skip=2 fetch=3, got %d limits:\n%s", p, n, plan)
+			}
+		}
+		if rows[false] != rows[true] {
+			t.Errorf("p=%d: optimizer changed rows:\non:  %s\noff: %s", p, rows[false], rows[true])
+		}
+		// Prices are key*37 mod 100 + 0.5, so the 3rd to 5th cheapest
+		// orders are those with key*37 = 2, 3, 4 (mod 100).
+		if want := "46|2.5 19|3.5 92|4.5 "; rows[false] != want {
+			t.Errorf("p=%d: rows %q, want %q", p, rows[false], want)
 		}
 	}
 }

@@ -10,19 +10,21 @@ import (
 // implementations never re-enter downstream operators.
 type EmitFn func(*arrow.RecordBatch) error
 
-// Pusher is the one implementation of a streaming (non-breaking) operator:
-// a driver loop pulls a batch from the source stream and pushes it through
-// one Pusher — the operator running alone — or through a whole chain of
-// them — a fused segment (PAPERS.md: "Push vs. Pull-Based Loop Fusion in
-// Query Engines": a pull stream is a push operator plus a driver).
-// A Pusher serves one partition and is not safe for concurrent use.
+// Pusher is the one implementation of a streaming operator and of an
+// aggregation: a driver loop pulls a batch from the source stream and
+// pushes it through one Pusher — the operator running alone — or through a
+// whole chain of them — a fused segment (PAPERS.md: "Push vs. Pull-Based
+// Loop Fusion in Query Engines": a pull stream is a push operator plus a
+// driver). A pipeline breaker that is a Pusher absorbs its input in Push
+// and emits at Flush. A Pusher serves one partition and is not safe for
+// concurrent use.
 type Pusher interface {
 	// Push consumes one input batch, emitting any output via emit. A true
 	// done return means the operator will never emit again (e.g. a limit
 	// was satisfied); the driver then stops feeding the pipeline.
 	Push(b *arrow.RecordBatch, emit EmitFn) (done bool, err error)
 	// Flush emits any buffered state after the input is exhausted
-	// (coalesce remainders, partial aggregation state).
+	// (coalesce remainders, aggregation results).
 	Flush(emit EmitFn) error
 	// Close releases resources (memory reservations). It must be safe to
 	// call after Flush and when the pipeline is abandoned before Flush.
@@ -30,14 +32,15 @@ type Pusher interface {
 }
 
 // Pushable marks an operator that compiles itself into a Pusher, which
-// both its own Execute and a fused pipeline segment drive. Operators that
-// buffer unboundedly, need their own goroutines, or change partitioning
-// (sorts, joins, exchanges, final aggregation) are pipeline breakers and
-// do not implement it.
+// both its own Execute and a fused pipeline segment drive: filters,
+// projections, limits, batch coalescing and every aggregation. Joins (two
+// inputs), exchanges (goroutine boundaries), sorts and windows (they emit
+// as many rows as they read, which Flush would hand over in one call) and
+// top-k still pull and do not implement it.
 type Pushable interface {
 	ExecutionPlan
 	// CanPush reports whether this node runs as a Pusher as configured
-	// (e.g. partial-mode aggregation only).
+	// (e.g. a global limit only over a single partition).
 	CanPush() bool
 	// PushInto compiles the operator for one partition of a driver loop.
 	PushInto(ctx *ExecContext, partition int) (Pusher, error)

@@ -24,7 +24,9 @@ func SettledGoroutines() int {
 // CheckNoGoroutineLeak snapshots the settled goroutine count and returns
 // the check to defer. It fails the test when the count grew, which in
 // this engine means an exchange producer or spill-merge goroutine
-// outlived its stream's Close.
+// outlived its stream's Close. Producers stopped by a Close exit on their
+// own schedule, which a loaded machine can stretch past any settling
+// window, so the check waits up to leakTimeout for the count to come back.
 //
 //	defer testutil.CheckNoGoroutineLeak(t)()
 func CheckNoGoroutineLeak(t testing.TB) func() {
@@ -32,8 +34,15 @@ func CheckNoGoroutineLeak(t testing.TB) func() {
 	baseline := SettledGoroutines()
 	return func() {
 		t.Helper()
-		if after := SettledGoroutines(); after > baseline {
+		after := SettledGoroutines()
+		for deadline := time.Now().Add(leakTimeout); after > baseline && time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+			after = runtime.NumGoroutine()
+		}
+		if after > baseline {
 			t.Errorf("goroutine leak: %d settled before, %d after", baseline, after)
 		}
 	}
 }
+
+const leakTimeout = 5 * time.Second

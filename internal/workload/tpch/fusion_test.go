@@ -64,16 +64,20 @@ func TestExplainFusedRendering(t *testing.T) {
 	}
 
 	// Q6's filter is pushed into the GPQ scan, leaving a lone partial
-	// aggregate over the scan: no segment, same morsel-driven scan.
+	// aggregate over the scan: no segment of its own, same morsel-driven
+	// scan. The final aggregate above the coalesce is a push stage too and
+	// fuses with the projection over it.
 	q, err := tpch.Query(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	text = explainText(t, s, q)
-	if strings.Contains(text, "PipelineExec") {
-		t.Errorf("a lone partial aggregate needs no segment:\n%s", text)
+	fusedFinal := regexp.MustCompile(`PipelineExec: stages=2\n\s+ProjectionExec: .*\n\s+HashAggregateExec: mode=Final `)
+	if strings.Count(text, "PipelineExec") != 1 || !fusedFinal.MatchString(text) {
+		t.Errorf("Q6 should fuse its projection and final aggregate, and nothing else:\n%s", text)
 	}
-	if !strings.Contains(text, "HashAggregateExec: mode=Partial") || !morselScan.MatchString(text) {
+	lonePartial := regexp.MustCompile(`HashAggregateExec: mode=Partial .*\n\s+TableScanExec: lineitem .* scheduler=morsel units=\d+`)
+	if !lonePartial.MatchString(text) {
 		t.Errorf("Q6 should be a partial aggregate over a morsel-driven scan:\n%s", text)
 	}
 
