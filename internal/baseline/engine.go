@@ -1,7 +1,8 @@
 // Package baseline implements TightDB, the tightly-integrated comparator
 // engine standing in for DuckDB in the paper's evaluation (Section 8). It
 // shares only the columnar memory substrate (arrow), the SQL front end and
-// logical optimizer with the main engine; its execution layer is its own:
+// the logical optimizer, less join ordering, with the main engine; its
+// execution layer is its own:
 //
 //   - eager, fully-materialized scans: file formats are decoded page-by-
 //     page without predicate pushdown, pruning, or late materialization
@@ -56,7 +57,7 @@ func New(parallelism int) *Engine {
 	return &Engine{
 		tables:      map[string]Table{},
 		reg:         reg,
-		opt:         optimizer.New(reg),
+		opt:         optimizer.New(reg).Without((&optimizer.JoinOrder{}).Name()),
 		Parallelism: parallelism,
 	}
 }
@@ -106,9 +107,11 @@ func (e *Engine) Query(query string) (*arrow.RecordBatch, error) {
 }
 
 // plan is the front half shared with the main engine: parse, plan and the
-// logical optimizer. What execute is handed is what the main engine's
-// physical planner is handed, so a rewrite done there (a lone
-// count(DISTINCT) as a nested group-by) never reaches TightDB.
+// logical optimizer, less join ordering. What execute is handed is what the
+// main engine's physical planner is handed with its joins in FROM order,
+// so the engine's join order is checked against the order the query was
+// written in, and a physical rewrite (a lone count(DISTINCT) as a nested
+// group-by) never reaches TightDB.
 func (e *Engine) plan(query string) (logical.Plan, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {

@@ -130,7 +130,7 @@ func (t *StreamTable) Schema() *arrow.Schema { return t.schema }
 // Statistics reports the exact row count once sealed. While the stream is
 // live the count is only a snapshot of an unbounded input, so it reports
 // unknown: a heuristic that trusted it could elect the stream as a hash
-// build side (JoinInputSwap picks the smaller input), which can never
+// build side (join ordering builds on the smaller input), which can never
 // finish building.
 func (t *StreamTable) Statistics() Statistics {
 	if !t.Sealed() {

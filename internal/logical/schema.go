@@ -80,10 +80,12 @@ func (e *ErrAmbiguous) Error() string {
 	return fmt.Sprintf("column reference %q is ambiguous", e.Name)
 }
 
-// ErrNotFound is returned when a column cannot be resolved.
+// ErrNotFound is returned when a column cannot be resolved. The schema is
+// rendered only if the error is: optimizer rules probe schemas for
+// columns they do not hold far more often than an error is reported.
 type ErrNotFound struct {
 	Name   string
-	Schema string
+	Schema *Schema
 }
 
 func (e *ErrNotFound) Error() string {
@@ -122,7 +124,7 @@ func (s *Schema) Resolve(qualifier, name string) (int, error) {
 		if qualifier != "" {
 			display = qualifier + "." + name
 		}
-		return 0, &ErrNotFound{Name: display, Schema: s.String()}
+		return 0, &ErrNotFound{Name: display, Schema: s}
 	}
 	return found, nil
 }

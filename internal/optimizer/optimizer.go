@@ -1,13 +1,15 @@
 // Package optimizer implements the logical plan rewrites of paper Section
 // 6.1: expression simplification, correlated subquery decorrelation,
 // cross-join to inner-join conversion, filter pushdown (with OUTER join
-// restrictions), outer-to-inner join conversion, statistics-based join
-// input selection, limit pushdown, and projection (scan) pruning. Rules
-// share the rewrite framework exposed to user-defined OptimizerRules
-// (paper Section 7.6).
+// restrictions), outer-to-inner join conversion, join ordering by the join
+// graph with statistics-based build sides, limit pushdown, and projection
+// (scan) pruning. Rules share the rewrite framework exposed to
+// user-defined OptimizerRules (paper Section 7.6).
 package optimizer
 
 import (
+	"slices"
+
 	"gofusion/internal/functions"
 	"gofusion/internal/logical"
 )
@@ -44,11 +46,11 @@ func New(reg *functions.Registry) *Optimizer {
 			&FilterPushdown{},
 			&CommonSubexpressionElimination{},
 			&LimitPushdown{},
-			// Pruning runs before the join swap: the swap's schema-restoring
-			// projections reference every join column and would defeat the
-			// reference-collection pruner.
+			// Pruning runs before join ordering: the projection restoring a
+			// reordered region's columns references every one of them and
+			// would defeat the reference-collection pruner.
 			&PruneScans{},
-			&JoinInputSwap{},
+			&JoinOrder{},
 		},
 	}
 }
@@ -70,6 +72,18 @@ func (o *Optimizer) WithRuleFirst(r Rule) *Optimizer {
 // WithRules replaces the rule pipeline entirely.
 func (o *Optimizer) WithRules(rules []Rule) *Optimizer {
 	o.rules = rules
+	return o
+}
+
+// Without drops the named rules from the pipeline.
+func (o *Optimizer) Without(names ...string) *Optimizer {
+	var kept []Rule
+	for _, r := range o.rules {
+		if !slices.Contains(names, r.Name()) {
+			kept = append(kept, r)
+		}
+	}
+	o.rules = kept
 	return o
 }
 

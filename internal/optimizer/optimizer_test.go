@@ -149,37 +149,6 @@ func TestOuterToInnerConversion(t *testing.T) {
 	}
 }
 
-func TestJoinInputSwapBySize(t *testing.T) {
-	big := table(t, 10000, arrow.NewField("a", arrow.Int64, false))
-	small := table(t, 10, arrow.NewField("b", arrow.Int64, false))
-	rScan, _ := logical.NewBuilder(reg).Scan("small", small).Build()
-	plan, err := logical.NewBuilder(reg).
-		Scan("big", big).
-		Join(rScan, logical.InnerJoin, []logical.EquiPair{{L: logical.Col("a"), R: logical.Col("b")}}, nil).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := optimize(t, plan)
-	// After the swap the join's left child scans the small table.
-	found := false
-	logical.VisitPlan(out, func(p logical.Plan) bool {
-		if j, ok := p.(*logical.Join); ok {
-			if scan, ok2 := j.Left.(*logical.TableScan); ok2 && scan.Name == "small" {
-				found = true
-			}
-		}
-		return true
-	})
-	if !found {
-		t.Fatalf("small side should become the build side:\n%s", explain(out))
-	}
-	// Output schema order preserved.
-	if out.Schema().Field(0).Name != "a" {
-		t.Fatalf("schema order changed: %s", out.Schema())
-	}
-}
-
 func TestPruneScansKeepsReferencedColumns(t *testing.T) {
 	src := table(t, 10,
 		arrow.NewField("a", arrow.Int64, false),

@@ -299,10 +299,13 @@ func remapByPosition(e logical.Expr, from, to *logical.Schema) (logical.Expr, er
 }
 
 // pushIntoJoin distributes conjuncts into join inputs, converting cross
-// joins to inner joins when equality conjuncts link both sides.
+// joins to inner joins when equality conjuncts link both sides. A
+// disjunction over both sides of an inner join stays the join's filter and
+// also lends a side the predicate sidePredicate derives from it, when
+// derivationPays.
 func (r *FilterPushdown) pushIntoJoin(j *logical.Join, conjuncts []logical.Expr, ctx *Context) (logical.Plan, []logical.Expr, error) {
 	ls, rs := j.Left.Schema(), j.Right.Schema()
-	var toLeft, toRight, newOn []logical.Expr
+	var toLeft, toRight []logical.Expr
 	var newPairs []logical.EquiPair
 	var joinFilters, blocked []logical.Expr
 
@@ -337,12 +340,17 @@ func (r *FilterPushdown) pushIntoJoin(j *logical.Join, conjuncts []logical.Expr,
 					}
 				}
 				joinFilters = append(joinFilters, c)
+				if l := sidePredicate(c, ls); l != nil && derivationPays(j.Left, l, j.Right) {
+					toLeft = append(toLeft, l)
+				}
+				if r := sidePredicate(c, rs); r != nil && derivationPays(j.Right, r, j.Left) {
+					toRight = append(toRight, r)
+				}
 				continue
 			}
 			blocked = append(blocked, c)
 		}
 	}
-	_ = newOn
 
 	newLeft := j.Left
 	if len(toLeft) > 0 {
@@ -377,4 +385,58 @@ func (r *FilterPushdown) pushIntoJoin(j *logical.Join, conjuncts []logical.Expr,
 		jt = logical.InnerJoin
 	}
 	return logical.NewJoin(newLeft, newRight, jt, on, filter), blocked, nil
+}
+
+// sidePredicate derives from a disjunction a predicate over schema alone:
+// the OR over its branches of each branch's conjuncts that schema
+// resolves, or nil when some branch has none. For q7's (n1.n_name = 'FRANCE'
+// AND n2.n_name = 'GERMANY') OR (n1.n_name = 'GERMANY' AND n2.n_name =
+// 'FRANCE') it is n1.n_name = 'FRANCE' OR n1.n_name = 'GERMANY' for n1. The
+// derived predicate is TRUE whenever the disjunction is, NULLs included: a
+// TRUE disjunction has a TRUE branch, and every conjunct of that branch is
+// TRUE. It may keep rows the disjunction drops, so the disjunction stays.
+func sidePredicate(c logical.Expr, schema *logical.Schema) logical.Expr {
+	if be, ok := c.(*logical.BinaryExpr); !ok || be.Op != logical.OpOr {
+		return nil
+	}
+	var out logical.Expr
+	for _, branch := range splitDisjunction(c) {
+		var side []logical.Expr
+		for _, x := range logical.SplitConjunction(branch) {
+			if resolvable(x, schema) {
+				side = append(side, x)
+			}
+		}
+		if len(side) == 0 {
+			return nil
+		}
+		if out == nil {
+			out = logical.And(side...)
+		} else {
+			out = &logical.BinaryExpr{Op: logical.OpOr, L: out, R: logical.And(side...)}
+		}
+	}
+	return out
+}
+
+// derivationPays reports whether a predicate derived for side is worth
+// evaluating: the input of side it lands on (joins are descended into the
+// child holding its columns) is estimated no larger than the join's other
+// input. There it shrinks a likely build side for the cost of one pass
+// over few rows. On a larger input it would be a pass over every probe row
+// to save join work the disjunction prunes anyway: q19's lineitem range
+// test costs more than it saves, its part test cuts the build to a few
+// rows.
+func derivationPays(side logical.Plan, pred logical.Expr, other logical.Plan) bool {
+	for j, ok := side.(*logical.Join); ok; j, ok = side.(*logical.Join) {
+		if resolvable(pred, j.Left.Schema()) {
+			side = j.Left
+		} else if resolvable(pred, j.Right.Schema()) {
+			side = j.Right
+		} else {
+			break
+		}
+	}
+	at, o := EstimateRows(side), EstimateRows(other)
+	return at >= 0 && o >= 0 && at <= o
 }

@@ -69,10 +69,10 @@ type corrPair struct {
 // extractCorrelation removes correlated conjuncts from Filter nodes in the
 // subquery plan, returning the cleaned plan, equality pairs, and other
 // correlated predicates.
-func extractCorrelation(plan logical.Plan) (logical.Plan, []corrPair, []logical.Expr, error) {
+func extractCorrelation(plan logical.Plan, ctx *Context) (logical.Plan, []corrPair, []logical.Expr, error) {
 	switch n := plan.(type) {
 	case *logical.Filter:
-		newInput, pairs, others, err := extractCorrelation(n.Input)
+		newInput, pairs, others, err := extractCorrelation(n.Input, ctx)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -101,10 +101,39 @@ func extractCorrelation(plan logical.Plan) (logical.Plan, []corrPair, []logical.
 			out = &logical.Filter{Input: newInput, Predicate: pred}
 		}
 		return out, pairs, others, nil
-	case *logical.Projection, *logical.SubqueryAlias, *logical.Aggregate,
+	case *logical.Projection:
+		newInput, pairs, others, err := extractCorrelation(n.Input, ctx)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if len(pairs) == 0 && len(others) == 0 {
+			return plan, nil, nil, nil
+		}
+		// The join that replaces the subquery reads the inner side of every
+		// extracted predicate above this projection: keep those columns.
+		exprs := append([]logical.Expr{}, n.Exprs...)
+		var inner []logical.Expr
+		for _, pr := range pairs {
+			inner = append(inner, pr.inner)
+		}
+		kept := map[string]bool{}
+		for _, e := range append(inner, others...) {
+			for _, col := range logical.CollectColumns(e) {
+				if resolvable(col, newInput.Schema()) && !resolvable(col, n.Schema()) && !kept[col.String()] {
+					kept[col.String()] = true
+					exprs = append(exprs, col)
+				}
+			}
+		}
+		proj, err := logical.NewProjection(newInput, exprs, ctx.Reg)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return proj, pairs, others, nil
+	case *logical.SubqueryAlias, *logical.Aggregate,
 		*logical.Sort, *logical.Distinct, *logical.Limit:
 		children := plan.Children()
-		newChild, pairs, others, err := extractCorrelation(children[0])
+		newChild, pairs, others, err := extractCorrelation(children[0], ctx)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -119,11 +148,11 @@ func extractCorrelation(plan logical.Plan) (logical.Plan, []corrPair, []logical.
 		// schemas, so WithChildren is safe.
 		return plan.WithChildren([]logical.Plan{newChild}), pairs, others, nil
 	case *logical.Join:
-		newLeft, lp, lo, err := extractCorrelation(n.Left)
+		newLeft, lp, lo, err := extractCorrelation(n.Left, ctx)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		newRight, rp, ro, err := extractCorrelation(n.Right)
+		newRight, rp, ro, err := extractCorrelation(n.Right, ctx)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -205,7 +234,7 @@ func (r *DecorrelateSubqueries) rewriteConjunct(input logical.Plan, conj logical
 	switch e := conj.(type) {
 	case *logical.Exists:
 		sub := stripRootProjection(e.Plan)
-		cleaned, pairs, others, err := extractCorrelation(sub)
+		cleaned, pairs, others, err := extractCorrelation(sub, ctx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -221,7 +250,7 @@ func (r *DecorrelateSubqueries) rewriteConjunct(input logical.Plan, conj logical
 
 	case *logical.InSubquery:
 		sub := e.Plan
-		cleaned, pairs, others, err := extractCorrelation(sub)
+		cleaned, pairs, others, err := extractCorrelation(sub, ctx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -229,14 +258,19 @@ func (r *DecorrelateSubqueries) rewriteConjunct(input logical.Plan, conj logical
 			return nil, nil, fmt.Errorf("optimizer: IN subquery must produce one column")
 		}
 		f0 := cleaned.Schema().Field(0)
+		y := &logical.Column{Relation: f0.Qualifier, Name: f0.Name}
+		var on []logical.EquiPair
+		for _, pr := range pairs {
+			on = append(on, logical.EquiPair{L: pr.outer, R: pr.inner})
+		}
+		if e.Negated && (f0.Nullable || logical.NullableOf(e.E, input.Schema())) {
+			return r.planNullAwareNotIn(input, cleaned, e.E, y, on, others, ctx)
+		}
 		jt := logical.LeftSemiJoin
 		if e.Negated {
 			jt = logical.LeftAntiJoin
 		}
-		on := []logical.EquiPair{{L: e.E, R: &logical.Column{Relation: f0.Qualifier, Name: f0.Name}}}
-		for _, pr := range pairs {
-			on = append(on, logical.EquiPair{L: pr.outer, R: pr.inner})
-		}
+		on = append([]logical.EquiPair{{L: e.E, R: y}}, on...)
 		return logical.NewJoin(input, cleaned, jt, on, logical.And(others...)), nil, nil
 
 	case *logical.BinaryExpr:
@@ -273,13 +307,51 @@ func (r *DecorrelateSubqueries) rewriteConjunct(input logical.Plan, conj logical
 	return nil, nil, fmt.Errorf("optimizer: unsupported subquery shape in %s", conj)
 }
 
+// planNullAwareNotIn plans x NOT IN (SELECT y ...) when x or y may be
+// NULL. A row survives only if no y of its subquery rows equals x, and,
+// when there are any such rows, x is not NULL and none of them is NULL
+// (then the IN is NULL, not FALSE). Put together: no subquery row has
+// x = y, x IS NULL or y IS NULL.
+//
+// Correlated, that is one anti join on the correlation keys with that
+// disjunction as its filter. Uncorrelated, the disjunction would leave the
+// anti join without keys, so it keeps x = y as its key, and the NULL cases
+// read count(*) and count(y) over the subquery from a one-row cross join:
+// the row survives when count(*) = 0 or (x IS NOT NULL and count(y) =
+// count(*)).
+func (r *DecorrelateSubqueries) planNullAwareNotIn(input, sub logical.Plan, x, y logical.Expr,
+	corr []logical.EquiPair, others []logical.Expr, ctx *Context) (logical.Plan, logical.Expr, error) {
+	if len(corr) > 0 || len(others) > 0 {
+		blocks := &logical.BinaryExpr{Op: logical.OpOr,
+			L: &logical.BinaryExpr{Op: logical.OpOr, L: logical.Eq(x, y), R: &logical.IsNull{E: x}},
+			R: &logical.IsNull{E: y}}
+		filter := logical.And(append([]logical.Expr{blocks}, others...)...)
+		return logical.NewJoin(input, sub, logical.LeftAntiJoin, corr, filter), nil, nil
+	}
+	counts, err := logical.NewAggregate(sub, nil,
+		[]logical.Expr{&logical.AggFunc{Name: "count"}, &logical.AggFunc{Name: "count", Args: []logical.Expr{y}}}, ctx.Reg)
+	if err != nil {
+		return nil, nil, err
+	}
+	alias := fmt.Sprintf("__sq_%d", sqCounter.Add(1))
+	aliased := logical.NewSubqueryAlias(counts, alias)
+	rows := &logical.Column{Relation: alias, Name: aliased.Schema().Field(0).Name}
+	nonNull := &logical.Column{Relation: alias, Name: aliased.Schema().Field(1).Name}
+	withCounts := logical.NewJoin(input, aliased, logical.CrossJoin, nil, nil)
+	anti := logical.NewJoin(withCounts, sub, logical.LeftAntiJoin, []logical.EquiPair{{L: x, R: y}}, nil)
+	keep := &logical.BinaryExpr{Op: logical.OpOr,
+		L: logical.Eq(rows, logical.Lit(0)),
+		R: logical.And(&logical.IsNull{E: x, Negated: true}, logical.Eq(nonNull, rows))}
+	return anti, keep, nil
+}
+
 // planScalarJoin joins input with a scalar subquery, returning the new
 // plan and the column holding the scalar value.
 func (r *DecorrelateSubqueries) planScalarJoin(input logical.Plan, sub logical.Plan, alias string, ctx *Context) (logical.Plan, *logical.Column, error) {
 	// Correlated aggregate shape: Projection(Aggregate(groups=[])).
 	if proj, ok := sub.(*logical.Projection); ok {
 		if agg, ok2 := proj.Input.(*logical.Aggregate); ok2 && len(agg.GroupExprs) == 0 {
-			cleaned, pairs, others, err := extractCorrelation(agg.Input)
+			cleaned, pairs, others, err := extractCorrelation(agg.Input, ctx)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -323,7 +395,7 @@ func (r *DecorrelateSubqueries) planScalarJoin(input logical.Plan, sub logical.P
 		}
 	}
 	// Uncorrelated scalar: cross join the (single-row) subquery.
-	cleaned, pairs, others, err := extractCorrelation(sub)
+	cleaned, pairs, others, err := extractCorrelation(sub, ctx)
 	if err != nil {
 		return nil, nil, err
 	}
