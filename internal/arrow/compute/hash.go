@@ -94,11 +94,7 @@ func hashFloatInto[T ~float32 | ~float64](a *arrow.NumericArray[T], hashes []uin
 		if a.IsNull(i) {
 			h = hashNull
 		} else {
-			f := float64(v)
-			if f == 0 {
-				f = 0 // normalize -0.0 to +0.0
-			}
-			h = mix64(uint64(int64fromFloat(f)) + hashSeed)
+			h = mix64(floatKeyBits(float64(v)) + hashSeed)
 		}
 		if first {
 			hashes[i] = h
@@ -108,9 +104,17 @@ func hashFloatInto[T ~float32 | ~float64](a *arrow.NumericArray[T], hashes []uin
 	}
 }
 
-func int64fromFloat(f float64) int64 {
-	// Bit pattern; normalization of -0.0 happened in the caller.
-	return int64(math.Float64bits(f))
+// floatKeyBits is the bit pattern a float hashes as: -0.0 as +0.0 and
+// every NaN as one NaN, the identity GROUP BY, DISTINCT and join keys give
+// floats.
+func floatKeyBits(f float64) uint64 {
+	switch {
+	case f != f:
+		return 0x7FF8000000000000
+	case f == 0:
+		return 0
+	}
+	return math.Float64bits(f)
 }
 
 // HashArrayInto hashes each slot of a into hashes; when first is true the

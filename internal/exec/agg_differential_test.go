@@ -9,6 +9,7 @@ package exec_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,18 +42,35 @@ func diffKeyName(id int) string {
 	return fmt.Sprintf("key-%d", id)
 }
 
-// diffRows builds n rows of the schema's columns, among k_int / k_str
-// (nullable keys drawn from key ids nextID hands out), v and w (nullable
+// diffKeyFloat renders key id as a float key and the part of d it adds:
+// every seventh id is a zero of random sign and every eleventh a NaN with
+// random sign and payload — one key each, however the bits differ.
+func diffKeyFloat(rng *rand.Rand, id int) (float64, int64) {
+	sign := uint64(rng.Intn(2)) << 63
+	switch {
+	case id%7 == 0:
+		return math.Float64frombits(sign), 17
+	case id%11 == 0:
+		return math.Float64frombits(sign | 0x7FF8000000000000 | uint64(rng.Intn(1000))), 19
+	}
+	return float64(id)/4 + 0.125, int64(id) * 13
+}
+
+// diffRows builds n rows of the schema's columns, among k_int / k_str /
+// k_flt / k_bin (nullable keys drawn from key ids nextID hands out), v and w (nullable
 // int64 payloads, loosely correlated) and d (a non-null int64 that is a
 // function of the row's key cells alone, so first_value/last_value over a
 // group do not depend on row order).
 func diffRows(rng *rand.Rand, schema *arrow.Schema, n int, nextID func() int) *arrow.RecordBatch {
 	kInt := arrow.NewNumericBuilder[int64](arrow.Int64)
 	kStr := arrow.NewStringBuilder(arrow.String)
+	kFlt := arrow.NewNumericBuilder[float64](arrow.Float64)
+	kBin := arrow.NewStringBuilder(arrow.Binary)
 	v := arrow.NewNumericBuilder[int64](arrow.Int64)
 	w := arrow.NewNumericBuilder[int64](arrow.Int64)
 	d := arrow.NewNumericBuilder[int64](arrow.Int64)
 	hasInt, hasStr := schema.FieldIndex("k_int") >= 0, schema.FieldIndex("k_str") >= 0
+	hasFlt, hasBin := schema.FieldIndex("k_flt") >= 0, schema.FieldIndex("k_bin") >= 0
 	for i := 0; i < n; i++ {
 		id := nextID()
 		var dv int64
@@ -75,6 +93,26 @@ func diffRows(rng *rand.Rand, schema *arrow.Schema, n int, nextID func() int) *a
 				dv += int64(len(s)) * 1000
 			}
 		}
+		if hasFlt {
+			f, fdv := diffKeyFloat(rng, id)
+			if rng.Intn(64) == 0 {
+				kFlt.AppendNull()
+				fdv = 7
+			} else {
+				kFlt.Append(f)
+			}
+			dv += fdv
+		}
+		if hasBin {
+			if rng.Intn(64) == 0 {
+				kBin.AppendNull()
+				dv += 9
+			} else {
+				b := []byte(diffKeyName(id + 1))
+				kBin.AppendBytes(b)
+				dv += int64(len(b)) * 100_000
+			}
+		}
 		d.Append(dv)
 		val := int64(rng.Intn(2000)) - 1000
 		if rng.Intn(10) == 0 {
@@ -88,7 +126,8 @@ func diffRows(rng *rand.Rand, schema *arrow.Schema, n int, nextID func() int) *a
 			w.Append(val*2 + int64(rng.Intn(50)))
 		}
 	}
-	built := map[string]arrow.Array{"k_int": kInt.Finish(), "k_str": kStr.Finish(), "v": v.Finish(), "w": w.Finish(), "d": d.Finish()}
+	built := map[string]arrow.Array{"k_int": kInt.Finish(), "k_str": kStr.Finish(), "k_flt": kFlt.Finish(),
+		"k_bin": kBin.Finish(), "v": v.Finish(), "w": w.Finish(), "d": d.Finish()}
 	cols := make([]arrow.Array, schema.NumFields())
 	for i, f := range schema.Fields() {
 		cols[i] = built[f.Name]
@@ -169,8 +208,10 @@ func (in diffInput) layout(head, tail []*arrow.RecordBatch, parts int) [][]*arro
 
 var diffInputs = []diffInput{
 	{"int", []string{"k_int"}, shortRows, -1},            // single int64 key: primitive fast path
-	{"str", []string{"k_str"}, shortRows, -1},            // single string key: generic arena path
-	{"mixed", []string{"k_int", "k_str"}, shortRows, -1}, // multi-column keys: generic arena path
+	{"str", []string{"k_str"}, shortRows, -1},            // single string key: candidate-pair path
+	{"mixed", []string{"k_int", "k_str"}, shortRows, -1}, // multi-column keys: candidate-pair path
+	{"float", []string{"k_flt"}, shortRows, -1},          // ±0 and NaN payloads are one key each
+	{"binary-float", []string{"k_bin", "k_flt", "k_int"}, shortRows, -1},
 	{"long-all-distinct", []string{"k_str", "k_int"}, longRows(1), +1},
 	{"long-half-distinct", []string{"k_str", "k_int"}, longRows(2), 0},
 	{"long-1pct-distinct", []string{"k_str", "k_int"}, longRows(100), -1},
@@ -240,10 +281,7 @@ func TestAggDifferentialAgainstBaseline(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			fields := []arrow.Field{}
 			for _, k := range in.fields {
-				typ := arrow.Int64
-				if k == "k_str" {
-					typ = arrow.String
-				}
+				typ := map[string]*arrow.DataType{"k_int": arrow.Int64, "k_str": arrow.String, "k_flt": arrow.Float64, "k_bin": arrow.Binary}[k]
 				fields = append(fields, arrow.NewField(k, typ, true))
 			}
 			fields = append(fields, arrow.NewField("v", arrow.Int64, true),
@@ -258,8 +296,13 @@ func TestAggDifferentialAgainstBaseline(t *testing.T) {
 			want := make([][]testutil.Row, len(diffQueries))
 			for i, q := range diffQueries {
 				// k_fn stands for the first key column, so min() keeps
-				// string state when that key is the string.
-				texts[i] = strings.ReplaceAll(fmt.Sprintf(q.sql, strings.Join(in.fields, ", ")), "k_fn", in.fields[0])
+				// string state when that key is the string. Over the float
+				// key it would answer -0 or +0 by row order, so it takes v.
+				fn := in.fields[0]
+				if fn == "k_flt" || fn == "k_bin" {
+					fn = "v"
+				}
+				texts[i] = strings.ReplaceAll(fmt.Sprintf(q.sql, strings.Join(in.fields, ", ")), "k_fn", fn)
 				ref, err := be.Query(texts[i])
 				if err != nil {
 					t.Fatalf("%s: baseline: %v", q.name, err)

@@ -189,14 +189,14 @@ func (st *aggState) numGroups() int {
 // assign maps n rows of the key columns to group ids; an ungrouped
 // aggregate puts every row in group 0 (groupIdx is never written with
 // anything else there, so it stays zeroed across batches).
-func (st *aggState) assign(cols []arrow.Array, n int, groupIdx []uint32) []uint32 {
+func (st *aggState) assign(cols []arrow.Array, n int, groupIdx []uint32) ([]uint32, error) {
 	if st.table != nil {
 		return st.table.assign(cols, n, groupIdx)
 	}
 	if cap(groupIdx) < n {
-		return make([]uint32, n)
+		return make([]uint32, n), nil
 	}
-	return groupIdx[:n]
+	return groupIdx[:n], nil
 }
 
 // update consumes one input batch: raw rows in Partial/Single mode,
@@ -206,7 +206,9 @@ func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, groupIdx 
 	if err != nil {
 		return groupIdx, err
 	}
-	groupIdx = st.assign(cols, b.NumRows(), groupIdx)
+	if groupIdx, err = st.assign(cols, b.NumRows(), groupIdx); err != nil {
+		return groupIdx, err
+	}
 	return groupIdx, e.accumulate(st.accs, b, groupIdx, st.numGroups(), scratch)
 }
 
@@ -271,11 +273,7 @@ func (e *HashAggregateExec) emit(st *aggState, n, batchRows int) ([]*arrow.Recor
 
 	var cols []arrow.Array
 	if st.table != nil {
-		gcols, err := st.table.groupColumns()
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range gcols {
+		for _, c := range st.table.groupColumns() {
 			if c.Len() > n {
 				c = c.Slice(0, n)
 			}
@@ -352,9 +350,9 @@ func (e *HashAggregateExec) CanPush() bool { return true }
 
 // Adaptive partial aggregation. A partial aggregate exists to shrink what
 // crosses the exchange; when nearly every row is its own group it shrinks
-// nothing and still pays for a hash table, a key encode and a key decode
-// per row. So the pusher measures itself: over its first partialProbeRows
-// input rows it counts the groups it created, and at partialProbeRatio or
+// nothing and still pays for a hash table and a stored copy of every key.
+// So the pusher measures itself: over its first partialProbeRows input
+// rows it counts the groups it created, and at partialProbeRatio or
 // more groups per row it flushes, gives its memory back and converts each
 // further batch straight to the partial-state layout (DESIGN.md §6 has the
 // measurements behind the two constants).
@@ -483,7 +481,9 @@ func (p *aggPusher) pushOrdered(b *arrow.RecordBatch, emit physical.EmitFn) erro
 		return err
 	}
 	n, before := b.NumRows(), p.st.table.numGroups()
-	p.groupIdx = p.st.table.assign(cols, n, p.groupIdx)
+	if p.groupIdx, err = p.st.table.assign(cols, n, p.groupIdx); err != nil {
+		return err
+	}
 	open := p.st.table.numGroups() - 1
 	// Only a run that starts in this batch can be cut off at a row of it.
 	if open == 0 || open < before || open+1 < batchRows(p.ctx) && p.reserve() == nil {
@@ -513,7 +513,9 @@ func (p *aggPusher) pushOrdered(b *arrow.RecordBatch, emit physical.EmitFn) erro
 	for i, c := range cols {
 		cols[i] = c.Slice(cut, n-cut)
 	}
-	p.groupIdx = p.st.table.assign(cols, n-cut, p.groupIdx)
+	if p.groupIdx, err = p.st.table.assign(cols, n-cut, p.groupIdx); err != nil {
+		return err
+	}
 	return p.e.accumulate(p.st.accs, b.Slice(cut, n-cut), p.groupIdx, 1, &p.scratch)
 }
 
@@ -606,7 +608,9 @@ func (p *aggPusher) mergeSpills() error {
 				return err
 			}
 			// Group columns come first, whatever the group expressions read.
-			p.groupIdx = p.st.assign(b.Columns()[:len(p.e.GroupExprs)], b.NumRows(), p.groupIdx)
+			if p.groupIdx, err = p.st.assign(b.Columns()[:len(p.e.GroupExprs)], b.NumRows(), p.groupIdx); err != nil {
+				return err
+			}
 			if err := p.e.mergeStates(p.st.accs, b, p.groupIdx, p.st.numGroups()); err != nil {
 				return err
 			}

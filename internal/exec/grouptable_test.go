@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -39,6 +38,26 @@ func (r *refAssign) assign(cols []arrow.Array, n int) []uint32 {
 			r.keys = append(r.keys, key)
 		}
 		out[i] = idx
+	}
+	return out
+}
+
+// mustAssign is groupTable.assign, failing the test on an error.
+func mustAssign(tb testing.TB, gt *groupTable, cols []arrow.Array, n int, out []uint32) []uint32 {
+	tb.Helper()
+	out, err := gt.assign(cols, n, out)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// mustAssignHashed is groupTable.assignHashed, failing the test on an error.
+func mustAssignHashed(tb testing.TB, gt *groupTable, cols []arrow.Array, n int, hashes []uint64, out []uint32) []uint32 {
+	tb.Helper()
+	out, err := gt.assignHashed(cols, n, hashes, out)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return out
 }
@@ -80,7 +99,7 @@ func TestGroupTableMatchesReference(t *testing.T) {
 	for batch := 0; batch < 30; batch++ {
 		n := 1 + rng.Intn(700)
 		cols := randomKeyBatch(rng, n, 50)
-		out = gt.assign(cols, n, out)
+		out = mustAssign(t, gt, cols, n, out)
 		want := ref.assign(cols, n)
 		for i := range want {
 			if out[i] != want[i] {
@@ -92,10 +111,7 @@ func TestGroupTableMatchesReference(t *testing.T) {
 		t.Fatalf("numGroups = %d, want %d", gt.numGroups(), len(ref.keys))
 	}
 	// Group columns decode back in dense-id order.
-	gcols, err := gt.groupColumns()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gcols := gt.groupColumns()
 	wcols, err := ref.enc.DecodeRows(ref.keys)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +132,7 @@ func TestGroupTableFastPathPrimitive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !gt.fast {
+			if gt.one == nil {
 				t.Fatal("expected primitive fast path")
 			}
 			ref := newRefAssign(t, []*arrow.DataType{dt})
@@ -138,7 +154,7 @@ func TestGroupTableFastPathPrimitive(t *testing.T) {
 					}
 				}
 				cols := []arrow.Array{b.Finish()}
-				out = gt.assign(cols, n, out)
+				out = mustAssign(t, gt, cols, n, out)
 				want := ref.assign(cols, n)
 				for i := range want {
 					if out[i] != want[i] {
@@ -146,10 +162,7 @@ func TestGroupTableFastPathPrimitive(t *testing.T) {
 					}
 				}
 			}
-			gcols, err := gt.groupColumns()
-			if err != nil {
-				t.Fatal(err)
-			}
+			gcols := gt.groupColumns()
 			wcols, err := ref.enc.DecodeRows(ref.keys)
 			if err != nil {
 				t.Fatal(err)
@@ -175,7 +188,7 @@ func TestGroupTableGrowth(t *testing.T) {
 		sb.Append(fmt.Sprintf("key-%d", i%12000))
 	}
 	cols := []arrow.Array{sb.Finish()}
-	out := gt.assign(cols, n, nil)
+	out := mustAssign(t, gt, cols, n, nil)
 	if gt.numGroups() != 12000 {
 		t.Fatalf("numGroups = %d, want 12000", gt.numGroups())
 	}
@@ -193,13 +206,13 @@ func TestGroupTableResetReuse(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	cols := randomKeyBatch(rng, 400, 30)
-	first := append([]uint32(nil), gt.assign(cols, 400, nil)...)
+	first := append([]uint32(nil), mustAssign(t, gt, cols, 400, nil)...)
 	before := gt.numGroups()
 	gt.reset()
 	if gt.numGroups() != 0 || gt.memUsage() == 0 {
 		t.Fatalf("after reset: groups=%d mem=%d", gt.numGroups(), gt.memUsage())
 	}
-	second := gt.assign(cols, 400, nil)
+	second := mustAssign(t, gt, cols, 400, nil)
 	if gt.numGroups() != before {
 		t.Fatalf("groups after reuse = %d, want %d", gt.numGroups(), before)
 	}
@@ -222,7 +235,7 @@ func TestGroupTableLookup(t *testing.T) {
 		ib.Append(int64(i))
 		sb.Append(fmt.Sprintf("v%d", i))
 	}
-	gt.assign([]arrow.Array{ib.Finish(), sb.Finish()}, 100, nil)
+	mustAssign(t, gt, []arrow.Array{ib.Finish(), sb.Finish()}, 100, nil)
 
 	// Probe: present, absent, and null rows.
 	pb := arrow.NewNumericBuilder[int64](arrow.Int64)
@@ -252,7 +265,7 @@ func TestGroupTableLookup(t *testing.T) {
 	fb := arrow.NewNumericBuilder[int64](arrow.Int64)
 	fb.Append(5)
 	fb.AppendNull()
-	ft.assign([]arrow.Array{fb.Finish()}, 2, nil)
+	mustAssign(t, ft, []arrow.Array{fb.Finish()}, 2, nil)
 	qb := arrow.NewNumericBuilder[int64](arrow.Int64)
 	qb.Append(5)
 	qb.AppendNull()
@@ -262,82 +275,6 @@ func TestGroupTableLookup(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("fast lookup row %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-// TestGroupTableChunkedArena drives the key arena across many chunk
-// boundaries, with keys of very different lengths and one larger than the
-// largest chunk: every key must round-trip through groupColumns, look up to
-// its own id, and survive reset-and-reuse of the retained chunks, with
-// memUsage never below the bytes the keys occupy.
-func TestGroupTableChunkedArena(t *testing.T) {
-	types := []*arrow.DataType{arrow.String, arrow.Int64}
-	gt, err := newGroupTable(types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 30_000
-	huge := strings.Repeat("x", arenaChunkMin<<arenaChunkDoublings+17)
-	build := func(salt int) []arrow.Array {
-		sb := arrow.NewStringBuilder(arrow.String)
-		ib := arrow.NewNumericBuilder[int64](arrow.Int64)
-		for i := 0; i < n; i++ {
-			switch {
-			case i == n/2:
-				sb.Append(huge)
-			case i%5 == 0:
-				sb.Append(strings.Repeat("k", (i+salt)%700)) // NUL-free, up to 700 bytes
-			case i%7 == 0:
-				sb.Append(fmt.Sprintf("a\x00b\x00%d", i+salt))
-			default:
-				sb.Append(fmt.Sprintf("key-%d", i+salt))
-			}
-			ib.Append(int64(i))
-		}
-		return []arrow.Array{sb.Finish(), ib.Finish()}
-	}
-	for round, salt := range []int{0, 3} {
-		cols := build(salt)
-		out := gt.assign(cols, n, nil)
-		if gt.numGroups() != n {
-			t.Fatalf("round %d: %d groups, want %d", round, gt.numGroups(), n)
-		}
-		if len(gt.chunks) < arenaChunkDoublings+2 {
-			t.Fatalf("round %d: arena has %d chunks; the test must cross every chunk size", round, len(gt.chunks))
-		}
-		for i, g := range out {
-			if g != uint32(i) {
-				t.Fatalf("round %d: row %d got group %d", round, i, g)
-			}
-		}
-		if again := gt.assign(cols, n, nil); again[n/2] != uint32(n/2) || again[n-1] != uint32(n-1) || gt.numGroups() != n {
-			t.Fatalf("round %d: re-assigning the same keys created groups or moved ids", round)
-		}
-		ids := gt.lookupInto(cols, n, &lookupScratch{}, nil)
-		for i, g := range ids {
-			if g != int32(i) {
-				t.Fatalf("round %d: lookup of row %d = %d", round, i, g)
-			}
-		}
-		decoded, err := gt.groupColumns()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c := range cols {
-			for i := 0; i < n; i++ {
-				if got, want := decoded[c].GetScalar(i).String(), cols[c].GetScalar(i).String(); got != want {
-					t.Fatalf("round %d: group %d column %d decoded %.40q, want %.40q", round, i, c, got, want)
-				}
-			}
-		}
-		if mem := gt.memUsage(); mem < int64(gt.keyBytes) {
-			t.Fatalf("round %d: memUsage %d below the %d key bytes held", round, mem, gt.keyBytes)
-		}
-		chunks := len(gt.chunks)
-		gt.reset()
-		if len(gt.chunks) != chunks || gt.keyBytes != 0 || gt.numGroups() != 0 {
-			t.Fatalf("round %d: reset left chunks=%d keyBytes=%d groups=%d", round, len(gt.chunks), gt.keyBytes, gt.numGroups())
 		}
 	}
 }
@@ -367,7 +304,7 @@ func TestGroupTableHomeSlotsBehindExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt.assign([]arrow.Array{arrow.NewInt64(mine)}, len(mine), nil)
+	mustAssign(t, gt, []arrow.Array{arrow.NewInt64(mine)}, len(mine), nil)
 	odd := 0
 	for slot, g := range gt.slotGroup {
 		if g != 0 && gt.slotHash[slot]&1 == 1 {
@@ -382,33 +319,41 @@ func TestGroupTableHomeSlotsBehindExchange(t *testing.T) {
 // TestGroupTableAssignSteadyStateAllocs asserts the acceptance criterion:
 // assigning a batch of already-seen keys performs no per-row allocations.
 func TestGroupTableAssignSteadyStateAllocs(t *testing.T) {
-	for _, shape := range []string{"int", "str"} {
+	for _, shape := range []string{"int", "str", "mixed6"} {
 		t.Run(shape, func(t *testing.T) {
 			var types []*arrow.DataType
 			var cols []arrow.Array
 			const n = 4096
-			if shape == "int" {
-				types = []*arrow.DataType{arrow.Int64}
+			ints := func(mod int) arrow.Array {
 				b := arrow.NewNumericBuilder[int64](arrow.Int64)
 				for i := 0; i < n; i++ {
-					b.Append(int64(i % 16))
+					b.Append(int64(i % mod))
 				}
-				cols = []arrow.Array{b.Finish()}
-			} else {
-				types = []*arrow.DataType{arrow.String}
+				return b.Finish()
+			}
+			strs := func(mod int) arrow.Array {
 				b := arrow.NewStringBuilder(arrow.String)
 				for i := 0; i < n; i++ {
-					b.Append(fmt.Sprintf("key-%d", i%16))
+					b.Append(fmt.Sprintf("key-%d", i%mod))
 				}
-				cols = []arrow.Array{b.Finish()}
+				return b.Finish()
+			}
+			switch shape {
+			case "int":
+				types, cols = []*arrow.DataType{arrow.Int64}, []arrow.Array{ints(16)}
+			case "str":
+				types, cols = []*arrow.DataType{arrow.String}, []arrow.Array{strs(16)}
+			default: // H2O q10's key shape: three strings and three integers
+				types = []*arrow.DataType{arrow.String, arrow.String, arrow.String, arrow.Int64, arrow.Int64, arrow.Int64}
+				cols = []arrow.Array{strs(4), strs(8), strs(16), ints(2), ints(4), ints(16)}
 			}
 			gt, err := newGroupTable(types)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := gt.assign(cols, n, nil) // warm up: create the 16 groups
+			out := mustAssign(t, gt, cols, n, nil) // warm up: create the 16 groups
 			allocs := testing.AllocsPerRun(10, func() {
-				out = gt.assign(cols, n, out)
+				out = mustAssign(t, gt, cols, n, out)
 			})
 			if allocs > 0 {
 				t.Fatalf("steady-state assign allocates %.1f times per batch, want 0", allocs)
@@ -420,7 +365,7 @@ func TestGroupTableAssignSteadyStateAllocs(t *testing.T) {
 // benchGroupTableInsert is the final table of a high-cardinality
 // multi-column aggregation (H2O q10's shape): every row of every batch is a
 // new group of three strings and three integers, so it measures what one
-// new group costs — key encode, arena append, slot-table growth — as the
+// new group costs — key append, slot-table growth — as the
 // table grows to 262 144 groups.
 func benchGroupTableInsert(b *testing.B) {
 	const batchRows, batches = 8192, 32
@@ -452,7 +397,7 @@ func benchGroupTableInsert(b *testing.B) {
 		}
 		var out []uint32
 		for _, cols := range input {
-			out = gt.assign(cols, batchRows, out)
+			out = mustAssign(b, gt, cols, batchRows, out)
 		}
 		if gt.numGroups() != batchRows*batches {
 			b.Fatalf("%d groups", gt.numGroups())
@@ -489,11 +434,11 @@ func BenchmarkGroupTableAssign(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out := gt.assign(cols, n, nil)
+				out := mustAssign(b, gt, cols, n, nil)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					out = gt.assign(cols, n, out)
+					out = mustAssign(b, gt, cols, n, out)
 				}
 				_ = out
 			})

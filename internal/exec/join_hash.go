@@ -210,7 +210,10 @@ func (e *HashJoinExec) buildFrom(ctx *physical.ExecContext, batches []*arrow.Rec
 		// Build rows with NULL keys still get group ids (probes can never
 		// reach them: non-null probe keys hash and compare differently,
 		// and null probe keys are rejected before lookup).
-		gids := gt.assignHashed(cols, n, hashes, nil)
+		gids, err := gt.assignHashed(cols, n, hashes, nil)
+		if err != nil {
+			return nil, err
+		}
 		head := make([]int32, gt.numGroups())
 		for i := range head {
 			head[i] = -1

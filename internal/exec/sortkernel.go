@@ -13,8 +13,7 @@ import (
 // rowKeys holds row-format keys packed back-to-back in one arena: key i is
 // arena[offsets[i]:offsets[i+1]]. It is the key layout ORDER BY and window
 // evaluation sort over (one allocation amortized over all rows, no per-row
-// slice headers), and the dual of groupTable's arena. Offsets are ints so
-// the arena may grow past 4 GiB.
+// slice headers). Offsets are ints so the arena may grow past 4 GiB.
 type rowKeys struct {
 	arena   []byte
 	offsets []int // len()+1 entries once a key was appended

@@ -267,3 +267,27 @@ func takeRows(b *arrow.RecordBatch, idx []int32) *arrow.RecordBatch {
 	}
 	return arrow.NewRecordBatchWithRows(b.Schema(), cols, len(idx))
 }
+
+// fastInt64Values returns an accessor widening any integer-backed numeric
+// array slot to int64, or nil when the array is not one.
+func fastInt64Values(a arrow.Array) func(i int) int64 {
+	switch arr := a.(type) {
+	case *arrow.Int8Array:
+		return func(i int) int64 { return int64(arr.Value(i)) }
+	case *arrow.Int16Array:
+		return func(i int) int64 { return int64(arr.Value(i)) }
+	case *arrow.Int32Array:
+		return func(i int) int64 { return int64(arr.Value(i)) }
+	case *arrow.Int64Array:
+		return func(i int) int64 { return arr.Value(i) }
+	case *arrow.Uint8Array:
+		return func(i int) int64 { return int64(arr.Value(i)) }
+	case *arrow.Uint16Array:
+		return func(i int) int64 { return int64(arr.Value(i)) }
+	case *arrow.Uint32Array:
+		return func(i int) int64 { return int64(arr.Value(i)) }
+	case *arrow.Uint64Array:
+		return func(i int) int64 { return int64(arr.Value(i)) }
+	}
+	return nil
+}

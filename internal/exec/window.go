@@ -266,7 +266,9 @@ func (r *windowRun) evalTopK() (*arrow.RecordBatch, error) {
 			if err != nil {
 				return err
 			}
-			gids = table.assign(partCols, b.NumRows(), gids)
+			if gids, err = table.assign(partCols, b.NumRows(), gids); err != nil {
+				return err
+			}
 			tableBytes = table.memUsage()
 		}
 		ordCols, err := evalExprs(sortExprs(spec.OrderBy), b)

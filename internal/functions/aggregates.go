@@ -358,13 +358,20 @@ func decimalScale(a arrow.Array) float64 {
 
 // growTo extends s with zero values up to length n. Group counts jump by
 // whole batches (the group table assigns dense ids batch-at-a-time), so
-// one bulk extension replaces per-element appends; the compiler lowers
-// the append(make) pattern to a grow plus memclr with no temporary.
+// one bulk extension replaces per-element appends. A reallocation at least
+// doubles the capacity: append alone grows large slices by 1.25x, which
+// would re-copy the state several more times on the way to a large table.
 func growTo[T any](s []T, n int) []T {
 	if n <= len(s) {
 		return s
 	}
-	return append(s, make([]T, n-len(s))...)
+	if n <= cap(s) {
+		m := len(s)
+		s = s[:n]
+		clear(s[m:])
+		return s
+	}
+	return append(make([]T, 0, max(n, 2*cap(s))), s...)[:n]
 }
 
 // countAcc implements COUNT(*) and COUNT(expr).

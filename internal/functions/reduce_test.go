@@ -138,3 +138,34 @@ func TestUngroupedReductionMatchesPerRow(t *testing.T) {
 		}
 	}
 }
+
+// TestGrowToDoubles checks that growTo zero-fills the new tail, reuses
+// spare capacity, and at least doubles the capacity when it must move, so
+// state grown one batch at a time is re-copied O(log n) times.
+func TestGrowToDoubles(t *testing.T) {
+	s := growTo([]int64{1, 2, 3}, 3)
+	if len(s) != 3 {
+		t.Fatalf("growTo to the same length: len %d", len(s))
+	}
+	s = append(s[:3], 9, 9)[:3] // dirty spare capacity
+	s = growTo(s, 5)
+	if s[3] != 0 || s[4] != 0 {
+		t.Fatalf("reused capacity not zeroed: %v", s)
+	}
+	moves := 0
+	for n := 6; n <= 1<<20; n += 8192 {
+		before := cap(s)
+		if s = growTo(s, n); cap(s) != before {
+			moves++
+			if cap(s) < 2*before {
+				t.Fatalf("capacity %d -> %d, want at least doubled", before, cap(s))
+			}
+		}
+		if s[n-1] != 0 || len(s) != n {
+			t.Fatalf("growTo(%d): len %d, last %d", n, len(s), s[n-1])
+		}
+	}
+	if moves > 20 {
+		t.Fatalf("%d reallocations on the way to 1 Mi elements", moves)
+	}
+}

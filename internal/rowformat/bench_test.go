@@ -91,8 +91,8 @@ func encodeArena(enc *Encoder, cols []arrow.Array, n int) ([]byte, []uint32) {
 	return arena, offsets
 }
 
-// BenchmarkDecodeKeys is the group-key emit of a high-cardinality
-// aggregation (H2O q10): 6 mixed keys, 500 k groups.
+// BenchmarkDecodeKeys decodes 500 k packed keys of H2O q10's six mixed
+// columns, the way count(DISTINCT)'s accumulator emits its values.
 func BenchmarkDecodeKeys(b *testing.B) {
 	const n = 500_000
 	cols, types := mixedKeyCols(n)

@@ -146,8 +146,17 @@ func appendValue(dst []byte, a arrow.Array, row int) []byte {
 
 // orderFloat64 maps IEEE-754 bits to unsigned ints whose order matches the
 // total order of the floats (negatives inverted, positives sign-flipped).
+// -0.0 encodes as +0.0 and every NaN as one positive NaN, which sorts
+// after +Inf: keys that group, join and de-duplicate as equal encode
+// equal.
 func orderFloat64(f float64) uint64 {
 	b := math.Float64bits(f)
+	switch {
+	case f != f:
+		b = 0x7FF8000000000000
+	case f == 0:
+		b = 0
+	}
 	if b&0x8000000000000000 != 0 {
 		return ^b
 	}
@@ -156,6 +165,12 @@ func orderFloat64(f float64) uint64 {
 
 func orderFloat32(f float32) uint32 {
 	b := math.Float32bits(f)
+	switch {
+	case f != f:
+		b = 0x7FC00000
+	case f == 0:
+		b = 0
+	}
 	if b&0x80000000 != 0 {
 		return ^b
 	}
