@@ -233,6 +233,13 @@ func (s *SessionContext) WithOptimizerRuleLast(r optimizer.Rule) *SessionContext
 	return s
 }
 
+// WithoutOptimizerRules drops the named rules from the pipeline (A/B
+// checks of a rule against the rest of the optimizer).
+func (s *SessionContext) WithoutOptimizerRules(names ...string) *SessionContext {
+	s.opt.Without(names...)
+	return s
+}
+
 // WithExtensionPlanner registers a physical planner for user-defined
 // logical operators (paper Section 7.7).
 func (s *SessionContext) WithExtensionPlanner(p exec.ExtensionPlanner) *SessionContext {

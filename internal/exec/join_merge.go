@@ -197,3 +197,27 @@ func (e *SortMergeJoinExec) Execute(ctx *physical.ExecContext, partition int) (p
 
 	return physical.InstrumentStream(NewFuncStream(e.schema, sliceNext(ctx, out), nil), m), nil
 }
+
+// encodeJoinKeys encodes each row's key with the row format, so equality
+// is one byte comparison; rows with NULL in any key column get a nil key
+// (they can never match).
+func encodeJoinKeys(enc *rowformat.Encoder, exprs []physical.PhysicalExpr, b *arrow.RecordBatch) ([][]byte, error) {
+	cols := make([]arrow.Array, len(exprs))
+	for i, x := range exprs {
+		a, err := physical.EvalToArray(x, b, nil)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = a
+	}
+	keys := enc.EncodeRows(cols, b.NumRows())
+	for i := range keys {
+		for _, c := range cols {
+			if c.IsNull(i) {
+				keys[i] = nil
+				break
+			}
+		}
+	}
+	return keys, nil
+}

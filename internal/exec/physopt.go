@@ -19,6 +19,10 @@ func applyPhysicalOptimizers(plan physical.ExecutionPlan) (physical.ExecutionPla
 	if err != nil {
 		return nil, err
 	}
+	plan, err = foldJoinProjections(plan)
+	if err != nil {
+		return nil, err
+	}
 	return fusePipelines(plan)
 }
 
@@ -50,27 +54,24 @@ func transformUp(plan physical.ExecutionPlan, f func(physical.ExecutionPlan) (ph
 }
 
 // fusePipelines compiles maximal chains of two or more push-capable
-// operators into PipelineExec segments (ROADMAP open item 2). Working
-// bottom-up, a push-capable operator over a segment joins it, and one over
-// another push-capable operator opens a segment with it; an operator alone
-// between two non-pushable nodes stays as it is, since its own Execute is
-// already the one-stage loop. Aggregates of every mode are push stages
-// that emit at Flush, so a Final aggregate fuses with the projection above
-// it and, at one partition, scan -> filter -> Single aggregate is one
-// loop. Sorts, joins, exchanges and windows never implement Pushable, so
-// chanStream exchanges survive exactly at those boundaries.
+// operators into PipelineExec segments, following each stage's streamed
+// child. Working bottom-up, a push-capable operator over a segment joins
+// it, and one over another push-capable operator opens a segment with it;
+// an operator alone between two non-pushable nodes stays as it is, since
+// its own Execute is already the one-stage loop. Aggregates of every mode
+// are push stages that emit at Flush, and a hash join's probe is a stage
+// over its right input (its build side stays a child outside the loop), so
+// scan -> filter -> probe -> probe -> partial aggregate is one loop. Sorts,
+// exchanges and windows never implement Pushable, so chanStream exchanges
+// survive exactly at those boundaries.
 func fusePipelines(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-	canPush := func(p physical.ExecutionPlan) bool {
-		pe, ok := p.(physical.Pushable)
-		return ok && pe.CanPush()
-	}
 	return transformUp(plan, func(p physical.ExecutionPlan) (physical.ExecutionPlan, error) {
 		if !canPush(p) {
 			return p, nil
 		}
-		child := p.Children()[0]
+		child := streamedChild(p)
 		if seg, ok := child.(*PipelineExec); ok {
-			top, err := p.WithChildren([]physical.ExecutionPlan{seg.top()})
+			top, err := withStreamedChild(p, seg.top())
 			if err != nil {
 				return nil, err
 			}
@@ -78,9 +79,37 @@ func fusePipelines(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) 
 			return &PipelineExec{Source: seg.Source, Stages: stages}, nil
 		}
 		if canPush(child) {
-			return &PipelineExec{Source: child.Children()[0], Stages: []physical.ExecutionPlan{child, p}}, nil
+			return &PipelineExec{Source: streamedChild(child), Stages: []physical.ExecutionPlan{child, p}}, nil
 		}
 		return p, nil
+	})
+}
+
+// foldJoinProjections folds a projection of bare columns directly over a
+// hash join into the join's output projection, so the probe gathers only
+// the columns the projection keeps.
+func foldJoinProjections(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) {
+	return transformUp(plan, func(p physical.ExecutionPlan) (physical.ExecutionPlan, error) {
+		proj, ok := p.(*ProjectionExec)
+		if !ok {
+			return p, nil
+		}
+		join, ok := proj.Input.(*HashJoinExec)
+		if !ok {
+			return p, nil
+		}
+		cols := make([]int, len(proj.Exprs))
+		for i, x := range proj.Exprs {
+			c, bare := x.(*physical.ColumnExpr)
+			if !bare {
+				return p, nil
+			}
+			cols[i] = c.Index
+			if join.Projection != nil {
+				cols[i] = join.Projection[c.Index]
+			}
+		}
+		return join.withProjection(cols, proj.Schema()), nil
 	})
 }
 

@@ -17,7 +17,8 @@ import (
 // own Execute uses for its single stage.
 //
 // The fused operators keep their original child links (Stages[0]'s
-// child is Source), and Children returns the top of that chain — so
+// streamed child is Source; a join stage keeps its build side as its other
+// child), and Children returns the top of that chain — so
 // EXPLAIN renders the segment as an annotated group with the real
 // operators nested beneath, and CheckPlanMetrics walks them unchanged.
 type PipelineExec struct {
@@ -61,24 +62,47 @@ func (e *PipelineExec) WithChildren(ch []physical.ExecutionPlan) (physical.Execu
 }
 
 // extractFusedChain walks down from top collecting the contiguous run of
-// push-capable unary operators; the first non-pushable node is the
-// segment source. Stages come back bottom-up.
+// push-capable operators along their streamed children; the first
+// non-pushable node is the segment source. Stages come back bottom-up.
 func extractFusedChain(top physical.ExecutionPlan) (physical.ExecutionPlan, []physical.ExecutionPlan) {
 	var rev []physical.ExecutionPlan
 	n := top
-	for {
-		p, ok := n.(physical.Pushable)
-		if !ok || !p.CanPush() {
-			break
-		}
+	for canPush(n) {
 		rev = append(rev, n)
-		n = n.Children()[0]
+		n = streamedChild(n)
 	}
 	stages := make([]physical.ExecutionPlan, len(rev))
 	for i, s := range rev {
 		stages[len(rev)-1-i] = s
 	}
 	return n, stages
+}
+
+func canPush(p physical.ExecutionPlan) bool {
+	pe, ok := p.(physical.Pushable)
+	return ok && pe.CanPush()
+}
+
+// streamedIndex is the position in Children() of the input a push stage is
+// fed from: the probe (right) side of a hash join, the only input of every
+// other stage.
+func streamedIndex(p physical.ExecutionPlan) int {
+	if _, join := p.(*HashJoinExec); join {
+		return 1
+	}
+	return 0
+}
+
+func streamedChild(p physical.ExecutionPlan) physical.ExecutionPlan {
+	return p.Children()[streamedIndex(p)]
+}
+
+// withStreamedChild rebuilds p over a new streamed input, keeping its other
+// children (a join's build side).
+func withStreamedChild(p, child physical.ExecutionPlan) (physical.ExecutionPlan, error) {
+	children := append([]physical.ExecutionPlan(nil), p.Children()...)
+	children[streamedIndex(p)] = child
+	return p.WithChildren(children)
 }
 
 // Execute runs the segment with per-stage accounting: every stage charges
@@ -106,7 +130,7 @@ func executePushed(ctx *physical.ExecContext, partition int, op interface {
 	physical.Pushable
 	physical.MetricsProvider
 }) (physical.Stream, error) {
-	s, err := runPushers(ctx, partition, op.Schema(), op.Children()[0], []physical.ExecutionPlan{op})
+	s, err := runPushers(ctx, partition, op.Schema(), streamedChild(op), []physical.ExecutionPlan{op})
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +138,9 @@ func executePushed(ctx *physical.ExecContext, partition int, op interface {
 }
 
 // runPushers opens one partition of source and compiles stages into the
-// loop that drives it.
+// loop that drives it. The source opens first: a stage that fails to
+// compile (a join build over its memory budget) closes it again, which
+// tells an exchange below that this output will not be read.
 func runPushers(ctx *physical.ExecContext, partition int, schema *arrow.Schema,
 	source physical.ExecutionPlan, stages []physical.ExecutionPlan) (*fusedStream, error) {
 

@@ -1,12 +1,12 @@
 // Package exec implements the streaming execution engine (paper Section
 // 5.5): partitioned operators exchanging arrow RecordBatches. Streaming
-// operators and every aggregation — two-phase partitioned hash grouping,
-// ordered grouping and watermark aggregation — are Pushers run by the one
-// driver loop in pipeline.go, alone or fused with their neighbours; scans
-// schedule their own morsels; the other pipeline breakers are pull
-// streams: Volcano-style repartitioning across goroutines, external sort
-// with spilling, top-k, hash / merge / nested loop joins and window
-// evaluation. The package also holds the physical planner and optimizer
+// operators, every aggregation — two-phase partitioned hash grouping,
+// ordered grouping and watermark aggregation — and the hash join probe are
+// Pushers run by the one driver loop in pipeline.go, alone or fused with
+// their neighbours; scans schedule their own morsels; the other pipeline
+// breakers are pull streams: Volcano-style repartitioning across
+// goroutines, external sort with spilling, top-k, merge / nested loop /
+// symmetric joins and window evaluation. The package also holds the physical planner and optimizer
 // that lower logical plans onto these operators.
 package exec
 

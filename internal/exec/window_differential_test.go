@@ -351,11 +351,13 @@ func windowCases() []windowCase {
 			sql: `SELECT o FROM (SELECT o, row_number() OVER (ORDER BY o DESC) AS rn FROM w) s WHERE rn <= 4`,
 			out: []*arrow.DataType{i64}, partKey: noPartition, less: lessODesc, wantTopK: 4,
 			row: topK(4, func(r wrow) []any { return []any{r.o} })},
-		// Shapes the rewrite must leave alone.
-		{name: "not rewritten: computed outer column (liveness stops at expressions)",
+		// Liveness stops at computed expressions, but projection pushdown
+		// has already cut rn from the subquery's projection below u + 1.
+		{name: "top-k under a computed outer column",
 			sql: `SELECT u + 1 FROM ` + rnSub + ` WHERE rn <= 2`,
-			out: []*arrow.DataType{i64}, partKey: byK1, less: lessOU, wantTopK: NoTopK,
+			out: []*arrow.DataType{i64}, partKey: byK1, less: lessOU, wantTopK: 2,
 			row: topK(2, func(r wrow) []any { return []any{r.u + 1} })},
+		// Shapes the rewrite must leave alone.
 		{name: "not rewritten: row number also projected",
 			sql: `SELECT k1, u, rn FROM ` + rnSub + ` WHERE rn <= 2`,
 			out: []*arrow.DataType{i64, i64, i64}, partKey: byK1, less: lessOU, wantTopK: NoTopK,

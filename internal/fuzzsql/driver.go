@@ -114,9 +114,11 @@ type Harness struct {
 	// configs actually spilled. Not safe for concurrent Check calls.
 	SpillCounts map[string]int64
 	SpillBytes  map[string]int64
-	// WindowBudgetFailures counts, per memory-limited config, the window
-	// queries that ran out of budget (see windowOverBudget).
+	// WindowBudgetFailures and JoinBudgetFailures count, per
+	// memory-limited config, the window and hash join queries that ran out
+	// of budget (see overBudget).
 	WindowBudgetFailures map[string]int64
+	JoinBudgetFailures   map[string]int64
 }
 
 // NewHarness materializes the dataset under dir (for csv/gpq) and
@@ -133,6 +135,7 @@ func NewHarness(ds *Dataset, dir string, configs []EngineConfig, formats []Forma
 		SpillCounts:          map[string]int64{},
 		SpillBytes:           map[string]int64{},
 		WindowBudgetFailures: map[string]int64{},
+		JoinBudgetFailures:   map[string]int64{},
 	}
 	files := map[Format]map[string][]string{CSV: {}, GPQ: {}}
 	for _, f := range formats {
@@ -306,12 +309,14 @@ func (h *Harness) Check(query string) *Failure {
 		}
 		for _, c := range h.Configs {
 			got := runEngine(h.engines[c.Name+"/"+string(f)], query)
-			fail, overBudget := verdict(c, f, query, got, ref, refRows)
+			fail, exhausted := verdict(c, f, query, got, ref, refRows)
 			switch {
 			case fail != nil:
 				return fail
-			case overBudget:
+			case exhausted == "WindowExec":
 				h.WindowBudgetFailures[c.Name]++
+			case exhausted == "HashJoinExec":
+				h.JoinBudgetFailures[c.Name]++
 			case got.err == nil:
 				h.SpillCounts[c.Name] += got.spillCount
 				h.SpillBytes[c.Name] += got.spillBytes
@@ -322,37 +327,42 @@ func (h *Harness) Check(query string) *Failure {
 }
 
 // verdict judges one engine outcome against the baseline's: the failure it
-// amounts to, if any, and whether it is the accepted over-budget window.
-func verdict(c EngineConfig, f Format, query string, got, ref outcome, refRows []testutil.Row) (fail *Failure, overBudget bool) {
+// amounts to, if any, and the operator whose accepted over-budget failure
+// it is ("" for none).
+func verdict(c EngineConfig, f Format, query string, got, ref outcome, refRows []testutil.Row) (fail *Failure, exhausted string) {
 	failure := func(detail string) *Failure {
 		return &Failure{SQL: query, Format: f, Config: c.Name, Detail: detail}
 	}
 	switch {
 	case got.panicked:
-		return failure(got.err.Error()), false
-	case ref.err == nil && windowOverBudget(c, got.err):
-		return nil, true
+		return failure(got.err.Error()), ""
+	case ref.err == nil && overBudget(c, got.err) != "":
+		return nil, overBudget(c, got.err)
 	case (got.err == nil) != (ref.err == nil):
-		return failure(fmt.Sprintf("error divergence: engine=%v baseline=%v", got.err, ref.err)), false
+		return failure(fmt.Sprintf("error divergence: engine=%v baseline=%v", got.err, ref.err)), ""
 	case got.err == nil:
 		if diff := testutil.Diff(testutil.NormalizeBatch(got.batch), refRows); diff != "" {
-			return failure("result mismatch vs baseline:\n" + diff), false
+			return failure("result mismatch vs baseline:\n" + diff), ""
 		}
 		if got.metricsErr != nil {
-			return failure("metrics invariant violation: " + got.metricsErr.Error()), false
+			return failure("metrics invariant violation: " + got.metricsErr.Error()), ""
 		}
 	}
-	return nil, false
+	return nil, ""
 }
 
-// windowOverBudget recognizes the one engine-only failure the matrix
-// expects: windows do not spill, so under a memory-limited config a window
-// whose input outgrows the budget must fail, and with exactly the typed
-// exhaustion error of the WindowExec reservation. Anything else a
-// memory-limited config fails with is a divergence.
-func windowOverBudget(c EngineConfig, err error) bool {
+// overBudget recognizes the engine-only failures the matrix expects, and
+// names the operator: windows and hash join builds do not spill, so under
+// a memory-limited config one whose input outgrows the budget must fail,
+// and with exactly the typed exhaustion error of its reservation. Anything
+// else a memory-limited config fails with is a divergence.
+func overBudget(c EngineConfig, err error) string {
 	var exhausted *memory.ErrResourcesExhausted
-	return c.Cfg.MemoryLimit > 0 && errors.As(err, &exhausted) && exhausted.Consumer == "WindowExec"
+	if c.Cfg.MemoryLimit > 0 && errors.As(err, &exhausted) &&
+		(exhausted.Consumer == "WindowExec" || exhausted.Consumer == "HashJoinExec") {
+		return exhausted.Consumer
+	}
+	return ""
 }
 
 // CheckQuery is Check over a structured query.

@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gofusion/internal/core"
+	"gofusion/internal/optimizer"
+	"gofusion/internal/testutil"
 )
 
 // TestGeneratorDeterministic: the same seed must yield the same query
@@ -52,9 +56,13 @@ func TestFixedSeedMatrix(t *testing.T) {
 	}
 	// Windows do not spill: under the same 4 KiB budget the generated
 	// window queries must have hit the WindowExec reservation (the harness
-	// accepts only that typed error there, see windowOverBudget).
+	// accepts only that typed error there, see overBudget).
 	if rep.WindowBudgetFailures["p4-spill"] == 0 {
 		t.Fatalf("p4-spill config recorded no over-budget window across %d queries", rep.Queries)
+	}
+	// Join builds are charged to the same budget and do not spill either.
+	if rep.JoinBudgetFailures["p4-spill"] == 0 {
+		t.Fatalf("p4-spill config recorded no over-budget join build across %d queries", rep.Queries)
 	}
 }
 
@@ -193,5 +201,43 @@ func TestRunDuration(t *testing.T) {
 	}
 	if rep.Queries == 0 {
 		t.Fatal("no queries ran")
+	}
+}
+
+// TestProjectionPushdownJoinCorpus runs the generator's join queries with
+// and without the projection pushdown pass, at one and four partitions:
+// results (or errors) must agree. TightDB shares the pass, so the matrix
+// cannot check it.
+func TestProjectionPushdownJoinCorpus(t *testing.T) {
+	ds := NewDataset(1)
+	g := NewGen(1, ds)
+	var joins []string
+	for len(joins) < 120 {
+		if q := g.Query(); q.Join != nil {
+			joins = append(joins, q.SQL())
+		}
+	}
+	for _, parts := range []int{1, 4} {
+		cfg := core.SessionConfig{TargetPartitions: parts}
+		on := core.NewSession(cfg)
+		off := core.NewSession(cfg).WithoutOptimizerRules((&optimizer.ProjectionPushdown{}).Name())
+		for _, s := range []*core.SessionContext{on, off} {
+			for _, tb := range ds.Tables {
+				if err := registerEngine(s, Mem, tb, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, q := range joins {
+			got, want := runEngine(on, q), runEngine(off, q)
+			if got.panicked || (got.err == nil) != (want.err == nil) {
+				t.Fatalf("p%d: %s\nwith the pass: %v\nwithout: %v", parts, q, got.err, want.err)
+			}
+			if got.err == nil {
+				if diff := testutil.DiffBatches(got.batch, want.batch); diff != "" {
+					t.Fatalf("p%d: projection pushdown changes the result of\n%s\n%s", parts, q, diff)
+				}
+			}
+		}
 	}
 }

@@ -46,9 +46,11 @@ type Report struct {
 	// SpillCounts totals each config's operator spill events across every
 	// successful query (copied from the harness at the end of the run).
 	SpillCounts map[string]int64
-	// WindowBudgetFailures totals each memory-limited config's window
-	// queries that failed with the typed WindowExec exhaustion error.
+	// WindowBudgetFailures and JoinBudgetFailures total each
+	// memory-limited config's window and hash join queries that failed
+	// with the operator's typed exhaustion error.
 	WindowBudgetFailures map[string]int64
+	JoinBudgetFailures   map[string]int64
 }
 
 // Run generates queries and checks each across the matrix, shrinking any
@@ -133,6 +135,7 @@ func Run(opts Options) (*Report, error) {
 	rep.Elapsed = time.Since(start)
 	rep.SpillCounts = h.SpillCounts
 	rep.WindowBudgetFailures = h.WindowBudgetFailures
+	rep.JoinBudgetFailures = h.JoinBudgetFailures
 	return rep, nil
 }
 

@@ -3,7 +3,7 @@
 // cross-join to inner-join conversion, filter pushdown (with OUTER join
 // restrictions), outer-to-inner join conversion, join ordering by the join
 // graph with statistics-based build sides, limit pushdown, and projection
-// (scan) pruning. Rules share the rewrite framework exposed to
+// pushdown into scans and join outputs. Rules share the rewrite framework exposed to
 // user-defined OptimizerRules (paper Section 7.6).
 package optimizer
 
@@ -46,11 +46,8 @@ func New(reg *functions.Registry) *Optimizer {
 			&FilterPushdown{},
 			&CommonSubexpressionElimination{},
 			&LimitPushdown{},
-			// Pruning runs before join ordering: the projection restoring a
-			// reordered region's columns references every one of them and
-			// would defeat the reference-collection pruner.
-			&PruneScans{},
 			&JoinOrder{},
+			&ProjectionPushdown{},
 		},
 	}
 }

@@ -33,10 +33,12 @@ type Pusher interface {
 
 // Pushable marks an operator that compiles itself into a Pusher, which
 // both its own Execute and a fused pipeline segment drive: filters,
-// projections, limits, batch coalescing and every aggregation. Joins (two
-// inputs), exchanges (goroutine boundaries), sorts and windows (they emit
-// as many rows as they read, which Flush would hand over in one call) and
-// top-k still pull and do not implement it.
+// projections, limits, batch coalescing, every aggregation and the hash
+// join probe, which is pushed batches of its right input and builds from
+// its left one in PushInto.
+// Exchanges (goroutine boundaries), sorts and windows (they emit as many
+// rows as they read, which Flush would hand over in one call), top-k and
+// the other joins still pull and do not implement it.
 type Pushable interface {
 	ExecutionPlan
 	// CanPush reports whether this node runs as a Pusher as configured
