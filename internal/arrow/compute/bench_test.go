@@ -39,22 +39,23 @@ func BenchmarkCompareScalarInt64(b *testing.B) {
 
 func BenchmarkFilterInt64(b *testing.B) {
 	a := benchInts(8192)
+	batch := arrow.NewRecordBatch(nil, []arrow.Array{a})
 	mask, _ := CompareScalar(Lt, a, arrow.Int64Scalar(500), nil)
 	b.SetBytes(8192 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Filter(a, mask); err != nil {
+		if _, err := FilterBatch(batch, mask); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFilterString(b *testing.B) {
-	a := benchStrings(8192)
+	batch := arrow.NewRecordBatch(nil, []arrow.Array{benchStrings(8192)})
 	mask, _ := CompareScalar(Lt, benchInts(8192), arrow.Int64Scalar(500), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Filter(a, mask); err != nil {
+		if _, err := FilterBatch(batch, mask); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,6 +121,81 @@ func BenchmarkCastInt64ToFloat64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Cast(a, arrow.Float64, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// runMask keeps runs of l rows and drops runs of l rows, alternately.
+func runMask(n, l int) *arrow.BoolArray {
+	vs := make([]bool, n)
+	for i := range vs {
+		vs[i] = (i/l)%2 == 0
+	}
+	return arrow.NewBoolFromSlice(vs)
+}
+
+// BenchmarkFilterRunLength gathers an int64, a string and a float64
+// column through masks of alternating kept and dropped runs of length l,
+// copying run by run (GatherRuns) and row by row (Take over indices). The
+// run length where the two cross sets minGatherRun.
+func BenchmarkFilterRunLength(b *testing.B) {
+	const n = 8192
+	fs := make([]float64, n)
+	cols := []arrow.Array{benchInts(n), benchStrings(n), arrow.NewFloat64(fs)}
+	for _, l := range []int{1, 2, 4, 5, 6, 8, 16, 32} {
+		runs := AppendRuns(nil, 0, runMask(n, l))
+		var idx []int32
+		for _, r := range runs {
+			for i := r.Start; i < r.End; i++ {
+				idx = append(idx, int32(i))
+			}
+		}
+		b.Run(fmt.Sprintf("runs/len=%d", l), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, c := range cols {
+					if _, err := GatherRuns([]arrow.Array{c}, runs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("take/len=%d", l), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, c := range cols {
+					Take(c, idx)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkFilterBatch(b *testing.B) {
+	const n = 8192
+	ints := benchInts(n)
+	batch := arrow.NewRecordBatchWithRows(nil, []arrow.Array{ints, benchStrings(n)}, n)
+	mask, _ := CompareScalar(Lt, ints, arrow.Int64Scalar(500), nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FilterBatch(batch, mask); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInSetString probes TPC-H ship modes with q12's list.
+func BenchmarkInSetString(b *testing.B) {
+	modes := []string{"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
+	rng := rand.New(rand.NewSource(4))
+	vs := make([]string, 8192)
+	for i := range vs {
+		vs[i] = modes[rng.Intn(len(modes))]
+	}
+	a := arrow.NewStringFromSlice(vs)
+	set, _ := NewInSet(arrow.String, []arrow.Scalar{arrow.StringScalar("MAIL"), arrow.StringScalar("SHIP")}, false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := set.Eval(a, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

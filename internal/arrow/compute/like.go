@@ -130,27 +130,48 @@ func (m *LikeMatcher) match(s []byte) bool {
 // Match reports whether s matches, applying negation.
 func (m *LikeMatcher) Match(s []byte) bool { return m.match(s) != m.negated }
 
-// Eval evaluates the pattern against every slot of a string array.
+// Eval evaluates the pattern against every slot of a string array, 64
+// results to a word.
 func (m *LikeMatcher) Eval(a *arrow.StringArray) *arrow.BoolArray {
 	n := a.Len()
+	off, data := a.Offsets(), a.Data()
 	vals := arrow.NewBitmap(n)
-	for i := 0; i < n; i++ {
-		if a.IsValid(i) && m.Match(a.ValueBytes(i)) {
-			vals.Set(i)
+	for i := 0; i < n; i += 64 {
+		k := min(64, n-i)
+		var w uint64
+		for j := 0; j < k; j++ {
+			w |= b2u(m.match(data[off[i+j]:off[i+j+1]]) != m.negated) << j
 		}
+		storeBits(vals, i, k, w)
 	}
-	return arrow.NewBool(vals, a.Validity().Clone(), n)
+	return matched(vals, a)
 }
 
 // RegexpMatch evaluates a pre-compiled regular expression against every
 // slot, implementing SQL REGEXP/~ operators.
 func RegexpMatch(a *arrow.StringArray, re *regexp.Regexp, negated bool) *arrow.BoolArray {
 	n := a.Len()
+	off, data := a.Offsets(), a.Data()
 	vals := arrow.NewBitmap(n)
-	for i := 0; i < n; i++ {
-		if a.IsValid(i) && re.Match(a.ValueBytes(i)) != negated {
-			vals.Set(i)
+	for i := 0; i < n; i += 64 {
+		k := min(64, n-i)
+		var w uint64
+		for j := 0; j < k; j++ {
+			w |= b2u(re.Match(data[off[i+j]:off[i+j+1]]) != negated) << j
+		}
+		storeBits(vals, i, k, w)
+	}
+	return matched(vals, a)
+}
+
+// matched is the result of a string match over a: NULL where a is, with
+// the value bit cleared.
+func matched(vals arrow.Bitmap, a *arrow.StringArray) *arrow.BoolArray {
+	valid := a.Validity().Clone()
+	if valid != nil {
+		for q := range vals {
+			vals[q] &= valid[q]
 		}
 	}
-	return arrow.NewBool(vals, a.Validity().Clone(), n)
+	return arrow.NewBool(vals, valid, a.Len())
 }

@@ -318,7 +318,7 @@ func (e *Engine) globalAggregate(specs []aggSpec, in []*arrow.RecordBatch, outSc
 					if err != nil {
 						return err
 					}
-					fb, err := compute.FilterBatch(b, mask)
+					fb, err := filterRows(b, mask)
 					if err != nil {
 						return err
 					}

@@ -198,7 +198,7 @@ func (e *Engine) filterBatches(in []*arrow.RecordBatch, pred physical.PhysicalEx
 		if err != nil {
 			return err
 		}
-		fb, err := compute.FilterBatch(in[i], mask)
+		fb, err := filterRows(in[i], mask)
 		if err != nil {
 			return err
 		}
@@ -215,6 +215,34 @@ func (e *Engine) filterBatches(in []*arrow.RecordBatch, pred physical.PhysicalEx
 		}
 	}
 	return kept, nil
+}
+
+// filterRows keeps the rows of b for which mask is valid and true, one
+// row at a time through builders. TightDB is the differential oracle for
+// the engine's filter kernel, so it does not call that kernel.
+func filterRows(b *arrow.RecordBatch, mask *arrow.BoolArray) (*arrow.RecordBatch, error) {
+	if mask.Len() != b.NumRows() {
+		return nil, fmt.Errorf("baseline: filter mask of %d rows over %d", mask.Len(), b.NumRows())
+	}
+	builders := make([]arrow.Builder, b.NumCols())
+	for c, col := range b.Columns() {
+		builders[c] = arrow.NewBuilder(col.DataType())
+	}
+	rows := 0
+	for r := 0; r < b.NumRows(); r++ {
+		if !mask.IsValid(r) || !mask.Value(r) {
+			continue
+		}
+		for c, col := range b.Columns() {
+			builders[c].AppendFrom(col, r)
+		}
+		rows++
+	}
+	cols := make([]arrow.Array, len(builders))
+	for c, bl := range builders {
+		cols[c] = bl.Finish()
+	}
+	return arrow.NewRecordBatchWithRows(b.Schema(), cols, rows), nil
 }
 
 func limitBatches(in []*arrow.RecordBatch, skip, fetch int64) []*arrow.RecordBatch {

@@ -82,30 +82,15 @@ func (l *likeAtom) eqProbe() (arrow.Scalar, bool) { return arrow.Scalar{}, false
 // inAtom is `col IN (literals...)`.
 type inAtom struct {
 	colIdx int
-	vals   []arrow.Scalar
+	set    *compute.InSet
 }
 
 func (a *inAtom) col() int { return a.colIdx }
 func (a *inAtom) eval(arr arrow.Array) (*arrow.BoolArray, error) {
-	var out *arrow.BoolArray
-	for _, v := range a.vals {
-		m, err := compute.CompareScalar(compute.Eq, arr, v, nil)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = m
-		} else {
-			out, err = compute.Or(out, m, nil)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+	return a.set.Eval(arr, nil)
 }
 func (a *inAtom) keepStats(stats parquet.ColumnStats) bool {
-	for _, v := range a.vals {
+	for _, v := range a.set.Items() {
 		if parquet.StatsKeepCompare("=", stats, v) {
 			return true
 		}
@@ -311,13 +296,13 @@ func compileConjunct(e logical.Expr, schema *arrow.Schema) ([]atom, bool) {
 			if !okl || lit.Null {
 				return nil, false
 			}
-			n, okn := normalizeLiteral(lit, schema.Field(col).Type)
-			if !okn {
-				return nil, false
-			}
-			vals = append(vals, n)
+			vals = append(vals, lit)
 		}
-		return []atom{&inAtom{colIdx: col, vals: vals}}, true
+		set, oks := compute.NewInSet(schema.Field(col).Type, vals, false)
+		if !oks {
+			return nil, false
+		}
+		return []atom{&inAtom{colIdx: col, set: set}}, true
 	case *logical.Between:
 		if x.Negated {
 			return nil, false

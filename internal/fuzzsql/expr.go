@@ -146,6 +146,32 @@ func (i *IsNull) VType() ValType        { return TBool }
 func (i *IsNull) Kids() []Expr          { return []Expr{i.E} }
 func (i *IsNull) With(kids []Expr) Expr { return &IsNull{E: kids[0], Negate: i.Negate} }
 
+// In is `expr [NOT] IN (items)`. Its items are literals, integer and
+// non-integral ones mixed over a numeric expr; the engine probes them as
+// one typed set.
+type In struct {
+	E      Expr
+	Items  []Expr
+	Negate bool
+}
+
+func (in *In) SQL() string {
+	items := make([]string, len(in.Items))
+	for i, it := range in.Items {
+		items[i] = it.SQL()
+	}
+	op := " IN ("
+	if in.Negate {
+		op = " NOT IN ("
+	}
+	return "(" + in.E.SQL() + op + strings.Join(items, ", ") + "))"
+}
+func (in *In) VType() ValType { return TBool }
+func (in *In) Kids() []Expr   { return append([]Expr{in.E}, in.Items...) }
+func (in *In) With(kids []Expr) Expr {
+	return &In{E: kids[0], Items: append([]Expr(nil), kids[1:]...), Negate: in.Negate}
+}
+
 // Case is `CASE WHEN cond THEN a ELSE b END`.
 type Case struct {
 	Cond, Then, Else Expr

@@ -259,6 +259,10 @@ func (g *Gen) genExpr(scope []Column, t ValType, depth int) Expr {
 		}
 		return g.genLeaf(scope, t)
 	default: // TBool
+		// The pinned stream draws nothing for IN lists (see Gen.Pinned).
+		if !g.Pinned && g.pct(10) {
+			return g.genIn(scope, depth)
+		}
 		switch g.rng.Intn(6) {
 		case 0:
 			op := []string{"AND", "OR"}[g.rng.Intn(2)]
@@ -274,6 +278,27 @@ func (g *Gen) genExpr(scope []Column, t ValType, depth int) Expr {
 			return &Bin{Op: op, L: g.genExpr(scope, ct, depth-1), R: g.genLeaf(scope, ct), T: TBool}
 		}
 	}
+}
+
+// genIn builds `e [NOT] IN (literals)`. Over a numeric e the list mixes
+// integer literals with non-integral and integral float ones, so the set
+// holds items no value of e's type can equal.
+func (g *Gen) genIn(scope []Column, depth int) Expr {
+	ct := []ValType{TInt, TInt, TFloat, TStr, TDate}[g.rng.Intn(5)]
+	in := &In{E: g.genExpr(scope, ct, depth-1), Negate: g.pct(30)}
+	for n := 1 + g.rng.Intn(5); n > 0; n-- {
+		switch {
+		case ct != TInt && ct != TFloat:
+			in.Items = append(in.Items, g.genLit(ct))
+		case g.pct(50):
+			in.Items = append(in.Items, g.genLit(TInt))
+		case g.pct(50):
+			in.Items = append(in.Items, g.genLit(TFloat))
+		default:
+			in.Items = append(in.Items, &Lit{T: TFloat, Float: float64(g.rng.Intn(2*keyDomain+1) - keyDomain)})
+		}
+	}
+	return in
 }
 
 // genLeaf returns a column of the type when one exists (70%), else a

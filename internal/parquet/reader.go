@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"sync"
 
@@ -626,7 +625,7 @@ func (s *Scanner) scanRowGroup(rg int) error {
 			if err != nil {
 				return err
 			}
-			s.runs = appendRuns(s.runs, s.npend, mask)
+			s.runs = compute.AppendRuns(s.runs, s.npend, mask)
 		}
 		added := s.limitRuns(first)
 		if added == 0 {
@@ -698,34 +697,6 @@ func (s *Scanner) load(rg, si int, cols []int) error {
 		s.cur[col] = arr
 	}
 	return nil
-}
-
-// appendRuns appends the rows mask selects (valid and true) to runs as
-// maximal runs of pending stripe src, reading 64 mask bits at a time.
-func appendRuns(runs []compute.Run, src int, mask *arrow.BoolArray) []compute.Run {
-	n := mask.Len()
-	vals, valid := mask.ValuesBitmap(), mask.Validity()
-	for base := 0; base < n; base += 64 {
-		w := vals.Word(base)
-		if valid != nil {
-			w &= valid.Word(base)
-		}
-		if n-base < 64 {
-			w &= uint64(1)<<(n-base) - 1
-		}
-		for w != 0 {
-			lo := bits.TrailingZeros64(w)
-			k := bits.TrailingZeros64(^(w >> lo))
-			start, end := base+lo, base+lo+k
-			if last := len(runs) - 1; last >= 0 && runs[last].Src == src && runs[last].End == start {
-				runs[last].End = end
-			} else {
-				runs = append(runs, compute.Run{Src: src, Start: start, End: end})
-			}
-			w &^= (uint64(1)<<k - 1) << lo
-		}
-	}
-	return runs
 }
 
 // limitRuns trims the runs from index first on to the remaining limit,

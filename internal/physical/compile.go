@@ -160,20 +160,37 @@ func (c *Compiler) Compile(e logical.Expr) (PhysicalExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		items := make([]PhysicalExpr, len(x.List))
-		for i, item := range x.List {
+		lits := make([]arrow.Scalar, 0, len(x.List))
+		for _, item := range x.List {
 			pi, err := c.Compile(item)
 			if err != nil {
 				return nil, err
 			}
-			// Coerce literal items to the tested expression's type.
-			pi2, _, err := c.coerceBinary(logical.OpEq, pi, inner)
-			if err != nil {
-				return nil, err
+			if lit, ok := pi.(*LiteralExpr); ok {
+				lits = append(lits, lit.Value)
 			}
-			items[i] = pi2
 		}
-		return NewInListExpr(inner, items, x.Negated), nil
+		if len(lits) == len(x.List) {
+			if set, ok := compute.NewInSet(inner.DataType(), lits, x.Negated); ok {
+				return &InListExpr{E: inner, Set: set, n: len(lits)}, nil
+			}
+		}
+		// Otherwise the list is its equivalent: e = a OR e = b ...
+		var or logical.Expr
+		for _, item := range x.List {
+			var eq logical.Expr = &logical.BinaryExpr{Op: logical.OpEq, L: x.E, R: item}
+			if or != nil {
+				eq = &logical.BinaryExpr{Op: logical.OpOr, L: or, R: eq}
+			}
+			or = eq
+		}
+		if or == nil {
+			return nil, fmt.Errorf("physical: empty IN list")
+		}
+		if x.Negated {
+			or = &logical.Not{E: or}
+		}
+		return c.Compile(or)
 	case *logical.Between:
 		// Rewrite to e >= low AND e <= high (negated: e < low OR e > high).
 		low := &logical.BinaryExpr{Op: logical.OpGtEq, L: x.E, R: x.Low}

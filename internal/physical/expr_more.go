@@ -62,66 +62,22 @@ func (e *LikeExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, erro
 	return arrow.ArrayDatum(e.Matcher.Eval(sa)), nil
 }
 
-// InListExpr is `expr [NOT] IN (items...)` with a hashed fast path for
-// literal lists.
+// InListExpr is `expr [NOT] IN (literals...)`, probing a set built at
+// plan time. A list with a non-literal item compiles to ORed equalities
+// instead.
 type InListExpr struct {
-	E       PhysicalExpr
-	List    []PhysicalExpr
-	Negated bool
-
-	// Literal fast-path sets, built at plan time when all items are
-	// literals of a matching kind.
-	strSet      map[string]struct{}
-	intSet      map[int64]struct{}
-	hasNullItem bool
-}
-
-// NewInListExpr builds an IN-list, precomputing literal sets.
-func NewInListExpr(e PhysicalExpr, list []PhysicalExpr, negated bool) *InListExpr {
-	out := &InListExpr{E: e, List: list, Negated: negated}
-	t := e.DataType()
-	allLit := true
-	for _, item := range list {
-		if _, ok := item.(*LiteralExpr); !ok {
-			allLit = false
-			break
-		}
-	}
-	if allLit {
-		switch t.ID {
-		case arrow.STRING:
-			out.strSet = make(map[string]struct{}, len(list))
-			for _, item := range list {
-				s := item.(*LiteralExpr).Value
-				if s.Null {
-					out.hasNullItem = true
-					continue
-				}
-				out.strSet[s.AsString()] = struct{}{}
-			}
-		case arrow.INT8, arrow.INT16, arrow.INT32, arrow.INT64, arrow.DATE32, arrow.TIMESTAMP, arrow.DECIMAL,
-			arrow.UINT8, arrow.UINT16, arrow.UINT32, arrow.UINT64:
-			out.intSet = make(map[int64]struct{}, len(list))
-			for _, item := range list {
-				s := item.(*LiteralExpr).Value
-				if s.Null {
-					out.hasNullItem = true
-					continue
-				}
-				out.intSet[s.AsInt64()] = struct{}{}
-			}
-		}
-	}
-	return out
+	E   PhysicalExpr
+	Set *compute.InSet
+	n   int // items in the list as written
 }
 
 func (e *InListExpr) DataType() *arrow.DataType { return arrow.Boolean }
 func (e *InListExpr) String() string {
 	op := "IN"
-	if e.Negated {
+	if e.Set.Negated() {
 		op = "NOT IN"
 	}
-	return fmt.Sprintf("%s %s (%d items)", e.E, op, len(e.List))
+	return fmt.Sprintf("%s %s (%d items)", e.E, op, e.n)
 }
 
 func (e *InListExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
@@ -129,77 +85,11 @@ func (e *InListExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, er
 	if err != nil {
 		return arrow.Datum{}, err
 	}
-	n := b.NumRows()
-	arr := d.ToArray(n)
-
-	var mask *arrow.BoolArray
-	switch {
-	case e.strSet != nil:
-		sa := arr.(*arrow.StringArray)
-		vals := arrow.NewBitmap(n)
-		for i := 0; i < n; i++ {
-			if sa.IsValid(i) {
-				if _, ok := e.strSet[sa.Value(i)]; ok {
-					vals.Set(i)
-				}
-			}
-		}
-		mask = arrow.NewBool(vals, arr.Validity().Clone(), n)
-	case e.intSet != nil:
-		vals := arrow.NewBitmap(n)
-		for i := 0; i < n; i++ {
-			if arr.IsValid(i) {
-				if _, ok := e.intSet[arr.GetScalar(i).AsInt64()]; ok {
-					vals.Set(i)
-				}
-			}
-		}
-		mask = arrow.NewBool(vals, arr.Validity().Clone(), n)
-	default:
-		// General case: OR of equality comparisons.
-		for _, item := range e.List {
-			iv, err := item.Evaluate(b, s)
-			if err != nil {
-				return arrow.Datum{}, err
-			}
-			var m *arrow.BoolArray
-			if iv.IsArray() {
-				m, err = compute.Compare(compute.Eq, arr, iv.Array(), nil)
-			} else {
-				m, err = compute.CompareScalar(compute.Eq, arr, iv.ScalarValue(), nil)
-			}
-			if err != nil {
-				return arrow.Datum{}, err
-			}
-			if mask == nil {
-				mask = m
-			} else {
-				mask, err = compute.Or(mask, m, nil)
-				if err != nil {
-					return arrow.Datum{}, err
-				}
-			}
-		}
-		if mask == nil {
-			mask = arrow.NewBool(arrow.NewBitmap(n), nil, n)
-		}
+	out, err := e.Set.Eval(d.ToArray(b.NumRows()), s.buf(e))
+	if err != nil {
+		return arrow.Datum{}, err
 	}
-	// SQL semantics: x NOT IN (..) is NULL if no match and the list
-	// contains NULL; x IN with NULL item is NULL unless matched.
-	if e.hasNullItem {
-		vals := mask.ValuesBitmap()
-		valid := arrow.NewBitmap(n)
-		for i := 0; i < n; i++ {
-			if mask.IsValid(i) && vals.Get(i) {
-				valid.Set(i)
-			}
-		}
-		mask = arrow.NewBool(vals, valid, n)
-	}
-	if e.Negated {
-		mask = compute.Not(mask, nil)
-	}
-	return arrow.ArrayDatum(mask), nil
+	return arrow.ArrayDatum(out), nil
 }
 
 // CaseExpr evaluates SQL CASE.
