@@ -6,8 +6,8 @@
 //     same-package functions — and diagnoses cycles as potential
 //     deadlocks.
 //  2. It checks every edge against the engine-wide lock-order policy
-//     (Ranks): the server's writer mutex is outermost, then the server
-//     session maps, then the core plan cache, the catalog, and finally
+//     (Ranks): the core session's write lock is outermost, then the
+//     server session maps, then the core plan cache, the catalog, and finally
 //     the memory pools, which are leaves. Acquiring a lower-ranked
 //     (outer) lock while holding a higher-ranked (inner) one is a
 //     violation even when the opposite edge is not in this package —
@@ -18,7 +18,7 @@
 //     full-result materialization — each can wait on work that needs
 //     the very lock being held.
 //
-// Lock classes are (named type, field) pairs ("server.Server.writeMu")
+// Lock classes are (named type, field) pairs ("core.SessionContext.writeMu")
 // or package-level variables; distinct instances of one class share a
 // class, so nesting two instances of the same class is reported too
 // (instance order is unspecified without an explicit coupling rule).
@@ -53,10 +53,11 @@ var Analyzer = &analysis.Analyzer{
 // no prescribed order between them (they should never nest). The table
 // is exported so tests and DESIGN.md stay in sync with the checker.
 var Ranks = map[string]int{
-	// Server: the writer mutex serializes catalog mutations and is taken
-	// before anything else; the session map and per-session state nest
-	// inside it.
-	"gofusion/internal/server.Server.writeMu":  10,
+	// Core: the session's write lock serializes the commit step of
+	// writes (resolve, append, register) and is taken before anything
+	// else; the catalog and table locks nest inside it.
+	"gofusion/internal/core.SessionContext.writeMu": 10,
+	// Server: the session map and per-session state.
 	"gofusion/internal/server.Server.mu":       20,
 	"gofusion/internal/server.sessionState.mu": 30,
 	// Core caches sit below the service layer and above storage.

@@ -10,12 +10,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"gofusion/internal/arrow"
+	"gofusion/internal/arrow/compute"
 	"gofusion/internal/logical"
 	"gofusion/internal/parquet"
 )
@@ -191,42 +193,58 @@ type CatalogProvider interface {
 	SchemaByName(name string) (SchemaProvider, bool)
 }
 
-// MemorySchema is the built-in mutable SchemaProvider.
+// stamps issues write stamps. The counter is process-wide, so a stamp is
+// never issued twice: a replaced schema or a re-created table cannot
+// reproduce a stamp that a cache entry recorded.
+var stamps atomic.Uint64
+
+// stamped is a table or schema with the stamp it was given when it was
+// last registered or written in place.
+type stamped[T any] struct {
+	v     T
+	stamp uint64
+}
+
+func newStamp[T any](v T) stamped[T] { return stamped[T]{v: v, stamp: stamps.Add(1)} }
+
+// MemorySchema is the built-in mutable SchemaProvider. Every table it
+// holds carries a write stamp, renewed on each Register of its name and
+// each Touch, so caches can check the tables they read one by one.
 type MemorySchema struct {
-	mu      sync.RWMutex
-	tables  map[string]TableProvider
-	version atomic.Int64
+	mu     sync.RWMutex
+	tables map[string]stamped[TableProvider]
 }
 
 // NewMemorySchema returns an empty schema.
 func NewMemorySchema() *MemorySchema {
-	return &MemorySchema{tables: map[string]TableProvider{}}
+	return &MemorySchema{tables: map[string]stamped[TableProvider]{}}
 }
 
-// Register adds or replaces a table, bumping the schema version.
+// Register adds or replaces a table under a fresh stamp.
 func (s *MemorySchema) Register(name string, t TableProvider) {
 	s.mu.Lock()
-	s.tables[strings.ToLower(name)] = t
+	s.tables[strings.ToLower(name)] = newStamp(t)
 	s.mu.Unlock()
-	s.version.Add(1)
 }
 
-// Deregister removes a table, bumping the schema version.
+// Deregister removes a table.
 func (s *MemorySchema) Deregister(name string) {
 	s.mu.Lock()
 	delete(s.tables, strings.ToLower(name))
 	s.mu.Unlock()
-	s.version.Add(1)
 }
 
-// Version is a counter bumped on every Register/Deregister; caches keyed
-// on it are invalidated by any table change in this schema.
-func (s *MemorySchema) Version() int64 { return s.version.Load() }
-
-// BumpVersion advances the schema version without changing registrations.
-// In-place writers (StreamTable appends, GPQ file appends) call it so
-// version-keyed caches observe the mutation.
-func (s *MemorySchema) BumpVersion() { s.version.Add(1) }
+// Touch gives a registered table a fresh stamp without replacing it.
+// In-place writers (StreamTable appends) call it so that caches over the
+// table observe the write.
+func (s *MemorySchema) Touch(name string) {
+	key := strings.ToLower(name)
+	s.mu.Lock()
+	if e, ok := s.tables[key]; ok {
+		s.tables[key] = newStamp(e.v)
+	}
+	s.mu.Unlock()
+}
 
 // TableNames lists registered tables, sorted.
 func (s *MemorySchema) TableNames() []string {
@@ -242,47 +260,59 @@ func (s *MemorySchema) TableNames() []string {
 
 // Table looks up a table by name (case-insensitive).
 func (s *MemorySchema) Table(name string) (TableProvider, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[strings.ToLower(name)]
+	t, _, ok := s.Lookup(name)
 	return t, ok
 }
 
-// MemoryCatalog is the built-in mutable CatalogProvider.
+// Lookup is Table with the table's write stamp, read together; the stamp
+// is 0 when the table does not exist.
+func (s *MemorySchema) Lookup(name string) (TableProvider, uint64, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.tables[strings.ToLower(name)]
+	return e.v, e.stamp, ok
+}
+
+// MemoryCatalog is the built-in mutable CatalogProvider. Each schema
+// carries the stamp of its registration.
 type MemoryCatalog struct {
 	mu      sync.RWMutex
-	schemas map[string]SchemaProvider
-	version atomic.Int64
+	schemas map[string]stamped[SchemaProvider]
 }
 
 // NewMemoryCatalog returns a catalog with an empty "public" schema.
 func NewMemoryCatalog() *MemoryCatalog {
-	c := &MemoryCatalog{schemas: map[string]SchemaProvider{}}
+	c := &MemoryCatalog{schemas: map[string]stamped[SchemaProvider]{}}
 	c.RegisterSchema("public", NewMemorySchema())
 	return c
 }
 
-// RegisterSchema adds or replaces a schema, bumping the catalog version.
+// RegisterSchema adds or replaces a schema under a fresh stamp.
 func (c *MemoryCatalog) RegisterSchema(name string, s SchemaProvider) {
 	c.mu.Lock()
-	c.schemas[strings.ToLower(name)] = s
+	c.schemas[strings.ToLower(name)] = newStamp(s)
 	c.mu.Unlock()
-	c.version.Add(1)
 }
 
-// Version summarizes catalog state for cache invalidation: the catalog's
-// own registration counter plus every versioned schema's counter, so a
-// table registered, replaced, or dropped anywhere changes the value.
-func (c *MemoryCatalog) Version() int64 {
-	v := c.version.Load()
+// Lookup resolves table in schema. The stamp identifies what was found:
+// a MemorySchema table's own write stamp; for any other SchemaProvider,
+// whose contents are its own business, the stamp of the schema's
+// registration; 0 when the schema does not exist. A table that does not
+// exist in an existing MemorySchema also reads 0, so a lookup's stamp
+// changes whenever a registration or a write changes what it finds.
+func (c *MemoryCatalog) Lookup(schema, table string) (t TableProvider, stamp uint64, schemaFound bool) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, s := range c.schemas {
-		if vs, ok := s.(interface{ Version() int64 }); ok {
-			v += vs.Version()
-		}
+	sp, ok := c.schemas[strings.ToLower(schema)]
+	c.mu.RUnlock()
+	if !ok {
+		return nil, 0, false
 	}
-	return v
+	if ms, ok := sp.v.(*MemorySchema); ok {
+		t, stamp, _ = ms.Lookup(table)
+		return t, stamp, true
+	}
+	t, _ = sp.v.Table(table)
+	return t, sp.stamp, true
 }
 
 // SchemaNames lists schemas, sorted.
@@ -302,7 +332,7 @@ func (c *MemoryCatalog) SchemaByName(name string) (SchemaProvider, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	s, ok := c.schemas[strings.ToLower(name)]
-	return s, ok
+	return s.v, ok
 }
 
 // batchStream adapts a batch slice into a Stream.
@@ -334,20 +364,36 @@ type MemTable struct {
 	partitions [][]*arrow.RecordBatch
 	sortOrder  []OrderedCol
 	numRows    int64
+	// tailRows counts the rows of the last partition, which appends fill
+	// up to a batch before starting another.
+	tailRows int64
 }
 
 // NewMemTable builds a table from one batch list per partition.
 func NewMemTable(schema *arrow.Schema, partitions [][]*arrow.RecordBatch) (*MemTable, error) {
-	var rows int64
+	m := &MemTable{schema: schema, partitions: partitions}
 	for _, part := range partitions {
-		for _, b := range part {
-			if !b.Schema().Equal(schema) {
-				return nil, fmt.Errorf("catalog: batch schema %s != table schema %s", b.Schema(), schema)
-			}
-			rows += int64(b.NumRows())
+		rows, err := m.rowsOf(part)
+		if err != nil {
+			return nil, err
 		}
+		m.numRows += rows
+		m.tailRows = rows
 	}
-	return &MemTable{schema: schema, partitions: partitions, numRows: rows}, nil
+	return m, nil
+}
+
+// rowsOf counts the rows of batches bound for this table, checking that
+// each has the table's schema.
+func (m *MemTable) rowsOf(batches []*arrow.RecordBatch) (int64, error) {
+	var rows int64
+	for _, b := range batches {
+		if !b.Schema().Equal(m.schema) {
+			return 0, fmt.Errorf("catalog: batch schema %s != table schema %s", b.Schema(), m.schema)
+		}
+		rows += int64(b.NumRows())
+	}
+	return rows, nil
 }
 
 // WithSortOrder declares a known per-partition sort order.
@@ -356,18 +402,39 @@ func (m *MemTable) WithSortOrder(order []OrderedCol) *MemTable {
 	return m
 }
 
-// WithAppended returns a new MemTable sharing this table's partitions
-// plus batches as one more partition (INSERT semantics: the original
-// table is immutable, so in-flight scans keep their snapshot; callers
-// re-register the returned table). A known sort order is dropped — the
-// appended rows need not respect it.
-func (m *MemTable) WithAppended(batches []*arrow.RecordBatch) (*MemTable, error) {
-	parts := make([][]*arrow.RecordBatch, 0, len(m.partitions)+1)
-	parts = append(parts, m.partitions...)
-	if len(batches) > 0 {
-		parts = append(parts, batches)
+// WithAppended returns a new MemTable holding this table's rows followed
+// by batches (INSERT semantics: the original table is immutable, so
+// in-flight scans keep their snapshot; callers re-register the returned
+// table). While the last partition holds fewer than batchRows rows, the
+// appended rows are concatenated into it as one new batch; otherwise they
+// start a new partition. A table grown by many small appends so keeps
+// about one partition of one batch per batchRows rows. Only the appended
+// batches are checked, and no batch or partition slice the original
+// holds is modified. A known sort order is dropped — the appended rows
+// need not respect it.
+func (m *MemTable) WithAppended(batches []*arrow.RecordBatch, batchRows int) (*MemTable, error) {
+	rows, err := m.rowsOf(batches)
+	if err != nil {
+		return nil, err
 	}
-	return NewMemTable(m.schema, parts)
+	out := &MemTable{schema: m.schema, numRows: m.numRows + rows, partitions: m.partitions}
+	if rows == 0 {
+		out.tailRows = m.tailRows
+		return out, nil
+	}
+	last := len(m.partitions) - 1
+	if last < 0 || m.tailRows >= int64(batchRows) {
+		out.partitions = append(slices.Clip(m.partitions), batches)
+		out.tailRows = rows
+		return out, nil
+	}
+	tail, err := compute.ConcatBatches(m.schema, append(slices.Clip(m.partitions[last]), batches...))
+	if err != nil {
+		return nil, err
+	}
+	out.partitions = append(m.partitions[:last:last], []*arrow.RecordBatch{tail})
+	out.tailRows = m.tailRows + rows
+	return out, nil
 }
 
 // Schema returns the table schema.
@@ -388,8 +455,8 @@ func (m *MemTable) Scan(req ScanRequest) (*ScanResult, error) {
 	if len(parts) == 0 {
 		parts = [][]*arrow.RecordBatch{nil}
 	}
-	// Respect the requested parallelism: a table grown by repeated appends
-	// accumulates one partition per INSERT, but providers may only return
+	// Respect the requested parallelism: a table grown by appends
+	// accumulates one partition per batch of rows, but providers may only return
 	// *fewer* partitions than asked for, never more (a CollectLeft join
 	// under TargetPartitions=1 relies on a single probe partition).
 	// Contiguous grouping keeps each original partition intact; the

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -60,6 +61,109 @@ func TestMemoryCatalogAndSchema(t *testing.T) {
 	c.RegisterSchema("extra", NewMemorySchema())
 	if len(c.SchemaNames()) != 2 {
 		t.Fatal("schema names wrong")
+	}
+}
+
+// TestLookupStamps: a table's stamp is renewed by each Register of its
+// name and each Touch, reads 0 once it is gone, and is never reproduced by
+// a replacement schema.
+func TestLookupStamps(t *testing.T) {
+	c := NewMemoryCatalog()
+	sp, _ := c.SchemaByName("public")
+	ms := sp.(*MemorySchema)
+	mt, _ := NewMemTable(arrow.NewSchema(arrow.NewField("x", arrow.Int64, false)), nil)
+	stamp := func(table string) uint64 {
+		_, st, _ := c.Lookup("public", table)
+		return st
+	}
+	if stamp("t") != 0 {
+		t.Fatal("a missing table has a stamp")
+	}
+	ms.Register("t", mt)
+	ms.Register("u", mt)
+	s1, u := stamp("t"), stamp("u")
+	ms.Touch("t")
+	s2 := stamp("t")
+	ms.Register("T", mt)
+	s3 := stamp("t")
+	if s1 == 0 || s2 == s1 || s3 == s2 || s3 == s1 {
+		t.Fatalf("stamps %d, %d, %d: want each write to renew the stamp", s1, s2, s3)
+	}
+	if stamp("u") != u {
+		t.Fatal("writes to t changed the stamp of u")
+	}
+	ms.Deregister("t")
+	if stamp("t") != 0 {
+		t.Fatal("a dropped table kept its stamp")
+	}
+	fresh := NewMemorySchema()
+	fresh.Register("u", mt)
+	c.RegisterSchema("public", fresh)
+	if got := stamp("u"); got == u || got == 0 {
+		t.Fatalf("replacement schema's table has stamp %d (old %d)", got, u)
+	}
+	if _, _, ok := c.Lookup("nope", "u"); ok {
+		t.Fatal("lookup in a missing schema found it")
+	}
+}
+
+// TestMemTableWithAppendedCompactsTail: appends concatenate into the last
+// partition until it holds batchRows rows, then start a new one; they
+// check only the appended batches and leave every table they grew from,
+// including one whose partition slices have spare capacity, as it was.
+func TestMemTableWithAppendedCompactsTail(t *testing.T) {
+	schema := arrow.NewSchema(arrow.NewField("x", arrow.Int64, false))
+	mk := func(vals ...int64) *arrow.RecordBatch {
+		return arrow.NewRecordBatch(schema, []arrow.Array{arrow.NewInt64(vals)})
+	}
+	values := func(m *MemTable) [][]int64 {
+		var out [][]int64
+		for _, part := range m.partitions {
+			var vs []int64
+			for _, b := range part {
+				vs = append(vs, b.Column(0).(*arrow.Int64Array).Values()...)
+			}
+			out = append(out, vs)
+		}
+		return out
+	}
+	tail := make([]*arrow.RecordBatch, 1, 4) // spare capacity an append must not write into
+	tail[0] = mk(1)
+	base, err := NewMemTable(schema, [][]*arrow.RecordBatch{tail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := base.WithAppended([]*arrow.RecordBatch{mk(2), mk(3)}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := base.WithAppended([]*arrow.RecordBatch{mk(9)}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(values(base), values(a), values(b)); got != "[[1]] [[1 2 3]] [[1 9]]" {
+		t.Fatalf("base, a, b = %s, want [[1]] [[1 2 3]] [[1 9]]", got)
+	}
+	if n := len(a.partitions[0]); n != 1 {
+		t.Fatalf("compacted tail holds %d batches, want 1", n)
+	}
+	a, err = a.WithAppended([]*arrow.RecordBatch{mk(4, 5)}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err = a.WithAppended([]*arrow.RecordBatch{mk(6)}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(values(a)); got != "[[1 2 3 4 5] [6]]" {
+		t.Fatalf("partitions = %s, want [[1 2 3 4 5] [6]]", got)
+	}
+	if a.Statistics().NumRows != 6 || base.Statistics().NumRows != 1 {
+		t.Fatalf("NumRows = %d and %d, want 6 and 1", a.Statistics().NumRows, base.Statistics().NumRows)
+	}
+	other := arrow.NewSchema(arrow.NewField("y", arrow.Int64, false))
+	if _, err := a.WithAppended([]*arrow.RecordBatch{arrow.NewRecordBatch(other, []arrow.Array{arrow.NewInt64([]int64{7})})}, 4); err == nil {
+		t.Fatal("appending a batch of another schema succeeded")
 	}
 }
 

@@ -28,8 +28,8 @@ type StreamTable struct {
 	// watermark is the 0-based schema index of the declared event-time
 	// column, -1 when none.
 	watermark int
-	// onWrite hooks version bumps: the owning session registers a callback
-	// so in-place appends invalidate version-keyed caches.
+	// onWrite lets the owning session renew the table's write stamp, so
+	// in-place appends invalidate the caches over it.
 	onWrite func()
 }
 
@@ -59,8 +59,8 @@ func (t *StreamTable) WithWatermark(col string) (*StreamTable, error) {
 }
 
 // OnWrite registers a callback invoked after every successful Append or
-// Seal (outside the table lock). Sessions use it to bump catalog versions
-// so result caches invalidate on in-place writes.
+// Seal (outside the table lock). Sessions use it to renew the table's
+// write stamp, so cached plans and results over it invalidate.
 func (t *StreamTable) OnWrite(fn func()) { t.onWrite = fn }
 
 // Append adds batches to the log and wakes blocked tail readers.

@@ -29,6 +29,11 @@ type DataFrame struct {
 	// execution skips the optimizer and lowers directly. Derived frames
 	// drop it, since transformations build new unoptimized nodes on top.
 	preOptimized bool
+	// tables are the table lookups plan was built from, with their write
+	// stamps; a result-cache entry records them.
+	tables tableStamps
+	// planHit reports that plan came from the plan cache.
+	planHit bool
 }
 
 // LogicalPlan returns the frame's (unoptimized) logical plan.
@@ -156,7 +161,7 @@ func (df *DataFrame) Alias(name string) *DataFrame {
 
 // Collect executes the frame and returns all batches. Queries entered
 // through SQL() on a session with the result cache enabled are memoized:
-// a repeat of the identical normalized query under an unchanged catalog
+// a repeat of the identical normalized query over unchanged tables
 // returns the cached batches (immutable shared views) without planning
 // or executing.
 func (df *DataFrame) Collect() ([]*arrow.RecordBatch, error) {
@@ -174,7 +179,7 @@ func (df *DataFrame) CollectContext(ctx context.Context) ([]*arrow.RecordBatch, 
 
 // collect runs the frame once: result-cache lookup, physical planning,
 // execution under ctx, result-cache store. A non-nil qm receives the plan,
-// the pool peak and whether the result cache served the query.
+// the pool peak and whether the plan and result caches served the query.
 func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.RecordBatch, error) {
 	if df.err != nil {
 		return nil, df.err
@@ -187,10 +192,11 @@ func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.Re
 	}
 	s := df.session
 	memoized := df.resultKey != "" && s.results != nil
-	var version int64
+	if qm != nil {
+		qm.PlanCacheHit = df.planHit
+	}
 	if memoized {
-		version = s.catalog.Version()
-		if batches, ok := s.results.get(df.resultKey, version); ok {
+		if batches, ok := s.results.get(df.resultKey, s.catalog); ok {
 			if qm != nil {
 				// A hit still reports a plan: planned, never executed.
 				pp, err := s.physicalPlanFor(df)
@@ -214,7 +220,7 @@ func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.Re
 		return nil, err
 	}
 	if memoized {
-		s.results.put(df.resultKey, version, batches)
+		s.results.put(df.resultKey, df.tables, batches)
 	}
 	if qm != nil {
 		qm.Plan = pp
@@ -252,6 +258,10 @@ type QueryMetrics struct {
 	ResultCacheHits, ResultCacheMisses int64
 	ResultCacheBytes                   int64
 	ResultCacheHit                     bool
+	// PlanCacheHit reports that this query's optimized plan came from the
+	// plan cache: its own lookup's outcome, which a concurrent query
+	// cannot move.
+	PlanCacheHit bool
 }
 
 // CollectWithMetrics executes the frame and returns the batches together

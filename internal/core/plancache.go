@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gofusion/internal/catalog"
 	"gofusion/internal/logical"
 )
 
@@ -19,10 +20,11 @@ import (
 // re-instantiable: every execution gets fresh streams, fresh exchanges,
 // and fresh metrics from the same immutable optimized logical plan.
 //
-// Entries record the catalog version they were planned under: a logical
-// plan holds resolved TableProvider snapshots, so any registration or
-// write (DDL, INSERT, COPY, stream append — all bump a version counter)
-// makes the entry stale. Stale entries are dropped on lookup.
+// Entries record the write stamp of every table their planning looked up
+// (see tableStamps): a logical plan holds resolved TableProvider
+// snapshots, so a registration or write of any table it read (DDL,
+// INSERT, COPY, stream append) makes the entry stale, while writes to
+// other tables leave it valid. Stale entries are dropped on lookup.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -34,10 +36,12 @@ type planCache struct {
 	invalidations atomic.Int64
 }
 
+// planEntry is immutable once cached: put replaces, never edits, so a
+// caller may keep one after the lock is released.
 type planEntry struct {
-	key     string
-	version int64
-	plan    logical.Plan
+	key    string
+	tables tableStamps
+	plan   logical.Plan
 }
 
 // PlanCacheStats is a snapshot of plan-cache activity.
@@ -59,42 +63,50 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, ll: list.New(), byKey: map[string]*list.Element{}}
 }
 
-// get returns the cached optimized plan for key if it was planned under
-// the current catalog version. A version mismatch drops the entry (the
-// provider snapshot inside it is stale) and counts as an invalidation.
-func (pc *planCache) get(key string, version int64) (logical.Plan, bool) {
+// get returns the cached entry for key if every table it was planned over
+// still has the stamp it recorded in cat. Otherwise the entry is dropped
+// (the provider snapshots inside it are stale) and counted as an
+// invalidation. The stamps are checked after pc.mu is released: a lookup
+// in a schema that is not a MemorySchema calls into its provider.
+func (pc *planCache) get(key string, cat *catalog.MemoryCatalog) (*planEntry, bool) {
 	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	el, ok := pc.byKey[key]
-	if !ok {
-		pc.misses.Add(1)
-		return nil, false
+	var ent *planEntry
+	if ok {
+		ent = el.Value.(*planEntry)
+		pc.ll.MoveToFront(el)
 	}
-	ent := el.Value.(*planEntry)
-	if ent.version != version {
-		pc.ll.Remove(el)
-		delete(pc.byKey, key)
-		pc.invalidations.Add(1)
-		pc.misses.Add(1)
-		return nil, false
+	pc.mu.Unlock()
+	if ok && ent.tables.current(cat) {
+		pc.hits.Add(1)
+		return ent, true
 	}
-	pc.ll.MoveToFront(el)
-	pc.hits.Add(1)
-	return ent.plan, true
+	pc.misses.Add(1)
+	if ok {
+		pc.mu.Lock()
+		if el, still := pc.byKey[key]; still && el.Value == ent {
+			pc.ll.Remove(el)
+			delete(pc.byKey, key)
+			pc.invalidations.Add(1)
+		}
+		pc.mu.Unlock()
+	}
+	return nil, false
 }
 
-// put memoizes an optimized plan computed under the given catalog
-// version, evicting the least recently used entry past capacity.
-func (pc *planCache) put(key string, version int64, plan logical.Plan) {
+// put memoizes an optimized plan together with the table stamps its
+// planning recorded, evicting the least recently used entry past
+// capacity.
+func (pc *planCache) put(key string, tables tableStamps, plan logical.Plan) {
+	ent := &planEntry{key: key, tables: tables, plan: plan}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if el, ok := pc.byKey[key]; ok {
-		el.Value.(*planEntry).version = version
-		el.Value.(*planEntry).plan = plan
+		el.Value = ent
 		pc.ll.MoveToFront(el)
 		return
 	}
-	pc.byKey[key] = pc.ll.PushFront(&planEntry{key: key, version: version, plan: plan})
+	pc.byKey[key] = pc.ll.PushFront(ent)
 	for pc.ll.Len() > pc.cap {
 		last := pc.ll.Back()
 		pc.ll.Remove(last)

@@ -92,6 +92,10 @@ func TestPlanCacheCachedPlanReExecutes(t *testing.T) {
 	}
 }
 
+// TestPlanCacheInvalidatedByDDL: DDL invalidates the plans that looked
+// its table up, and only those. Creating an unrelated table leaves a plan
+// over emp valid; a query that failed because its table was missing plans
+// once the table exists; replacing emp re-plans over the new table.
 func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 	s := newPlanCachingSession(t)
 	const query = "SELECT count(*) FROM emp"
@@ -102,18 +106,70 @@ func TestPlanCacheInvalidatedByDDL(t *testing.T) {
 		t.Fatalf("warm stats = %+v, want 1 hit before DDL", st)
 	}
 
-	// CREATE TABLE bumps the catalog version; the cached plan's provider
-	// snapshot is stale and the lookup must re-plan.
 	if _, err := s.SQL("CREATE TABLE high_paid AS SELECT name FROM emp WHERE salary > 150"); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, q(t, s, query), []string{"6"}, true)
-	st := planStats(t, s)
-	if st.Invalidations != 1 {
-		t.Fatalf("post-DDL stats = %+v, want 1 invalidation", st)
+	if st := planStats(t, s); st.Hits != 2 || st.Invalidations != 0 {
+		t.Fatalf("post-DDL stats = %+v, want the plan over emp to hit", st)
 	}
-	if st.Hits != 1 {
-		t.Fatalf("post-DDL stats = %+v, want no new hits", st)
+
+	const later = "SELECT count(*) FROM later"
+	if _, err := s.SQL(later); err == nil {
+		t.Fatal("a query over a missing table planned")
+	}
+	if _, err := s.SQL("CREATE TABLE later AS SELECT name FROM emp WHERE salary > 150"); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, q(t, s, later), []string{"3"}, true)
+	expect(t, q(t, s, later), []string{"3"}, true)
+	if st := planStats(t, s); st.Hits != 3 {
+		t.Fatalf("stats = %+v, want the plan over the new table cached", st)
+	}
+
+	s.DeregisterTable("emp")
+	if _, err := s.SQL("CREATE TABLE emp AS SELECT did AS id FROM dept"); err != nil {
+		t.Fatal(err)
+	}
+	expect(t, q(t, s, query), []string{"3"}, true)
+	if st := planStats(t, s); st.Invalidations != 1 || st.Hits != 3 {
+		t.Fatalf("post-replace stats = %+v, want 1 invalidation and no new hit", st)
+	}
+}
+
+// TestPlanCacheStreamAppendInvalidatesOnlyStream: an append to a stream
+// table renews that table's stamp in place, so plans over the stream
+// re-plan and plans over other tables keep hitting. Only planning is
+// exercised: the stream stays unsealed.
+func TestPlanCacheStreamAppendInvalidatesOnlyStream(t *testing.T) {
+	s := newPlanCachingSession(t)
+	if _, err := s.RegisterStream("st", streamSchema(), ""); err != nil {
+		t.Fatal(err)
+	}
+	plan := func(query string) {
+		t.Helper()
+		if _, err := s.SQL(query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const overStream, overEmp = "SELECT a FROM st WHERE a > 0", "SELECT name FROM emp WHERE id = 2"
+	for i := 0; i < 2; i++ {
+		plan(overStream)
+		plan(overEmp)
+	}
+	if st := planStats(t, s); st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("warm stats = %+v, want 2 misses then 2 hits", st)
+	}
+	if _, err := mustCollect(s, "INSERT INTO st VALUES (1, 1)"); err != nil {
+		t.Fatal(err)
+	}
+	plan(overEmp)
+	if st := planStats(t, s); st.Hits != 3 || st.Invalidations != 0 {
+		t.Fatalf("stats = %+v, want the plan over emp to survive the stream append", st)
+	}
+	plan(overStream)
+	if st := planStats(t, s); st.Hits != 3 || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v, want the plan over the stream invalidated", st)
 	}
 }
 

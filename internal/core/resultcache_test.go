@@ -68,6 +68,9 @@ func TestResultCacheDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestResultCacheInvalidatedByCreateTable: a cached result goes stale when
+// one of the tables it read is created anew, and stays valid across the
+// creation of a table it did not read.
 func TestResultCacheInvalidatedByCreateTable(t *testing.T) {
 	s := newCachingSession(t)
 	const query = "SELECT count(*) FROM emp"
@@ -77,15 +80,23 @@ func TestResultCacheInvalidatedByCreateTable(t *testing.T) {
 		t.Fatal("warm query should hit before DDL")
 	}
 
-	// CREATE TABLE AS bumps the catalog version: every cached entry goes
-	// stale, including ones whose tables did not change (conservative).
 	if _, err := s.SQL("CREATE TABLE high_paid AS SELECT name, salary FROM emp WHERE salary > 150"); err != nil {
 		t.Fatal(err)
 	}
-	if _, qm := collectMetrics(t, s, query); qm.ResultCacheHit {
-		t.Fatal("CREATE TABLE did not invalidate the result cache")
+	if _, qm := collectMetrics(t, s, query); !qm.ResultCacheHit {
+		t.Fatal("creating an unrelated table invalidated the result over emp")
 	}
 	expect(t, q(t, s, "SELECT count(*) FROM high_paid"), []string{"3"}, true)
+
+	s.DeregisterTable("emp")
+	if _, err := s.SQL("CREATE TABLE emp AS SELECT name FROM high_paid WHERE salary > 200"); err != nil {
+		t.Fatal(err)
+	}
+	rows, qm := collectMetrics(t, s, query)
+	if qm.ResultCacheHit {
+		t.Fatal("re-creating emp did not invalidate the result over it")
+	}
+	expect(t, rows, []string{"2"}, true)
 }
 
 func TestResultCacheInvalidatedByInsert(t *testing.T) {

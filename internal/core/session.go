@@ -12,6 +12,7 @@ import (
 	"io"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"gofusion/internal/arrow"
@@ -64,7 +65,8 @@ type SessionConfig struct {
 	DisableSharedCache bool
 	// EnableResultCache turns on the result cache for repeated identical
 	// read-only queries, keyed on the print-stable SQL normalization plus
-	// session knobs and invalidated by any catalog registration or write.
+	// session knobs and invalidated by a registration or write of any
+	// table the query read.
 	// It defaults OFF (the issue names this knob DisableResultCache; a
 	// default-off cache cannot be spelled as a Disable flag with Go zero
 	// values, so the polarity is flipped).
@@ -72,10 +74,10 @@ type SessionConfig struct {
 	// EnablePlanCache turns on the logical plan cache: repeated identical
 	// queries (print-stable sql.FormatStatement normalization) skip
 	// parsing, planning, and the optimizer and re-lower the memoized
-	// optimized plan. Entries are invalidated by the catalog version
-	// counters, so any DDL, INSERT, COPY, or stream append drops plans
-	// over stale provider snapshots. Default OFF (same polarity rationale
-	// as EnableResultCache).
+	// optimized plan. Entries record the write stamp of every table they
+	// read, so DDL, INSERT, COPY, or a stream append over one of those
+	// tables drops plans over its stale provider snapshot. Default OFF
+	// (same polarity rationale as EnableResultCache).
 	EnablePlanCache bool
 	// PlanCacheEntries bounds the plan cache (default 256 entries).
 	PlanCacheEntries int
@@ -112,6 +114,10 @@ type SessionContext struct {
 	cachePool   memory.Pool
 	opt         *optimizer.Optimizer
 	extPlanners []exec.ExtensionPlanner
+	// writeMu serializes the commit step of writes (resolve the target,
+	// append, register) across this session and every session derived
+	// from it, which share its catalog.
+	writeMu *sync.Mutex
 }
 
 // NewSession creates a session with the built-in catalog and functions.
@@ -135,6 +141,7 @@ func NewSession(cfg SessionConfig) *SessionContext {
 		reg:     reg,
 		cache:   catalog.NewMetaCache(1024, 4096),
 		opt:     optimizer.New(reg),
+		writeMu: &sync.Mutex{},
 	}
 	// Caches charge a session-lifetime pool so resident bytes are visible
 	// to memory accounting (and leak-checked under the sanitize tag);
@@ -306,8 +313,8 @@ func (s *SessionContext) RegisterCSV(name, path string, opts csvio.Options) erro
 // workload class: writers call Append on the returned table (or INSERT
 // INTO / COPY INTO it) while queries tail it. watermarkCol, when
 // non-empty, declares the event-time column that streaming aggregation
-// groups by. Writes from any goroutine bump the catalog version so
-// version-keyed result caches invalidate.
+// groups by. Writes from any goroutine renew the table's write stamp, so
+// cached plans and results over it invalidate.
 func (s *SessionContext) RegisterStream(name string, schema *arrow.Schema, watermarkCol string) (*catalog.StreamTable, error) {
 	t := catalog.NewStreamTable(schema)
 	if watermarkCol != "" {
@@ -316,7 +323,7 @@ func (s *SessionContext) RegisterStream(name string, schema *arrow.Schema, water
 		}
 	}
 	ps := s.publicSchema()
-	t.OnWrite(ps.BumpVersion)
+	t.OnWrite(func() { ps.Touch(name) })
 	ps.Register(name, t)
 	return t, nil
 }
@@ -352,17 +359,9 @@ func (s *SessionContext) RegisterJSON(name, path string) error {
 // resolveTable implements the planner's table resolver against the
 // session catalog, supporting "table" and "schema.table".
 func (s *SessionContext) resolveTable(name string) (logical.TableSource, error) {
-	schemaName, tableName := "public", name
-	if i := strings.IndexByte(name, '.'); i > 0 {
-		schemaName, tableName = name[:i], name[i+1:]
-	}
-	sp, ok := s.catalog.SchemaByName(schemaName)
-	if !ok {
-		return nil, fmt.Errorf("core: schema %q not found", schemaName)
-	}
-	t, ok := sp.Table(tableName)
-	if !ok {
-		return nil, fmt.Errorf("core: table %q not found", name)
+	t, _, err := lookupTable(s.catalog, name)
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -419,38 +418,37 @@ func (s *SessionContext) SQLStatement(stmt sql.Statement) (*DataFrame, error) {
 // the plan cache when enabled: a hit hands back the memoized optimized
 // logical plan (marked preOptimized so execution skips the optimizer and
 // goes straight to physical lowering); a miss plans, optimizes, and
-// memoizes under the current catalog version.
+// memoizes the plan with the write stamps of the tables it looked up.
 func (s *SessionContext) selectDataFrame(st *sql.SelectStmt) (*DataFrame, error) {
 	df := &DataFrame{session: s}
+	var key string
+	if s.results != nil || s.plans != nil {
+		key = s.cacheKey(st)
+	}
 	if s.results != nil {
-		df.resultKey = s.resultCacheKey(st)
+		df.resultKey = key
 	}
 	if s.plans != nil {
-		key := s.planCacheKey(st)
-		version := s.catalog.Version()
-		if cached, ok := s.plans.get(key, version); ok {
-			df.plan = cached
-			df.preOptimized = true
+		if ent, ok := s.plans.get(key, s.catalog); ok {
+			df.plan, df.tables = ent.plan, ent.tables
+			df.preOptimized, df.planHit = true, true
 			return df, nil
 		}
-		plan, err := planner.New(s.resolveTable, s.reg).PlanQuery(st)
-		if err != nil {
-			return nil, err
-		}
+	}
+	rec := &stampRecorder{cat: s.catalog}
+	plan, err := planner.New(rec.resolve, s.reg).PlanQuery(st)
+	if err != nil {
+		return nil, err
+	}
+	df.plan, df.tables = plan, rec.tables
+	if s.plans != nil {
 		optimized, err := s.OptimizePlan(plan)
 		if err != nil {
 			return nil, err
 		}
-		s.plans.put(key, version, optimized)
-		df.plan = optimized
-		df.preOptimized = true
-		return df, nil
+		s.plans.put(key, rec.tables, optimized)
+		df.plan, df.preOptimized = optimized, true
 	}
-	plan, err := planner.New(s.resolveTable, s.reg).PlanQuery(st)
-	if err != nil {
-		return nil, err
-	}
-	df.plan = plan
 	return df, nil
 }
 
@@ -518,29 +516,20 @@ func (s *SessionContext) textResult(col string, lines []string) (*DataFrame, err
 	return &DataFrame{session: s, plan: plan}, nil
 }
 
-// resultCacheKey identifies a query for the result cache: the
-// print-stable SQL normalization plus every session knob that can change
-// the produced batches. The catalog version is checked at lookup time,
-// not baked into the key, so writes invalidate without growing the map.
-func (s *SessionContext) resultCacheKey(st *sql.SelectStmt) string {
-	return fmt.Sprintf("%s|%+v", sql.FormatStatement(st), s.cfg)
-}
-
-// planCacheKey identifies a query for the plan cache. The same shape as
-// resultCacheKey: session knobs are part of the key because they change
-// what the optimizer and physical planner would produce, so derived
-// sessions sharing one cache never serve each other mismatched plans.
-func (s *SessionContext) planCacheKey(st *sql.SelectStmt) string {
+// cacheKey identifies a query for the plan and result caches: the
+// print-stable SQL normalization plus every session knob, since knobs
+// change what the optimizer and physical planner produce, so derived
+// sessions sharing one cache never serve each other mismatched plans or
+// results. Table stamps are checked at lookup time, not baked into the
+// key, so writes invalidate without growing the map.
+func (s *SessionContext) cacheKey(st *sql.SelectStmt) string {
 	return fmt.Sprintf("%s|%+v", sql.FormatStatement(st), s.cfg)
 }
 
 // resolveProvider resolves "table" or "schema.table" to its provider and
 // owning mutable schema.
 func (s *SessionContext) resolveProvider(name string) (catalog.TableProvider, *catalog.MemorySchema, string, error) {
-	schemaName, tableName := "public", name
-	if i := strings.IndexByte(name, '.'); i > 0 {
-		schemaName, tableName = name[:i], name[i+1:]
-	}
+	schemaName, tableName := splitTableName(name)
 	sp, ok := s.catalog.SchemaByName(schemaName)
 	if !ok {
 		return nil, nil, "", fmt.Errorf("core: schema %q not found", schemaName)
@@ -554,10 +543,10 @@ func (s *SessionContext) resolveProvider(name string) (catalog.TableProvider, *c
 }
 
 // execCreateTable materializes CREATE TABLE name AS query into an
-// in-memory table. Registration bumps the catalog version, invalidating
-// cached results that could observe the new table.
+// in-memory table. The query runs before the write lock is taken; under
+// it the name is checked again, so of two racing creations one fails.
 func (s *SessionContext) execCreateTable(st *sql.CreateTableStmt) (*DataFrame, error) {
-	existing, ms, name, err := s.resolveProvider(st.Name)
+	existing, _, _, err := s.resolveProvider(st.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -578,19 +567,26 @@ func (s *SessionContext) execCreateTable(st *sql.CreateTableStmt) (*DataFrame, e
 	if err != nil {
 		return nil, err
 	}
-	ms.Register(name, mt)
-	var rows int64
-	for _, b := range batches {
-		rows += int64(b.NumRows())
+	s.writeMu.Lock()
+	existing, ms, name, err := s.resolveProvider(st.Name)
+	if err == nil && existing != nil {
+		err = fmt.Errorf("core: table %q already exists", st.Name)
 	}
-	return s.statusResult(fmt.Sprintf("CREATE TABLE %s (%d rows)", name, rows))
+	if err == nil {
+		ms.Register(name, mt)
+	}
+	s.writeMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return s.statusResult(fmt.Sprintf("CREATE TABLE %s (%d rows)", name, mt.Statistics().NumRows))
 }
 
 // execInsert appends INSERT INTO table query rows to a writable table
-// (in-memory, stream, or GPQ-backed). Every write path bumps the catalog
-// version, invalidating cached results over the old contents.
+// (in-memory, stream, or GPQ-backed). The query runs before the write
+// lock is taken (see appendRows).
 func (s *SessionContext) execInsert(st *sql.InsertStmt) (*DataFrame, error) {
-	existing, ms, name, err := s.resolveProvider(st.Table)
+	existing, _, _, err := s.resolveProvider(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -610,7 +606,7 @@ func (s *SessionContext) execInsert(st *sql.InsertStmt) (*DataFrame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: INSERT INTO %q: %w", st.Table, err)
 	}
-	if err := s.appendToProvider(existing, ms, name, rebased); err != nil {
+	if err := s.appendRows(st.Table, existing.Schema(), rebased); err != nil {
 		return nil, fmt.Errorf("core: INSERT INTO %q: %w", st.Table, err)
 	}
 	return s.statusResult(fmt.Sprintf("INSERT %d", rows))
@@ -618,9 +614,10 @@ func (s *SessionContext) execInsert(st *sql.InsertStmt) (*DataFrame, error) {
 
 // execCopy bulk-loads COPY INTO table FROM 'path' rows into an existing
 // writable table. The source format comes from the FORMAT clause or the
-// path's extension.
+// path's extension. The file is read before the write lock is taken (see
+// appendRows).
 func (s *SessionContext) execCopy(st *sql.CopyStmt) (*DataFrame, error) {
-	existing, ms, name, err := s.resolveProvider(st.Table)
+	existing, _, _, err := s.resolveProvider(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -657,7 +654,7 @@ func (s *SessionContext) execCopy(st *sql.CopyStmt) (*DataFrame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: COPY INTO %q: %w", st.Table, err)
 	}
-	if err := s.appendToProvider(existing, ms, name, rebased); err != nil {
+	if err := s.appendRows(st.Table, schema, rebased); err != nil {
 		return nil, fmt.Errorf("core: COPY INTO %q: %w", st.Table, err)
 	}
 	return s.statusResult(fmt.Sprintf("COPY %d", rows))
@@ -691,16 +688,35 @@ func (s *SessionContext) readAllRows(t catalog.TableProvider) ([]*arrow.RecordBa
 	return out, nil
 }
 
-// appendToProvider routes appended rows to a table's write path:
-// in-memory tables grow immutably and re-register (bumping the catalog
-// version), stream tables append to the live log (waking tail readers and
-// bumping the version explicitly), and GPQ tables append row groups to
-// their last backing file in place, then re-open so planning statistics
-// reflect the grown file.
-func (s *SessionContext) appendToProvider(t catalog.TableProvider, ms *catalog.MemorySchema, name string, batches []*arrow.RecordBatch) error {
+// appendRows appends batches, rebased onto schema, to the table named
+// target through its write path: in-memory tables grow immutably,
+// compacting their tail partition, and re-register; stream tables append
+// to the live log (waking tail readers) and renew the table's stamp; GPQ
+// tables append row groups to their last backing file in place, then
+// re-open so planning statistics reflect the grown file. Every path
+// leaves the written table, and only it, with a fresh stamp.
+//
+// The session's write lock spans resolving the target to registering the
+// grown table, so two writes to one table never both grow the same old
+// snapshot (a lost update); everything that can run before — planning and
+// running an INSERT's query, reading COPY's file — already has. The
+// target is resolved afresh under the lock and must still have the
+// schema the rows were rebased onto.
+func (s *SessionContext) appendRows(target string, schema *arrow.Schema, batches []*arrow.RecordBatch) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	t, ms, name, err := s.resolveProvider(target)
+	switch {
+	case err != nil:
+		return err
+	case t == nil:
+		return fmt.Errorf("table %q not found", target)
+	case !t.Schema().Equal(schema):
+		return fmt.Errorf("table %q changed schema to %s while the write ran", target, t.Schema())
+	}
 	switch tt := t.(type) {
 	case *catalog.MemTable:
-		grown, err := tt.WithAppended(batches)
+		grown, err := tt.WithAppended(batches, s.cfg.BatchRows)
 		if err != nil {
 			return err
 		}
@@ -709,7 +725,7 @@ func (s *SessionContext) appendToProvider(t catalog.TableProvider, ms *catalog.M
 		if err := tt.Append(batches...); err != nil {
 			return err
 		}
-		ms.BumpVersion()
+		ms.Touch(name)
 	case *catalog.GPQTable:
 		if err := tt.Append(batches, parquet.DefaultWriterOptions()); err != nil {
 			return err

@@ -576,32 +576,56 @@ func mustCollect(s *SessionContext, sql string) ([]*arrow.RecordBatch, error) {
 	return df.Collect()
 }
 
-// TestInsertBumpsCatalogVersion: every write path (INSERT into mem,
-// INSERT into stream, COPY INTO gpq) must advance the catalog version so
-// version-checked caches invalidate.
-func TestInsertBumpsCatalogVersion(t *testing.T) {
+// TestInsertStampsOnlyItsTable: every write path (INSERT into a mem
+// table, INSERT into a stream, COPY INTO a GPQ table) gives the written
+// table a fresh write stamp and leaves every other table's stamp alone,
+// so caches over the other tables stay valid.
+func TestInsertStampsOnlyItsTable(t *testing.T) {
+	dir := t.TempDir()
+	schema := streamSchema()
+	base := filepath.Join(dir, "base.gpq")
+	stage := filepath.Join(dir, "stage.gpq")
+	for _, path := range []string{base, stage} {
+		if err := parquet.WriteFile(path, schema,
+			[]*arrow.RecordBatch{int64Batch(schema, []int64{1}, []int64{1})}, parquet.DefaultWriterOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s := NewSession(SessionConfig{})
 	defer s.Close()
-	schema := streamSchema()
 	if err := s.RegisterBatches("m", schema, []*arrow.RecordBatch{int64Batch(schema, []int64{1}, []int64{1})}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RegisterStream("st", schema, "e"); err != nil {
 		t.Fatal(err)
 	}
-	v0 := s.Catalog().Version()
-	if _, err := mustCollect(s, "INSERT INTO m VALUES (2, 2)"); err != nil {
+	if err := s.RegisterGPQ("g", base); err != nil {
 		t.Fatal(err)
 	}
-	v1 := s.Catalog().Version()
-	if v1 <= v0 {
-		t.Fatalf("INSERT into mem table did not bump version (%d -> %d)", v0, v1)
+	tables := []string{"m", "st", "g"}
+	stamps := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, name := range tables {
+			_, stamp, _ := s.Catalog().Lookup("public", name)
+			out[name] = stamp
+		}
+		return out
 	}
-	if _, err := mustCollect(s, "INSERT INTO st VALUES (3, 3)"); err != nil {
-		t.Fatal(err)
-	}
-	if v2 := s.Catalog().Version(); v2 <= v1 {
-		t.Fatalf("INSERT into stream table did not bump version (%d -> %d)", v1, v2)
+	for _, w := range []struct{ table, sql string }{
+		{"m", "INSERT INTO m VALUES (2, 2)"},
+		{"st", "INSERT INTO st VALUES (3, 3)"},
+		{"g", fmt.Sprintf("COPY INTO g FROM '%s'", stage)},
+	} {
+		before := stamps()
+		if _, err := mustCollect(s, w.sql); err != nil {
+			t.Fatal(err)
+		}
+		after := stamps()
+		for _, name := range tables {
+			if changed := after[name] != before[name]; changed != (name == w.table) {
+				t.Errorf("%s: stamp of %s went %d -> %d", w.sql, name, before[name], after[name])
+			}
+		}
 	}
 }
 
@@ -642,7 +666,7 @@ func TestResultCacheInvalidationUnderInsert(t *testing.T) {
 	if _, err := mustCollect(s, "INSERT INTO m VALUES (10, 3)"); err != nil {
 		t.Fatal(err)
 	}
-	run(false, 13) // write bumped the version: stale entry unusable
+	run(false, 13) // the write renewed m's stamp: stale entry unusable
 	run(true, 13)  // re-cached
 
 	// The EXPLAIN ANALYZE summary must surface the same verdict.

@@ -12,7 +12,6 @@ import (
 
 	"gofusion/internal/core"
 	"gofusion/internal/memory"
-	"gofusion/internal/sql"
 )
 
 // Config tunes the service layer.
@@ -90,16 +89,14 @@ type Stats struct {
 }
 
 // Server is the multi-tenant SQL service. One engine session serves every
-// request: concurrent reads are safe, writes (DDL/INSERT/COPY) serialize
-// behind a writer lock because table registration is read-modify-write.
+// request: concurrent reads are safe, and the session serializes the
+// commit step of writes (DDL/INSERT/COPY) itself.
 type Server struct {
 	cfg     Config
 	base    *core.SessionContext
 	parent  *memory.GreedyPool
 	limiter *Limiter
 	started time.Time
-
-	writeMu sync.Mutex
 
 	mu       sync.Mutex
 	sessions map[string]*sessionState
@@ -212,16 +209,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// isWrite classifies a statement: writes mutate the shared catalog and
-// serialize behind the writer lock.
-func isWrite(stmt sql.Statement) bool {
-	switch stmt.(type) {
-	case *sql.CreateTableStmt, *sql.InsertStmt, *sql.CopyStmt:
-		return true
-	}
-	return false
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
@@ -280,12 +267,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // execute runs one admitted request to completion.
 func (s *Server) execute(ctx context.Context, sess *sessionState, req *queryRequest) (*queryResponse, error) {
-	// The plan-cache lookup happens at plan time, inside SQLStatement() /
-	// Query() below — sample the hit counter first so the delta is visible.
-	var hitsBefore int64
-	if pcs, ok := s.base.PlanCacheStats(); ok {
-		hitsBefore = pcs.Hits
-	}
 	var df *core.DataFrame
 	var err error
 	switch {
@@ -298,20 +279,8 @@ func (s *Server) execute(ctx context.Context, sess *sessionState, req *queryRequ
 		}
 		df, err = ps.Query()
 	default:
-		stmt, perr := sql.Parse(req.SQL)
-		if perr != nil {
-			return nil, perr
-		}
-		if isWrite(stmt) {
-			// Writes re-register providers (read-modify-write on the
-			// catalog): one writer at a time. The statement executes
-			// inside SQLStatement; the returned frame is a status row.
-			s.writeMu.Lock()
-			df, err = s.base.SQLStatement(stmt)
-			s.writeMu.Unlock()
-		} else {
-			df, err = s.base.SQLStatement(stmt)
-		}
+		// Writes execute inside SQL; their frame is a status row.
+		df, err = s.base.SQL(req.SQL)
 	}
 	if err != nil {
 		return nil, err
@@ -324,15 +293,11 @@ func (s *Server) execute(ctx context.Context, sess *sessionState, req *queryRequ
 	resp := &queryResponse{
 		Rows:      EncodeRows(batches),
 		RowCount:  qm.RowsReturned,
+		PlanHit:   qm.PlanCacheHit,
 		ResultHit: qm.ResultCacheHit,
 	}
 	if len(batches) > 0 {
 		resp.Columns, resp.Types = EncodeSchema(batches[0].Schema())
-	}
-	// Best-effort under concurrency: a sibling request's hit can be
-	// attributed to this one. Informational only.
-	if pcs, ok := s.base.PlanCacheStats(); ok {
-		resp.PlanHit = pcs.Hits > hitsBefore
 	}
 	return resp, nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,6 +167,60 @@ func TestServerQueueTimeoutSheds(t *testing.T) {
 	}
 	if st := srv.Limiter().Stats(); st.ShedTimeout != 1 {
 		t.Fatalf("limiter stats = %+v, want 1 queue-timeout shed", st)
+	}
+}
+
+// TestServerPlanHitIsPerRequest: a reply's plan_cache_hit is its own
+// request's plan-cache outcome. One client replays a cached statement
+// while another sends a statement never seen before each time; every
+// reply to the first reports a hit and every reply to the second a miss.
+func TestServerPlanHitIsPerRequest(t *testing.T) {
+	cfg := Config{}
+	cfg.Session.EnablePlanCache = true
+	_, hs := newTestServer(t, cfg)
+	const cached = "SELECT count(*) FROM t1"
+	postJSON(t, hs.URL+"/query", map[string]any{"sql": cached})
+
+	query := func(sql string) (bool, error) {
+		payload, _ := json.Marshal(map[string]any{"sql": sql})
+		resp, err := http.Post(hs.URL+"/query", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			return false, err
+		}
+		defer resp.Body.Close()
+		var out struct {
+			PlanHit bool `json:"plan_cache_hit"`
+		}
+		if resp.StatusCode != http.StatusOK {
+			return false, fmt.Errorf("status %d for %s", resp.StatusCode, sql)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		return out.PlanHit, err
+	}
+	const rounds = 50
+	errs := make(chan error, 2*rounds)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if hit, err := query(cached); err != nil || !hit {
+				errs <- fmt.Errorf("replay %d: hit=%t err=%v, want a hit", i, hit, err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if hit, err := query(fmt.Sprintf("SELECT count(*) FROM t1 WHERE a > %d", i)); err != nil || hit {
+				errs <- fmt.Errorf("new statement %d: hit=%t err=%v, want a miss", i, hit, err)
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

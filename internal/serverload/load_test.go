@@ -2,10 +2,16 @@ package serverload
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gofusion/internal/arrow"
 	"gofusion/internal/server"
 	"gofusion/internal/testutil"
 )
@@ -151,4 +157,155 @@ func TestLoadOverloadSheds(t *testing.T) {
 	}
 	t.Logf("overload: saturated %d/%d shed; recovered %d ok, %d shed (full=%d timeout=%d)",
 		hot.Shed, hot.Requests, cool.Succeeded, cool.Shed, st.Admission.ShedFull, st.Admission.ShedTimeout)
+}
+
+// TestLoadMixedIngest is the write-beside-read differential: two writers
+// INSERT rows they alone own into events while readers replay the pool
+// against a server with both caches on. It holds the benchmark's
+// lost-write and stale-read rules: every read over events, taken after a
+// snapshot of each writer's acknowledged rows, shows at least those rows
+// and exactly the reading writer's own; the final count(*) equals the
+// rows acknowledged; and every pool read matches the serial baseline.
+func TestLoadMixedIngest(t *testing.T) {
+	defer testutil.CheckNoGoroutineLeak(t)()
+
+	const seed, writers, rowsPerInsert = 11, 2, 3
+	fuzzCount, readsPerClient, insertsPerWriter := 12, 20, 40
+	if testing.Short() {
+		fuzzCount, readsPerClient, insertsPerWriter = 6, 8, 15
+	}
+	w, err := NewWorkload(seed, fuzzCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.Config{Slots: 4, MaxQueue: 1024}
+	cfg.Session.EnablePlanCache = true
+	cfg.Session.EnableResultCache = true
+	srv, hs := newLoadServer(t, w, cfg)
+	defer srv.Close()
+	defer hs.Close()
+	hc := hs.Client()
+	defer hc.CloseIdleConnections()
+	events := arrow.NewSchema(
+		arrow.NewField("client", arrow.Int64, false),
+		arrow.NewField("seq", arrow.Int64, false),
+	)
+	if err := srv.Session().RegisterBatches("events", events, nil); err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := NewOracle(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+
+	var acked [writers]atomic.Int64
+	cell := func(v any) int64 {
+		n, _ := v.(json.Number).Int64()
+		return n
+	}
+	// check verifies one read over events by writer id against the
+	// acknowledged counts snapshotted before it was sent.
+	check := func(id int, before [writers]int64, res *QueryResult, byClient bool) error {
+		if !byClient {
+			var floor int64
+			for _, n := range before {
+				floor += n
+			}
+			if got := cell(res.Rows[0][0]); got < floor {
+				return fmt.Errorf("writer %d reads %d event rows, %d acknowledged before", id, got, floor)
+			}
+			return nil
+		}
+		var got [writers]int64
+		for _, row := range res.Rows {
+			client := cell(row[0])
+			if client < 0 || client >= writers {
+				return fmt.Errorf("writer %d reads rows of unknown client %d", id, client)
+			}
+			got[client] = cell(row[1])
+		}
+		for j := range got {
+			if got[j] < before[j] {
+				return fmt.Errorf("writer %d reads %d rows of writer %d, %d acknowledged before", id, got[j], j, before[j])
+			}
+		}
+		if own := acked[id].Load(); got[id] != own {
+			return fmt.Errorf("writer %d reads %d of its rows, %d acknowledged", id, got[id], own)
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*insertsPerWriter*2)
+	for id := 0; id < writers; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c := NewClient(hs.URL, hc, fmt.Sprintf("writer-%d", id))
+			ctx := context.Background()
+			for i := 0; i < insertsPerWriter; i++ {
+				var sb strings.Builder
+				sb.WriteString("INSERT INTO events VALUES ")
+				for r := 0; r < rowsPerInsert; r++ {
+					if r > 0 {
+						sb.WriteString(", ")
+					}
+					fmt.Fprintf(&sb, "(%d, %d)", id, i*rowsPerInsert+r)
+				}
+				if _, err := c.Query(ctx, sb.String()); err != nil {
+					errs <- fmt.Errorf("writer %d insert %d: %w", id, i, err)
+					return
+				}
+				acked[id].Add(rowsPerInsert)
+				var before [writers]int64
+				for j := range before {
+					before[j] = acked[j].Load()
+				}
+				byClient := i%2 == 0
+				sql := "SELECT count(*) AS n FROM events"
+				if byClient {
+					sql = "SELECT client, count(*) AS n FROM events GROUP BY client"
+				}
+				res, err := c.Query(ctx, sql)
+				if err == nil {
+					err = check(id, before, res, byClient)
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(id)
+	}
+	reads := Run(hs.URL, hc, w, Options{
+		Clients:           4,
+		RequestsPerClient: readsPerClient,
+		Seed:              seed,
+		PreparedEvery:     5,
+		Oracle:            oracle,
+	})
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, d := range reads.Divergences {
+		t.Errorf("divergence: %s", d)
+	}
+	for _, f := range reads.Failures {
+		t.Errorf("failure: %s", f)
+	}
+	if reads.Succeeded == 0 {
+		t.Fatal("no pool read succeeded")
+	}
+	res, err := NewClient(hs.URL, hc, "").Query(context.Background(), "SELECT count(*) FROM events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(writers * insertsPerWriter * rowsPerInsert)
+	if got := cell(res.Rows[0][0]); got != want {
+		t.Fatalf("events holds %d rows, %d acknowledged", got, want)
+	}
+	t.Logf("mixed ingest: %d inserts, %d pool reads ok (%d plan hits), %.0f qps",
+		writers*insertsPerWriter, reads.Succeeded, reads.PlanHits, reads.Throughput())
 }
