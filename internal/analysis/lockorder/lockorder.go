@@ -60,8 +60,6 @@ var Ranks = map[string]int{
 	// Server: the session map and per-session state.
 	"gofusion/internal/server.Server.mu":       20,
 	"gofusion/internal/server.sessionState.mu": 30,
-	// Core caches sit below the service layer and above storage.
-	"gofusion/internal/core.planCache.mu": 40,
 	// Catalog: catalog before schema before table providers.
 	"gofusion/internal/catalog.MemoryCatalog.mu": 50,
 	"gofusion/internal/catalog.MemorySchema.mu":  52,
@@ -73,7 +71,6 @@ var Ranks = map[string]int{
 	"gofusion/internal/memory.ChildPool.mu":     65,
 	"gofusion/internal/memory.UnboundedPool.mu": 70,
 	"gofusion/internal/memory.GreedyPool.mu":    70,
-	"gofusion/internal/memory.FairPool.mu":      70,
 	"gofusion/internal/memory.DiskManager.mu":   70,
 }
 

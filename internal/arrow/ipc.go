@@ -58,24 +58,35 @@ func typeToJSON(t *DataType) *jsonType {
 	return jt
 }
 
-func typeFromJSON(jt *jsonType) *DataType {
+func typeFromJSON(jt *jsonType) (*DataType, error) {
+	if jt == nil {
+		return nil, fmt.Errorf("arrow: decoding schema: a field has no type")
+	}
 	t := &DataType{ID: jt.ID, Precision: jt.Precision, Scale: jt.Scale}
 	if jt.Elem != nil {
-		t.Elem = typeFromJSON(jt.Elem)
+		elem, err := typeFromJSON(jt.Elem)
+		if err != nil {
+			return nil, err
+		}
+		t.Elem = elem
 	}
 	for _, f := range jt.Fields {
-		t.Fields = append(t.Fields, Field{Name: f.Name, Type: typeFromJSON(f.Type), Nullable: f.Nullable})
+		ft, err := typeFromJSON(f.Type)
+		if err != nil {
+			return nil, err
+		}
+		t.Fields = append(t.Fields, Field{Name: f.Name, Type: ft, Nullable: f.Nullable})
 	}
 	// Collapse simple types to their singletons for pointer-equality fast paths.
 	if t.Elem == nil && t.Fields == nil && t.ID != DECIMAL {
 		for _, s := range []*DataType{Null, Boolean, Int8, Int16, Int32, Int64, Uint8,
 			Uint16, Uint32, Uint64, Float32, Float64, String, Binary, Date32, Timestamp, Interval} {
 			if s.ID == t.ID {
-				return s
+				return s, nil
 			}
 		}
 	}
-	return t
+	return t, nil
 }
 
 // MarshalSchema encodes a schema as JSON, used in file footers and streams.
@@ -95,7 +106,11 @@ func UnmarshalSchema(data []byte) (*Schema, error) {
 	}
 	out := make([]Field, len(fields))
 	for i, f := range fields {
-		out[i] = Field{Name: f.Name, Type: typeFromJSON(f.Type), Nullable: f.Nullable}
+		t, err := typeFromJSON(f.Type)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = Field{Name: f.Name, Type: t, Nullable: f.Nullable}
 	}
 	return NewSchema(out...), nil
 }

@@ -1,10 +1,13 @@
 package catalog
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -468,5 +471,63 @@ func TestCompiledPredicateAtoms(t *testing.T) {
 	// Equality probes only come from = atoms (none here).
 	if len(pred.EqProbes()) != 0 {
 		t.Fatal("no eq probes expected")
+	}
+}
+
+// TestGPQShortFooterIsAFormatError drops one column chunk from the first
+// row group's footer. A filtered scan over the file, whose row-group
+// pruning reads the chunk statistics of the filtered column, must fail
+// with the format error instead of indexing past the chunk list.
+func TestGPQShortFooterIsAFormatError(t *testing.T) {
+	path := writeGPQ(t, t.TempDir(), 1000)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footerLen := int(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	dataEnd := len(data) - 8 - footerLen
+	var footer map[string]any
+	if err := json.Unmarshal(data[dataEnd:len(data)-8], &footer); err != nil {
+		t.Fatal(err)
+	}
+	rg0 := footer["groups"].([]any)[0].(map[string]any)
+	rg0["cols"] = rg0["cols"].([]any)[:1]
+	edited, err := json.Marshal(footer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(append([]byte(nil), data[:dataEnd]...), edited...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(edited)))
+	if err := os.WriteFile(path, append(out, parquet.Magic...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err = func() error {
+		tbl, err := NewGPQTable([]string{path}, nil)
+		if err != nil {
+			return err
+		}
+		res, err := tbl.Scan(ScanRequest{
+			Filters: []logical.Expr{logical.Eq(logical.Col("name"), logical.Lit("n"))},
+			Limit:   -1, Partitions: 1,
+		})
+		if err != nil {
+			return err
+		}
+		s, err := res.Open(0)
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		for {
+			if _, err := s.Next(); err == io.EOF {
+				return nil
+			} else if err != nil {
+				return err
+			}
+		}
+	}()
+	if err == nil || !strings.Contains(err.Error(), "malformed GPQ file") {
+		t.Fatalf("filtered scan ended with %v, want the format error", err)
 	}
 }

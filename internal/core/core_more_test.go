@@ -76,30 +76,6 @@ func TestSQLWithMemoryLimitSpills(t *testing.T) {
 	}
 }
 
-// TestFairPoolSession exercises the fair-division memory policy end to
-// end (paper Section 5.5.4).
-func TestFairPoolSession(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemoryLimit = 256 * 1024
-	cfg.FairPool = true
-	cfg.SpillDir = t.TempDir()
-	s := NewSession(cfg)
-	schema := arrow.NewSchema(arrow.NewField("v", arrow.Int64, false))
-	vb := arrow.NewNumericBuilder[int64](arrow.Int64)
-	for i := 0; i < 30000; i++ {
-		vb.Append(int64(i * 7 % 30000))
-	}
-	if err := s.RegisterBatches("t", schema, []*arrow.RecordBatch{
-		arrow.NewRecordBatch(schema, []arrow.Array{vb.Finish()}),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := q(t, s, "SELECT count(DISTINCT v) FROM (SELECT v FROM t ORDER BY v) q")
-	if got[0] != "30000" {
-		t.Fatalf("fair pool result = %v", got)
-	}
-}
-
 func TestGroupingSetsFullShape(t *testing.T) {
 	s := newTestSession(t, 1)
 	got := q(t, s, `SELECT dept_id, name, count(*) FROM emp WHERE dept_id IS NOT NULL

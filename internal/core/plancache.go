@@ -1,12 +1,11 @@
 package core
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 
 	"gofusion/internal/catalog"
 	"gofusion/internal/logical"
+	"gofusion/internal/memory"
 )
 
 // planCache memoizes optimized logical plans of repeated queries, keyed
@@ -24,12 +23,10 @@ import (
 // (see tableStamps): a logical plan holds resolved TableProvider
 // snapshots, so a registration or write of any table it read (DDL,
 // INSERT, COPY, stream append) makes the entry stale, while writes to
-// other tables leave it valid. Stale entries are dropped on lookup.
+// other tables leave it valid. A stale entry is a miss; it stays resident
+// until the re-plan's put overwrites it or it is evicted.
 type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
+	lru *memory.LRU[string, *planEntry]
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -39,7 +36,6 @@ type planCache struct {
 // planEntry is immutable once cached: put replaces, never edits, so a
 // caller may keep one after the lock is released.
 type planEntry struct {
-	key    string
 	tables tableStamps
 	plan   logical.Plan
 }
@@ -60,36 +56,23 @@ func newPlanCache(capacity int) *planCache {
 	if capacity <= 0 {
 		capacity = defaultPlanCacheEntries
 	}
-	return &planCache{cap: capacity, ll: list.New(), byKey: map[string]*list.Element{}}
+	return &planCache{lru: memory.NewLRU[string, *planEntry](capacity)}
 }
 
 // get returns the cached entry for key if every table it was planned over
-// still has the stamp it recorded in cat. Otherwise the entry is dropped
-// (the provider snapshots inside it are stale) and counted as an
-// invalidation. The stamps are checked after pc.mu is released: a lookup
-// in a schema that is not a MemorySchema calls into its provider.
+// still has the stamp it recorded in cat; a stale entry is a miss and
+// counts as an invalidation. The stamps are checked after the LRU's lock
+// is released: a lookup in a schema that is not a MemorySchema calls into
+// its provider.
 func (pc *planCache) get(key string, cat *catalog.MemoryCatalog) (*planEntry, bool) {
-	pc.mu.Lock()
-	el, ok := pc.byKey[key]
-	var ent *planEntry
-	if ok {
-		ent = el.Value.(*planEntry)
-		pc.ll.MoveToFront(el)
-	}
-	pc.mu.Unlock()
+	ent, ok := pc.lru.Get(key)
 	if ok && ent.tables.current(cat) {
 		pc.hits.Add(1)
 		return ent, true
 	}
 	pc.misses.Add(1)
 	if ok {
-		pc.mu.Lock()
-		if el, still := pc.byKey[key]; still && el.Value == ent {
-			pc.ll.Remove(el)
-			delete(pc.byKey, key)
-			pc.invalidations.Add(1)
-		}
-		pc.mu.Unlock()
+		pc.invalidations.Add(1)
 	}
 	return nil, false
 }
@@ -98,31 +81,15 @@ func (pc *planCache) get(key string, cat *catalog.MemoryCatalog) (*planEntry, bo
 // planning recorded, evicting the least recently used entry past
 // capacity.
 func (pc *planCache) put(key string, tables tableStamps, plan logical.Plan) {
-	ent := &planEntry{key: key, tables: tables, plan: plan}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.byKey[key]; ok {
-		el.Value = ent
-		pc.ll.MoveToFront(el)
-		return
-	}
-	pc.byKey[key] = pc.ll.PushFront(ent)
-	for pc.ll.Len() > pc.cap {
-		last := pc.ll.Back()
-		pc.ll.Remove(last)
-		delete(pc.byKey, last.Value.(*planEntry).key)
-	}
+	pc.lru.Put(key, &planEntry{tables: tables, plan: plan})
 }
 
 // Stats snapshots hit/miss/invalidation counters and residency.
 func (pc *planCache) Stats() PlanCacheStats {
-	pc.mu.Lock()
-	n := pc.ll.Len()
-	pc.mu.Unlock()
 	return PlanCacheStats{
 		Hits:          pc.hits.Load(),
 		Misses:        pc.misses.Load(),
 		Invalidations: pc.invalidations.Load(),
-		Entries:       n,
+		Entries:       pc.lru.Len(),
 	}
 }

@@ -48,9 +48,6 @@ type SessionConfig struct {
 	ExchangeBufferDepth int
 	// MemoryLimit bounds tracked operator memory in bytes; 0 = unlimited.
 	MemoryLimit int64
-	// FairPool divides MemoryLimit evenly among pipeline-breaking
-	// operators instead of first-come-first-served.
-	FairPool bool
 	// SpillDir hosts spill files; empty uses the OS temp dir.
 	SpillDir string
 	// DisableSpill turns off spilling (queries fail on memory pressure).
@@ -838,11 +835,7 @@ func (s *SessionContext) newExecContext() (*physical.ExecContext, func()) {
 		child = memory.NewChildPool(s.cfg.ParentPool, "query", s.cfg.MemoryLimit)
 		ctx.Pool = child
 	} else if s.cfg.MemoryLimit > 0 {
-		if s.cfg.FairPool {
-			ctx.Pool = memory.NewFairPool(s.cfg.MemoryLimit)
-		} else {
-			ctx.Pool = memory.NewGreedyPool(s.cfg.MemoryLimit)
-		}
+		ctx.Pool = memory.NewGreedyPool(s.cfg.MemoryLimit)
 	}
 	var dm *memory.DiskManager
 	if !s.cfg.DisableSpill {

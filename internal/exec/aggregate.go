@@ -370,10 +370,9 @@ func (e *HashAggregateExec) PushInto(ctx *physical.ExecContext, _ int) (physical
 	m := e.Metrics()
 	p := &aggPusher{
 		e: e, ctx: ctx, st: st, m: m,
-		ordered:    e.InputOrdered && st.table != nil,
-		res:        memory.NewReservation(ctx.Pool, "HashAggregateExec"),
-		unregister: memory.RegisterConsumer(ctx.Pool),
-		groups:     m.Counter("groups"),
+		ordered: e.InputOrdered && st.table != nil,
+		res:     memory.NewReservation(ctx.Pool, "HashAggregateExec"),
+		groups:  m.Counter("groups"),
 	}
 	if e.Mode == PartialAgg && !p.ordered {
 		p.probing = st.table != nil
@@ -390,15 +389,14 @@ func (e *HashAggregateExec) PushInto(ctx *physical.ExecContext, _ int) (physical
 // is not reducing its input), a Final/Single one spills it, and an ordered
 // one emits its completed groups early.
 type aggPusher struct {
-	e          *HashAggregateExec
-	ctx        *physical.ExecContext
-	m          *physical.MetricsSet
-	st         *aggState // nil once passing through
-	res        *memory.Reservation
-	unregister func()
-	groupIdx   []uint32
-	released   bool
-	scratch    physical.Scratch
+	e        *HashAggregateExec
+	ctx      *physical.ExecContext
+	m        *physical.MetricsSet
+	st       *aggState // nil once passing through
+	res      *memory.Reservation
+	groupIdx []uint32
+	released bool
+	scratch  physical.Scratch
 	// ordered marks grouped input sorted on the group keys (pushOrdered).
 	ordered bool
 
@@ -674,7 +672,6 @@ func (p *aggPusher) release() {
 	}
 	p.released = true
 	p.res.Free()
-	p.unregister()
 }
 
 func (p *aggPusher) releaseSpills() {

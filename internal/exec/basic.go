@@ -419,75 +419,3 @@ func (e *ValuesExec) Execute(_ *physical.ExecContext, partition int) (physical.S
 		return b, nil
 	}, nil), e.Metrics()), nil
 }
-
-// CoalesceBatchesExec re-buffers small batches (e.g. post-filter) back up
-// to the target size so downstream vectorization stays effective.
-type CoalesceBatchesExec struct {
-	physical.OpMetrics
-	Input  physical.ExecutionPlan
-	Target int
-}
-
-func (e *CoalesceBatchesExec) Schema() *arrow.Schema { return e.Input.Schema() }
-func (e *CoalesceBatchesExec) Children() []physical.ExecutionPlan {
-	return []physical.ExecutionPlan{e.Input}
-}
-func (e *CoalesceBatchesExec) Partitions() int { return e.Input.Partitions() }
-func (e *CoalesceBatchesExec) OutputOrdering() []physical.SortField {
-	return e.Input.OutputOrdering()
-}
-func (e *CoalesceBatchesExec) String() string {
-	return fmt.Sprintf("CoalesceBatchesExec: target=%d", e.Target)
-}
-func (e *CoalesceBatchesExec) WithChildren(ch []physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-	c, err := oneChild(ch)
-	if err != nil {
-		return nil, err
-	}
-	return &CoalesceBatchesExec{Input: c, Target: e.Target}, nil
-}
-
-func (e *CoalesceBatchesExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	return executePushed(ctx, partition, e)
-}
-
-// CanPush marks batch coalescing as fusable.
-func (e *CoalesceBatchesExec) CanPush() bool { return true }
-
-// PushInto compiles the re-buffering for a fused loop; Flush emits the
-// sub-target remainder.
-func (e *CoalesceBatchesExec) PushInto(*physical.ExecContext, int) (physical.Pusher, error) {
-	return &coalescePusher{e: e}, nil
-}
-
-type coalescePusher struct {
-	e       *CoalesceBatchesExec
-	pending []*arrow.RecordBatch
-	rows    int
-}
-
-func (p *coalescePusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, error) {
-	if b.NumRows() > 0 {
-		p.pending = append(p.pending, b)
-		p.rows += b.NumRows()
-	}
-	if p.rows < p.e.Target {
-		return false, nil
-	}
-	return false, p.drain(emit)
-}
-
-func (p *coalescePusher) drain(emit physical.EmitFn) error {
-	if p.rows == 0 {
-		return nil
-	}
-	out, err := compute.ConcatBatches(p.e.Schema(), p.pending)
-	p.pending, p.rows = nil, 0
-	if err != nil {
-		return err
-	}
-	return emit(out)
-}
-
-func (p *coalescePusher) Flush(emit physical.EmitFn) error { return p.drain(emit) }
-func (p *coalescePusher) Close()                           {}

@@ -166,42 +166,6 @@ func TestUnionPreservesPartitions(t *testing.T) {
 	}
 }
 
-func TestCoalesceBatchesRebuffers(t *testing.T) {
-	// A selective filter produces fragments; CoalesceBatchesExec must
-	// merge them back toward the target size.
-	table := bigTable(t, 10000)
-	plan, err := logical.NewBuilder(testReg).
-		Scan("big", table).
-		Filter(&logical.BinaryExpr{Op: logical.OpEq,
-			L: &logical.BinaryExpr{Op: logical.OpMod, L: logical.Col("v"), R: logical.Lit(10)},
-			R: logical.Lit(0)}).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := CreatePhysicalPlan(plan, &PlannerConfig{TargetPartitions: 1, Reg: testReg, BatchRows: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := physical.NewExecContext()
-	ctx.BatchRows = 512
-	batches, err := CollectPlan(ctx, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range batches[:len(batches)-1] {
-		if b.NumRows() < 512 {
-			t.Fatalf("non-final batch of %d rows escaped coalescing", b.NumRows())
-		}
-		total += b.NumRows()
-	}
-	total += batches[len(batches)-1].NumRows()
-	if total != 1000 {
-		t.Fatalf("filtered rows = %d", total)
-	}
-}
-
 func TestMemTableDeclaredOrderValidated(t *testing.T) {
 	// Declaring order and relying on the ordered-agg fast path: the engine
 	// trusts the catalog, so this test documents correct usage. A wrong

@@ -63,8 +63,6 @@ func CheckPlanMetrics(plan physical.ExecutionPlan, rowsReturned int64) error {
 				checkAtMost(&errs, n, s.OutputRows, op.Input)
 			case *LocalLimitExec:
 				checkAtMost(&errs, n, s.OutputRows, op.Input)
-			case *CoalesceBatchesExec:
-				checkAtMost(&errs, n, s.OutputRows, op.Input)
 			case *WindowExec:
 				// One output row per input row, less what a top-k limit
 				// pruned (and what a limit above never pulled).

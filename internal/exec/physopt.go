@@ -11,11 +11,7 @@ import (
 // and Top-K selection happen during lowering where logical context is
 // available; the passes here operate on the physical tree.
 func applyPhysicalOptimizers(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-	plan, err := removeRedundantCoalesce(plan)
-	if err != nil {
-		return nil, err
-	}
-	plan, err = limitWindowTopK(plan, nil)
+	plan, err := limitWindowTopK(plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -113,39 +109,15 @@ func foldJoinProjections(plan physical.ExecutionPlan) (physical.ExecutionPlan, e
 	})
 }
 
-// removeRedundantCoalesce drops stacked CoalesceBatchesExec and
-// single-input CoalescePartitionsExec nodes, and removes batch coalescing
-// over unbounded inputs entirely: a live tail may never fill the target
-// row count, so buffering toward it would block the pipeline forever.
-// Streaming output trades batch size for latency.
-func removeRedundantCoalesce(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-	return transformUp(plan, func(p physical.ExecutionPlan) (physical.ExecutionPlan, error) {
-		switch node := p.(type) {
-		case *CoalesceBatchesExec:
-			if IsUnbounded(node.Input) {
-				return node.Input, nil
-			}
-			if inner, ok := node.Input.(*CoalesceBatchesExec); ok {
-				return &CoalesceBatchesExec{Input: inner.Input, Target: node.Target}, nil
-			}
-		case *CoalescePartitionsExec:
-			if node.Input.Partitions() == 1 {
-				return node.Input, nil
-			}
-		}
-		return p, nil
-	})
-}
-
 // limitWindowTopK is the per-partition top-k rewrite: a filter
-// `rn <= k`, `rn < k` or `rn = 1` directly over a WindowExec (through
-// CoalesceBatchesExec) whose one spec is the row_number() producing rn
-// makes every row past the k-th of its PARTITION BY group dead,
-// provided nothing above the filter reads rn. The window then gets
-// TopK = k and keeps a k-bounded heap per group instead of sorting; the
-// filter stays and passes everything the window emits. The limited window
-// emits its rows in input order like the full one, so sorts that lowering
-// dropped because the window passes an ordering through stay correct.
+// `rn <= k`, `rn < k` or `rn = 1` directly over a WindowExec whose one
+// spec is the row_number() producing rn makes every row past the k-th of
+// its PARTITION BY group dead, provided nothing above the filter reads rn.
+// The window then gets TopK = k and keeps a k-bounded heap per group
+// instead of sorting; the filter stays and passes everything the window
+// emits. The limited window emits its rows in input order like the full
+// one, so sorts that lowering dropped because the window passes an
+// ordering through stay correct.
 //
 // The rule is physical on purpose: the baseline engine shares the logical
 // optimizer and PlanWindowOver but not this pass, so it keeps evaluating
@@ -174,7 +146,7 @@ func limitWindowTopK(plan physical.ExecutionPlan, unread []bool) (physical.Execu
 				below[col.Index] = false
 			}
 		}
-	case *CoalesceBatchesExec, *CoalescePartitionsExec, *GlobalLimitExec, *LocalLimitExec:
+	case *CoalescePartitionsExec, *GlobalLimitExec, *LocalLimitExec:
 		below = unread
 	case *FilterExec:
 		if limited := topKWindowUnder(node, unread); limited != nil {
@@ -222,26 +194,12 @@ func topKWindowUnder(filter *FilterExec, unread []bool) physical.ExecutionPlan {
 	default:
 		return nil
 	}
-	var coalesces []*CoalesceBatchesExec
-	input := filter.Input
-	for {
-		c, ok := input.(*CoalesceBatchesExec)
-		if !ok {
-			break
-		}
-		coalesces = append(coalesces, c)
-		input = c.Input
-	}
-	w, ok := input.(*WindowExec)
+	w, ok := filter.Input.(*WindowExec)
 	if !ok || len(w.Specs) != 1 || w.Specs[0].Name != "row_number" ||
 		col.Index != w.Input.Schema().NumFields() {
 		return nil
 	}
 	limited := NewWindowExec(w.Input, w.Specs, w.Reg)
 	limited.TopK = max(k, 0)
-	var plan physical.ExecutionPlan = limited
-	for i := len(coalesces) - 1; i >= 0; i-- {
-		plan = &CoalesceBatchesExec{Input: plan, Target: coalesces[i].Target}
-	}
-	return &FilterExec{Input: plan, Predicate: filter.Predicate}
+	return &FilterExec{Input: limited, Predicate: filter.Predicate}
 }

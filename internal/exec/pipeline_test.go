@@ -56,6 +56,13 @@ func idGreater(n int64) physical.PhysicalExpr {
 	}
 }
 
+// filterThenProject is the two-stage chain the fusion tests drive:
+// FilterExec(id > n) over in, under a projection of id.
+func filterThenProject(in physical.ExecutionPlan, n int64) *ProjectionExec {
+	filter := &FilterExec{Input: in, Predicate: idGreater(n)}
+	return NewProjectionExec(filter, []physical.PhysicalExpr{physical.NewColumnExpr(0, "id", arrow.Int64)}, []string{"id"}, nil)
+}
+
 func sumRows(batches []*arrow.RecordBatch) int64 {
 	var rows int64
 	for _, b := range batches {
@@ -64,7 +71,7 @@ func sumRows(batches []*arrow.RecordBatch) int64 {
 	return rows
 }
 
-// TestFusePipelinesShape pins the fusion pass output: a filter+coalesce
+// TestFusePipelinesShape pins the fusion pass output: a filter+projection
 // chain over a multi-partition GPQ scan becomes one two-stage PipelineExec
 // whose Children still expose the original operator chain down to the
 // scan, which announces its own morsel scheduling; a lone fusable operator
@@ -90,7 +97,7 @@ func TestFusePipelinesShape(t *testing.T) {
 		t.Fatalf("lone morsel scan rewritten to %T (err %v)", lone, err)
 	}
 
-	chain := &CoalesceBatchesExec{Input: &FilterExec{Input: scan, Predicate: idGreater(99)}, Target: 8192}
+	chain := filterThenProject(scan, 99)
 	fused, err := fusePipelines(chain)
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +110,13 @@ func TestFusePipelinesShape(t *testing.T) {
 		t.Fatalf("segment line = %q", seg.String())
 	}
 	// EXPLAIN sees the original chain nested under the segment.
-	co, ok := seg.Children()[0].(*CoalesceBatchesExec)
+	proj, ok := seg.Children()[0].(*ProjectionExec)
 	if !ok {
-		t.Fatalf("segment child = %T, want *CoalesceBatchesExec", seg.Children()[0])
+		t.Fatalf("segment child = %T, want *ProjectionExec", seg.Children()[0])
 	}
-	fi, ok := co.Input.(*FilterExec)
+	fi, ok := proj.Input.(*FilterExec)
 	if !ok {
-		t.Fatalf("coalesce input = %T, want *FilterExec", co.Input)
+		t.Fatalf("projection input = %T, want *FilterExec", proj.Input)
 	}
 	if fi.Input != scan || seg.Source != scan {
 		t.Fatalf("filter input = %T, segment source = %T, want the scan", fi.Input, seg.Source)
@@ -149,10 +156,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 	writeSeqGPQ(t, path, 4000, 100)
 
 	build := func() physical.ExecutionPlan {
-		return &CoalesceBatchesExec{
-			Input:  &FilterExec{Input: seqScan(t, path, 4), Predicate: idGreater(999)},
-			Target: 8192,
-		}
+		return filterThenProject(seqScan(t, path, 4), 999)
 	}
 	fusedPlan, err := fusePipelines(build())
 	if err != nil {
@@ -222,10 +226,7 @@ func TestMorselCancellationMidDrain(t *testing.T) {
 	writeSeqGPQ(t, path, 6400, 100)
 
 	scan := seqScan(t, path, 4)
-	plan, err := fusePipelines(&CoalesceBatchesExec{
-		Input:  &FilterExec{Input: scan, Predicate: idGreater(-1)},
-		Target: 512,
-	})
+	plan, err := fusePipelines(filterThenProject(scan, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,9 +552,6 @@ func TestPushableAloneMatchesFused(t *testing.T) {
 		{"global-limit-skip-fetch", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return &GlobalLimitExec{Input: in, Skip: 150, Fetch: 120}
 		}, []int{50, 70}, "150|3|", 0},
-		{"coalesce-remainder", func(in physical.ExecutionPlan) physical.ExecutionPlan {
-			return &CoalesceBatchesExec{Input: in, Target: 256}
-		}, []int{300, 300, 300, 100}, "0|0|", 0},
 		{"partial-agg", func(in physical.ExecutionPlan) physical.ExecutionPlan {
 			return sumCountByK(t, in, PartialAgg, 1)
 		}, []int{7}, "", 0},

@@ -131,7 +131,7 @@ func (cfg *PlannerConfig) create(plan logical.Plan) (physical.ExecutionPlan, err
 		if err != nil {
 			return nil, err
 		}
-		return &CoalesceBatchesExec{Input: &FilterExec{Input: input, Predicate: pred}, Target: cfg.BatchRows}, nil
+		return &FilterExec{Input: input, Predicate: pred}, nil
 	case *logical.Aggregate:
 		return cfg.planAggregate(node)
 	case *logical.Sort:
@@ -254,7 +254,7 @@ func (cfg *PlannerConfig) planScan(node *logical.TableScan) (physical.ExecutionP
 		if err != nil {
 			return nil, err
 		}
-		plan = &CoalesceBatchesExec{Input: &FilterExec{Input: plan, Predicate: pred}, Target: cfg.BatchRows}
+		plan = &FilterExec{Input: plan, Predicate: pred}
 	}
 	return plan, nil
 }
@@ -648,7 +648,7 @@ func (cfg *PlannerConfig) planStreamingJoin(node *logical.Join, left, right phys
 	}
 	var out physical.ExecutionPlan = NewSymmetricHashJoinExec(left, right, on)
 	if filter != nil {
-		out = &CoalesceBatchesExec{Input: &FilterExec{Input: out, Predicate: filter}, Target: cfg.BatchRows}
+		out = &FilterExec{Input: out, Predicate: filter}
 	}
 	return out, nil
 }

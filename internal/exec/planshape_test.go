@@ -1,0 +1,115 @@
+package exec_test
+
+import (
+	"fmt"
+	"path/filepath"
+	"testing"
+
+	"gofusion/internal/core"
+	"gofusion/internal/exec"
+	"gofusion/internal/physical"
+	"gofusion/internal/workload/clickbench"
+	"gofusion/internal/workload/h2o"
+	"gofusion/internal/workload/tpch"
+)
+
+// TestWorkloadPlanShapes plans and runs every TPC-H, ClickBench and H2O
+// statement over the benchmark's table layouts (TPC-H and ClickBench in
+// GPQ files, H2O from CSV) at one and two partitions, and checks the
+// physical shapes the planner promises without a cleanup pass: every
+// CoalescePartitionsExec merges more than one partition, and every
+// FilterExec sits directly on the operator whose rows it filters, with no
+// pass-through node in between. H2O q08's rn <= 2 keeps its per-group
+// top-k window.
+func TestWorkloadPlanShapes(t *testing.T) {
+	dir := t.TempDir()
+	if err := tpch.WriteGPQ(filepath.Join(dir, "tpch"), 0.01, 2000); err != nil {
+		t.Fatal(err)
+	}
+	if err := clickbench.WriteGPQ(filepath.Join(dir, "hits"), 20000, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := h2o.WriteCSV(filepath.Join(dir, "g1.csv"), 20000); err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]string{}
+	for n := 1; n <= 22; n++ {
+		q, err := tpch.Query(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[fmt.Sprintf("tpch-q%02d", n)] = q
+	}
+	for n, q := range clickbench.Queries() {
+		queries[fmt.Sprintf("clickbench-q%02d", n)] = q
+	}
+	for n, q := range h2o.Queries {
+		queries[fmt.Sprintf("h2o-q%02d", n)] = q
+	}
+	for _, parts := range []int{1, 2} {
+		s := core.NewSession(core.SessionConfig{TargetPartitions: parts})
+		defer s.Close()
+		if err := tpch.RegisterGPQ(s, filepath.Join(dir, "tpch")); err != nil {
+			t.Fatal(err)
+		}
+		if err := clickbench.RegisterGPQ(s, filepath.Join(dir, "hits")); err != nil {
+			t.Fatal(err)
+		}
+		if err := h2o.Register(s, filepath.Join(dir, "g1.csv")); err != nil {
+			t.Fatal(err)
+		}
+		for name, q := range queries {
+			df, err := s.SQL(q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			_, qm, err := df.CollectWithMetrics()
+			if err != nil {
+				t.Fatalf("%s p%d: %v", name, parts, err)
+			}
+			for _, v := range planShapeViolations(qm.Plan) {
+				t.Errorf("%s p%d: %s\n%s", name, parts, v, exec.ExplainPhysical(qm.Plan))
+			}
+			if name == "h2o-q08" && !windowTopKUnderFilter(qm.Plan, 2) {
+				t.Errorf("%s p%d: no FilterExec over a WindowExec with topk=2\n%s", name, parts, exec.ExplainPhysical(qm.Plan))
+			}
+		}
+	}
+}
+
+// planShapeViolations lists each CoalescePartitionsExec over a single
+// partition and each FilterExec over a node that only passes rows on.
+func planShapeViolations(p physical.ExecutionPlan) []string {
+	var out []string
+	switch n := p.(type) {
+	case *exec.CoalescePartitionsExec:
+		if n.Input.Partitions() <= 1 {
+			out = append(out, fmt.Sprintf("%s over %d partition", n, n.Input.Partitions()))
+		}
+	case *exec.FilterExec:
+		switch n.Input.(type) {
+		case *exec.FilterExec, *exec.CoalescePartitionsExec, *exec.GlobalLimitExec, *exec.LocalLimitExec:
+			out = append(out, fmt.Sprintf("FilterExec over %T", n.Input))
+		}
+	}
+	for _, c := range p.Children() {
+		out = append(out, planShapeViolations(c)...)
+	}
+	return out
+}
+
+// windowTopKUnderFilter reports whether the plan holds a FilterExec
+// directly over a WindowExec limited to the top k rows per group.
+func windowTopKUnderFilter(p physical.ExecutionPlan, k int64) bool {
+	if f, ok := p.(*exec.FilterExec); ok {
+		if w, ok := f.Input.(*exec.WindowExec); ok && w.TopK == k {
+			return true
+		}
+	}
+	for _, c := range p.Children() {
+		if windowTopKUnderFilter(c, k) {
+			return true
+		}
+	}
+	return false
+}

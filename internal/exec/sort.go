@@ -130,7 +130,6 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 	}
 
 	res := memory.NewReservation(ctx.Pool, "SortExec")
-	unregister := memory.RegisterConsumer(ctx.Pool)
 	var spills []*memory.SpillFile
 	var pending []*arrow.RecordBatch
 	var pendingKeys rowKeys
@@ -139,7 +138,6 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 	cleanup := func() {
 		in.Close()
 		res.Free()
-		unregister()
 		for _, sp := range spills {
 			sp.Release()
 		}

@@ -133,8 +133,6 @@ func watermarkColumn(p physical.ExecutionPlan) int {
 		return -1
 	case *FilterExec:
 		return watermarkColumn(n.Input)
-	case *CoalesceBatchesExec:
-		return watermarkColumn(n.Input)
 	case *CoalescePartitionsExec:
 		return watermarkColumn(n.Input)
 	case *LocalLimitExec:

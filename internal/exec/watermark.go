@@ -93,12 +93,11 @@ func (e *WatermarkAggExec) PushInto(ctx *physical.ExecContext, partition int) (p
 	m := e.Metrics()
 	return &wmPusher{
 		e: e, ctx: ctx, m: m,
-		buckets:    map[int64]*aggState{},
-		byVal:      map[int64][]int32{},
-		res:        memory.NewReservation(ctx.Pool, "WatermarkAggExec"),
-		unregister: memory.RegisterConsumer(ctx.Pool),
-		wmCounter:  m.Counter("watermark"),
-		emitted:    m.Counter("groups_emitted"),
+		buckets:   map[int64]*aggState{},
+		byVal:     map[int64][]int32{},
+		res:       memory.NewReservation(ctx.Pool, "WatermarkAggExec"),
+		wmCounter: m.Counter("watermark"),
+		emitted:   m.Counter("groups_emitted"),
 	}, nil
 }
 
@@ -114,7 +113,6 @@ type wmPusher struct {
 	watermark  int64     // the highest event time seen, once haveWM
 	haveWM     bool
 	res        *memory.Reservation
-	unregister func()
 	groupIdx   []uint32
 	scratch    physical.Scratch
 	// byVal is the current batch's row indexes per event time.
@@ -256,7 +254,6 @@ func (p *wmPusher) Flush(emit physical.EmitFn) error {
 
 func (p *wmPusher) Close() {
 	p.res.Free()
-	p.unregister()
 }
 
 // takeRows gathers the given row indices of every column into a new batch.

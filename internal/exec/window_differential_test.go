@@ -407,9 +407,6 @@ func windowPhysicalPlan(t *testing.T, sqlText string, table catalog.TableProvide
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if pp, err = removeRedundantCoalesce(pp); err != nil {
-		t.Fatal(err)
-	}
 	if rewrite {
 		if pp, err = limitWindowTopK(pp, nil); err != nil {
 			t.Fatal(err)

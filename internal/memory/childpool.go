@@ -58,8 +58,6 @@ func (p *ChildPool) shrink(_ *Reservation, n int64) {
 	p.mu.Unlock()
 }
 
-func (p *ChildPool) registerConsumer() func() { return func() {} }
-
 // Reserved returns this child's total reserved bytes.
 func (p *ChildPool) Reserved() int64 {
 	p.mu.Lock()

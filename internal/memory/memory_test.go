@@ -58,28 +58,6 @@ func TestReservationResizeAndOverShrink(t *testing.T) {
 	}
 }
 
-func TestFairPoolDividesBudget(t *testing.T) {
-	p := NewFairPool(100)
-	un1 := RegisterConsumer(p)
-	un2 := RegisterConsumer(p)
-	defer un1()
-	defer un2()
-	r1 := NewReservation(p, "sort")
-	// Two consumers: each limited to 50.
-	if err := r1.Grow(60); err == nil {
-		t.Fatal("fair pool must cap a single consumer at limit/k")
-	}
-	if err := r1.Grow(50); err != nil {
-		t.Fatal(err)
-	}
-	un2() // back to one consumer: full budget available
-	if err := r1.Grow(50); err != nil {
-		t.Fatal(err)
-	}
-	un2() // double-deregister must be a no-op
-	r1.Free()
-}
-
 func TestUnboundedPool(t *testing.T) {
 	p := NewUnboundedPool()
 	r := NewReservation(p, "x")

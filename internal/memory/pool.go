@@ -1,8 +1,9 @@
 // Package memory implements the engine's execution-environment resource
-// APIs (paper Sections 5.5.4 and 7.4): MemoryPool with Greedy and Fair
-// policies, DiskManager for reference-counted spill files, and CacheManager
-// for listing/metadata caches. Systems embedding the engine substitute
-// their own implementations of these interfaces.
+// APIs (paper Sections 5.5.4 and 7.4): MemoryPool with unbounded,
+// first-come first-served (greedy) and per-query child pools, DiskManager
+// for reference-counted spill files, and CacheManager for listing/metadata
+// caches. Systems embedding the engine substitute their own
+// implementations of these interfaces.
 package memory
 
 import (
@@ -32,9 +33,6 @@ type Pool interface {
 	grow(r *Reservation, n int64) error
 	// shrink returns n bytes from the reservation.
 	shrink(r *Reservation, n int64)
-	// registerConsumer notes a pipeline-breaking consumer (used by fair
-	// pools to divide the budget) and returns a deregistration func.
-	registerConsumer() func()
 	// Reserved returns the total bytes currently reserved.
 	Reserved() int64
 	// ReservedPeak returns the high-water mark of Reserved over the
@@ -120,8 +118,6 @@ func (p *UnboundedPool) shrink(_ *Reservation, n int64) {
 	p.mu.Unlock()
 }
 
-func (p *UnboundedPool) registerConsumer() func() { return func() {} }
-
 // Reserved returns the total tracked bytes.
 func (p *UnboundedPool) Reserved() int64 {
 	p.mu.Lock()
@@ -167,8 +163,6 @@ func (p *GreedyPool) shrink(_ *Reservation, n int64) {
 	p.mu.Unlock()
 }
 
-func (p *GreedyPool) registerConsumer() func() { return func() {} }
-
 // Reserved returns the total reserved bytes.
 func (p *GreedyPool) Reserved() int64 {
 	p.mu.Lock()
@@ -185,72 +179,3 @@ func (p *GreedyPool) ReservedPeak() int64 {
 
 // Limit returns the pool limit.
 func (p *GreedyPool) Limit() int64 { return p.limit }
-
-// FairPool divides the limit evenly among registered pipeline-breaking
-// consumers: with k consumers, each may hold at most limit/k bytes, so one
-// memory-hungry operator cannot starve its siblings.
-type FairPool struct {
-	mu        sync.Mutex
-	limit     int64
-	used      int64
-	peak      int64
-	consumers int
-}
-
-// NewFairPool returns a fair pool with the given byte limit.
-func NewFairPool(limit int64) *FairPool { return &FairPool{limit: limit} }
-
-func (p *FairPool) grow(r *Reservation, n int64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	perConsumer := p.limit
-	if p.consumers > 1 {
-		perConsumer = p.limit / int64(p.consumers)
-	}
-	if r.size+n > perConsumer || p.used+n > p.limit {
-		return fmt.Errorf("%w", &ErrResourcesExhausted{Consumer: r.name, Requested: n, Limit: perConsumer, Used: r.size})
-	}
-	p.used += n
-	if p.used > p.peak {
-		p.peak = p.used
-	}
-	return nil
-}
-
-func (p *FairPool) shrink(_ *Reservation, n int64) {
-	p.mu.Lock()
-	p.used -= n
-	p.mu.Unlock()
-}
-
-func (p *FairPool) registerConsumer() func() {
-	p.mu.Lock()
-	p.consumers++
-	p.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			p.mu.Lock()
-			p.consumers--
-			p.mu.Unlock()
-		})
-	}
-}
-
-// Reserved returns the total reserved bytes.
-func (p *FairPool) Reserved() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.used
-}
-
-// ReservedPeak returns the high-water mark of reserved bytes.
-func (p *FairPool) ReservedPeak() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
-}
-
-// RegisterConsumer marks a pipeline-breaking consumer on any pool,
-// returning a function to deregister it.
-func RegisterConsumer(p Pool) func() { return p.registerConsumer() }

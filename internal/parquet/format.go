@@ -59,18 +59,32 @@ type statsValue struct {
 	B *bool    `json:"b,omitempty"`
 }
 
+// statsKind names the statsValue field that holds min/max values of type
+// t: 'f', 's', 'b' or 'i'.
+func statsKind(t *arrow.DataType) byte {
+	switch t.ID {
+	case arrow.FLOAT32, arrow.FLOAT64:
+		return 'f'
+	case arrow.STRING, arrow.BINARY:
+		return 's'
+	case arrow.BOOL:
+		return 'b'
+	}
+	return 'i'
+}
+
 func statsValueOf(s arrow.Scalar) *statsValue {
 	if s.Null {
 		return nil
 	}
-	switch s.Type.ID {
-	case arrow.FLOAT32, arrow.FLOAT64:
+	switch statsKind(s.Type) {
+	case 'f':
 		f := s.AsFloat64()
 		if math.IsNaN(f) {
 			return nil
 		}
 		return &statsValue{F: &f}
-	case arrow.STRING, arrow.BINARY:
+	case 's':
 		v := s.AsString()
 		// Truncate long stats values; min stays a valid lower bound and max
 		// is widened by bumping the last byte.
@@ -78,7 +92,7 @@ func statsValueOf(s arrow.Scalar) *statsValue {
 			v = v[:64]
 		}
 		return &statsValue{S: &v}
-	case arrow.BOOL:
+	case 'b':
 		b := s.AsBool()
 		return &statsValue{B: &b}
 	default:
@@ -87,12 +101,14 @@ func statsValueOf(s arrow.Scalar) *statsValue {
 	}
 }
 
+// toScalar returns the value as a scalar of type t, or a null scalar when
+// there is none or it is held in the field of another type.
 func (v *statsValue) toScalar(t *arrow.DataType) arrow.Scalar {
 	if v == nil {
 		return arrow.NullScalar(t)
 	}
-	switch {
-	case v.I != nil:
+	switch kind := statsKind(t); {
+	case v.I != nil && kind == 'i':
 		switch t.ID {
 		case arrow.INT8:
 			return arrow.NewScalar(t, int8(*v.I))
@@ -111,14 +127,14 @@ func (v *statsValue) toScalar(t *arrow.DataType) arrow.Scalar {
 		default:
 			return arrow.NewScalar(t, *v.I)
 		}
-	case v.F != nil:
+	case v.F != nil && kind == 'f':
 		if t.ID == arrow.FLOAT32 {
 			return arrow.NewScalar(t, float32(*v.F))
 		}
 		return arrow.NewScalar(t, *v.F)
-	case v.S != nil:
+	case v.S != nil && kind == 's':
 		return arrow.NewScalar(t, *v.S)
-	case v.B != nil:
+	case v.B != nil && kind == 'b':
 		return arrow.NewScalar(t, *v.B)
 	}
 	return arrow.NullScalar(t)
@@ -143,14 +159,9 @@ type statsMeta struct {
 }
 
 func (m statsMeta) toStats(t *arrow.DataType) ColumnStats {
-	cs := ColumnStats{NullCount: m.NullCount, NumRows: m.NumRows}
-	if m.Min != nil && m.Max != nil {
-		cs.Min = m.Min.toScalar(t)
-		cs.Max = m.Max.toScalar(t)
-		cs.HasMinMax = true
-	} else {
-		cs.Min = arrow.NullScalar(t)
-		cs.Max = arrow.NullScalar(t)
+	cs := ColumnStats{NullCount: m.NullCount, NumRows: m.NumRows, Min: m.Min.toScalar(t), Max: m.Max.toScalar(t)}
+	if cs.HasMinMax = !cs.Min.Null && !cs.Max.Null; !cs.HasMinMax {
+		cs.Min, cs.Max = arrow.NullScalar(t), arrow.NullScalar(t)
 	}
 	return cs
 }

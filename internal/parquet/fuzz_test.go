@@ -1,6 +1,10 @@
 package parquet
 
 import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -52,5 +56,47 @@ func FuzzDecodePage(f *testing.F) {
 			t.Fatalf("re-encoded page does not decode: %v", err)
 		}
 		assertArraysEqual(t, got, again)
+	})
+}
+
+// FuzzReadMetadata feeds arbitrary footers to ReadMetadata inside an
+// otherwise well-formed file frame. A footer must be rejected with an
+// error, or the chunk and file statistics the catalog's pruning and the
+// scan read must answer for every row group and column, with min/max
+// values that print as their column's type; nothing may panic.
+func FuzzReadMetadata(f *testing.F) {
+	// A small seed keeps the minimization of each new input short: two
+	// row groups of one row over every statistics kind.
+	path := filepath.Join(f.TempDir(), "seed.gpq")
+	if err := WriteFile(path, gridSchema(), []*arrow.RecordBatch{gridBatch(2)},
+		WriterOptions{RowGroupRows: 1}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := int(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	f.Add(data[len(data)-8-n : len(data)-8])
+	f.Fuzz(func(t *testing.T, footer []byte) {
+		file := append([]byte(Magic), footer...)
+		file = binary.LittleEndian.AppendUint32(file, uint32(len(footer)))
+		file = append(file, Magic...)
+		m, err := ReadMetadata(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			return
+		}
+		for rg := 0; rg < m.NumRowGroups(); rg++ {
+			m.RowGroupRows(rg)
+			for col := 0; col < m.Schema.NumFields(); col++ {
+				cs := m.ColumnChunkStats(rg, col)
+				_ = cs.Min.String() + cs.Max.String()
+				m.ColumnChunkPages(rg, col)
+			}
+		}
+		for col := 0; col < m.Schema.NumFields(); col++ {
+			cs := m.ColumnStatsForFile(col)
+			_ = cs.Min.String() + cs.Max.String()
+		}
 	})
 }

@@ -96,7 +96,8 @@ func NewReader(r io.ReaderAt, size int64) (*FileReader, error) {
 }
 
 // ReadMetadata decodes only the footer of a GPQ file; catalogs use this to
-// plan without touching data pages.
+// plan without touching data pages. A row group that does not hold exactly
+// one column chunk per schema field is a format error.
 func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	if size < int64(len(Magic))*2+4 {
 		return nil, errFormat
@@ -130,6 +131,11 @@ func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	schema, err := arrow.UnmarshalSchema(footer.Schema)
 	if err != nil {
 		return nil, err
+	}
+	for _, g := range footer.RowGroups {
+		if len(g.Columns) != schema.NumFields() {
+			return nil, errFormat
+		}
 	}
 	return &FileMetadata{Schema: schema, NumRows: footer.NumRows, KV: footer.KV, footer: &footer}, nil
 }
@@ -542,8 +548,8 @@ func (s *Scanner) stripes(rg int) ([]pageMeta, error) {
 	bad := func(col int, format string, args ...any) error {
 		return &AlignmentError{RowGroup: rg, Col: col, Detail: fmt.Sprintf(format, args...)}
 	}
-	if nf := s.fr.meta.Schema.NumFields(); len(group.Columns) != nf || group.NumRows < 0 {
-		return nil, bad(-1, "%d rows in %d column chunks for %d fields", group.NumRows, len(group.Columns), nf)
+	if group.NumRows < 0 {
+		return nil, bad(-1, "%d rows", group.NumRows)
 	}
 	if group.NumRows == 0 {
 		return nil, nil

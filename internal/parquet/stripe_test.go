@@ -402,9 +402,6 @@ func TestMisalignedPagesAreAFormatError(t *testing.T) {
 		{"gap", allCols(func(c *columnChunkMeta) { c.Pages[1].FirstRow++ }), nil},
 		{"overlap", allCols(func(c *columnChunkMeta) { c.Pages[1].FirstRow-- }), nil},
 		{"short", allCols(func(c *columnChunkMeta) { c.Pages = c.Pages[:2] }), nil},
-		{"missing-chunk", func(ft *fileFooter) {
-			ft.RowGroups[1].Columns = ft.RowGroups[1].Columns[:4]
-		}, nil},
 	} {
 		edited := rewriteFooter(t, path, tc.edit)
 		fr, err := OpenFile(edited)
@@ -434,5 +431,30 @@ func TestMisalignedPagesAreAFormatError(t *testing.T) {
 			}
 		}
 		fr.Close()
+	}
+}
+
+// TestFooterChunkCountIsAFormatError hand-edits footers so that a row
+// group holds fewer or more column chunks than the schema has fields: the
+// file does not open.
+func TestFooterChunkCountIsAFormatError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.gpq")
+	if err := WriteFile(path, gridSchema(), []*arrow.RecordBatch{gridBatch(600)},
+		WriterOptions{RowGroupRows: 300, PageRows: 100}); err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*fileFooter){
+		"rg0-one-chunk":    func(ft *fileFooter) { ft.RowGroups[0].Columns = ft.RowGroups[0].Columns[:1] },
+		"rg1-missing-last": func(ft *fileFooter) { ft.RowGroups[1].Columns = ft.RowGroups[1].Columns[:4] },
+		"rg0-extra-chunk": func(ft *fileFooter) {
+			ft.RowGroups[0].Columns = append(ft.RowGroups[0].Columns, ft.RowGroups[0].Columns[0])
+		},
+	} {
+		if fr, err := OpenFile(rewriteFooter(t, path, edit)); !errors.Is(err, errFormat) {
+			if err == nil {
+				fr.Close()
+			}
+			t.Fatalf("%s: open returned %v, want the format error", name, err)
+		}
 	}
 }

@@ -24,7 +24,7 @@ type Pusher interface {
 	// was satisfied); the driver then stops feeding the pipeline.
 	Push(b *arrow.RecordBatch, emit EmitFn) (done bool, err error)
 	// Flush emits any buffered state after the input is exhausted
-	// (coalesce remainders, aggregation results).
+	// (aggregation results).
 	Flush(emit EmitFn) error
 	// Close releases resources (memory reservations). It must be safe to
 	// call after Flush and when the pipeline is abandoned before Flush.
@@ -33,9 +33,9 @@ type Pusher interface {
 
 // Pushable marks an operator that compiles itself into a Pusher, which
 // both its own Execute and a fused pipeline segment drive: filters,
-// projections, limits, batch coalescing, every aggregation and the hash
-// join probe, which is pushed batches of its right input and builds from
-// its left one in PushInto.
+// projections, limits, every aggregation and the hash join probe, which is
+// pushed batches of its right input and builds from its left one in
+// PushInto.
 // Exchanges (goroutine boundaries), sorts and windows (they emit as many
 // rows as they read, which Flush would hand over in one call), top-k and
 // the other joins still pull and do not implement it.

@@ -49,7 +49,7 @@ func TestExplainFusedRendering(t *testing.T) {
 	morselScan := regexp.MustCompile(`TableScanExec: lineitem .* scheduler=morsel units=\d+`)
 
 	// A predicate the scan cannot evaluate stays a FilterExec, so the
-	// chain filter -> coalesce -> partial agg fuses into one segment.
+	// chain filter -> partial agg fuses into one segment.
 	text := explainText(t, s, "SELECT l_returnflag, sum(l_quantity) FROM lineitem WHERE l_quantity * 2 > l_tax GROUP BY l_returnflag")
 	if !regexp.MustCompile(`PipelineExec: stages=\d+\n`).MatchString(text) {
 		t.Errorf("EXPLAIN lacks a bare `PipelineExec: stages=N` line:\n%s", text)

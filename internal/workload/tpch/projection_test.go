@@ -158,8 +158,6 @@ func unreadJoinOutputs(plan physical.ExecutionPlan) []string {
 			walk(n.Input, in)
 		case *exec.FilterExec:
 			walk(n.Input, passRead(n, read, n.Predicate))
-		case *exec.CoalesceBatchesExec:
-			walk(n.Input, read)
 		case *exec.CoalescePartitionsExec:
 			walk(n.Input, read)
 		case *exec.GlobalLimitExec:
