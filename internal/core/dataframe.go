@@ -212,9 +212,8 @@ func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.Re
 	if err != nil {
 		return nil, err
 	}
-	ectx, cleanup := s.newExecContext()
+	ectx, cleanup := s.newExecContext(ctx)
 	defer cleanup()
-	ectx.Ctx = ctx
 	batches, err := exec.CollectPlan(ectx, pp)
 	if err != nil {
 		return nil, err

@@ -819,10 +819,14 @@ func (s *SessionContext) physicalPlanFor(df *DataFrame) (physical.ExecutionPlan,
 	return s.CreatePhysicalPlan(df.plan)
 }
 
-// newExecContext builds the per-query runtime (paper Sections 5.5.4, 7.4).
-func (s *SessionContext) newExecContext() (*physical.ExecContext, func()) {
+// newExecContext builds the per-query runtime (paper Sections 5.5.4, 7.4)
+// under parent. Its cleanup cancels the query, joins the goroutines the
+// query started, and only then closes the spill files and releases the
+// memory they may still hold.
+func (s *SessionContext) newExecContext(parent context.Context) (*physical.ExecContext, func()) {
 	ctx := physical.NewExecContext()
-	ctx.Ctx = context.Background()
+	qctx, cancel := context.WithCancel(parent)
+	ctx.Ctx = qctx
 	ctx.BatchRows = s.cfg.BatchRows
 	ctx.TargetPartitions = s.cfg.TargetPartitions
 	if s.cfg.ExchangeBufferDepth > 0 {
@@ -843,6 +847,8 @@ func (s *SessionContext) newExecContext() (*physical.ExecContext, func()) {
 		ctx.Disk = dm
 	}
 	cleanup := func() {
+		cancel()
+		ctx.Wait()
 		if dm != nil {
 			dm.Close()
 		}
@@ -855,7 +861,7 @@ func (s *SessionContext) newExecContext() (*physical.ExecContext, func()) {
 
 // ExecutePlan runs a physical plan to completion.
 func (s *SessionContext) ExecutePlan(plan physical.ExecutionPlan) ([]*arrow.RecordBatch, error) {
-	ctx, cleanup := s.newExecContext()
+	ctx, cleanup := s.newExecContext(context.Background())
 	defer cleanup()
 	return exec.CollectPlan(ctx, plan)
 }

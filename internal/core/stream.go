@@ -16,8 +16,8 @@ import (
 // execution and the result cache are bypassed: a live stream's output is
 // not a cacheable value.
 type QueryStream struct {
-	stream  physical.Stream
-	cancel  context.CancelFunc
+	stream physical.Stream
+	// cleanup cancels the query context and releases the runtime.
 	cleanup func()
 	closed  bool
 }
@@ -37,7 +37,6 @@ func (qs *QueryStream) Close() {
 	}
 	qs.closed = true
 	qs.stream.Close()
-	qs.cancel()
 	qs.cleanup()
 }
 
@@ -59,14 +58,11 @@ func (df *DataFrame) Execute(ctx context.Context) (*QueryStream, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ectx, cleanup := df.session.newExecContext()
-	qctx, cancel := context.WithCancel(ctx)
-	ectx.Ctx = qctx
+	ectx, cleanup := df.session.newExecContext(ctx)
 	s, err := pp.Execute(ectx, 0)
 	if err != nil {
-		cancel()
 		cleanup()
 		return nil, err
 	}
-	return &QueryStream{stream: s, cancel: cancel, cleanup: cleanup}, nil
+	return &QueryStream{stream: s, cleanup: cleanup}, nil
 }

@@ -185,9 +185,10 @@ func TestJoinOutputBatchesCapped(t *testing.T) {
 	}
 }
 
-// TestJoinBuildReservation: a build is charged to the memory pool until
-// the last probe closes. Over the budget the join fails with the pool's
-// typed error, leaving no reservation, goroutine or spill file behind.
+// TestJoinBuildReservation: a build of each join is charged to the memory
+// pool until the last probe closes. Over the budget the join fails with the
+// pool's typed error, leaving no reservation, goroutine or spill file
+// behind.
 func TestJoinBuildReservation(t *testing.T) {
 	var keys []*int64
 	for i := 0; i < 20000; i++ {
@@ -195,42 +196,56 @@ func TestJoinBuildReservation(t *testing.T) {
 	}
 	build := keyTable{"big", arrow.Int64, keys}
 	probe := keyTable{"small", arrow.Int64, keyRange(0, 99)}
-	scan := func(tb keyTable, parts int) physical.ExecutionPlan {
+	// scan reads one partition of sorted rows (the keys are ascending).
+	scan := func(tb keyTable) physical.ExecutionPlan {
 		t.Helper()
 		s := core.NewSession(core.SessionConfig{})
-		tb.register(t, s, baseline.New(1))
+		tb.registerSorted(t, s, baseline.New(1))
 		tp, _ := s.Catalog().SchemaByName("public")
 		table, _ := tp.Table(tb.name)
-		res, err := table.Scan(catalog.ScanRequest{Partitions: parts, Limit: -1})
+		res, err := table.Scan(catalog.ScanRequest{Partitions: 1, Limit: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return exec.NewTableScanExec(tb.name, res)
 	}
-	on := []exec.JoinOn{{L: physical.NewColumnExpr(0, "k", arrow.Int64), R: physical.NewColumnExpr(0, "k", arrow.Int64)}}
+	key := func(i int) physical.PhysicalExpr { return physical.NewColumnExpr(i, "k", arrow.Int64) }
+	on := []exec.JoinOn{{L: key(0), R: key(0)}}
+	hash := func(in physical.ExecutionPlan) physical.ExecutionPlan {
+		return &exec.RepartitionExec{Input: in, Scheme: exec.HashPartitioning, HashExprs: []physical.PhysicalExpr{key(0)}, NumParts: 2}
+	}
+	joins := []struct {
+		name, op string // subtest, and the consumer an over-budget build names
+		join     func(l, r physical.ExecutionPlan) physical.ExecutionPlan
+	}{
+		{fmt.Sprintf("mode%d", exec.CollectLeft), "HashJoinExec", func(l, r physical.ExecutionPlan) physical.ExecutionPlan {
+			return exec.NewHashJoinExec(l, r, on, nil, logical.InnerJoin, exec.CollectLeft)
+		}},
+		{fmt.Sprintf("mode%d", exec.PartitionedJoin), "HashJoinExec", func(l, r physical.ExecutionPlan) physical.ExecutionPlan {
+			return exec.NewHashJoinExec(hash(l), hash(r), on, nil, logical.InnerJoin, exec.PartitionedJoin)
+		}},
+		{"NestedLoopJoinExec", "NestedLoopJoinExec", func(l, r physical.ExecutionPlan) physical.ExecutionPlan {
+			eq := &physical.BinaryExpr{Op: logical.OpEq, L: key(0), R: key(2), Type: arrow.Boolean}
+			return exec.NewNestedLoopJoinExec(l, &exec.RepartitionExec{Input: r, NumParts: 2}, eq, logical.InnerJoin)
+		}},
+		{"SortMergeJoinExec", "SortMergeJoinExec", func(l, r physical.ExecutionPlan) physical.ExecutionPlan {
+			return exec.NewSortMergeJoinExec(l, r, on, nil, logical.InnerJoin)
+		}},
+	}
 	for _, limit := range []int64{64 << 10, 16 << 20} {
-		for _, mode := range []exec.JoinMode{exec.CollectLeft, exec.PartitionedJoin} {
-			t.Run(fmt.Sprintf("limit%d/mode%d", limit, mode), func(t *testing.T) {
+		for _, j := range joins {
+			t.Run(fmt.Sprintf("limit%d/%s", limit, j.name), func(t *testing.T) {
 				defer testutil.CheckNoGoroutineLeak(t)()
 				spillDir := t.TempDir()
 				dm := memory.NewDiskManager(spillDir, true)
 				pool := memory.NewGreedyPool(limit)
 				ctx := physical.NewExecContext()
 				ctx.Pool, ctx.Disk = pool, dm
-				left, right := scan(build, 1), scan(probe, 1)
-				if mode == exec.PartitionedJoin {
-					hash := func(in physical.ExecutionPlan) physical.ExecutionPlan {
-						return &exec.RepartitionExec{Input: in, Scheme: exec.HashPartitioning,
-							HashExprs: []physical.PhysicalExpr{on[0].L}, NumParts: 2}
-					}
-					left, right = hash(left), hash(right)
-				}
-				j := exec.NewHashJoinExec(left, right, on, nil, logical.InnerJoin, mode)
-				batches, err := exec.CollectPlan(ctx, j)
+				batches, err := exec.CollectPlan(ctx, j.join(scan(build), scan(probe)))
 				var exhausted *memory.ErrResourcesExhausted
 				if limit < 1<<20 {
-					if !errors.As(err, &exhausted) || exhausted.Consumer != "HashJoinExec" {
-						t.Fatalf("build over the %d-byte budget: err = %v, want the HashJoinExec exhaustion", limit, err)
+					if !errors.As(err, &exhausted) || exhausted.Consumer != j.op {
+						t.Fatalf("build over the %d-byte budget: err = %v, want the %s exhaustion", limit, err, j.op)
 					}
 				} else {
 					if err != nil {

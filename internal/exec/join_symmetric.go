@@ -8,7 +8,6 @@ import (
 	"gofusion/internal/arrow/compute"
 	"gofusion/internal/logical"
 	"gofusion/internal/physical"
-	"gofusion/internal/rowformat"
 )
 
 // SymmetricHashJoinExec is a streaming (pipelined) inner equi-join: both
@@ -49,7 +48,6 @@ func (e *SymmetricHashJoinExec) WithChildren(ch []physical.ExecutionPlan) (physi
 // sideState is one input's accumulated rows and key index.
 type sideState struct {
 	stream  physical.Stream
-	enc     *rowformat.Encoder
 	exprs   []physical.PhysicalExpr
 	batches []*arrow.RecordBatch
 	// index maps key -> (batchIdx, rowIdx) pairs, flattened.
@@ -57,17 +55,13 @@ type sideState struct {
 	done  bool
 }
 
-func newSideState(s physical.Stream, exprs []physical.PhysicalExpr) (*sideState, error) {
-	enc, err := joinKeyEncoderFromExprs(exprs)
-	if err != nil {
-		return nil, err
-	}
-	return &sideState{stream: s, enc: enc, exprs: exprs, index: map[string][][2]int32{}}, nil
+func newSideState(s physical.Stream, exprs []physical.PhysicalExpr) *sideState {
+	return &sideState{stream: s, exprs: exprs, index: map[string][][2]int32{}}
 }
 
 // ingest adds one batch and returns its per-row keys.
 func (ss *sideState) ingest(b *arrow.RecordBatch) ([][]byte, error) {
-	keys, err := encodeJoinKeys(ss.enc, ss.exprs, b)
+	keys, err := encodeJoinKeys(ss.exprs, b)
 	if err != nil {
 		return nil, err
 	}
@@ -95,24 +89,8 @@ func (e *SymmetricHashJoinExec) Execute(ctx *physical.ExecContext, partition int
 		ls.Close()
 		return nil, err
 	}
-	lex := make([]physical.PhysicalExpr, len(e.On))
-	rex := make([]physical.PhysicalExpr, len(e.On))
-	for i, p := range e.On {
-		lex[i] = p.L
-		rex[i] = p.R
-	}
-	left, err := newSideState(ls, lex)
-	if err != nil {
-		ls.Close()
-		rs.Close()
-		return nil, err
-	}
-	right, err := newSideState(rs, rex)
-	if err != nil {
-		ls.Close()
-		rs.Close()
-		return nil, err
-	}
+	lex, rex := joinKeyExprs(e.On)
+	left, right := newSideState(ls, lex), newSideState(rs, rex)
 
 	m := e.Metrics()
 	buildRows := m.Counter("build_rows") // rows ingested on the left side

@@ -90,10 +90,10 @@ func CheckPlanMetrics(plan physical.ExecutionPlan, rowsReturned int64) error {
 					errs = append(errs, fmt.Errorf("%s: ungrouped aggregate output_rows=%d exceeds its %d partition(s)",
 						n.String(), s.OutputRows, parts))
 				}
-			case *HashJoinExec:
+			case joinOp:
 				// The build side always runs to completion at Execute
 				// time, so build_rows must equal the left child's output.
-				if in, ok := childOutputRows(op.Left); ok {
+				if in, ok := childOutputRows(op.core().Left); ok {
 					if build := s.ExtraValue("build_rows"); build != in {
 						errs = append(errs, fmt.Errorf("%s: build_rows=%d != left input rows %d",
 							n.String(), build, in))

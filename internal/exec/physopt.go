@@ -82,18 +82,19 @@ func fusePipelines(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) 
 }
 
 // foldJoinProjections folds a projection of bare columns directly over a
-// hash join into the join's output projection, so the probe gathers only
-// the columns the projection keeps.
+// join into the join's output projection, so the probe gathers only the
+// columns the projection keeps.
 func foldJoinProjections(plan physical.ExecutionPlan) (physical.ExecutionPlan, error) {
 	return transformUp(plan, func(p physical.ExecutionPlan) (physical.ExecutionPlan, error) {
 		proj, ok := p.(*ProjectionExec)
 		if !ok {
 			return p, nil
 		}
-		join, ok := proj.Input.(*HashJoinExec)
+		join, ok := proj.Input.(joinOp)
 		if !ok {
 			return p, nil
 		}
+		jc := join.core()
 		cols := make([]int, len(proj.Exprs))
 		for i, x := range proj.Exprs {
 			c, bare := x.(*physical.ColumnExpr)
@@ -101,11 +102,11 @@ func foldJoinProjections(plan physical.ExecutionPlan) (physical.ExecutionPlan, e
 				return p, nil
 			}
 			cols[i] = c.Index
-			if join.Projection != nil {
-				cols[i] = join.Projection[c.Index]
+			if jc.Projection != nil {
+				cols[i] = jc.Projection[c.Index]
 			}
 		}
-		return join.withProjection(cols, proj.Schema()), nil
+		return join.with(jc.Left, jc.Right, cols, proj.Schema()), nil
 	})
 }
 

@@ -84,10 +84,10 @@ func canPush(p physical.ExecutionPlan) bool {
 }
 
 // streamedIndex is the position in Children() of the input a push stage is
-// fed from: the probe (right) side of a hash join, the only input of every
+// fed from: the probe (right) side of a join, the only input of every
 // other stage.
 func streamedIndex(p physical.ExecutionPlan) int {
-	if _, join := p.(*HashJoinExec); join {
+	if _, join := p.(joinOp); join {
 		return 1
 	}
 	return 0

@@ -566,11 +566,11 @@ func (cfg *PlannerConfig) planJoin(node *logical.Join) (physical.ExecutionPlan, 
 	}
 
 	if node.Type == logical.CrossJoin || len(node.On) == 0 {
-		jt := node.Type
-		if jt == logical.CrossJoin && filter != nil {
-			jt = logical.InnerJoin
+		if owesBuildRows(node.Type) && right.Partitions() > 1 {
+			// Probe partitions share the build, not its tracking.
+			right = &CoalescePartitionsExec{Input: right}
 		}
-		return NewNestedLoopJoinExec(left, right, filter, jt), nil
+		return NewNestedLoopJoinExec(left, right, filter, node.Type), nil
 	}
 
 	lcomp := cfg.compiler(node.Left.Schema())
@@ -598,17 +598,15 @@ func (cfg *PlannerConfig) planJoin(node *logical.Join) (physical.ExecutionPlan, 
 	}
 
 	// Sorted inputs with matching keys use the merge join.
-	if !cfg.PreferHashJoin && filter == nil && mergeJoinApplicable(node.Type, left, right, on) {
-		return NewSortMergeJoinExec(left, right, on, node.Type)
+	if !cfg.PreferHashJoin && mergeJoinApplicable(left, right, on) {
+		return NewSortMergeJoinExec(left, right, on, filter, node.Type), nil
 	}
 
 	if cfg.TargetPartitions > 1 {
 		// A small build side is cheaper to broadcast (CollectLeft) than to
 		// hash-repartition both inputs — but only join types that track no
 		// per-build-row state may share one table across probe partitions.
-		shareable := node.Type == logical.InnerJoin || node.Type == logical.RightJoin ||
-			node.Type == logical.RightSemiJoin || node.Type == logical.RightAntiJoin
-		if shareable {
+		if !owesBuildRows(node.Type) {
 			if rows := optimizer.EstimateRows(node.Left); rows >= 0 && rows <= 100_000 {
 				return NewHashJoinExec(left, right, on, filter, node.Type, CollectLeft), nil
 			}
@@ -633,7 +631,7 @@ func (cfg *PlannerConfig) planJoin(node *logical.Join) (physical.ExecutionPlan, 
 // INNER semantics without retractions.
 func (cfg *PlannerConfig) planStreamingJoin(node *logical.Join, left, right physical.ExecutionPlan,
 	on []JoinOn, filter physical.PhysicalExpr, lu, ru bool) (physical.ExecutionPlan, error) {
-	if !lu && probeStreamableJoin(node.Type) {
+	if !lu && !owesBuildRows(node.Type) {
 		return NewHashJoinExec(left, right, on, filter, node.Type, CollectLeft), nil
 	}
 	if node.Type != logical.InnerJoin {
@@ -671,12 +669,9 @@ func coerceJoinKeys(l, r physical.PhysicalExpr) (physical.PhysicalExpr, physical
 	return l, r, nil
 }
 
-func mergeJoinApplicable(jt logical.JoinType, left, right physical.ExecutionPlan, on []JoinOn) bool {
-	switch jt {
-	case logical.InnerJoin, logical.LeftJoin, logical.RightJoin, logical.LeftSemiJoin, logical.LeftAntiJoin:
-	default:
-		return false
-	}
+// mergeJoinApplicable reports whether both inputs are one partition sorted
+// ascending on their bare-column keys.
+func mergeJoinApplicable(left, right physical.ExecutionPlan, on []JoinOn) bool {
 	check := func(p physical.ExecutionPlan, side func(JoinOn) physical.PhysicalExpr) bool {
 		ord := p.OutputOrdering()
 		if len(ord) < len(on) || p.Partitions() != 1 {

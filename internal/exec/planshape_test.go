@@ -73,6 +73,18 @@ func TestWorkloadPlanShapes(t *testing.T) {
 			if name == "h2o-q08" && !windowTopKUnderFilter(qm.Plan, 2) {
 				t.Errorf("%s p%d: no FilterExec over a WindowExec with topk=2\n%s", name, parts, exec.ExplainPhysical(qm.Plan))
 			}
+			// q11 and q22 compare against a one-row scalar subquery; their
+			// nested-loop probe fuses into the pipeline of its probe side.
+			// No statement plans a merge join.
+			loops, fused, merges := countJoins(qm.Plan)
+			wantLoops := 0
+			if name == "tpch-q11" || name == "tpch-q22" {
+				wantLoops = 1
+			}
+			if loops != wantLoops || parts == 2 && fused != loops || merges != 0 {
+				t.Errorf("%s p%d: %d nested-loop joins (%d fused), %d merge joins; want %d, all fused at p2, none\n%s",
+					name, parts, loops, fused, merges, wantLoops, exec.ExplainPhysical(qm.Plan))
+			}
 		}
 	}
 }
@@ -96,6 +108,28 @@ func planShapeViolations(p physical.ExecutionPlan) []string {
 		out = append(out, planShapeViolations(c)...)
 	}
 	return out
+}
+
+// countJoins counts the nested-loop joins of a plan, those of them that
+// run as a stage of a PipelineExec, and the merge joins.
+func countJoins(p physical.ExecutionPlan) (loops, fused, merges int) {
+	switch n := p.(type) {
+	case *exec.NestedLoopJoinExec:
+		loops++
+	case *exec.SortMergeJoinExec:
+		merges++
+	case *exec.PipelineExec:
+		for _, st := range n.Stages {
+			if _, ok := st.(*exec.NestedLoopJoinExec); ok {
+				fused++
+			}
+		}
+	}
+	for _, c := range p.Children() {
+		l, f, m := countJoins(c)
+		loops, fused, merges = loops+l, fused+f, merges+m
+	}
+	return loops, fused, merges
 }
 
 // windowTopKUnderFilter reports whether the plan holds a FilterExec

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"gofusion/internal/logical"
 	"gofusion/internal/physical"
 )
 
@@ -70,46 +69,22 @@ func validateStreamingPlan(p physical.ExecutionPlan) error {
 		if IsUnbounded(n.Input) {
 			return breakerErr("WindowExec", "window functions buffer their partitions")
 		}
-	case *SortMergeJoinExec:
-		if IsUnbounded(n.Left) || IsUnbounded(n.Right) {
-			return breakerErr("SortMergeJoinExec", "merge join requires sorted bounded inputs")
-		}
 	case *HashAggregateExec:
 		if IsUnbounded(n.Input) {
 			return breakerErr("HashAggregateExec",
 				"aggregation only finalizes at end of input; group by the source's watermark column for streaming emit")
 		}
-	case *HashJoinExec:
-		if IsUnbounded(n.Left) {
-			return breakerErr("HashJoinExec", "the build side must be read to completion")
+	case joinOp:
+		j := n.core()
+		if IsUnbounded(j.Left) {
+			return breakerErr(j.name, "the build side must be read to completion")
 		}
-		if IsUnbounded(n.Right) && !probeStreamableJoin(n.Type) {
-			return breakerErr("HashJoinExec",
-				fmt.Sprintf("%s join emits build-side tails only after the probe side ends", n.Type))
-		}
-	case *NestedLoopJoinExec:
-		if IsUnbounded(n.Left) {
-			return breakerErr("NestedLoopJoinExec", "the left side is buffered in full")
-		}
-		if IsUnbounded(n.Right) && !probeStreamableJoin(n.Type) {
-			return breakerErr("NestedLoopJoinExec",
-				fmt.Sprintf("%s join emits left-side tails only after the right side ends", n.Type))
+		if IsUnbounded(j.Right) && owesBuildRows(j.Type) {
+			return breakerErr(j.name,
+				fmt.Sprintf("%s join emits build-side tails only after the probe side ends", j.Type))
 		}
 	}
 	return nil
-}
-
-// probeStreamableJoin reports join types whose output over a streaming
-// probe (right) side is decidable per probe batch once the build side is
-// complete — no tail pass over unmatched build rows is ever owed to the
-// probe side's end.
-func probeStreamableJoin(jt logical.JoinType) bool {
-	switch jt {
-	case logical.InnerJoin, logical.CrossJoin, logical.RightJoin,
-		logical.RightSemiJoin, logical.RightAntiJoin:
-		return true
-	}
-	return false
 }
 
 // watermarkColumn traces the source's declared event-time column through

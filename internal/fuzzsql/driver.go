@@ -115,8 +115,8 @@ type Harness struct {
 	SpillCounts map[string]int64
 	SpillBytes  map[string]int64
 	// WindowBudgetFailures and JoinBudgetFailures count, per
-	// memory-limited config, the window and hash join queries that ran out
-	// of budget (see overBudget).
+	// memory-limited config, the window and join queries that ran out of
+	// budget (see overBudget).
 	WindowBudgetFailures map[string]int64
 	JoinBudgetFailures   map[string]int64
 }
@@ -315,7 +315,7 @@ func (h *Harness) Check(query string) *Failure {
 				return fail
 			case exhausted == "WindowExec":
 				h.WindowBudgetFailures[c.Name]++
-			case exhausted == "HashJoinExec":
+			case exhausted != "":
 				h.JoinBudgetFailures[c.Name]++
 			case got.err == nil:
 				h.SpillCounts[c.Name] += got.spillCount
@@ -352,15 +352,17 @@ func verdict(c EngineConfig, f Format, query string, got, ref outcome, refRows [
 }
 
 // overBudget recognizes the engine-only failures the matrix expects, and
-// names the operator: windows and hash join builds do not spill, so under
-// a memory-limited config one whose input outgrows the budget must fail,
+// names the operator: windows and join builds do not spill, so under a
+// memory-limited config one whose input outgrows the budget must fail,
 // and with exactly the typed exhaustion error of its reservation. Anything
 // else a memory-limited config fails with is a divergence.
 func overBudget(c EngineConfig, err error) string {
 	var exhausted *memory.ErrResourcesExhausted
-	if c.Cfg.MemoryLimit > 0 && errors.As(err, &exhausted) &&
-		(exhausted.Consumer == "WindowExec" || exhausted.Consumer == "HashJoinExec") {
-		return exhausted.Consumer
+	if c.Cfg.MemoryLimit > 0 && errors.As(err, &exhausted) {
+		switch exhausted.Consumer {
+		case "WindowExec", "HashJoinExec", "NestedLoopJoinExec", "SortMergeJoinExec":
+			return exhausted.Consumer
+		}
 	}
 	return ""
 }

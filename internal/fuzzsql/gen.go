@@ -96,14 +96,30 @@ func (g *Gen) Query() *Query {
 }
 
 // genJoin builds the join clause: an equi-join on the int key columns,
-// sometimes with an extra pushed-down conjunct.
+// sometimes with an extra pushed-down conjunct. Outside the pinned stream
+// a comparison of an int column with the key may join beside the equality
+// or instead of it (a residual filter, or a nested-loop join), and an
+// inner join may be written as CROSS JOIN … WHERE.
 func (g *Gen) genJoin() *Join {
 	on := Expr(&Bin{Op: "=", L: &Col{Name: "a", T: TInt}, R: &Col{Name: "x", T: TInt}, T: TBool})
+	if !g.Pinned && g.pct(35) {
+		ints := colsOf(g.scope(false), TInt)
+		c := ints[g.rng.Intn(len(ints))]
+		cmp := &Bin{Op: []string{"<", "<=", ">", ">=", "<>"}[g.rng.Intn(5)],
+			L: &Col{Name: c.Name, T: TInt}, R: &Col{Name: "x", T: TInt}, T: TBool}
+		if g.pct(50) {
+			on = cmp
+		} else {
+			on = &Bin{Op: "AND", L: on, R: cmp, T: TBool}
+		}
+	}
 	if g.pct(30) {
 		extra := g.genExpr(g.scope(true), TBool, 1)
 		on = &Bin{Op: "AND", L: on, R: extra, T: TBool}
 	}
-	return &Join{Left: g.pct(40), Table: g.ds.Tables[1].Name, On: on}
+	j := &Join{Left: g.pct(40), Table: g.ds.Tables[1].Name, On: on}
+	j.Cross = !g.Pinned && !j.Left && g.pct(25)
+	return j
 }
 
 // genScalar fills a plain (non-aggregating) select list.

@@ -7,7 +7,9 @@ import (
 
 // Join describes an optional second table in the FROM clause.
 type Join struct {
-	Left  bool // LEFT OUTER vs INNER
+	Left bool // LEFT OUTER vs INNER
+	// Cross renders CROSS JOIN, with On as a conjunct of the WHERE clause.
+	Cross bool
 	Table string
 	On    Expr
 }
@@ -64,19 +66,29 @@ func (q *Query) SQL() string {
 	}
 	sb.WriteString(" FROM ")
 	sb.WriteString(q.From)
+	where := q.Where
 	if q.Join != nil {
-		if q.Join.Left {
+		switch {
+		case q.Join.Cross:
+			sb.WriteString(" CROSS JOIN ")
+		case q.Join.Left:
 			sb.WriteString(" LEFT JOIN ")
-		} else {
+		default:
 			sb.WriteString(" JOIN ")
 		}
 		sb.WriteString(q.Join.Table)
-		sb.WriteString(" ON ")
-		sb.WriteString(q.Join.On.SQL())
+		if !q.Join.Cross {
+			sb.WriteString(" ON ")
+			sb.WriteString(q.Join.On.SQL())
+		} else if where == nil {
+			where = q.Join.On
+		} else {
+			where = &Bin{Op: "AND", L: q.Join.On, R: where, T: TBool}
+		}
 	}
-	if q.Where != nil {
+	if where != nil {
 		sb.WriteString(" WHERE ")
-		sb.WriteString(q.Where.SQL())
+		sb.WriteString(where.SQL())
 	}
 	if len(q.GroupBy) > 0 {
 		sb.WriteString(" GROUP BY ")

@@ -47,7 +47,7 @@ type Report struct {
 	// successful query (copied from the harness at the end of the run).
 	SpillCounts map[string]int64
 	// WindowBudgetFailures and JoinBudgetFailures total each
-	// memory-limited config's window and hash join queries that failed
+	// memory-limited config's window and join queries that failed
 	// with the operator's typed exhaustion error.
 	WindowBudgetFailures map[string]int64
 	JoinBudgetFailures   map[string]int64

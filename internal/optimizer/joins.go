@@ -382,9 +382,11 @@ func buildOnSmallerSide(left, right logical.Plan, on []logical.EquiPair, filter 
 	return logical.NewJoin(left, right, jt, on, filter)
 }
 
-// swapSemiAnti turns a left semi or anti equi-join whose left input is
+// swapSemiAnti turns a left semi or anti join whose left input is
 // estimated larger into the right-hand join over swapped inputs: same
-// rows, same schema, built on the smaller side.
+// rows, same schema, built on the smaller side. A join without equality
+// pairs swaps too: the nested-loop join probes a right semi or anti join
+// over every partition of its larger side.
 func swapSemiAnti(j *logical.Join) logical.Plan {
 	var jt logical.JoinType
 	switch j.Type {
@@ -395,7 +397,7 @@ func swapSemiAnti(j *logical.Join) logical.Plan {
 	default:
 		return j
 	}
-	if len(j.On) == 0 || !biggerLeft(j.Left, j.Right) {
+	if !biggerLeft(j.Left, j.Right) {
 		return j
 	}
 	return logical.NewJoin(j.Right, j.Left, jt, swapPairs(j.On), j.Filter)

@@ -33,12 +33,13 @@ type Pusher interface {
 
 // Pushable marks an operator that compiles itself into a Pusher, which
 // both its own Execute and a fused pipeline segment drive: filters,
-// projections, limits, every aggregation and the hash join probe, which is
-// pushed batches of its right input and builds from its left one in
-// PushInto.
+// projections, limits, every aggregation and the probe of the hash, merge
+// and nested-loop joins, which is pushed batches of the join's right input
+// and builds from its left one in PushInto.
 // Exchanges (goroutine boundaries), sorts and windows (they emit as many
 // rows as they read, which Flush would hand over in one call), top-k and
-// the other joins still pull and do not implement it.
+// the symmetric join (it reads both inputs in step) still pull and do not
+// implement it.
 type Pushable interface {
 	ExecutionPlan
 	// CanPush reports whether this node runs as a Pusher as configured

@@ -7,6 +7,7 @@ package physical
 
 import (
 	"context"
+	"sync"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/catalog"
@@ -34,7 +35,26 @@ type ExecContext struct {
 	Pool memory.Pool
 	// Disk provides spill files; nil disables spilling.
 	Disk *memory.DiskManager
+
+	// workers are the goroutines the query's operators started (exchange
+	// producers); Wait joins them.
+	workers sync.WaitGroup
 }
+
+// Go runs f on a goroutine of the query, one that Wait joins.
+func (c *ExecContext) Go(f func()) {
+	c.workers.Add(1)
+	go func() {
+		defer c.workers.Done()
+		f()
+	}()
+}
+
+// Wait blocks until every goroutine started by Go has returned. A query's
+// cleanup cancels Ctx first, so that no worker waits on a consumer that has
+// gone, and waits before it releases what the workers may still hold
+// (spill files, reservations).
+func (c *ExecContext) Wait() { c.workers.Wait() }
 
 // DefaultExchangeBuffer is the minimum exchange channel depth used when
 // ExecContext.ExchangeBuffer is unset.
