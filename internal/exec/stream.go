@@ -77,7 +77,7 @@ func (s *chanStream) Next() (*arrow.RecordBatch, error) {
 	}
 	be, ok := <-s.ch
 	if !ok {
-		s.done = true
+		s.done, s.ch = true, nil
 		// Producers that give up on cancellation close the channel too: a
 		// cancelled exchange must not pass for a complete one.
 		if err := checkCancel(s.ctx); err != nil {
@@ -96,11 +96,13 @@ func (s *chanStream) Close() {
 	if s.stop != nil {
 		s.stop()
 	}
-	// Drain so producers unblock.
-	go func() {
-		for range s.ch {
-		}
-	}()
+	// Drain so producers unblock, unless the channel was read to its close.
+	if ch := s.ch; ch != nil {
+		go func() {
+			for range ch {
+			}
+		}()
+	}
 	s.done = true
 }
 
