@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"io"
+	"math"
+	"math/rand"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -64,29 +66,51 @@ func distinctParts(parts, nBatches int) *hookedSource {
 	return src
 }
 
+// uniformInput is nBatches batches of rows (id, k) rows with k drawn
+// uniformly from domain values.
+func uniformInput(nBatches, rows int, domain int64) *ValuesExec {
+	in := pushInput(nBatches, rows, 1)
+	rng := rand.New(rand.NewSource(int64(domain)))
+	for i, b := range in.Batches {
+		ks := make([]int64, rows)
+		for j := range ks {
+			ks[j] = rng.Int63n(domain)
+		}
+		in.Batches[i] = arrow.NewRecordBatch(b.Schema(), []arrow.Array{b.Column(0), arrow.NewInt64(ks)})
+	}
+	return in
+}
+
 // TestAdaptivePartialAggSwitch drives one partial aggregate by hand across
 // its probe window. Grouped by a unique column it must flush its table at
-// the first batch boundary past the window, hold no memory from then on,
-// and turn every later batch into partial states one-for-one; grouped by a
-// 100-value column it must never switch. Either way the states merge to
-// the exact result.
+// the first batch boundary at or past partialProbeMinRows, hold no memory
+// from then on, and turn every later batch into partial states one-for-one.
+// It must never switch on 100 groups, on keys drawn uniformly from 60 000
+// values (about 0.5 groups per row at the end of the window), or on input
+// shorter than partialProbeMinRows. Either way the states merge to the
+// exact result.
 func TestAdaptivePartialAggSwitch(t *testing.T) {
-	const batches, rows = 14, 8192 // 114 688 rows: the 13th batch crosses the window
-	switchAt := (partialProbeRows + rows - 1) / rows
+	if partialProbeMinRows != 8192 {
+		t.Fatalf("partialProbeMinRows = %d; the cases below assume one 8192-row batch", partialProbeMinRows)
+	}
 	for _, tc := range []struct {
 		name     string
+		in       *ValuesExec
 		groupCol int
-		mod      int64
-		switches bool
+		switchAt int // batches pushed when the table flushes; 0: never
 	}{
-		{"all-distinct", 0, 100, true},
-		{"100-groups", 1, 100, false},
+		{"all-distinct", pushInput(14, 8192, 100), 0, 1},
+		{"all-distinct-3000-row-batches", pushInput(10, 3000, 100), 0, 3},
+		{"100-groups", pushInput(14, 8192, 100), 1, 0},
+		{"uniform-60000-keys", uniformInput(14, 8192, 60_000), 1, 0},
+		{"shorter-than-a-batch", pushInput(4, 2000, 100), 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pool := memory.NewGreedyPool(1 << 30)
 			ctx := physical.NewExecContext()
 			ctx.Pool = pool
-			in := pushInput(batches, rows, tc.mod)
+			in := tc.in
+			rows := in.Batches[0].NumRows()
 			partial := sumCountByK(t, in, PartialAgg, tc.groupCol)
 			pusher, err := partial.PushInto(ctx, 0)
 			if err != nil {
@@ -101,17 +125,17 @@ func TestAdaptivePartialAggSwitch(t *testing.T) {
 				}
 				got := sumRows(emitted) - before
 				switch {
-				case !tc.switches || i+1 < switchAt:
+				case tc.switchAt == 0 || i+1 < tc.switchAt:
 					if got != 0 || pool.Reserved() == 0 {
 						t.Fatalf("batch %d: emitted %d rows, %d bytes reserved; want accumulation", i, got, pool.Reserved())
 					}
-				case i+1 == switchAt:
-					if got != int64(switchAt*rows) || pool.Reserved() != 0 {
+				case i+1 == tc.switchAt:
+					if got != int64(tc.switchAt*rows) || pool.Reserved() != 0 {
 						t.Fatalf("batch %d: emitted %d rows with %d bytes still reserved; want the whole table flushed and freed",
 							i, got, pool.Reserved())
 					}
 				default:
-					if got != rows || pool.Reserved() != 0 {
+					if got != int64(rows) || pool.Reserved() != 0 {
 						t.Fatalf("batch %d: emitted %d rows, %d bytes reserved; want one-for-one pass-through", i, got, pool.Reserved())
 					}
 				}
@@ -124,16 +148,24 @@ func TestAdaptivePartialAggSwitch(t *testing.T) {
 			if pool.Reserved() != 0 {
 				t.Fatalf("%d bytes reserved after Close", pool.Reserved())
 			}
+			total := int64(len(in.Batches) * rows)
+			single := sumCountByK(t, in, SingleAgg, tc.groupCol)
+			want, err := CollectBatch(physical.NewExecContext(), single)
+			if err != nil {
+				t.Fatal(err)
+			}
 			snap := partial.Metrics().Snapshot()
-			wantPassed, wantGroups := int64(0), tc.mod
-			if tc.switches {
-				wantPassed, wantGroups = int64((batches-switchAt)*rows), int64(switchAt*rows)
+			wantPassed, wantGroups, wantHashed := int64(0), int64(want.NumRows()), total
+			if tc.switchAt > 0 {
+				probed := int64(tc.switchAt * rows)
+				wantPassed, wantGroups, wantHashed = total-probed, probed, probed
 			}
-			if got := snap.ExtraValue("passthrough_rows"); got != wantPassed {
-				t.Errorf("passthrough_rows = %d, want %d", got, wantPassed)
-			}
-			if got := snap.ExtraValue("groups"); got != wantGroups {
-				t.Errorf("groups = %d, want %d", got, wantGroups)
+			for name, want := range map[string]int64{
+				"passthrough_rows": wantPassed, "groups": wantGroups, "hashed_rows": wantHashed,
+			} {
+				if got := snap.ExtraValue(name); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
 			}
 			for _, b := range emitted {
 				if !b.Schema().Equal(partial.Schema()) {
@@ -146,15 +178,37 @@ func TestAdaptivePartialAggSwitch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			single := sumCountByK(t, in, SingleAgg, tc.groupCol)
-			want, err := CollectBatch(physical.NewExecContext(), single)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if !sameRowsOK(merged, rowsAsStrings(want)) {
 				t.Fatal("merged partial states differ from single-phase aggregation")
 			}
 		})
+	}
+}
+
+// TestProbeVerdictThresholds pins the early rule to its derivation: the
+// groups-per-row threshold is 0.981 at one default batch, 0.928 at four,
+// and partialProbeRatio at the end of the window, where the window closes.
+func TestProbeVerdictThresholds(t *testing.T) {
+	for _, tc := range []struct {
+		n         int
+		threshold float64
+	}{{8192, 0.981}, {32768, 0.928}, {partialProbeRows, partialProbeRatio}} {
+		lo, hi := int(math.Floor((tc.threshold-0.0005)*float64(tc.n))), int(math.Ceil((tc.threshold+0.0005)*float64(tc.n)))
+		if pass, _ := probeVerdict(lo, tc.n); pass {
+			t.Errorf("n=%d: %d groups (%.4f per row) pass, threshold %.3f", tc.n, lo, float64(lo)/float64(tc.n), tc.threshold)
+		}
+		if pass, _ := probeVerdict(hi, tc.n); !pass {
+			t.Errorf("n=%d: %d groups (%.4f per row) do not pass, threshold %.3f", tc.n, hi, float64(hi)/float64(tc.n), tc.threshold)
+		}
+	}
+	if pass, done := probeVerdict(8191, 8191); pass || done {
+		t.Error("a verdict below one default batch")
+	}
+	if _, done := probeVerdict(0, partialProbeRows-1); done {
+		t.Error("the window closed early")
+	}
+	if _, done := probeVerdict(0, partialProbeRows); !done {
+		t.Error("the window stayed open at its end")
 	}
 }
 
@@ -177,7 +231,7 @@ func TestAdaptivePartialAggCancelMidPassThrough(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	src.onBatch = func(p, i int) {
-		if p == 0 && i == 14 { // past the switch at batch 13
+		if p == 0 && i == 3 { // past the switch after batch 0
 			cancel()
 		}
 	}
@@ -192,7 +246,7 @@ func TestAdaptivePartialAggCancelMidPassThrough(t *testing.T) {
 	if partial.Metrics().Snapshot().ExtraValue("passthrough_rows") == 0 {
 		t.Fatal("the cancel came before the switch: the test exercised nothing")
 	}
-	testutil.SettledGoroutines() // the exchange's producers unwind on their own
+	ctx.Wait() // join the exchange's producers: they close the partial aggregates
 	if held := pool.Reserved(); held != 0 {
 		t.Fatalf("%d bytes still reserved after the cancelled query", held)
 	}

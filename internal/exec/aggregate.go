@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 
@@ -151,6 +152,8 @@ func (e *HashAggregateExec) WithChildren(ch []physical.ExecutionPlan) (physical.
 type aggState struct {
 	table *groupTable
 	accs  []functions.GroupsAccumulator
+	// hashed counts the rows the table hashed itself (nil: not counted).
+	hashed *physical.Counter
 }
 
 func (e *HashAggregateExec) newState() (*aggState, error) {
@@ -188,9 +191,17 @@ func (st *aggState) numGroups() int {
 
 // assign maps n rows of the key columns to group ids; an ungrouped
 // aggregate puts every row in group 0 (groupIdx is never written with
-// anything else there, so it stays zeroed across batches).
-func (st *aggState) assign(cols []arrow.Array, n int, groupIdx []uint32) ([]uint32, error) {
+// anything else there, so it stays zeroed across batches). hashes are the
+// rows' hashes when the exchange below handed them over; nil makes the
+// table hash the rows itself.
+func (st *aggState) assign(cols []arrow.Array, n int, hashes []uint64, groupIdx []uint32) ([]uint32, error) {
 	if st.table != nil {
+		if hashes != nil {
+			return st.table.assignHashed(cols, n, hashes, groupIdx)
+		}
+		if st.hashed != nil {
+			st.hashed.Add(int64(n))
+		}
 		return st.table.assign(cols, n, groupIdx)
 	}
 	if cap(groupIdx) < n {
@@ -200,13 +211,13 @@ func (st *aggState) assign(cols []arrow.Array, n int, groupIdx []uint32) ([]uint
 }
 
 // update consumes one input batch: raw rows in Partial/Single mode,
-// partial states in Final mode.
-func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, groupIdx []uint32, scratch *physical.Scratch) ([]uint32, error) {
+// partial states in Final mode. hashes are as for assign.
+func (e *HashAggregateExec) update(st *aggState, b *arrow.RecordBatch, hashes []uint64, groupIdx []uint32, scratch *physical.Scratch) ([]uint32, error) {
 	cols, err := e.evalGroups(b)
 	if err != nil {
 		return groupIdx, err
 	}
-	if groupIdx, err = st.assign(cols, b.NumRows(), groupIdx); err != nil {
+	if groupIdx, err = st.assign(cols, b.NumRows(), hashes, groupIdx); err != nil {
 		return groupIdx, err
 	}
 	return groupIdx, e.accumulate(st.accs, b, groupIdx, st.numGroups(), scratch)
@@ -351,28 +362,77 @@ func (e *HashAggregateExec) CanPush() bool { return true }
 // Adaptive partial aggregation. A partial aggregate exists to shrink what
 // crosses the exchange; when nearly every row is its own group it shrinks
 // nothing and still pays for a hash table and a stored copy of every key.
-// So the pusher measures itself: over its first partialProbeRows input
-// rows it counts the groups it created, and at partialProbeRatio or
-// more groups per row it flushes, gives its memory back and converts each
-// further batch straight to the partial-state layout (DESIGN.md §6 has the
-// measurements behind the two constants).
+// So the pusher measures itself over a probe window of its first
+// partialProbeRows input rows: once the groups it created per row show
+// that the window would end at partialProbeRatio or more (probeVerdict),
+// it flushes, gives its memory back and converts each further batch
+// straight to the partial-state layout (DESIGN.md §6 has the derivation
+// and the measurements behind the constants).
 const (
 	partialProbeRows  = 100_000
 	partialProbeRatio = 0.8
+	// partialProbeMinRows is one default batch: over fewer rows the ratio
+	// tells too little to act on.
+	partialProbeMinRows = 8192
 )
 
+// partialProbeScale is the x that solves distinctRatio(x) =
+// partialProbeRatio (≈ 0.4642): n rows drawn uniformly from D keys hold
+// distinctRatio(n/D)·n groups in expectation, so the window ends at
+// partialProbeRatio groups per row exactly when D = partialProbeRows /
+// partialProbeScale.
+var partialProbeScale = func() float64 {
+	lo, hi := 0.0, 1/partialProbeRatio // distinctRatio(1/r) < r
+	for range 64 {
+		if mid := (lo + hi) / 2; distinctRatio(mid) > partialProbeRatio {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}()
+
+// distinctRatio is (1−e^{−x})/x, the expected groups per row after x·D
+// uniform draws from D keys; it falls from 1 as x grows.
+func distinctRatio(x float64) float64 {
+	if x == 0 {
+		return 1
+	}
+	return -math.Expm1(-x) / x
+}
+
+// probeVerdict judges the probe window after n rows that created d groups.
+// pass: the partial aggregate passes through from now on. done: the window
+// is over. Before the window ends d/n must reach distinctRatio at
+// partialProbeScale·n/partialProbeRows, which only a key count at which
+// the whole window would reach partialProbeRatio produces (distinctRatio
+// falls, so a smaller D shows fewer groups per row at every n); at the end
+// of the window that threshold is partialProbeRatio itself.
+func probeVerdict(d, n int) (pass, done bool) {
+	switch {
+	case n < partialProbeMinRows:
+		return false, false
+	case n >= partialProbeRows:
+		return float64(d) >= partialProbeRatio*float64(n), true
+	}
+	return float64(d) >= distinctRatio(partialProbeScale*float64(n)/partialProbeRows)*float64(n), false
+}
+
 // PushInto compiles the aggregate for a push loop.
-func (e *HashAggregateExec) PushInto(ctx *physical.ExecContext, _ int) (physical.Pusher, error) {
+func (e *HashAggregateExec) PushInto(ctx *physical.ExecContext, partition int) (physical.Pusher, error) {
 	st, err := e.newState()
 	if err != nil {
 		return nil, err
 	}
 	m := e.Metrics()
+	st.hashed = m.Counter("hashed_rows")
 	p := &aggPusher{
 		e: e, ctx: ctx, st: st, m: m,
 		ordered: e.InputOrdered && st.table != nil,
 		res:     memory.NewReservation(ctx.Pool, "HashAggregateExec"),
 		groups:  m.Counter("groups"),
+		handed:  handedHashes(e.Input, e.GroupExprs, partition),
 	}
 	if e.Mode == PartialAgg && !p.ordered {
 		p.probing = st.table != nil
@@ -399,6 +459,10 @@ type aggPusher struct {
 	scratch  physical.Scratch
 	// ordered marks grouped input sorted on the group keys (pushOrdered).
 	ordered bool
+	// handed returns the row hashes the hash exchange below computed for a
+	// batch it delivered, nil for any other batch; nil when the input is
+	// no exchange on the group keys.
+	handed func(*arrow.RecordBatch) []uint64
 
 	// spills hold the Final/Single table's spilled partial states, in the
 	// layout of spillAs, until Flush merges them back.
@@ -424,22 +488,24 @@ func (p *aggPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, erro
 	if p.ordered {
 		return false, p.pushOrdered(b, emit)
 	}
+	var hashes []uint64
+	if p.handed != nil {
+		hashes = p.handed(b)
+	}
 	var err error
-	p.groupIdx, err = p.e.update(p.st, b, p.groupIdx, &p.scratch)
+	p.groupIdx, err = p.e.update(p.st, b, hashes, p.groupIdx, &p.scratch)
 	if err != nil || p.st.table == nil {
 		return false, err
 	}
 	if p.probing {
 		p.probeRows += b.NumRows()
-		if p.probeRows >= partialProbeRows {
-			p.probing = false
-			groups := p.probeGroups + p.st.table.numGroups()
-			if float64(groups) >= partialProbeRatio*float64(p.probeRows) {
-				err := p.flushTable(emit)
-				p.st = nil
-				p.release()
-				return false, err
-			}
+		pass, done := probeVerdict(p.probeGroups+p.st.table.numGroups(), p.probeRows)
+		p.probing = !done
+		if pass {
+			err := p.flushTable(emit)
+			p.st = nil
+			p.release()
+			return false, err
 		}
 	}
 	cause := p.reserve()
@@ -479,7 +545,7 @@ func (p *aggPusher) pushOrdered(b *arrow.RecordBatch, emit physical.EmitFn) erro
 		return err
 	}
 	n, before := b.NumRows(), p.st.table.numGroups()
-	if p.groupIdx, err = p.st.table.assign(cols, n, p.groupIdx); err != nil {
+	if p.groupIdx, err = p.st.assign(cols, n, nil, p.groupIdx); err != nil {
 		return err
 	}
 	open := p.st.table.numGroups() - 1
@@ -511,7 +577,7 @@ func (p *aggPusher) pushOrdered(b *arrow.RecordBatch, emit physical.EmitFn) erro
 	for i, c := range cols {
 		cols[i] = c.Slice(cut, n-cut)
 	}
-	if p.groupIdx, err = p.st.table.assign(cols, n-cut, p.groupIdx); err != nil {
+	if p.groupIdx, err = p.st.assign(cols, n-cut, nil, p.groupIdx); err != nil {
 		return err
 	}
 	return p.e.accumulate(p.st.accs, b.Slice(cut, n-cut), p.groupIdx, 1, &p.scratch)
@@ -606,7 +672,7 @@ func (p *aggPusher) mergeSpills() error {
 				return err
 			}
 			// Group columns come first, whatever the group expressions read.
-			if p.groupIdx, err = p.st.assign(b.Columns()[:len(p.e.GroupExprs)], b.NumRows(), p.groupIdx); err != nil {
+			if p.groupIdx, err = p.st.assign(b.Columns()[:len(p.e.GroupExprs)], b.NumRows(), nil, p.groupIdx); err != nil {
 				return err
 			}
 			if err := p.e.mergeStates(p.st.accs, b, p.groupIdx, p.st.numGroups()); err != nil {

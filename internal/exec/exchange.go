@@ -27,6 +27,9 @@ type exchange struct {
 	// it equals len(outputs) no row was dropped on the way — no limit, error
 	// or cancel made a consumer walk away — and every count is final.
 	drained *physical.Counter
+	// last[p] is the value output p's stream delivered last; only the
+	// goroutine reading output p touches it.
+	last []batchOrErr
 }
 
 // startExchange launches one producer per partition of input. router
@@ -43,6 +46,7 @@ func startExchange(ctx *physical.ExecContext, input physical.ExecutionPlan, outs
 		stopOnce:  make([]sync.Once, outs),
 		ctxDone:   ctxDoneChan(ctx),
 		drained:   m.Counter("outputs_drained"),
+		last:      make([]batchOrErr, outs),
 	}
 	x.live.Store(int32(outs))
 	for i := range x.outputs {
@@ -120,5 +124,15 @@ func (x *exchange) stream(ctx *physical.ExecContext, schema *arrow.Schema, p int
 			close(x.abandoned[p])
 		})
 	}
-	return &chanStream{schema: schema, ctx: ctx, ch: x.outputs[p], stop: stop, drained: x.drained}
+	return &chanStream{schema: schema, ctx: ctx, ch: x.outputs[p], stop: stop, drained: x.drained, last: &x.last[p]}
+}
+
+// hashesOf returns the row hashes sent with b when b is the batch output p
+// delivered last, else nil. The consumer of output p calls it from the
+// goroutine that reads the output.
+func (x *exchange) hashesOf(p int, b *arrow.RecordBatch) []uint64 {
+	if last := x.last[p]; last.batch == b {
+		return last.hashes
+	}
+	return nil
 }

@@ -12,10 +12,18 @@ import (
 // shared grouping structure behind hash aggregation, the hash-join
 // build/probe maps and window PARTITION BY, and it deliberately mirrors
 // the paper's Section 6.3 design: rows are hashed batch-at-a-time through
-// the compute hash kernels (the same kernels hash repartitioning uses),
-// group ids live in an open-addressing power-of-two table of (hash, id)
-// slots, and the full key is compared only on a 64-bit hash match. Growth
-// rehashes the stored slot hashes — keys are never touched.
+// the compute hash kernels, group ids live in an open-addressing
+// power-of-two table of (hash, id) slots, and the full key is compared
+// only on a 64-bit hash match. Growth rehashes the stored slot hashes —
+// keys are never touched.
+//
+// Who hashes: assign and lookupInto hash the rows themselves;
+// assignHashed and lookupHashed take the hashes from the caller. A hash
+// exchange (RepartitionExec) computes the same hashes with the same
+// kernels to route rows and sends them with each batch, so the final
+// aggregate and both sides of a partitioned hash join, whose keys are the
+// exchange's, call the Hashed forms and no row is hashed twice on the way
+// through an exchange.
 //
 // Keys live in a key store: one typed keyColumn per key column, group g's
 // value at position g (keystore.go). A probe row is never encoded; a new

@@ -74,7 +74,7 @@ type joinOp interface {
 	// index links the rows of the collected build bt.batch into the
 	// chains of candidates bt.next, charging what it allocates to bt.res,
 	// and returns what makes each probe partition's lookup into them.
-	index(bt *builtTable) (newLookup func() lookupFn, err error)
+	index(bt *builtTable) (newLookup func(partition int) lookupFn, err error)
 }
 
 // lookupFn sets first[i] to the first candidate build row of probe row i
@@ -224,9 +224,13 @@ func owesBuildRows(jt logical.JoinType) bool {
 type builtTable struct {
 	batch     *arrow.RecordBatch
 	next      []int32
-	newLookup func() lookupFn
-	visited   []bool // build rows matched (outer/semi/anti tracking)
-	vmu       sync.Mutex
+	newLookup func(partition int) lookupFn
+	// hashes are the build keys' row hashes when the exchange below sent
+	// them with every batch, else nil; index may use them instead of
+	// hashing the keys.
+	hashes  []uint64
+	visited []bool // build rows matched (outer/semi/anti tracking)
+	vmu     sync.Mutex
 
 	// res charges the batch and the table to the pool; it is freed when
 	// the last open probe closes (users drops to zero). A probe partition
@@ -246,9 +250,10 @@ func (bt *builtTable) release() {
 
 // build turns the drained left input into the probe's table, charging it
 // to a new reservation. Over budget it fails with the pool's typed error.
-func (c *joinCore) build(ctx *physical.ExecContext, batches []*arrow.RecordBatch) (*builtTable, error) {
+// hashes are the batches' key hashes, concatenated, or nil.
+func (c *joinCore) build(ctx *physical.ExecContext, batches []*arrow.RecordBatch, hashes []uint64) (*builtTable, error) {
 	res := memory.NewReservation(ctx.Pool, c.name)
-	bt, err := c.buildTable(batches, res)
+	bt, err := c.buildTable(batches, hashes, res)
 	if err != nil {
 		res.Free()
 		return nil, err
@@ -257,7 +262,7 @@ func (c *joinCore) build(ctx *physical.ExecContext, batches []*arrow.RecordBatch
 	return bt, nil
 }
 
-func (c *joinCore) buildTable(batches []*arrow.RecordBatch, res *memory.Reservation) (*builtTable, error) {
+func (c *joinCore) buildTable(batches []*arrow.RecordBatch, hashes []uint64, res *memory.Reservation) (*builtTable, error) {
 	batch, err := compute.ConcatBatches(c.Left.Schema(), batches)
 	if err != nil {
 		return nil, err
@@ -265,8 +270,10 @@ func (c *joinCore) buildTable(batches []*arrow.RecordBatch, res *memory.Reservat
 	if err := res.Grow(arrow.BatchSize(batch)); err != nil {
 		return nil, err
 	}
-	bt := &builtTable{batch: batch, res: res}
-	if bt.newLookup, err = c.op.index(bt); err != nil {
+	bt := &builtTable{batch: batch, res: res, hashes: hashes}
+	bt.newLookup, err = c.op.index(bt)
+	bt.hashes = nil
+	if err != nil {
 		return nil, err
 	}
 	if owesBuildRows(c.Type) {
@@ -292,7 +299,7 @@ func (c *joinCore) sharedBuild(ctx *physical.ExecContext) (*builtTable, error) {
 			c.buildErr = err
 			return
 		}
-		c.built, c.buildErr = c.build(ctx, batches)
+		c.built, c.buildErr = c.build(ctx, batches, nil)
 		if c.buildErr == nil {
 			// The shared build is counted once, not once per probe.
 			c.Metrics().Counter("build_rows").Store(int64(c.built.batch.NumRows()))
@@ -311,29 +318,64 @@ func (c *joinCore) pushInto(ctx *physical.ExecContext, partition int, partitione
 	}
 	var bt *builtTable
 	var err error
-	if !partitioned {
-		bt, err = c.sharedBuild(ctx)
+	if partitioned {
+		bt, err = c.partitionBuild(ctx, partition)
 	} else {
-		var s physical.Stream
-		if s, err = c.Left.Execute(ctx, partition); err != nil {
-			return nil, err
-		}
-		var batches []*arrow.RecordBatch
-		if batches, err = drainAll(s); err != nil {
-			return nil, err
-		}
-		if bt, err = c.build(ctx, batches); err == nil {
-			c.Metrics().Counter("build_rows").Add(int64(bt.batch.NumRows()))
-		}
+		bt, err = c.sharedBuild(ctx)
 	}
 	if err != nil {
 		return nil, err
 	}
 	bt.acquire()
-	p := &joinProbe{c: c, bt: bt, lookup: bt.newLookup(), limit: batchRows(ctx), probeRows: c.Metrics().Counter("probe_rows")}
+	p := &joinProbe{c: c, bt: bt, lookup: bt.newLookup(partition), limit: batchRows(ctx), probeRows: c.Metrics().Counter("probe_rows")}
 	// Only one probe partition may emit the unmatched build rows.
 	p.emitBuild = owesBuildRows(c.Type) && (partitioned || partition == c.Right.Partitions()-1)
 	return p, nil
+}
+
+// partitionBuild builds from this partition's left input, with the key
+// hashes of the exchange that delivered it when it sent them.
+func (c *joinCore) partitionBuild(ctx *physical.ExecContext, partition int) (*builtTable, error) {
+	s, err := c.Left.Execute(ctx, partition)
+	if err != nil {
+		return nil, err
+	}
+	keys, _ := joinKeyExprs(c.On)
+	batches, hashes, err := drainHashed(ctx, s, handedHashes(c.Left, keys, partition))
+	if err != nil {
+		return nil, err
+	}
+	bt, err := c.build(ctx, batches, hashes)
+	if err == nil {
+		c.Metrics().Counter("build_rows").Add(int64(bt.batch.NumRows()))
+	}
+	return bt, err
+}
+
+// drainHashed reads s to its end like drainAll and also concatenates the
+// row hashes handed finds for each batch; they are nil unless every batch
+// came with its hashes.
+func drainHashed(ctx *physical.ExecContext, s physical.Stream, handed func(*arrow.RecordBatch) []uint64) ([]*arrow.RecordBatch, []uint64, error) {
+	defer s.Close()
+	var batches []*arrow.RecordBatch
+	var hashes []uint64
+	whole := handed != nil
+	err := forEachBatch(ctx, s, func(b *arrow.RecordBatch) error {
+		batches = append(batches, b)
+		if whole {
+			h := handed(b)
+			whole = h != nil
+			hashes = append(hashes, h...)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if !whole {
+		hashes = nil
+	}
+	return batches, hashes, nil
 }
 
 // joinProbe is one partition's probe. It owns its lookup, so concurrent

@@ -59,6 +59,7 @@ func (e *HashJoinExec) String() string {
 // from this partition's left input) and compiles the probe of one
 // partition.
 func (e *HashJoinExec) PushInto(ctx *physical.ExecContext, partition int) (physical.Pusher, error) {
+	e.Metrics().Counter("hashed_rows") // listed even when nothing hashes
 	return e.pushInto(ctx, partition, e.Mode == PartitionedJoin)
 }
 
@@ -150,8 +151,10 @@ func widenKeys[T int8 | int16 | int32 | int64 | uint8 | uint16 | uint32 | uint64
 
 // index chains the build rows by key: through a dense array when the only
 // key is an integer column without NULLs over a small enough range, else
-// through a groupTable.
-func (e *HashJoinExec) index(bt *builtTable) (func() lookupFn, error) {
+// through a groupTable. The table takes the key hashes a hash exchange
+// sent with the build (bt.hashes) and hashes the keys itself without them;
+// a probe partition does the same with its own exchange output.
+func (e *HashJoinExec) index(bt *builtTable) (func(int) lookupFn, error) {
 	n := bt.batch.NumRows()
 	build, probe := joinKeyExprs(e.On)
 	cols := make([]arrow.Array, len(build))
@@ -171,13 +174,18 @@ func (e *HashJoinExec) index(bt *builtTable) (func() lookupFn, error) {
 			}
 			if head != nil {
 				e.Metrics().Counter("dense_builds").Add(1)
-				return func() lookupFn { return denseLookup(probe[0], head, lo) }, nil
+				return func(int) lookupFn { return denseLookup(probe[0], head, lo) }, nil
 			}
 		}
 	}
 	// One vectorized hash pass feeds both the cardinality estimate
 	// (pre-sizing keeps rehashes off large builds) and the inserts.
-	hashes := compute.HashBatch(cols, n, nil)
+	hashed := e.Metrics().Counter("hashed_rows")
+	hashes := bt.hashes
+	if hashes == nil {
+		hashes = compute.HashBatch(cols, n, nil)
+		hashed.Add(int64(n))
+	}
 	gt, err := newGroupTableSized(types, estimateKeyCardinality(hashes))
 	if err != nil {
 		return nil, err
@@ -203,7 +211,9 @@ func (e *HashJoinExec) index(bt *builtTable) (func() lookupFn, error) {
 		bt.next[i] = head[g]
 		head[g] = int32(i)
 	}
-	return func() lookupFn { return hashLookup(probe, gt, head) }, nil
+	return func(partition int) lookupFn {
+		return hashLookup(probe, gt, head, handedHashes(e.Right, probe, partition), hashed)
+	}, nil
 }
 
 // buildDense chains the build by key − lo when the keys span few enough
@@ -269,8 +279,11 @@ func denseLookup(probe physical.PhysicalExpr, head []int32, lo uint64) lookupFn 
 }
 
 // hashLookup finds a probe row's chain at head[group of its key in gt]:
-// hash first, -1 for absent or NULL keys.
-func hashLookup(probe []physical.PhysicalExpr, gt *groupTable, head []int32) lookupFn {
+// hash first, -1 for absent or NULL keys. It takes the hashes handed finds
+// for a batch (handed may be nil) and hashes the keys itself, counting the
+// rows in hashed, without them.
+func hashLookup(probe []physical.PhysicalExpr, gt *groupTable, head []int32,
+	handed func(*arrow.RecordBatch) []uint64, hashed *physical.Counter) lookupFn {
 	var cols []arrow.Array
 	var ls lookupScratch
 	var gids []int32
@@ -283,7 +296,16 @@ func hashLookup(probe []physical.PhysicalExpr, gt *groupTable, head []int32) loo
 			}
 			cols = append(cols, a)
 		}
-		gids = gt.lookupInto(cols, rb.NumRows(), &ls, gids)
+		var hashes []uint64
+		if handed != nil {
+			hashes = handed(rb)
+		}
+		if hashes != nil {
+			gids = gt.lookupHashed(cols, rb.NumRows(), hashes, &ls, gids)
+		} else {
+			hashed.Add(int64(rb.NumRows()))
+			gids = gt.lookupInto(cols, rb.NumRows(), &ls, gids)
+		}
 		for i, g := range gids {
 			if g >= 0 {
 				first[i] = head[g]

@@ -58,7 +58,7 @@ func (e *SortMergeJoinExec) OutputOrdering() []physical.SortField {
 }
 
 // index encodes the build keys and chains each run of equal keys.
-func (e *SortMergeJoinExec) index(bt *builtTable) (func() lookupFn, error) {
+func (e *SortMergeJoinExec) index(bt *builtTable) (func(int) lookupFn, error) {
 	build, probe := joinKeyExprs(e.On)
 	keys, err := encodeJoinKeys(build, bt.batch)
 	if err != nil {
@@ -79,7 +79,7 @@ func (e *SortMergeJoinExec) index(bt *builtTable) (func() lookupFn, error) {
 			bt.next[i] = int32(i + 1)
 		}
 	}
-	return func() lookupFn { return mergeLookup(probe, keys) }, nil
+	return func(int) lookupFn { return mergeLookup(probe, keys) }, nil
 }
 
 // mergeLookup finds a probe key's run with a cursor into the key-sorted

@@ -34,7 +34,7 @@ func (e *NestedLoopJoinExec) with(left, right physical.ExecutionPlan, cols []int
 
 // index chains every build row to the next one; every probe row's chain
 // starts at the first.
-func (e *NestedLoopJoinExec) index(bt *builtTable) (func() lookupFn, error) {
+func (e *NestedLoopJoinExec) index(bt *builtTable) (func(int) lookupFn, error) {
 	n := bt.batch.NumRows()
 	if err := bt.res.Grow(4 * int64(n)); err != nil {
 		return nil, err
@@ -53,5 +53,5 @@ func (e *NestedLoopJoinExec) index(bt *builtTable) (func() lookupFn, error) {
 		}
 		return nil
 	}
-	return func() lookupFn { return everyRow }, nil
+	return func(int) lookupFn { return everyRow }, nil
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"gofusion/internal/arrow"
@@ -64,31 +65,32 @@ func (e *RepartitionExec) WithChildren(ch []physical.ExecutionPlan) (physical.Ex
 // whole batches, hash partitioning splits each batch by key hash.
 func (e *RepartitionExec) router(x *exchange, p int) func(*arrow.RecordBatch) error {
 	sent := e.Metrics().Counter("batches_sent")
-	send := func(out int, b *arrow.RecordBatch) {
-		if x.send(out, batchOrErr{batch: b}) {
+	send := func(out int, v batchOrErr) {
+		if x.send(out, v) {
 			sent.Add(1)
 		}
 	}
 	if e.Scheme == RoundRobinPartitioning {
 		rr := p % e.NumParts
 		return func(b *arrow.RecordBatch) error {
-			send(rr, b)
+			send(rr, batchOrErr{batch: b})
 			rr = (rr + 1) % e.NumParts
 			return nil
 		}
 	}
-	// Scratch reused across this producer's batches. The same
-	// compute.HashBatch kernels drive aggregation group tables and join
-	// build/probe, so all three hash consumers agree on row hashes.
+	// The row hashes come from the compute.HashBatch kernels that group
+	// tables use, and travel with each output batch: a consumer whose keys
+	// are HashExprs (the final aggregate, both sides of a partitioned hash
+	// join) looks them up instead of hashing the rows again (handedHashes).
 	var sc hashScatter
 	return func(b *arrow.RecordBatch) error {
 		parts, err := e.splitByHash(b, &sc)
 		if err != nil {
 			return err
 		}
-		for i, pb := range parts {
-			if pb != nil {
-				send(i, pb)
+		for i, v := range parts {
+			if v.batch != nil {
+				send(i, v)
 			}
 		}
 		return nil
@@ -113,9 +115,10 @@ func hashPartition(h uint64, n int) int {
 
 // splitByHash scatters b's rows over NumParts outputs in one pass: a
 // counting pass over the row hashes sizes each output, a second fills
-// per-output row lists, and every column is gathered once per non-empty
-// output. out[p] is nil when no row went to p, and b itself when all did.
-func (e *RepartitionExec) splitByHash(b *arrow.RecordBatch, sc *hashScatter) ([]*arrow.RecordBatch, error) {
+// per-output row lists, and every column and the hashes are gathered once
+// per non-empty output. out[p] has a nil batch when no row went to p, and
+// b itself when all did.
+func (e *RepartitionExec) splitByHash(b *arrow.RecordBatch, sc *hashScatter) ([]batchOrErr, error) {
 	n := b.NumRows()
 	keys := make([]arrow.Array, len(e.HashExprs))
 	for i, x := range e.HashExprs {
@@ -137,11 +140,14 @@ func (e *RepartitionExec) splitByHash(b *arrow.RecordBatch, sc *hashScatter) ([]
 	for _, h := range sc.hashes {
 		next[hashPartition(h, e.NumParts)]++
 	}
-	out := make([]*arrow.RecordBatch, e.NumParts)
+	out := make([]batchOrErr, e.NumParts)
 	start := 0
 	for p, c := range next {
 		if c == n {
-			out[p] = b
+			// The hashes go downstream with b; the next batch hashes into
+			// a fresh buffer.
+			out[p] = batchOrErr{batch: b, hashes: sc.hashes}
+			sc.hashes = nil
 			return out, nil
 		}
 		next[p] = start
@@ -156,11 +162,16 @@ func (e *RepartitionExec) splitByHash(b *arrow.RecordBatch, sc *hashScatter) ([]
 		idx[next[p]] = int32(i)
 		next[p]++
 	}
+	// The hashes in the order of idx, so each output's are a slice.
+	hashes := make([]uint64, n)
+	for k, r := range idx {
+		hashes[k] = sc.hashes[r]
+	}
 	// next[p] is now the end of output p's row list.
 	start = 0
 	for p, end := range next {
 		if end > start {
-			out[p] = compute.TakeBatch(b, idx[start:end])
+			out[p] = batchOrErr{batch: compute.TakeBatch(b, idx[start:end]), hashes: hashes[start:end:end]}
 		}
 		start = end
 	}
@@ -172,4 +183,16 @@ func (e *RepartitionExec) Execute(ctx *physical.ExecContext, partition int) (phy
 		e.x = startExchange(ctx, e.Input, e.NumParts, ctx.ExchangeBufferDepth(), e.Metrics(), e.router)
 	})
 	return physical.InstrumentStream(e.x.stream(ctx, e.Schema(), partition), e.Metrics()), nil
+}
+
+// handedHashes returns, when input is a hash exchange on exactly keys —
+// the same expressions, in order — the lookup of the row hashes it sent
+// with a batch that output partition delivered (nil for any other batch);
+// otherwise nil. Call the lookup only after opening that output.
+func handedHashes(input physical.ExecutionPlan, keys []physical.PhysicalExpr, partition int) func(*arrow.RecordBatch) []uint64 {
+	rep, ok := input.(*RepartitionExec)
+	if !ok || rep.Scheme != HashPartitioning || !slices.Equal(rep.HashExprs, keys) {
+		return nil
+	}
+	return func(b *arrow.RecordBatch) []uint64 { return rep.x.hashesOf(partition, b) }
 }

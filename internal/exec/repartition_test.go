@@ -3,9 +3,11 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gofusion/internal/arrow"
+	"gofusion/internal/arrow/compute"
 	"gofusion/internal/physical"
 )
 
@@ -77,18 +79,28 @@ func TestSplitByHashScatter(t *testing.T) {
 					if len(out) != parts {
 						t.Fatalf("%d outputs, want %d", len(out), parts)
 					}
-					if parts == 1 && out[0] != b {
+					if parts == 1 && out[0].batch != b {
 						t.Fatal("a batch bound for one output must be forwarded untouched")
 					}
 					want := rowsAsStrings(b)
 					first := b.Column(0).(*arrow.Int64Array).Value(0)
 					seen := 0
-					for p, ob := range out {
+					for p, v := range out {
+						ob := v.batch
 						if ob == nil {
 							continue
 						}
 						if ob.NumRows() == 0 {
 							t.Fatalf("output %d is an empty batch, want nil", p)
+						}
+						// The hashes sent along are the ones a consumer with
+						// the same keys would compute.
+						cols := make([]arrow.Array, len(keys))
+						for i, x := range keys {
+							cols[i], _ = physical.EvalToArray(x, ob, nil)
+						}
+						if !slices.Equal(v.hashes, compute.HashBatch(cols, ob.NumRows(), nil)) {
+							t.Fatalf("output %d: the hashes sent with the batch are not its rows' hashes", p)
 						}
 						got := rowsAsStrings(ob)
 						ids := ob.Column(0).(*arrow.Int64Array)

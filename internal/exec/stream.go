@@ -47,10 +47,12 @@ func (s *funcStream) Close() {
 	}
 }
 
-// batchOrErr travels through exchange channels.
+// batchOrErr travels through exchange channels. A hash exchange sends each
+// batch with its rows' hashes.
 type batchOrErr struct {
-	batch *arrow.RecordBatch
-	err   error
+	batch  *arrow.RecordBatch
+	hashes []uint64
+	err    error
 }
 
 // chanStream reads batches from a channel fed by producer goroutines.
@@ -63,6 +65,9 @@ type chanStream struct {
 	// drained is bumped when the channel is read to its close without a
 	// cancel: the consumer saw everything the producers sent.
 	drained *physical.Counter
+	// last is where the stream keeps the batch it delivered last, with its
+	// hashes, for the consumer to ask after (exchange.hashesOf).
+	last *batchOrErr
 }
 
 func (s *chanStream) Schema() *arrow.Schema { return s.schema }
@@ -90,6 +95,7 @@ func (s *chanStream) Next() (*arrow.RecordBatch, error) {
 		s.done = true
 		return nil, be.err
 	}
+	*s.last = be
 	return be.batch, nil
 }
 func (s *chanStream) Close() {

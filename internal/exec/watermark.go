@@ -186,7 +186,7 @@ func (p *wmPusher) update(bk *aggState, b *arrow.RecordBatch, idx []int32) error
 		b = takeRows(b, idx)
 	}
 	var err error
-	p.groupIdx, err = p.e.helper.update(bk, b, p.groupIdx, &p.scratch)
+	p.groupIdx, err = p.e.helper.update(bk, b, nil, p.groupIdx, &p.scratch)
 	return err
 }
 
