@@ -12,9 +12,9 @@ test:
 # lint builds the engine-invariant analyzer suite (internal/analysis) and
 # runs it over the whole module through the standard vet driver, then
 # checks formatting. The analyzers: streamclose, atomicfield,
-# unsafealias, goroutinedrain, eofconvention, scanlimit, and the
-# interprocedural dataflow checks lockorder, resbalance, ctxflow (over
-# the shared CFG/summary IR in internal/analysis/cfg and flow), plus the
+# unsafealias, goroutinedrain, eofconvention, and the interprocedural
+# dataflow checks lockorder, resbalance, ctxflow (over the shared
+# CFG/summary IR in internal/analysis/cfg and flow), plus the
 # nolintaudit suppression audit.
 lint:
 	$(GO) build -o $(BIN)/gofusionlint ./cmd/gofusionlint

@@ -35,7 +35,6 @@ import (
 	"gofusion/internal/analysis/lockorder"
 	"gofusion/internal/analysis/nolintaudit"
 	"gofusion/internal/analysis/resbalance"
-	"gofusion/internal/analysis/scanlimit"
 	"gofusion/internal/analysis/streamclose"
 	"gofusion/internal/analysis/unsafealias"
 )
@@ -46,7 +45,6 @@ var suite = []*analysis.Analyzer{
 	unsafealias.Analyzer,
 	goroutinedrain.Analyzer,
 	eofconvention.Analyzer,
-	scanlimit.Analyzer,
 	lockorder.Analyzer,
 	resbalance.Analyzer,
 	ctxflow.Analyzer,

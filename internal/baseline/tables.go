@@ -147,7 +147,7 @@ func (t *GPQTable) Materialize(projection []int, workers int) ([]*arrow.RecordBa
 			defer fr.Close()
 			// Full scan: no predicate, no limit; every surviving page is
 			// decoded.
-			sc, err := fr.Scan(parquet.ScanOptions{Projection: projection, Limit: -1})
+			sc, err := fr.Scan(parquet.ScanOptions{Projection: projection})
 			if err != nil {
 				errs[i] = err
 				return

@@ -138,7 +138,7 @@ func (c Config) ablatePruning() ([]Ablation, error) {
 		return nil, err
 	}
 	files := []string{filepath.Join(c.tpchDir(), "lineitem.gpq")}
-	base := parquet.ScanOptions{Projection: projection, Predicate: pred, Limit: -1}
+	base := parquet.ScanOptions{Projection: projection, Predicate: pred}
 
 	on, _, err := scanFiles(files, base)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -47,12 +48,9 @@ type Statistics struct {
 // UnknownStats is the zero-knowledge statistics value.
 func UnknownStats() Statistics { return Statistics{NumRows: -1, TotalBytes: -1} }
 
-// NoLimit is the ScanRequest.Limit value for an unbounded scan. The
-// Limit zero value means "return 0 rows" — a scan request built without
-// an explicit Limit silently yields nothing (the COPY INTO staging path
-// shipped exactly this bug). The scanlimit analyzer rejects ScanRequest
-// literals that omit the field.
-const NoLimit int64 = -1
+// NoLimit is the ScanRequest.Limit value for an unbounded scan: the
+// zero value, like any Limit <= 0.
+const NoLimit int64 = 0
 
 // ScanRequest carries pushdown information into a provider scan.
 type ScanRequest struct {
@@ -61,10 +59,10 @@ type ScanRequest struct {
 	// Filters are conjuncts the provider may apply (fully, partially, or
 	// not at all); ScanResult.ExactFilters reports which were exact.
 	Filters []logical.Expr
-	// Limit stops the scan after this many rows; NoLimit (-1) for none.
-	// The zero value means 0 rows, so literals must set it explicitly
-	// (enforced by the scanlimit analyzer). Only valid when every filter
-	// is applied exactly.
+	// Limit, when > 0, lets each partition stop after this many rows; 0
+	// or less means no limit. A provider applies it only when it applies
+	// every filter exactly; the engine enforces the query's own limit
+	// above the scan either way.
 	Limit int64
 	// Partitions is the desired read parallelism (providers may return
 	// fewer).
@@ -86,7 +84,9 @@ type ScanResult struct {
 	Schema     *arrow.Schema
 	Partitions int
 	// Open starts reading one partition. Each partition may be opened at
-	// most once.
+	// most once. The provider decides what a partition reads: the opened
+	// partitions together return the scan, and a provider may hand its
+	// work to whichever partition asks next.
 	Open func(partition int) (Stream, error)
 	// ExactFilters[i] reports whether Filters[i] was applied exactly (the
 	// engine then drops its own re-evaluation).
@@ -101,12 +101,6 @@ type ScanResult struct {
 	// the scan's partition streams for EXPLAIN ANALYZE. Providers without
 	// statistics leave it nil.
 	Runtime *ScanRuntime
-	// Morsels, when non-nil, exposes the scan as dynamically schedulable
-	// units so the engine can replace the static per-partition Open split
-	// with a shared work queue drained by all workers (morsel-driven
-	// scheduling). Providers only publish it when the output is unordered,
-	// since workers interleave units arbitrarily.
-	Morsels *MorselSet
 	// Unbounded marks a tailing scan: partition streams block awaiting new
 	// data instead of returning io.EOF, until the source is sealed or the
 	// query is cancelled. The planner refuses to place full-pipeline
@@ -127,22 +121,6 @@ type CtxStream interface {
 	Stream
 	BindContext(ctx context.Context)
 }
-
-// MorselSet describes the dynamically schedulable units of a scan: finer
-// grained than partitions (typically one or a few row groups each) so
-// that workers finishing early steal remaining units instead of idling
-// behind a static row-balanced deal that mispredicts per-unit cost.
-type MorselSet struct {
-	// Rows[i] estimates unit i's row count (footer counts for files).
-	// Units are ordered largest-first so long units start earliest.
-	Rows []int64
-	// Open starts reading one unit. Each unit may be opened at most once;
-	// distinct units may be opened from different goroutines.
-	Open func(unit int) (Stream, error)
-}
-
-// Units returns the number of schedulable units.
-func (m *MorselSet) Units() int { return len(m.Rows) }
 
 // ScanRuntime accumulates runtime scan counters across all partitions of
 // one prepared scan. Plan-time pruning (whole files / row groups
@@ -335,6 +313,29 @@ func (c *MemoryCatalog) SchemaByName(name string) (SchemaProvider, bool) {
 	return s.v, ok
 }
 
+// rowLimit counts a partition's rows down against a pushed-down scan
+// limit; a limit <= 0 never runs out.
+type rowLimit struct{ left int64 }
+
+func newRowLimit(limit int64) rowLimit {
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	return rowLimit{left: limit}
+}
+
+// done reports whether the limit is used up.
+func (l *rowLimit) done() bool { return l.left == 0 }
+
+// take truncates b to the rows still allowed and charges them.
+func (l *rowLimit) take(b *arrow.RecordBatch) *arrow.RecordBatch {
+	if int64(b.NumRows()) > l.left {
+		b = b.Slice(0, int(l.left))
+	}
+	l.left -= int64(b.NumRows())
+	return b
+}
+
 // batchStream adapts a batch slice into a Stream.
 type batchStream struct {
 	schema  *arrow.Schema
@@ -474,7 +475,7 @@ func (m *MemTable) Scan(req ScanRequest) (*ScanResult, error) {
 	// Limit pushdown is only sound with no (unapplied) filters.
 	limit := req.Limit
 	if len(req.Filters) > 0 {
-		limit = -1
+		limit = NoLimit
 	}
 	return &ScanResult{
 		Schema:       outSchema,
@@ -482,23 +483,16 @@ func (m *MemTable) Scan(req ScanRequest) (*ScanResult, error) {
 		ExactFilters: make([]bool, len(req.Filters)),
 		SortOrder:    order,
 		Open: func(p int) (Stream, error) {
-			src := parts[p]
 			var out []*arrow.RecordBatch
-			var taken int64
-			for _, b := range src {
+			rows := newRowLimit(limit)
+			for _, b := range parts[p] {
+				if rows.done() {
+					break
+				}
 				if req.Projection != nil {
 					b = b.Project(req.Projection)
 				}
-				if limit >= 0 {
-					if taken >= limit {
-						break
-					}
-					if taken+int64(b.NumRows()) > limit {
-						b = b.Slice(0, int(limit-taken))
-					}
-				}
-				taken += int64(b.NumRows())
-				out = append(out, b)
+				out = append(out, rows.take(b))
 			}
 			return NewBatchStream(outSchema, out), nil
 		},

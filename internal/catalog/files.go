@@ -5,8 +5,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/csvio"
@@ -184,11 +186,10 @@ func (t *GPQTable) planUnits(pred parquet.Predicate) (units []scanUnit, pruned i
 	return units, pruned, nil
 }
 
-// dealUnits distributes row-group units across numParts partitions,
-// balancing by footer row counts: each unit goes to the least-loaded
-// partition (ties to the lowest index), then units sharing a file within
-// a partition merge into one multi-row-group unit so the file is opened
-// once.
+// dealUnits deals row-group units into numParts chunks, balancing by
+// footer row counts: each unit goes to the least-loaded chunk (ties to
+// the lowest index), and a unit that follows one of its file's in the
+// same chunk merges into it, so the chunk opens the file once.
 func dealUnits(units []scanUnit, numParts int) [][]scanUnit {
 	parts := make([][]scanUnit, numParts)
 	loads := make([]int64, numParts)
@@ -211,15 +212,16 @@ func dealUnits(units []scanUnit, numParts int) [][]scanUnit {
 	return parts
 }
 
-// unitsDetail renders per-partition row-group assignments for EXPLAIN,
-// e.g. "p0=data.gpq[rg0-3] p1=data.gpq[rg4-7]". Long listings truncate.
-func unitsDetail(parts [][]scanUnit) string {
+// unitsDetail lists the row groups of each chunk for EXPLAIN, in the
+// order the chunks are claimed, e.g. "u0=data.gpq[rg0-3]
+// u1=data.gpq[rg4-7]". Long listings truncate.
+func unitsDetail(chunks [][]scanUnit) string {
 	var sb strings.Builder
-	for p, us := range parts {
-		if p > 0 {
+	for c, us := range chunks {
+		if c > 0 {
 			sb.WriteByte(' ')
 		}
-		fmt.Fprintf(&sb, "p%d=", p)
+		fmt.Fprintf(&sb, "u%d=", c)
 		for i, u := range us {
 			if i > 0 {
 				sb.WriteByte(',')
@@ -227,8 +229,8 @@ func unitsDetail(parts [][]scanUnit) string {
 			sb.WriteString(filepath.Base(u.file))
 			sb.WriteString(rangesString(u.groups))
 		}
-		if sb.Len() > 160 && p < len(parts)-1 {
-			fmt.Fprintf(&sb, " …(+%d partitions)", len(parts)-1-p)
+		if sb.Len() > 160 && c < len(chunks)-1 {
+			fmt.Fprintf(&sb, " …(+%d units)", len(chunks)-1-c)
 			break
 		}
 	}
@@ -258,40 +260,53 @@ func rangesString(groups []int) string {
 	return sb.String()
 }
 
+// scanChunks groups the surviving row groups into the chunks the scan's
+// partitions claim. One partition reads one chunk of every unit in file
+// order, so a declared sort order can survive. More partitions share
+// about four chunks each, dealt row-balanced (same-file neighbours merge
+// so each chunk opens its file once) and ordered largest first so the
+// longest chunks start earliest and the tail balances itself.
+func scanChunks(units []scanUnit, numParts int) [][]scanUnit {
+	if numParts <= 1 {
+		return dealUnits(units, 1)
+	}
+	var chunks [][]scanUnit
+	for _, us := range dealUnits(units, min(numParts*4, len(units))) {
+		if len(us) > 0 {
+			chunks = append(chunks, us)
+		}
+	}
+	rowsOf := func(us []scanUnit) int64 {
+		var r int64
+		for _, u := range us {
+			r += u.rows
+		}
+		return r
+	}
+	sort.SliceStable(chunks, func(i, j int) bool { return rowsOf(chunks[i]) > rowsOf(chunks[j]) })
+	return chunks
+}
+
 // Scan prepares a pushed-down partitioned scan. Partitioning is
 // row-group-granular: row groups refuted by footer statistics are pruned
 // at plan time (file level, then chunk level), and the survivors are
-// dealt across up to req.Partitions partitions balanced by row count —
-// so a single large file still scans in parallel.
+// grouped into chunks (scanChunks) that up to req.Partitions partitions
+// claim from one shared cursor — so a single large file still scans in
+// parallel, and a partition that finishes early takes the next chunk
+// instead of idling.
 func (t *GPQTable) Scan(req ScanRequest) (*ScanResult, error) {
 	pred, exact := CompileFilters(req.Filters, t.schema)
-	allExact := true
-	for _, e := range exact {
-		if !e {
-			allExact = false
-		}
-	}
 	limit := req.Limit
-	if !allExact {
-		limit = -1
+	if slices.Contains(exact, false) {
+		limit = NoLimit
 	}
 
 	units, pruned, err := t.planUnits(pred)
 	if err != nil {
 		return nil, err
 	}
-
-	numParts := req.Partitions
-	if numParts <= 0 {
-		numParts = 1
-	}
-	if numParts > len(units) {
-		numParts = len(units)
-	}
-	if numParts == 0 {
-		numParts = 1
-	}
-	parts := dealUnits(units, numParts)
+	numParts := max(1, min(req.Partitions, len(units)))
+	queue := &chunkQueue{chunks: scanChunks(units, numParts)}
 
 	outSchema := t.schema
 	if req.Projection != nil {
@@ -306,7 +321,10 @@ func (t *GPQTable) Scan(req ScanRequest) (*ScanResult, error) {
 	}
 	detail := fmt.Sprintf("rowgroups=%d pruned=%d", len(units), pruned)
 	if len(units) > 0 {
-		detail += " " + unitsDetail(parts)
+		detail += " " + unitsDetail(queue.chunks)
+	}
+	if numParts > 1 {
+		detail += fmt.Sprintf(" scheduler=morsel units=%d", len(queue.chunks))
 	}
 	rt := &ScanRuntime{}
 	rt.RowGroupsPruned.Add(int64(pruned)) // plan-time file/row-group pruning
@@ -317,7 +335,6 @@ func (t *GPQTable) Scan(req ScanRequest) (*ScanResult, error) {
 	opts := parquet.ScanOptions{
 		Projection: req.Projection,
 		Predicate:  pred,
-		Limit:      limit,
 		BatchRows:  req.BatchRows,
 		Readahead:  req.Readahead,
 		Cache:      pages,
@@ -329,73 +346,54 @@ func (t *GPQTable) Scan(req ScanRequest) (*ScanResult, error) {
 		SortOrder:    order,
 		Detail:       detail,
 		Runtime:      rt,
-		Morsels:      t.morselSet(units, numParts, outSchema, rt, opts),
-		Open: func(p int) (Stream, error) {
-			return &gpqStream{units: parts[p], schema: outSchema, rt: rt, opts: opts, meta: t.metadata}, nil
+		// Every partition claims from the same queue, so which one asks
+		// does not matter.
+		Open: func(int) (Stream, error) {
+			return &gpqStream{queue: queue, schema: outSchema, rt: rt, opts: opts,
+				rows: newRowLimit(limit), meta: t.metadata}, nil
 		},
 	}, nil
-}
-
-// morselSet builds the dynamically schedulable view of a parallel scan:
-// surviving row groups are chunked about 4x finer than the partition
-// count (dealUnits keeps chunks row-balanced and merges same-file
-// neighbors so each chunk opens its file once), then ordered largest
-// first so the longest chunks start earliest. Single-partition scans
-// keep the static path — there is nobody to steal from.
-func (t *GPQTable) morselSet(units []scanUnit, numParts int, outSchema *arrow.Schema, rt *ScanRuntime, opts parquet.ScanOptions) *MorselSet {
-	if numParts <= 1 || len(units) < 2 {
-		// One worker, or one unit: nothing to schedule dynamically.
-		return nil
-	}
-	n := numParts * 4
-	if n > len(units) {
-		n = len(units)
-	}
-	var ms [][]scanUnit
-	for _, us := range dealUnits(units, n) {
-		if len(us) > 0 {
-			ms = append(ms, us)
-		}
-	}
-	rowsOf := func(us []scanUnit) int64 {
-		var r int64
-		for _, u := range us {
-			r += u.rows
-		}
-		return r
-	}
-	sort.SliceStable(ms, func(i, j int) bool { return rowsOf(ms[i]) > rowsOf(ms[j]) })
-	rows := make([]int64, len(ms))
-	for i, us := range ms {
-		rows[i] = rowsOf(us)
-	}
-	return &MorselSet{
-		Rows: rows,
-		Open: func(unit int) (Stream, error) {
-			return &gpqStream{units: ms[unit], schema: outSchema, rt: rt, opts: opts, meta: t.metadata}, nil
-		},
-	}
 }
 
 func fileColumnStats(meta *parquet.FileMetadata, col int) parquet.ColumnStats {
 	return meta.ColumnStatsForFile(col)
 }
 
-// gpqStream reads a list of scan units sequentially, one scanner per
-// unit, with optional readahead inside each scanner.
+// chunkQueue is the work of one prepared scan: its chunks and the atomic
+// cursor every partition stream claims the next one with. Whatever
+// consumes the partitions (a pipeline, a join build, an exchange), a
+// stream stuck on a fat chunk claims fewer, so skew balances itself.
+type chunkQueue struct {
+	chunks [][]scanUnit
+	next   atomic.Int64
+}
+
+// claim returns the next unclaimed chunk, or false once all are claimed.
+func (q *chunkQueue) claim() ([]scanUnit, bool) {
+	i := q.next.Add(1) - 1
+	if i >= int64(len(q.chunks)) {
+		return nil, false
+	}
+	return q.chunks[i], true
+}
+
+// gpqStream is one partition of a GPQ scan: it claims chunks from the
+// scan's queue and reads their units one scanner at a time, with
+// optional readahead inside each scanner. Closing it mid-chunk closes
+// only the current scanner; chunks it never claimed stay for the other
+// partitions, and nothing of them was opened.
 type gpqStream struct {
-	units  []scanUnit
+	queue  *chunkQueue
+	units  []scanUnit // the rest of the claimed chunk
 	schema *arrow.Schema
 	opts   parquet.ScanOptions
+	rows   rowLimit
 	rt     *ScanRuntime
 	// meta resolves a file's already-parsed footer so per-unit opens skip
-	// the footer decode; morsel-driven scans open many more streams than
-	// static partitions, so this matters there most. Nil falls back to a
-	// full OpenFile.
+	// the footer decode. A failed lookup falls back to a full OpenFile.
 	meta    func(path string) (*parquet.FileMetadata, error)
 	reader  *parquet.FileReader
 	scanner *parquet.Scanner
-	taken   int64
 }
 
 func (s *gpqStream) Schema() *arrow.Schema { return s.schema }
@@ -403,11 +401,16 @@ func (s *gpqStream) Schema() *arrow.Schema { return s.schema }
 func (s *gpqStream) Next() (*arrow.RecordBatch, error) {
 	for {
 		if s.scanner == nil {
-			if len(s.units) == 0 {
+			if s.rows.done() {
 				return nil, io.EOF
 			}
-			if s.opts.Limit >= 0 && s.taken >= s.opts.Limit {
-				return nil, io.EOF
+			if len(s.units) == 0 {
+				chunk, ok := s.queue.claim()
+				if !ok {
+					return nil, io.EOF
+				}
+				s.units = chunk
+				continue
 			}
 			unit := s.units[0]
 			fr, err := s.openUnitFile(unit.file)
@@ -417,9 +420,7 @@ func (s *gpqStream) Next() (*arrow.RecordBatch, error) {
 			s.units = s.units[1:]
 			opts := s.opts
 			opts.RowGroups = unit.groups
-			if opts.Limit >= 0 {
-				opts.Limit -= s.taken
-			}
+			opts.Limit = s.rows.left // math.MaxInt64 without a limit
 			sc, err := fr.Scan(opts)
 			if err != nil {
 				fr.Close()
@@ -435,16 +436,13 @@ func (s *gpqStream) Next() (*arrow.RecordBatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.taken += int64(b.NumRows())
-		return b, nil
+		return s.rows.take(b), nil
 	}
 }
 
 func (s *gpqStream) openUnitFile(path string) (*parquet.FileReader, error) {
-	if s.meta != nil {
-		if m, err := s.meta(path); err == nil {
-			return parquet.OpenFileWithMeta(path, m)
-		}
+	if m, err := s.meta(path); err == nil {
+		return parquet.OpenFileWithMeta(path, m)
 	}
 	return parquet.OpenFile(path)
 }
@@ -454,16 +452,14 @@ func (s *gpqStream) closeCurrent() {
 		// Close first: it stops and joins the readahead producer, making
 		// the scanner's pruning counters safe to read.
 		s.scanner.Close()
-		if s.rt != nil {
-			s.rt.RowGroupsPruned.Add(int64(s.scanner.RowGroupsPruned))
-			s.rt.RowGroupsScanned.Add(int64(s.scanner.RowGroupsMatched))
-			s.rt.PagesPruned.Add(int64(s.scanner.PagesSkipped))
-			s.rt.BloomSkipped.Add(int64(s.scanner.BloomSkipped))
-			s.rt.PageCacheHits.Add(int64(s.scanner.PageCacheHits))
-			s.rt.PageCacheMisses.Add(int64(s.scanner.PageCacheMisses))
-			s.rt.RowsZeroCopy.Add(int64(s.scanner.RowsZeroCopy))
-			s.rt.RowsGathered.Add(int64(s.scanner.RowsGathered))
-		}
+		s.rt.RowGroupsPruned.Add(int64(s.scanner.RowGroupsPruned))
+		s.rt.RowGroupsScanned.Add(int64(s.scanner.RowGroupsMatched))
+		s.rt.PagesPruned.Add(int64(s.scanner.PagesSkipped))
+		s.rt.BloomSkipped.Add(int64(s.scanner.BloomSkipped))
+		s.rt.PageCacheHits.Add(int64(s.scanner.PageCacheHits))
+		s.rt.PageCacheMisses.Add(int64(s.scanner.PageCacheMisses))
+		s.rt.RowsZeroCopy.Add(int64(s.scanner.RowsZeroCopy))
+		s.rt.RowsGathered.Add(int64(s.scanner.RowsGathered))
 	}
 	if s.reader != nil {
 		s.reader.Close()
@@ -513,7 +509,7 @@ func (t *CSVTable) Scan(req ScanRequest) (*ScanResult, error) {
 	}
 	limit := req.Limit
 	if len(req.Filters) > 0 {
-		limit = -1
+		limit = NoLimit
 	}
 	return &ScanResult{
 		Schema:       outSchema,
@@ -528,7 +524,7 @@ func (t *CSVTable) Scan(req ScanRequest) (*ScanResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &limitStream{inner: &csvStream{r: r}, remaining: limit}, nil
+			return &limitStream{inner: &csvStream{r: r}, rows: newRowLimit(limit)}, nil
 		},
 	}, nil
 }
@@ -580,7 +576,7 @@ func (t *JSONTable) Scan(req ScanRequest) (*ScanResult, error) {
 	}
 	limit := req.Limit
 	if len(req.Filters) > 0 {
-		limit = -1
+		limit = NoLimit
 	}
 	return &ScanResult{
 		Schema:       outSchema,
@@ -596,8 +592,8 @@ func (t *JSONTable) Scan(req ScanRequest) (*ScanResult, error) {
 				return nil, err
 			}
 			return &limitStream{
-				inner:     &jsonStream{r: r, projection: req.Projection, schema: outSchema},
-				remaining: limit,
+				inner: &jsonStream{r: r, projection: req.Projection, schema: outSchema},
+				rows:  newRowLimit(limit),
 			}, nil
 		},
 	}, nil
@@ -622,30 +618,23 @@ func (s *jsonStream) Next() (*arrow.RecordBatch, error) {
 	return b, nil
 }
 
-// limitStream truncates an inner stream after n rows (n < 0 disables).
+// limitStream truncates an inner stream at a pushed-down limit.
 type limitStream struct {
-	inner     Stream
-	remaining int64
+	inner Stream
+	rows  rowLimit
 }
 
 func (s *limitStream) Schema() *arrow.Schema { return s.inner.Schema() }
 func (s *limitStream) Close()                { s.inner.Close() }
 func (s *limitStream) Next() (*arrow.RecordBatch, error) {
-	if s.remaining == 0 {
+	if s.rows.done() {
 		return nil, io.EOF
 	}
 	b, err := s.inner.Next()
 	if err != nil {
 		return nil, err
 	}
-	if s.remaining < 0 {
-		return b, nil
-	}
-	if int64(b.NumRows()) > s.remaining {
-		b = b.Slice(0, int(s.remaining))
-	}
-	s.remaining -= int64(b.NumRows())
-	return b, nil
+	return s.rows.take(b), nil
 }
 
 // ListingTable builds a TableProvider from a directory of data files of

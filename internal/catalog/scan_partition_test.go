@@ -2,9 +2,12 @@ package catalog
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -39,29 +42,79 @@ func writePartitionedFile(t *testing.T, n, rowGroupRows int, kv map[string]strin
 	return path
 }
 
-// collectRows renders every row of every partition as one canonical
-// string, so "byte-identical after sort" reduces to sorted-slice
-// equality regardless of partition interleaving.
+// renderRows renders every row as one canonical string, sorted, so
+// "byte-identical after sort" reduces to sorted-slice equality regardless
+// of partition interleaving.
+func renderRows(batches []*arrow.RecordBatch) []string {
+	var rows []string
+	for _, b := range batches {
+		for i := 0; i < b.NumRows(); i++ {
+			var sb strings.Builder
+			for c := 0; c < b.NumCols(); c++ {
+				fmt.Fprintf(&sb, "|%s", b.Column(c).GetScalar(i))
+			}
+			rows = append(rows, sb.String())
+		}
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// collectRows opens and drains the partitions one after another.
 func collectRows(t *testing.T, res *ScanResult) []string {
 	t.Helper()
-	var rows []string
+	var batches []*arrow.RecordBatch
 	for p := 0; p < res.Partitions; p++ {
 		s, err := res.Open(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range drain(t, s) {
-			for i := 0; i < b.NumRows(); i++ {
-				var sb strings.Builder
-				for c := 0; c < b.NumCols(); c++ {
-					fmt.Fprintf(&sb, "|%s", b.Column(c).GetScalar(i))
-				}
-				rows = append(rows, sb.String())
-			}
-		}
+		batches = append(batches, drain(t, s)...)
 	}
-	sort.Strings(rows)
-	return rows
+	return renderRows(batches)
+}
+
+// collectRowsConcurrently opens every partition and drains each from its
+// own goroutine, as the engine's workers do.
+func collectRowsConcurrently(t *testing.T, res *ScanResult) []string {
+	t.Helper()
+	streams := make([]Stream, res.Partitions)
+	for p := range streams {
+		s, err := res.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[p] = s
+	}
+	parts := make([][]*arrow.RecordBatch, len(streams))
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	for p, s := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer s.Close()
+			for {
+				b, err := s.Next()
+				if err != nil {
+					if err != io.EOF {
+						errs[p] = err
+					}
+					return
+				}
+				parts[p] = append(parts[p], b)
+			}
+		}()
+	}
+	wg.Wait()
+	var batches []*arrow.RecordBatch
+	for p := range parts {
+		if errs[p] != nil {
+			t.Fatal(errs[p])
+		}
+		batches = append(batches, parts[p]...)
+	}
+	return renderRows(batches)
 }
 
 func equalRows(t *testing.T, got, want []string, what string) {
@@ -126,6 +179,22 @@ func TestRowGroupPartitionedScanMatchesSingle(t *testing.T) {
 				t.Fatalf("multi-partition scan got %d partitions, want >1", resM.Partitions)
 			}
 			equalRows(t, collectRows(t, resM), want, tc.name)
+
+			// Drained concurrently, the partitions share the scan's chunks:
+			// every row comes back once, and every row group that survived
+			// plan-time pruning is scanned once.
+			resC, err := tbl.Scan(multi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalRows(t, collectRowsConcurrently(t, resC), want, tc.name+" concurrent")
+			var survivors int64
+			if _, err := fmt.Sscanf(resC.Detail, "rowgroups=%d", &survivors); err != nil {
+				t.Fatalf("detail %q: %v", resC.Detail, err)
+			}
+			if got := resC.Runtime.RowGroupsScanned.Load(); got != survivors {
+				t.Fatalf("row_groups_scanned = %d, want the %d surviving groups", got, survivors)
+			}
 		})
 	}
 }
@@ -146,6 +215,17 @@ func TestRowGroupPartitionCountAndDetail(t *testing.T) {
 	}
 	if !strings.Contains(res.Detail, "rowgroups=8") || !strings.Contains(res.Detail, "rg") {
 		t.Fatalf("detail missing row-group ranges: %q", res.Detail)
+	}
+	// 8 row groups over 4 partitions: one chunk per row group.
+	if !strings.HasSuffix(res.Detail, " scheduler=morsel units=8") {
+		t.Fatalf("detail missing the scan's morsel scheduling: %q", res.Detail)
+	}
+	one, err := tbl.Scan(ScanRequest{Partitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Detail != "rowgroups=8 pruned=0 u0=part.gpq[rg0-7]" {
+		t.Fatalf("single-partition detail = %q", one.Detail)
 	}
 	// Requesting more partitions than row groups clamps to the group count.
 	res2, err := tbl.Scan(ScanRequest{Limit: -1, Partitions: 64})
@@ -209,5 +289,43 @@ func TestSortOrderDroppedWhenFileSplit(t *testing.T) {
 	}
 	if res4.SortOrder != nil {
 		t.Fatalf("sort order must be dropped when a file splits: %+v", res4.SortOrder)
+	}
+}
+
+// TestScanChunks: one partition reads one chunk holding every row group
+// in file order; more partitions share about four chunks each, largest
+// first, and every row group lands in exactly one chunk.
+func TestScanChunks(t *testing.T) {
+	var units []scanUnit
+	for rg, rows := range []int64{10, 50, 20, 80, 30, 5, 60, 40, 70, 15} {
+		units = append(units, scanUnit{file: "f.gpq", groups: []int{rg}, rows: rows})
+	}
+	one := scanChunks(units, 1)
+	if len(one) != 1 || len(one[0]) != 1 || !slices.Equal(one[0][0].groups, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		t.Fatalf("one partition: chunks %+v, want one unit of rg0-9 in order", one)
+	}
+	chunks := scanChunks(units, 2)
+	if len(chunks) != 8 {
+		t.Fatalf("two partitions: %d chunks, want 8", len(chunks))
+	}
+	seen := map[int]int{}
+	prev := int64(-1)
+	for i, chunk := range chunks {
+		var rows int64
+		for _, u := range chunk {
+			rows += u.rows
+			for _, rg := range u.groups {
+				seen[rg]++
+			}
+		}
+		if i > 0 && rows > prev {
+			t.Fatalf("chunk %d holds %d rows after one of %d: not largest first", i, rows, prev)
+		}
+		prev = rows
+	}
+	for rg := range units {
+		if seen[rg] != 1 {
+			t.Fatalf("row group %d in %d chunks, want 1", rg, seen[rg])
+		}
 	}
 }

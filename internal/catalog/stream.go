@@ -151,7 +151,7 @@ func (t *StreamTable) Scan(req ScanRequest) (*ScanResult, error) {
 	}
 	limit := req.Limit
 	if len(req.Filters) > 0 {
-		limit = -1
+		limit = NoLimit
 	}
 	wm := 0
 	if t.watermark >= 0 {
@@ -175,7 +175,7 @@ func (t *StreamTable) Scan(req ScanRequest) (*ScanResult, error) {
 		Watermark:    wm,
 		Detail:       "tail",
 		Open: func(p int) (Stream, error) {
-			return &tailStream{t: t, schema: outSchema, proj: req.Projection, remaining: limit}, nil
+			return &tailStream{t: t, schema: outSchema, proj: req.Projection, rows: newRowLimit(limit)}, nil
 		},
 	}, nil
 }
@@ -183,13 +183,13 @@ func (t *StreamTable) Scan(req ScanRequest) (*ScanResult, error) {
 // tailStream reads the table log from the start and then blocks for more
 // data until the table seals or the bound query context is cancelled.
 type tailStream struct {
-	t         *StreamTable
-	schema    *arrow.Schema
-	proj      []int
-	pos       int
-	remaining int64 // rows left under limit pushdown; <0 means no limit
-	ctx       context.Context
-	closed    bool
+	t      *StreamTable
+	schema *arrow.Schema
+	proj   []int
+	pos    int
+	rows   rowLimit
+	ctx    context.Context
+	closed bool
 }
 
 // BindContext attaches the query context so blocked reads cancel.
@@ -199,7 +199,7 @@ func (s *tailStream) Schema() *arrow.Schema { return s.schema }
 func (s *tailStream) Close()                { s.closed = true }
 
 func (s *tailStream) Next() (*arrow.RecordBatch, error) {
-	if s.closed || s.remaining == 0 {
+	if s.closed || s.rows.done() {
 		return nil, io.EOF
 	}
 	var done <-chan struct{}
@@ -215,13 +215,7 @@ func (s *tailStream) Next() (*arrow.RecordBatch, error) {
 			if s.proj != nil {
 				b = b.Project(s.proj)
 			}
-			if s.remaining > 0 && int64(b.NumRows()) > s.remaining {
-				b = b.Slice(0, int(s.remaining))
-			}
-			if s.remaining > 0 {
-				s.remaining -= int64(b.NumRows())
-			}
-			return b, nil
+			return s.rows.take(b), nil
 		}
 		if s.t.sealed {
 			s.t.mu.Unlock()

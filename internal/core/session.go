@@ -50,8 +50,6 @@ type SessionConfig struct {
 	MemoryLimit int64
 	// SpillDir hosts spill files; empty uses the OS temp dir.
 	SpillDir string
-	// DisableSpill turns off spilling (queries fail on memory pressure).
-	DisableSpill bool
 	// DisableOptimizer skips logical optimization (for tests/ablations).
 	DisableOptimizer bool
 	// PreferHashJoin disables merge join selection.
@@ -659,7 +657,7 @@ func (s *SessionContext) execCopy(st *sql.CopyStmt) (*DataFrame, error) {
 
 // readAllRows drains every partition of a provider's default scan.
 func (s *SessionContext) readAllRows(t catalog.TableProvider) ([]*arrow.RecordBatch, error) {
-	res, err := t.Scan(catalog.ScanRequest{Limit: -1, Partitions: 1, BatchRows: s.cfg.BatchRows})
+	res, err := t.Scan(catalog.ScanRequest{Partitions: 1, BatchRows: s.cfg.BatchRows})
 	if err != nil {
 		return nil, err
 	}
@@ -841,17 +839,12 @@ func (s *SessionContext) newExecContext(parent context.Context) (*physical.ExecC
 	} else if s.cfg.MemoryLimit > 0 {
 		ctx.Pool = memory.NewGreedyPool(s.cfg.MemoryLimit)
 	}
-	var dm *memory.DiskManager
-	if !s.cfg.DisableSpill {
-		dm = memory.NewDiskManager(s.cfg.SpillDir, true)
-		ctx.Disk = dm
-	}
+	dm := memory.NewDiskManager(s.cfg.SpillDir)
+	ctx.Disk = dm
 	cleanup := func() {
 		cancel()
 		ctx.Wait()
-		if dm != nil {
-			dm.Close()
-		}
+		dm.Close()
 		if child != nil {
 			child.Release()
 		}

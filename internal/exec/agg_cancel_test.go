@@ -39,7 +39,7 @@ func TestAggregateSpillCancel(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				defer testutil.CheckNoGoroutineLeak(t)()
 				spillDir := t.TempDir()
-				dm := memory.NewDiskManager(spillDir, true)
+				dm := memory.NewDiskManager(spillDir)
 				defer dm.Close()
 				cctx, cancel := context.WithCancel(context.Background())
 				defer cancel()

@@ -332,7 +332,7 @@ func TestAggDifferentialAgainstBaseline(t *testing.T) {
 					pp := lowerSQL(t, texts[i], map[string]catalog.TableProvider{"t": mt}, cfg.parts)
 					ctx := physical.NewExecContext()
 					if cfg.starve {
-						dm := memory.NewDiskManager(t.TempDir(), true)
+						dm := memory.NewDiskManager(t.TempDir())
 						t.Cleanup(func() { dm.Close() })
 						ctx.Pool = memory.NewGreedyPool(512)
 						ctx.Disk = dm

@@ -624,7 +624,7 @@ func (p *aggPusher) flushGroups(n int, emit physical.EmitFn) error {
 
 // spill writes the table to a new spill file in the partial-state layout.
 func (p *aggPusher) spill(cause error) error {
-	if p.ctx.Disk == nil || !p.ctx.Disk.Enabled() {
+	if p.ctx.Disk == nil {
 		// Keep the reservation failure in the chain so callers (the
 		// server's statusFor) can classify this as retryable pressure.
 		return fmt.Errorf("exec: aggregation exceeded memory budget and spilling is disabled: %w", cause)

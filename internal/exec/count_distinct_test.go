@@ -229,7 +229,7 @@ func TestCountDistinctStarvedPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		dm := memory.NewDiskManager(dir, true)
+		dm := memory.NewDiskManager(dir)
 		pool := memory.NewGreedyPool(512)
 		ctx := physical.NewExecContext()
 		ctx.Pool, ctx.Disk = pool, dm

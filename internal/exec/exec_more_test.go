@@ -108,7 +108,7 @@ func TestPartialAggEarlyFlush(t *testing.T) {
 	}
 	ctx := physical.NewExecContext()
 	ctx.Pool = memory.NewGreedyPool(512)
-	ctx.Disk = memory.NewDiskManager(t.TempDir(), true)
+	ctx.Disk = memory.NewDiskManager(t.TempDir())
 	defer ctx.Disk.Close()
 	got, err := CollectBatch(ctx, pp)
 	if err != nil {

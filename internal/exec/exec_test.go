@@ -496,7 +496,7 @@ func TestSortSpillEqualsInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		dm := memory.NewDiskManager(t.TempDir(), true)
+		dm := memory.NewDiskManager(t.TempDir())
 		defer dm.Close()
 		ctx := physical.NewExecContext()
 		ctx.Pool = memory.NewGreedyPool(16 << 10) // a run every two batches
@@ -555,7 +555,7 @@ func TestAggregateSpillEqualsInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dm := memory.NewDiskManager(t.TempDir(), true)
+	dm := memory.NewDiskManager(t.TempDir())
 	defer dm.Close()
 	ctx := physical.NewExecContext()
 	ctx.Pool = memory.NewGreedyPool(2 * 1024)

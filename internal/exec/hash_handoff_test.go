@@ -125,7 +125,7 @@ func TestHandOffNeedsTheExchangeKeys(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := physical.NewExecContext()
 			if tc.pool > 0 {
-				dm := memory.NewDiskManager(t.TempDir(), true)
+				dm := memory.NewDiskManager(t.TempDir())
 				t.Cleanup(func() { dm.Close() })
 				ctx.Pool, ctx.Disk = memory.NewGreedyPool(tc.pool), dm
 			}

@@ -237,7 +237,7 @@ func TestJoinBuildReservation(t *testing.T) {
 			t.Run(fmt.Sprintf("limit%d/%s", limit, j.name), func(t *testing.T) {
 				defer testutil.CheckNoGoroutineLeak(t)()
 				spillDir := t.TempDir()
-				dm := memory.NewDiskManager(spillDir, true)
+				dm := memory.NewDiskManager(spillDir)
 				pool := memory.NewGreedyPool(limit)
 				ctx := physical.NewExecContext()
 				ctx.Pool, ctx.Disk = pool, dm

@@ -126,7 +126,7 @@ func TestOrderedAggregateDifferential(t *testing.T) {
 					}
 					ctx := physical.NewExecContext()
 					if starve {
-						dm := memory.NewDiskManager(t.TempDir(), true)
+						dm := memory.NewDiskManager(t.TempDir())
 						defer dm.Close()
 						ctx.Pool = memory.NewGreedyPool(512)
 						ctx.Disk = dm

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -63,6 +64,10 @@ func filterThenProject(in physical.ExecutionPlan, n int64) *ProjectionExec {
 	return NewProjectionExec(filter, []physical.PhysicalExpr{physical.NewColumnExpr(0, "id", arrow.Int64)}, []string{"id"}, nil)
 }
 
+// morselLine matches the end of a scan line whose provider shares its
+// chunks among its partitions.
+var morselLine = regexp.MustCompile(` scheduler=morsel units=[1-9][0-9]*$`)
+
 func sumRows(batches []*arrow.RecordBatch) int64 {
 	var rows int64
 	for _, b := range batches {
@@ -81,17 +86,8 @@ func TestFusePipelinesShape(t *testing.T) {
 	writeSeqGPQ(t, path, 800, 100)
 
 	scan := seqScan(t, path, 2)
-	if scan.Result.Morsels == nil || scan.Result.Morsels.Units() == 0 {
-		t.Fatal("multi-partition GPQ scan should expose morsels")
-	}
-	rows := scan.Result.Morsels.Rows
-	for i := 1; i < len(rows); i++ {
-		if rows[i] > rows[i-1] {
-			t.Fatalf("morsels not largest-first: %v", rows)
-		}
-	}
-	if want := fmt.Sprintf(" scheduler=morsel units=%d", len(rows)); !strings.HasSuffix(scan.String(), want) {
-		t.Fatalf("scan line %q should end in %q", scan.String(), want)
+	if !morselLine.MatchString(scan.String()) {
+		t.Fatalf("scan line %q should end in the scan's morsel scheduling", scan.String())
 	}
 	if lone, err := fusePipelines(scan); err != nil || lone != scan {
 		t.Fatalf("lone morsel scan rewritten to %T (err %v)", lone, err)
@@ -265,109 +261,95 @@ func TestMorselCancellationMidDrain(t *testing.T) {
 
 // TestMorselSchedulingBalancesSkew builds a skewed layout — 80 small
 // single-row-group files followed by one fat file with two 30k-row
-// groups — and compares worker makespan under static dealing vs the
-// morsel queue. Static dealing is greedy in file order, so the fat row
-// groups land on partitions already loaded with 20k rows of small
-// files (50k-row stragglers). The morsel comparison replays the real
-// queue (largest-first chunks, shared cursor) under a deterministic
-// worker simulation: the earliest-free worker claims next, and cost is
-// the chunk's row count. Dynamic claiming lets idle workers absorb the
-// small files, dropping the makespan toward one fat chunk (~35k rows).
+// groups — and compares worker makespan under a static deal vs the
+// provider's shared chunk cursor. A static row-balanced deal in file
+// order parks each fat row group on a partition already loaded with 20k
+// rows of small files (50k-row stragglers). The cursor comparison drives
+// the real partition streams under a deterministic worker simulation:
+// the worker with the fewest rows so far pulls the next batch, and a
+// stream claims a chunk only when its last one is drained. Dynamic
+// claiming lets idle workers absorb the small files, dropping the
+// makespan toward one fat chunk (~35k rows).
 func TestMorselSchedulingBalancesSkew(t *testing.T) {
 	defer testutil.CheckNoGoroutineLeak(t)()
 	dir := t.TempDir()
 	var files []string
+	var groupRows []int64
 	for f := 0; f < 80; f++ {
 		p := filepath.Join(dir, fmt.Sprintf("small-%02d.gpq", f))
 		writeSeqGPQ(t, p, 1000, 1000)
 		files = append(files, p)
+		groupRows = append(groupRows, 1000)
 	}
 	fat := filepath.Join(dir, "zfat.gpq")
 	writeSeqGPQ(t, fat, 60_000, 30_000)
 	files = append(files, fat)
+	groupRows = append(groupRows, 30_000, 30_000)
 
 	tbl, err := catalog.NewGPQTable(files, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tbl.Scan(catalog.ScanRequest{Limit: -1, Partitions: 4, Readahead: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Morsels == nil {
-		t.Fatal("skewed scan should expose morsels")
-	}
 
-	// Static makespan proxy: rows dealt to the fullest partition.
+	// Static makespan proxy: each row group dealt in file order to the
+	// least-loaded of four partitions.
 	staticRows := make([]int64, 4)
-	var total int64
-	for p := 0; p < 4; p++ {
-		s, err := res.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			b, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			staticRows[p] += int64(b.NumRows())
-		}
-		s.Close()
-		total += staticRows[p]
+	for _, r := range groupRows {
+		staticRows[slices.Index(staticRows, slices.Min(staticRows))] += r
 	}
-	if total != 140_000 {
-		t.Fatalf("static total = %d, want 140000", total)
-	}
-	staticMax := staticRows[0]
-	for _, r := range staticRows[1:] {
-		if r > staticMax {
-			staticMax = r
-		}
-	}
-	// Greedy file-order dealing parks a 30k fat unit on two partitions
-	// that already hold 20k rows of small files.
+	staticMax := slices.Max(staticRows)
 	if staticMax < 45_000 {
 		t.Fatalf("static dealing unexpectedly balanced: %v", staticRows)
 	}
 
-	// Morsel makespan: replay the real shared queue with four simulated
-	// workers; the earliest-finished worker claims the next chunk.
-	q := newMorselQueue(res.Morsels)
-	clocks := make([]int64, 4)
-	for {
-		w := 0
-		for i := 1; i < 4; i++ {
-			if clocks[i] < clocks[w] {
+	res, err := tbl.Scan(catalog.ScanRequest{Partitions: 4, Readahead: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([]catalog.Stream, res.Partitions)
+	for p := range streams {
+		if streams[p], err = res.Open(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clocks := make([]int64, len(streams))
+	for live := len(streams); live > 0; {
+		w := -1
+		for i, s := range streams {
+			if s != nil && (w < 0 || clocks[i] < clocks[w]) {
 				w = i
 			}
 		}
-		u := q.claim()
-		if u < 0 {
-			break
+		b, err := streams[w].Next()
+		if err == io.EOF {
+			streams[w].Close()
+			streams[w] = nil
+			live--
+			continue
 		}
-		clocks[w] += res.Morsels.Rows[u]
-	}
-	if got, want := q.claimed(), res.Morsels.Units(); got != want {
-		t.Fatalf("claimed %d of %d units", got, want)
-	}
-	morselMax := clocks[0]
-	for _, c := range clocks[1:] {
-		if c > morselMax {
-			morselMax = c
+		if err != nil {
+			t.Fatal(err)
 		}
+		clocks[w] += int64(b.NumRows())
 	}
-	if morselMax >= staticMax {
+	var total int64
+	for _, c := range clocks {
+		total += c
+	}
+	if total != 140_000 {
+		t.Fatalf("simulated workers read %d rows, want 140000 (%v)", total, clocks)
+	}
+	if got := res.Runtime.RowGroupsScanned.Load(); got != 82 {
+		t.Fatalf("row groups scanned = %d, want 82", got)
+	}
+	if morselMax := slices.Max(clocks); morselMax >= staticMax {
 		t.Errorf("morsel makespan %d rows not better than static %d (clocks=%v static=%v)",
 			morselMax, staticMax, clocks, staticRows)
 	}
 
-	// Executing the morsel-driven scan delivers every row exactly once
-	// across concurrently draining workers.
-	res2, err := tbl.Scan(catalog.ScanRequest{Limit: -1, Partitions: 4, Readahead: 2})
+	// Executing the scan delivers every row exactly once across
+	// concurrently draining workers.
+	res2, err := tbl.Scan(catalog.ScanRequest{Partitions: 4, Readahead: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,30 +387,23 @@ func TestMorselSchedulingBalancesSkew(t *testing.T) {
 	if morselTotal != 140_000 {
 		t.Fatalf("morsel workers delivered %d rows, want 140000 (%v)", morselTotal, workerRows)
 	}
-	if got, want := scan.queue.claimed(), res2.Morsels.Units(); got != want {
-		t.Fatalf("scan queue claimed %d of %d units", got, want)
+	if got := scan.Metrics().Snapshot().ExtraValue("row_groups_scanned"); got != 82 {
+		t.Fatalf("row_groups_scanned = %d, want 82", got)
 	}
 }
 
 // TestMorselScanUnderExchange puts a morsel scan directly under a
-// RepartitionExec — no pushable stage, so no PipelineExec — and counts how
-// often each unit is opened: the exchange's producers must drain the
-// scan's one queue, claiming every unit exactly once.
+// RepartitionExec — no pushable stage, so no PipelineExec — and checks
+// that the exchange's producers drain the scan's one cursor: every row
+// arrives once and every row group is scanned once.
 func TestMorselScanUnderExchange(t *testing.T) {
 	defer testutil.CheckNoGoroutineLeak(t)()
 	path := filepath.Join(t.TempDir(), "t.gpq")
 	writeSeqGPQ(t, path, 4000, 100)
 
 	scan := seqScan(t, path, 4)
-	set := scan.Result.Morsels
-	if set == nil {
-		t.Fatal("4-partition GPQ scan should expose morsels")
-	}
-	opened := make([]atomic.Int32, set.Units())
-	openUnit := set.Open
-	set.Open = func(unit int) (physical.Stream, error) {
-		opened[unit].Add(1)
-		return openUnit(unit)
+	if !morselLine.MatchString(scan.String()) {
+		t.Fatalf("4-partition GPQ scan should share its chunks: %q", scan.String())
 	}
 	plan, err := fusePipelines(&RepartitionExec{Input: scan, Scheme: RoundRobinPartitioning, NumParts: 3})
 	if err != nil {
@@ -454,10 +429,8 @@ func TestMorselScanUnderExchange(t *testing.T) {
 	if len(seen) != 4000 {
 		t.Fatalf("distinct ids = %d, want 4000", len(seen))
 	}
-	for u := range opened {
-		if n := opened[u].Load(); n != 1 {
-			t.Errorf("unit %d opened %d times, want 1", u, n)
-		}
+	if got := scan.Metrics().Snapshot().ExtraValue("row_groups_scanned"); got != 40 {
+		t.Errorf("row_groups_scanned = %d, want 40", got)
 	}
 	if err := CheckPlanMetrics(plan, 4000); err != nil {
 		t.Error(err)

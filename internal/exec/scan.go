@@ -16,19 +16,11 @@ type TableScanExec struct {
 	Name   string
 	Result *catalog.ScanResult
 	order  []physical.SortField
-
-	// queue is non-nil when the provider published morsels (it only does so
-	// for unordered output): the one work queue that all partitions of this
-	// scan drain instead of their static streams.
-	queue *morselQueue
 }
 
 // NewTableScanExec wraps a prepared provider scan.
 func NewTableScanExec(name string, result *catalog.ScanResult) *TableScanExec {
 	ex := &TableScanExec{Name: name, Result: result}
-	if m := result.Morsels; m != nil && m.Units() > 0 {
-		ex.queue = newMorselQueue(m)
-	}
 	for _, oc := range result.SortOrder {
 		idx := result.Schema.FieldIndex(oc.Name)
 		if idx < 0 {
@@ -63,14 +55,9 @@ func (e *TableScanExec) Unbounded() bool { return e.Result.Unbounded }
 // event-time column, or -1 when none.
 func (e *TableScanExec) WatermarkIndex() int { return e.Result.Watermark - 1 }
 
-// Execute opens one partition. Over a morsel set the partition is a worker
-// view of the queue all partitions share, whatever operator consumes it
-// (a push loop, a join build, an exchange producer); otherwise it is the
-// provider's static per-partition stream.
+// Execute opens one partition of the provider's scan; which rows it
+// reads is the provider's schedule.
 func (e *TableScanExec) Execute(ctx *physical.ExecContext, partition int) (physical.Stream, error) {
-	if e.queue != nil {
-		return e.instrument(&morselStream{schema: e.Schema(), q: e.queue}), nil
-	}
 	s, err := e.Result.Open(partition)
 	if err != nil {
 		return nil, err
@@ -83,8 +70,7 @@ func (e *TableScanExec) Execute(ctx *physical.ExecContext, partition int) (physi
 	return e.instrument(s), nil
 }
 
-// instrument wraps one partition stream (static or morsel-driven) with
-// the scan's metrics and runtime pruning counters.
+// instrument wraps one partition stream with the scan's metrics and runtime pruning counters.
 func (e *TableScanExec) instrument(s physical.Stream) physical.Stream {
 	m := e.Metrics()
 	is := physical.InstrumentStream(s, m)
@@ -127,9 +113,6 @@ func (e *TableScanExec) String() string {
 	s := fmt.Sprintf("TableScanExec: %s partitions=%d cols=[%s]", e.Name, e.Result.Partitions, strings.Join(cols, ","))
 	if e.Result.Detail != "" {
 		s += " " + e.Result.Detail
-	}
-	if e.queue != nil {
-		s += fmt.Sprintf(" scheduler=morsel units=%d", e.queue.set.Units())
 	}
 	return s
 }

@@ -145,7 +145,7 @@ func (e *ExternalSortExec) Execute(ctx *physical.ExecContext, partition int) (ph
 
 	m := e.Metrics()
 	spillRun := func(cause error) error {
-		if ctx.Disk == nil || !ctx.Disk.Enabled() {
+		if ctx.Disk == nil {
 			// Keep the reservation failure in the chain so callers (the
 			// server's statusFor) can classify this as retryable pressure.
 			if cause != nil {

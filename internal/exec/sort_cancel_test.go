@@ -34,7 +34,7 @@ func TestSpillMergeCancel(t *testing.T) {
 				t.Fatal(err)
 			}
 			spillDir := t.TempDir()
-			dm := memory.NewDiskManager(spillDir, true)
+			dm := memory.NewDiskManager(spillDir)
 			defer dm.Close()
 			cctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

@@ -129,7 +129,7 @@ func TestSortFamilyDifferential(t *testing.T) {
 				ctx := physical.NewExecContext()
 				ctx.BatchRows = batchRows
 				if cfg.starve {
-					dm := memory.NewDiskManager(t.TempDir(), true)
+					dm := memory.NewDiskManager(t.TempDir())
 					t.Cleanup(func() { dm.Close() })
 					ctx.Pool = memory.NewGreedyPool(512)
 					ctx.Disk = dm

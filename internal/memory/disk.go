@@ -14,28 +14,21 @@ import (
 type DiskManager struct {
 	mu      sync.Mutex
 	dir     string
-	enabled bool
 	created bool
 	counter atomic.Int64
 	open    map[string]*SpillFile
 }
 
 // NewDiskManager returns a manager that creates spill files under dir (or
-// the OS temp dir when dir is empty). Pass enabled=false to disable
-// spilling; operators then fail with the memory error instead.
-func NewDiskManager(dir string, enabled bool) *DiskManager {
-	return &DiskManager{dir: dir, enabled: enabled, open: make(map[string]*SpillFile)}
+// the OS temp dir when dir is empty). An execution context without one
+// does not spill: operators then fail with the memory error instead.
+func NewDiskManager(dir string) *DiskManager {
+	return &DiskManager{dir: dir, open: make(map[string]*SpillFile)}
 }
-
-// Enabled reports whether spilling is permitted.
-func (d *DiskManager) Enabled() bool { return d.enabled }
 
 // CreateTemp creates a new spill file with one reference held by the
 // caller.
 func (d *DiskManager) CreateTemp(prefix string) (*SpillFile, error) {
-	if !d.enabled {
-		return nil, fmt.Errorf("memory: spilling is disabled")
-	}
 	d.mu.Lock()
 	if !d.created {
 		if d.dir == "" {

@@ -95,7 +95,7 @@ func TestPoolConcurrency(t *testing.T) {
 }
 
 func TestDiskManagerLifecycle(t *testing.T) {
-	d := NewDiskManager(t.TempDir(), true)
+	d := NewDiskManager(t.TempDir())
 	f, err := d.CreateTemp("sort")
 	if err != nil {
 		t.Fatal(err)
@@ -117,16 +117,9 @@ func TestDiskManagerLifecycle(t *testing.T) {
 	}
 }
 
-func TestDiskManagerDisabled(t *testing.T) {
-	d := NewDiskManager("", false)
-	if _, err := d.CreateTemp("x"); err == nil {
-		t.Fatal("disabled manager must refuse")
-	}
-}
-
 func TestDiskManagerCloseRemovesOpenFiles(t *testing.T) {
 	dir := t.TempDir()
-	d := NewDiskManager(dir, true)
+	d := NewDiskManager(dir)
 	f, err := d.CreateTemp("agg")
 	if err != nil {
 		t.Fatal(err)

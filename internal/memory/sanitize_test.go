@@ -53,7 +53,7 @@ func TestSanitizerCatchesBufferLeak(t *testing.T) {
 func TestSanitizerCatchesSpillDoubleRelease(t *testing.T) {
 	SanitizerReset()
 	defer SanitizerReset()
-	dm := NewDiskManager(t.TempDir(), true)
+	dm := NewDiskManager(t.TempDir())
 	defer dm.Close()
 	sf, err := dm.CreateTemp("san")
 	if err != nil {

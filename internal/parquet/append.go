@@ -77,9 +77,6 @@ func appendTo(f *os.File, batches []*arrow.RecordBatch, opts WriterOptions) erro
 		opts:   opts,
 		footer: *meta.footer,
 	}
-	// Old row groups keep the encodings and codecs their pages name; the
-	// footer takes the version of what is written from here on.
-	fw.footer.Version = formatVersion
 	if fw.footer.KV != nil {
 		kv := make(map[string]string, len(fw.footer.KV))
 		for k, v := range fw.footer.KV {

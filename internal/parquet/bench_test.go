@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
 	"gofusion/internal/arrow"
@@ -122,31 +121,9 @@ func (p *cmpPredicateBench) KeepColumnStats(_ int, stats ColumnStats) bool {
 func (p *cmpPredicateBench) EqProbes() []EqProbe { return nil }
 
 // BenchmarkDecodePage decodes one 8192-row page per encoding x type x
-// codec; MB/s counts decoded (arrow) bytes. The v1: rows are the baseline
-// the others replaced: 8192-row flate pages of testdata/v1_bench.gpq,
-// which the last version 1 writer wrote from a small-range int64 column,
-// a ClickBench-shaped URL column and a low-cardinality string column. The
-// same: rows hold the same values as the writer stores them now.
+// codec; MB/s counts decoded (arrow) bytes.
 func BenchmarkDecodePage(b *testing.B) {
 	pages := seedPages(b, 8192)
-	var e pageEncoder
-	for name, sp := range filePages(b, "testdata/v1_bench.gpq") {
-		pages["v1:"+name] = sp
-		if sp.dict != nil || sp.codec != CodecFlate {
-			continue // dictionary chunks are not re-encoded page by page
-		}
-		arr, err := sp.decode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := e.encode(arr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		again := store(&e, p, true, arr)
-		col, _, _ := strings.Cut(name, "/")
-		pages[fmt.Sprintf("same:%s/%s/%s", col, again.enc, again.codec)] = again
-	}
 	names := make([]string, 0, len(pages))
 	for name := range pages {
 		names = append(names, name)

@@ -1,175 +1,152 @@
 package parquet
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"gofusion/internal/arrow"
-	"gofusion/internal/arrow/compute"
 )
 
-// testdata/v1_flate.gpq was written by the last version 1 writer (plain
-// and dict pages under flate, RowGroupRows 150, PageRows 64) from
-// goldenBatch(0, 300). It pins that version 1 files stay readable.
-const goldenPath = "testdata/v1_flate.gpq"
+// Names of the version 1 layouts this package no longer reads.
+const (
+	v1EncodingDict = "dict"
+	v1CodecFlate   = "flate"
+)
 
-func goldenSchema() *arrow.Schema {
-	return arrow.NewSchema(
-		arrow.NewField("id", arrow.Int64, false),
-		arrow.NewField("name", arrow.String, true),
-		arrow.NewField("score", arrow.Float64, true),
-		arrow.NewField("flag", arrow.Boolean, true),
-		arrow.NewField("day", arrow.Date32, true),
-		arrow.NewField("uniq", arrow.String, false),
-		arrow.NewField("small", arrow.Int16, true),
-		arrow.NewField("ts", arrow.Timestamp, false),
-	)
+// footerOf returns the footer JSON of a GPQ file.
+func footerOf(data []byte) []byte {
+	n := int(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	return data[len(data)-8-n : len(data)-8]
 }
 
-func goldenBatch(start, n int) *arrow.RecordBatch {
-	ib := arrow.NewNumericBuilder[int64](arrow.Int64)
-	sb := arrow.NewStringBuilder(arrow.String)
-	fb := arrow.NewNumericBuilder[float64](arrow.Float64)
-	bb := arrow.NewBoolBuilder()
-	db := arrow.NewNumericBuilder[int32](arrow.Date32)
-	ub := arrow.NewStringBuilder(arrow.String)
-	hb := arrow.NewNumericBuilder[int16](arrow.Int16)
-	tb := arrow.NewNumericBuilder[int64](arrow.Timestamp)
-	for i := start; i < start+n; i++ {
-		ib.Append(int64(i) * 3)
-		if i%13 == 0 {
-			sb.AppendNull()
-		} else {
-			sb.Append(fmt.Sprintf("name-%02d", i%17))
-		}
-		if i%7 == 0 {
-			fb.AppendNull()
-		} else {
-			fb.Append(float64(i) / 2)
-		}
-		if i%11 == 0 {
-			bb.AppendNull()
-		} else {
-			bb.Append(i%2 == 0)
-		}
-		db.Append(int32(15000 + i%40))
-		ub.Append(fmt.Sprintf("http://example.com/page/%d", i*7919%100003))
-		if i%5 == 0 {
-			hb.AppendNull()
-		} else {
-			hb.Append(int16(i%300 - 150))
-		}
-		tb.Append(1372636800000000 + int64(i)*1000000)
-	}
-	return arrow.NewRecordBatch(goldenSchema(), []arrow.Array{
-		ib.Finish(), sb.Finish(), fb.Finish(), bb.Finish(), db.Finish(), ub.Finish(), hb.Finish(), tb.Finish(),
-	})
-}
-
-func assertScansTo(t *testing.T, path string, want *arrow.RecordBatch) {
+// writeVersionedFile writes a small valid file whose footer names format
+// version v.
+func writeVersionedFile(t *testing.T, v int) string {
 	t.Helper()
-	fr, err := OpenFile(path)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "versioned.gpq")
+	if err := WriteFile(path, gridSchema(), []*arrow.RecordBatch{gridBatch(300)},
+		WriterOptions{RowGroupRows: 150, PageRows: 64}); err != nil {
 		t.Fatal(err)
 	}
-	defer fr.Close()
-	sc, err := fr.Scan(ScanOptions{Limit: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := scanAll(t, sc)
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("scanned %d rows, want %d", got.NumRows(), want.NumRows())
-	}
-	for c := 0; c < want.NumCols(); c++ {
-		assertArraysEqual(t, want.Column(c), got.Column(c))
-	}
+	return rewriteFooter(t, path, func(f *fileFooter) { f.Version = v })
 }
 
-// codecsByRowGroup returns, per row group, the set of page codecs used.
-func codecsByRowGroup(meta *FileMetadata) []map[string]bool {
-	out := make([]map[string]bool, meta.NumRowGroups())
-	for rg := range out {
-		out[rg] = map[string]bool{}
-		for col := 0; col < meta.Schema.NumFields(); col++ {
-			for _, p := range meta.ColumnChunkPages(rg, col) {
-				out[rg][p.Codec] = true
+// TestOtherFormatVersionsRejected: a footer that names another version,
+// or none (0), is the package's format error at open, and AppendFile
+// refuses the file without changing a byte of it.
+func TestOtherFormatVersionsRejected(t *testing.T) {
+	for _, v := range []int{0, 1, 3} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			path := writeVersionedFile(t, v)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if _, err := ReadMetadata(bytes.NewReader(before), int64(len(before))); !errors.Is(err, errFormat) {
+				t.Fatalf("ReadMetadata: %v, want the format error", err)
+			}
+			if _, err := OpenFile(path); !errors.Is(err, errFormat) {
+				t.Fatalf("OpenFile: %v, want the format error", err)
+			}
+			if err := AppendFile(path, []*arrow.RecordBatch{gridBatch(10)}, DefaultWriterOptions()); !errors.Is(err, errFormat) {
+				t.Fatalf("AppendFile: %v, want the format error", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("AppendFile changed the refused file: %d bytes before, %d after", len(before), len(after))
+			}
+		})
 	}
-	return out
-}
-
-func TestV1GoldenFileStillScans(t *testing.T) {
-	fr, err := OpenFile(goldenPath)
+	// The same file naming this version opens.
+	fr, err := OpenFile(writeVersionedFile(t, formatVersion))
 	if err != nil {
 		t.Fatal(err)
-	}
-	meta := fr.Metadata()
-	if meta.footer.Version != 1 || meta.NumRowGroups() != 2 {
-		t.Fatalf("golden file is version %d with %d row groups, want version 1 with 2", meta.footer.Version, meta.NumRowGroups())
-	}
-	for rg, codecs := range codecsByRowGroup(meta) {
-		if !codecs[CodecFlate] || codecs[CodecLZ] {
-			t.Fatalf("row group %d codecs %v: the golden file must be flate", rg, codecs)
-		}
 	}
 	fr.Close()
-	assertScansTo(t, goldenPath, goldenBatch(0, 300))
-
-	// A predicate scan goes through page selection and the dictionary.
-	fr, err = OpenFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	sc, err := fr.Scan(ScanOptions{Predicate: &cmpPredicate{col: 0, op: compute.Gt, lit: arrow.Int64Scalar(3 * 249)}, Limit: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := scanAll(t, sc); got.NumRows() != 50 {
-		t.Fatalf("id > 747 returned %d rows, want 50", got.NumRows())
-	}
 }
 
-// TestAppendMixesV1AndV2RowGroups appends to a copy of the version 1
-// golden file: its flate row groups stay as they are, the new row group
-// is written with the current encodings, and one scan reads both.
-func TestAppendMixesV1AndV2RowGroups(t *testing.T) {
-	golden, err := os.ReadFile(goldenPath)
+func deflate(t testing.TB, body []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, flate.BestSpeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "mixed.gpq")
-	if err := os.WriteFile(path, golden, 0o644); err != nil {
+	if _, err := w.Write(body); err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultWriterOptions()
-	opts.PageRows = 64
-	if err := AppendFile(path, []*arrow.RecordBatch{goldenBatch(300, 200)}, opts); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
+	return buf.Bytes()
+}
+
+// v1StringBody lays a string page out as version 1 stored it: the page
+// header, then offsets (n+1)*4 | u32 dataLen | data.
+func v1StringBody(a *arrow.StringArray) []byte {
+	body := appendPageHeader(nil, a.Len(), a.Validity())
+	offs := a.Offsets()
+	base := offs[0]
+	for _, o := range offs[:a.Len()+1] {
+		body = binary.LittleEndian.AppendUint32(body, uint32(o-base))
 	}
-	meta := fr.Metadata()
-	if meta.footer.Version != formatVersion || meta.NumRowGroups() != 3 {
-		t.Fatalf("appended file is version %d with %d row groups, want version %d with 3",
-			meta.footer.Version, meta.NumRowGroups(), formatVersion)
+	data := a.Data()[base:offs[a.Len()]]
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(data)))
+	return append(body, data...)
+}
+
+// v1Pages returns n-row pages in the layouts only version 1 wrote: every
+// type's plain page under the "flate" codec, string pages with stored
+// offsets, and "dict" pages of u32 indexes. Each is well formed for
+// version 1 and must be a format error now.
+func v1Pages(t testing.TB, n int) map[string]storedPage {
+	rng := rand.New(rand.NewSource(9))
+	var e pageEncoder
+	pages := map[string]storedPage{}
+	for _, typ := range pageTypes {
+		a := genArray(rng, typ, n, shapeRandom, "some")
+		sp := storedPage{enc: EncodingPlain, rows: n, typ: typ}
+		if s, ok := a.(*arrow.StringArray); ok {
+			sp.bytes = v1StringBody(s)
+			pages[fmt.Sprintf("v1:%s/plain/", typ)] = sp
+		} else {
+			p, ok := encodeAs(&e, a, EncodingPlain)
+			if !ok {
+				t.Fatalf("%s: no plain page", typ)
+			}
+			sp.bytes = store(&e, p, false, a).bytes
+		}
+		sp.bytes, sp.codec = deflate(t, sp.bytes), v1CodecFlate
+		pages[fmt.Sprintf("v1:%s/plain/flate", typ)] = sp
 	}
-	codecs := codecsByRowGroup(meta)
-	if !codecs[0][CodecFlate] || !codecs[1][CodecFlate] {
-		t.Fatalf("old row groups lost their flate pages: %v", codecs)
+	dict := arrow.NewStringFromSlice([]string{"", "alpha", "beta", "gamma"})
+	body := appendPageHeader(nil, n, nil)
+	for i := 0; i < n; i++ {
+		body = binary.LittleEndian.AppendUint32(body, uint32(rng.Intn(dict.Len())))
 	}
-	if codecs[2][CodecFlate] || !codecs[2][CodecLZ] {
-		t.Fatalf("appended row group codecs %v: want lz and no flate", codecs[2])
+	sp := storedPage{bytes: body, enc: v1EncodingDict, rows: n, typ: arrow.String, dict: dict}
+	pages["v1:string/dict/"] = sp
+	sp.bytes, sp.codec = deflate(t, body), v1CodecFlate
+	pages["v1:string/dict/flate"] = sp
+	return pages
+}
+
+// TestV1PagesRejected: a page that names the flate codec or the dict
+// encoding, and a plain-encoded string page, are format errors.
+func TestV1PagesRejected(t *testing.T) {
+	for name, sp := range v1Pages(t, 100) {
+		if _, err := sp.decode(); !errors.Is(err, errFormat) {
+			t.Errorf("%s: decoded with error %v, want the format error", name, err)
+		}
 	}
-	if enc := meta.ColumnChunkPages(2, 1)[1].Encoding; enc != EncodingDictPack {
-		t.Fatalf("appended name column encoded %s, want %s", enc, EncodingDictPack)
-	}
-	fr.Close()
-	assertScansTo(t, path, goldenBatch(0, 500))
 }

@@ -25,9 +25,8 @@ import (
 // Magic is the leading and trailing file marker.
 const Magic = "GPQ1"
 
-// formatVersion is the footer version this package writes. Every page
-// names its own encoding and codec, so one file (after AppendFile) may
-// hold version 1 and version 2 row groups side by side.
+// formatVersion is the footer version this package writes and the only
+// one it reads.
 const formatVersion = 2
 
 // Encodings for data pages; pages.go gives the layouts.
@@ -38,17 +37,12 @@ const (
 	EncodingDelta    = "delta"
 	EncodingDeltaLen = "dlen"
 	EncodingDictPack = "dictpack"
-	// EncodingDict is the version 1 dictionary page (u32 indexes); read
-	// only.
-	EncodingDict = "dict"
 )
 
 // Codecs for page compression.
 const (
 	CodecNone = ""
 	CodecLZ   = "lz"
-	// CodecFlate is the version 1 codec; read only.
-	CodecFlate = "flate"
 )
 
 // statsValue is a JSON-friendly variant holding a typed min or max value.
@@ -181,16 +175,9 @@ type dictMeta struct {
 	Offset    int64  `json:"off"`
 	Len       int64  `json:"len"`
 	NumValues int64  `json:"n"`
-	Encoding  string `json:"enc,omitempty"` // absent in version 1: plain
+	Encoding  string `json:"enc"`
 	Codec     string `json:"codec,omitempty"`
 	RawLen    int64  `json:"raw"`
-}
-
-func (d *dictMeta) encoding() string {
-	if d.Encoding == "" {
-		return EncodingPlain
-	}
-	return d.Encoding
 }
 
 type bloomMeta struct {
@@ -258,7 +245,7 @@ func (m *FileMetadata) ColumnChunkPages(rg, col int) []PageInfo {
 	chunk := &m.footer.RowGroups[rg].Columns[col]
 	var out []PageInfo
 	if d := chunk.Dict; d != nil {
-		out = append(out, PageInfo{Dict: true, Encoding: d.encoding(), Codec: d.Codec,
+		out = append(out, PageInfo{Dict: true, Encoding: d.Encoding, Codec: d.Codec,
 			Rows: d.NumValues, StoredBytes: d.Len, RawBytes: d.RawLen})
 	}
 	for _, p := range chunk.Pages {

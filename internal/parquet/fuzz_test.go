@@ -3,6 +3,7 @@ package parquet
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,30 +14,31 @@ import (
 
 var (
 	fuzzEncodings = []string{EncodingPlain, EncodingBitPack, EncodingRLE, EncodingDelta,
-		EncodingDeltaLen, EncodingDictPack, EncodingDict, "unknown"}
-	fuzzCodecs = []string{CodecNone, CodecLZ, CodecFlate, "unknown"}
+		EncodingDeltaLen, EncodingDictPack, v1EncodingDict, "unknown"}
+	fuzzCodecs = []string{CodecNone, CodecLZ, v1CodecFlate, "unknown"}
 )
 
 // FuzzDecodePage feeds arbitrary bytes to every decoder. A page must be
 // rejected with an error or decode to an array of the stated row count
 // whose every value can be read, and which re-encodes and decodes to
-// itself; nothing may panic.
+// itself; nothing may panic. The version 1 layouts seed it too.
 func FuzzDecodePage(f *testing.F) {
-	for _, sp := range withV1Pages(f, seedPages(f, 40), goldenPath) {
+	seeds := seedPages(f, 40)
+	maps.Copy(seeds, v1Pages(f, 40))
+	for _, sp := range seeds {
 		typ := slices.IndexFunc(pageTypes, func(t *arrow.DataType) bool { return t.Equal(sp.typ) })
 		f.Add(uint8(typ), uint8(slices.Index(fuzzEncodings, sp.enc)), uint8(slices.Index(fuzzCodecs, sp.codec)),
-			uint16(sp.rows), uint32(sp.rawLen), sp.bytes)
+			uint16(sp.rows), sp.bytes)
 	}
 	dict := arrow.NewStringFromSlice([]string{"", "alpha", "beta", "gamma", "delta"})
-	f.Fuzz(func(t *testing.T, typ, enc, codec uint8, rows uint16, rawLen uint32, data []byte) {
+	f.Fuzz(func(t *testing.T, typ, enc, codec uint8, rows uint16, data []byte) {
 		sp := storedPage{
-			bytes:  data,
-			typ:    pageTypes[int(typ)%len(pageTypes)],
-			enc:    fuzzEncodings[int(enc)%len(fuzzEncodings)],
-			codec:  fuzzCodecs[int(codec)%len(fuzzCodecs)],
-			rows:   int(rows),
-			rawLen: int64(rawLen % (1 << 20)),
-			dict:   dict,
+			bytes: data,
+			typ:   pageTypes[int(typ)%len(pageTypes)],
+			enc:   fuzzEncodings[int(enc)%len(fuzzEncodings)],
+			codec: fuzzCodecs[int(codec)%len(fuzzCodecs)],
+			rows:  int(rows),
+			dict:  dict,
 		}
 		got, err := sp.decode()
 		if err != nil {
@@ -61,7 +63,8 @@ func FuzzDecodePage(f *testing.F) {
 
 // FuzzReadMetadata feeds arbitrary footers to ReadMetadata inside an
 // otherwise well-formed file frame. A footer must be rejected with an
-// error, or the chunk and file statistics the catalog's pruning and the
+// error (a footer of another format version with the format error), or
+// the chunk and file statistics the catalog's pruning and the
 // scan read must answer for every row group and column, with min/max
 // values that print as their column's type; nothing may panic.
 func FuzzReadMetadata(f *testing.F) {
@@ -76,8 +79,12 @@ func FuzzReadMetadata(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	n := int(binary.LittleEndian.Uint32(data[len(data)-8:]))
-	f.Add(data[len(data)-8-n : len(data)-8])
+	f.Add(footerOf(data))
+	v1, err := os.ReadFile(rewriteFooter(f, path, func(ff *fileFooter) { ff.Version = 1 }))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(footerOf(v1))
 	f.Fuzz(func(t *testing.T, footer []byte) {
 		file := append([]byte(Magic), footer...)
 		file = binary.LittleEndian.AppendUint32(file, uint32(len(footer)))
@@ -85,6 +92,9 @@ func FuzzReadMetadata(f *testing.F) {
 		m, err := ReadMetadata(bytes.NewReader(file), int64(len(file)))
 		if err != nil {
 			return
+		}
+		if m.footer.Version != formatVersion {
+			t.Fatalf("read a version %d footer", m.footer.Version)
 		}
 		for rg := 0; rg < m.NumRowGroups(); rg++ {
 			m.RowGroupRows(rg)

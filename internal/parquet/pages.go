@@ -1,11 +1,8 @@
 package parquet
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 
@@ -32,10 +29,6 @@ import (
 // plain page, the string bytes of a dlen page — so a decoder reads the
 // header and lengths in place and decompresses straight into the arrow
 // buffer. A chunk's dictionary page is a dlen page.
-//
-// Version 1 files hold two more layouts, still read but never written:
-// string pages as plain (offsets (n+1)*4 | u32 dataLen | data), "dict"
-// pages with u32 indexes, and the "flate" codec over the whole body.
 
 // lzMinValues is the smallest value section worth running the codec on.
 const lzMinValues = 64
@@ -265,36 +258,16 @@ func encodeIntsAs[T packable](head []byte, enc string, vs []T, st intStats) enco
 	return p
 }
 
-// flateMaxRatio bounds how much a v1 flate page can expand (deflate tops
-// out near 1032:1), so a corrupt RawLen cannot demand an absurd buffer.
-const flateMaxRatio = 1032
-
 // decodePage decodes one stored page — a data page, or a chunk's
 // dictionary page — of rows values into an arrow array. Fixed-width
 // values of an uncompressed plain page and the bytes of an uncompressed
 // string page alias stored; everything else is decoded into exactly
-// sized buffers. Truncated or corrupt input returns errFormat.
-func decodePage(stored []byte, enc, codec string, rawLen int64, rows int, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
-	switch codec {
-	case CodecNone, CodecLZ:
-	case CodecFlate:
-		// Version 1 compressed the whole body, header included.
-		if rawLen < 0 || rawLen > int64(len(stored))*flateMaxRatio {
-			return nil, errFormat
-		}
-		body := make([]byte, rawLen)
-		r := flate.NewReader(bytes.NewReader(stored))
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, errFormat
-		}
-		if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-			return nil, errFormat // the stream is cut short, or longer than RawLen
-		}
-		stored, codec = body, CodecNone
-	default:
-		return nil, fmt.Errorf("parquet: unknown codec %q", codec)
+// sized buffers. Truncated or corrupt input, and an encoding or codec
+// this format version does not write, return an error wrapping errFormat.
+func decodePage(stored []byte, enc, codec string, rows int, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
+	if codec != CodecNone && codec != CodecLZ {
+		return nil, fmt.Errorf("%w: unknown codec %q", errFormat, codec)
 	}
-
 	if len(stored) < 8 {
 		return nil, errFormat
 	}
@@ -345,12 +318,8 @@ func decodePage(stored []byte, enc, codec string, rawLen int64, rows int, t *arr
 			return decodeDeltaLenPage(rest, codec, n, valid, t)
 		case EncodingDictPack:
 			return decodeDictPackPage(rest, codec, n, valid, dict, t)
-		case EncodingPlain:
-			return decodeV1StringPage(rest, codec, n, valid, t)
-		case EncodingDict:
-			return decodeV1DictPage(rest, codec, n, valid, dict, t)
 		}
-		return nil, fmt.Errorf("parquet: unknown string encoding %q", enc)
+		return nil, fmt.Errorf("%w: unknown string encoding %q", errFormat, enc)
 	}
 	return nil, fmt.Errorf("parquet: unsupported page type %s", t)
 }
@@ -446,7 +415,7 @@ func decodeIntPage[T packable](rest []byte, enc, codec string, n int, valid arro
 			vals[i+1] = acc
 		}
 	default:
-		return nil, fmt.Errorf("parquet: unknown integer encoding %q", enc)
+		return nil, fmt.Errorf("%w: unknown integer encoding %q", errFormat, enc)
 	}
 	return arrow.NewNumeric(t, vals, valid), nil
 }
@@ -531,33 +500,4 @@ func materializeDict(offsets []int32, valid arrow.Bitmap, dict *arrow.StringArra
 		offsets[i+1] = int32(pos)
 	}
 	return arrow.NewString(t, offsets, data, valid), nil
-}
-
-// decodeV1StringPage reads a version 1 string page, whose offsets are
-// stored and therefore checked before anything indexes with them.
-func decodeV1StringPage(rest []byte, codec string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
-	offLen := (n + 1) * 4
-	if codec != CodecNone || len(rest) < offLen+4 {
-		return nil, errFormat
-	}
-	offsets := arrow.BytesToNumeric[int32](rest[:offLen])
-	dataLen := int(binary.LittleEndian.Uint32(rest[offLen:]))
-	if dataLen != len(rest)-offLen-4 || offsets[0] != 0 || int(offsets[n]) != dataLen {
-		return nil, errFormat
-	}
-	for i := 0; i < n; i++ {
-		if offsets[i] > offsets[i+1] {
-			return nil, errFormat
-		}
-	}
-	return arrow.NewString(t, offsets, rest[offLen+4:], valid), nil
-}
-
-func decodeV1DictPage(rest []byte, codec string, n int, valid arrow.Bitmap, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
-	if codec != CodecNone || dict == nil || len(rest) != n*4 {
-		return nil, errFormat
-	}
-	offsets := make([]int32, n+1)
-	copy(offsets[1:], arrow.BytesToNumeric[int32](rest))
-	return materializeDict(offsets, valid, dict, t)
 }

@@ -155,17 +155,16 @@ func assertArraysEqual(t testing.TB, want, got arrow.Array) {
 // storedPage is a page as it would sit in a file, with what the footer
 // would say about it.
 type storedPage struct {
-	bytes  []byte
-	enc    string
-	codec  string
-	rawLen int64
-	rows   int
-	typ    *arrow.DataType
-	dict   *arrow.StringArray
+	bytes []byte
+	enc   string
+	codec string
+	rows  int
+	typ   *arrow.DataType
+	dict  *arrow.StringArray
 }
 
 func (p storedPage) decode() (arrow.Array, error) {
-	return decodePage(p.bytes, p.enc, p.codec, p.rawLen, p.rows, p.typ, p.dict)
+	return decodePage(p.bytes, p.enc, p.codec, p.rows, p.typ, p.dict)
 }
 
 // store lays an encoded page out as the writer does.
@@ -175,8 +174,7 @@ func store(e *pageEncoder, p encodedPage, compress bool, a arrow.Array) storedPa
 		values, codec = e.compress(values)
 	}
 	out := append(append([]byte(nil), p.head...), values...)
-	return storedPage{bytes: out, enc: p.encoding, codec: codec,
-		rawLen: int64(len(p.head) + len(p.values)), rows: a.Len(), typ: a.DataType()}
+	return storedPage{bytes: out, enc: p.encoding, codec: codec, rows: a.Len(), typ: a.DataType()}
 }
 
 // encodeAs encodes a with enc; integer encodings that cannot represent
@@ -368,7 +366,7 @@ func TestWriterEncodingSelection(t *testing.T) {
 				if !p.Dict && p.Encoding != want {
 					t.Errorf("column %d: page encoded %s, want %s", col, p.Encoding, want)
 				}
-				if p.Codec == CodecFlate || (!compression && p.Codec != CodecNone) {
+				if p.Codec == v1CodecFlate || (!compression && p.Codec != CodecNone) {
 					t.Errorf("column %d: page codec %q with Compression=%v", col, p.Codec, compression)
 				}
 			}
@@ -473,45 +471,9 @@ func TestLZRejectsMalformed(t *testing.T) {
 	}
 }
 
-// filePages returns, as stored, the first data page of every column chunk
-// in the first row group of a GPQ file, and each chunk's dictionary page.
-func filePages(t testing.TB, path string) map[string]storedPage {
-	t.Helper()
-	fr, err := OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Close()
-	read := func(off, length int64) []byte {
-		stored, err := fr.readRange(off, length)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append([]byte(nil), stored...) // not a view of the mapping
-	}
-	pages := map[string]storedPage{}
-	for col, f := range fr.Schema().Fields() {
-		chunk := &fr.meta.footer.RowGroups[0].Columns[col]
-		var dict *arrow.StringArray
-		if d := chunk.Dict; d != nil {
-			pages[fmt.Sprintf("%s/dictionary:%s/%s", f.Name, d.encoding(), d.Codec)] = storedPage{
-				bytes: read(d.Offset, d.Len), enc: d.encoding(), codec: d.Codec,
-				rawLen: d.RawLen, rows: int(d.NumValues), typ: arrow.String}
-			if dict, err = fr.chunkDict(chunk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p := &chunk.Pages[0]
-		pages[fmt.Sprintf("%s/%s/%s", f.Name, p.Encoding, p.Codec)] = storedPage{
-			bytes: read(p.Offset, p.Len), enc: p.Encoding, codec: p.Codec,
-			rawLen: p.RawLen, rows: int(p.NumRows), typ: f.Type, dict: dict}
-	}
-	return pages
-}
-
 // seedPages returns one stored n-row page per encoding x type x codec the
-// writer produces. With withV1Pages they seed the fuzz target, the
-// corruption test and the decode benchmark.
+// writer produces. They seed the fuzz target, the corruption test and
+// the decode benchmark.
 func seedPages(t testing.TB, n int) map[string]storedPage {
 	rng := rand.New(rand.NewSource(5))
 	var e pageEncoder
@@ -549,21 +511,12 @@ func seedPages(t testing.TB, n int) map[string]storedPage {
 	return pages
 }
 
-// withV1Pages adds the pages of a file left by the last version 1 writer:
-// the layouts (string plain, dict, flate) no writer produces any more.
-func withV1Pages(t testing.TB, pages map[string]storedPage, path string) map[string]storedPage {
-	for name, sp := range filePages(t, path) {
-		pages["v1:"+name] = sp
-	}
-	return pages
-}
-
 // TestCorruptPagesReturnErrors truncates every seed page at every length
 // and flips bytes throughout: a truncated page must be an error, a
 // damaged one an error or some array, and neither may panic.
 func TestCorruptPagesReturnErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for name, sp := range withV1Pages(t, seedPages(t, 300), goldenPath) {
+	for name, sp := range seedPages(t, 300) {
 		want, err := sp.decode()
 		if err != nil {
 			t.Fatalf("%s: seed page does not decode: %v", name, err)

@@ -96,8 +96,9 @@ func NewReader(r io.ReaderAt, size int64) (*FileReader, error) {
 }
 
 // ReadMetadata decodes only the footer of a GPQ file; catalogs use this to
-// plan without touching data pages. A row group that does not hold exactly
-// one column chunk per schema field is a format error.
+// plan without touching data pages. A footer of another format version,
+// or a row group that does not hold exactly one column chunk per schema
+// field, is a format error.
 func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	if size < int64(len(Magic))*2+4 {
 		return nil, errFormat
@@ -127,6 +128,9 @@ func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	var footer fileFooter
 	if err := json.Unmarshal(footerJSON, &footer); err != nil {
 		return nil, fmt.Errorf("parquet: decoding footer: %w", err)
+	}
+	if footer.Version != formatVersion {
+		return nil, fmt.Errorf("%w: format version %d, want %d", errFormat, footer.Version, formatVersion)
 	}
 	schema, err := arrow.UnmarshalSchema(footer.Schema)
 	if err != nil {
@@ -183,7 +187,7 @@ func (fr *FileReader) chunkDict(chunk *columnChunkMeta) (*arrow.StringArray, err
 	if err != nil {
 		return nil, err
 	}
-	arr, err := decodePage(stored, d.encoding(), d.Codec, d.RawLen, int(d.NumValues), arrow.String, nil)
+	arr, err := decodePage(stored, d.Encoding, d.Codec, int(d.NumValues), arrow.String, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +200,7 @@ func (fr *FileReader) decodePage(page *pageMeta, t *arrow.DataType, dict *arrow.
 	if err != nil {
 		return nil, err
 	}
-	return decodePage(stored, page.Encoding, page.Codec, page.RawLen, int(page.NumRows), t, dict)
+	return decodePage(stored, page.Encoding, page.Codec, int(page.NumRows), t, dict)
 }
 
 // loadDict returns the chunk dictionary, shared through the page cache
@@ -247,7 +251,8 @@ type ScanOptions struct {
 	Projection []int
 	// Predicate is evaluated during the scan; matching rows are returned.
 	Predicate Predicate
-	// Limit stops the scan after this many rows; <0 means no limit.
+	// Limit, when > 0, stops the scan after this many rows; 0 or less
+	// means no limit.
 	Limit int64
 	// BatchRows sets the output batch size (default 8192).
 	BatchRows int
@@ -283,7 +288,7 @@ type Scanner struct {
 	fr        *FileReader
 	opts      ScanOptions
 	schema    *arrow.Schema
-	remaining int64
+	remaining int64 // rows the limit still allows; -1 without a limit
 	groups    []int
 	gi        int
 	queue     []*arrow.RecordBatch
@@ -363,15 +368,15 @@ func (fr *FileReader) Scan(opts ScanOptions) (*Scanner, error) {
 			}
 		}
 	}
-	limit := opts.Limit
-	if limit < 0 {
-		limit = -1
+	remaining := opts.Limit
+	if remaining <= 0 {
+		remaining = -1
 	}
 	s := &Scanner{
 		fr:        fr,
 		opts:      opts,
 		schema:    fr.meta.Schema.Select(opts.Projection),
-		remaining: limit,
+		remaining: remaining,
 		groups:    groups,
 		cur:       make(map[int]arrow.Array),
 		dicts:     make([]*arrow.StringArray, nf),

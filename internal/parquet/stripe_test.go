@@ -263,7 +263,7 @@ func checkGridSelection(t *testing.T, fr *FileReader, full *arrow.RecordBatch, c
 			for _, proj := range [][]int{nil, {}} {
 				desc := fmt.Sprintf("%s batch=%d limit=%d proj=%v", name, batchRows, limit, proj)
 				want := selected
-				if limit >= 0 && int64(want.NumRows()) > limit {
+				if limit > 0 && int64(want.NumRows()) > limit {
 					want = want.Slice(0, int(limit))
 				}
 				var sizes []int
@@ -343,7 +343,7 @@ func TestFullySelectedPageIsTheCachedArray(t *testing.T) {
 
 // rewriteFooter writes a copy of the file at src whose footer edit has
 // changed.
-func rewriteFooter(t *testing.T, src string, edit func(*fileFooter)) string {
+func rewriteFooter(t testing.TB, src string, edit func(*fileFooter)) string {
 	t.Helper()
 	data, err := os.ReadFile(src)
 	if err != nil {

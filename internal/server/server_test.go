@@ -342,16 +342,14 @@ func TestServerOrderByLimitZero(t *testing.T) {
 }
 
 func TestServerMemoryBudgetArbitration(t *testing.T) {
-	// A query whose tracked demand exceeds the shared budget — with the
-	// spill escape hatch closed — must fail as retryable 503, and the
-	// parent pool must drain back to zero afterwards. Aggregation and
-	// sort are the reserving operators, so drive both.
+	// A query whose tracked demand exceeds the shared budget in an
+	// operator that cannot spill (a join build) must fail as retryable
+	// 503, and the parent pool must drain back to zero afterwards.
 	cfg := Config{MemoryBudget: 256}
 	cfg.Session.TargetPartitions = 1
-	cfg.Session.DisableSpill = true
 	srv, hs := newTestServer(t, cfg)
 	resp, out := postJSON(t, hs.URL+"/query",
-		map[string]any{"sql": "SELECT s, count(*) AS n FROM t1 GROUP BY s ORDER BY n DESC"})
+		map[string]any{"sql": "SELECT count(*) AS n FROM t1 JOIN t2 ON t1.a = t2.x"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d (%v), want 503 on budget exhaustion", resp.StatusCode, out)
 	}
