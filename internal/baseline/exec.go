@@ -185,7 +185,7 @@ func (e *Engine) execScan(n *logical.TableScan) ([]*arrow.RecordBatch, error) {
 			return nil, err
 		}
 	}
-	if n.Fetch >= 0 {
+	if n.Fetch > 0 {
 		batches = limitBatches(batches, 0, n.Fetch)
 	}
 	return batches, nil

@@ -11,6 +11,7 @@ import (
 	"gofusion/internal/arrow/compute"
 	"gofusion/internal/baseline"
 	"gofusion/internal/csvio"
+	"gofusion/internal/logical"
 	"gofusion/internal/parquet"
 	"gofusion/internal/testutil"
 )
@@ -139,6 +140,51 @@ func TestScanLimitsOverEveryProvider(t *testing.T) {
 				}
 				if d := testutil.DiffOrdered(all, want); d != "" {
 					t.Fatalf("%s: differs from TightDB: %s", desc, d)
+				}
+			}
+		}
+	}
+}
+
+// TestLogicalScanFetchZeroMeansNone lowers hand-built scans over every
+// built-in provider: a scan's Fetch follows the scan API, so 0 (what
+// NewTableScan sets) reads every row and EXPLAIN prints no fetch, while a
+// positive Fetch prints and bounds the provider's rows.
+func TestLogicalScanFetchZeroMeansNone(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.TargetPartitions = parts
+		s := NewSession(cfg)
+		defer s.Close()
+		for _, table := range registerLimitSources(t, s, t.TempDir()) {
+			src, err := s.resolveTable(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fetch := range []int64{0, 5} {
+				desc := fmt.Sprintf("p%d %s fetch %d", parts, table, fetch)
+				scan := logical.NewTableScan(table, src)
+				if scan.Fetch != 0 {
+					t.Fatalf("%s: NewTableScan set Fetch %d, want 0", desc, scan.Fetch)
+				}
+				scan.Fetch = fetch
+				if printed := strings.Contains(scan.String(), "fetch="); printed != (fetch > 0) {
+					t.Errorf("%s: %q prints a fetch: %t", desc, scan.String(), printed)
+				}
+				pp, err := s.lowerPlan(scan)
+				if err != nil {
+					t.Fatalf("%s: %v", desc, err)
+				}
+				batches, err := s.ExecutePlan(pp)
+				if err != nil {
+					t.Fatalf("%s: %v", desc, err)
+				}
+				rows := 0
+				for _, b := range batches {
+					rows += b.NumRows()
+				}
+				if fetch == 0 && rows != 100 || fetch > 0 && (rows < int(fetch) || rows == 100) {
+					t.Errorf("%s: %d rows", desc, rows)
 				}
 			}
 		}

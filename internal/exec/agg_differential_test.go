@@ -252,6 +252,16 @@ func lowerSQL(t *testing.T, sqlText string, tables map[string]catalog.TableProvi
 // default).
 func lowerSQLBatchRows(t *testing.T, sqlText string, tables map[string]catalog.TableProvider, parts, batchRows int) physical.ExecutionPlan {
 	t.Helper()
+	pp, err := exec.CreatePhysicalPlan(optimizeSQL(t, sqlText, tables), &exec.PlannerConfig{TargetPartitions: parts, Reg: diffReg, BatchRows: batchRows})
+	if err != nil {
+		t.Fatalf("lower: %v", err)
+	}
+	return pp
+}
+
+// optimizeSQL plans and optimizes sqlText over the named tables.
+func optimizeSQL(t *testing.T, sqlText string, tables map[string]catalog.TableProvider) logical.Plan {
+	t.Helper()
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
 		t.Fatalf("parse %s: %v", sqlText, err)
@@ -269,11 +279,7 @@ func lowerSQLBatchRows(t *testing.T, sqlText string, tables map[string]catalog.T
 	if plan, err = optimizer.New(diffReg).Optimize(plan); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
-	pp, err := exec.CreatePhysicalPlan(plan, &exec.PlannerConfig{TargetPartitions: parts, Reg: diffReg, BatchRows: batchRows})
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	return pp
+	return plan
 }
 
 func TestAggDifferentialAgainstBaseline(t *testing.T) {

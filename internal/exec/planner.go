@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/arrow/compute"
@@ -278,39 +279,200 @@ func (cfg *PlannerConfig) buildAggSpecs(node *logical.Aggregate, comp *physical.
 		if err != nil {
 			return nil, err
 		}
-		name := call.Name
-		if call.Distinct {
-			if name != "count" {
-				return nil, fmt.Errorf("exec: DISTINCT is only supported for count(), got %s", name)
-			}
-			name = "count_distinct"
-		}
-		fn, ok := cfg.Reg.Agg(name)
-		if !ok {
-			return nil, fmt.Errorf("exec: unknown aggregate function %q", name)
-		}
-		args := make([]physical.PhysicalExpr, len(call.Args))
-		for j, a := range call.Args {
-			pa, err := comp.Compile(a)
-			if err != nil {
-				return nil, err
-			}
-			args[j] = pa
-		}
-		var filter physical.PhysicalExpr
-		if call.Filter != nil {
-			filter, err = comp.Compile(call.Filter)
-			if err != nil {
-				return nil, err
-			}
-		}
-		spec, err := NewAggSpec(fn, outFields[i].Name, args, filter)
-		if err != nil {
+		if specs[i], err = cfg.aggSpec(call, outFields[i].Name, comp); err != nil {
 			return nil, err
 		}
-		specs[i] = spec
 	}
 	return specs, nil
+}
+
+// aggSpec compiles one aggregate call whose output is named name.
+func (cfg *PlannerConfig) aggSpec(call *logical.AggFunc, name string, comp *physical.Compiler) (AggSpec, error) {
+	fnName := call.Name
+	if call.Distinct {
+		if fnName != "count" {
+			return AggSpec{}, fmt.Errorf("exec: DISTINCT is only supported for count(), got %s", fnName)
+		}
+		fnName = "count_distinct"
+	}
+	fn, ok := cfg.Reg.Agg(fnName)
+	if !ok {
+		return AggSpec{}, fmt.Errorf("exec: unknown aggregate function %q", fnName)
+	}
+	args := make([]physical.PhysicalExpr, len(call.Args))
+	for j, a := range call.Args {
+		pa, err := comp.Compile(a)
+		if err != nil {
+			return AggSpec{}, err
+		}
+		args[j] = pa
+	}
+	var filter physical.PhysicalExpr
+	if call.Filter != nil {
+		var err error
+		if filter, err = comp.Compile(call.Filter); err != nil {
+			return AggSpec{}, err
+		}
+	}
+	return NewAggSpec(fn, name, args, filter)
+}
+
+// linearArg describes a sum (or count) of `e op c` or `c op e` that reduces
+// to sum(e) and count(e) (DESIGN.md §6, "Linear aggregates"); its zero
+// value marks a call that does not.
+type linearArg struct {
+	sum       bool
+	e         logical.Expr
+	op        logical.BinOp
+	c         int64
+	constLeft bool
+}
+
+// linearCall recognizes a non-DISTINCT sum or count whose one argument is
+// e + c, c + e, e - c, c - e, e * c or c * e, with c a non-NULL integer
+// literal, e of an integer type whose values embed in Int64, and an Int64
+// result: arithmetic mod 2^64, the ring sumIntAcc sums in.
+func (cfg *PlannerConfig) linearCall(call *logical.AggFunc, schema *logical.Schema) (linearArg, bool) {
+	name := strings.ToLower(call.Name)
+	if call.Distinct || len(call.Args) != 1 || name != "sum" && name != "count" {
+		return linearArg{}, false
+	}
+	b, ok := call.Args[0].(*logical.BinaryExpr)
+	if !ok || b.Op != logical.OpAdd && b.Op != logical.OpSub && b.Op != logical.OpMul {
+		return linearArg{}, false
+	}
+	arg := linearArg{sum: name == "sum", e: b.L, op: b.Op}
+	if arg.c, ok = intLiteral(b.R); !ok {
+		arg.e, arg.constLeft = b.R, true
+		if arg.c, ok = intLiteral(b.L); !ok {
+			return linearArg{}, false
+		}
+	}
+	et, err := logical.TypeOf(arg.e, schema, cfg.Reg)
+	if err != nil || !embedsInInt64(et) {
+		return linearArg{}, false
+	}
+	if rt, err := logical.TypeOf(b, schema, cfg.Reg); err != nil || rt.ID != arrow.INT64 {
+		return linearArg{}, false
+	}
+	return arg, true
+}
+
+// intLiteral returns the value of a non-NULL integer literal that embeds in
+// Int64.
+func intLiteral(e logical.Expr) (int64, bool) {
+	lit, ok := e.(*logical.Literal)
+	if !ok || lit.Value.Null || !embedsInInt64(lit.Value.Type) {
+		return 0, false
+	}
+	return lit.Value.AsInt64(), true
+}
+
+// embedsInInt64 reports whether every value of t is an Int64 value: Int8
+// to Int64 and UInt8 to UInt32.
+func embedsInInt64(t *arrow.DataType) bool {
+	return t.IsSignedInteger() || t.IsInteger() && t.BitWidth() < 64
+}
+
+// reduceLinearAggs plans node's aggregates with every linear call (see
+// linearCall) reduced to a shared sum(e) and count(e) under the call's
+// FILTER, and returns the specs to aggregate with and one expression per
+// aggregate output of node over the result (the k group columns first):
+//
+//	sum(e + c), sum(c + e)  S + c·N
+//	sum(e - c)              S - c·N
+//	sum(c - e)              c·N - S
+//	sum(e * c), sum(c * e)  c·S
+//	count(...)              N
+//
+// where S = sum(e) and N = count(e). Each is exact mod 2^64, and NULL just
+// where the call is, since S is NULL exactly when N = 0. Calls are shared
+// by rendered form, so a written sum(e) is the S it needs. It returns nil,
+// and node plans as written, unless the reduction leaves fewer aggregates
+// than node has: each aggregate evaluates its own argument and FILTER, so a
+// lone sum(e + c) would pay for e and its FILTER twice.
+func (cfg *PlannerConfig) reduceLinearAggs(node *logical.Aggregate, comp *physical.Compiler) ([]AggSpec, []physical.PhysicalExpr, error) {
+	k := len(node.GroupExprs)
+	calls := make([]*logical.AggFunc, len(node.AggExprs))
+	args := make([]linearArg, len(node.AggExprs))
+	linear := false
+	for i, e := range node.AggExprs {
+		call, err := aggCall(e)
+		if err != nil {
+			return nil, nil, err
+		}
+		var ok bool
+		calls[i] = call
+		args[i], ok = cfg.linearCall(call, node.Input.Schema())
+		linear = linear || ok
+	}
+	if !linear {
+		return nil, nil, nil
+	}
+	var specs []AggSpec
+	var planned []*logical.AggFunc
+	// column returns the output column of call, planning it as name first
+	// if no equal call is planned yet.
+	column := func(call *logical.AggFunc, name string) (physical.PhysicalExpr, error) {
+		i := slices.IndexFunc(planned, func(c *logical.AggFunc) bool { return logical.ExprEqual(c, call) })
+		if i < 0 {
+			spec, err := cfg.aggSpec(call, name, comp)
+			if err != nil {
+				return nil, err
+			}
+			i = len(specs)
+			specs, planned = append(specs, spec), append(planned, call)
+		}
+		return physical.NewColumnExpr(k+i, specs[i].Name, specs[i].OutType), nil
+	}
+	arith := func(op logical.BinOp, l, r physical.PhysicalExpr) physical.PhysicalExpr {
+		return &physical.BinaryExpr{Op: op, L: l, R: r, Type: arrow.Int64}
+	}
+	outFields := node.Schema().Fields()[k:]
+	outs := make([]physical.PhysicalExpr, len(calls))
+	for i, call := range calls {
+		arg := args[i]
+		if arg.e == nil {
+			col, err := column(call, outFields[i].Name)
+			if err != nil {
+				return nil, nil, err
+			}
+			outs[i] = col
+			continue
+		}
+		base := func(name string) (physical.PhysicalExpr, error) {
+			c := &logical.AggFunc{Name: name, Args: []logical.Expr{arg.e}, Filter: call.Filter}
+			return column(c, c.String())
+		}
+		var s, n physical.PhysicalExpr
+		var err error
+		if arg.sum {
+			s, err = base("sum")
+		}
+		if err == nil && (!arg.sum || arg.op != logical.OpMul) {
+			n, err = base("count")
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		c := &physical.LiteralExpr{Value: arrow.Int64Scalar(arg.c)}
+		switch {
+		case !arg.sum:
+			outs[i] = n
+		case arg.op == logical.OpMul:
+			outs[i] = arith(logical.OpMul, c, s)
+		case arg.op == logical.OpAdd:
+			outs[i] = arith(logical.OpAdd, s, arith(logical.OpMul, c, n))
+		case arg.constLeft:
+			outs[i] = arith(logical.OpSub, arith(logical.OpMul, c, n), s)
+		default:
+			outs[i] = arith(logical.OpSub, s, arith(logical.OpMul, c, n))
+		}
+	}
+	if len(specs) >= len(calls) {
+		return nil, nil, nil
+	}
+	return specs, outs, nil
 }
 
 // orderingCoversGroups reports whether the input ordering's leading
@@ -438,6 +600,16 @@ func (cfg *PlannerConfig) planAggregate(node *logical.Aggregate) (physical.Execu
 		return cfg.groupBy(inner, cols[:k], groupNames, specs), nil
 	}
 
+	if !IsUnbounded(input) {
+		specs, outs, err := cfg.reduceLinearAggs(node, comp)
+		if err != nil {
+			return nil, err
+		}
+		if outs != nil {
+			agg := cfg.groupBy(input, groupExprs, groupNames, specs)
+			return NewProjectionExec(agg, append(outputColumns(agg, len(groupExprs)), outs...), outNames, nil), nil
+		}
+	}
 	specs, err := cfg.buildAggSpecs(node, comp)
 	if err != nil {
 		return nil, err

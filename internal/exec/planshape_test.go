@@ -3,10 +3,12 @@ package exec_test
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gofusion/internal/core"
 	"gofusion/internal/exec"
+	"gofusion/internal/logical"
 	"gofusion/internal/physical"
 	"gofusion/internal/workload/clickbench"
 	"gofusion/internal/workload/h2o"
@@ -20,7 +22,9 @@ import (
 // CoalescePartitionsExec merges more than one partition, and every
 // FilterExec sits directly on the operator whose rows it filters, with no
 // pass-through node in between. H2O q08's rn <= 2 keeps its per-group
-// top-k window.
+// top-k window. ClickBench q30's 90 sums of ResolutionWidth + k aggregate
+// as one sum and one count under a projection; every other statement
+// aggregates the calls it is written with.
 func TestWorkloadPlanShapes(t *testing.T) {
 	dir := t.TempDir()
 	if err := tpch.WriteGPQ(filepath.Join(dir, "tpch"), 0.01, 2000); err != nil {
@@ -70,6 +74,13 @@ func TestWorkloadPlanShapes(t *testing.T) {
 			for _, v := range planShapeViolations(qm.Plan) {
 				t.Errorf("%s p%d: %s\n%s", name, parts, v, exec.ExplainPhysical(qm.Plan))
 			}
+			optimized, err := s.OptimizePlan(df.LogicalPlan())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if v := aggregatesAsWritten(name, parts, optimized, qm.Plan); v != "" {
+				t.Errorf("%s p%d: %s\n%s", name, parts, v, exec.ExplainPhysical(qm.Plan))
+			}
 			if name == "h2o-q08" && !windowTopKUnderFilter(qm.Plan, 2) {
 				t.Errorf("%s p%d: no FilterExec over a WindowExec with topk=2\n%s", name, parts, exec.ExplainPhysical(qm.Plan))
 			}
@@ -87,6 +98,61 @@ func TestWorkloadPlanShapes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// aggregatesAsWritten checks the aggregates a statement's physical plan
+// computes: for ClickBench q30, one sum and one count of ResolutionWidth
+// (partial and final at two partitions) under a projection; for every other
+// statement, only calls of its logical Aggregate nodes, by output name.
+func aggregatesAsWritten(name string, parts int, optimized logical.Plan, p physical.ExecutionPlan) string {
+	finals, partials := finalAggNames(p)
+	if name == "clickbench-q30" {
+		want := []string{"sum(ResolutionWidth)", "count(ResolutionWidth)"}
+		if len(finals) != 1 || !slices.Equal(finals[0], want) || partials != parts-1 {
+			return fmt.Sprintf("aggregates %q and %d partial aggregations, want %q and %d", finals, partials, want, parts-1)
+		}
+		if !projectionOverAggregate(p) {
+			return "no ProjectionExec directly over the aggregation"
+		}
+		return ""
+	}
+	written := map[string]bool{}
+	var walk func(logical.Plan)
+	walk = func(n logical.Plan) {
+		if a, ok := n.(*logical.Aggregate); ok {
+			for _, f := range a.Schema().Fields()[len(a.GroupExprs):] {
+				written[f.Name] = true
+			}
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(optimized)
+	for _, f := range finals {
+		for _, agg := range f {
+			if !written[agg] {
+				return fmt.Sprintf("aggregate %q is not a call of the statement", agg)
+			}
+		}
+	}
+	return ""
+}
+
+// projectionOverAggregate reports whether a ProjectionExec in p reads a
+// HashAggregateExec directly.
+func projectionOverAggregate(p physical.ExecutionPlan) bool {
+	if proj, ok := p.(*exec.ProjectionExec); ok {
+		if _, ok := proj.Input.(*exec.HashAggregateExec); ok {
+			return true
+		}
+	}
+	for _, c := range p.Children() {
+		if projectionOverAggregate(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // planShapeViolations lists each CoalescePartitionsExec over a single

@@ -35,14 +35,16 @@ type TableScan struct {
 	// Filters are conjuncts pushed into the scan (source may apply them
 	// partially; the optimizer keeps a Filter above unless exact).
 	Filters []Expr
-	// Fetch is a pushed-down limit, or -1.
+	// Fetch is a pushed-down limit when > 0; anything else means none,
+	// as a scan limit does in the scan API (Sort and Limit use -1, since
+	// 0 rows is a valid LIMIT there).
 	Fetch  int64
 	schema *Schema
 }
 
 // NewTableScan creates a scan of the full table.
 func NewTableScan(name string, source TableSource) *TableScan {
-	return &TableScan{Name: name, Source: source, Fetch: -1,
+	return &TableScan{Name: name, Source: source,
 		schema: FromArrow(name, source.Schema())}
 }
 
@@ -76,7 +78,7 @@ func (t *TableScan) String() string {
 		}
 		fmt.Fprintf(&sb, " filters=[%s]", strings.Join(parts, ", "))
 	}
-	if t.Fetch >= 0 {
+	if t.Fetch > 0 {
 		fmt.Fprintf(&sb, " fetch=%d", t.Fetch)
 	}
 	return sb.String()

@@ -557,7 +557,7 @@ func pushLimit(l *logical.Limit, ctx *Context) (logical.Plan, error) {
 		// A scan limit of 0 would mean none; the Limit above ends LIMIT 0.
 		if len(inner.Filters) == 0 && l.Skip == 0 && reach > 0 {
 			out := *inner
-			if out.Fetch < 0 || out.Fetch > reach {
+			if out.Fetch <= 0 || out.Fetch > reach {
 				out.Fetch = reach
 			}
 			return &logical.Limit{Input: &out, Skip: l.Skip, Fetch: l.Fetch}, nil
