@@ -45,11 +45,11 @@ fuzz-smoke:
 # the churn soak (ingest -> query -> cancel cycles; fails on leaked
 # goroutines, reservations, or spill files), and the core streaming
 # end-to-end pack (breakers, watermarks, streaming joins, tailing,
-# cache invalidation under writes). CI also runs all three under the
-# sanitize tag.
+# cache invalidation under writes, re-registration of a grown directory
+# or a rewritten file). CI also runs all three under the sanitize tag.
 stream-smoke:
 	$(GO) test -race -run 'TestReplay|TestChurn' ./internal/fuzzsql/
-	$(GO) test -race -run 'TestStreaming|TestWatermark|TestTailing|TestCopyInto|TestInsert|TestResultCacheInvalidation|TestPageCacheInvalidation' ./internal/core/
+	$(GO) test -race -run 'TestStreaming|TestWatermark|TestTailing|TestCopyInto|TestInsert|TestResultCacheInvalidation|TestPageCacheInvalidation|TestRegisterGPQ' ./internal/core/
 
 # server-smoke exercises the multi-tenant service layer under the race
 # detector: admission-control units, the HTTP surface, the concurrency

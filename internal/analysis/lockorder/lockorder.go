@@ -67,7 +67,6 @@ var Ranks = map[string]int{
 	// Memory layer: the shared cache takes its own lock, then charges a
 	// pool; child pools charge parents. Plain pools are leaves.
 	"gofusion/internal/memory.SizedLRU.mu":      60,
-	"gofusion/internal/memory.LRU.mu":           60,
 	"gofusion/internal/memory.ChildPool.mu":     65,
 	"gofusion/internal/memory.UnboundedPool.mu": 70,
 	"gofusion/internal/memory.GreedyPool.mu":    70,

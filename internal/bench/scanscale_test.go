@@ -116,7 +116,7 @@ func BenchmarkScanScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tbl, err := catalog.NewGPQTable([]string{path}, nil)
+	tbl, err := catalog.NewGPQTable([]string{path})
 	if err != nil {
 		b.Fatal(err)
 	}

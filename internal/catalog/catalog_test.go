@@ -252,7 +252,7 @@ func writeGPQ(t *testing.T, dir string, n int) string {
 func TestGPQTableFilterPushdownExactness(t *testing.T) {
 	dir := t.TempDir()
 	path := writeGPQ(t, dir, 1000)
-	tbl, err := NewGPQTable([]string{path}, nil)
+	tbl, err := NewGPQTable([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestGPQFilePruning(t *testing.T) {
 	}
 	f1 := write("low.gpq", 0, 100)
 	f2 := write("high.gpq", 1000, 1100)
-	tbl, err := NewGPQTable([]string{f1, f2}, nil)
+	tbl, err := NewGPQTable([]string{f1, f2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestGPQSchemaMismatch(t *testing.T) {
 		parquet.DefaultWriterOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewGPQTable([]string{f1, other}, nil); err == nil {
+	if _, err := NewGPQTable([]string{f1, other}); err == nil {
 		t.Fatal("mixed schemas must be rejected")
 	}
 }
@@ -353,23 +353,14 @@ func TestGPQSchemaMismatch(t *testing.T) {
 func TestListingTable(t *testing.T) {
 	dir := t.TempDir()
 	writeGPQ(t, dir, 50)
-	cache := NewMetaCache(8, 8)
-	tbl, err := ListingTable(dir, "gpq", cache)
+	tbl, err := ListingTable(dir, "gpq")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Statistics().NumRows != 50 {
 		t.Fatal("listing stats wrong")
 	}
-	// Second listing hits the cache.
-	if _, err := ListingTable(dir, "gpq", cache); err != nil {
-		t.Fatal(err)
-	}
-	hits, _ := cache.Listings().Stats()
-	if hits == 0 {
-		t.Fatal("listing cache unused")
-	}
-	if _, err := ListingTable(dir, "csv", cache); err == nil {
+	if _, err := ListingTable(dir, "csv"); err == nil {
 		t.Fatal("no csv files should error")
 	}
 }
@@ -503,7 +494,7 @@ func TestGPQShortFooterIsAFormatError(t *testing.T) {
 	}
 
 	err = func() error {
-		tbl, err := NewGPQTable([]string{path}, nil)
+		tbl, err := NewGPQTable([]string{path})
 		if err != nil {
 			return err
 		}

@@ -14,52 +14,40 @@ import (
 	"gofusion/internal/csvio"
 	"gofusion/internal/jsonio"
 	"gofusion/internal/logical"
-	"gofusion/internal/memory"
 	"gofusion/internal/parquet"
 )
-
-// MetaCache is the engine's concrete planning-cache instantiation:
-// directory listings plus parsed GPQ footers, typed so callers never
-// cast metadata out of an any.
-type MetaCache = memory.CacheManager[*parquet.FileMetadata]
-
-// NewMetaCache returns a MetaCache with the given entry capacities.
-func NewMetaCache(listingCap, metaCap int) *MetaCache {
-	return memory.NewCacheManager[*parquet.FileMetadata](listingCap, metaCap)
-}
 
 // GPQTable is a TableProvider over one or more GPQ files, with projection,
 // predicate and limit pushdown, file-level pruning, and partitioned reads.
 type GPQTable struct {
-	files  []string
-	schema *arrow.Schema
-	stats  Statistics
-	order  []OrderedCol
-	// cache memoizes parsed footers (shared across tables when the session
-	// supplies it, private otherwise) so scans — which may open many
-	// per-morsel streams — never re-decode them. There is exactly one
-	// footer cache; construction primes it.
-	cache *MetaCache
+	files []string
+	// footers are the files' footers as the table opened them; planning
+	// prunes and deals row groups from these. Scan units open their files
+	// with parquet.OpenFile, whose footer cache serves the same footers
+	// while the files are unchanged.
+	footers []*parquet.FileMetadata
+	schema  *arrow.Schema
+	stats   Statistics
+	order   []OrderedCol
 	// pages, when set, is the process-wide decoded-page cache threaded
 	// into every scan this table plans.
 	pages *parquet.PageCache
 }
 
 // NewGPQTable opens a GPQ-backed table. All files must share a schema.
-// cache may be nil, in which case the table keeps a private footer cache.
-func NewGPQTable(files []string, cache *MetaCache) (*GPQTable, error) {
+func NewGPQTable(files []string) (*GPQTable, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("catalog: GPQ table needs at least one file")
 	}
-	if cache == nil {
-		cache = NewMetaCache(16, 4*len(files))
-	}
-	t := &GPQTable{files: files, cache: cache, stats: Statistics{}}
+	t := &GPQTable{files: files, footers: make([]*parquet.FileMetadata, len(files))}
 	for i, f := range files {
-		meta, err := t.metadata(f)
+		fr, err := parquet.OpenFile(f)
 		if err != nil {
 			return nil, err
 		}
+		meta := fr.Metadata()
+		fr.Close()
+		t.footers[i] = meta
 		if i == 0 {
 			t.schema = meta.Schema
 			if so, ok := meta.KV["sort_order"]; ok {
@@ -91,38 +79,16 @@ func parseSortOrder(s string) []OrderedCol {
 	return out
 }
 
-// metadata reads a file's footer through the shared typed cache.
-func (t *GPQTable) metadata(path string) (*parquet.FileMetadata, error) {
-	return t.cache.FileMeta().GetOrLoad(path, func() (*parquet.FileMetadata, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		return parquet.ReadMetadata(f, st.Size())
-	})
-}
-
 // Files returns the table's backing file paths.
 func (t *GPQTable) Files() []string { return t.files }
 
-// Append writes batches onto the table's last backing file in place and
-// drops that file's cached footer (the file's size/mtime fingerprint
-// rotates, so page caches and mmap registries key the new contents
-// separately). The receiver's cached statistics and sort order are NOT
-// refreshed — re-open the table over Files() to plan against the grown
-// file.
+// Append writes batches onto the table's last backing file in place (the
+// file's size/mtime fingerprint rotates, so the footer, page and mmap
+// caches key the new contents separately). The receiver's footers,
+// statistics and sort order are NOT refreshed — re-open the table over
+// Files() to plan against the grown file.
 func (t *GPQTable) Append(batches []*arrow.RecordBatch, opts parquet.WriterOptions) error {
-	last := t.files[len(t.files)-1]
-	if err := parquet.AppendFile(last, batches, opts); err != nil {
-		return err
-	}
-	t.cache.FileMeta().Delete(last)
-	return nil
+	return parquet.AppendFile(t.files[len(t.files)-1], batches, opts)
 }
 
 // SetPageCache attaches the shared decoded-page cache; subsequent Scans
@@ -148,11 +114,8 @@ type scanUnit struct {
 // (per-chunk stats). Bloom-filter and page-level pruning stay in the
 // scanner, which reads data pages anyway.
 func (t *GPQTable) planUnits(pred parquet.Predicate) (units []scanUnit, pruned int, err error) {
-	for _, f := range t.files {
-		meta, err := t.metadata(f)
-		if err != nil {
-			return nil, 0, err
-		}
+	for i, f := range t.files {
+		meta := t.footers[i]
 		if pred != nil {
 			keep := true
 			for _, col := range pred.Columns() {
@@ -350,7 +313,7 @@ func (t *GPQTable) Scan(req ScanRequest) (*ScanResult, error) {
 		// does not matter.
 		Open: func(int) (Stream, error) {
 			return &gpqStream{queue: queue, schema: outSchema, rt: rt, opts: opts,
-				rows: newRowLimit(limit), meta: t.metadata}, nil
+				rows: newRowLimit(limit)}, nil
 		},
 	}, nil
 }
@@ -383,15 +346,12 @@ func (q *chunkQueue) claim() ([]scanUnit, bool) {
 // only the current scanner; chunks it never claimed stay for the other
 // partitions, and nothing of them was opened.
 type gpqStream struct {
-	queue  *chunkQueue
-	units  []scanUnit // the rest of the claimed chunk
-	schema *arrow.Schema
-	opts   parquet.ScanOptions
-	rows   rowLimit
-	rt     *ScanRuntime
-	// meta resolves a file's already-parsed footer so per-unit opens skip
-	// the footer decode. A failed lookup falls back to a full OpenFile.
-	meta    func(path string) (*parquet.FileMetadata, error)
+	queue   *chunkQueue
+	units   []scanUnit // the rest of the claimed chunk
+	schema  *arrow.Schema
+	opts    parquet.ScanOptions
+	rows    rowLimit
+	rt      *ScanRuntime
 	reader  *parquet.FileReader
 	scanner *parquet.Scanner
 }
@@ -413,7 +373,7 @@ func (s *gpqStream) Next() (*arrow.RecordBatch, error) {
 				continue
 			}
 			unit := s.units[0]
-			fr, err := s.openUnitFile(unit.file)
+			fr, err := parquet.OpenFile(unit.file)
 			if err != nil {
 				return nil, err
 			}
@@ -438,13 +398,6 @@ func (s *gpqStream) Next() (*arrow.RecordBatch, error) {
 		}
 		return s.rows.take(b), nil
 	}
-}
-
-func (s *gpqStream) openUnitFile(path string) (*parquet.FileReader, error) {
-	if m, err := s.meta(path); err == nil {
-		return parquet.OpenFileWithMeta(path, m)
-	}
-	return parquet.OpenFile(path)
 }
 
 func (s *gpqStream) closeCurrent() {
@@ -640,39 +593,28 @@ func (s *limitStream) Next() (*arrow.RecordBatch, error) {
 // ListingTable builds a TableProvider from a directory of data files of
 // one format ("gpq", "csv", "json"), in the style of Hive-partitioned
 // listings. Files are discovered recursively and sorted for determinism.
-func ListingTable(dir, format string, cache *MetaCache) (TableProvider, error) {
+func ListingTable(dir, format string) (TableProvider, error) {
 	ext := "." + format
 	var files []string
-	listKey := dir + "|" + format
-	if cache != nil {
-		if cached, ok := cache.Listings().Get(listKey); ok {
-			files = cached
-		}
-	}
-	if files == nil {
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() && strings.HasSuffix(strings.ToLower(d.Name()), ext) {
-				files = append(files, path)
-			}
-			return nil
-		})
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sort.Strings(files)
-		if cache != nil {
-			cache.Listings().Put(listKey, files)
+		if !d.IsDir() && strings.HasSuffix(strings.ToLower(d.Name()), ext) {
+			files = append(files, path)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	sort.Strings(files)
 	if len(files) == 0 {
 		return nil, fmt.Errorf("catalog: no %s files under %s", format, dir)
 	}
 	switch format {
 	case "gpq":
-		return NewGPQTable(files, cache)
+		return NewGPQTable(files)
 	case "csv":
 		if len(files) == 1 {
 			return NewCSVTable(files[0], nil, csvio.DefaultOptions())

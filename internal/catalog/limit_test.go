@@ -58,7 +58,7 @@ func limitTables(t *testing.T) map[string]TableProvider {
 	if tables["json"], err = NewJSONTable(jsonPath, nil, jsonio.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if tables["gpq"], err = NewGPQTable([]string{gpqPath}, nil); err != nil {
+	if tables["gpq"], err = NewGPQTable([]string{gpqPath}); err != nil {
 		t.Fatal(err)
 	}
 	stream := NewStreamTable(schema)

@@ -131,7 +131,7 @@ func equalRows(t *testing.T, got, want []string, what string) {
 
 func TestRowGroupPartitionedScanMatchesSingle(t *testing.T) {
 	path := writePartitionedFile(t, 2000, 250, nil) // 8 row groups
-	tbl, err := NewGPQTable([]string{path}, nil)
+	tbl, err := NewGPQTable([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRowGroupPartitionedScanMatchesSingle(t *testing.T) {
 
 func TestRowGroupPartitionCountAndDetail(t *testing.T) {
 	path := writePartitionedFile(t, 2000, 250, nil) // 8 row groups
-	tbl, err := NewGPQTable([]string{path}, nil)
+	tbl, err := NewGPQTable([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRowGroupLevelPlanPruning(t *testing.T) {
 	// Ascending ids: a range predicate must prune most row groups at plan
 	// time using chunk statistics, shrinking the partition count.
 	path := writePartitionedFile(t, 2000, 250, nil)
-	tbl, err := NewGPQTable([]string{path}, nil)
+	tbl, err := NewGPQTable([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRowGroupLevelPlanPruning(t *testing.T) {
 
 func TestSortOrderDroppedWhenFileSplit(t *testing.T) {
 	path := writePartitionedFile(t, 2000, 250, map[string]string{"sort_order": "id"})
-	tbl, err := NewGPQTable([]string{path}, nil)
+	tbl, err := NewGPQTable([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"gofusion/internal/exec"
 	"gofusion/internal/logical"
 	"gofusion/internal/memory"
+	"gofusion/internal/parquet"
 	"gofusion/internal/physical"
 )
 
@@ -196,7 +197,7 @@ func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.Re
 		qm.PlanCacheHit = df.planHit
 	}
 	if memoized {
-		if batches, ok := s.results.get(df.resultKey, s.catalog); ok {
+		if ent, ok := s.results.get(df.resultKey, s.catalog); ok {
 			if qm != nil {
 				// A hit still reports a plan: planned, never executed.
 				pp, err := s.physicalPlanFor(df)
@@ -205,7 +206,7 @@ func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.Re
 				}
 				qm.Plan, qm.ResultCacheHit = pp, true
 			}
-			return batches, nil
+			return ent.val, nil
 		}
 	}
 	pp, err := s.physicalPlanFor(df)
@@ -219,7 +220,11 @@ func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.Re
 		return nil, err
 	}
 	if memoized {
-		s.results.put(df.resultKey, df.tables, batches)
+		var size int64
+		for _, b := range batches {
+			size += arrow.BatchSize(b)
+		}
+		s.results.put(df.resultKey, df.tables, batches, size)
 	}
 	if qm != nil {
 		qm.Plan = pp
@@ -230,9 +235,8 @@ func (df *DataFrame) collect(ctx context.Context, qm *QueryMetrics) ([]*arrow.Re
 
 // QueryMetrics summarizes one executed query: the executed physical plan
 // (whose operators carry per-operator MetricsSets, renderable with
-// exec.ExplainAnalyze), the memory-pool high-water mark, and the
-// metadata-cache activity attributable to this query (paper Sections 5.5
-// and 7.4).
+// exec.ExplainAnalyze), the memory-pool high-water mark, and the cache
+// activity attributable to this query (paper Sections 5.5 and 7.4).
 type QueryMetrics struct {
 	// Plan is the executed physical plan; its operators retain their
 	// runtime metrics after execution.
@@ -242,11 +246,10 @@ type QueryMetrics struct {
 	// PoolReservedPeak is the query memory pool's high-water mark in
 	// bytes (tracked reservations only).
 	PoolReservedPeak int64
-	// Cache hit/miss deltas recorded between planning start and
-	// execution end (listings = directory LIST cache, meta = per-file
-	// metadata cache).
-	ListingHits, ListingMisses int64
-	MetaHits, MetaMisses       int64
+	// Footer-cache hit/miss deltas recorded between planning start and
+	// execution end. The footer cache is process-wide, so concurrent
+	// queries' opens count too.
+	MetaHits, MetaMisses int64
 	// Shared decoded-page cache deltas attributable to this query, plus
 	// the cache's current residency after it (zero when disabled).
 	PageCacheHits, PageCacheMisses int64
@@ -280,15 +283,14 @@ func (df *DataFrame) CollectWithMetricsContext(ctx context.Context) ([]*arrow.Re
 		return nil, nil, df.err
 	}
 	s := df.session
-	cm := s.cache
-	lh0, lm0 := cm.Listings().Stats()
-	mh0, mm0 := cm.FileMeta().Stats()
-	var pc0, rc0 memory.SizedStats
+	meta0 := parquet.FooterCacheStats()
+	var pc0 memory.SizedStats
 	if s.pages != nil {
 		pc0 = s.pages.Stats()
 	}
+	var rc0 PlanCacheStats
 	if s.results != nil {
-		rc0 = s.results.stats()
+		rc0 = s.results.Stats()
 	}
 	qm := &QueryMetrics{}
 	batches, err := df.collect(ctx, qm)
@@ -298,10 +300,8 @@ func (df *DataFrame) CollectWithMetricsContext(ctx context.Context) ([]*arrow.Re
 	for _, b := range batches {
 		qm.RowsReturned += int64(b.NumRows())
 	}
-	lh1, lm1 := cm.Listings().Stats()
-	mh1, mm1 := cm.FileMeta().Stats()
-	qm.ListingHits, qm.ListingMisses = lh1-lh0, lm1-lm0
-	qm.MetaHits, qm.MetaMisses = mh1-mh0, mm1-mm0
+	meta1 := parquet.FooterCacheStats()
+	qm.MetaHits, qm.MetaMisses = meta1.Hits-meta0.Hits, meta1.Misses-meta0.Misses
 	if s.pages != nil {
 		pc1 := s.pages.Stats()
 		qm.PageCacheHits = pc1.Hits - pc0.Hits
@@ -310,10 +310,10 @@ func (df *DataFrame) CollectWithMetricsContext(ctx context.Context) ([]*arrow.Re
 		qm.PageCacheBytes = pc1.Bytes
 	}
 	if s.results != nil {
-		rc1 := s.results.stats()
+		rc1 := s.results.Stats()
 		qm.ResultCacheHits = rc1.Hits - rc0.Hits
 		qm.ResultCacheMisses = rc1.Misses - rc0.Misses
-		qm.ResultCacheBytes = rc1.Bytes
+		qm.ResultCacheBytes = s.results.lru.Bytes()
 	}
 	return batches, qm, nil
 }
@@ -331,8 +331,7 @@ func (df *DataFrame) ExplainAnalyze() (string, error) {
 	sb.WriteString(exec.ExplainAnalyze(qm.Plan))
 	sb.WriteString("== Query Summary ==\n")
 	fmt.Fprintf(&sb, "rows_returned=%d, pool_reserved_peak=%d\n", qm.RowsReturned, qm.PoolReservedPeak)
-	fmt.Fprintf(&sb, "cache: listings hits=%d misses=%d, file_meta hits=%d misses=%d\n",
-		qm.ListingHits, qm.ListingMisses, qm.MetaHits, qm.MetaMisses)
+	fmt.Fprintf(&sb, "cache: file_meta hits=%d misses=%d\n", qm.MetaHits, qm.MetaMisses)
 	fmt.Fprintf(&sb, "page_cache: hits=%d misses=%d evictions=%d charged_bytes=%d\n",
 		qm.PageCacheHits, qm.PageCacheMisses, qm.PageCacheEvictions, qm.PageCacheBytes)
 	if df.session.results != nil {

@@ -260,28 +260,21 @@ func TestPreparedStatementRejectsNonQuery(t *testing.T) {
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	base := newTestSession(t, 1)
-	t.Cleanup(base.Close)
-	cfg := base.Config()
-	cfg.EnablePlanCache = true
-	cfg.PlanCacheEntries = 2
-	s := base.WithConfig(cfg)
-	t.Cleanup(s.Close)
-
-	for _, id := range []int{1, 2, 3} {
+	s := newPlanCachingSession(t)
+	for id := 1; id <= planCacheEntries+1; id++ {
 		q(t, s, fmt.Sprintf("SELECT name FROM emp WHERE id = %d", id))
 	}
 	st := planStats(t, s)
-	if st.Entries != 2 {
-		t.Fatalf("entries = %d, want capacity 2", st.Entries)
+	if st.Entries != planCacheEntries {
+		t.Fatalf("entries = %d, want capacity %d", st.Entries, planCacheEntries)
 	}
 	// id=1 was evicted (least recently used): rerunning it misses.
 	q(t, s, "SELECT name FROM emp WHERE id = 1")
-	if st := planStats(t, s); st.Hits != 0 || st.Misses != 4 {
-		t.Fatalf("post-eviction stats = %+v, want 4 misses 0 hits", st)
+	if st := planStats(t, s); st.Hits != 0 || st.Misses != planCacheEntries+2 {
+		t.Fatalf("post-eviction stats = %+v, want %d misses 0 hits", st, planCacheEntries+2)
 	}
-	// id=3 is still resident.
-	q(t, s, "SELECT name FROM emp WHERE id = 3")
+	// The last id is still resident.
+	q(t, s, fmt.Sprintf("SELECT name FROM emp WHERE id = %d", planCacheEntries+1))
 	if st := planStats(t, s); st.Hits != 1 {
 		t.Fatalf("resident rerun stats = %+v, want 1 hit", st)
 	}

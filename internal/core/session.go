@@ -74,8 +74,6 @@ type SessionConfig struct {
 	// tables drops plans over its stale provider snapshot. Default OFF
 	// (same polarity rationale as EnableResultCache).
 	EnablePlanCache bool
-	// PlanCacheEntries bounds the plan cache (default 256 entries).
-	PlanCacheEntries int
 	// ParentPool, when set, charges every per-query memory pool to this
 	// shared pool, so concurrent queries (sessions of one server) divide
 	// one global budget; MemoryLimit then caps each query individually
@@ -88,8 +86,6 @@ type SessionConfig struct {
 	WatermarkLateness int64
 	// SharedCacheBytes bounds the decoded-page cache (default 256 MiB).
 	SharedCacheBytes int64
-	// ResultCacheBytes bounds the result cache (default 64 MiB).
-	ResultCacheBytes int64
 }
 
 // DefaultConfig returns the recommended session configuration.
@@ -97,15 +93,28 @@ func DefaultConfig() SessionConfig {
 	return SessionConfig{TargetPartitions: 1, BatchRows: 8192}
 }
 
+// withDefaults fills the knobs cfg leaves at zero.
+func (cfg SessionConfig) withDefaults() SessionConfig {
+	if cfg.TargetPartitions <= 0 {
+		cfg.TargetPartitions = 1
+	}
+	if cfg.BatchRows <= 0 {
+		cfg.BatchRows = 8192
+	}
+	if cfg.SharedCacheBytes <= 0 {
+		cfg.SharedCacheBytes = 256 << 20
+	}
+	return cfg
+}
+
 // SessionContext is the entry point for embedding the engine.
 type SessionContext struct {
 	cfg         SessionConfig
 	catalog     *catalog.MemoryCatalog
 	reg         *functions.Registry
-	cache       *catalog.MetaCache
 	pages       *parquet.PageCache
-	results     *resultCache
-	plans       *planCache
+	results     *stampedCache[[]*arrow.RecordBatch]
+	plans       *stampedCache[logical.Plan]
 	cachePool   memory.Pool
 	opt         *optimizer.Optimizer
 	extPlanners []exec.ExtensionPlanner
@@ -117,24 +126,11 @@ type SessionContext struct {
 
 // NewSession creates a session with the built-in catalog and functions.
 func NewSession(cfg SessionConfig) *SessionContext {
-	if cfg.TargetPartitions <= 0 {
-		cfg.TargetPartitions = 1
-	}
-	if cfg.BatchRows <= 0 {
-		cfg.BatchRows = 8192
-	}
-	if cfg.SharedCacheBytes <= 0 {
-		cfg.SharedCacheBytes = 256 << 20
-	}
-	if cfg.ResultCacheBytes <= 0 {
-		cfg.ResultCacheBytes = 64 << 20
-	}
+	cfg = cfg.withDefaults()
 	reg := functions.NewRegistry()
 	s := &SessionContext{
-		cfg:     cfg,
 		catalog: catalog.NewMemoryCatalog(),
 		reg:     reg,
-		cache:   catalog.NewMetaCache(1024, 4096),
 		opt:     optimizer.New(reg),
 		writeMu: &sync.Mutex{},
 	}
@@ -142,17 +138,8 @@ func NewSession(cfg SessionConfig) *SessionContext {
 	// to memory accounting (and leak-checked under the sanitize tag);
 	// per-query operator pools stay separate because they come and go
 	// with each query.
-	s.cachePool = memory.NewGreedyPool(cfg.SharedCacheBytes + cfg.ResultCacheBytes)
-	if !cfg.DisableSharedCache {
-		s.pages = parquet.NewPageCache(cfg.SharedCacheBytes, s.cachePool)
-	}
-	if cfg.EnableResultCache {
-		s.results = newResultCache(cfg.ResultCacheBytes, s.cachePool)
-	}
-	if cfg.EnablePlanCache {
-		s.plans = newPlanCache(cfg.PlanCacheEntries)
-	}
-	return s
+	s.cachePool = memory.NewGreedyPool(cfg.SharedCacheBytes + resultCacheBytes)
+	return s.WithConfig(cfg)
 }
 
 // Close releases the session's cache reservations (resident pages and
@@ -162,7 +149,7 @@ func (s *SessionContext) Close() {
 		s.pages.Close()
 	}
 	if s.results != nil {
-		s.results.close()
+		s.results.lru.Close()
 	}
 }
 
@@ -175,34 +162,22 @@ func (s *SessionContext) Config() SessionConfig { return s.cfg }
 // here without affecting the base session, and EnableResultCache attaches
 // a result cache (sharing the base session's if it has one).
 func (s *SessionContext) WithConfig(cfg SessionConfig) *SessionContext {
-	if cfg.TargetPartitions <= 0 {
-		cfg.TargetPartitions = 1
-	}
-	if cfg.BatchRows <= 0 {
-		cfg.BatchRows = 8192
-	}
-	if cfg.SharedCacheBytes <= 0 {
-		cfg.SharedCacheBytes = s.cfg.SharedCacheBytes
-	}
-	if cfg.ResultCacheBytes <= 0 {
-		cfg.ResultCacheBytes = s.cfg.ResultCacheBytes
-	}
 	out := *s
-	out.cfg = cfg
+	out.cfg = cfg.withDefaults()
 	if cfg.DisableSharedCache {
 		out.pages = nil
 	} else if out.pages == nil {
-		out.pages = parquet.NewPageCache(cfg.SharedCacheBytes, s.cachePool)
+		out.pages = parquet.NewPageCache(out.cfg.SharedCacheBytes, s.cachePool)
 	}
 	if !cfg.EnableResultCache {
 		out.results = nil
 	} else if out.results == nil {
-		out.results = newResultCache(cfg.ResultCacheBytes, s.cachePool)
+		out.results = newStampedCache[[]*arrow.RecordBatch](resultCacheBytes, s.cachePool, "result-cache")
 	}
 	if !cfg.EnablePlanCache {
 		out.plans = nil
 	} else if out.plans == nil {
-		out.plans = newPlanCache(cfg.PlanCacheEntries)
+		out.plans = newStampedCache[logical.Plan](planCacheEntries, nil, "plan-cache")
 	}
 	return &out
 }
@@ -213,9 +188,6 @@ func (s *SessionContext) Registry() *functions.Registry { return s.reg }
 
 // Catalog exposes the session catalog (paper Section 7.2).
 func (s *SessionContext) Catalog() *catalog.MemoryCatalog { return s.catalog }
-
-// CacheManager exposes the metadata caches (paper Section 7.4).
-func (s *SessionContext) CacheManager() *catalog.MetaCache { return s.cache }
 
 // PageCache exposes the shared decoded-page cache (nil when disabled).
 func (s *SessionContext) PageCache() *parquet.PageCache { return s.pages }
@@ -276,7 +248,7 @@ func (s *SessionContext) RegisterBatches(name string, schema *arrow.Schema, batc
 
 // RegisterGPQ registers a GPQ-file-backed table (one or more files).
 func (s *SessionContext) RegisterGPQ(name string, files ...string) error {
-	t, err := catalog.NewGPQTable(files, s.cache)
+	t, err := catalog.NewGPQTable(files)
 	if err != nil {
 		return err
 	}
@@ -286,7 +258,7 @@ func (s *SessionContext) RegisterGPQ(name string, files ...string) error {
 
 // RegisterGPQDir registers all GPQ files under a directory as one table.
 func (s *SessionContext) RegisterGPQDir(name, dir string) error {
-	t, err := catalog.ListingTable(dir, "gpq", s.cache)
+	t, err := catalog.ListingTable(dir, "gpq")
 	if err != nil {
 		return err
 	}
@@ -425,7 +397,7 @@ func (s *SessionContext) selectDataFrame(st *sql.SelectStmt) (*DataFrame, error)
 	}
 	if s.plans != nil {
 		if ent, ok := s.plans.get(key, s.catalog); ok {
-			df.plan, df.tables = ent.plan, ent.tables
+			df.plan, df.tables = ent.val, ent.tables
 			df.preOptimized, df.planHit = true, true
 			return df, nil
 		}
@@ -441,7 +413,7 @@ func (s *SessionContext) selectDataFrame(st *sql.SelectStmt) (*DataFrame, error)
 		if err != nil {
 			return nil, err
 		}
-		s.plans.put(key, rec.tables, optimized)
+		s.plans.put(key, rec.tables, optimized, 1)
 		df.plan, df.preOptimized = optimized, true
 	}
 	return df, nil
@@ -451,7 +423,7 @@ func (s *SessionContext) selectDataFrame(st *sql.SelectStmt) (*DataFrame, error)
 // times. Each Query() consults the session plan cache (when enabled), so
 // repeated executions skip planning and optimization, and every
 // execution lowers a fresh physical plan (cached plans are logical; see
-// planCache).
+// stampedCache).
 type PreparedStatement struct {
 	session *SessionContext
 	stmt    *sql.SelectStmt
@@ -627,10 +599,7 @@ func (s *SessionContext) execCopy(st *sql.CopyStmt) (*DataFrame, error) {
 	var src catalog.TableProvider
 	switch format {
 	case "gpq":
-		// A private footer cache: staging files are often rewritten in
-		// place between COPYs, so their footers must not stick in the
-		// session-wide path-keyed cache.
-		src, err = catalog.NewGPQTable([]string{st.Path}, catalog.NewMetaCache(1, 4))
+		src, err = catalog.NewGPQTable([]string{st.Path})
 	case "csv":
 		src, err = catalog.NewCSVTable(st.Path, schema, csvio.DefaultOptions())
 	case "json", "ndjson":
@@ -725,7 +694,7 @@ func (s *SessionContext) appendRows(target string, schema *arrow.Schema, batches
 		if err := tt.Append(batches, parquet.DefaultWriterOptions()); err != nil {
 			return err
 		}
-		reopened, err := catalog.NewGPQTable(tt.Files(), s.cache)
+		reopened, err := catalog.NewGPQTable(tt.Files())
 		if err != nil {
 			return err
 		}

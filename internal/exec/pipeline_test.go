@@ -37,7 +37,7 @@ func writeSeqGPQ(t *testing.T, path string, n, rowGroupRows int) {
 
 func seqScan(t *testing.T, path string, partitions int) *TableScanExec {
 	t.Helper()
-	tbl, err := catalog.NewGPQTable([]string{path}, nil)
+	tbl, err := catalog.NewGPQTable([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestMorselSchedulingBalancesSkew(t *testing.T) {
 	files = append(files, fat)
 	groupRows = append(groupRows, 30_000, 30_000)
 
-	tbl, err := catalog.NewGPQTable(files, nil)
+	tbl, err := catalog.NewGPQTable(files)
 	if err != nil {
 		t.Fatal(err)
 	}

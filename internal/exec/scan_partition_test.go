@@ -24,7 +24,7 @@ func TestTableScanExplainShowsRowGroupPartitions(t *testing.T) {
 		parquet.WriterOptions{RowGroupRows: 100, PageRows: 50}); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := catalog.NewGPQTable([]string{path}, nil)
+	tbl, err := catalog.NewGPQTable([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestScanPruningMetrics(t *testing.T) {
 		parquet.WriterOptions{RowGroupRows: 100, PageRows: 50}); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := catalog.NewGPQTable([]string{path}, nil)
+	tbl, err := catalog.NewGPQTable([]string{path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func (p *wmPusher) Push(b *arrow.RecordBatch, emit physical.EmitFn) (bool, error
 // all of it).
 func (p *wmPusher) update(bk *aggState, b *arrow.RecordBatch, idx []int32) error {
 	if len(idx) < b.NumRows() {
-		b = takeRows(b, idx)
+		b = compute.TakeBatch(b, idx)
 	}
 	var err error
 	p.groupIdx, err = p.e.helper.update(bk, b, nil, p.groupIdx, &p.scratch)
@@ -254,15 +254,6 @@ func (p *wmPusher) Flush(emit physical.EmitFn) error {
 
 func (p *wmPusher) Close() {
 	p.res.Free()
-}
-
-// takeRows gathers the given row indices of every column into a new batch.
-func takeRows(b *arrow.RecordBatch, idx []int32) *arrow.RecordBatch {
-	cols := make([]arrow.Array, b.NumCols())
-	for c := range cols {
-		cols[c] = compute.Take(b.Column(c), idx)
-	}
-	return arrow.NewRecordBatchWithRows(b.Schema(), cols, len(idx))
 }
 
 // fastInt64Values returns an accessor widening any integer-backed numeric

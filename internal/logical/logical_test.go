@@ -66,6 +66,31 @@ func TestSchemaResolution(t *testing.T) {
 	}
 }
 
+// TestSchemaResolveFoldsCaseWithoutAllocating: names match regardless of
+// case, and a qualified hit allocates nothing (planning resolves every
+// column of every expression, so a wide statement would otherwise pay an
+// allocation per field per lookup).
+func TestSchemaResolveFoldsCaseWithoutAllocating(t *testing.T) {
+	s := FromArrow("Hits", arrow.NewSchema(
+		arrow.NewField("WatchID", arrow.Int64, false),
+		arrow.NewField("ResolutionWidth", arrow.Int64, false),
+	))
+	if i, err := s.Resolve("hITS", "resolutionwidth"); err != nil || i != 1 {
+		t.Fatalf("resolve hITS.resolutionwidth: %d %v", i, err)
+	}
+	if i, err := s.Resolve("", "WATCHID"); err != nil || i != 0 {
+		t.Fatalf("resolve WATCHID: %d %v", i, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Resolve("hits", "RESOLUTIONWIDTH"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("qualified mixed-case hit allocated %.1f times per call, want 0", allocs)
+	}
+}
+
 func asErr[T error](err error, target *T) bool {
 	for err != nil {
 		if e, ok := err.(T); ok {

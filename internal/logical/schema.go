@@ -95,14 +95,13 @@ func (e *ErrNotFound) Error() string {
 // Resolve finds the index of a (possibly qualified) column reference,
 // case-insensitively. Unqualified names must be unambiguous.
 func (s *Schema) Resolve(qualifier, name string) (int, error) {
-	lq, ln := strings.ToLower(qualifier), strings.ToLower(name)
 	found := -1
 	for i, f := range s.fields {
-		if strings.ToLower(f.Name) != ln {
+		if !strings.EqualFold(f.Name, name) {
 			continue
 		}
-		if lq != "" {
-			if strings.ToLower(f.Qualifier) == lq {
+		if qualifier != "" {
+			if strings.EqualFold(f.Qualifier, qualifier) {
 				// Qualified duplicates prefer the first match, which is the
 				// standard resolution order.
 				return i, nil

@@ -133,59 +133,27 @@ func TestDiskManagerCloseRemovesOpenFiles(t *testing.T) {
 	}
 }
 
+// TestLRU: entries that cost 1 each make the byte budget an entry count,
+// which is how the plan and footer caches bound themselves.
 func TestLRU(t *testing.T) {
-	l := NewLRU[string, int](2)
-	l.Put("a", 1)
-	l.Put("b", 2)
+	l := NewSizedLRU[string, int](2, nil, "t")
+	l.Put("a", 1, 1)
+	l.Put("b", 2, 1)
 	if v, ok := l.Get("a"); !ok || v != 1 {
 		t.Fatal("get wrong")
 	}
-	l.Put("c", 3) // evicts b (a was refreshed)
+	l.Put("c", 3, 1) // evicts b (a was refreshed)
 	if _, ok := l.Get("b"); ok {
 		t.Fatal("b should be evicted")
 	}
 	if _, ok := l.Get("a"); !ok {
 		t.Fatal("a should survive")
 	}
-	l.Put("a", 10)
+	l.Put("a", 10, 1)
 	if v, _ := l.Get("a"); v != 10 {
 		t.Fatal("put must refresh value")
 	}
-	hits, misses := l.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatal("stats not tracked")
-	}
-}
-
-func TestLRUGetOrLoad(t *testing.T) {
-	l := NewLRU[string, int](4)
-	calls := 0
-	load := func() (int, error) { calls++; return 42, nil }
-	v, err := l.GetOrLoad("k", load)
-	if err != nil || v != 42 {
-		t.Fatal("load wrong")
-	}
-	v, err = l.GetOrLoad("k", load)
-	if err != nil || v != 42 || calls != 1 {
-		t.Fatal("second call must hit cache")
-	}
-	_, err = l.GetOrLoad("bad", func() (int, error) { return 0, errors.New("boom") })
-	if err == nil {
-		t.Fatal("load error must propagate")
-	}
-	if l.Len() != 1 {
-		t.Fatal("failed load must not cache")
-	}
-}
-
-func TestCacheManager(t *testing.T) {
-	cm := NewCacheManager[string](2, 2)
-	cm.Listings().Put("/data", []string{"a.gpq", "b.gpq"})
-	if files, ok := cm.Listings().Get("/data"); !ok || len(files) != 2 {
-		t.Fatal("listing cache wrong")
-	}
-	cm.FileMeta().Put("a.gpq", "stats-blob")
-	if v, ok := cm.FileMeta().Get("a.gpq"); !ok || v != "stats-blob" {
-		t.Fatal("meta cache wrong")
+	if st := l.Stats(); st.Hits == 0 || st.Misses == 0 || st.Entries != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

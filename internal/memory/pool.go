@@ -1,8 +1,8 @@
 // Package memory implements the engine's execution-environment resource
 // APIs (paper Sections 5.5.4 and 7.4): MemoryPool with unbounded,
 // first-come first-served (greedy) and per-query child pools, DiskManager
-// for reference-counted spill files, and CacheManager for listing/metadata
-// caches. Systems embedding the engine substitute their own
+// for reference-counted spill files, and SizedLRU, the one cache every
+// engine cache runs on. Systems embedding the engine substitute their own
 // implementations of these interfaces.
 package memory
 

@@ -14,8 +14,9 @@ import (
 // section, and a footer carrying the combined row-group list is written
 // after them. Readers opened before the append keep working — old row
 // groups' pages are byte-identical at their old offsets — while new opens
-// see the grown file (and a rotated size/mtime fingerprint, so mmap
-// registries and page caches key the new contents separately). The file's
+// see the grown file (and a rotated size/mtime fingerprint, so the
+// footer cache, the page cache and the mmap registry key the new
+// contents separately). The file's
 // declared sort order, if any, is dropped: appended rows need not extend
 // it. Appending zero rows is a no-op that leaves the file untouched.
 func AppendFile(path string, batches []*arrow.RecordBatch, opts WriterOptions) error {

@@ -243,3 +243,30 @@ func TestFingerprintChangesOnRewrite(t *testing.T) {
 		t.Fatalf("fingerprint %q did not change after rewrite", fp1)
 	}
 }
+
+// TestFooterCacheKeyedByVersion: a second open of an unchanged file takes
+// its footer from the cache, and a file rewritten in place with other
+// contents opens with its new footer.
+func TestFooterCacheKeyedByVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.gpq")
+	writeTestFile(t, path, 1000, DefaultWriterOptions())
+	open := func(wantRows int64) {
+		t.Helper()
+		fr, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fr.Close()
+		if fr.NumRows() != wantRows {
+			t.Fatalf("rows = %d, want %d", fr.NumRows(), wantRows)
+		}
+	}
+	open(1000)
+	before := FooterCacheStats()
+	open(1000)
+	if st := FooterCacheStats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+		t.Fatalf("reopen of an unchanged file: stats %+v -> %+v, want one hit", before, st)
+	}
+	writeTestFile(t, path, 1500, DefaultWriterOptions())
+	open(1500)
+}

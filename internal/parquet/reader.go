@@ -10,6 +10,7 @@ import (
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/arrow/compute"
+	"gofusion/internal/memory"
 )
 
 // FileReader reads GPQ files with projection, predicate, and limit
@@ -21,8 +22,8 @@ type FileReader struct {
 	// closer is set when the reader owns the underlying file.
 	closer io.Closer
 	// fingerprint identifies the file version (path|size|mtime) for the
-	// shared page cache and the mmap registry; empty for readers over
-	// arbitrary io.ReaderAt sources.
+	// footer cache, the page cache and the mmap registry; empty for
+	// readers over arbitrary io.ReaderAt sources.
 	fingerprint string
 	// mm is the shared memory mapping when the mmap fast path is active;
 	// readRange then returns zero-copy views instead of heap copies.
@@ -58,29 +59,32 @@ func openMapped(path string) (r io.ReaderAt, size int64, fp string, mm *Mapping,
 	return f, size, fp, nil, f, nil
 }
 
+// footers is the process-wide footer cache: decoded footers keyed by
+// file version (the fingerprint the mmap registry and the page cache key
+// on), so every scan unit's OpenFile skips the footer decode while its
+// file is unchanged, and a file rewritten in place is decoded afresh.
+// Each footer costs 1, so the budget is an entry count.
+var footers = memory.NewSizedLRU[string, *FileMetadata](4096, nil, "")
+
+// FooterCacheStats returns the footer cache's cumulative counters.
+func FooterCacheStats() memory.SizedStats { return footers.Stats() }
+
 // OpenFile opens a GPQ file from the filesystem, using a shared memory
-// mapping for reads when the platform supports it.
+// mapping for reads when the platform supports it and the footer cache
+// for its metadata.
 func OpenFile(path string) (*FileReader, error) {
 	r, size, fp, mm, closer, err := openMapped(path)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := ReadMetadata(r, size)
+	meta, _, err := footers.GetOrLoad(fp, func() (*FileMetadata, int64, error) {
+		m, err := ReadMetadata(r, size)
+		return m, 1, err
+	})
 	if err != nil {
 		if closer != nil {
 			closer.Close()
 		}
-		return nil, err
-	}
-	return &FileReader{r: r, size: size, meta: meta, closer: closer, fingerprint: fp, mm: mm}, nil
-}
-
-// OpenFileWithMeta opens a GPQ file reusing an already-parsed footer
-// (e.g. the catalog's metadata cache), skipping the footer decode that
-// OpenFile performs. The metadata must describe the file at path.
-func OpenFileWithMeta(path string, meta *FileMetadata) (*FileReader, error) {
-	r, size, fp, mm, closer, err := openMapped(path)
-	if err != nil {
 		return nil, err
 	}
 	return &FileReader{r: r, size: size, meta: meta, closer: closer, fingerprint: fp, mm: mm}, nil
