@@ -458,8 +458,7 @@ func (m *MemTable) Scan(req ScanRequest) (*ScanResult, error) {
 	}
 	// Respect the requested parallelism: a table grown by appends
 	// accumulates one partition per batch of rows, but providers may only return
-	// *fewer* partitions than asked for, never more (a CollectLeft join
-	// under TargetPartitions=1 relies on a single probe partition).
+	// *fewer* partitions than asked for, never more.
 	// Contiguous grouping keeps each original partition intact; the
 	// per-partition sort order claim cannot survive concatenation.
 	order := m.sortOrder

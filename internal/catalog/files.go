@@ -101,12 +101,42 @@ func (t *GPQTable) Schema() *arrow.Schema { return t.schema }
 // Statistics returns exact row counts from file footers.
 func (t *GPQTable) Statistics() Statistics { return t.stats }
 
-// scanUnit is the work unit of a partitioned GPQ scan: a set of row
-// groups (ascending) within one file.
+// scanUnit is the work unit of a partitioned GPQ scan: row ranges, in file
+// order, within one file.
 type scanUnit struct {
 	file   string
-	groups []int
+	meta   *parquet.FileMetadata
+	ranges []parquet.RowRange
 	rows   int64
+	// split is shared by the pieces of a row group cut into several
+	// ranges; nil for a unit of whole row groups.
+	split *splitGroup
+}
+
+// splitGroup counts a row group cut into several ranges once, however
+// many scanners read its pieces: scanned if any piece matched rows,
+// pruned (and Bloom-skipped) if every piece was.
+type splitGroup struct {
+	pieces  int32
+	pruned  atomic.Int32
+	bloom   atomic.Int32
+	matched atomic.Bool
+}
+
+// count folds one piece's scanner counters into the row group's and
+// returns what the row group adds to the scan's counters.
+func (g *splitGroup) count(matched, pruned, bloom int) (int, int, int) {
+	m, p, b := 0, 0, 0
+	if matched > 0 && g.matched.CompareAndSwap(false, true) {
+		m = 1
+	}
+	if pruned > 0 && g.pruned.Add(1) == g.pieces {
+		p = 1
+	}
+	if bloom > 0 && g.bloom.Add(1) == g.pieces {
+		b = 1
+	}
+	return m, p, b
 }
 
 // planUnits builds one scan unit per surviving row group, pruning at file
@@ -143,16 +173,56 @@ func (t *GPQTable) planUnits(pred parquet.Predicate) (units []scanUnit, pruned i
 					continue
 				}
 			}
-			units = append(units, scanUnit{file: f, groups: []int{rg}, rows: meta.RowGroupRows(rg)})
+			rows := meta.RowGroupRows(rg)
+			units = append(units, scanUnit{file: f, meta: meta,
+				ranges: []parquet.RowRange{{RowGroup: rg, End: rows}}, rows: rows})
 		}
 	}
 	return units, pruned, nil
 }
 
-// dealUnits deals row-group units into numParts chunks, balancing by
-// footer row counts: each unit goes to the least-loaded chunk (ties to
-// the lowest index), and a unit that follows one of its file's in the
-// same chunk merges into it, so the chunk opens the file once.
+// chunksPerPartition is how many chunks a partitioned scan aims to give
+// each partition to claim, so that the tail balances itself.
+const chunksPerPartition = 4
+
+// splitUnits cuts row groups into ranges aligned to page stripes when
+// fewer than target survive, about target ranges in all, each row group
+// into a share of them in proportion to its rows. With enough row groups
+// it returns units as they are.
+func splitUnits(units []scanUnit, target int) []scanUnit {
+	if len(units) >= target {
+		return units
+	}
+	var total int64
+	for _, u := range units {
+		total += u.rows
+	}
+	var out []scanUnit
+	for _, u := range units {
+		n := 1
+		if total > 0 {
+			n = int(max(1, (u.rows*int64(target)+total/2)/total))
+		}
+		pieces := u.meta.SplitRowGroup(u.ranges[0].RowGroup, n)
+		if len(pieces) == 1 {
+			out = append(out, u)
+			continue
+		}
+		split := &splitGroup{pieces: int32(len(pieces))}
+		for _, r := range pieces {
+			out = append(out, scanUnit{file: u.file, meta: u.meta,
+				ranges: []parquet.RowRange{r}, rows: r.End - r.Start, split: split})
+		}
+	}
+	return out
+}
+
+// dealUnits deals units into numParts chunks, balancing by footer row
+// counts: each unit goes to the least-loaded chunk (ties to the lowest
+// index), and a unit of whole row groups that follows one of its file's
+// in the same chunk merges into it, so the chunk opens the file once.
+// Pieces of split row groups stay apart, each read by a scanner of its
+// own.
 func dealUnits(units []scanUnit, numParts int) [][]scanUnit {
 	parts := make([][]scanUnit, numParts)
 	loads := make([]int64, numParts)
@@ -163,9 +233,10 @@ func dealUnits(units []scanUnit, numParts int) [][]scanUnit {
 				best = p
 			}
 		}
-		if n := len(parts[best]); n > 0 && parts[best][n-1].file == u.file {
+		if n := len(parts[best]); n > 0 && parts[best][n-1].file == u.file &&
+			parts[best][n-1].split == nil && u.split == nil {
 			prev := &parts[best][n-1]
-			prev.groups = append(prev.groups, u.groups...)
+			prev.ranges = append(prev.ranges, u.ranges...)
 			prev.rows += u.rows
 		} else {
 			parts[best] = append(parts[best], u)
@@ -175,9 +246,10 @@ func dealUnits(units []scanUnit, numParts int) [][]scanUnit {
 	return parts
 }
 
-// unitsDetail lists the row groups of each chunk for EXPLAIN, in the
-// order the chunks are claimed, e.g. "u0=data.gpq[rg0-3]
-// u1=data.gpq[rg4-7]". Long listings truncate.
+// unitsDetail lists the ranges of each chunk for EXPLAIN, in the order the
+// chunks are claimed, e.g. "u0=data.gpq[rg0-3] u1=data.gpq[rg4-7]", or
+// "u0=data.gpq[rg0:0-32768]" for a piece of a split row group. Long
+// listings truncate.
 func unitsDetail(chunks [][]scanUnit) string {
 	var sb strings.Builder
 	for c, us := range chunks {
@@ -190,7 +262,7 @@ func unitsDetail(chunks [][]scanUnit) string {
 				sb.WriteByte(',')
 			}
 			sb.WriteString(filepath.Base(u.file))
-			sb.WriteString(rangesString(u.groups))
+			sb.WriteString(rangesString(u))
 		}
 		if sb.Len() > 160 && c < len(chunks)-1 {
 			fmt.Fprintf(&sb, " …(+%d units)", len(chunks)-1-c)
@@ -200,22 +272,27 @@ func unitsDetail(chunks [][]scanUnit) string {
 	return sb.String()
 }
 
-// rangesString compacts a sorted row-group index list into "[rg0-3,rg7]".
-func rangesString(groups []int) string {
+// rangesString renders a unit's ranges: a piece of a split row group as
+// "[rg0:0-32768]", whole row groups compacted into "[rg0-3,rg7]".
+func rangesString(u scanUnit) string {
+	if u.split != nil {
+		return "[" + u.ranges[0].String() + "]"
+	}
 	var sb strings.Builder
 	sb.WriteByte('[')
-	for i := 0; i < len(groups); {
+	rs := u.ranges
+	for i := 0; i < len(rs); {
 		j := i
-		for j+1 < len(groups) && groups[j+1] == groups[j]+1 {
+		for j+1 < len(rs) && rs[j+1].RowGroup == rs[j].RowGroup+1 {
 			j++
 		}
 		if i > 0 {
 			sb.WriteByte(',')
 		}
 		if i == j {
-			fmt.Fprintf(&sb, "rg%d", groups[i])
+			fmt.Fprintf(&sb, "rg%d", rs[i].RowGroup)
 		} else {
-			fmt.Fprintf(&sb, "rg%d-%d", groups[i], groups[j])
+			fmt.Fprintf(&sb, "rg%d-%d", rs[i].RowGroup, rs[j].RowGroup)
 		}
 		i = j + 1
 	}
@@ -223,18 +300,18 @@ func rangesString(groups []int) string {
 	return sb.String()
 }
 
-// scanChunks groups the surviving row groups into the chunks the scan's
-// partitions claim. One partition reads one chunk of every unit in file
-// order, so a declared sort order can survive. More partitions share
-// about four chunks each, dealt row-balanced (same-file neighbours merge
-// so each chunk opens its file once) and ordered largest first so the
-// longest chunks start earliest and the tail balances itself.
+// scanChunks groups the units into the chunks the scan's partitions
+// claim. One partition reads one chunk of every unit in file order, so a
+// declared sort order can survive. More partitions share about
+// chunksPerPartition chunks each, dealt row-balanced (same-file neighbours
+// merge so each chunk opens its file once) and ordered largest first so
+// the longest chunks start earliest and the tail balances itself.
 func scanChunks(units []scanUnit, numParts int) [][]scanUnit {
 	if numParts <= 1 {
 		return dealUnits(units, 1)
 	}
 	var chunks [][]scanUnit
-	for _, us := range dealUnits(units, min(numParts*4, len(units))) {
+	for _, us := range dealUnits(units, min(numParts*chunksPerPartition, len(units))) {
 		if len(us) > 0 {
 			chunks = append(chunks, us)
 		}
@@ -250,13 +327,14 @@ func scanChunks(units []scanUnit, numParts int) [][]scanUnit {
 	return chunks
 }
 
-// Scan prepares a pushed-down partitioned scan. Partitioning is
-// row-group-granular: row groups refuted by footer statistics are pruned
-// at plan time (file level, then chunk level), and the survivors are
-// grouped into chunks (scanChunks) that up to req.Partitions partitions
-// claim from one shared cursor — so a single large file still scans in
-// parallel, and a partition that finishes early takes the next chunk
-// instead of idling.
+// Scan prepares a pushed-down partitioned scan. Row groups refuted by
+// footer statistics are pruned at plan time (file level, then chunk
+// level). When fewer survive than the chunks the partitions should share,
+// they are cut into ranges aligned to page stripes (splitUnits). The units
+// are grouped into chunks (scanChunks) that up to req.Partitions
+// partitions claim from one shared cursor — so a single large file still
+// scans in parallel, and a partition that finishes early takes the next
+// chunk instead of idling.
 func (t *GPQTable) Scan(req ScanRequest) (*ScanResult, error) {
 	pred, exact := CompileFilters(req.Filters, t.schema)
 	limit := req.Limit
@@ -267,6 +345,10 @@ func (t *GPQTable) Scan(req ScanRequest) (*ScanResult, error) {
 	units, pruned, err := t.planUnits(pred)
 	if err != nil {
 		return nil, err
+	}
+	groups := len(units)
+	if req.Partitions > 1 {
+		units = splitUnits(units, req.Partitions*chunksPerPartition)
 	}
 	numParts := max(1, min(req.Partitions, len(units)))
 	queue := &chunkQueue{chunks: scanChunks(units, numParts)}
@@ -282,7 +364,7 @@ func (t *GPQTable) Scan(req ScanRequest) (*ScanResult, error) {
 		// interleaving files within a partition destroys it.
 		order = nil
 	}
-	detail := fmt.Sprintf("rowgroups=%d pruned=%d", len(units), pruned)
+	detail := fmt.Sprintf("rowgroups=%d pruned=%d", groups, pruned)
 	if len(units) > 0 {
 		detail += " " + unitsDetail(queue.chunks)
 	}
@@ -348,6 +430,7 @@ func (q *chunkQueue) claim() ([]scanUnit, bool) {
 type gpqStream struct {
 	queue   *chunkQueue
 	units   []scanUnit // the rest of the claimed chunk
+	unit    scanUnit   // the unit scanner reads
 	schema  *arrow.Schema
 	opts    parquet.ScanOptions
 	rows    rowLimit
@@ -379,14 +462,14 @@ func (s *gpqStream) Next() (*arrow.RecordBatch, error) {
 			}
 			s.units = s.units[1:]
 			opts := s.opts
-			opts.RowGroups = unit.groups
+			opts.Ranges = unit.ranges
 			opts.Limit = s.rows.left // math.MaxInt64 without a limit
 			sc, err := fr.Scan(opts)
 			if err != nil {
 				fr.Close()
 				return nil, err
 			}
-			s.reader, s.scanner = fr, sc
+			s.reader, s.scanner, s.unit = fr, sc, unit
 		}
 		b, err := s.scanner.Next()
 		if err == io.EOF {
@@ -405,10 +488,14 @@ func (s *gpqStream) closeCurrent() {
 		// Close first: it stops and joins the readahead producer, making
 		// the scanner's pruning counters safe to read.
 		s.scanner.Close()
-		s.rt.RowGroupsPruned.Add(int64(s.scanner.RowGroupsPruned))
-		s.rt.RowGroupsScanned.Add(int64(s.scanner.RowGroupsMatched))
+		matched, pruned, bloom := s.scanner.RowGroupsMatched, s.scanner.RowGroupsPruned, s.scanner.BloomSkipped
+		if s.unit.split != nil {
+			matched, pruned, bloom = s.unit.split.count(matched, pruned, bloom)
+		}
+		s.rt.RowGroupsPruned.Add(int64(pruned))
+		s.rt.RowGroupsScanned.Add(int64(matched))
 		s.rt.PagesPruned.Add(int64(s.scanner.PagesSkipped))
-		s.rt.BloomSkipped.Add(int64(s.scanner.BloomSkipped))
+		s.rt.BloomSkipped.Add(int64(bloom))
 		s.rt.PageCacheHits.Add(int64(s.scanner.PageCacheHits))
 		s.rt.PageCacheMisses.Add(int64(s.scanner.PageCacheMisses))
 		s.rt.RowsZeroCopy.Add(int64(s.scanner.RowsZeroCopy))

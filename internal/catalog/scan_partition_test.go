@@ -216,8 +216,10 @@ func TestRowGroupPartitionCountAndDetail(t *testing.T) {
 	if !strings.Contains(res.Detail, "rowgroups=8") || !strings.Contains(res.Detail, "rg") {
 		t.Fatalf("detail missing row-group ranges: %q", res.Detail)
 	}
-	// 8 row groups over 4 partitions: one chunk per row group.
-	if !strings.HasSuffix(res.Detail, " scheduler=morsel units=8") {
+	// 8 row groups are fewer than the 16 chunks 4 partitions share, so
+	// each is cut at its page stripe (128 rows) into two ranges.
+	if !strings.HasSuffix(res.Detail, " scheduler=morsel units=16") ||
+		!strings.Contains(res.Detail, "part.gpq[rg0:0-128]") {
 		t.Fatalf("detail missing the scan's morsel scheduling: %q", res.Detail)
 	}
 	one, err := tbl.Scan(ScanRequest{Partitions: 1})
@@ -227,13 +229,14 @@ func TestRowGroupPartitionCountAndDetail(t *testing.T) {
 	if one.Detail != "rowgroups=8 pruned=0 u0=part.gpq[rg0-7]" {
 		t.Fatalf("single-partition detail = %q", one.Detail)
 	}
-	// Requesting more partitions than row groups clamps to the group count.
+	// Requesting more partitions than page stripes clamps to the stripe
+	// count.
 	res2, err := tbl.Scan(ScanRequest{Limit: -1, Partitions: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Partitions != 8 {
-		t.Fatalf("partitions = %d, want 8 (row-group clamp)", res2.Partitions)
+	if res2.Partitions != 16 {
+		t.Fatalf("partitions = %d, want 16 (page-stripe clamp)", res2.Partitions)
 	}
 }
 
@@ -253,8 +256,9 @@ func TestRowGroupLevelPlanPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Partitions != 1 {
-		t.Fatalf("partitions = %d, want 1 (7 of 8 groups pruned)", res.Partitions)
+	// 7 of 8 groups pruned; the survivor splits at its page stripe.
+	if res.Partitions != 2 {
+		t.Fatalf("partitions = %d, want 2 (7 of 8 groups pruned)", res.Partitions)
 	}
 	if !strings.Contains(res.Detail, "pruned=7") {
 		t.Fatalf("detail should report 7 pruned groups: %q", res.Detail)
@@ -298,10 +302,17 @@ func TestSortOrderDroppedWhenFileSplit(t *testing.T) {
 func TestScanChunks(t *testing.T) {
 	var units []scanUnit
 	for rg, rows := range []int64{10, 50, 20, 80, 30, 5, 60, 40, 70, 15} {
-		units = append(units, scanUnit{file: "f.gpq", groups: []int{rg}, rows: rows})
+		units = append(units, scanUnit{file: "f.gpq", ranges: []parquet.RowRange{{RowGroup: rg, End: rows}}, rows: rows})
+	}
+	groupsOf := func(u scanUnit) []int {
+		var out []int
+		for _, r := range u.ranges {
+			out = append(out, r.RowGroup)
+		}
+		return out
 	}
 	one := scanChunks(units, 1)
-	if len(one) != 1 || len(one[0]) != 1 || !slices.Equal(one[0][0].groups, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+	if len(one) != 1 || len(one[0]) != 1 || !slices.Equal(groupsOf(one[0][0]), []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
 		t.Fatalf("one partition: chunks %+v, want one unit of rg0-9 in order", one)
 	}
 	chunks := scanChunks(units, 2)
@@ -314,7 +325,7 @@ func TestScanChunks(t *testing.T) {
 		var rows int64
 		for _, u := range chunk {
 			rows += u.rows
-			for _, rg := range u.groups {
+			for _, rg := range groupsOf(u) {
 				seen[rg]++
 			}
 		}
@@ -327,5 +338,74 @@ func TestScanChunks(t *testing.T) {
 		if seen[rg] != 1 {
 			t.Fatalf("row group %d in %d chunks, want 1", rg, seen[rg])
 		}
+	}
+}
+
+// TestSplitRowGroupCountsOnce: a row group cut into ranges counts once in
+// RowGroupsScanned and RowGroupsPruned, whichever scanners read its
+// pieces. Row group 0 holds x in 0-49, 100-149, …, 400-449, one band per
+// 50-row page, so its chunk statistics keep any x below 450 while every
+// page outside the predicate's band is pruned; row group 1 (x from 500)
+// is pruned at plan time.
+func TestSplitRowGroupCountsOnce(t *testing.T) {
+	schema := arrow.NewSchema(arrow.NewField("x", arrow.Int64, false))
+	xb := arrow.NewNumericBuilder[int64](arrow.Int64)
+	for i := range int64(500) {
+		if i < 250 {
+			xb.Append(i/50*100 + i%50)
+		} else {
+			xb.Append(500 + i)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "bands.gpq")
+	if err := parquet.WriteFile(path, schema, []*arrow.RecordBatch{arrow.NewRecordBatch(schema, []arrow.Array{xb.Finish()})},
+		parquet.WriterOptions{RowGroupRows: 250, PageRows: 50}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := NewGPQTable([]string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	between := func(lo, hi int64) []logical.Expr {
+		return []logical.Expr{
+			&logical.BinaryExpr{Op: logical.OpGtEq, L: logical.Col("x"), R: logical.Lit(lo)},
+			&logical.BinaryExpr{Op: logical.OpLt, L: logical.Col("x"), R: logical.Lit(hi)},
+		}
+	}
+	for _, tc := range []struct {
+		name                    string
+		lo, hi                  int64
+		rows, scanned, pruned   int64
+		pagesPruned, partitions int
+	}{
+		// Every piece of row group 0 is page-pruned: it counts as one
+		// pruned row group, beside row group 1.
+		{"all-pieces-pruned", 60, 90, 0, 0, 2, 5, 4},
+		// One piece matches, four are pruned: one scanned row group.
+		{"one-piece-matches", 100, 150, 50, 1, 1, 4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tbl.Scan(ScanRequest{Filters: between(tc.lo, tc.hi), Limit: -1, Partitions: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Partitions != tc.partitions || !strings.Contains(res.Detail, "rowgroups=1 pruned=1") ||
+				!strings.Contains(res.Detail, "units=5") {
+				t.Fatalf("partitions=%d detail=%q: want row group 0 cut into its five pages", res.Partitions, res.Detail)
+			}
+			if got := int64(len(collectRowsConcurrently(t, res))); got != tc.rows {
+				t.Fatalf("rows = %d, want %d", got, tc.rows)
+			}
+			rt := res.Runtime
+			if got := rt.RowGroupsScanned.Load(); got != tc.scanned {
+				t.Errorf("row groups scanned = %d, want %d", got, tc.scanned)
+			}
+			if got := rt.RowGroupsPruned.Load(); got != tc.pruned {
+				t.Errorf("row groups pruned = %d, want %d", got, tc.pruned)
+			}
+			if got := rt.PagesPruned.Load(); got != int64(tc.pagesPruned) {
+				t.Errorf("pages pruned = %d, want %d", got, tc.pagesPruned)
+			}
+		})
 	}
 }

@@ -35,11 +35,12 @@ func sparseKeys(n, mod int) []*int64 {
 // joins at two partitions against TightDB. Every final aggregate and both
 // sides of every partitioned join must read the exchange's hashes
 // (hashed_rows=0 in EXPLAIN ANALYZE), while the partial aggregates below
-// hash their own input.
+// hash their own input. The joins build on a, whose row count is above
+// what the planner shares as one CollectLeft build.
 func TestExchangeHandsHashesOn(t *testing.T) {
 	s := core.NewSession(core.SessionConfig{TargetPartitions: 2})
 	be := baseline.New(2)
-	keyTable{"a", arrow.Int64, sparseKeys(4000, 1500)}.register(t, s, be)
+	keyTable{"a", arrow.Int64, sparseKeys(100_400, 1500)}.register(t, s, be)
 	keyTable{"b", arrow.Int64, sparseKeys(3000, 2000)}.register(t, s, be)
 	hashedZero := regexp.MustCompile(`hashed_rows=0\b`)
 	hashedSome := regexp.MustCompile(`hashed_rows=[1-9]`)

@@ -27,6 +27,15 @@ func joinKeyExprs(on []JoinOn) (left, right []physical.PhysicalExpr) {
 	return left, right
 }
 
+// JoinFilter is a join's residual predicate (DataFusion's JoinFilter). Expr
+// reads a batch of only the columns the predicate references: its column i
+// is column Columns[i] of the join's left ++ right inputs. A candidate pair
+// gathers those columns and no others.
+type JoinFilter struct {
+	Expr    physical.PhysicalExpr
+	Columns []int
+}
+
 // joinCore is the build and the probe that HashJoinExec, NestedLoopJoinExec
 // and SortMergeJoinExec share (paper Section 6.4). The left input is the
 // build side and the join's only pipeline breaker: it is collected into one
@@ -41,7 +50,7 @@ type joinCore struct {
 	// On are the equality pairs of the hash and merge joins (none for the
 	// nested-loop join).
 	On     []JoinOn
-	Filter physical.PhysicalExpr // residual over (left ++ right) schema
+	Filter *JoinFilter // nil: no residual predicate
 	Type   logical.JoinType
 	// Projection lists the emitted columns as indexes into the join's full
 	// output (left ++ right, or the one side a semi or anti join emits);
@@ -53,8 +62,11 @@ type joinCore struct {
 	op     joinOp
 	name   string
 	schema *arrow.Schema
-	// out says where each emitted column comes from.
-	out []joinCol
+	// out says where each emitted column comes from, filterCols where each
+	// column of the filter's batch does, under filterSchema.
+	out          []joinCol
+	filterCols   []joinCol
+	filterSchema *arrow.Schema
 
 	buildOnce sync.Once
 	built     *builtTable
@@ -82,8 +94,7 @@ type joinOp interface {
 // scratch, or its place in the build, from one batch to the next.
 type lookupFn func(rb *arrow.RecordBatch, first []int32) error
 
-// joinCol is one emitted column: column idx of the build (left) or the
-// probe (right) input.
+// joinCol is one column of the build (left) or the probe (right) input.
 type joinCol struct {
 	left bool
 	idx  int
@@ -93,7 +104,7 @@ type joinCol struct {
 // emitting the columns cols of its full output (nil: all of them) under
 // schema (nil: the fields they name).
 func (c *joinCore) init(op joinOp, name string, left, right physical.ExecutionPlan, on []JoinOn,
-	filter physical.PhysicalExpr, jt logical.JoinType, cols []int, schema *arrow.Schema) {
+	filter *JoinFilter, jt logical.JoinType, cols []int, schema *arrow.Schema) {
 	full := joinOutputSchema(left.Schema(), right.Schema(), jt)
 	var all []joinCol
 	switch jt {
@@ -116,6 +127,15 @@ func (c *joinCore) init(op joinOp, name string, left, right physical.ExecutionPl
 	}
 	c.Left, c.Right, c.On, c.Filter, c.Type, c.Projection = left, right, on, filter, jt, cols
 	c.op, c.name, c.schema, c.out = op, name, schema, out
+	if filter != nil {
+		both := append(sideCols(true, left.Schema().NumFields()), sideCols(false, right.Schema().NumFields())...)
+		inner := joinOutputSchema(left.Schema(), right.Schema(), logical.InnerJoin)
+		c.filterCols, fields = make([]joinCol, len(filter.Columns)), make([]arrow.Field, len(filter.Columns))
+		for i, col := range filter.Columns {
+			c.filterCols[i], fields[i] = both[col], inner.Field(col)
+		}
+		c.filterSchema = arrow.NewSchema(fields...)
+	}
 }
 
 func sideCols(left bool, n int) []joinCol {
@@ -169,7 +189,7 @@ func (c *joinCore) describe(fields string) string {
 		s += fmt.Sprintf(" on=%d keys", len(c.On))
 	}
 	if c.Filter != nil {
-		s += " filter=" + c.Filter.String()
+		s += " filter=" + c.Filter.Expr.String()
 	}
 	if c.Projection != nil {
 		s += fmt.Sprintf(" projection=%v", c.Projection)
@@ -207,8 +227,7 @@ func (c *joinCore) PushInto(ctx *physical.ExecContext, partition int) (physical.
 
 // owesBuildRows reports the join types that emit build rows once the probe
 // has ended, and so track which build rows matched. The others decide
-// every output row per probe batch: their probe may stream without end,
-// and probe partitions may share one build.
+// every output row per probe batch, so their probe may stream without end.
 func owesBuildRows(jt logical.JoinType) bool {
 	switch jt {
 	case logical.LeftJoin, logical.FullJoin, logical.LeftSemiJoin, logical.LeftAntiJoin:
@@ -228,9 +247,14 @@ type builtTable struct {
 	// hashes are the build keys' row hashes when the exchange below sent
 	// them with every batch, else nil; index may use them instead of
 	// hashing the keys.
-	hashes  []uint64
-	visited []bool // build rows matched (outer/semi/anti tracking)
+	hashes []uint64
+	// visited marks the build rows matched (outer/semi/anti tracking), nil
+	// when the join owes none. Every probe partition of the table marks
+	// it under vmu; open counts the partitions not yet flushed, and the
+	// one that flushes last emits the owed rows.
+	visited []bool
 	vmu     sync.Mutex
+	open    atomic.Int32
 
 	// res charges the batch and the table to the pool; it is freed when
 	// the last open probe closes (users drops to zero). A probe partition
@@ -251,13 +275,15 @@ func (bt *builtTable) release() {
 // build turns the drained left input into the probe's table, charging it
 // to a new reservation. Over budget it fails with the pool's typed error.
 // hashes are the batches' key hashes, concatenated, or nil.
-func (c *joinCore) build(ctx *physical.ExecContext, batches []*arrow.RecordBatch, hashes []uint64) (*builtTable, error) {
+// probes is the number of probe partitions that share the table.
+func (c *joinCore) build(ctx *physical.ExecContext, batches []*arrow.RecordBatch, hashes []uint64, probes int) (*builtTable, error) {
 	res := memory.NewReservation(ctx.Pool, c.name)
 	bt, err := c.buildTable(batches, hashes, res)
 	if err != nil {
 		res.Free()
 		return nil, err
 	}
+	bt.open.Store(int32(probes))
 	c.Metrics().UpdateMemPeak(res.Size())
 	return bt, nil
 }
@@ -299,7 +325,7 @@ func (c *joinCore) sharedBuild(ctx *physical.ExecContext) (*builtTable, error) {
 			c.buildErr = err
 			return
 		}
-		c.built, c.buildErr = c.build(ctx, batches, nil)
+		c.built, c.buildErr = c.build(ctx, batches, nil, c.Right.Partitions())
 		if c.buildErr == nil {
 			// The shared build is counted once, not once per probe.
 			c.Metrics().Counter("build_rows").Store(int64(c.built.batch.NumRows()))
@@ -311,11 +337,6 @@ func (c *joinCore) sharedBuild(ctx *physical.ExecContext) (*builtTable, error) {
 // pushInto builds (shared: once for every partition; partitioned: from
 // this partition's left input) and compiles the probe of one partition.
 func (c *joinCore) pushInto(ctx *physical.ExecContext, partition int, partitioned bool) (physical.Pusher, error) {
-	if !partitioned && owesBuildRows(c.Type) && c.Right.Partitions() > 1 {
-		// Probe partitions sharing one build cannot share its tracking;
-		// the planner coalesces the probe side of these joins.
-		return nil, fmt.Errorf("exec: CollectLeft %s join requires single probe partition", c.Type)
-	}
 	var bt *builtTable
 	var err error
 	if partitioned {
@@ -327,10 +348,7 @@ func (c *joinCore) pushInto(ctx *physical.ExecContext, partition int, partitione
 		return nil, err
 	}
 	bt.acquire()
-	p := &joinProbe{c: c, bt: bt, lookup: bt.newLookup(partition), limit: batchRows(ctx), probeRows: c.Metrics().Counter("probe_rows")}
-	// Only one probe partition may emit the unmatched build rows.
-	p.emitBuild = owesBuildRows(c.Type) && (partitioned || partition == c.Right.Partitions()-1)
-	return p, nil
+	return &joinProbe{c: c, bt: bt, lookup: bt.newLookup(partition), limit: batchRows(ctx), probeRows: c.Metrics().Counter("probe_rows")}, nil
 }
 
 // partitionBuild builds from this partition's left input, with the key
@@ -345,7 +363,7 @@ func (c *joinCore) partitionBuild(ctx *physical.ExecContext, partition int) (*bu
 	if err != nil {
 		return nil, err
 	}
-	bt, err := c.build(ctx, batches, hashes)
+	bt, err := c.build(ctx, batches, hashes, 1)
 	if err == nil {
 		c.Metrics().Counter("build_rows").Add(int64(bt.batch.NumRows()))
 	}
@@ -386,9 +404,10 @@ type joinProbe struct {
 	bt        *builtTable
 	lookup    lookupFn
 	limit     int
-	emitBuild bool
 	probeRows *physical.Counter
 	released  bool
+	// scratch holds the residual filter's results, which die in matchPairs.
+	scratch physical.Scratch
 
 	// first is per probe row the first candidate build row, -1 for none.
 	first   []int32
@@ -497,15 +516,15 @@ func growBool(s []bool, n int) []bool {
 // outputs. It may reorder li and ri in place.
 func (p *joinProbe) matchPairs(rb *arrow.RecordBatch, li, ri []int32, emit physical.EmitFn) error {
 	if p.c.Filter != nil {
-		cols := make([]arrow.Array, 0, p.bt.batch.NumCols()+rb.NumCols())
-		for _, c := range p.bt.batch.Columns() {
-			cols = append(cols, takeOrSlice(c, li))
+		cols := make([]arrow.Array, len(p.c.filterCols))
+		for i, c := range p.c.filterCols {
+			if c.left {
+				cols[i] = takeOrSlice(p.bt.batch.Column(c.idx), li)
+			} else {
+				cols[i] = takeOrSlice(rb.Column(c.idx), ri)
+			}
 		}
-		for _, c := range rb.Columns() {
-			cols = append(cols, takeOrSlice(c, ri))
-		}
-		schema := joinOutputSchema(p.c.Left.Schema(), p.c.Right.Schema(), logical.InnerJoin)
-		mask, err := physical.EvalPredicate(p.c.Filter, arrow.NewRecordBatchWithRows(schema, cols, len(li)), nil)
+		mask, err := physical.EvalPredicate(p.c.Filter.Expr, arrow.NewRecordBatchWithRows(p.c.filterSchema, cols, len(li)), &p.scratch)
 		if err != nil {
 			return err
 		}
@@ -609,11 +628,13 @@ func nullColumn(t *arrow.DataType, n int) arrow.Array {
 	return b.Finish()
 }
 
-// Flush emits the build rows owed at the end of the probe: unmatched rows
-// (with a NULL right side) for Left/Full, matched rows for LeftSemi,
-// unmatched ones for LeftAnti.
+// Flush ends this partition's probe. The last of the table's probe
+// partitions to flush emits the build rows owed: unmatched rows (with a
+// NULL right side) for Left/Full, matched rows for LeftSemi, unmatched ones
+// for LeftAnti. The counter's atomic decrement orders every other
+// partition's marks before the last one reads them.
 func (p *joinProbe) Flush(emit physical.EmitFn) error {
-	if !p.emitBuild {
+	if p.bt.visited == nil || p.bt.open.Add(-1) > 0 {
 		return nil
 	}
 	want := p.c.Type == logical.LeftSemiJoin

@@ -34,7 +34,7 @@ type HashJoinExec struct {
 }
 
 // NewHashJoinExec computes the join output schema.
-func NewHashJoinExec(left, right physical.ExecutionPlan, on []JoinOn, filter physical.PhysicalExpr,
+func NewHashJoinExec(left, right physical.ExecutionPlan, on []JoinOn, filter *JoinFilter,
 	jt logical.JoinType, mode JoinMode) *HashJoinExec {
 	e := &HashJoinExec{Mode: mode}
 	e.init(e, "HashJoinExec", left, right, on, filter, jt, nil, nil)

@@ -19,7 +19,7 @@ type SortMergeJoinExec struct {
 }
 
 // NewSortMergeJoinExec computes the output schema.
-func NewSortMergeJoinExec(left, right physical.ExecutionPlan, on []JoinOn, filter physical.PhysicalExpr, jt logical.JoinType) *SortMergeJoinExec {
+func NewSortMergeJoinExec(left, right physical.ExecutionPlan, on []JoinOn, filter *JoinFilter, jt logical.JoinType) *SortMergeJoinExec {
 	e := &SortMergeJoinExec{}
 	e.init(e, "SortMergeJoinExec", left, right, on, filter, jt, nil, nil)
 	return e

@@ -10,14 +10,13 @@ import (
 // 6.4) on the build and probe of joinCore: every build row is a candidate
 // of every probe row, and the residual filter decides. It handles the
 // non-equi joins the hash join cannot; a cross join is an inner join
-// without a filter. The build is shared by every probe partition, so join
-// types that owe build rows run over one probe partition.
+// without a filter. The build is shared by every probe partition.
 type NestedLoopJoinExec struct {
 	joinCore
 }
 
 // NewNestedLoopJoinExec computes the output schema.
-func NewNestedLoopJoinExec(left, right physical.ExecutionPlan, filter physical.PhysicalExpr, jt logical.JoinType) *NestedLoopJoinExec {
+func NewNestedLoopJoinExec(left, right physical.ExecutionPlan, filter *JoinFilter, jt logical.JoinType) *NestedLoopJoinExec {
 	if jt == logical.CrossJoin {
 		jt = logical.InnerJoin
 	}

@@ -225,7 +225,9 @@ func TestJoinBuildReservation(t *testing.T) {
 			return exec.NewHashJoinExec(hash(l), hash(r), on, nil, logical.InnerJoin, exec.PartitionedJoin)
 		}},
 		{"NestedLoopJoinExec", "NestedLoopJoinExec", func(l, r physical.ExecutionPlan) physical.ExecutionPlan {
-			eq := &physical.BinaryExpr{Op: logical.OpEq, L: key(0), R: key(2), Type: arrow.Boolean}
+			// l.k = r.k: the filter reads column 0 of each side.
+			eq := &exec.JoinFilter{Expr: &physical.BinaryExpr{Op: logical.OpEq, L: key(0), R: key(1), Type: arrow.Boolean},
+				Columns: []int{0, 2}}
 			return exec.NewNestedLoopJoinExec(l, &exec.RepartitionExec{Input: r, NumParts: 2}, eq, logical.InnerJoin)
 		}},
 		{"SortMergeJoinExec", "SortMergeJoinExec", func(l, r physical.ExecutionPlan) physical.ExecutionPlan {

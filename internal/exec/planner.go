@@ -727,21 +727,12 @@ func (cfg *PlannerConfig) planJoin(node *logical.Join) (physical.ExecutionPlan, 
 	if err != nil {
 		return nil, err
 	}
-	// The residual filter sees (left ++ right) regardless of join type.
-	combined := node.Left.Schema().Merge(node.Right.Schema())
-	var filter physical.PhysicalExpr
-	if node.Filter != nil {
-		filter, err = cfg.compiler(combined).Compile(node.Filter)
-		if err != nil {
-			return nil, err
-		}
+	filter, err := cfg.joinFilter(node)
+	if err != nil {
+		return nil, err
 	}
 
 	if node.Type == logical.CrossJoin || len(node.On) == 0 {
-		if owesBuildRows(node.Type) && right.Partitions() > 1 {
-			// Probe partitions share the build, not its tracking.
-			right = &CoalescePartitionsExec{Input: right}
-		}
 		return NewNestedLoopJoinExec(left, right, filter, node.Type), nil
 	}
 
@@ -775,13 +766,11 @@ func (cfg *PlannerConfig) planJoin(node *logical.Join) (physical.ExecutionPlan, 
 	}
 
 	if cfg.TargetPartitions > 1 {
-		// A small build side is cheaper to broadcast (CollectLeft) than to
-		// hash-repartition both inputs — but only join types that track no
-		// per-build-row state may share one table across probe partitions.
-		if !owesBuildRows(node.Type) {
-			if rows := optimizer.EstimateRows(node.Left); rows >= 0 && rows <= 100_000 {
-				return NewHashJoinExec(left, right, on, filter, node.Type, CollectLeft), nil
-			}
+		// A small build side is cheaper to share (CollectLeft) than to
+		// hash-repartition both inputs: the probe then stays in the
+		// pipeline of its scan.
+		if rows := optimizer.EstimateRows(node.Left); rows >= 0 && rows <= 100_000 {
+			return NewHashJoinExec(left, right, on, filter, node.Type, CollectLeft), nil
 		}
 		leftKeys := make([]physical.PhysicalExpr, len(on))
 		rightKeys := make([]physical.PhysicalExpr, len(on))
@@ -796,13 +785,42 @@ func (cfg *PlannerConfig) planJoin(node *logical.Join) (physical.ExecutionPlan, 
 	return NewHashJoinExec(left, right, on, filter, node.Type, CollectLeft), nil
 }
 
+// joinFilter compiles the join's residual filter over only the columns it
+// reads, in their (left ++ right) order; nil without one.
+func (cfg *PlannerConfig) joinFilter(node *logical.Join) (*JoinFilter, error) {
+	if node.Filter == nil {
+		return nil, nil
+	}
+	combined := node.Left.Schema().Merge(node.Right.Schema())
+	var cols []int
+	for _, c := range logical.CollectColumns(node.Filter) {
+		i, err := combined.IndexOfColumn(c)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(cols, i) {
+			cols = append(cols, i)
+		}
+	}
+	slices.Sort(cols)
+	fields := make([]logical.QField, len(cols))
+	for k, i := range cols {
+		fields[k] = combined.Field(i)
+	}
+	expr, err := cfg.compiler(logical.NewSchema(fields...)).Compile(node.Filter)
+	if err != nil {
+		return nil, err
+	}
+	return &JoinFilter{Expr: expr, Columns: cols}, nil
+}
+
 // planStreamingJoin selects a join operator when at least one equi-join
 // input is unbounded. A bounded build with a streaming probe runs on the
 // regular hash join (for join types owing no build-side tail pass); an
 // unbounded build side forces the symmetric hash join, which only supports
 // INNER semantics without retractions.
 func (cfg *PlannerConfig) planStreamingJoin(node *logical.Join, left, right physical.ExecutionPlan,
-	on []JoinOn, filter physical.PhysicalExpr, lu, ru bool) (physical.ExecutionPlan, error) {
+	on []JoinOn, filter *JoinFilter, lu, ru bool) (physical.ExecutionPlan, error) {
 	if !lu && !owesBuildRows(node.Type) {
 		return NewHashJoinExec(left, right, on, filter, node.Type, CollectLeft), nil
 	}
@@ -817,8 +835,12 @@ func (cfg *PlannerConfig) planStreamingJoin(node *logical.Join, left, right phys
 		right = &CoalescePartitionsExec{Input: right}
 	}
 	var out physical.ExecutionPlan = NewSymmetricHashJoinExec(left, right, on)
-	if filter != nil {
-		out = &FilterExec{Input: out, Predicate: filter}
+	if node.Filter != nil {
+		predicate, err := cfg.compiler(node.Schema()).Compile(node.Filter)
+		if err != nil {
+			return nil, err
+		}
+		out = &FilterExec{Input: out, Predicate: predicate}
 	}
 	return out, nil
 }

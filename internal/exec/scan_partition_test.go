@@ -40,8 +40,9 @@ func TestTableScanExplainShowsRowGroupPartitions(t *testing.T) {
 	if !strings.Contains(line, "rg") {
 		t.Fatalf("EXPLAIN missing row-group ranges: %q", line)
 	}
-	// 8 row groups over 4 partitions: chunked to one unit per row group.
-	if !strings.HasSuffix(line, " scheduler=morsel units=8") {
+	// 8 row groups are fewer than the 16 chunks 4 partitions share, so
+	// each is cut at its page stripe into two ranges.
+	if !strings.HasSuffix(line, " scheduler=morsel units=16") || !strings.Contains(line, "one.gpq[rg0:0-50]") {
 		t.Fatalf("EXPLAIN missing the scan's morsel scheduling: %q", line)
 	}
 	// The split scan still returns every row.
@@ -94,46 +95,53 @@ func TestScanPruningMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tbl.Scan(catalog.ScanRequest{
-		Filters:    []logical.Expr{&logical.BinaryExpr{Op: logical.OpGt, L: logical.Col("id"), R: logical.Lit(int64(649))}},
-		Limit:      -1,
-		Partitions: 2,
-		Readahead:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := NewTableScanExec("pruned", res)
-	batches, err := CollectPlan(physical.NewExecContext(), scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, batch := range batches {
-		total += batch.NumRows()
-	}
-	if total != 150 {
-		t.Fatalf("rows = %d, want 150", total)
-	}
-	s := scan.Metrics().Snapshot()
-	if got := s.OutputRows; got != 150 {
-		t.Fatalf("output_rows = %d, want 150", got)
-	}
+	// At one partition group 6 leaves as its second page, whole, and group
+	// 7's two pages are gathered into the row group's one batch. At two
+	// partitions the two surviving groups are cut at their page stripes,
+	// so every stripe leaves whole; each group still counts once.
 	for _, tc := range []struct {
-		name string
-		want int64
-	}{
-		{"row_groups_pruned", 6},
-		{"row_groups_scanned", 2},
-		{"pages_pruned", 1},
-		{"bloom_skipped", 0},
-		// Group 6 leaves as its second page, whole; group 7's two pages
-		// are gathered into the row group's one batch.
-		{"rows_zero_copy", 50},
-		{"rows_gathered", 100},
-	} {
-		if got := s.ExtraValue(tc.name); got != tc.want {
-			t.Errorf("%s = %d, want %d (metrics: %s)", tc.name, got, tc.want, s.String())
+		partitions         int
+		zeroCopy, gathered int64
+	}{{1, 50, 100}, {2, 150, 0}} {
+		res, err := tbl.Scan(catalog.ScanRequest{
+			Filters:    []logical.Expr{&logical.BinaryExpr{Op: logical.OpGt, L: logical.Col("id"), R: logical.Lit(int64(649))}},
+			Limit:      -1,
+			Partitions: tc.partitions,
+			Readahead:  2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := NewTableScanExec("pruned", res)
+		batches, err := CollectPlan(physical.NewExecContext(), scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, batch := range batches {
+			total += batch.NumRows()
+		}
+		if total != 150 {
+			t.Fatalf("p%d: rows = %d, want 150", tc.partitions, total)
+		}
+		s := scan.Metrics().Snapshot()
+		if got := s.OutputRows; got != 150 {
+			t.Fatalf("p%d: output_rows = %d, want 150", tc.partitions, got)
+		}
+		for _, m := range []struct {
+			name string
+			want int64
+		}{
+			{"row_groups_pruned", 6},
+			{"row_groups_scanned", 2},
+			{"pages_pruned", 1},
+			{"bloom_skipped", 0},
+			{"rows_zero_copy", tc.zeroCopy},
+			{"rows_gathered", tc.gathered},
+		} {
+			if got := s.ExtraValue(m.name); got != m.want {
+				t.Errorf("p%d: %s = %d, want %d (metrics: %s)", tc.partitions, m.name, got, m.want, s.String())
+			}
 		}
 	}
 }

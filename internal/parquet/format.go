@@ -221,6 +221,43 @@ func (m *FileMetadata) NumRowGroups() int { return len(m.footer.RowGroups) }
 // RowGroupRows returns the number of rows in row group i.
 func (m *FileMetadata) RowGroupRows(i int) int64 { return m.footer.RowGroups[i].NumRows }
 
+// SplitRowGroup cuts row group rg into at most n ranges that tile it, each
+// cut at the page-stripe boundary (the first row of a page of the first
+// column chunk; the writer cuts every column at the same rows) nearest to
+// an even share of its rows. A row group of one stripe stays whole.
+func (m *FileMetadata) SplitRowGroup(rg, n int) []RowRange {
+	group := &m.footer.RowGroups[rg]
+	var starts []int64
+	if len(group.Columns) > 0 {
+		for _, p := range group.Columns[0].Pages {
+			starts = append(starts, p.FirstRow)
+		}
+	}
+	out := []RowRange{{RowGroup: rg, End: group.NumRows}}
+	for i := 1; i < n; i++ {
+		want := group.NumRows * int64(i) / int64(n)
+		cut := int64(-1)
+		for _, s := range starts {
+			if s > out[len(out)-1].Start && s < group.NumRows && (cut < 0 || abs64(s-want) < abs64(cut-want)) {
+				cut = s
+			}
+		}
+		if cut < 0 {
+			break
+		}
+		out[len(out)-1].End = cut
+		out = append(out, RowRange{RowGroup: rg, Start: cut, End: group.NumRows})
+	}
+	return out
+}
+
+func abs64(v int64) int64 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
 // ColumnChunkStats returns the chunk-level statistics for (rowGroup, col).
 func (m *FileMetadata) ColumnChunkStats(rg, col int) ColumnStats {
 	t := m.Schema.Field(col).Type

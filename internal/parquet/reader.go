@@ -260,12 +260,13 @@ type ScanOptions struct {
 	Limit int64
 	// BatchRows sets the output batch size (default 8192).
 	BatchRows int
-	// RowGroups restricts the scan to these row-group indexes, scanned in
-	// the order given; nil means every row group. This is the unit of
-	// intra-file scan parallelism: a table provider can split one file
-	// across partitions by handing each scanner a disjoint subset.
-	RowGroups []int
-	// Readahead is the number of row groups a background goroutine decodes
+	// Ranges restricts the scan to these parts of row groups, scanned in
+	// the order given; nil means every row group, whole. This is the unit
+	// of intra-file scan parallelism: a table provider splits one file
+	// across partitions by handing each scanner ranges that tile a disjoint
+	// share of it.
+	Ranges []RowRange
+	// Readahead is the number of ranges a background goroutine decodes
 	// ahead of the consumer (I/O + decode overlap); 0 keeps the scan fully
 	// synchronous.
 	Readahead int
@@ -281,7 +282,19 @@ type ScanOptions struct {
 	Cache *PageCache
 }
 
-// groupResult carries one decoded row group through the readahead pipeline.
+// RowRange is the part of row group RowGroup that a scanner reads: the page
+// stripes whose first row falls in [Start, End). Ranges that tile
+// [0, rows) of a row group read each of its rows exactly once, wherever
+// they cut it (FileMetadata.SplitRowGroup cuts at stripe boundaries).
+type RowRange struct {
+	RowGroup   int
+	Start, End int64
+}
+
+// String renders the range as "rg3:0-8192".
+func (r RowRange) String() string { return fmt.Sprintf("rg%d:%d-%d", r.RowGroup, r.Start, r.End) }
+
+// groupResult carries one decoded range through the readahead pipeline.
 type groupResult struct {
 	batches []*arrow.RecordBatch
 	err     error
@@ -293,8 +306,8 @@ type Scanner struct {
 	opts      ScanOptions
 	schema    *arrow.Schema
 	remaining int64 // rows the limit still allows; -1 without a limit
-	groups    []int
-	gi        int
+	ranges    []RowRange
+	ri        int
 	queue     []*arrow.RecordBatch
 
 	// Readahead pipeline state (nil/unused when opts.Readahead == 0).
@@ -306,7 +319,7 @@ type Scanner struct {
 	quit      chan struct{}
 	pending   []*arrow.RecordBatch
 
-	// Stripe-loop state, owned by whichever goroutine runs scanRowGroup.
+	// Stripe-loop state, owned by whichever goroutine runs scanRange.
 	// cur holds the current stripe's loaded pages and dicts the current
 	// row group's dictionaries, both by file column; pend holds, per
 	// projected column, the page of every pending stripe, and runs the
@@ -359,16 +372,19 @@ func (fr *FileReader) Scan(opts ScanOptions) (*Scanner, error) {
 			return nil, fmt.Errorf("parquet: projection column %d out of range", c)
 		}
 	}
-	groups := opts.RowGroups
-	if groups == nil {
-		groups = make([]int, fr.meta.NumRowGroups())
-		for i := range groups {
-			groups[i] = i
+	ranges := opts.Ranges
+	if ranges == nil {
+		ranges = make([]RowRange, fr.meta.NumRowGroups())
+		for rg := range ranges {
+			ranges[rg] = RowRange{RowGroup: rg, End: fr.meta.RowGroupRows(rg)}
 		}
 	} else {
-		for _, rg := range groups {
-			if rg < 0 || rg >= fr.meta.NumRowGroups() {
-				return nil, fmt.Errorf("parquet: row group %d out of range", rg)
+		for _, r := range ranges {
+			if r.RowGroup < 0 || r.RowGroup >= fr.meta.NumRowGroups() {
+				return nil, fmt.Errorf("parquet: row group %d out of range", r.RowGroup)
+			}
+			if r.Start < 0 || r.Start > r.End || r.End > fr.meta.RowGroupRows(r.RowGroup) {
+				return nil, fmt.Errorf("parquet: row range %s out of range", r)
 			}
 		}
 	}
@@ -381,7 +397,7 @@ func (fr *FileReader) Scan(opts ScanOptions) (*Scanner, error) {
 		opts:      opts,
 		schema:    fr.meta.Schema.Select(opts.Projection),
 		remaining: remaining,
-		groups:    groups,
+		ranges:    ranges,
 		cur:       make(map[int]arrow.Array),
 		dicts:     make([]*arrow.StringArray, nf),
 		pend:      make([][]arrow.Array, len(opts.Projection)),
@@ -417,12 +433,12 @@ func (s *Scanner) Next() (*arrow.RecordBatch, error) {
 			s.queue = s.queue[1:]
 			return b, nil
 		}
-		if s.remaining == 0 || s.gi >= len(s.groups) {
+		if s.remaining == 0 || s.ri >= len(s.ranges) {
 			return nil, io.EOF
 		}
-		rg := s.groups[s.gi]
-		s.gi++
-		if err := s.scanRowGroup(rg); err != nil {
+		r := s.ranges[s.ri]
+		s.ri++
+		if err := s.scanRange(r); err != nil {
 			return nil, err
 		}
 	}
@@ -464,9 +480,9 @@ func (s *Scanner) nextPipelined() (*arrow.RecordBatch, error) {
 	}
 }
 
-// startPrefetch launches the readahead producer: it decodes row groups
+// startPrefetch launches the readahead producer: it decodes ranges
 // sequentially (preserving limit accounting and pruning order) and parks
-// up to opts.Readahead decoded groups in a bounded channel while the
+// up to opts.Readahead decoded ranges in a bounded channel while the
 // consumer drains the current one.
 func (s *Scanner) startPrefetch() {
 	depth := s.opts.Readahead
@@ -477,7 +493,7 @@ func (s *Scanner) startPrefetch() {
 	s.out = make(chan groupResult, depth)
 	go func() {
 		defer close(s.out)
-		for _, rg := range s.groups {
+		for _, r := range s.ranges {
 			if s.remaining == 0 {
 				return
 			}
@@ -486,7 +502,7 @@ func (s *Scanner) startPrefetch() {
 				return
 			default:
 			}
-			err := s.scanRowGroup(rg)
+			err := s.scanRange(r)
 			res := groupResult{batches: s.queue, err: err}
 			s.queue = nil
 			if err == nil && len(res.batches) == 0 {
@@ -594,12 +610,14 @@ func (s *Scanner) stripes(rg int) ([]pageMeta, error) {
 	return first, nil
 }
 
-// scanRowGroup scans row group rg one page stripe at a time. Page
-// statistics may skip a stripe; the predicate runs on the predicate
-// columns' pages as decoded (or cached); the other projected pages load
-// only for stripes with selected rows, whose runs queue until BatchRows
-// rows are pending. The row group's last batch takes what is left.
-func (s *Scanner) scanRowGroup(rg int) error {
+// scanRange scans the stripes of range r one at a time. Page statistics
+// may skip a stripe; the predicate runs on the predicate columns' pages as
+// decoded (or cached); the other projected pages load only for stripes
+// with selected rows, whose runs queue until BatchRows rows are pending.
+// The range's last batch takes what is left. The pruning counters count
+// the range as one row group.
+func (s *Scanner) scanRange(r RowRange) error {
+	rg := r.RowGroup
 	stripes, err := s.stripes(rg)
 	if err != nil {
 		return err
@@ -617,6 +635,9 @@ func (s *Scanner) scanRowGroup(rg int) error {
 	for si := range stripes {
 		if s.remaining == 0 {
 			break
+		}
+		if first := stripes[si].FirstRow; first < r.Start || first >= r.End {
+			continue
 		}
 		if prune && !s.keepStripe(rg, si) {
 			continue

@@ -196,12 +196,11 @@ func unreadJoinOutputs(plan physical.ExecutionPlan) []string {
 				mark(right, on.R)
 			}
 			if n.Filter != nil {
-				both := mark(make([]bool, lw+len(right)), n.Filter)
-				for i, r := range both {
-					if i < lw {
-						left[i] = left[i] || r
+				for _, c := range n.Filter.Columns {
+					if c < lw {
+						left[c] = true
 					} else {
-						right[i-lw] = right[i-lw] || r
+						right[c-lw] = true
 					}
 				}
 			}
