@@ -115,13 +115,27 @@ func MinMax(a arrow.Array) (minS, maxS arrow.Scalar, ok bool) {
 	return minS, maxS, true
 }
 
-// MinMaxFast computes min/max with type-specialized loops; it falls back to
-// MinMax for types without a fast path.
+// MinMaxFast computes what MinMax does with type-specialized loops for
+// numeric and string arrays; it falls back to MinMax for other types.
 func MinMaxFast(a arrow.Array) (arrow.Scalar, arrow.Scalar, bool) {
 	switch arr := a.(type) {
-	case *arrow.Int64Array:
+	case *arrow.Int8Array:
+		return minMaxNum(arr)
+	case *arrow.Int16Array:
 		return minMaxNum(arr)
 	case *arrow.Int32Array:
+		return minMaxNum(arr)
+	case *arrow.Int64Array:
+		return minMaxNum(arr)
+	case *arrow.Uint8Array:
+		return minMaxNum(arr)
+	case *arrow.Uint16Array:
+		return minMaxNum(arr)
+	case *arrow.Uint32Array:
+		return minMaxNum(arr)
+	case *arrow.Uint64Array:
+		return minMaxNum(arr)
+	case *arrow.Float32Array:
 		return minMaxNum(arr)
 	case *arrow.Float64Array:
 		return minMaxNum(arr)

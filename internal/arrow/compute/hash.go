@@ -54,6 +54,11 @@ func HashBytes(b []byte) uint64 {
 	return mix64(h)
 }
 
+// HashUint64 is HashBytes of v's eight little-endian bytes.
+func HashUint64(v uint64) uint64 {
+	return mix64(mix64(hashSeed ^ 8 ^ v))
+}
+
 func hashNumericInto[T arrow.Number](a *arrow.NumericArray[T], hashes []uint64, first bool) {
 	vals := a.Values()
 	if first {

@@ -235,6 +235,59 @@ func TestMinMaxString(t *testing.T) {
 	}
 }
 
+// TestMinMaxFastMatchesMinMax checks the typed loops against the boxed
+// one on random arrays with NULLs, every integer-backed type, Float32, and
+// the empty and all-NULL cases.
+func TestMinMaxFastMatchesMinMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	types := []*arrow.DataType{arrow.Int8, arrow.Int16, arrow.Int32, arrow.Int64,
+		arrow.Uint8, arrow.Uint16, arrow.Uint32, arrow.Uint64,
+		arrow.Date32, arrow.Timestamp, arrow.Decimal(10, 3), arrow.Float32}
+	for _, typ := range types {
+		for _, n := range []int{0, 1, 2, 17, 1000} {
+			for _, nullEvery := range []int{0, 3, 1} {
+				b := arrow.NewBuilder(typ)
+				for i := 0; i < n; i++ {
+					if nullEvery > 0 && i%nullEvery == 0 {
+						b.AppendNull()
+						continue
+					}
+					v := rng.Uint64()
+					var s any
+					switch typ.ID {
+					case arrow.INT8:
+						s = int8(v)
+					case arrow.INT16:
+						s = int16(v)
+					case arrow.INT32, arrow.DATE32:
+						s = int32(v)
+					case arrow.INT64, arrow.TIMESTAMP, arrow.DECIMAL:
+						s = int64(v)
+					case arrow.UINT8:
+						s = uint8(v)
+					case arrow.UINT16:
+						s = uint16(v)
+					case arrow.UINT32:
+						s = uint32(v)
+					case arrow.UINT64:
+						s = v
+					case arrow.FLOAT32:
+						s = float32(rng.NormFloat64())
+					}
+					b.AppendScalar(arrow.NewScalar(typ, s))
+				}
+				a := b.Finish()
+				fmn, fmx, fok := MinMaxFast(a)
+				mn, mx, ok := MinMax(a)
+				if fok != ok || fmn != mn || fmx != mx {
+					t.Fatalf("%s n=%d nullEvery=%d: MinMaxFast (%v, %v, %v), MinMax (%v, %v, %v)",
+						typ, n, nullEvery, fmn, fmx, fok, mn, mx, ok)
+				}
+			}
+		}
+	}
+}
+
 func TestLikeShapes(t *testing.T) {
 	cases := []struct {
 		pattern string

@@ -2,7 +2,9 @@ package parquet
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/arrow/compute"
@@ -15,6 +17,9 @@ import (
 type bloomFilter struct {
 	bits []byte
 	k    int
+	// m is ceil(2^64 / nbits), set by newBloomFilter for insertHash's
+	// fast modulo.
+	m uint64
 }
 
 // newBloomFilter sizes a filter for the expected number of distinct values
@@ -29,16 +34,21 @@ func newBloomFilter(expected int64) *bloomFilter {
 	if bits > maxBits {
 		bits = maxBits
 	}
-	return &bloomFilter{bits: make([]byte, (bits+7)/8), k: 7}
+	b := &bloomFilter{bits: make([]byte, (bits+7)/8), k: 7}
+	b.m = ^uint64(0)/b.nbits() + 1
+	return b
 }
 
 func (b *bloomFilter) nbits() uint64 { return uint64(len(b.bits)) * 8 }
 
+// insertHash sets the k probe bits of h: (h1 + i·h2) mod nbits, the
+// positions mightContainHash tests. The modulo is Lemire's fastmod,
+// exact for a 32-bit operand and a divisor below 2^32 (nbits <= 2^21).
 func (b *bloomFilter) insertHash(h uint64) {
 	h1, h2 := uint32(h), uint32(h>>32)
 	n := b.nbits()
 	for i := 0; i < b.k; i++ {
-		pos := uint64(h1+uint32(i)*h2) % n
+		pos, _ := bits.Mul64(b.m*uint64(h1+uint32(i)*h2), n)
 		b.bits[pos>>3] |= 1 << (pos & 7)
 	}
 }
@@ -55,7 +65,7 @@ func (b *bloomFilter) mightContainHash(h uint64) bool {
 	return true
 }
 
-// hashScalarForBloom hashes a scalar consistently with hashArrayForBloom.
+// hashScalarForBloom hashes a scalar consistently with insertArray.
 func hashScalarForBloom(s arrow.Scalar) (uint64, bool) {
 	if s.Null {
 		return 0, false
@@ -90,14 +100,51 @@ func int64FromFloatBits(f float64) int64 {
 	return int64(math.Float64bits(f))
 }
 
-// insertArray adds every valid value of the array.
+// insertArray adds every valid value of a Bloom-eligible array, hashing
+// the bytes hashScalarForBloom hashes for the same value straight from
+// the array's buffers.
 func (b *bloomFilter) insertArray(a arrow.Array) {
-	for i := 0; i < a.Len(); i++ {
-		if a.IsNull(i) {
-			continue
+	switch arr := a.(type) {
+	case *arrow.StringArray:
+		for i := 0; i < arr.Len(); i++ {
+			if arr.IsValid(i) {
+				b.insertHash(compute.HashBytes(arr.ValueBytes(i)))
+			}
 		}
-		if h, ok := hashScalarForBloom(a.GetScalar(i)); ok {
-			b.insertHash(h)
+	case *arrow.Int8Array:
+		insertInts(b, arr)
+	case *arrow.Int16Array:
+		insertInts(b, arr)
+	case *arrow.Int32Array:
+		insertInts(b, arr)
+	case *arrow.Int64Array:
+		insertInts(b, arr)
+	case *arrow.Uint8Array:
+		insertInts(b, arr)
+	case *arrow.Uint16Array:
+		insertInts(b, arr)
+	case *arrow.Uint32Array:
+		insertInts(b, arr)
+	case *arrow.Uint64Array:
+		insertInts(b, arr)
+	default:
+		panic(fmt.Sprintf("parquet: no Bloom filter for %s", a.DataType()))
+	}
+}
+
+// insertInts adds each valid value as its 64-bit two's-complement word,
+// what hashScalarForBloom hashes for an integer-backed scalar.
+func insertInts[T packable](b *bloomFilter, a *arrow.NumericArray[T]) {
+	vals := a.Values()
+	if a.NullCount() == 0 {
+		for _, v := range vals {
+			b.insertHash(compute.HashUint64(uint64(int64(v))))
+		}
+		return
+	}
+	for i, v := range vals {
+		if a.IsValid(i) {
+			b.insertHash(compute.HashUint64(uint64(int64(v))))
 		}
 	}
 }

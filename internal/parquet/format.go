@@ -5,7 +5,7 @@
 // encoded, the writer picking the smallest per page; value bytes
 // optionally LZ-compressed — see pages.go and lz.go) plus
 // min/max/null-count statistics at page and chunk granularity, and an
-// optional split-block Bloom filter. The reader implements projection,
+// optional Bloom filter. The reader implements projection,
 // predicate and limit pushdown with page-level late materialization
 // (paper Section 6.8).
 //

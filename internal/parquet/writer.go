@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/arrow/compute"
@@ -54,6 +57,13 @@ func (o WriterOptions) withDefaults() WriterOptions {
 }
 
 // FileWriter writes record batches into a GPQ file.
+//
+// A row group's column chunks are encoded in parallel, one column at a
+// time per worker, on runtime.GOMAXPROCS(0) workers. Each worker encodes
+// into the chunk's own buffer with offsets relative to the chunk; the
+// writer then appends the chunks in column order and rebases their
+// offsets, so the file is the same bytes at any core count. One row
+// group's encoded chunks are held in memory at a time.
 type FileWriter struct {
 	w           *bufio.Writer
 	offset      int64
@@ -63,7 +73,18 @@ type FileWriter struct {
 	pending     []*arrow.RecordBatch
 	pendingRows int
 	closed      bool
-	enc         pageEncoder
+	// encs holds one page encoder per worker and chunks one encoded chunk
+	// per column, both reused from row group to row group.
+	encs   []*pageEncoder
+	chunks []encodedChunk
+}
+
+// encodedChunk is one column chunk encoded in memory: its bytes and its
+// metadata, offsets relative to the start of buf.
+type encodedChunk struct {
+	buf  []byte
+	meta columnChunkMeta
+	err  error
 }
 
 // NewFileWriter writes a GPQ file with the given schema to w.
@@ -133,30 +154,118 @@ func (fw *FileWriter) flushRowGroup(rows int) error {
 		}
 	}
 	fw.pendingRows -= rows
-	group, err := compute.ConcatBatches(fw.schema, parts)
-	if err != nil {
-		return err
-	}
-	rgMeta := rowGroupMeta{NumRows: int64(group.NumRows())}
-	for c := 0; c < group.NumCols(); c++ {
-		chunkMeta, err := fw.writeColumnChunk(group.Column(c))
-		if err != nil {
+
+	fw.encodeChunks(parts)
+	rgMeta := rowGroupMeta{NumRows: int64(rows)}
+	for c := range fw.chunks {
+		if err := fw.chunks[c].err; err != nil {
 			return err
 		}
-		rgMeta.Columns = append(rgMeta.Columns, chunkMeta)
+	}
+	for c := range fw.chunks {
+		chunk := &fw.chunks[c]
+		chunk.meta.rebase(fw.offset)
+		if err := fw.writeRaw(chunk.buf); err != nil {
+			return err
+		}
+		rgMeta.Columns = append(rgMeta.Columns, chunk.meta)
 	}
 	fw.footer.RowGroups = append(fw.footer.RowGroups, rgMeta)
-	fw.footer.NumRows += int64(group.NumRows())
+	fw.footer.NumRows += int64(rows)
 	return nil
 }
 
-func columnStats(a arrow.Array) statsMeta {
-	meta := statsMeta{NullCount: int64(a.NullCount()), NumRows: int64(a.Len())}
-	if mn, mx, ok := compute.MinMaxFast(a); ok {
-		meta.Min = statsValueOf(mn)
-		meta.Max = statsValueOf(mx)
+// encodeChunks encodes every column of the row group made of parts into
+// fw.chunks. Workers claim columns in order from a shared cursor; all of
+// them have returned when it does.
+func (fw *FileWriter) encodeChunks(parts []*arrow.RecordBatch) {
+	ncols := fw.schema.NumFields()
+	if len(fw.chunks) != ncols {
+		fw.chunks = make([]encodedChunk, ncols)
+	}
+	workers := min(runtime.GOMAXPROCS(0), ncols)
+	for len(fw.encs) < workers {
+		fw.encs = append(fw.encs, &pageEncoder{})
+	}
+	var next atomic.Int64
+	work := func(e *pageEncoder) {
+		for c := int(next.Add(1) - 1); c < ncols; c = int(next.Add(1) - 1) {
+			chunk := &fw.chunks[c]
+			cols := make([]arrow.Array, len(parts))
+			for i, p := range parts {
+				cols[i] = p.Column(c)
+			}
+			col, err := compute.Concat(cols)
+			if err == nil {
+				chunk.buf, chunk.meta, err = e.encodeChunk(chunk.buf[:0], col, fw.opts)
+			}
+			chunk.err = err
+		}
+	}
+	var wg sync.WaitGroup
+	for _, e := range fw.encs[1:workers] {
+		wg.Add(1)
+		go func(e *pageEncoder) {
+			defer wg.Done()
+			work(e)
+		}(e)
+	}
+	work(fw.encs[0])
+	wg.Wait()
+}
+
+// rebase moves the chunk's offsets from relative to its start to
+// absolute, for a chunk stored at base.
+func (m *columnChunkMeta) rebase(base int64) {
+	if m.Dict != nil {
+		m.Dict.Offset += base
+	}
+	for i := range m.Pages {
+		m.Pages[i].Offset += base
+	}
+	if m.Bloom != nil {
+		m.Bloom.Offset += base
+	}
+}
+
+// valueBounds is the untruncated min and max of some values; ok is false
+// when there are none.
+type valueBounds struct {
+	min, max arrow.Scalar
+	ok       bool
+}
+
+func boundsOf(a arrow.Array) valueBounds {
+	mn, mx, ok := compute.MinMaxFast(a)
+	return valueBounds{mn, mx, ok}
+}
+
+// fold widens b to cover o. It is exact for every type whose values are
+// totally ordered; a float chunk's bounds are taken over the whole chunk
+// instead, because min and max skip NaN unless it comes first.
+func (b *valueBounds) fold(o valueBounds) {
+	switch {
+	case !o.ok:
+	case !b.ok:
+		*b = o
+	default:
+		if compute.CompareScalars(o.min, b.min) < 0 {
+			b.min = o.min
+		}
+		if compute.CompareScalars(o.max, b.max) > 0 {
+			b.max = o.max
+		}
+	}
+}
+
+// stats returns the stored statistics for values with these bounds.
+func (b valueBounds) stats(nulls, rows int) statsMeta {
+	meta := statsMeta{NullCount: int64(nulls), NumRows: int64(rows)}
+	if b.ok {
+		meta.Min = statsValueOf(b.min)
+		meta.Max = statsValueOf(b.max)
 		// Truncated string maxes must be widened to stay an upper bound.
-		if meta.Max != nil && meta.Max.S != nil && mx.Type.ID == arrow.STRING && len(mx.AsString()) > 64 {
+		if meta.Max != nil && meta.Max.S != nil && b.max.Type.ID == arrow.STRING && len(b.max.AsString()) > 64 {
 			widened := widenStringBound(*meta.Max.S)
 			meta.Max.S = &widened
 		}
@@ -221,78 +330,71 @@ func tryBuildDict(a arrow.Array) (*arrow.StringArray, []uint32, bool) {
 	return db.Finish().(*arrow.StringArray), indexes, true
 }
 
-// writePage stores one encoded page, its value section through the byte
-// codec when compression is on.
-func (fw *FileWriter) writePage(p encodedPage) (off, length, rawLen int64, codec string, err error) {
-	values := p.values
-	if fw.opts.Compression {
-		values, codec = fw.enc.compress(values)
+// appendPage appends one encoded page to dst, its value section through
+// the byte codec when compress is set, and returns its placement and
+// encoding, the offset relative to dst.
+func (e *pageEncoder) appendPage(dst []byte, p encodedPage, compress bool) ([]byte, pageMeta) {
+	values, codec := p.values, CodecNone
+	if compress {
+		values, codec = e.compress(values)
 	}
-	off = fw.offset
-	if err := fw.writeRaw(p.head); err != nil {
-		return 0, 0, 0, "", err
-	}
-	if err := fw.writeRaw(values); err != nil {
-		return 0, 0, 0, "", err
-	}
-	return off, fw.offset - off, int64(len(p.head) + len(p.values)), codec, nil
+	off := int64(len(dst))
+	dst = append(append(dst, p.head...), values...)
+	return dst, pageMeta{Offset: off, Len: int64(len(dst)) - off, Encoding: p.encoding,
+		Codec: codec, RawLen: int64(len(p.head) + len(p.values))}
 }
 
-func (fw *FileWriter) writeColumnChunk(col arrow.Array) (columnChunkMeta, error) {
-	meta := columnChunkMeta{Stats: columnStats(col)}
+// encodeChunk appends col encoded as one column chunk — dictionary page,
+// data pages, Bloom filter — to dst and returns it with the chunk's
+// metadata, offsets relative to the start of dst.
+func (e *pageEncoder) encodeChunk(dst []byte, col arrow.Array, opts WriterOptions) ([]byte, columnChunkMeta, error) {
+	var meta columnChunkMeta
 	n := col.Len()
 
 	var dictArr *arrow.StringArray
 	var dictIdx []uint32
 	useDict := false
-	if fw.opts.Dictionary {
+	if opts.Dictionary {
 		dictArr, dictIdx, useDict = tryBuildDict(col)
 	}
 	if useDict {
-		page, err := fw.enc.encode(dictArr)
+		page, err := e.encode(dictArr)
 		if err != nil {
-			return meta, err
+			return dst, meta, err
 		}
-		off, length, rawLen, codec, err := fw.writePage(page)
-		if err != nil {
-			return meta, err
-		}
-		meta.Dict = &dictMeta{Offset: off, Len: length, NumValues: int64(dictArr.Len()),
-			Encoding: page.encoding, Codec: codec, RawLen: rawLen}
+		var pm pageMeta
+		dst, pm = e.appendPage(dst, page, opts.Compression)
+		meta.Dict = &dictMeta{Offset: pm.Offset, Len: pm.Len, NumValues: int64(dictArr.Len()),
+			Encoding: pm.Encoding, Codec: pm.Codec, RawLen: pm.RawLen}
 	}
 
-	for start := 0; start < n; start += fw.opts.PageRows {
-		end := start + fw.opts.PageRows
-		if end > n {
-			end = n
-		}
+	var bounds valueBounds
+	for start := 0; start < n; start += opts.PageRows {
+		end := min(start+opts.PageRows, n)
 		rows := col.Slice(start, end-start)
 		var page encodedPage
 		if useDict {
-			page = fw.enc.encodeDictIndexes(dictIdx[start:end], rows.Validity(), dictArr.Len())
+			page = e.encodeDictIndexes(dictIdx[start:end], rows.Validity(), dictArr.Len())
 		} else {
 			var err error
-			if page, err = fw.enc.encode(rows); err != nil {
-				return meta, err
+			if page, err = e.encode(rows); err != nil {
+				return dst, meta, err
 			}
 		}
-		off, length, rawLen, codec, err := fw.writePage(page)
-		if err != nil {
-			return meta, err
-		}
-		meta.Pages = append(meta.Pages, pageMeta{
-			Offset:   off,
-			Len:      length,
-			NumRows:  int64(end - start),
-			FirstRow: int64(start),
-			Encoding: page.encoding,
-			Codec:    codec,
-			RawLen:   rawLen,
-			Stats:    columnStats(rows),
-		})
+		var pm pageMeta
+		dst, pm = e.appendPage(dst, page, opts.Compression)
+		pageBounds := boundsOf(rows)
+		bounds.fold(pageBounds)
+		pm.NumRows, pm.FirstRow = int64(end-start), int64(start)
+		pm.Stats = pageBounds.stats(rows.NullCount(), rows.Len())
+		meta.Pages = append(meta.Pages, pm)
 	}
+	if statsKind(col.DataType()) == 'f' {
+		bounds = boundsOf(col)
+	}
+	meta.Stats = bounds.stats(col.NullCount(), n)
 
-	if fw.opts.BloomFilters && bloomEligible(col.DataType()) {
+	if opts.BloomFilters && bloomEligible(col.DataType()) {
 		var bf *bloomFilter
 		if useDict {
 			bf = newBloomFilter(int64(dictArr.Len()))
@@ -301,13 +403,10 @@ func (fw *FileWriter) writeColumnChunk(col arrow.Array) (columnChunkMeta, error)
 			bf = newBloomFilter(int64(n))
 			bf.insertArray(col)
 		}
-		off := fw.offset
-		if err := fw.writeRaw(bf.bits); err != nil {
-			return meta, err
-		}
-		meta.Bloom = &bloomMeta{Offset: off, Len: int64(len(bf.bits)), NumHashes: bf.k}
+		meta.Bloom = &bloomMeta{Offset: int64(len(dst)), Len: int64(len(bf.bits)), NumHashes: bf.k}
+		dst = append(dst, bf.bits...)
 	}
-	return meta, nil
+	return dst, meta, nil
 }
 
 // Close flushes remaining rows and writes the footer. The writer cannot be

@@ -14,9 +14,9 @@ type LikeExpr struct {
 	E       PhysicalExpr
 	Pattern string
 	Matcher *compute.LikeMatcher
-	// lowered marks ILIKE handling: inputs are lowercased before matching
-	// against the pre-lowercased pattern.
-	lowered bool
+	// Negated is NOT LIKE. CaseInsensitive is ILIKE: inputs are lowercased
+	// before matching against the pre-lowercased pattern.
+	Negated, CaseInsensitive bool
 }
 
 // NewLikeExpr compiles a LIKE pattern at plan time.
@@ -29,15 +29,20 @@ func NewLikeExpr(e PhysicalExpr, pattern string, negated, caseInsensitive bool) 
 	if err != nil {
 		return nil, err
 	}
-	out := &LikeExpr{E: e, Pattern: pattern, Matcher: m}
-	if caseInsensitive {
-		out.lowered = true
-	}
-	return out, nil
+	return &LikeExpr{E: e, Pattern: pattern, Matcher: m, Negated: negated, CaseInsensitive: caseInsensitive}, nil
 }
 
 func (e *LikeExpr) DataType() *arrow.DataType { return arrow.Boolean }
-func (e *LikeExpr) String() string            { return fmt.Sprintf("%s LIKE %q", e.E, e.Pattern) }
+func (e *LikeExpr) String() string {
+	op := "LIKE"
+	if e.CaseInsensitive {
+		op = "ILIKE"
+	}
+	if e.Negated {
+		op = "NOT " + op
+	}
+	return fmt.Sprintf("%s %s %q", e.E, op, e.Pattern)
+}
 func (e *LikeExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, error) {
 	d, err := e.E.Evaluate(b, s)
 	if err != nil {
@@ -48,7 +53,7 @@ func (e *LikeExpr) Evaluate(b *arrow.RecordBatch, s *Scratch) (arrow.Datum, erro
 	if !ok {
 		return arrow.Datum{}, fmt.Errorf("physical: LIKE requires string input, got %s", arr.DataType())
 	}
-	if e.lowered {
+	if e.CaseInsensitive {
 		lb := arrow.NewStringBuilder(arrow.String)
 		for i := 0; i < sa.Len(); i++ {
 			if sa.IsNull(i) {

@@ -330,3 +330,24 @@ func TestNarrowIntegerArithmeticWidensInKernel(t *testing.T) {
 		}
 	}
 }
+
+func TestLikeExprString(t *testing.T) {
+	col := NewColumnExpr(2, "s", arrow.String)
+	for _, c := range []struct {
+		negated, fold bool
+		want          string
+	}{
+		{false, false, `s@2 LIKE "a%"`},
+		{true, false, `s@2 NOT LIKE "a%"`},
+		{false, true, `s@2 ILIKE "a%"`},
+		{true, true, `s@2 NOT ILIKE "a%"`},
+	} {
+		e, err := NewLikeExpr(col, "a%", c.negated, c.fold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.String(); got != c.want {
+			t.Errorf("negated=%v fold=%v: %s, want %s", c.negated, c.fold, got, c.want)
+		}
+	}
+}

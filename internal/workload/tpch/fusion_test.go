@@ -104,3 +104,22 @@ func TestExplainFusedRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainRendersNotLike checks that q13's `o_comment not like ...`
+// renders as NOT LIKE in the physical plan, not as the plain LIKE it
+// negates.
+func TestExplainRendersNotLike(t *testing.T) {
+	s := core.NewSession(core.SessionConfig{TargetPartitions: 2})
+	if err := tpch.RegisterInMemory(s, 0.001); err != nil {
+		t.Fatal(err)
+	}
+	q, err := tpch.Query(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := explainText(t, s, q)
+	physical := text[strings.Index(text, "Physical Plan"):]
+	if !strings.Contains(physical, `o_comment@0 NOT LIKE "%special%requests%"`) {
+		t.Errorf("q13's physical plan lacks its NOT LIKE:\n%s", physical)
+	}
+}
