@@ -11,19 +11,23 @@ test:
 
 # lint builds the engine-invariant analyzer suite (internal/analysis) and
 # runs it over the whole module through the standard vet driver, then
-# checks formatting. The analyzers: streamclose, atomicfield,
-# unsafealias, goroutinedrain, eofconvention, and the interprocedural
-# dataflow checks lockorder, resbalance, ctxflow (over the shared
-# CFG/summary IR in internal/analysis/cfg and flow), plus the
-# nolintaudit suppression audit.
+# runs plain go vet (-vettool replaces vet's own analyzers, so without it
+# copylocks, which flags a copied atomic.Int64, would not run) and checks
+# formatting. The analyzers: streamclose, unsafealias, and the
+# interprocedural dataflow checks lockorder, resbalance, ctxflow (over the
+# shared CFG/summary IR in internal/analysis/cfg and flow), plus the
+# nolintaudit suppression audit. Each caught a seeded defect that tier-1,
+# make sanitize and -race missed (DESIGN.md §9).
 lint:
 	$(GO) build -o $(BIN)/gofusionlint ./cmd/gofusionlint
 	$(GO) vet -vettool=$(BIN)/gofusionlint ./...
+	$(GO) vet ./...
 	@out="$$(gofmt -l ./cmd ./internal)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint-self tests the analyzers themselves: CFG golden dumps and the
-# randomized structural self-check, the fixpoint driver, and every
-# analyzer's analysistest golden suite, under the race detector.
+# randomized structural self-check, the fixpoint driver, every analyzer's
+# analysistest golden suite, and the check that every lockorder.Ranks key
+# names a mutex the code still has, under the race detector.
 lint-self:
 	$(GO) test -race ./internal/analysis/...
 

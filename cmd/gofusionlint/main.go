@@ -27,10 +27,7 @@ import (
 	"time"
 
 	"gofusion/internal/analysis"
-	"gofusion/internal/analysis/atomicfield"
 	"gofusion/internal/analysis/ctxflow"
-	"gofusion/internal/analysis/eofconvention"
-	"gofusion/internal/analysis/goroutinedrain"
 	"gofusion/internal/analysis/load"
 	"gofusion/internal/analysis/lockorder"
 	"gofusion/internal/analysis/nolintaudit"
@@ -41,10 +38,7 @@ import (
 
 var suite = []*analysis.Analyzer{
 	streamclose.Analyzer,
-	atomicfield.Analyzer,
 	unsafealias.Analyzer,
-	goroutinedrain.Analyzer,
-	eofconvention.Analyzer,
 	lockorder.Analyzer,
 	resbalance.Analyzer,
 	ctxflow.Analyzer,

@@ -121,7 +121,7 @@ func (c *checker) analyze(fi *flow.FuncInfo) *summary {
 	noNote := func(string) {}
 
 	// Goroutine bodies run on their own schedule (their blocking is the
-	// pump/drain protocol's business, checked by goroutinedrain), and
+	// pump/drain protocol's business, not the spawner's), and
 	// other function literals (cleanup closures, release funcs, stream
 	// callbacks) run at times this function doesn't control — neither
 	// contributes blocking to THIS function's summary, and their bodies

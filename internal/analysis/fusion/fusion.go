@@ -1,6 +1,6 @@
 // Package fusion holds the type-recognition helpers shared by the
 // gofusionlint analyzers: resolving the engine's Stream interface,
-// identifying sync/atomic fields, and locating packages in a
+// resolving callees and result types, and locating packages in a
 // type-checked import graph.
 package fusion
 
@@ -28,7 +28,7 @@ func IsStreamNamed(t types.Type) bool {
 // from pkg's import graph, or nil when the package (transitively)
 // never imports it.
 func StreamInterface(pkg *types.Package) *types.Interface {
-	cat := FindImport(pkg, StreamPkg)
+	cat := findImport(pkg, StreamPkg)
 	if cat == nil {
 		return nil
 	}
@@ -40,21 +40,11 @@ func StreamInterface(pkg *types.Package) *types.Interface {
 	return iface
 }
 
-// ImplementsStream reports whether t implements the engine Stream
-// interface (resolved through pkg's imports).
-func ImplementsStream(pkg *types.Package, t types.Type) bool {
-	iface := StreamInterface(pkg)
-	if iface == nil {
-		return false
-	}
-	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
-}
-
-// FindImport walks pkg's transitive imports for the given path,
+// findImport walks pkg's transitive imports for the given path,
 // returning nil when absent. The receiver package itself matches too,
 // so analyzers behave identically inside and outside the target
 // package.
-func FindImport(pkg *types.Package, path string) *types.Package {
+func findImport(pkg *types.Package, path string) *types.Package {
 	if pkg == nil {
 		return nil
 	}
@@ -76,40 +66,6 @@ func FindImport(pkg *types.Package, path string) *types.Package {
 		return nil
 	}
 	return walk(pkg)
-}
-
-// IsAtomicType reports whether t (after unaliasing) is one of the
-// sync/atomic wrapper types (atomic.Int64, atomic.Bool, ...).
-func IsAtomicType(t types.Type) bool {
-	n, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// IsAtomicFunc reports whether the called function object belongs to
-// sync/atomic (AddInt64, LoadInt64, ...).
-func IsAtomicFunc(obj types.Object) bool {
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// FieldOf resolves a selector expression to the struct field it reads
-// or writes, or nil when sel is not a field selection.
-func FieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	// Package-qualified or unqualified references resolve through Uses.
-	if obj, ok := info.Uses[sel.Sel]; ok {
-		if v, ok := obj.(*types.Var); ok && v.IsField() {
-			return v
-		}
-	}
-	return nil
 }
 
 // CalleeObj returns the object called by e's function expression

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -759,5 +760,38 @@ func TestPageCacheInvalidationUnderCopy(t *testing.T) {
 	}
 	if !strings.Contains(text, "page_cache: hits=") {
 		t.Fatalf("EXPLAIN ANALYZE missing page-cache line:\n%s", text)
+	}
+}
+
+// TestCollectContextCancelsAQueryInFlight collects a query over an
+// unsealed stream table, which waits for the next append, and cancels its
+// context: CollectContext must return the cancellation instead of waiting
+// for a write that never comes.
+func TestCollectContextCancelsAQueryInFlight(t *testing.T) {
+	s := NewSession(SessionConfig{})
+	if _, err := s.RegisterStream("live", streamSchema(), ""); err != nil {
+		t.Fatal(err)
+	}
+	df, err := s.SQL("SELECT a FROM live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := df.CollectContext(ctx)
+		done <- err
+	}()
+	// Let the query reach the stream's wait; a cancel that lands before
+	// it still passes, through collect's up-front ctx.Err check.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("CollectContext returned %v, want the cancellation", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("CollectContext still running 10s after its context was cancelled")
 	}
 }

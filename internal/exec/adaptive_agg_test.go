@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/memory"
@@ -249,6 +250,41 @@ func TestAdaptivePartialAggCancelMidPassThrough(t *testing.T) {
 	ctx.Wait() // join the exchange's producers: they close the partial aggregates
 	if held := pool.Reserved(); held != 0 {
 		t.Fatalf("%d bytes still reserved after the cancelled query", held)
+	}
+}
+
+// TestExchangeProducersGiveUpOnGoneConsumers runs a hash exchange with a
+// one-batch buffer whose output 0 reads one batch and closes and whose
+// output 1 is never opened, as when a query fails before all of its
+// partitions start. Producers must stop sending to the closed output, and
+// to the unopened one once the query is cancelled, so the query's cleanup
+// (cancel, then Wait) returns instead of waiting on a full channel forever.
+func TestExchangeProducersGiveUpOnGoneConsumers(t *testing.T) {
+	defer testutil.CheckNoGoroutineLeak(t)()
+	src := distinctParts(2, 8)
+	rep := &RepartitionExec{Input: src, Scheme: HashPartitioning, NumParts: 2,
+		HashExprs: []physical.PhysicalExpr{physical.NewColumnExpr(0, "id", arrow.Int64)}}
+	ctx := physical.NewExecContext()
+	qctx, cancel := context.WithCancel(context.Background())
+	ctx.Ctx, ctx.ExchangeBuffer = qctx, 1
+	s, err := rep.Execute(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Next(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	cancel()
+	joined := make(chan struct{})
+	go func() {
+		ctx.Wait()
+		close(joined)
+	}()
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatal("exchange producers still blocked after the query was cancelled")
 	}
 }
 

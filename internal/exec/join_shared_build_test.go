@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,5 +92,26 @@ func TestHashJoinSharedBuildOnce(t *testing.T) {
 		if all[i] != want[i] {
 			t.Fatalf("row %d: got %q, want %q", i, all[i], want[i])
 		}
+	}
+}
+
+// TestPartitionedBuildClosesItsInputOnCancel compiles a partitioned hash
+// join's probe in a query that is already cancelled: the build fails with
+// the cancellation, and it must close the left input it opened (a GPQ
+// scan's readahead goroutine would otherwise wait on it forever).
+func TestPartitionedBuildClosesItsInputOnCancel(t *testing.T) {
+	left := &closeCounter{ValuesExec: pushInput(2, 16, 4)}
+	id := physical.NewColumnExpr(0, "id", arrow.Int64)
+	j := NewHashJoinExec(left, pushInput(2, 16, 4), []JoinOn{{L: id, R: id}}, nil, logical.InnerJoin, PartitionedJoin)
+	ctx := physical.NewExecContext()
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx.Ctx = cctx
+	if p, err := j.PushInto(ctx, 0); err == nil {
+		p.Close()
+		t.Fatal("a cancelled query built its join table, want the cancellation")
+	}
+	if left.closes != 1 {
+		t.Fatalf("left input closed %d times after the failed build, want 1", left.closes)
 	}
 }

@@ -155,3 +155,37 @@ func TestTopKMergeCancel(t *testing.T) {
 		}
 	})
 }
+
+// closeCounter is a ValuesExec whose streams count their Close calls.
+type closeCounter struct {
+	*ValuesExec
+	closes int
+}
+
+func (c *closeCounter) Execute(ctx *physical.ExecContext, p int) (physical.Stream, error) {
+	s, err := c.ValuesExec.Execute(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	return NewFuncStream(s.Schema(), s.Next, func() {
+		c.closes++
+		s.Close()
+	}), nil
+}
+
+// TestSortUnencodableKeyClosesInput sorts on an interval column, a type
+// the row format cannot encode, so Execute fails after it opened its
+// input. It must close that input.
+func TestSortUnencodableKeyClosesInput(t *testing.T) {
+	schema := arrow.NewSchema(arrow.NewField("iv", arrow.Interval, false))
+	batch := arrow.NewRecordBatch(schema, []arrow.Array{arrow.NewInterval(make([]arrow.MonthDayMicro, 3), nil)})
+	in := &closeCounter{ValuesExec: NewValuesExec(schema, []*arrow.RecordBatch{batch})}
+	sort := &ExternalSortExec{Input: in, Keys: []SortSpec{{Expr: physical.NewColumnExpr(0, "iv", arrow.Interval)}}}
+	if s, err := sort.Execute(physical.NewExecContext(), 0); err == nil {
+		s.Close()
+		t.Fatal("sort on an interval key opened a stream, want the key encoder's error")
+	}
+	if in.closes != 1 {
+		t.Fatalf("input closed %d times after the failed Execute, want 1", in.closes)
+	}
+}

@@ -22,15 +22,19 @@ type bloomFilter struct {
 	m uint64
 }
 
+// maxBloomBytes caps a filter's bit array; the reader rejects a footer
+// entry above it.
+const maxBloomBytes = 256 * 1024
+
 // newBloomFilter sizes a filter for the expected number of distinct values
 // at roughly a 1% false positive rate (10 bits/value, 7 hashes), capped at
-// 256 KiB.
+// maxBloomBytes.
 func newBloomFilter(expected int64) *bloomFilter {
 	bits := expected * 10
 	if bits < 512 {
 		bits = 512
 	}
-	const maxBits = 256 * 1024 * 8
+	const maxBits = maxBloomBytes * 8
 	if bits > maxBits {
 		bits = maxBits
 	}

@@ -2,8 +2,11 @@ package parquet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -262,6 +265,64 @@ func TestBloomFilterPrunesImpossibleEquality(t *testing.T) {
 	}
 	if sc.RowGroupsPruned == 0 {
 		t.Fatal("bloom filter should have pruned the row group")
+	}
+}
+
+// TestHostileBloomEntryIsAFormatError hand-edits the Bloom filter entries
+// of a footer: a length the writer never makes, no hash functions, or
+// bytes outside the data section. Opening the file, or failing that an
+// equality scan with pruning on, must end in the format error, never in a
+// panic or a result.
+func TestHostileBloomEntryIsAFormatError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.gpq")
+	writeTestFile(t, path, 5000, DefaultWriterOptions())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataEnd := int64(len(data)) - 8 - int64(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	pred := &cmpPredicate{col: 1, op: compute.Eq, lit: arrow.StringScalar("name-0x")}
+	for _, tc := range []struct {
+		name string
+		edit func(b *bloomMeta)
+	}{
+		{"len-zero", func(b *bloomMeta) { b.Len = 0 }},
+		{"len-negative", func(b *bloomMeta) { b.Len = -8 }},
+		{"len-over-cap", func(b *bloomMeta) { b.Len = maxBloomBytes + 1 }},
+		{"no-hashes", func(b *bloomMeta) { b.NumHashes = 0 }},
+		{"negative-hashes", func(b *bloomMeta) { b.NumHashes = -3 }},
+		{"offset-negative", func(b *bloomMeta) { b.Offset = -1 }},
+		{"offset-in-magic", func(b *bloomMeta) { b.Offset = 0 }},
+		{"runs-into-footer", func(b *bloomMeta) { b.Offset = dataEnd - b.Len + 1 }},
+		{"offset-past-file", func(b *bloomMeta) { b.Offset = int64(len(data)) }},
+		{"offset-overflows", func(b *bloomMeta) { b.Offset = math.MaxInt64 }},
+	} {
+		edited := 0
+		path := rewriteFooter(t, path, func(ft *fileFooter) {
+			for _, g := range ft.RowGroups {
+				if b := g.Columns[pred.col].Bloom; b != nil {
+					tc.edit(b)
+					edited++
+				}
+			}
+		})
+		if edited == 0 {
+			t.Fatalf("%s: the file has no Bloom filter on column %d", tc.name, pred.col)
+		}
+		fr, err := OpenFile(path)
+		if err == nil {
+			var sc *Scanner
+			if sc, err = fr.Scan(ScanOptions{Predicate: pred, Limit: -1}); err == nil {
+				for err == nil {
+					_, err = sc.Next()
+				}
+				sc.Close()
+			}
+			fr.Close()
+		}
+		if !errors.Is(err, errFormat) {
+			t.Fatalf("%s: got %v, want the format error", tc.name, err)
+		}
 	}
 }
 

@@ -101,8 +101,8 @@ func NewReader(r io.ReaderAt, size int64) (*FileReader, error) {
 
 // ReadMetadata decodes only the footer of a GPQ file; catalogs use this to
 // plan without touching data pages. A footer of another format version,
-// or a row group that does not hold exactly one column chunk per schema
-// field, is a format error.
+// a row group that does not hold exactly one column chunk per schema
+// field, or a Bloom filter entry checkBloom rejects is a format error.
 func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	if size < int64(len(Magic))*2+4 {
 		return nil, errFormat
@@ -140,12 +140,35 @@ func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	if err != nil {
 		return nil, err
 	}
+	dataEnd := size - 8 - footerLen
 	for _, g := range footer.RowGroups {
 		if len(g.Columns) != schema.NumFields() {
 			return nil, errFormat
 		}
+		for _, col := range g.Columns {
+			if err := checkBloom(col.Bloom, dataEnd); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return &FileMetadata{Schema: schema, NumRows: footer.NumRows, KV: footer.KV, footer: &footer}, nil
+}
+
+// checkBloom rejects a Bloom filter entry the scanner could not probe: a
+// bit array that is empty or larger than the writer ever makes, no hash
+// functions, or bytes outside the data section [len(Magic), dataEnd).
+func checkBloom(b *bloomMeta, dataEnd int64) error {
+	switch {
+	case b == nil:
+		return nil
+	case b.Len <= 0 || b.Len > maxBloomBytes:
+		return fmt.Errorf("%w: Bloom filter of %d bytes", errFormat, b.Len)
+	case b.NumHashes < 1:
+		return fmt.Errorf("%w: Bloom filter with %d hashes", errFormat, b.NumHashes)
+	case b.Offset < int64(len(Magic)) || b.Offset > dataEnd-b.Len:
+		return fmt.Errorf("%w: Bloom filter at offset %d, %d bytes, outside the data section", errFormat, b.Offset, b.Len)
+	}
+	return nil
 }
 
 // Metadata returns the decoded file metadata.
