@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"gofusion/internal/arrow"
 	"gofusion/internal/core"
@@ -59,12 +60,11 @@ func main() {
 				}
 				fmt.Printf("  %-24s nulls=%-6d min=%-24s max=%s\n",
 					fr.Schema().Field(c).Name, stats.NullCount, min, max)
-				layout := chunkLayout(meta.ColumnChunkPages(rg, c))
-				if t := fr.Schema().Field(c).Type; t.BitWidth() > 0 && t.ID != arrow.BOOL {
-					// What the chunk decodes to, to judge the encoding by.
-					layout = fmt.Sprintf("decoded=%d %s", meta.RowGroupRows(rg)*int64(t.BitWidth()/8), layout)
+				width := 0
+				if t := fr.Schema().Field(c).Type; t.ID != arrow.BOOL {
+					width = t.BitWidth() / 8
 				}
-				fmt.Printf("  %-24s %s\n", "", layout)
+				fmt.Printf("  %-24s %s\n", "", chunkLayout(meta.ColumnChunkPages(rg, c), int64(width)))
 			}
 		}
 	case "head":
@@ -89,43 +89,46 @@ func main() {
 	}
 }
 
-// chunkLayout summarizes a chunk's pages as one "pages x encoding/codec
-// stored/raw" entry per distinct encoding and codec, in first-use order.
-// raw is the encoded page before the byte codec.
-func chunkLayout(pages []parquet.PageInfo) string {
+// chunkLayout summarizes a chunk's pages as one "pages x encoding
+// stored/decoded" entry per distinct encoding, in first-use order, after
+// the chunk's totals. Decoded bytes, what the pages decode to, are given
+// when each value takes width bytes; strings and booleans (width 0) show
+// stored bytes only.
+func chunkLayout(pages []parquet.PageInfo, width int64) string {
 	type group struct {
-		name               string
-		pages, stored, raw int64
+		name                string
+		pages, stored, rows int64
+	}
+	sizes := func(g *group) string {
+		if width == 0 {
+			return fmt.Sprint(g.stored)
+		}
+		return fmt.Sprintf("%d/%d", g.stored, g.rows*width)
 	}
 	var groups []*group
-	var stored, raw int64
+	var total group
 	for _, p := range pages {
 		name := p.Encoding
 		if p.Dict {
 			name = "dictionary:" + name
 		}
-		if p.Codec != "" {
-			name += "/" + p.Codec
+		i := slices.IndexFunc(groups, func(g *group) bool { return g.name == name })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, &group{name: name})
 		}
-		var g *group
-		for _, have := range groups {
-			if have.name == name {
-				g = have
-			}
+		for _, g := range []*group{groups[i], &total} {
+			g.pages++
+			g.stored += p.StoredBytes
+			g.rows += p.Rows
 		}
-		if g == nil {
-			g = &group{name: name}
-			groups = append(groups, g)
-		}
-		g.pages++
-		g.stored += p.StoredBytes
-		g.raw += p.RawBytes
-		stored += p.StoredBytes
-		raw += p.RawBytes
 	}
-	out := fmt.Sprintf("stored=%d raw=%d:", stored, raw)
+	out := "stored=" + sizes(&total) + ":"
+	if width > 0 {
+		out = "stored/decoded=" + sizes(&total) + ":"
+	}
 	for _, g := range groups {
-		out += fmt.Sprintf(" %dx%s %d/%d", g.pages, g.name, g.stored, g.raw)
+		out += fmt.Sprintf(" %dx%s %s", g.pages, g.name, sizes(g))
 	}
 	return out
 }

@@ -182,7 +182,7 @@ func (h *Harness) Close() {
 }
 
 // smallWriterOptions is the writer's default encoding (dictionary pages,
-// the LZ codec, bloom filters) over 64-row row groups of 32-row pages, so
+// bloom filters) over 64-row row groups of 32-row pages, so
 // tiny tables still span several row groups and pages.
 func smallWriterOptions() parquet.WriterOptions {
 	opts := parquet.DefaultWriterOptions()

@@ -1,9 +1,7 @@
 package parquet
 
 import (
-	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,7 +11,7 @@ import (
 	"gofusion/internal/arrow/compute"
 )
 
-func benchFile(b *testing.B, compression bool) string {
+func benchFile(b *testing.B) string {
 	b.Helper()
 	dir := b.TempDir()
 	path := filepath.Join(dir, "bench.gpq")
@@ -34,9 +32,7 @@ func benchFile(b *testing.B, compression bool) string {
 		}
 		batches = append(batches, arrow.NewRecordBatch(schema, []arrow.Array{ib.Finish(), sb.Finish(), fb.Finish()}))
 	}
-	opts := DefaultWriterOptions()
-	opts.Compression = compression
-	if err := WriteFile(path, schema, batches, opts); err != nil {
+	if err := WriteFile(path, schema, batches, DefaultWriterOptions()); err != nil {
 		b.Fatal(err)
 	}
 	return path
@@ -66,18 +62,8 @@ func scanAllBench(b *testing.B, path string, opts ScanOptions) int64 {
 	}
 }
 
-func BenchmarkFullScanUncompressed(b *testing.B) {
-	path := benchFile(b, false)
-	st, _ := os.Stat(path)
-	b.SetBytes(st.Size())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scanAllBench(b, path, ScanOptions{Limit: -1})
-	}
-}
-
-func BenchmarkFullScanCompressed(b *testing.B) {
-	path := benchFile(b, true)
+func BenchmarkFullScan(b *testing.B) {
+	path := benchFile(b)
 	st, _ := os.Stat(path)
 	b.SetBytes(st.Size())
 	b.ResetTimer()
@@ -87,7 +73,7 @@ func BenchmarkFullScanCompressed(b *testing.B) {
 }
 
 func BenchmarkSelectiveScanWithPruning(b *testing.B) {
-	path := benchFile(b, true)
+	path := benchFile(b)
 	pred := &cmpPredicateBench{col: 0, lit: arrow.Int64Scalar(99_000)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,7 +82,7 @@ func BenchmarkSelectiveScanWithPruning(b *testing.B) {
 }
 
 func BenchmarkSelectiveScanNoPruning(b *testing.B) {
-	path := benchFile(b, true)
+	path := benchFile(b)
 	pred := &cmpPredicateBench{col: 0, lit: arrow.Int64Scalar(99_000)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,7 +107,7 @@ func (p *cmpPredicateBench) KeepColumnStats(_ int, stats ColumnStats) bool {
 func (p *cmpPredicateBench) EqProbes() []EqProbe { return nil }
 
 // BenchmarkDecodePage decodes one 8192-row page per encoding x type x
-// codec; MB/s counts decoded (arrow) bytes.
+// value shape; MB/s counts decoded (arrow) bytes.
 func BenchmarkDecodePage(b *testing.B) {
 	pages := seedPages(b, 8192)
 	names := make([]string, 0, len(pages))
@@ -149,36 +135,3 @@ func BenchmarkDecodePage(b *testing.B) {
 }
 
 var benchSink arrow.Array
-
-// BenchmarkLZ runs the byte codec over one page of URLs shaped like the
-// ClickBench generator's URL column (skewed domains and page ids).
-func BenchmarkLZ(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	domains := []string{"example.com", "shop.example.org", "news.site.net", "google.com",
-		"mail.google.com", "maps.google.com", "video.host.tv", "blog.words.io"}
-	skewed := func(n int) int { u := rng.Float64(); return int(u * u * float64(n)) }
-	var urls []byte
-	for i := 0; i < 8192; i++ {
-		urls = fmt.Appendf(urls, "http://%s/p/%d", domains[skewed(len(domains))], skewed(100_000))
-	}
-	var table lzTable
-	block := lzCompress(nil, urls, &table)
-	b.Run("compress", func(b *testing.B) {
-		b.SetBytes(int64(len(urls)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			block = lzCompress(block[:0], urls, &table)
-		}
-		b.ReportMetric(float64(len(block))/float64(len(urls)), "ratio")
-	})
-	b.Run("decompress", func(b *testing.B) {
-		out := make([]byte, len(urls))
-		b.SetBytes(int64(len(urls)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := lzDecompress(out, block); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -17,15 +17,15 @@ import (
 // the same bytes at any GOMAXPROCS. A change here changes the file format
 // in practice and must be deliberate.
 var pinnedSums = map[string]string{
-	"customer": "c1f7a379daf50a81879a9705a3f55f0e2254d958bc9028ba4c4fac7f1313c4b3",
-	"hits":     "ef8ef0daa3578528cd9f2eebceae3f9ac572c0f2ff8330ec769d2d390ab7253b",
-	"lineitem": "c69aeb7a72a168438d605c1b831beb5542d21a8f14bbecb11acf66b2e28b2898",
-	"nation":   "d3090a742a20c776a628e753dc7014a75c249df58ba996d767532bd209278618",
-	"orders":   "d484db3cba3a0f22ce6575b808877e79641a79c550361ea107b3ebd99faa144e",
-	"part":     "9af4ce1568d28f7f8ff4ff429d43712d911c74dc944740ff4c77d229529c2d5a",
-	"partsupp": "4918888d6bb632657726cad7c365ff68562ffc4eac5a3f1fac877cb67248b09f",
-	"region":   "216d1c12b8859d05a8f1eefb6dfbd04db81869b2c1c7145a610878996bd0405f",
-	"supplier": "032010b38726d6c380222095394d24cefd8d205705fa19f460a96b18c70cbfc9",
+	"customer": "ac253d1c9ef56c9838b64fd1704cf34172f8c67875f7032400ecc64d1a00dc56",
+	"hits":     "e7955ae81c2fc78bc34220093fc41368dff1d438144411b199572da0d33a1441",
+	"lineitem": "93c084dc31dd3dccb20da437d035e2fe14bf71a42188b2d1688eaee83ba7ec69",
+	"nation":   "ad950d44ed727833c0d3f3e13febcf0e29ae7db3ef1e0776b5b3db7b044494ff",
+	"orders":   "2ac77e69ef04d3b94716453a41d63dc4b1db3b5912324926c8f58e41d4aea966",
+	"part":     "43c26cdaa1b1e018f45d9097daf284ebf77ac140cde3dad89f92fc6948d40f68",
+	"partsupp": "3b9bc08fb4772a0b70a5d75a6ebfb6da27e4573d5d4406dc1e58909c5f33ba56",
+	"region":   "7787f2ac76e0882a1aa701df763868c7ac21b9c8851a9e4b24fa3e878e12dde6",
+	"supplier": "045f3e9a10042f481fcd4174389715909da380fa25a3047b94b0a9b466705020",
 }
 
 func pinnedOptions() parquet.WriterOptions {

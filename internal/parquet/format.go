@@ -2,10 +2,11 @@
 // format standing in for Apache Parquet. A GPQ file contains row groups;
 // each row group contains one column chunk per field; each chunk contains
 // data pages (bit-packed, run-length, delta, delta-length or dictionary
-// encoded, the writer picking the smallest per page; value bytes
-// optionally LZ-compressed — see pages.go and lz.go) plus
+// encoded, the writer picking the smallest per page — see pages.go) plus
 // min/max/null-count statistics at page and chunk granularity, and an
-// optional Bloom filter. The reader implements projection,
+// optional Bloom filter. There is no byte codec: plain values and string
+// bytes are stored as arrow holds them, and a mapped file's pages are
+// read in place. The reader implements projection,
 // predicate and limit pushdown with page-level late materialization
 // (paper Section 6.8).
 //
@@ -27,7 +28,7 @@ const Magic = "GPQ1"
 
 // formatVersion is the footer version this package writes and the only
 // one it reads.
-const formatVersion = 2
+const formatVersion = 3
 
 // Encodings for data pages; pages.go gives the layouts.
 const (
@@ -37,12 +38,6 @@ const (
 	EncodingDelta    = "delta"
 	EncodingDeltaLen = "dlen"
 	EncodingDictPack = "dictpack"
-)
-
-// Codecs for page compression.
-const (
-	CodecNone = ""
-	CodecLZ   = "lz"
 )
 
 // statsValue is a JSON-friendly variant holding a typed min or max value.
@@ -166,8 +161,6 @@ type pageMeta struct {
 	NumRows  int64     `json:"rows"`
 	FirstRow int64     `json:"first"` // row index within the row group
 	Encoding string    `json:"enc"`
-	Codec    string    `json:"codec,omitempty"`
-	RawLen   int64     `json:"raw"`
 	Stats    statsMeta `json:"stats"`
 }
 
@@ -176,8 +169,6 @@ type dictMeta struct {
 	Len       int64  `json:"len"`
 	NumValues int64  `json:"n"`
 	Encoding  string `json:"enc"`
-	Codec     string `json:"codec,omitempty"`
-	RawLen    int64  `json:"raw"`
 }
 
 type bloomMeta struct {
@@ -269,11 +260,8 @@ type PageInfo struct {
 	// Dict marks the chunk's dictionary page (Rows is then its entries).
 	Dict        bool
 	Encoding    string
-	Codec       string
 	Rows        int64
 	StoredBytes int64
-	// RawBytes is the encoded page before the byte codec.
-	RawBytes int64
 }
 
 // ColumnChunkPages lists the pages of (rowGroup, col), the dictionary
@@ -282,12 +270,10 @@ func (m *FileMetadata) ColumnChunkPages(rg, col int) []PageInfo {
 	chunk := &m.footer.RowGroups[rg].Columns[col]
 	var out []PageInfo
 	if d := chunk.Dict; d != nil {
-		out = append(out, PageInfo{Dict: true, Encoding: d.Encoding, Codec: d.Codec,
-			Rows: d.NumValues, StoredBytes: d.Len, RawBytes: d.RawLen})
+		out = append(out, PageInfo{Dict: true, Encoding: d.Encoding, Rows: d.NumValues, StoredBytes: d.Len})
 	}
 	for _, p := range chunk.Pages {
-		out = append(out, PageInfo{Encoding: p.Encoding, Codec: p.Codec,
-			Rows: p.NumRows, StoredBytes: p.Len, RawBytes: p.RawLen})
+		out = append(out, PageInfo{Encoding: p.Encoding, Rows: p.NumRows, StoredBytes: p.Len})
 	}
 	return out
 }

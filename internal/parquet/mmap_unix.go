@@ -14,8 +14,8 @@ import (
 func mmapSupported() bool { return os.Getenv("GOFUSION_NO_MMAP") == "" }
 
 // Mapping is a read-only memory mapping of one GPQ file version. Decoded
-// arrays alias mapping bytes zero-copy (uncompressed page bodies feed
-// unsafe slice casts directly), so a mapping is NEVER unmapped: dropping
+// arrays alias mapping bytes zero-copy (page bodies feed unsafe slice
+// casts directly), so a mapping is NEVER unmapped: dropping
 // it would leave live arrays pointing at unmapped memory. Mappings are
 // process-lifetime, deduplicated per file version in a registry; a file
 // that changes on disk gets a fresh mapping under its new fingerprint and

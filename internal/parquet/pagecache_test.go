@@ -177,7 +177,7 @@ func TestPageCacheEvictionTightBudget(t *testing.T) {
 // open actually maps the file.
 func TestMmapFallbackEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
-	writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 2000, PageRows: 500, Compression: true, Dictionary: true})
+	writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 2000, PageRows: 500, Dictionary: true})
 
 	frA, err := OpenFile(path)
 	if err != nil {

@@ -25,17 +25,12 @@ import (
 //	dictpack  u8 width | n x dictionary index at width bits
 //
 // Packed sections are little-endian bit streams padded to a whole byte.
-// The "lz" codec applies to the value section only — the values of a
-// plain page, the string bytes of a dlen page — so a decoder reads the
-// header and lengths in place and decompresses straight into the arrow
-// buffer. A chunk's dictionary page is a dlen page.
+// There is no byte codec: a plain page's values and a dlen page's string
+// bytes are stored as the arrow buffer holds them, so a reader uses them
+// in place. A chunk's dictionary page is a dlen page.
 
-// lzMinValues is the smallest value section worth running the codec on.
-const lzMinValues = 64
-
-// encodedPage is one page ready to store: head is written as is, values
-// is the section the byte codec may compress (it may alias the source
-// array's buffers).
+// encodedPage is one page ready to store: head, then values (which may
+// alias the source array's buffers).
 type encodedPage struct {
 	encoding string
 	head     []byte
@@ -44,25 +39,8 @@ type encodedPage struct {
 
 // pageEncoder carries the writer's scratch buffers from page to page.
 type pageEncoder struct {
-	head  []byte
-	lens  []int32
-	lz    []byte
-	table lzTable
-}
-
-// compress runs the byte codec over a value section, keeping the result
-// only when it saves at least an eighth — less is not worth giving up the
-// zero-copy read of an uncompressed page. The result is valid until the
-// next call.
-func (e *pageEncoder) compress(values []byte) ([]byte, string) {
-	if len(values) < lzMinValues {
-		return values, CodecNone
-	}
-	e.lz = lzCompress(e.lz[:0], values, &e.table)
-	if len(e.lz) > len(values)-len(values)/8 {
-		return values, CodecNone
-	}
-	return e.lz, CodecLZ
+	head []byte
+	lens []int32
 }
 
 func appendPageHeader(dst []byte, n int, valid arrow.Bitmap) []byte {
@@ -260,14 +238,11 @@ func encodeIntsAs[T packable](head []byte, enc string, vs []T, st intStats) enco
 
 // decodePage decodes one stored page — a data page, or a chunk's
 // dictionary page — of rows values into an arrow array. Fixed-width
-// values of an uncompressed plain page and the bytes of an uncompressed
-// string page alias stored; everything else is decoded into exactly
-// sized buffers. Truncated or corrupt input, and an encoding or codec
-// this format version does not write, return an error wrapping errFormat.
-func decodePage(stored []byte, enc, codec string, rows int, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
-	if codec != CodecNone && codec != CodecLZ {
-		return nil, fmt.Errorf("%w: unknown codec %q", errFormat, codec)
-	}
+// values of a plain page and the bytes of a string page alias stored;
+// everything else is decoded into exactly sized buffers. Truncated or
+// corrupt input, and an encoding this format version does not write,
+// return an error wrapping errFormat.
+func decodePage(stored []byte, enc string, rows int, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
 	if len(stored) < 8 {
 		return nil, errFormat
 	}
@@ -284,83 +259,52 @@ func decodePage(stored []byte, enc, codec string, rows int, t *arrow.DataType, d
 
 	switch t.ID {
 	case arrow.INT8:
-		return decodeIntPage[int8](rest, enc, codec, n, valid, t)
+		return decodeIntPage[int8](rest, enc, n, valid, t)
 	case arrow.INT16:
-		return decodeIntPage[int16](rest, enc, codec, n, valid, t)
+		return decodeIntPage[int16](rest, enc, n, valid, t)
 	case arrow.INT32, arrow.DATE32:
-		return decodeIntPage[int32](rest, enc, codec, n, valid, t)
+		return decodeIntPage[int32](rest, enc, n, valid, t)
 	case arrow.INT64, arrow.TIMESTAMP, arrow.DECIMAL:
-		return decodeIntPage[int64](rest, enc, codec, n, valid, t)
+		return decodeIntPage[int64](rest, enc, n, valid, t)
 	case arrow.UINT8:
-		return decodeIntPage[uint8](rest, enc, codec, n, valid, t)
+		return decodeIntPage[uint8](rest, enc, n, valid, t)
 	case arrow.UINT16:
-		return decodeIntPage[uint16](rest, enc, codec, n, valid, t)
+		return decodeIntPage[uint16](rest, enc, n, valid, t)
 	case arrow.UINT32:
-		return decodeIntPage[uint32](rest, enc, codec, n, valid, t)
+		return decodeIntPage[uint32](rest, enc, n, valid, t)
 	case arrow.UINT64:
-		return decodeIntPage[uint64](rest, enc, codec, n, valid, t)
+		return decodeIntPage[uint64](rest, enc, n, valid, t)
 	case arrow.FLOAT32:
-		return decodePlainPage[float32](rest, enc, codec, n, valid, t)
+		return decodePlainPage[float32](rest, enc, n, valid, t)
 	case arrow.FLOAT64:
-		return decodePlainPage[float64](rest, enc, codec, n, valid, t)
+		return decodePlainPage[float64](rest, enc, n, valid, t)
 	case arrow.BOOL:
-		if enc != EncodingPlain {
+		if enc != EncodingPlain || len(rest) != (n+7)/8 {
 			return nil, errFormat
 		}
-		vals, err := decodeValues(rest, codec, (n+7)/8)
-		if err != nil {
-			return nil, err
-		}
-		return arrow.NewBool(arrow.Bitmap(vals), valid, n), nil
+		return arrow.NewBool(arrow.Bitmap(rest), valid, n), nil
 	case arrow.STRING, arrow.BINARY:
 		switch enc {
 		case EncodingDeltaLen:
-			return decodeDeltaLenPage(rest, codec, n, valid, t)
+			return decodeDeltaLenPage(rest, n, valid, t)
 		case EncodingDictPack:
-			return decodeDictPackPage(rest, codec, n, valid, dict, t)
+			return decodeDictPackPage(rest, n, valid, dict, t)
 		}
 		return nil, fmt.Errorf("%w: unknown string encoding %q", errFormat, enc)
 	}
-	return nil, fmt.Errorf("parquet: unsupported page type %s", t)
+	return nil, fmt.Errorf("%w: unsupported page type %s", errFormat, t)
 }
 
-// decodeValues returns the size-byte value section held in rest: rest
-// itself when uncompressed, else a fresh buffer the block is decoded
-// into.
-func decodeValues(rest []byte, codec string, size int) ([]byte, error) {
-	if codec == CodecNone {
-		if len(rest) != size {
-			return nil, errFormat
-		}
-		return rest, nil
-	}
-	if size > len(rest)*lzMaxRatio {
+func decodePlainPage[T arrow.Number](rest []byte, enc string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
+	if enc != EncodingPlain || len(rest) != n*t.BitWidth()/8 {
 		return nil, errFormat
 	}
-	out := make([]byte, size)
-	if err := lzDecompress(out, rest); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return arrow.NewNumeric(t, arrow.BytesToNumeric[T](rest), valid), nil
 }
 
-func decodePlainPage[T arrow.Number](rest []byte, enc, codec string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
-	if enc != EncodingPlain {
-		return nil, errFormat
-	}
-	raw, err := decodeValues(rest, codec, n*t.BitWidth()/8)
-	if err != nil {
-		return nil, err
-	}
-	return arrow.NewNumeric(t, arrow.BytesToNumeric[T](raw), valid), nil
-}
-
-func decodeIntPage[T packable](rest []byte, enc, codec string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
+func decodeIntPage[T packable](rest []byte, enc string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
 	if enc == EncodingPlain {
-		return decodePlainPage[T](rest, enc, codec, n, valid, t)
-	}
-	if codec != CodecNone {
-		return nil, errFormat
+		return decodePlainPage[T](rest, enc, n, valid, t)
 	}
 	var vals []T
 	switch enc {
@@ -437,7 +381,7 @@ func unpackOffsets(rest []byte, n int) ([]int32, []byte, error) {
 	return offsets, rest[1+size:], nil
 }
 
-func decodeDeltaLenPage(rest []byte, codec string, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
+func decodeDeltaLenPage(rest []byte, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
 	offsets, rest, err := unpackOffsets(rest, n)
 	if err != nil {
 		return nil, err
@@ -451,15 +395,14 @@ func decodeDeltaLenPage(rest []byte, codec string, n int, valid arrow.Bitmap, t 
 		}
 		offsets[i] = int32(total)
 	}
-	data, err := decodeValues(rest, codec, int(total))
-	if err != nil {
-		return nil, err
+	if int64(len(rest)) != total {
+		return nil, errFormat
 	}
-	return arrow.NewString(t, offsets, data, valid), nil
+	return arrow.NewString(t, offsets, rest, valid), nil
 }
 
-func decodeDictPackPage(rest []byte, codec string, n int, valid arrow.Bitmap, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
-	if codec != CodecNone || dict == nil {
+func decodeDictPackPage(rest []byte, n int, valid arrow.Bitmap, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
+	if dict == nil {
 		return nil, errFormat
 	}
 	offsets, rest, err := unpackOffsets(rest, n)

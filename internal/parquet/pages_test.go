@@ -157,24 +157,19 @@ func assertArraysEqual(t testing.TB, want, got arrow.Array) {
 type storedPage struct {
 	bytes []byte
 	enc   string
-	codec string
 	rows  int
 	typ   *arrow.DataType
 	dict  *arrow.StringArray
 }
 
 func (p storedPage) decode() (arrow.Array, error) {
-	return decodePage(p.bytes, p.enc, p.codec, p.rows, p.typ, p.dict)
+	return decodePage(p.bytes, p.enc, p.rows, p.typ, p.dict)
 }
 
-// store lays an encoded page out as the writer does.
-func store(e *pageEncoder, p encodedPage, compress bool, a arrow.Array) storedPage {
-	values, codec := p.values, CodecNone
-	if compress {
-		values, codec = e.compress(values)
-	}
-	out := append(append([]byte(nil), p.head...), values...)
-	return storedPage{bytes: out, enc: p.encoding, codec: codec, rows: a.Len(), typ: a.DataType()}
+// store lays an encoded page of a out as the writer does.
+func store(p encodedPage, a arrow.Array) storedPage {
+	out, _ := appendPage(nil, p)
+	return storedPage{bytes: out, enc: p.encoding, rows: a.Len(), typ: a.DataType()}
 }
 
 // encodeAs encodes a with enc; integer encodings that cannot represent
@@ -214,9 +209,8 @@ func encodeIntsForced[T packable](head []byte, enc string, vs []T) (encodedPage,
 var allEncodings = []string{EncodingPlain, EncodingBitPack, EncodingRLE, EncodingDelta, EncodingDeltaLen}
 
 // TestPageRoundTrip encodes every type with every encoding that can hold
-// it, over every value shape, null pattern and page size, compressed and
-// not, whole and sliced, and requires the decoded array to equal the
-// input.
+// it, over every value shape, null pattern and page size, whole and
+// sliced, and requires the decoded array to equal the input.
 func TestPageRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var e pageEncoder
@@ -235,22 +229,19 @@ func TestPageRoundTrip(t *testing.T) {
 							if !ok {
 								continue
 							}
-							for _, compress := range []bool{false, true} {
-								sp := store(&e, p, compress, a)
-								got, err := sp.decode()
-								if err != nil {
-									t.Fatalf("%s %s nulls=%s n=%d %s/%s: %v", typ, shape, nulls, n, enc, sp.codec, err)
-								}
-								assertArraysEqual(t, a, got)
-								covered[enc+"/"+sp.codec] = true
+							got, err := store(p, a).decode()
+							if err != nil {
+								t.Fatalf("%s %s nulls=%s n=%d %s: %v", typ, shape, nulls, n, enc, err)
 							}
+							assertArraysEqual(t, a, got)
+							covered[enc] = true
 						}
 						// The writer's own choice round-trips too.
 						p, err := e.encode(a)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := store(&e, p, true, a).decode()
+						got, err := store(p, a).decode()
 						if err != nil {
 							t.Fatalf("%s %s nulls=%s n=%d chosen %s: %v", typ, shape, nulls, n, p.encoding, err)
 						}
@@ -260,7 +251,7 @@ func TestPageRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"plain/", "plain/lz", "bitpack/", "rle/", "delta/", "dlen/", "dlen/lz"} {
+	for _, want := range allEncodings {
 		if !covered[want] {
 			t.Errorf("no page exercised %s", want)
 		}
@@ -295,7 +286,7 @@ func TestDictPageRoundTrip(t *testing.T) {
 				want.Append(dict.Value(int(indexes[i])))
 			}
 			wantArr := want.Finish()
-			sp := store(&e, e.encodeDictIndexes(indexes, valid, dictLen), true, wantArr)
+			sp := store(e.encodeDictIndexes(indexes, valid, dictLen), wantArr)
 			sp.dict = dict
 			got, err := sp.decode()
 			if err != nil {
@@ -320,20 +311,19 @@ func TestWriterEncodingSelection(t *testing.T) {
 		noise[i] = rng.NormFloat64()
 	}
 	cases := []struct {
-		name  string
-		arr   arrow.Array
-		enc   string
-		codec string
+		name string
+		arr  arrow.Array
+		enc  string
 	}{
-		{"constant", genArray(rng, arrow.Int32, n, shapeConstant, "none"), EncodingRLE, CodecNone},
-		{"long runs", genArray(rng, arrow.Int16, n, shapeRuns, "none"), EncodingRLE, CodecNone},
-		{"small range", genArray(rng, arrow.Int64, n, shapeSmall, "none"), EncodingBitPack, CodecNone},
-		{"sorted", genArray(rng, arrow.Timestamp, n, shapeSorted, "none"), EncodingDelta, CodecNone},
-		{"random", genArray(rng, arrow.Int64, n, shapeRandom, "none"), EncodingPlain, CodecNone},
-		{"extremes", genArray(rng, arrow.Int64, n, shapeExtremes, "none"), EncodingDelta, CodecNone},
-		{"repeated floats", genArray(rng, arrow.Float64, n, shapeRuns, "none"), EncodingPlain, CodecLZ},
-		{"noise floats", arrow.NewNumeric(arrow.Float64, noise, nil), EncodingPlain, CodecNone},
-		{"urls", urls.Finish(), EncodingDeltaLen, CodecLZ},
+		{"constant", genArray(rng, arrow.Int32, n, shapeConstant, "none"), EncodingRLE},
+		{"long runs", genArray(rng, arrow.Int16, n, shapeRuns, "none"), EncodingRLE},
+		{"small range", genArray(rng, arrow.Int64, n, shapeSmall, "none"), EncodingBitPack},
+		{"sorted", genArray(rng, arrow.Timestamp, n, shapeSorted, "none"), EncodingDelta},
+		{"random", genArray(rng, arrow.Int64, n, shapeRandom, "none"), EncodingPlain},
+		{"extremes", genArray(rng, arrow.Int64, n, shapeExtremes, "none"), EncodingDelta},
+		{"repeated floats", genArray(rng, arrow.Float64, n, shapeRuns, "none"), EncodingPlain},
+		{"noise floats", arrow.NewNumeric(arrow.Float64, noise, nil), EncodingPlain},
+		{"urls", urls.Finish(), EncodingDeltaLen},
 	}
 	var e pageEncoder
 	for _, c := range cases {
@@ -341,145 +331,47 @@ func TestWriterEncodingSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := store(&e, p, true, c.arr)
-		if sp.enc != c.enc || sp.codec != c.codec {
-			t.Errorf("%s: writer chose %s/%q, want %s/%q", c.name, sp.enc, sp.codec, c.enc, c.codec)
+		if p.encoding != c.enc {
+			t.Errorf("%s: writer chose %s, want %s", c.name, p.encoding, c.enc)
 		}
 	}
 
 	// Through the file writer: a low-cardinality string column is
-	// dictionary encoded with packed indexes, nothing is written as a
-	// version 1 page, and compression off means no codec anywhere.
-	for _, compression := range []bool{true, false} {
-		path := filepath.Join(t.TempDir(), "t.gpq")
-		writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 5000, Dictionary: true, Compression: compression})
-		fr, err := OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta := fr.Metadata()
-		if meta.footer.Version != formatVersion {
-			t.Fatalf("footer version %d, want %d", meta.footer.Version, formatVersion)
-		}
-		for col, want := range []string{EncodingDelta, EncodingDictPack, EncodingPlain, EncodingPlain, EncodingBitPack} {
-			for _, p := range meta.ColumnChunkPages(0, col) {
-				if !p.Dict && p.Encoding != want {
-					t.Errorf("column %d: page encoded %s, want %s", col, p.Encoding, want)
-				}
-				if p.Codec == v1CodecFlate || (!compression && p.Codec != CodecNone) {
-					t.Errorf("column %d: page codec %q with Compression=%v", col, p.Codec, compression)
-				}
+	// dictionary encoded with packed indexes, its dictionary page is a
+	// dlen page, and the footer names this format version.
+	path := filepath.Join(t.TempDir(), "t.gpq")
+	writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 5000, Dictionary: true})
+	fr, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	meta := fr.Metadata()
+	if meta.footer.Version != formatVersion {
+		t.Fatalf("footer version %d, want %d", meta.footer.Version, formatVersion)
+	}
+	for col, want := range []string{EncodingDelta, EncodingDictPack, EncodingPlain, EncodingPlain, EncodingBitPack} {
+		for _, p := range meta.ColumnChunkPages(0, col) {
+			enc := want
+			if p.Dict {
+				enc = EncodingDeltaLen
+			}
+			if p.Encoding != enc {
+				t.Errorf("column %d: page (dictionary %v) encoded %s, want %s", col, p.Dict, p.Encoding, enc)
 			}
 		}
-		fr.Close()
 	}
 }
 
-func lzRoundTrip(t *testing.T, name string, src []byte) []byte {
-	t.Helper()
-	var table lzTable
-	block := lzCompress(nil, src, &table)
-	out := make([]byte, len(src))
-	if err := lzDecompress(out, block); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	if !bytes.Equal(out, src) {
-		t.Fatalf("%s: round trip differs", name)
-	}
-	return block
-}
-
-func TestLZRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	random := make([]byte, 100_000)
-	rng.Read(random)
-	if block := lzRoundTrip(t, "incompressible", random); len(block) > len(random)+len(random)/255+16 {
-		t.Errorf("incompressible input grew from %d to %d", len(random), len(block))
-	}
-	if block := lzRoundTrip(t, "zeros", make([]byte, 100_000)); len(block) > 500 {
-		t.Errorf("100000 zeros compressed to %d bytes", len(block))
-	}
-	// Matches whose offset is shorter than their length.
-	for _, period := range []int{1, 2, 3, 5, 15, 16, 17} {
-		pattern := make([]byte, 0, 10_000)
-		for i := 0; len(pattern) < cap(pattern); i++ {
-			pattern = append(pattern, byte('a'+i%period))
-		}
-		if block := lzRoundTrip(t, fmt.Sprintf("period %d", period), pattern); len(block) > 100 {
-			t.Errorf("period %d: 10000 bytes compressed to %d", period, len(block))
-		}
-	}
-	var text []byte
-	for i := 0; i < 5000; i++ {
-		text = append(text, fmt.Sprintf("http://shop.example.org/p/%d", rng.Intn(100_000))...)
-	}
-	if block := lzRoundTrip(t, "urls", text); len(block) > len(text)/2 {
-		t.Errorf("urls compressed %d to only %d", len(text), len(block))
-	}
-	// Every short length, so the end-of-block rules meet every boundary.
-	for n := 0; n < 300; n++ {
-		lzRoundTrip(t, fmt.Sprintf("zeros[%d]", n), make([]byte, n))
-		lzRoundTrip(t, fmt.Sprintf("random[%d]", n), random[:n])
-		lzRoundTrip(t, fmt.Sprintf("text[%d]", n), text[:n])
-	}
-	// Random mixes of literal runs and copies of earlier output.
-	for round := 0; round < 200; round++ {
-		var src []byte
-		for len(src) < 1+rng.Intn(5000) {
-			if len(src) > 0 && rng.Intn(2) == 0 {
-				from := rng.Intn(len(src))
-				for i, k := 0, 1+rng.Intn(400); i < k; i++ {
-					src = append(src, src[from+i]) // may run into what it appends
-				}
-			} else {
-				lit := make([]byte, 1+rng.Intn(40))
-				rng.Read(lit)
-				src = append(src, lit...)
-			}
-		}
-		lzRoundTrip(t, "mixed", src)
-	}
-}
-
-func TestLZRejectsMalformed(t *testing.T) {
-	cases := []struct {
-		name  string
-		block []byte
-		size  int
-	}{
-		{"empty block", nil, 0},
-		{"literals past the block", []byte{0x50, 'a', 'b'}, 5},
-		{"literals past the output", []byte{0x50, 'a', 'b', 'c', 'd', 'e'}, 3},
-		{"output left unfilled", []byte{0x20, 'a', 'b'}, 5},
-		{"offset zero", []byte{0x10, 'a', 0, 0, 0x00}, 8},
-		{"offset before the output", []byte{0x10, 'a', 2, 0, 0x00}, 8},
-		{"match past the output", []byte{0x1F, 'a', 1, 0, 200, 0x00}, 8},
-		{"offset cut short", []byte{0x10, 'a', 1}, 8},
-		{"match length cut short", []byte{0x1F, 'a', 1, 0, 255}, 600},
-		{"literal length cut short", []byte{0xF0, 255}, 600},
-		{"ends on a match", []byte{0x10, 'a', 1, 0}, 5},
-	}
-	for _, c := range cases {
-		if err := lzDecompress(make([]byte, c.size), c.block); err == nil {
-			t.Errorf("%s: decoded without error", c.name)
-		}
-	}
-	// And the well-formed neighbour of those blocks does decode.
-	out := make([]byte, 6)
-	if err := lzDecompress(out, []byte{0x11, 'a', 1, 0, 0x00}); err != nil || string(out) != "aaaaaa" {
-		t.Fatalf("valid block: %q, %v", out, err)
-	}
-}
-
-// seedPages returns one stored n-row page per encoding x type x codec the
-// writer produces. They seed the fuzz target, the corruption test and
-// the decode benchmark.
+// seedPages returns one stored n-row page per encoding x type x value
+// shape the writer produces. They seed the fuzz target, the corruption
+// test and the decode benchmark.
 func seedPages(t testing.TB, n int) map[string]storedPage {
 	rng := rand.New(rand.NewSource(5))
 	var e pageEncoder
 	pages := map[string]storedPage{}
 	// Each encoding gets the value shape it is chosen for; plain also gets
-	// runs, which the byte codec shrinks.
+	// runs.
 	shapesFor := map[string][]string{
 		EncodingPlain:    {shapeRandom, shapeRuns},
 		EncodingBitPack:  {shapeSmall},
@@ -492,8 +384,7 @@ func seedPages(t testing.TB, n int) map[string]storedPage {
 			for _, shape := range shapesFor[enc] {
 				a := genArray(rng, typ, n, shape, "some")
 				if p, ok := encodeAs(&e, a, enc); ok {
-					sp := store(&e, p, true, a)
-					pages[fmt.Sprintf("%s/%s/%s", typ, enc, sp.codec)] = sp
+					pages[fmt.Sprintf("%s/%s/%s", typ, enc, shape)] = store(p, a)
 				}
 			}
 		}
@@ -504,9 +395,9 @@ func seedPages(t testing.TB, n int) map[string]storedPage {
 	for i := range indexes {
 		indexes[i] %= uint32(dict.Len())
 	}
-	sp := store(&e, e.encodeDictIndexes(indexes, valid, dict.Len()), true, arrow.NewNull(n))
+	sp := store(e.encodeDictIndexes(indexes, valid, dict.Len()), arrow.NewNull(n))
 	sp.typ, sp.dict = arrow.String, dict
-	pages["string/dictpack/"] = sp
+	pages["string/dictpack/"+shapeRandom] = sp
 
 	return pages
 }
@@ -549,7 +440,7 @@ func TestCorruptPagesReturnErrors(t *testing.T) {
 	// Dictionary indexes past the dictionary are an error, not a panic.
 	dict := arrow.NewStringFromSlice([]string{"a", "b"})
 	var e pageEncoder
-	sp := store(&e, e.encodeDictIndexes([]uint32{0, 1, 3, 1}, nil, 4), false, arrow.NewNull(4))
+	sp := store(e.encodeDictIndexes([]uint32{0, 1, 3, 1}, nil, 4), arrow.NewNull(4))
 	sp.typ, sp.dict = arrow.String, dict
 	if _, err := sp.decode(); err == nil {
 		t.Fatal("dictionary index out of range decoded")

@@ -55,7 +55,7 @@ func makeBatch(start, n int) *arrow.RecordBatch {
 	})
 }
 
-func writeTestFile(t *testing.T, path string, numRows int, opts WriterOptions) {
+func writeTestFile(t testing.TB, path string, numRows int, opts WriterOptions) {
 	t.Helper()
 	var batches []*arrow.RecordBatch
 	for start := 0; start < numRows; start += 1000 {
@@ -91,43 +91,41 @@ func scanAll(t *testing.T, sc *Scanner) *arrow.RecordBatch {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	for _, compression := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "t.gpq")
-		opts := WriterOptions{RowGroupRows: 3000, PageRows: 500, Compression: compression, Dictionary: true, BloomFilters: true}
-		writeTestFile(t, path, 10000, opts)
+	path := filepath.Join(t.TempDir(), "t.gpq")
+	opts := WriterOptions{RowGroupRows: 3000, PageRows: 500, Dictionary: true, BloomFilters: true}
+	writeTestFile(t, path, 10000, opts)
 
-		fr, err := OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fr.Close()
-		if fr.NumRows() != 10000 {
-			t.Fatalf("rows = %d", fr.NumRows())
-		}
-		if fr.Metadata().NumRowGroups() != 4 {
-			t.Fatalf("row groups = %d", fr.Metadata().NumRowGroups())
-		}
-		if !fr.Schema().Equal(testSchema()) {
-			t.Fatal("schema mismatch")
-		}
-		sc, err := fr.Scan(ScanOptions{Limit: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := scanAll(t, sc)
-		want, err := compute.ConcatBatches(testSchema(), []*arrow.RecordBatch{makeBatch(0, 10000)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NumRows() != want.NumRows() {
-			t.Fatalf("rows: got %d want %d", got.NumRows(), want.NumRows())
-		}
-		for c := 0; c < want.NumCols(); c++ {
-			for r := 0; r < want.NumRows(); r += 37 {
-				g, w := got.Column(c).GetScalar(r), want.Column(c).GetScalar(r)
-				if !g.Equal(w) {
-					t.Fatalf("compression=%v col %d row %d: got %v want %v", compression, c, r, g, w)
-				}
+	fr, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	if fr.NumRows() != 10000 {
+		t.Fatalf("rows = %d", fr.NumRows())
+	}
+	if fr.Metadata().NumRowGroups() != 4 {
+		t.Fatalf("row groups = %d", fr.Metadata().NumRowGroups())
+	}
+	if !fr.Schema().Equal(testSchema()) {
+		t.Fatal("schema mismatch")
+	}
+	sc, err := fr.Scan(ScanOptions{Limit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := scanAll(t, sc)
+	want, err := compute.ConcatBatches(testSchema(), []*arrow.RecordBatch{makeBatch(0, 10000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != want.NumRows() {
+		t.Fatalf("rows: got %d want %d", got.NumRows(), want.NumRows())
+	}
+	for c := 0; c < want.NumCols(); c++ {
+		for r := 0; r < want.NumRows(); r += 37 {
+			g, w := got.Column(c).GetScalar(r), want.Column(c).GetScalar(r)
+			if !g.Equal(w) {
+				t.Fatalf("col %d row %d: got %v want %v", c, r, g, w)
 			}
 		}
 	}
@@ -268,12 +266,35 @@ func TestBloomFilterPrunesImpossibleEquality(t *testing.T) {
 	}
 }
 
-// TestHostileBloomEntryIsAFormatError hand-edits the Bloom filter entries
-// of a footer: a length the writer never makes, no hash functions, or
-// bytes outside the data section. Opening the file, or failing that an
-// equality scan with pruning on, must end in the format error, never in a
-// panic or a result.
-func TestHostileBloomEntryIsAFormatError(t *testing.T) {
+// drain runs a scan of fr to its end and returns the rows it produced and
+// the error that ended it, nil at the end of the scan.
+func drain(fr *FileReader, opts ScanOptions) (int, error) {
+	sc, err := fr.Scan(opts)
+	if err != nil {
+		return 0, err
+	}
+	defer sc.Close()
+	rows := 0
+	for {
+		b, err := sc.Next()
+		if err == io.EOF {
+			return rows, nil
+		}
+		if err != nil {
+			return rows, err
+		}
+		rows += b.NumRows()
+	}
+}
+
+// TestHostileFooterEntryIsAFormatError hand-edits the Bloom filter, page
+// and dictionary page entries of a footer: a length or count the writer
+// never makes, no hash functions, or bytes outside the data section.
+// Opened through NewReader and through OpenFile, the file must fail to
+// open or an equality scan with pruning on must end in the format error,
+// never in a panic or a result. The scanned value is in the file, so a
+// Bloom filter does not stop the scan before it reads the pages.
+func TestHostileFooterEntryIsAFormatError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
 	writeTestFile(t, path, 5000, DefaultWriterOptions())
 	data, err := os.ReadFile(path)
@@ -281,48 +302,125 @@ func TestHostileBloomEntryIsAFormatError(t *testing.T) {
 		t.Fatal(err)
 	}
 	dataEnd := int64(len(data)) - 8 - int64(binary.LittleEndian.Uint32(data[len(data)-8:]))
-	pred := &cmpPredicate{col: 1, op: compute.Eq, lit: arrow.StringScalar("name-0x")}
-	for _, tc := range []struct {
-		name string
-		edit func(b *bloomMeta)
-	}{
-		{"len-zero", func(b *bloomMeta) { b.Len = 0 }},
-		{"len-negative", func(b *bloomMeta) { b.Len = -8 }},
-		{"len-over-cap", func(b *bloomMeta) { b.Len = maxBloomBytes + 1 }},
-		{"no-hashes", func(b *bloomMeta) { b.NumHashes = 0 }},
-		{"negative-hashes", func(b *bloomMeta) { b.NumHashes = -3 }},
-		{"offset-negative", func(b *bloomMeta) { b.Offset = -1 }},
-		{"offset-in-magic", func(b *bloomMeta) { b.Offset = 0 }},
-		{"runs-into-footer", func(b *bloomMeta) { b.Offset = dataEnd - b.Len + 1 }},
-		{"offset-past-file", func(b *bloomMeta) { b.Offset = int64(len(data)) }},
-		{"offset-overflows", func(b *bloomMeta) { b.Offset = math.MaxInt64 }},
-	} {
-		edited := 0
-		path := rewriteFooter(t, path, func(ft *fileFooter) {
-			for _, g := range ft.RowGroups {
-				if b := g.Columns[pred.col].Bloom; b != nil {
-					tc.edit(b)
-					edited++
+	pred := &cmpPredicate{col: 1, op: compute.Eq, lit: arrow.StringScalar("name-05")}
+
+	type edit func(c *columnChunkMeta)
+	cases := map[string]edit{
+		"bloom/len-over-cap":    func(c *columnChunkMeta) { c.Bloom.Len = maxBloomBytes + 1 },
+		"bloom/no-hashes":       func(c *columnChunkMeta) { c.Bloom.NumHashes = 0 },
+		"bloom/negative-hashes": func(c *columnChunkMeta) { c.Bloom.NumHashes = -3 },
+		"page/rows-negative":    func(c *columnChunkMeta) { c.Pages[0].NumRows = -1 },
+		"dict/values-negative":  func(c *columnChunkMeta) { c.Dict.NumValues = -1 },
+	}
+	// Every entry's bytes must be non-empty and inside the data section.
+	spans := map[string]func(off, n *int64){
+		"len-zero":         func(off, n *int64) { *n = 0 },
+		"len-negative":     func(off, n *int64) { *n = -5 },
+		"offset-negative":  func(off, n *int64) { *off = -1 },
+		"offset-in-magic":  func(off, n *int64) { *off = 0 },
+		"runs-into-footer": func(off, n *int64) { *off = dataEnd - *n + 1 },
+		"offset-past-file": func(off, n *int64) { *off = 1 << 40 },
+		"offset-overflows": func(off, n *int64) { *off = math.MaxInt64 },
+	}
+	for name, span := range spans {
+		cases["bloom/"+name] = func(c *columnChunkMeta) { span(&c.Bloom.Offset, &c.Bloom.Len) }
+		cases["page/"+name] = func(c *columnChunkMeta) { span(&c.Pages[0].Offset, &c.Pages[0].Len) }
+		cases["dict/"+name] = func(c *columnChunkMeta) { span(&c.Dict.Offset, &c.Dict.Len) }
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			edited := rewriteFooter(t, path, func(ft *fileFooter) {
+				for _, g := range ft.RowGroups {
+					if c := &g.Columns[pred.col]; c.Bloom == nil || c.Dict == nil {
+						t.Fatalf("column %d has no Bloom filter or no dictionary", pred.col)
+					} else {
+						tc(c)
+					}
+				}
+			})
+			file, err := os.ReadFile(edited)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opens := map[string]func() (*FileReader, error){
+				"NewReader": func() (*FileReader, error) { return NewReader(bytes.NewReader(file), int64(len(file))) },
+				"OpenFile":  func() (*FileReader, error) { return OpenFile(edited) },
+			}
+			for how, open := range opens {
+				fr, err := open()
+				rows := 0
+				if err == nil {
+					rows, err = drain(fr, ScanOptions{Predicate: pred, Limit: -1})
+					fr.Close()
+				}
+				if !errors.Is(err, errFormat) {
+					t.Errorf("%s: %d rows, error %v, want the format error", how, rows, err)
 				}
 			}
 		})
-		if edited == 0 {
-			t.Fatalf("%s: the file has no Bloom filter on column %d", tc.name, pred.col)
+	}
+}
+
+// truncatedSource serves a file as if it had been cut at cut after its
+// footer was read: the footer (from end, where the data section ends) and
+// the bytes before cut read, and a read that reaches past cut returns what
+// lies before it and err.
+type truncatedSource struct {
+	data     []byte
+	cut, end int64
+	err      error
+}
+
+func (s truncatedSource) ReadAt(p []byte, off int64) (int, error) {
+	if off >= s.end || off+int64(len(p)) <= s.cut {
+		return copy(p, s.data[off:]), nil
+	}
+	n := 0
+	if off < s.cut {
+		n = copy(p, s.data[off:s.cut])
+	}
+	return n, s.err
+}
+
+// TestShortReadIsAFormatError: a source that ends inside the data section
+// after the footer was read fails the scan with the format error; the
+// scanner must not take the source's io.EOF for the end of the scan. The
+// file on disk is read through the io.ReaderAt path with mmap off.
+func TestShortReadIsAFormatError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.gpq")
+	writeTestFile(t, path, 5000, DefaultWriterOptions())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataEnd := int64(len(data)) - 8 - int64(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	cut := dataEnd / 2
+	pred := &cmpPredicate{col: 1, op: compute.Eq, lit: arrow.StringScalar("name-05")}
+	for _, srcErr := range []error{io.EOF, io.ErrUnexpectedEOF} {
+		src := truncatedSource{data: data, cut: cut, end: dataEnd, err: srcErr}
+		fr, err := NewReader(src, int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		fr, err := OpenFile(path)
-		if err == nil {
-			var sc *Scanner
-			if sc, err = fr.Scan(ScanOptions{Predicate: pred, Limit: -1}); err == nil {
-				for err == nil {
-					_, err = sc.Next()
-				}
-				sc.Close()
+		for _, opts := range []ScanOptions{{Limit: -1}, {Predicate: pred, Limit: -1}} {
+			if rows, err := drain(fr, opts); !errors.Is(err, errFormat) {
+				t.Errorf("source error %v, predicate %v: %d rows, error %v, want the format error",
+					srcErr, opts.Predicate != nil, rows, err)
 			}
-			fr.Close()
 		}
-		if !errors.Is(err, errFormat) {
-			t.Fatalf("%s: got %v, want the format error", tc.name, err)
-		}
+	}
+
+	t.Setenv("GOFUSION_NO_MMAP", "1")
+	fr, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	if err := os.Truncate(path, cut); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := drain(fr, ScanOptions{Limit: -1}); !errors.Is(err, errFormat) {
+		t.Errorf("truncated file: %d rows, error %v, want the format error", rows, err)
 	}
 }
 
@@ -330,7 +428,7 @@ func TestPredicateResultsMatchPostFilter(t *testing.T) {
 	// Property-style check: pushdown scan == full scan + filter, across
 	// several operators and both ablation modes.
 	path := filepath.Join(t.TempDir(), "t.gpq")
-	writeTestFile(t, path, 8000, WriterOptions{RowGroupRows: 1500, PageRows: 200, Dictionary: true, Compression: true, BloomFilters: true})
+	writeTestFile(t, path, 8000, WriterOptions{RowGroupRows: 1500, PageRows: 200, Dictionary: true, BloomFilters: true})
 	fr, _ := OpenFile(path)
 	defer fr.Close()
 

@@ -3,6 +3,7 @@ package parquet
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -100,53 +101,54 @@ func NewReader(r io.ReaderAt, size int64) (*FileReader, error) {
 }
 
 // ReadMetadata decodes only the footer of a GPQ file; catalogs use this to
-// plan without touching data pages. A footer of another format version,
-// a row group that does not hold exactly one column chunk per schema
-// field, or a Bloom filter entry checkBloom rejects is a format error.
+// plan without touching data pages. A file it cannot frame or decode, a
+// footer of another format version, a row group that does not hold
+// exactly one column chunk per schema field, or a chunk entry checkChunk
+// rejects is a format error.
 func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	if size < int64(len(Magic))*2+4 {
 		return nil, errFormat
 	}
 	head := make([]byte, 4)
-	if _, err := r.ReadAt(head, 0); err != nil {
+	if err := readFull(r, head, 0); err != nil {
 		return nil, err
 	}
 	if string(head) != Magic {
-		return nil, fmt.Errorf("parquet: bad magic %q", head)
+		return nil, fmt.Errorf("%w: bad magic %q", errFormat, head)
 	}
 	tail := make([]byte, 8)
-	if _, err := r.ReadAt(tail, size-8); err != nil {
+	if err := readFull(r, tail, size-8); err != nil {
 		return nil, err
 	}
 	if string(tail[4:]) != Magic {
-		return nil, fmt.Errorf("parquet: bad trailing magic")
+		return nil, fmt.Errorf("%w: bad trailing magic", errFormat)
 	}
 	footerLen := int64(binary.LittleEndian.Uint32(tail[:4]))
 	if footerLen <= 0 || footerLen > size-8 {
 		return nil, errFormat
 	}
 	footerJSON := make([]byte, footerLen)
-	if _, err := r.ReadAt(footerJSON, size-8-footerLen); err != nil {
+	if err := readFull(r, footerJSON, size-8-footerLen); err != nil {
 		return nil, err
 	}
 	var footer fileFooter
 	if err := json.Unmarshal(footerJSON, &footer); err != nil {
-		return nil, fmt.Errorf("parquet: decoding footer: %w", err)
+		return nil, fmt.Errorf("%w: decoding footer: %v", errFormat, err)
 	}
 	if footer.Version != formatVersion {
 		return nil, fmt.Errorf("%w: format version %d, want %d", errFormat, footer.Version, formatVersion)
 	}
 	schema, err := arrow.UnmarshalSchema(footer.Schema)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", errFormat, err)
 	}
 	dataEnd := size - 8 - footerLen
 	for _, g := range footer.RowGroups {
 		if len(g.Columns) != schema.NumFields() {
 			return nil, errFormat
 		}
-		for _, col := range g.Columns {
-			if err := checkBloom(col.Bloom, dataEnd); err != nil {
+		for i := range g.Columns {
+			if err := checkChunk(&g.Columns[i], dataEnd); err != nil {
 				return nil, err
 			}
 		}
@@ -154,21 +156,60 @@ func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	return &FileMetadata{Schema: schema, NumRows: footer.NumRows, KV: footer.KV, footer: &footer}, nil
 }
 
-// checkBloom rejects a Bloom filter entry the scanner could not probe: a
-// bit array that is empty or larger than the writer ever makes, no hash
-// functions, or bytes outside the data section [len(Magic), dataEnd).
-func checkBloom(b *bloomMeta, dataEnd int64) error {
-	switch {
-	case b == nil:
-		return nil
-	case b.Len <= 0 || b.Len > maxBloomBytes:
-		return fmt.Errorf("%w: Bloom filter of %d bytes", errFormat, b.Len)
-	case b.NumHashes < 1:
-		return fmt.Errorf("%w: Bloom filter with %d hashes", errFormat, b.NumHashes)
-	case b.Offset < int64(len(Magic)) || b.Offset > dataEnd-b.Len:
-		return fmt.Errorf("%w: Bloom filter at offset %d, %d bytes, outside the data section", errFormat, b.Offset, b.Len)
+// checkChunk rejects a column chunk entry the scanner could not read: a
+// page or dictionary page with a negative row or value count, a Bloom
+// filter larger than the writer ever makes or with no hash functions, or
+// any of them empty or outside the data section [len(Magic), dataEnd).
+func checkChunk(c *columnChunkMeta, dataEnd int64) error {
+	if d := c.Dict; d != nil {
+		if d.NumValues < 0 {
+			return fmt.Errorf("%w: dictionary page of %d values", errFormat, d.NumValues)
+		}
+		if err := checkSpan("dictionary page", d.Offset, d.Len, dataEnd); err != nil {
+			return err
+		}
+	}
+	for _, p := range c.Pages {
+		if p.NumRows < 0 {
+			return fmt.Errorf("%w: page of %d rows", errFormat, p.NumRows)
+		}
+		if err := checkSpan("page", p.Offset, p.Len, dataEnd); err != nil {
+			return err
+		}
+	}
+	if b := c.Bloom; b != nil {
+		if b.Len > maxBloomBytes {
+			return fmt.Errorf("%w: Bloom filter of %d bytes", errFormat, b.Len)
+		}
+		if b.NumHashes < 1 {
+			return fmt.Errorf("%w: Bloom filter with %d hashes", errFormat, b.NumHashes)
+		}
+		return checkSpan("Bloom filter", b.Offset, b.Len, dataEnd)
 	}
 	return nil
+}
+
+// checkSpan rejects n bytes at off unless they are non-empty and lie in
+// the data section [len(Magic), dataEnd).
+func checkSpan(what string, off, n, dataEnd int64) error {
+	if n <= 0 || off < int64(len(Magic)) || off > dataEnd-n {
+		return fmt.Errorf("%w: %s at offset %d, %d bytes, outside the data section", errFormat, what, off, n)
+	}
+	return nil
+}
+
+// readFull reads len(buf) bytes at off. A source that ends before them
+// is a truncated file, so the format error: an io.EOF passed on would
+// read as the end of a scan.
+func readFull(r io.ReaderAt, buf []byte, off int64) error {
+	n, err := r.ReadAt(buf, off)
+	switch {
+	case n == len(buf):
+		return nil
+	case err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("%w: %d of %d bytes at offset %d", errFormat, n, len(buf), off)
+	}
+	return err
 }
 
 // Metadata returns the decoded file metadata.
@@ -201,7 +242,7 @@ func (fr *FileReader) readRange(off, length int64) ([]byte, error) {
 		return fr.mm.Bytes(off, length)
 	}
 	buf := make([]byte, length)
-	if _, err := fr.r.ReadAt(buf, off); err != nil {
+	if err := readFull(fr.r, buf, off); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -214,7 +255,7 @@ func (fr *FileReader) chunkDict(chunk *columnChunkMeta) (*arrow.StringArray, err
 	if err != nil {
 		return nil, err
 	}
-	arr, err := decodePage(stored, d.Encoding, d.Codec, int(d.NumValues), arrow.String, nil)
+	arr, err := decodePage(stored, d.Encoding, int(d.NumValues), arrow.String, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +268,7 @@ func (fr *FileReader) decodePage(page *pageMeta, t *arrow.DataType, dict *arrow.
 	if err != nil {
 		return nil, err
 	}
-	return decodePage(stored, page.Encoding, page.Codec, int(page.NumRows), t, dict)
+	return decodePage(stored, page.Encoding, int(page.NumRows), t, dict)
 }
 
 // loadDict returns the chunk dictionary, shared through the page cache

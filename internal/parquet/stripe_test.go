@@ -193,7 +193,7 @@ func TestScanDifferentialGrid(t *testing.T) {
 		}
 		for _, dict := range []bool{false, true} {
 			path := filepath.Join(t.TempDir(), "grid.gpq")
-			opts := WriterOptions{RowGroupRows: groupRows, PageRows: pageRows, Dictionary: dict, Compression: true}
+			opts := WriterOptions{RowGroupRows: groupRows, PageRows: pageRows, Dictionary: dict}
 			if err := WriteFile(path, gridSchema(), []*arrow.RecordBatch{gridBatch(rows)}, opts); err != nil {
 				t.Fatal(err)
 			}

@@ -19,12 +19,9 @@ import (
 type WriterOptions struct {
 	// RowGroupRows is the maximum rows per row group (default 131072).
 	RowGroupRows int
-	// PageRows is the maximum rows per data page (default 8192).
+	// PageRows is the maximum rows per data page (default 8192). The page
+	// encoding is not an option: the writer picks the smallest per page.
 	PageRows int
-	// Compression applies the LZ byte codec to the value bytes of pages it
-	// shrinks (default on via DefaultWriterOptions). The page encoding is
-	// not an option: the writer picks the smallest per page.
-	Compression bool
 	// Dictionary enables dictionary encoding of low-cardinality string
 	// columns.
 	Dictionary bool
@@ -40,7 +37,6 @@ func DefaultWriterOptions() WriterOptions {
 	return WriterOptions{
 		RowGroupRows: 128 * 1024,
 		PageRows:     8192,
-		Compression:  true,
 		Dictionary:   true,
 		BloomFilters: true,
 	}
@@ -330,18 +326,12 @@ func tryBuildDict(a arrow.Array) (*arrow.StringArray, []uint32, bool) {
 	return db.Finish().(*arrow.StringArray), indexes, true
 }
 
-// appendPage appends one encoded page to dst, its value section through
-// the byte codec when compress is set, and returns its placement and
-// encoding, the offset relative to dst.
-func (e *pageEncoder) appendPage(dst []byte, p encodedPage, compress bool) ([]byte, pageMeta) {
-	values, codec := p.values, CodecNone
-	if compress {
-		values, codec = e.compress(values)
-	}
+// appendPage appends one encoded page to dst and returns its placement
+// and encoding, the offset relative to dst.
+func appendPage(dst []byte, p encodedPage) ([]byte, pageMeta) {
 	off := int64(len(dst))
-	dst = append(append(dst, p.head...), values...)
-	return dst, pageMeta{Offset: off, Len: int64(len(dst)) - off, Encoding: p.encoding,
-		Codec: codec, RawLen: int64(len(p.head) + len(p.values))}
+	dst = append(append(dst, p.head...), p.values...)
+	return dst, pageMeta{Offset: off, Len: int64(len(dst)) - off, Encoding: p.encoding}
 }
 
 // encodeChunk appends col encoded as one column chunk — dictionary page,
@@ -363,9 +353,8 @@ func (e *pageEncoder) encodeChunk(dst []byte, col arrow.Array, opts WriterOption
 			return dst, meta, err
 		}
 		var pm pageMeta
-		dst, pm = e.appendPage(dst, page, opts.Compression)
-		meta.Dict = &dictMeta{Offset: pm.Offset, Len: pm.Len, NumValues: int64(dictArr.Len()),
-			Encoding: pm.Encoding, Codec: pm.Codec, RawLen: pm.RawLen}
+		dst, pm = appendPage(dst, page)
+		meta.Dict = &dictMeta{Offset: pm.Offset, Len: pm.Len, NumValues: int64(dictArr.Len()), Encoding: pm.Encoding}
 	}
 
 	var bounds valueBounds
@@ -382,7 +371,7 @@ func (e *pageEncoder) encodeChunk(dst []byte, col arrow.Array, opts WriterOption
 			}
 		}
 		var pm pageMeta
-		dst, pm = e.appendPage(dst, page, opts.Compression)
+		dst, pm = appendPage(dst, page)
 		pageBounds := boundsOf(rows)
 		bounds.fold(pageBounds)
 		pm.NumRows, pm.FirstRow = int64(end-start), int64(start)
