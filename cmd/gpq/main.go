@@ -108,14 +108,10 @@ func chunkLayout(pages []parquet.PageInfo, width int64) string {
 	var groups []*group
 	var total group
 	for _, p := range pages {
-		name := p.Encoding
-		if p.Dict {
-			name = "dictionary:" + name
-		}
-		i := slices.IndexFunc(groups, func(g *group) bool { return g.name == name })
+		i := slices.IndexFunc(groups, func(g *group) bool { return g.name == p.Encoding })
 		if i < 0 {
 			i = len(groups)
-			groups = append(groups, &group{name: name})
+			groups = append(groups, &group{name: p.Encoding})
 		}
 		for _, g := range []*group{groups[i], &total} {
 			g.pages++

@@ -17,15 +17,15 @@ import (
 // the same bytes at any GOMAXPROCS. A change here changes the file format
 // in practice and must be deliberate.
 var pinnedSums = map[string]string{
-	"customer": "ac253d1c9ef56c9838b64fd1704cf34172f8c67875f7032400ecc64d1a00dc56",
-	"hits":     "e7955ae81c2fc78bc34220093fc41368dff1d438144411b199572da0d33a1441",
-	"lineitem": "93c084dc31dd3dccb20da437d035e2fe14bf71a42188b2d1688eaee83ba7ec69",
-	"nation":   "ad950d44ed727833c0d3f3e13febcf0e29ae7db3ef1e0776b5b3db7b044494ff",
-	"orders":   "2ac77e69ef04d3b94716453a41d63dc4b1db3b5912324926c8f58e41d4aea966",
-	"part":     "43c26cdaa1b1e018f45d9097daf284ebf77ac140cde3dad89f92fc6948d40f68",
-	"partsupp": "3b9bc08fb4772a0b70a5d75a6ebfb6da27e4573d5d4406dc1e58909c5f33ba56",
-	"region":   "7787f2ac76e0882a1aa701df763868c7ac21b9c8851a9e4b24fa3e878e12dde6",
-	"supplier": "045f3e9a10042f481fcd4174389715909da380fa25a3047b94b0a9b466705020",
+	"customer": "3294ee0dba2bdb553676cee2d5e6193ba8451d67ada20ee0c079348bff15c60d",
+	"hits":     "d3a0f19862c527f94ab599e3725b678dacac8d8f7840dc71c17df5897247bf2c",
+	"lineitem": "4cc8689ec8a990350137602061bfc2bdd183be7b3236ce3f406b4783eddda5e5",
+	"nation":   "3758282b1e233cf5dbbecd2faa43c012e556a82fe1a3601e5d282f0b68800d79",
+	"orders":   "919d1daeec0f39edf1c5dedc2b2e462a2324aa3821faebaf912261717c3e9648",
+	"part":     "4c4915daa2719ac4f189512552ade58a5612f886bca0dcdebd2b4e6841a3d34d",
+	"partsupp": "291927fa4151e38ae20b9d32bf81ba047af94e2a8ee9a8a63eee520c7952f7cf",
+	"region":   "2108674a32dfabd937106711a519c263571f6269bbb58675d92d82b261dd2101",
+	"supplier": "c093d5d2a0542edccd2d4f0ba9715ecc85f0a622673a48732c8d6054fd5b6f12",
 }
 
 func pinnedOptions() parquet.WriterOptions {

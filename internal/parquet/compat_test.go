@@ -39,10 +39,10 @@ func writeVersionedFile(t *testing.T, v int) string {
 // TestOtherFormatVersionsRejected: a footer that names another version,
 // or none (0), is the package's format error at open, and AppendFile
 // refuses the file without changing a byte of it. Version 2 may hold
-// pages under the "lz" codec this version dropped. The same file naming
-// this version opens.
+// pages under the "lz" codec and version 3 "dictpack" pages, both of
+// which this version dropped. The same file naming this version opens.
 func TestOtherFormatVersionsRejected(t *testing.T) {
-	for _, v := range []int{0, 1, 2, 3, 4} {
+	for _, v := range []int{0, 1, 2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
 			path := writeVersionedFile(t, v)
 			if v == formatVersion {
@@ -131,12 +131,11 @@ func v1Pages(t testing.TB, n int) map[string]storedPage {
 		sp.bytes = deflate(t, sp.bytes)
 		pages[fmt.Sprintf("v1:%s/plain/flate", typ)] = sp
 	}
-	dict := arrow.NewStringFromSlice([]string{"", "alpha", "beta", "gamma"})
 	body := appendPageHeader(nil, n, nil)
 	for i := 0; i < n; i++ {
-		body = binary.LittleEndian.AppendUint32(body, uint32(rng.Intn(dict.Len())))
+		body = binary.LittleEndian.AppendUint32(body, uint32(rng.Intn(4)))
 	}
-	sp := storedPage{bytes: body, enc: v1EncodingDict, rows: n, typ: arrow.String, dict: dict}
+	sp := storedPage{bytes: body, enc: v1EncodingDict, rows: n, typ: arrow.String}
 	pages["v1:string/dict/"] = sp
 	sp.bytes = deflate(t, body)
 	pages["v1:string/dict/flate"] = sp

@@ -1,10 +1,11 @@
 // Package parquet implements GPQ, a simplified but real columnar file
 // format standing in for Apache Parquet. A GPQ file contains row groups;
 // each row group contains one column chunk per field; each chunk contains
-// data pages (bit-packed, run-length, delta, delta-length or dictionary
-// encoded, the writer picking the smallest per page — see pages.go) plus
-// min/max/null-count statistics at page and chunk granularity, and an
-// optional Bloom filter. There is no byte codec: plain values and string
+// data pages (plain, bit-packed, run-length or delta encoded integers,
+// the writer picking the smallest per page, and delta-length strings —
+// see pages.go) plus min/max/null-count statistics at page and chunk
+// granularity, and a Bloom filter on integer and string columns. There
+// are no dictionary pages and no byte codec: plain values and string
 // bytes are stored as arrow holds them, and a mapped file's pages are
 // read in place. The reader implements projection,
 // predicate and limit pushdown with page-level late materialization
@@ -28,7 +29,7 @@ const Magic = "GPQ1"
 
 // formatVersion is the footer version this package writes and the only
 // one it reads.
-const formatVersion = 3
+const formatVersion = 4
 
 // Encodings for data pages; pages.go gives the layouts.
 const (
@@ -37,7 +38,6 @@ const (
 	EncodingRLE      = "rle"
 	EncodingDelta    = "delta"
 	EncodingDeltaLen = "dlen"
-	EncodingDictPack = "dictpack"
 )
 
 // statsValue is a JSON-friendly variant holding a typed min or max value.
@@ -90,43 +90,52 @@ func statsValueOf(s arrow.Scalar) *statsValue {
 	}
 }
 
+// kind returns the field v sets ('i', 'f', 's' or 'b'), or 0 unless it
+// sets exactly one.
+func (v *statsValue) kind() byte {
+	kind := byte(0)
+	for i, set := range [...]bool{v.I != nil, v.F != nil, v.S != nil, v.B != nil} {
+		if set {
+			if kind != 0 {
+				return 0
+			}
+			kind = "ifsb"[i]
+		}
+	}
+	return kind
+}
+
 // toScalar returns the value as a scalar of type t, or a null scalar when
-// there is none or it is held in the field of another type.
+// there is none. ReadMetadata has checked that v holds t's kind.
 func (v *statsValue) toScalar(t *arrow.DataType) arrow.Scalar {
 	if v == nil {
 		return arrow.NullScalar(t)
 	}
-	switch kind := statsKind(t); {
-	case v.I != nil && kind == 'i':
-		switch t.ID {
-		case arrow.INT8:
-			return arrow.NewScalar(t, int8(*v.I))
-		case arrow.INT16:
-			return arrow.NewScalar(t, int16(*v.I))
-		case arrow.INT32, arrow.DATE32:
-			return arrow.NewScalar(t, int32(*v.I))
-		case arrow.UINT8:
-			return arrow.NewScalar(t, uint8(*v.I))
-		case arrow.UINT16:
-			return arrow.NewScalar(t, uint16(*v.I))
-		case arrow.UINT32:
-			return arrow.NewScalar(t, uint32(*v.I))
-		case arrow.UINT64:
-			return arrow.NewScalar(t, uint64(*v.I))
-		default:
-			return arrow.NewScalar(t, *v.I)
-		}
-	case v.F != nil && kind == 'f':
-		if t.ID == arrow.FLOAT32 {
-			return arrow.NewScalar(t, float32(*v.F))
-		}
+	switch t.ID {
+	case arrow.FLOAT32:
+		return arrow.NewScalar(t, float32(*v.F))
+	case arrow.FLOAT64:
 		return arrow.NewScalar(t, *v.F)
-	case v.S != nil && kind == 's':
+	case arrow.STRING, arrow.BINARY:
 		return arrow.NewScalar(t, *v.S)
-	case v.B != nil && kind == 'b':
+	case arrow.BOOL:
 		return arrow.NewScalar(t, *v.B)
+	case arrow.INT8:
+		return arrow.NewScalar(t, int8(*v.I))
+	case arrow.INT16:
+		return arrow.NewScalar(t, int16(*v.I))
+	case arrow.INT32, arrow.DATE32:
+		return arrow.NewScalar(t, int32(*v.I))
+	case arrow.UINT8:
+		return arrow.NewScalar(t, uint8(*v.I))
+	case arrow.UINT16:
+		return arrow.NewScalar(t, uint16(*v.I))
+	case arrow.UINT32:
+		return arrow.NewScalar(t, uint32(*v.I))
+	case arrow.UINT64:
+		return arrow.NewScalar(t, uint64(*v.I))
 	}
-	return arrow.NullScalar(t)
+	return arrow.NewScalar(t, *v.I)
 }
 
 // ColumnStats summarizes the values in a page or column chunk, used for
@@ -164,13 +173,6 @@ type pageMeta struct {
 	Stats    statsMeta `json:"stats"`
 }
 
-type dictMeta struct {
-	Offset    int64  `json:"off"`
-	Len       int64  `json:"len"`
-	NumValues int64  `json:"n"`
-	Encoding  string `json:"enc"`
-}
-
 type bloomMeta struct {
 	Offset    int64 `json:"off"`
 	Len       int64 `json:"len"`
@@ -179,7 +181,6 @@ type bloomMeta struct {
 
 type columnChunkMeta struct {
 	Pages []pageMeta `json:"pages"`
-	Dict  *dictMeta  `json:"dict,omitempty"`
 	Bloom *bloomMeta `json:"bloom,omitempty"`
 	Stats statsMeta  `json:"stats"`
 }
@@ -257,22 +258,15 @@ func (m *FileMetadata) ColumnChunkStats(rg, col int) ColumnStats {
 
 // PageInfo describes how one page of a column chunk is stored.
 type PageInfo struct {
-	// Dict marks the chunk's dictionary page (Rows is then its entries).
-	Dict        bool
 	Encoding    string
 	Rows        int64
 	StoredBytes int64
 }
 
-// ColumnChunkPages lists the pages of (rowGroup, col), the dictionary
-// page first when the chunk has one.
+// ColumnChunkPages lists the pages of (rowGroup, col).
 func (m *FileMetadata) ColumnChunkPages(rg, col int) []PageInfo {
-	chunk := &m.footer.RowGroups[rg].Columns[col]
 	var out []PageInfo
-	if d := chunk.Dict; d != nil {
-		out = append(out, PageInfo{Dict: true, Encoding: d.Encoding, Rows: d.NumValues, StoredBytes: d.Len})
-	}
-	for _, p := range chunk.Pages {
+	for _, p := range m.footer.RowGroups[rg].Columns[col].Pages {
 		out = append(out, PageInfo{Encoding: p.Encoding, Rows: p.NumRows, StoredBytes: p.Len})
 	}
 	return out

@@ -12,13 +12,9 @@ type PageKey struct {
 	File     string
 	RowGroup int
 	Col      int
-	// Page is the page index within the column chunk; DictPage (-1)
-	// addresses the chunk's dictionary page.
+	// Page is the data page index within the column chunk.
 	Page int
 }
-
-// DictPage is the PageKey.Page value for a column chunk's dictionary.
-const DictPage = -1
 
 // PageCache is the process-wide cache of decoded pages: a byte-budget,
 // memory-pool-charged LRU of immutable arrow arrays shared across every

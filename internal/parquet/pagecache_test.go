@@ -12,16 +12,12 @@ import (
 )
 
 // distinctPages counts the page-cache keys a full scan of the file can
-// touch: every data page of every column chunk, plus one dictionary page
-// per dict-encoded chunk.
+// touch: every data page of every column chunk.
 func distinctPages(meta *FileMetadata) int {
 	n := 0
 	for _, rg := range meta.footer.RowGroups {
 		for _, ch := range rg.Columns {
 			n += len(ch.Pages)
-			if ch.Dict != nil {
-				n++
-			}
 		}
 	}
 	return n
@@ -33,7 +29,7 @@ func distinctPages(meta *FileMetadata) int {
 // scanners x pages.
 func TestPageCacheConcurrentExactlyOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
-	writeTestFile(t, path, 6000, WriterOptions{RowGroupRows: 2000, PageRows: 500, Dictionary: true})
+	writeTestFile(t, path, 6000, WriterOptions{RowGroupRows: 2000, PageRows: 500})
 
 	pc := NewPageCache(64<<20, nil)
 	defer pc.Close()
@@ -177,7 +173,7 @@ func TestPageCacheEvictionTightBudget(t *testing.T) {
 // open actually maps the file.
 func TestMmapFallbackEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
-	writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 2000, PageRows: 500, Dictionary: true})
+	writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 2000, PageRows: 500})
 
 	frA, err := OpenFile(path)
 	if err != nil {

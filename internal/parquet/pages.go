@@ -22,12 +22,11 @@ import (
 //	rle       runs of (uvarint count, zigzag uvarint value)
 //	delta     u64 first | u64 minDelta | u8 width | n-1 x (delta-minDelta) at width bits
 //	dlen      u8 width | n x string length at width bits | string bytes
-//	dictpack  u8 width | n x dictionary index at width bits
 //
 // Packed sections are little-endian bit streams padded to a whole byte.
-// There is no byte codec: a plain page's values and a dlen page's string
-// bytes are stored as the arrow buffer holds them, so a reader uses them
-// in place. A chunk's dictionary page is a dlen page.
+// There is no byte codec and no dictionary page: a plain page's values
+// and a dlen page's string bytes are stored as the arrow buffer holds
+// them, so a reader uses them in place.
 
 // encodedPage is one page ready to store: head, then values (which may
 // alias the source array's buffers).
@@ -101,16 +100,6 @@ func (e *pageEncoder) encode(a arrow.Array) (encodedPage, error) {
 	}
 	e.head = p.head
 	return p, nil
-}
-
-// encodeDictIndexes encodes a dictionary-encoded page: indexes packed at
-// the width of the largest dictionary index.
-func (e *pageEncoder) encodeDictIndexes(indexes []uint32, valid arrow.Bitmap, dictLen int) encodedPage {
-	head := appendPageHeader(e.head[:0], len(indexes), valid)
-	width, _ := packWidth(uint64(max(dictLen-1, 0)))
-	head = append(head, byte(width))
-	e.head = appendPacked(head, indexes, 0, width)
-	return encodedPage{encoding: EncodingDictPack, head: e.head}
 }
 
 // intStats is what one pass over an integer page learns about it.
@@ -236,13 +225,13 @@ func encodeIntsAs[T packable](head []byte, enc string, vs []T, st intStats) enco
 	return p
 }
 
-// decodePage decodes one stored page — a data page, or a chunk's
-// dictionary page — of rows values into an arrow array. Fixed-width
+// decodePage decodes one stored data page of rows values into an arrow
+// array. Fixed-width
 // values of a plain page and the bytes of a string page alias stored;
 // everything else is decoded into exactly sized buffers. Truncated or
 // corrupt input, and an encoding this format version does not write,
 // return an error wrapping errFormat.
-func decodePage(stored []byte, enc string, rows int, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
+func decodePage(stored []byte, enc string, rows int, t *arrow.DataType) (arrow.Array, error) {
 	if len(stored) < 8 {
 		return nil, errFormat
 	}
@@ -284,13 +273,10 @@ func decodePage(stored []byte, enc string, rows int, t *arrow.DataType, dict *ar
 		}
 		return arrow.NewBool(arrow.Bitmap(rest), valid, n), nil
 	case arrow.STRING, arrow.BINARY:
-		switch enc {
-		case EncodingDeltaLen:
-			return decodeDeltaLenPage(rest, n, valid, t)
-		case EncodingDictPack:
-			return decodeDictPackPage(rest, n, valid, dict, t)
+		if enc != EncodingDeltaLen {
+			return nil, fmt.Errorf("%w: unknown string encoding %q", errFormat, enc)
 		}
-		return nil, fmt.Errorf("%w: unknown string encoding %q", errFormat, enc)
+		return decodeDeltaLenPage(rest, n, valid, t)
 	}
 	return nil, fmt.Errorf("%w: unsupported page type %s", errFormat, t)
 }
@@ -364,28 +350,18 @@ func decodeIntPage[T packable](rest []byte, enc string, n int, valid arrow.Bitma
 	return arrow.NewNumeric(t, vals, valid), nil
 }
 
-// unpackOffsets reads a width byte and n packed non-negative values from
-// rest into a fresh offsets buffer at [1..n], leaving offsets[0] = 0, and
-// returns what follows them.
-func unpackOffsets(rest []byte, n int) ([]int32, []byte, error) {
+func decodeDeltaLenPage(rest []byte, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
 	if len(rest) < 1 {
-		return nil, nil, errFormat
+		return nil, errFormat
 	}
 	width := uint(rest[0])
 	size := packedLen(n, width)
 	if width > 31 || len(rest)-1 < size {
-		return nil, nil, errFormat
+		return nil, errFormat
 	}
 	offsets := make([]int32, n+1)
 	unpack(offsets[1:], rest[1:], 0, width)
-	return offsets, rest[1+size:], nil
-}
-
-func decodeDeltaLenPage(rest []byte, n int, valid arrow.Bitmap, t *arrow.DataType) (arrow.Array, error) {
-	offsets, rest, err := unpackOffsets(rest, n)
-	if err != nil {
-		return nil, err
-	}
+	rest = rest[1+size:]
 	// Lengths become end offsets in place.
 	total := int64(0)
 	for i := 1; i <= n; i++ {
@@ -399,48 +375,4 @@ func decodeDeltaLenPage(rest []byte, n int, valid arrow.Bitmap, t *arrow.DataTyp
 		return nil, errFormat
 	}
 	return arrow.NewString(t, offsets, rest, valid), nil
-}
-
-func decodeDictPackPage(rest []byte, n int, valid arrow.Bitmap, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
-	if dict == nil {
-		return nil, errFormat
-	}
-	offsets, rest, err := unpackOffsets(rest, n)
-	if err != nil || len(rest) != 0 {
-		return nil, errFormat
-	}
-	return materializeDict(offsets, valid, dict, t)
-}
-
-// materializeDict turns dictionary indexes, held in offsets[1..n], into
-// a string array; each slot is overwritten by its end offset once read.
-// Null slots take no bytes and their index is not looked at.
-func materializeDict(offsets []int32, valid arrow.Bitmap, dict *arrow.StringArray, t *arrow.DataType) (arrow.Array, error) {
-	n := len(offsets) - 1
-	dictOffs, dictData := dict.Offsets(), dict.Data()
-	dictLen := uint32(dict.Len())
-	total := int64(0)
-	for i := 0; i < n; i++ {
-		if valid != nil && !valid.Get(i) {
-			continue
-		}
-		idx := uint32(offsets[i+1])
-		if idx >= dictLen {
-			return nil, errFormat
-		}
-		total += int64(dictOffs[idx+1] - dictOffs[idx])
-	}
-	if total > math.MaxInt32 {
-		return nil, errFormat
-	}
-	data := make([]byte, total)
-	pos := 0
-	for i := 0; i < n; i++ {
-		if valid == nil || valid.Get(i) {
-			idx := offsets[i+1]
-			pos += copy(data[pos:], dictData[dictOffs[idx]:dictOffs[idx+1]])
-		}
-		offsets[i+1] = int32(pos)
-	}
-	return arrow.NewString(t, offsets, data, valid), nil
 }

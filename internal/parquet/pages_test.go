@@ -159,11 +159,10 @@ type storedPage struct {
 	enc   string
 	rows  int
 	typ   *arrow.DataType
-	dict  *arrow.StringArray
 }
 
 func (p storedPage) decode() (arrow.Array, error) {
-	return decodePage(p.bytes, p.enc, p.rows, p.typ, p.dict)
+	return decodePage(p.bytes, p.enc, p.rows, p.typ)
 }
 
 // store lays an encoded page of a out as the writer does.
@@ -258,45 +257,6 @@ func TestPageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDictPageRoundTrip covers dictionary index pages, null slots and an
-// empty dictionary (an all-null chunk) included.
-func TestDictPageRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var e pageEncoder
-	for _, dictLen := range []int{0, 1, 2, 3, 255, 256, 1000} {
-		db := arrow.NewStringBuilder(arrow.String)
-		for i := 0; i < dictLen; i++ {
-			db.Append(fmt.Sprintf("value-%d", i))
-		}
-		dict := db.Finish().(*arrow.StringArray)
-		for _, n := range []int{0, 1, 100, 1000} {
-			nulls := "some"
-			if dictLen == 0 {
-				nulls = "all"
-			}
-			valid := genValidity(rng, n, nulls)
-			indexes := make([]uint32, n)
-			want := arrow.NewStringBuilder(arrow.String)
-			for i := range indexes {
-				if !valid.Get(i) {
-					want.AppendNull()
-					continue
-				}
-				indexes[i] = uint32(rng.Intn(dictLen))
-				want.Append(dict.Value(int(indexes[i])))
-			}
-			wantArr := want.Finish()
-			sp := store(e.encodeDictIndexes(indexes, valid, dictLen), wantArr)
-			sp.dict = dict
-			got, err := sp.decode()
-			if err != nil {
-				t.Fatalf("dict of %d, %d rows: %v", dictLen, n, err)
-			}
-			assertArraysEqual(t, wantArr, got)
-		}
-	}
-}
-
 // TestWriterEncodingSelection pins which encoding the writer picks for
 // the column shapes it was built around.
 func TestWriterEncodingSelection(t *testing.T) {
@@ -336,11 +296,10 @@ func TestWriterEncodingSelection(t *testing.T) {
 		}
 	}
 
-	// Through the file writer: a low-cardinality string column is
-	// dictionary encoded with packed indexes, its dictionary page is a
-	// dlen page, and the footer names this format version.
+	// Through the file writer: a low-cardinality string column is a dlen
+	// column like any other, and the footer names this format version.
 	path := filepath.Join(t.TempDir(), "t.gpq")
-	writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 5000, Dictionary: true})
+	writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 5000})
 	fr, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -350,14 +309,10 @@ func TestWriterEncodingSelection(t *testing.T) {
 	if meta.footer.Version != formatVersion {
 		t.Fatalf("footer version %d, want %d", meta.footer.Version, formatVersion)
 	}
-	for col, want := range []string{EncodingDelta, EncodingDictPack, EncodingPlain, EncodingPlain, EncodingBitPack} {
+	for col, want := range []string{EncodingDelta, EncodingDeltaLen, EncodingPlain, EncodingPlain, EncodingBitPack} {
 		for _, p := range meta.ColumnChunkPages(0, col) {
-			enc := want
-			if p.Dict {
-				enc = EncodingDeltaLen
-			}
-			if p.Encoding != enc {
-				t.Errorf("column %d: page (dictionary %v) encoded %s, want %s", col, p.Dict, p.Encoding, enc)
+			if p.Encoding != want {
+				t.Errorf("column %d: page encoded %s, want %s", col, p.Encoding, want)
 			}
 		}
 	}
@@ -371,13 +326,13 @@ func seedPages(t testing.TB, n int) map[string]storedPage {
 	var e pageEncoder
 	pages := map[string]storedPage{}
 	// Each encoding gets the value shape it is chosen for; plain also gets
-	// runs.
+	// runs, and dlen the few repeated strings of a low-cardinality column.
 	shapesFor := map[string][]string{
 		EncodingPlain:    {shapeRandom, shapeRuns},
 		EncodingBitPack:  {shapeSmall},
 		EncodingRLE:      {shapeRuns},
 		EncodingDelta:    {shapeSorted},
-		EncodingDeltaLen: {shapeRandom},
+		EncodingDeltaLen: {shapeRandom, shapeRuns},
 	}
 	for _, typ := range pageTypes {
 		for _, enc := range allEncodings {
@@ -389,16 +344,6 @@ func seedPages(t testing.TB, n int) map[string]storedPage {
 			}
 		}
 	}
-	dict := arrow.NewStringFromSlice([]string{"", "alpha", "beta", "gamma", "delta"})
-	valid := genValidity(rng, n, "some")
-	indexes := genInts[uint32](rng, n, shapeRandom)
-	for i := range indexes {
-		indexes[i] %= uint32(dict.Len())
-	}
-	sp := store(e.encodeDictIndexes(indexes, valid, dict.Len()), arrow.NewNull(n))
-	sp.typ, sp.dict = arrow.String, dict
-	pages["string/dictpack/"+shapeRandom] = sp
-
 	return pages
 }
 
@@ -435,19 +380,6 @@ func TestCorruptPagesReturnErrors(t *testing.T) {
 			t.Fatalf("%s: decoded with the wrong row count", name)
 		}
 		assertArraysEqual(t, want, mustDecode(t, sp))
-	}
-
-	// Dictionary indexes past the dictionary are an error, not a panic.
-	dict := arrow.NewStringFromSlice([]string{"a", "b"})
-	var e pageEncoder
-	sp := store(e.encodeDictIndexes([]uint32{0, 1, 3, 1}, nil, 4), arrow.NewNull(4))
-	sp.typ, sp.dict = arrow.String, dict
-	if _, err := sp.decode(); err == nil {
-		t.Fatal("dictionary index out of range decoded")
-	}
-	sp.dict = nil
-	if _, err := sp.decode(); err == nil {
-		t.Fatal("dictionary page decoded without a dictionary")
 	}
 }
 

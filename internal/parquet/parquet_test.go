@@ -92,7 +92,7 @@ func scanAll(t *testing.T, sc *Scanner) *arrow.RecordBatch {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
-	opts := WriterOptions{RowGroupRows: 3000, PageRows: 500, Dictionary: true, BloomFilters: true}
+	opts := WriterOptions{RowGroupRows: 3000, PageRows: 500}
 	writeTestFile(t, path, 10000, opts)
 
 	fr, err := OpenFile(path)
@@ -288,12 +288,13 @@ func drain(fr *FileReader, opts ScanOptions) (int, error) {
 }
 
 // TestHostileFooterEntryIsAFormatError hand-edits the Bloom filter, page
-// and dictionary page entries of a footer: a length or count the writer
-// never makes, no hash functions, or bytes outside the data section.
-// Opened through NewReader and through OpenFile, the file must fail to
-// open or an equality scan with pruning on must end in the format error,
-// never in a panic or a result. The scanned value is in the file, so a
-// Bloom filter does not stop the scan before it reads the pages.
+// and statistics entries of a footer: a length or count the writer never
+// makes, no hash functions, bytes outside the data section, or a min or
+// max of another kind than the column's. Opened through NewReader and
+// through OpenFile, the file must fail to open or an equality scan with
+// pruning on must end in the format error, never in a panic or a result.
+// The scanned value is in the file, so a Bloom filter does not stop the
+// scan before it reads the pages.
 func TestHostileFooterEntryIsAFormatError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
 	writeTestFile(t, path, 5000, DefaultWriterOptions())
@@ -310,7 +311,22 @@ func TestHostileFooterEntryIsAFormatError(t *testing.T) {
 		"bloom/no-hashes":       func(c *columnChunkMeta) { c.Bloom.NumHashes = 0 },
 		"bloom/negative-hashes": func(c *columnChunkMeta) { c.Bloom.NumHashes = -3 },
 		"page/rows-negative":    func(c *columnChunkMeta) { c.Pages[0].NumRows = -1 },
-		"dict/values-negative":  func(c *columnChunkMeta) { c.Dict.NumValues = -1 },
+	}
+	// Min/max of a string column must set exactly its S field, and a null
+	// count lie in [0, rows], in the chunk's statistics and in a page's.
+	one, s := int64(1), "name-05"
+	stats := map[string]func(m *statsMeta){
+		"int-min":        func(m *statsMeta) { m.Min = &statsValue{I: &one} },
+		"int-max":        func(m *statsMeta) { m.Max = &statsValue{I: &one} },
+		"two-fields":     func(m *statsMeta) { m.Min = &statsValue{S: &s, I: &one} },
+		"no-field":       func(m *statsMeta) { m.Max = &statsValue{} },
+		"nulls-negative": func(m *statsMeta) { m.NullCount = -1 },
+		"nulls-over":     func(m *statsMeta) { m.NullCount = m.NumRows + 1 },
+		"rows-lie":       func(m *statsMeta) { m.NumRows++ },
+	}
+	for name, st := range stats {
+		cases["stats/"+name] = func(c *columnChunkMeta) { st(&c.Stats) }
+		cases["page-stats/"+name] = func(c *columnChunkMeta) { st(&c.Pages[0].Stats) }
 	}
 	// Every entry's bytes must be non-empty and inside the data section.
 	spans := map[string]func(off, n *int64){
@@ -325,14 +341,13 @@ func TestHostileFooterEntryIsAFormatError(t *testing.T) {
 	for name, span := range spans {
 		cases["bloom/"+name] = func(c *columnChunkMeta) { span(&c.Bloom.Offset, &c.Bloom.Len) }
 		cases["page/"+name] = func(c *columnChunkMeta) { span(&c.Pages[0].Offset, &c.Pages[0].Len) }
-		cases["dict/"+name] = func(c *columnChunkMeta) { span(&c.Dict.Offset, &c.Dict.Len) }
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			edited := rewriteFooter(t, path, func(ft *fileFooter) {
 				for _, g := range ft.RowGroups {
-					if c := &g.Columns[pred.col]; c.Bloom == nil || c.Dict == nil {
-						t.Fatalf("column %d has no Bloom filter or no dictionary", pred.col)
+					if c := &g.Columns[pred.col]; c.Bloom == nil {
+						t.Fatalf("column %d has no Bloom filter", pred.col)
 					} else {
 						tc(c)
 					}
@@ -428,7 +443,7 @@ func TestPredicateResultsMatchPostFilter(t *testing.T) {
 	// Property-style check: pushdown scan == full scan + filter, across
 	// several operators and both ablation modes.
 	path := filepath.Join(t.TempDir(), "t.gpq")
-	writeTestFile(t, path, 8000, WriterOptions{RowGroupRows: 1500, PageRows: 200, Dictionary: true, BloomFilters: true})
+	writeTestFile(t, path, 8000, WriterOptions{RowGroupRows: 1500, PageRows: 200})
 	fr, _ := OpenFile(path)
 	defer fr.Close()
 
@@ -501,35 +516,6 @@ func TestChunkAndFileStats(t *testing.T) {
 	nameStats := fr.Metadata().ColumnStatsForFile(1)
 	if nameStats.NullCount == 0 {
 		t.Fatal("null count missing")
-	}
-}
-
-func TestDictionaryEncodingActuallyUsed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.gpq")
-	writeTestFile(t, path, 5000, WriterOptions{RowGroupRows: 5000, Dictionary: true})
-	fr, _ := OpenFile(path)
-	defer fr.Close()
-	chunk := fr.Metadata().footer.RowGroups[0].Columns[1]
-	if chunk.Dict == nil {
-		t.Fatal("low-cardinality string column should be dictionary encoded")
-	}
-	if chunk.Pages[0].Encoding != EncodingDictPack {
-		t.Fatal("pages should use dict encoding")
-	}
-	// High-cardinality column must not be dict encoded: id as string.
-	sb := arrow.NewStringBuilder(arrow.String)
-	for i := 0; i < 5000; i++ {
-		sb.Append(fmt.Sprintf("unique-%d", i))
-	}
-	schema := arrow.NewSchema(arrow.NewField("u", arrow.String, false))
-	path2 := filepath.Join(t.TempDir(), "u.gpq")
-	if err := WriteFile(path2, schema, []*arrow.RecordBatch{arrow.NewRecordBatch(schema, []arrow.Array{sb.Finish()})}, WriterOptions{Dictionary: true}); err != nil {
-		t.Fatal(err)
-	}
-	fr2, _ := OpenFile(path2)
-	defer fr2.Close()
-	if fr2.Metadata().footer.RowGroups[0].Columns[0].Dict != nil {
-		t.Fatal("high-cardinality column should not be dict encoded")
 	}
 }
 

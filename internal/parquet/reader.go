@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 
@@ -103,8 +104,9 @@ func NewReader(r io.ReaderAt, size int64) (*FileReader, error) {
 // ReadMetadata decodes only the footer of a GPQ file; catalogs use this to
 // plan without touching data pages. A file it cannot frame or decode, a
 // footer of another format version, a row group that does not hold
-// exactly one column chunk per schema field, or a chunk entry checkChunk
-// rejects is a format error.
+// exactly one column chunk per schema field or whose row count is
+// negative, a footer row count that is not the sum of its row groups',
+// or a chunk entry checkChunk rejects is a format error.
 func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 	if size < int64(len(Magic))*2+4 {
 		return nil, errFormat
@@ -143,35 +145,53 @@ func ReadMetadata(r io.ReaderAt, size int64) (*FileMetadata, error) {
 		return nil, fmt.Errorf("%w: %v", errFormat, err)
 	}
 	dataEnd := size - 8 - footerLen
-	for _, g := range footer.RowGroups {
+	total := int64(0)
+	for rg, g := range footer.RowGroups {
 		if len(g.Columns) != schema.NumFields() {
-			return nil, errFormat
+			return nil, fmt.Errorf("%w: row group %d holds %d column chunks for %d fields", errFormat, rg, len(g.Columns), schema.NumFields())
 		}
-		for i := range g.Columns {
-			if err := checkChunk(&g.Columns[i], dataEnd); err != nil {
-				return nil, err
+		if g.NumRows < 0 || g.NumRows > math.MaxInt64-total {
+			return nil, fmt.Errorf("%w: row group %d of %d rows", errFormat, rg, g.NumRows)
+		}
+		total += g.NumRows
+		// Column 0's pages (none without columns) must tile the row group,
+		// and every chunk is cut where they are.
+		var lead []pageMeta
+		if len(g.Columns) > 0 {
+			lead = g.Columns[0].Pages
+		}
+		if err := checkPages(lead, lead, g.NumRows); err != nil {
+			return nil, fmt.Errorf("%w: row group %d column 0: %v", errFormat, rg, err)
+		}
+		for c := range g.Columns {
+			if err := checkChunk(&g.Columns[c], schema.Field(c).Type, g.NumRows, lead, dataEnd); err != nil {
+				return nil, fmt.Errorf("%w: row group %d column %d: %v", errFormat, rg, c, err)
 			}
 		}
+	}
+	if footer.NumRows != total {
+		return nil, fmt.Errorf("%w: footer claims %d rows, its row groups hold %d", errFormat, footer.NumRows, total)
 	}
 	return &FileMetadata{Schema: schema, NumRows: footer.NumRows, KV: footer.KV, footer: &footer}, nil
 }
 
-// checkChunk rejects a column chunk entry the scanner could not read: a
-// page or dictionary page with a negative row or value count, a Bloom
-// filter larger than the writer ever makes or with no hash functions, or
-// any of them empty or outside the data section [len(Magic), dataEnd).
-func checkChunk(c *columnChunkMeta, dataEnd int64) error {
-	if d := c.Dict; d != nil {
-		if d.NumValues < 0 {
-			return fmt.Errorf("%w: dictionary page of %d values", errFormat, d.NumValues)
-		}
-		if err := checkSpan("dictionary page", d.Offset, d.Len, dataEnd); err != nil {
-			return err
-		}
+// checkChunk rejects a column chunk entry of a rows-row group that the
+// scanner could not read or whose statistics lie: pages cut at other rows
+// than lead, statistics checkStats rejects, a Bloom filter larger than
+// the writer ever makes or with no hash functions, or any of them empty
+// or outside the data section [len(Magic), dataEnd).
+func checkChunk(c *columnChunkMeta, t *arrow.DataType, rows int64, lead []pageMeta, dataEnd int64) error {
+	if err := checkPages(c.Pages, lead, rows); err != nil {
+		return err
 	}
-	for _, p := range c.Pages {
-		if p.NumRows < 0 {
-			return fmt.Errorf("%w: page of %d rows", errFormat, p.NumRows)
+	kind := statsKind(t)
+	if err := checkStats(&c.Stats, kind, rows); err != nil {
+		return err
+	}
+	for i := range c.Pages {
+		p := &c.Pages[i]
+		if err := checkStats(&p.Stats, kind, p.NumRows); err != nil {
+			return fmt.Errorf("page %d: %v", i, err)
 		}
 		if err := checkSpan("page", p.Offset, p.Len, dataEnd); err != nil {
 			return err
@@ -179,12 +199,47 @@ func checkChunk(c *columnChunkMeta, dataEnd int64) error {
 	}
 	if b := c.Bloom; b != nil {
 		if b.Len > maxBloomBytes {
-			return fmt.Errorf("%w: Bloom filter of %d bytes", errFormat, b.Len)
+			return fmt.Errorf("Bloom filter of %d bytes", b.Len)
 		}
 		if b.NumHashes < 1 {
-			return fmt.Errorf("%w: Bloom filter with %d hashes", errFormat, b.NumHashes)
+			return fmt.Errorf("Bloom filter with %d hashes", b.NumHashes)
 		}
 		return checkSpan("Bloom filter", b.Offset, b.Len, dataEnd)
+	}
+	return nil
+}
+
+// checkPages rejects pages that do not tile [0, rows) in order with
+// positive row counts, or whose row counts differ from lead's.
+func checkPages(pages, lead []pageMeta, rows int64) error {
+	if len(pages) != len(lead) {
+		return fmt.Errorf("%d pages where column 0 has %d", len(pages), len(lead))
+	}
+	next := int64(0)
+	for i, p := range pages {
+		if p.FirstRow != next || p.NumRows <= 0 || p.NumRows > rows-next || p.NumRows != lead[i].NumRows {
+			return fmt.Errorf("page %d covers rows [%d, %d) after row %d, column 0's page %d rows",
+				i, p.FirstRow, p.FirstRow+p.NumRows, next, lead[i].NumRows)
+		}
+		next += p.NumRows
+	}
+	if next != rows {
+		return fmt.Errorf("pages end at row %d of %d", next, rows)
+	}
+	return nil
+}
+
+// checkStats rejects statistics of rows rows that claim another row
+// count, a null count outside [0, rows], or a min or max that does not
+// set exactly the field of kind.
+func checkStats(m *statsMeta, kind byte, rows int64) error {
+	if m.NumRows != rows || m.NullCount < 0 || m.NullCount > rows {
+		return fmt.Errorf("statistics of %d rows with %d nulls for %d rows", m.NumRows, m.NullCount, rows)
+	}
+	for _, v := range []*statsValue{m.Min, m.Max} {
+		if v != nil && v.kind() != kind {
+			return fmt.Errorf("min or max not of statistics kind %q", kind)
+		}
 	}
 	return nil
 }
@@ -193,7 +248,7 @@ func checkChunk(c *columnChunkMeta, dataEnd int64) error {
 // the data section [len(Magic), dataEnd).
 func checkSpan(what string, off, n, dataEnd int64) error {
 	if n <= 0 || off < int64(len(Magic)) || off > dataEnd-n {
-		return fmt.Errorf("%w: %s at offset %d, %d bytes, outside the data section", errFormat, what, off, n)
+		return fmt.Errorf("%s at offset %d, %d bytes, outside the data section", what, off, n)
 	}
 	return nil
 }
@@ -248,55 +303,24 @@ func (fr *FileReader) readRange(off, length int64) ([]byte, error) {
 	return buf, nil
 }
 
-// chunkDict loads the dictionary page of a column chunk.
-func (fr *FileReader) chunkDict(chunk *columnChunkMeta) (*arrow.StringArray, error) {
-	d := chunk.Dict
-	stored, err := fr.readRange(d.Offset, d.Len)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := decodePage(stored, d.Encoding, int(d.NumValues), arrow.String, nil)
-	if err != nil {
-		return nil, err
-	}
-	return arr.(*arrow.StringArray), nil
-}
-
 // decodePage decodes one data page of a column chunk.
-func (fr *FileReader) decodePage(page *pageMeta, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
+func (fr *FileReader) decodePage(page *pageMeta, t *arrow.DataType) (arrow.Array, error) {
 	stored, err := fr.readRange(page.Offset, page.Len)
 	if err != nil {
 		return nil, err
 	}
-	return decodePage(stored, page.Encoding, int(page.NumRows), t, dict)
-}
-
-// loadDict returns the chunk dictionary, shared through the page cache
-// when one is attached (key Page=DictPage).
-func (s *Scanner) loadDict(rg, col int, chunk *columnChunkMeta) (*arrow.StringArray, error) {
-	if s.opts.Cache == nil || s.fr.fingerprint == "" {
-		return s.fr.chunkDict(chunk)
-	}
-	key := PageKey{File: s.fr.fingerprint, RowGroup: rg, Col: col, Page: DictPage}
-	arr, hit, err := s.opts.Cache.CachedPage(key, func() (arrow.Array, error) {
-		return s.fr.chunkDict(chunk)
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.countCache(hit)
-	return arr.(*arrow.StringArray), nil
+	return decodePage(stored, page.Encoding, int(page.NumRows), t)
 }
 
 // loadPage decodes one data page, shared through the page cache when one
 // is attached. Cached arrays are immutable shared views.
-func (s *Scanner) loadPage(rg, col, pi int, page *pageMeta, t *arrow.DataType, dict *arrow.StringArray) (arrow.Array, error) {
+func (s *Scanner) loadPage(rg, col, pi int, page *pageMeta, t *arrow.DataType) (arrow.Array, error) {
 	if s.opts.Cache == nil || s.fr.fingerprint == "" {
-		return s.fr.decodePage(page, t, dict)
+		return s.fr.decodePage(page, t)
 	}
 	key := PageKey{File: s.fr.fingerprint, RowGroup: rg, Col: col, Page: pi}
 	arr, hit, err := s.opts.Cache.CachedPage(key, func() (arrow.Array, error) {
-		return s.fr.decodePage(page, t, dict)
+		return s.fr.decodePage(page, t)
 	})
 	if err != nil {
 		return nil, err
@@ -384,15 +408,13 @@ type Scanner struct {
 	pending   []*arrow.RecordBatch
 
 	// Stripe-loop state, owned by whichever goroutine runs scanRange.
-	// cur holds the current stripe's loaded pages and dicts the current
-	// row group's dictionaries, both by file column; pend holds, per
-	// projected column, the page of every pending stripe, and runs the
-	// pending selected rows in order (Run.Src indexes pend's inner
-	// slices).
+	// cur holds the current stripe's loaded pages by file column; pend
+	// holds, per projected column, the page of every pending stripe, and
+	// runs the pending selected rows in order (Run.Src indexes pend's
+	// inner slices).
 	predCols []int
 	needed   []int
 	cur      map[int]arrow.Array
-	dicts    []*arrow.StringArray
 	pend     [][]arrow.Array
 	npend    int
 	runs     []compute.Run
@@ -463,7 +485,6 @@ func (fr *FileReader) Scan(opts ScanOptions) (*Scanner, error) {
 		remaining: remaining,
 		ranges:    ranges,
 		cur:       make(map[int]arrow.Array),
-		dicts:     make([]*arrow.StringArray, nf),
 		pend:      make([][]arrow.Array, len(opts.Projection)),
 	}
 	seen := make([]bool, nf)
@@ -610,68 +631,16 @@ func (s *Scanner) keepRowGroup(rg int) bool {
 	return true
 }
 
-// AlignmentError reports a row group whose needed column chunks are not
-// cut into pages at the same rows, or whose pages do not tile the row
-// group. The scanner reads a row group one page stripe at a time and
-// checks this before it loads any page. It wraps the package's format
-// error.
-type AlignmentError struct {
-	RowGroup int
-	// Col is the file column at fault, or -1 for the row group itself.
-	Col    int
-	Detail string
-}
-
-func (e *AlignmentError) Error() string {
-	return fmt.Sprintf("parquet: row group %d column %d: %s", e.RowGroup, e.Col, e.Detail)
-}
-
-func (e *AlignmentError) Unwrap() error { return errFormat }
-
 // stripes returns the page stripes of row group rg as the pages of its
-// first needed column: page i of every needed column chunk covers the
-// rows of stripe i. With no needed column (an empty projection and no
-// predicate) the whole row group is one stripe.
-func (s *Scanner) stripes(rg int) ([]pageMeta, error) {
+// first needed column: page i of every column chunk covers the rows of
+// stripe i (ReadMetadata checks it). With no needed column (an empty
+// projection and no predicate) the whole row group is one stripe.
+func (s *Scanner) stripes(rg int) []pageMeta {
 	group := &s.fr.meta.footer.RowGroups[rg]
-	bad := func(col int, format string, args ...any) error {
-		return &AlignmentError{RowGroup: rg, Col: col, Detail: fmt.Sprintf(format, args...)}
-	}
-	if group.NumRows < 0 {
-		return nil, bad(-1, "%d rows", group.NumRows)
-	}
-	if group.NumRows == 0 {
-		return nil, nil
-	}
 	if len(s.needed) == 0 {
-		return []pageMeta{{NumRows: group.NumRows}}, nil
+		return []pageMeta{{NumRows: group.NumRows}}
 	}
-	lead := s.needed[0]
-	first := group.Columns[lead].Pages
-	var next int64
-	for i, p := range first {
-		if p.FirstRow != next || p.NumRows <= 0 {
-			return nil, bad(lead, "page %d covers rows [%d, %d), want one starting at row %d",
-				i, p.FirstRow, p.FirstRow+p.NumRows, next)
-		}
-		next += p.NumRows
-	}
-	if next != group.NumRows {
-		return nil, bad(lead, "pages end at row %d of %d", next, group.NumRows)
-	}
-	for _, col := range s.needed[1:] {
-		pages := group.Columns[col].Pages
-		if len(pages) != len(first) {
-			return nil, bad(col, "%d pages where column %d has %d", len(pages), lead, len(first))
-		}
-		for i, p := range pages {
-			if p.FirstRow != first[i].FirstRow || p.NumRows != first[i].NumRows {
-				return nil, bad(col, "page %d covers rows [%d, %d) where column %d's covers [%d, %d)",
-					i, p.FirstRow, p.FirstRow+p.NumRows, lead, first[i].FirstRow, first[i].FirstRow+first[i].NumRows)
-			}
-		}
-	}
-	return first, nil
+	return group.Columns[s.needed[0]].Pages
 }
 
 // scanRange scans the stripes of range r one at a time. Page statistics
@@ -682,19 +651,15 @@ func (s *Scanner) stripes(rg int) ([]pageMeta, error) {
 // the range as one row group.
 func (s *Scanner) scanRange(r RowRange) error {
 	rg := r.RowGroup
-	stripes, err := s.stripes(rg)
-	if err != nil {
-		return err
-	}
+	stripes := s.stripes(rg)
 	pred := s.opts.Predicate
 	prune := pred != nil && !s.opts.DisablePruning
 	if prune && !s.keepRowGroup(rg) {
 		s.RowGroupsPruned++
 		return nil
 	}
-	// Pages and dictionaries are held for one stripe and one row group.
+	// Pages are held for one stripe.
 	defer clear(s.cur)
-	clear(s.dicts)
 	candidate, matched := false, false
 	for si := range stripes {
 		if s.remaining == 0 {
@@ -783,14 +748,7 @@ func (s *Scanner) load(rg, si int, cols []int) error {
 			continue
 		}
 		chunk := &s.fr.meta.footer.RowGroups[rg].Columns[col]
-		if chunk.Dict != nil && s.dicts[col] == nil {
-			dict, err := s.loadDict(rg, col, chunk)
-			if err != nil {
-				return err
-			}
-			s.dicts[col] = dict
-		}
-		arr, err := s.loadPage(rg, col, si, &chunk.Pages[si], s.fr.meta.Schema.Field(col).Type, s.dicts[col])
+		arr, err := s.loadPage(rg, col, si, &chunk.Pages[si], s.fr.meta.Schema.Field(col).Type)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package parquet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -26,8 +27,8 @@ func gridSchema() *arrow.Schema {
 }
 
 // gridBatch builds n rows: id = row index, and nullable int, string (20
-// distinct values, so the writer dictionary-encodes it when allowed),
-// bool and date columns with nulls at different strides.
+// distinct values), bool and date columns with nulls at different
+// strides.
 func gridBatch(n int) *arrow.RecordBatch {
 	ib := arrow.NewNumericBuilder[int64](arrow.Int64)
 	vb := arrow.NewNumericBuilder[int64](arrow.Int64)
@@ -181,8 +182,8 @@ func sameValues(got, want arrow.Array) bool {
 
 // TestScanDifferentialGrid checks the stripe scan against a filter over a
 // full unfiltered read across page sizes, batch sizes, selectivities,
-// limits, projections, dictionary encoding and the page cache. Every
-// batch but a row group's last must hold exactly BatchRows rows.
+// limits, projections and the page cache. Every batch but a row group's
+// last must hold exactly BatchRows rows.
 func TestScanDifferentialGrid(t *testing.T) {
 	for _, pageRows := range []int{64, 100, 8192} {
 		// Row groups of several pages with a short last page, and a short
@@ -191,34 +192,32 @@ func TestScanDifferentialGrid(t *testing.T) {
 		if pageRows == 8192 {
 			rows, groupRows = 17000, 16500
 		}
-		for _, dict := range []bool{false, true} {
-			path := filepath.Join(t.TempDir(), "grid.gpq")
-			opts := WriterOptions{RowGroupRows: groupRows, PageRows: pageRows, Dictionary: dict}
-			if err := WriteFile(path, gridSchema(), []*arrow.RecordBatch{gridBatch(rows)}, opts); err != nil {
-				t.Fatal(err)
-			}
-			fr, err := OpenFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full := scanAll(t, mustScan(t, fr, ScanOptions{Limit: -1}))
-			if !sameValues(full.Column(2), gridBatch(rows).Column(2)) {
-				t.Fatal("full read does not round-trip")
-			}
-			for _, cached := range []bool{false, true} {
-				var cache *PageCache
-				if cached {
-					cache = NewPageCache(64<<20, nil)
-				}
-				for _, sel := range gridPredicates(rows) {
-					checkGridSelection(t, fr, full, cache, sel.pred, fmt.Sprintf("page=%d dict=%v cache=%v sel=%s", pageRows, dict, cached, sel.name))
-				}
-				if cache != nil {
-					cache.Close()
-				}
-			}
-			fr.Close()
+		path := filepath.Join(t.TempDir(), "grid.gpq")
+		opts := WriterOptions{RowGroupRows: groupRows, PageRows: pageRows}
+		if err := WriteFile(path, gridSchema(), []*arrow.RecordBatch{gridBatch(rows)}, opts); err != nil {
+			t.Fatal(err)
 		}
+		fr, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := scanAll(t, mustScan(t, fr, ScanOptions{Limit: -1}))
+		if !sameValues(full.Column(2), gridBatch(rows).Column(2)) {
+			t.Fatal("full read does not round-trip")
+		}
+		for _, cached := range []bool{false, true} {
+			var cache *PageCache
+			if cached {
+				cache = NewPageCache(64<<20, nil)
+			}
+			for _, sel := range gridPredicates(rows) {
+				checkGridSelection(t, fr, full, cache, sel.pred, fmt.Sprintf("page=%d cache=%v sel=%s", pageRows, cached, sel.name))
+			}
+			if cache != nil {
+				cache.Close()
+			}
+		}
+		fr.Close()
 	}
 }
 
@@ -309,7 +308,7 @@ func checkGridSelection(t *testing.T, fr *FileReader, full *arrow.RecordBatch, c
 func TestFullySelectedPageIsTheCachedArray(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
 	if err := WriteFile(path, gridSchema(), []*arrow.RecordBatch{gridBatch(1000)},
-		WriterOptions{RowGroupRows: 500, PageRows: 100, Dictionary: true}); err != nil {
+		WriterOptions{RowGroupRows: 500, PageRows: 100}); err != nil {
 		t.Fatal(err)
 	}
 	fr, err := OpenFile(path)
@@ -371,9 +370,11 @@ func rewriteFooter(t testing.TB, src string, edit func(*fileFooter)) string {
 }
 
 // TestMisalignedPagesAreAFormatError hand-edits footers so that column
-// chunks disagree on their page cuts or pages stop tiling the row group:
-// a scan that needs those columns fails with an *AlignmentError wrapping
-// the format error; a scan that does not need them still reads.
+// chunks disagree on their page cuts, pages stop tiling the row group, or
+// a row count lies: opened through NewReader and through OpenFile, the
+// file is a format error, whatever a scan would need of it. Among them is
+// a row group claiming 1<<24 rows over pages of 300, which a count(*)
+// scan (no columns) would otherwise return.
 func TestMisalignedPagesAreAFormatError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.gpq")
 	if err := WriteFile(path, gridSchema(), []*arrow.RecordBatch{gridBatch(600)},
@@ -387,50 +388,50 @@ func TestMisalignedPagesAreAFormatError(t *testing.T) {
 			}
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		edit func(*fileFooter)
-		// fine is a projection the edit leaves readable, or nil.
-		fine []int
-	}{
-		{"chunks-disagree", func(ft *fileFooter) {
+	for name, edit := range map[string]func(*fileFooter){
+		"chunks-disagree": func(ft *fileFooter) {
 			p := ft.RowGroups[1].Columns[2].Pages
 			p[0].NumRows -= 10
 			p[1].FirstRow -= 10
 			p[1].NumRows += 10
-		}, []int{0, 1}},
-		{"gap", allCols(func(c *columnChunkMeta) { c.Pages[1].FirstRow++ }), nil},
-		{"overlap", allCols(func(c *columnChunkMeta) { c.Pages[1].FirstRow-- }), nil},
-		{"short", allCols(func(c *columnChunkMeta) { c.Pages = c.Pages[:2] }), nil},
+		},
+		"chunk-fewer-pages": func(ft *fileFooter) { ft.RowGroups[1].Columns[3].Pages = ft.RowGroups[1].Columns[3].Pages[:2] },
+		"gap":               allCols(func(c *columnChunkMeta) { c.Pages[1].FirstRow++ }),
+		"overlap":           allCols(func(c *columnChunkMeta) { c.Pages[1].FirstRow-- }),
+		"short":             allCols(func(c *columnChunkMeta) { c.Pages = c.Pages[:2] }),
+		"empty-page": allCols(func(c *columnChunkMeta) {
+			c.Pages = append(c.Pages, pageMeta{FirstRow: 300, Offset: c.Pages[0].Offset, Len: c.Pages[0].Len})
+		}),
+		"group-overclaims": func(ft *fileFooter) {
+			ft.RowGroups[1].NumRows = 1 << 24
+			ft.NumRows = 300 + 1<<24
+		},
+		"count-star": func(ft *fileFooter) { ft.RowGroups[1].NumRows = 1 << 24 },
+		"group-negative": func(ft *fileFooter) {
+			ft.RowGroups[1].NumRows = -300
+			ft.NumRows = 0
+		},
+		"footer-rows": func(ft *fileFooter) { ft.NumRows-- },
 	} {
-		edited := rewriteFooter(t, path, tc.edit)
-		fr, err := OpenFile(edited)
+		edited := rewriteFooter(t, path, edit)
+		file, err := os.ReadFile(edited)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, readahead := range []int{0, 2} {
-			sc := mustScan(t, fr, ScanOptions{Limit: -1, Readahead: readahead})
-			var alignErr *AlignmentError
-			err = nil
-			rows := 0
-			for err == nil {
-				var b *arrow.RecordBatch
-				if b, err = sc.Next(); err == nil {
-					rows += b.NumRows()
-				}
+		for how, open := range map[string]func() (*FileReader, error){
+			"NewReader": func() (*FileReader, error) { return NewReader(bytes.NewReader(file), int64(len(file))) },
+			"OpenFile":  func() (*FileReader, error) { return OpenFile(edited) },
+		} {
+			fr, err := open()
+			if err == nil {
+				rows, err := drain(fr, ScanOptions{Projection: []int{}})
+				fr.Close()
+				t.Fatalf("%s %s: opened; a count(*) scan returned %d rows, error %v", name, how, rows, err)
 			}
-			sc.Close()
-			if !errors.As(err, &alignErr) || alignErr.RowGroup != 1 || !errors.Is(err, errFormat) {
-				t.Fatalf("%s: scan ended with %v after %d rows, want an alignment error in row group 1", tc.name, err, rows)
+			if !errors.Is(err, errFormat) {
+				t.Fatalf("%s %s: %v, want the format error", name, how, err)
 			}
 		}
-		if tc.fine != nil {
-			sc := mustScan(t, fr, ScanOptions{Projection: tc.fine, Limit: -1})
-			if got := scanAll(t, sc); got.NumRows() != 600 {
-				t.Fatalf("%s: projection %v read %d rows, want 600", tc.name, tc.fine, got.NumRows())
-			}
-		}
-		fr.Close()
 	}
 }
 

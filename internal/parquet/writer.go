@@ -20,14 +20,9 @@ type WriterOptions struct {
 	// RowGroupRows is the maximum rows per row group (default 131072).
 	RowGroupRows int
 	// PageRows is the maximum rows per data page (default 8192). The page
-	// encoding is not an option: the writer picks the smallest per page.
+	// encoding is not an option: the writer picks the smallest per page,
+	// and every integer and string chunk gets a Bloom filter.
 	PageRows int
-	// Dictionary enables dictionary encoding of low-cardinality string
-	// columns.
-	Dictionary bool
-	// BloomFilters builds per-chunk Bloom filters on integer and string
-	// columns.
-	BloomFilters bool
 	// KV is arbitrary metadata stored in the footer (e.g. sort order).
 	KV map[string]string
 }
@@ -37,8 +32,6 @@ func DefaultWriterOptions() WriterOptions {
 	return WriterOptions{
 		RowGroupRows: 128 * 1024,
 		PageRows:     8192,
-		Dictionary:   true,
-		BloomFilters: true,
 	}
 }
 
@@ -213,9 +206,6 @@ func (fw *FileWriter) encodeChunks(parts []*arrow.RecordBatch) {
 // rebase moves the chunk's offsets from relative to its start to
 // absolute, for a chunk stored at base.
 func (m *columnChunkMeta) rebase(base int64) {
-	if m.Dict != nil {
-		m.Dict.Offset += base
-	}
 	for i := range m.Pages {
 		m.Pages[i].Offset += base
 	}
@@ -290,42 +280,6 @@ func bloomEligible(t *arrow.DataType) bool {
 	return false
 }
 
-// tryBuildDict returns dictionary values and per-row indexes when the
-// column is a string column whose cardinality makes dictionary encoding
-// worthwhile.
-func tryBuildDict(a arrow.Array) (*arrow.StringArray, []uint32, bool) {
-	sa, ok := a.(*arrow.StringArray)
-	if !ok {
-		return nil, nil, false
-	}
-	n := sa.Len()
-	if n < 64 {
-		return nil, nil, false
-	}
-	const maxDict = 1 << 16
-	dict := make(map[string]uint32, 1024)
-	indexes := make([]uint32, n)
-	db := arrow.NewStringBuilder(arrow.String)
-	for i := 0; i < n; i++ {
-		if sa.IsNull(i) {
-			continue
-		}
-		v := sa.Value(i)
-		idx, ok := dict[v]
-		if !ok {
-			if len(dict) >= maxDict || len(dict) > n/2+16 {
-				return nil, nil, false
-			}
-			idx = uint32(len(dict))
-			key := string(sa.ValueBytes(i)) // copy out of shared buffer
-			dict[key] = idx
-			db.Append(key)
-		}
-		indexes[i] = idx
-	}
-	return db.Finish().(*arrow.StringArray), indexes, true
-}
-
 // appendPage appends one encoded page to dst and returns its placement
 // and encoding, the offset relative to dst.
 func appendPage(dst []byte, p encodedPage) ([]byte, pageMeta) {
@@ -334,41 +288,19 @@ func appendPage(dst []byte, p encodedPage) ([]byte, pageMeta) {
 	return dst, pageMeta{Offset: off, Len: int64(len(dst)) - off, Encoding: p.encoding}
 }
 
-// encodeChunk appends col encoded as one column chunk — dictionary page,
-// data pages, Bloom filter — to dst and returns it with the chunk's
-// metadata, offsets relative to the start of dst.
+// encodeChunk appends col encoded as one column chunk — data pages, then
+// a Bloom filter — to dst and returns it with the chunk's metadata,
+// offsets relative to the start of dst.
 func (e *pageEncoder) encodeChunk(dst []byte, col arrow.Array, opts WriterOptions) ([]byte, columnChunkMeta, error) {
 	var meta columnChunkMeta
 	n := col.Len()
-
-	var dictArr *arrow.StringArray
-	var dictIdx []uint32
-	useDict := false
-	if opts.Dictionary {
-		dictArr, dictIdx, useDict = tryBuildDict(col)
-	}
-	if useDict {
-		page, err := e.encode(dictArr)
-		if err != nil {
-			return dst, meta, err
-		}
-		var pm pageMeta
-		dst, pm = appendPage(dst, page)
-		meta.Dict = &dictMeta{Offset: pm.Offset, Len: pm.Len, NumValues: int64(dictArr.Len()), Encoding: pm.Encoding}
-	}
-
 	var bounds valueBounds
 	for start := 0; start < n; start += opts.PageRows {
 		end := min(start+opts.PageRows, n)
 		rows := col.Slice(start, end-start)
-		var page encodedPage
-		if useDict {
-			page = e.encodeDictIndexes(dictIdx[start:end], rows.Validity(), dictArr.Len())
-		} else {
-			var err error
-			if page, err = e.encode(rows); err != nil {
-				return dst, meta, err
-			}
+		page, err := e.encode(rows)
+		if err != nil {
+			return dst, meta, err
 		}
 		var pm pageMeta
 		dst, pm = appendPage(dst, page)
@@ -383,15 +315,9 @@ func (e *pageEncoder) encodeChunk(dst []byte, col arrow.Array, opts WriterOption
 	}
 	meta.Stats = bounds.stats(col.NullCount(), n)
 
-	if opts.BloomFilters && bloomEligible(col.DataType()) {
-		var bf *bloomFilter
-		if useDict {
-			bf = newBloomFilter(int64(dictArr.Len()))
-			bf.insertArray(dictArr)
-		} else {
-			bf = newBloomFilter(int64(n))
-			bf.insertArray(col)
-		}
+	if bloomEligible(col.DataType()) {
+		bf := newBloomFilter(int64(n))
+		bf.insertArray(col)
 		meta.Bloom = &bloomMeta{Offset: int64(len(dst)), Len: int64(len(bf.bits)), NumHashes: bf.k}
 		dst = append(dst, bf.bits...)
 	}

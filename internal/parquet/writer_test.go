@@ -329,7 +329,7 @@ func TestWriterEncodeErrorInOneWorker(t *testing.T) {
 // across appends, and requires identical bytes.
 func TestWriterSameBytesAtAnyProcs(t *testing.T) {
 	dir := t.TempDir()
-	opts := WriterOptions{RowGroupRows: 2500, PageRows: 700, Dictionary: true, BloomFilters: true}
+	opts := WriterOptions{RowGroupRows: 2500, PageRows: 700}
 	var want []byte
 	for _, procs := range []int{1, 2, 3, 8} {
 		t.Run("", func(t *testing.T) {
