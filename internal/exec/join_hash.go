@@ -63,17 +63,22 @@ func (e *HashJoinExec) PushInto(ctx *physical.ExecContext, partition int) (physi
 	return e.pushInto(ctx, partition, e.Mode == PartitionedJoin)
 }
 
-// Dense integer keys. A build whose only key is an integer column without
-// NULLs, spanning at most denseRangePerRow × rows + denseRangeMin values,
-// is an array indexed by key − min instead of a hash table. Its head array
-// costs 4 bytes per value in range; the groupTable it replaces costs at
-// least 28 bytes per distinct key (4/3 slots of 12 bytes, an 8-byte stored
-// key and a 4-byte chain head) and never less than 64 slots, so over
-// distinct keys, as a dimension table's are, the array is never the
-// larger of the two.
+// Dense integer keys. A build whose only key is an integer-backed column
+// without NULLs is an array indexed by key − min instead of a hash table
+// when its head array, 4 bytes per value in range, either is no larger
+// than the groupTable it replaces or holds at most denseBudget entries.
+// Parity: the table costs at least 28 bytes per distinct key (4/3 slots of
+// 12 bytes, an 8-byte stored key and a 4-byte chain head) and never less
+// than 64 slots, so a span of at most denseRangePerRow × rows +
+// denseRangeMin values over distinct keys, as a dimension table's are, is
+// never the larger of the two. Budget: below 4 MiB the array stays in the
+// last-level cache, and a probe reads one entry where the table hashes the
+// key, reads a slot and compares the stored key, so the array is the
+// faster of the two even where it is the larger.
 const (
 	denseRangePerRow = 7
 	denseRangeMin    = 256
+	denseBudget      = 1 << 20
 )
 
 // estimateKeyCardinality samples up to 1024 row hashes and extrapolates
@@ -112,43 +117,6 @@ func estimateKeyCardinality(hashes []uint64) int {
 	return est
 }
 
-// orderedKeys widens an integer-backed array to uint64 keys that sort as
-// the values do (signed values get their sign bit flipped), writing into
-// buf. It reports false for any other array.
-func orderedKeys(a arrow.Array, buf []uint64) ([]uint64, bool) {
-	switch arr := a.(type) {
-	case *arrow.Int8Array:
-		return widenKeys(arr.Values(), buf), true
-	case *arrow.Int16Array:
-		return widenKeys(arr.Values(), buf), true
-	case *arrow.Int32Array:
-		return widenKeys(arr.Values(), buf), true
-	case *arrow.Int64Array:
-		return widenKeys(arr.Values(), buf), true
-	case *arrow.Uint8Array:
-		return widenKeys(arr.Values(), buf), true
-	case *arrow.Uint16Array:
-		return widenKeys(arr.Values(), buf), true
-	case *arrow.Uint32Array:
-		return widenKeys(arr.Values(), buf), true
-	case *arrow.Uint64Array:
-		return widenKeys(arr.Values(), buf), true
-	}
-	return nil, false
-}
-
-func widenKeys[T int8 | int16 | int32 | int64 | uint8 | uint16 | uint32 | uint64](vals []T, buf []uint64) []uint64 {
-	var flip uint64
-	if ^T(0) < 0 {
-		flip = 1 << 63
-	}
-	buf = buf[:0]
-	for _, v := range vals {
-		buf = append(buf, uint64(int64(v))^flip)
-	}
-	return buf
-}
-
 // index chains the build rows by key: through a dense array when the only
 // key is an integer column without NULLs over a small enough range, else
 // through a groupTable. The table takes the key hashes a hash exchange
@@ -167,15 +135,9 @@ func (e *HashJoinExec) index(bt *builtTable) (func(int) lookupFn, error) {
 		types[i] = x.DataType()
 	}
 	if n > 0 && len(cols) == 1 && cols[0].NullCount() == 0 {
-		if keys, ok := orderedKeys(cols[0], nil); ok {
-			head, lo, err := bt.buildDense(keys)
-			if err != nil {
-				return nil, err
-			}
-			if head != nil {
-				e.Metrics().Counter("dense_builds").Add(1)
-				return func(int) lookupFn { return denseLookup(probe[0], head, lo) }, nil
-			}
+		if newLookup := indexDense(bt, cols[0], probe[0]); newLookup != nil {
+			e.Metrics().Counter("dense_builds").Add(1)
+			return newLookup, nil
 		}
 	}
 	// One vectorized hash pass feeds both the cardinality estimate
@@ -216,53 +178,87 @@ func (e *HashJoinExec) index(bt *builtTable) (func(int) lookupFn, error) {
 	}, nil
 }
 
+// intKey is the element type of an integer-backed array.
+type intKey interface {
+	int8 | int16 | int32 | int64 | uint8 | uint16 | uint32 | uint64
+}
+
+// indexDense chains the build through a dense array when its key is an
+// integer-backed array whose span fits, returning nil, for the groupTable
+// to take, otherwise.
+func indexDense(bt *builtTable, key arrow.Array, probe physical.PhysicalExpr) func(int) lookupFn {
+	switch a := key.(type) {
+	case *arrow.Int8Array:
+		return buildDense(bt, a.Values(), probe)
+	case *arrow.Int16Array:
+		return buildDense(bt, a.Values(), probe)
+	case *arrow.Int32Array:
+		return buildDense(bt, a.Values(), probe)
+	case *arrow.Int64Array:
+		return buildDense(bt, a.Values(), probe)
+	case *arrow.Uint8Array:
+		return buildDense(bt, a.Values(), probe)
+	case *arrow.Uint16Array:
+		return buildDense(bt, a.Values(), probe)
+	case *arrow.Uint32Array:
+		return buildDense(bt, a.Values(), probe)
+	case *arrow.Uint64Array:
+		return buildDense(bt, a.Values(), probe)
+	}
+	return nil
+}
+
+// keyBits widens k to 64 bits (sign-extending a signed type), so that
+// keyBits(k) − keyBits(lo) is k − lo for every k in [lo, hi] and at least
+// hi − lo + 1 for every other k of the type: no key wraps into range.
+func keyBits[T intKey](k T) uint64 { return uint64(int64(k)) }
+
 // buildDense chains the build by key − lo when the keys span few enough
-// values, returning the chain heads and lo, or nil heads otherwise. The
-// span is compared before adding one, so a range covering all of uint64
-// cannot overflow.
-func (bt *builtTable) buildDense(keys []uint64) (head []int32, lo uint64, err error) {
+// values, in one pass: head holds the first build row + 1 of each key, so
+// make's zeroing marks every key absent. A span past both limits, or an
+// array the pool refuses, returns nil. The span is compared before adding
+// one, so a range covering all of uint64 cannot overflow.
+func buildDense[T intKey](bt *builtTable, keys []T, probe physical.PhysicalExpr) func(int) lookupFn {
 	lo, hi := keys[0], keys[0]
 	for _, k := range keys {
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	n := uint64(len(keys))
-	if hi-lo >= denseRangePerRow*n+denseRangeMin {
-		return nil, 0, nil
+	span, n := keyBits(hi)-keyBits(lo), uint64(len(keys))
+	if span >= denseRangePerRow*n+denseRangeMin && span >= denseBudget {
+		return nil
 	}
-	size := int(hi-lo) + 1
-	if err := bt.res.Grow(4 * int64(size+len(keys))); err != nil {
-		return nil, 0, err
+	size := int(span) + 1
+	if bt.res.Grow(4*int64(size+len(keys))) != nil {
+		return nil // the groupTable may still fit
 	}
-	head = make([]int32, size)
-	bt.next = make([]int32, len(keys))
-	for i := range head {
-		head[i] = -1
-	}
+	head := make([]int32, size)
+	next := make([]int32, len(keys))
+	base := keyBits(lo)
 	for i := len(keys) - 1; i >= 0; i-- {
-		off := keys[i] - lo
-		bt.next[i] = head[off]
-		head[off] = int32(i)
+		off := keyBits(keys[i]) - base
+		next[i] = head[off] - 1
+		head[off] = int32(i) + 1
 	}
-	return head, lo, nil
+	bt.next = next
+	return func(int) lookupFn { return denseLookup(probe, head, lo) }
 }
 
-// denseLookup finds a probe row's chain at head[key − lo]; the probe key
-// has the build key's integer type.
-func denseLookup(probe physical.PhysicalExpr, head []int32, lo uint64) lookupFn {
-	var keys []uint64
+// denseLookup finds a probe row's chain at head[key − lo] − 1; the probe
+// key has the build key's type, which coerceJoinKeys guarantees.
+func denseLookup[T intKey](probe physical.PhysicalExpr, head []int32, lo T) lookupFn {
+	base := keyBits(lo)
 	return func(rb *arrow.RecordBatch, first []int32) error {
 		a, err := physical.EvalToArray(probe, rb, nil)
 		if err != nil {
 			return err
 		}
-		var ok bool
-		if keys, ok = orderedKeys(a, keys); !ok {
-			return fmt.Errorf("exec: dense join probe key is %s, not an integer array", a.DataType())
+		keys, ok := a.(*arrow.NumericArray[T])
+		if !ok {
+			return fmt.Errorf("exec: dense join probe key is %s, not the build's %T", a.DataType(), lo)
 		}
-		size := uint64(len(head))
-		for i, k := range keys {
-			if off := k - lo; off < size {
-				first[i] = head[off]
+		for i, k := range keys.Values() {
+			if off := keyBits(k) - base; off < uint64(len(head)) {
+				first[i] = head[off] - 1
 			} else {
 				first[i] = -1
 			}

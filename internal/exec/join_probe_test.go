@@ -47,7 +47,9 @@ func keyRange(lo, hi int64) []*int64 {
 // bit pattern, so negative keys land above math.MaxInt64.
 func keyArray(typ *arrow.DataType, keys []*int64) arrow.Array {
 	switch typ.ID {
-	case arrow.INT32:
+	case arrow.INT8:
+		return buildKeys[int8](typ, keys)
+	case arrow.INT32, arrow.DATE32:
 		return buildKeys[int32](typ, keys)
 	case arrow.UINT32:
 		return buildKeys[uint32](typ, keys)
@@ -57,7 +59,7 @@ func keyArray(typ *arrow.DataType, keys []*int64) arrow.Array {
 	return buildKeys[int64](typ, keys)
 }
 
-func buildKeys[T int32 | uint32 | int64 | uint64](typ *arrow.DataType, keys []*int64) arrow.Array {
+func buildKeys[T int8 | int32 | uint32 | int64 | uint64](typ *arrow.DataType, keys []*int64) arrow.Array {
 	b := arrow.NewNumericBuilder[T](typ)
 	for _, k := range keys {
 		if k == nil {
@@ -188,7 +190,7 @@ func TestJoinOutputBatchesCapped(t *testing.T) {
 // TestJoinBuildReservation: a build of each join is charged to the memory
 // pool until the last probe closes. Over the budget the join fails with the
 // pool's typed error, leaving no reservation, goroutine or spill file
-// behind.
+// behind; a dense array the pool refuses gives way to the group table.
 func TestJoinBuildReservation(t *testing.T) {
 	var keys []*int64
 	for i := 0; i < 20000; i++ {
@@ -310,6 +312,42 @@ func TestJoinBuildReservation(t *testing.T) {
 			t.Fatalf("%s: no result after 30s", q)
 		}
 	}
+
+	// One key far from the rest makes big's 20 001 keys span 1<<20 values:
+	// an array only the budget admits, 4 MiB of heads. Unlimited it is
+	// built; under 2 MiB the pool refuses it and the build falls back to
+	// the group table (about 0.7 MiB) with the same rows; under 512 KiB
+	// neither fits and the join fails as before.
+	sparse := keyTable{"sparse", arrow.Int64, append(append([]*int64{}, keys...), kv(1<<20-1))}
+	const q = "SELECT sparse.v, small.v FROM sparse RIGHT JOIN small ON sparse.k = small.k"
+	for _, parts := range []int{1, 2} {
+		for _, limit := range []int64{0, 2 << 20, 512 << 10} {
+			t.Run(fmt.Sprintf("sparse/p%d/limit%d", parts, limit), func(t *testing.T) {
+				defer testutil.CheckNoGoroutineLeak(t)()
+				s := core.NewSession(core.SessionConfig{TargetPartitions: parts, MemoryLimit: limit, SpillDir: t.TempDir()})
+				be := baseline.New(1)
+				sparse.register(t, s, be)
+				probe.register(t, s, be)
+				if limit == 512<<10 {
+					df, err := s.SQL(q)
+					if err == nil {
+						_, err = df.CollectBatch()
+					}
+					// The table's request, not the array's, is the one refused.
+					var exhausted *memory.ErrResourcesExhausted
+					if !errors.As(err, &exhausted) || exhausted.Consumer != "HashJoinExec" || exhausted.Requested >= 4<<20 {
+						t.Fatalf("err = %v, want the HashJoinExec exhaustion of the group table", err)
+					}
+					return
+				}
+				_, plan := runJoin(t, s, be, q)
+				dense, hashed := joinMetric(plan, "dense_builds", nil), joinMetric(plan, "hashed_rows", nil)
+				if want := limit == 0; (dense == 1) != want || (hashed == 0) != want {
+					t.Fatalf("dense_builds=%d hashed_rows=%d, want a dense build %v", dense, hashed, want)
+				}
+			})
+		}
+	}
 }
 
 // denseCase is one key layout of the dense-key table test: the keys of
@@ -325,25 +363,37 @@ type denseCase struct {
 func denseCases() []denseCase {
 	withNulls := append(keyRange(-5, 40), nil, nil)
 	dups := append(append(keyRange(0, 30), keyRange(10, 20)...), keyRange(10, 12)...)
-	// 101 rows spanning exactly denseRangePerRow*n + denseRangeMin values
-	// (7·101 + 256 = 963), and one value more.
-	atLimit := append(keyRange(0, 99), kv(962))
-	pastLimit := append(keyRange(0, 99), kv(963))
 	extremes := []*int64{kv(math.MaxInt64), kv(math.MaxInt64 - 1), kv(math.MinInt64), kv(math.MinInt64 + 1), kv(0)}
+	// The array's two ways in. at-limit: n rows spanning exactly
+	// denseRangePerRow*n + denseRangeMin values, the parity limit, with n
+	// large enough that the span is past the budget. at-budget: 101 rows
+	// spanning exactly denseBudget values (head[0 .. 1<<20-1]);
+	// past-limit: one value more, past both.
+	const n, budget = 150_000, 1 << 20
+	atLimit := append(keyRange(0, n-2), kv(7*n+255))
+	atBudget := append(keyRange(0, 99), kv(budget-1))
+	pastLimit := append(keyRange(0, 99), kv(budget))
+	edges := append(keyRange(-10, 120), kv(budget-2), kv(budget-1), kv(budget), kv(7*n+254), kv(7*n+255), kv(7*n+256))
 	return []denseCase{
 		{"negative", arrow.Int64, keyRange(-60, -20), keyRange(-80, 5), true},
 		{"int32", arrow.Int32, append(keyRange(-10, 50), keyRange(0, 5)...), keyRange(-20, 70), true},
+		{"int8", arrow.Int8, append(keyRange(-128, -100), keyRange(90, 127)...), keyRange(-128, 127), true},
 		{"uint32", arrow.Uint32, keyRange(3, 90), keyRange(0, 120), true},
 		// Across the signed boundary: -3..2 are 2^64-3 .. 2.
 		{"uint64", arrow.Uint64, keyRange(-3, 40), keyRange(-9, 60), false},
 		{"uint64-high", arrow.Uint64, keyRange(-50, -1), keyRange(-70, 3), true},
+		// Days, microseconds and cents: integer-backed keys of other types.
+		{"date32", arrow.Date32, keyRange(9000, 9400), keyRange(8990, 9100), true},
+		{"timestamp", arrow.Timestamp, keyRange(1_000_000, 1_000_500), keyRange(999_990, 1_000_050), true},
+		{"decimal", arrow.Decimal(12, 2), keyRange(-250, 400), keyRange(-300, 20), true},
 		{"extremes", arrow.Int64, extremes, append(append([]*int64{}, extremes...), kv(1), kv(-1)), false},
 		{"null-build", arrow.Int64, withNulls, keyRange(-10, 45), false},
 		{"null-probe", arrow.Int64, keyRange(-5, 40), withNulls, true},
 		{"duplicates", arrow.Int64, dups, append(dups, keyRange(-5, 50)...), true},
 		{"empty-build", arrow.Int64, nil, keyRange(0, 40), false},
-		{"at-limit", arrow.Int64, atLimit, keyRange(-10, 1000), true},
-		{"past-limit", arrow.Int64, pastLimit, keyRange(-10, 1000), false},
+		{"at-limit", arrow.Int64, atLimit, edges, true},
+		{"at-budget", arrow.Int64, atBudget, edges, true},
+		{"past-limit", arrow.Int64, pastLimit, edges, false},
 	}
 }
 
@@ -365,7 +415,7 @@ func TestDenseJoinKeysMatchBaseline(t *testing.T) {
 		"SELECT k, v FROM p WHERE EXISTS (SELECT 1 FROM b WHERE b.k = p.k AND b.v > p.v)",
 		// Probe columns pass through the first join and are read twice,
 		// under two names, by the stages after the second.
-		"SELECT x.pv AS a, x.pv AS c, x.pv + x.pk FROM (SELECT p.v AS pv, p.k AS pk FROM b JOIN p ON b.k = p.k) x JOIN b b2 ON x.pk = b2.k",
+		"SELECT x.pv AS a, x.pv AS c, x.pv + x.pv, x.pk FROM (SELECT p.v AS pv, p.k AS pk FROM b JOIN p ON b.k = p.k) x JOIN b b2 ON x.pk = b2.k",
 		"SELECT x.pk, count(*), sum(x.pv) FROM (SELECT p.v AS pv, p.k AS pk FROM b JOIN p ON b.k = p.k) x GROUP BY x.pk",
 	}
 	types := map[string]bool{}

@@ -109,6 +109,10 @@ func (fw *FileWriter) Write(batch *arrow.RecordBatch) error {
 	if !batch.Schema().Equal(fw.schema) {
 		return fmt.Errorf("parquet: batch schema %s does not match file schema %s", batch.Schema(), fw.schema)
 	}
+	if fw.schema.NumFields() == 0 && batch.NumRows() > 0 {
+		// A row group without columns must hold 0 rows (ReadMetadata).
+		return fmt.Errorf("parquet: cannot write %d rows without columns", batch.NumRows())
+	}
 	fw.pending = append(fw.pending, batch)
 	fw.pendingRows += batch.NumRows()
 	for fw.pendingRows >= fw.opts.RowGroupRows {

@@ -325,6 +325,31 @@ func TestWriterEncodeErrorInOneWorker(t *testing.T) {
 	}
 }
 
+// TestWriterRefusesRowsWithoutColumns: a batch with rows and no columns
+// is an error, not a panic in the encoder; with no rows the file is
+// written and reads back empty.
+func TestWriterRefusesRowsWithoutColumns(t *testing.T) {
+	dir := t.TempDir()
+	empty := arrow.NewSchema()
+	err := WriteFile(filepath.Join(dir, "rows.gpq"), empty,
+		[]*arrow.RecordBatch{arrow.NewRecordBatchWithRows(empty, nil, 5)}, DefaultWriterOptions())
+	if err == nil || !strings.Contains(err.Error(), "without columns") {
+		t.Fatalf("5 rows, no columns: err = %v", err)
+	}
+	path := filepath.Join(dir, "none.gpq")
+	if err := WriteFile(path, empty, []*arrow.RecordBatch{arrow.NewRecordBatchWithRows(empty, nil, 0)}, DefaultWriterOptions()); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	if fr.NumRows() != 0 || fr.Schema().NumFields() != 0 {
+		t.Fatalf("read back %d rows, %d columns", fr.NumRows(), fr.Schema().NumFields())
+	}
+}
+
 // TestWriterSameBytesAtAnyProcs writes one file at several GOMAXPROCS and
 // across appends, and requires identical bytes.
 func TestWriterSameBytesAtAnyProcs(t *testing.T) {
